@@ -21,8 +21,8 @@ for n_quenches in (2, 4, 8, 16, 32, 64):
     schedule = gt.local_quench_schedule(ham0, peak, n_quenches)
     w_gge = gt.run_schedule(gamma0, schedule, gt.GGE, keep_states=False).work
     w_gibbs = gt.run_schedule(gamma0, schedule, gt.GIBBS, keep_states=False).work
-    w_exact = gt.run_exact_schedule(gamma0, schedule, (20.0 / g, 100.0 / g),
-                                    seed + n_quenches, keep_states=False).work
+    exact = gt.ExactDynamics(20.0 / g, 100.0 / g, seed + n_quenches)
+    w_exact = gt.run_schedule(gamma0, schedule, exact, keep_states=False).work
     print(f"{n_quenches:4d}  {w_exact:9.6f}  {w_gge:11.6f}  {w_gibbs:9.6f}")
 
 print()

@@ -283,7 +283,8 @@ def cmd_fig2(config: ExperimentConfig):
         schedule = pr.optimal_gge_schedule(gamma0, ham0, n_q)
         rec = pr.run_schedule(gamma0, schedule, fg.GGE, keep_states=False)
         child = np.random.SeedSequence(config.seed, spawn_key=(1, n_q))
-        rec_exact = pr.run_exact_schedule(gamma0, schedule, holds, child, keep_states=False)
+        rec_exact = pr.run_schedule(gamma0, schedule, pr.ExactDynamics(*holds, child),
+                                    keep_states=False)
         rows.append([n_q, rec_exact.work, rec.work, bound, rec.entropy_production])
     header = ["N", "W_exact", "W_gge", "W_bound", "S_produced_gge"]
     diagnostics = [f"work bound: {bound:.9f}"]
@@ -304,12 +305,10 @@ def _run_local_experiment(config: ExperimentConfig, gamma0, ham0):
         for idx, name in enumerate(config.models):
             if name == "exact":
                 child = np.random.SeedSequence(config.seed, spawn_key=(idx, n_q))
-                rec = pr.run_exact_schedule(gamma0, schedule, holds, child, keep_states=False)
-            elif name == "ta-gge":
-                rec = pr.run_schedule(gamma0, schedule, fg.GGE, keep_states=False)
+                model = pr.ExactDynamics(*holds, child)
             else:
-                rec = pr.run_schedule(gamma0, schedule, fg.GIBBS, keep_states=False)
-            table[name].append(rec.work)
+                model = fg.GGE if name == "ta-gge" else fg.GIBBS
+            table[name].append(pr.run_schedule(gamma0, schedule, model, keep_states=False).work)
     return table
 
 

@@ -26,6 +26,7 @@ from scipy.special import xlogy
 
 from .hermitian import (
     DEGENERACY_TOL,
+    _energy_matching_root,
     cluster_degenerate,
     eigh,
     require_hermitian,
@@ -97,7 +98,7 @@ def _thermal_weights(eps: np.ndarray, beta: float) -> np.ndarray:
     return w / w.sum()
 
 
-def gibbs_state_dense(rho, hamiltonian, *, rtol: float = 1e-10) -> tuple[np.ndarray, float]:
+def gibbs_state_dense(rho, hamiltonian) -> tuple[np.ndarray, float]:
     """Thermal state of the Hamiltonian at the energy of ``rho``.
 
     The inverse temperature is fixed by Tr(H omega) = Tr(H rho) via bracketed
@@ -128,37 +129,12 @@ def gibbs_state_dense(rho, hamiltonian, *, rtol: float = 1e-10) -> tuple[np.ndar
     def f(beta: float) -> float:
         return float(_thermal_weights(eps, beta) @ eps) - target
 
-    b_lo, b_hi = -64.0, 64.0
-    f_lo, f_hi = f(b_lo), f(b_hi)
-    while f_lo < 0.0 and abs(b_lo) < 1e12:
-        b_lo *= 2.0
-        f_lo = f(b_lo)
-    while f_hi > 0.0 and abs(b_hi) < 1e12:
-        b_hi *= 2.0
-        f_hi = f(b_hi)
-    if f_lo < 0.0 or f_hi > 0.0:
-        raise RuntimeError(
-            f"energy matching failed after bracket expansion; residual "
-            f"{min(abs(f_lo), abs(f_hi)):.3e}"
-        )
-    beta = brentq(f, b_lo, b_hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=300)
-    tol = rtol * max(1.0, abs(target))
-    resid = f(beta)
-    if abs(resid) > tol:
-        for _ in range(8):
-            w = _thermal_weights(eps, beta)
-            mean = float(w @ eps)
-            var = float(w @ (eps - mean) ** 2)
-            if var == 0.0:
-                break
-            beta += resid / var
-            resid = f(beta)
-            if abs(resid) <= tol:
-                break
-        if abs(resid) > tol:
-            raise RuntimeError(
-                f"energy matching did not converge: residual {abs(resid):.3e} exceeds {tol:.3e}"
-            )
+    def slope(beta: float) -> float:
+        w = _thermal_weights(eps, beta)
+        mean = float(w @ eps)
+        return -float(w @ (eps - mean) ** 2)
+
+    beta = _energy_matching_root(f, slope, target)
     w = _thermal_weights(eps, beta)
     omega = (es.vectors * w) @ es.vectors.conj().T
     return omega, float(beta)

@@ -40,10 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import expit, xlogy
 
-from .hermitian import HERMITIAN_ATOL, eigh, require_hermitian
+from .hermitian import HERMITIAN_ATOL, _energy_matching_root, eigh, require_hermitian
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -190,14 +189,7 @@ def attainable_energy_range(ham: QuadraticHamiltonian) -> tuple[float, float]:
     return float(np.minimum(eps, 0.0).sum()), float(np.maximum(eps, 0.0).sum())
 
 
-def solve_beta(
-    ham: QuadraticHamiltonian,
-    target_energy: float,
-    *,
-    rtol: float = 1e-10,
-    bracket: tuple[float, float] = (-64.0, 64.0),
-    max_bracket: float = 1e12,
-) -> tuple[float, bool]:
+def solve_beta(ham: QuadraticHamiltonian, target_energy: float) -> tuple[float, bool]:
     """Inverse temperature whose thermal state has the given mean energy.
 
     The energy is strictly decreasing in beta, so bracketed root finding
@@ -228,36 +220,11 @@ def solve_beta(
     def f(beta: float) -> float:
         return float(np.sum(eps * expit(-beta * eps))) - t
 
-    b_lo, b_hi = float(bracket[0]), float(bracket[1])
-    f_lo, f_hi = f(b_lo), f(b_hi)  # f decreasing: want f_lo >= 0 >= f_hi
-    while f_lo < 0.0 and abs(b_lo) < max_bracket:
-        b_lo *= 2.0
-        f_lo = f(b_lo)
-    while f_hi > 0.0 and abs(b_hi) < max_bracket:
-        b_hi *= 2.0
-        f_hi = f(b_hi)
-    if f_lo < 0.0 or f_hi > 0.0:
-        raise RuntimeError(
-            "no sign change after bracket expansion; residual "
-            f"{min(abs(f_lo), abs(f_hi)):.3e}"
-        )
-    beta = brentq(f, b_lo, b_hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=300)
-    tol = rtol * max(1.0, abs(t))
-    resid = f(beta)
-    if abs(resid) > tol:
-        for _ in range(8):
-            p = expit(-beta * eps)
-            slope = float(-np.sum(eps * eps * p * (1.0 - p)))
-            if slope == 0.0:
-                break
-            beta -= resid / slope
-            resid = f(beta)
-            if abs(resid) <= tol:
-                break
-        if abs(resid) > tol:
-            raise RuntimeError(
-                f"energy matching did not converge: residual {abs(resid):.3e} exceeds {tol:.3e}"
-            )
+    def slope(beta: float) -> float:
+        p = expit(-beta * eps)
+        return float(-np.sum(eps * eps * p * (1.0 - p)))
+
+    beta = _energy_matching_root(f, slope, t)
     return float(beta), bool(beta < 0.0)
 
 

@@ -1,9 +1,13 @@
-"""Hermitian eigendecomposition with a fixed phase convention, plus
-degeneracy clustering and basis-change helpers.
+"""Hermitian eigendecomposition with a fixed phase convention, degeneracy
+clustering, and the energy-matching root finder shared by both back ends.
 
 Eigenvectors are normalised so that the largest-magnitude component of each
 column is real and positive, which makes repeated runs reproducible.  All
 routines are pure functions; nothing mutates its inputs.
+
+``fermions.solve_beta`` and ``dense.gibbs_state_dense`` both match a mean
+energy with :func:`_energy_matching_root` (bracket, Brent, Newton polish),
+which lives here so that neither back end imports the other.
 """
 
 from __future__ import annotations
@@ -11,23 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 HERMITIAN_ATOL = 1e-12
-UNITARY_ATOL = 1e-10
 DEGENERACY_TOL = 1e-9
 
 __all__ = [
     "HERMITIAN_ATOL",
-    "UNITARY_ATOL",
     "DEGENERACY_TOL",
     "EigenSystem",
     "DegeneracyPartition",
     "hermiticity_defect",
     "require_hermitian",
-    "require_unitary",
     "eigh",
     "cluster_degenerate",
-    "conjugate",
 ]
 
 
@@ -50,19 +51,6 @@ def require_hermitian(matrix, atol: float = HERMITIAN_ATOL, name: str = "matrix"
             f"{name} is not Hermitian: max asymmetry {defect:.3e} exceeds tolerance {atol:.1e}"
         )
     return 0.5 * (m + m.conj().T)
-
-
-def require_unitary(matrix, atol: float = UNITARY_ATOL, name: str = "matrix") -> np.ndarray:
-    """Validate U†U = 1 within ``atol`` (max entrywise deviation)."""
-    u = np.asarray(matrix, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {u.shape}")
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))) if u.size else 0.0
-    if defect > atol:
-        raise ValueError(
-            f"{name} is not unitary: max deviation {defect:.3e} exceeds tolerance {atol:.1e}"
-        )
-    return u
 
 
 @dataclass(frozen=True)
@@ -140,10 +128,45 @@ def cluster_degenerate(values, tol: float = DEGENERACY_TOL) -> DegeneracyPartiti
     return DegeneracyPartition(groups=tuple(groups), tol=tol)
 
 
-def conjugate(matrix, unitary, atol: float = UNITARY_ATOL) -> np.ndarray:
-    """U M U† for unitary U.  Preserves spectrum, trace and Frobenius norm."""
-    m = np.asarray(matrix, dtype=complex)
-    u = require_unitary(unitary, atol=atol, name="unitary")
-    if m.ndim != 2 or m.shape != u.shape:
-        raise ValueError(f"dimension mismatch: matrix {m.shape} vs unitary {u.shape}")
-    return u @ m @ u.conj().T
+def _energy_matching_root(f, slope, target: float) -> float:
+    """Root of the strictly decreasing residual ``f(beta)`` (mean energy
+    minus ``target``).
+
+    The bracket (-64, 64) doubles outwards until the residual changes sign
+    (up to |beta| = 1e12), Brent's method finds the root, and up to eight
+    Newton steps ``beta -= f / slope`` polish it when the residual still
+    exceeds ``1e-10 * max(1, |target|)``.
+
+    Raises RuntimeError when no sign change is found or the polish does not
+    reach the tolerance (residual reported).
+    """
+    b_lo, b_hi = -64.0, 64.0
+    f_lo, f_hi = f(b_lo), f(b_hi)  # f decreasing: want f_lo >= 0 >= f_hi
+    while f_lo < 0.0 and abs(b_lo) < 1e12:
+        b_lo *= 2.0
+        f_lo = f(b_lo)
+    while f_hi > 0.0 and abs(b_hi) < 1e12:
+        b_hi *= 2.0
+        f_hi = f(b_hi)
+    if f_lo < 0.0 or f_hi > 0.0:
+        raise RuntimeError(
+            "energy matching found no sign change after bracket expansion; residual "
+            f"{min(abs(f_lo), abs(f_hi)):.3e}"
+        )
+    beta = brentq(f, b_lo, b_hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=300)
+    tol = 1e-10 * max(1.0, abs(target))
+    resid = f(beta)
+    if abs(resid) > tol:
+        for _ in range(8):
+            s = slope(beta)
+            if s == 0.0:
+                break
+            beta -= resid / s
+            resid = f(beta)
+            if abs(resid) <= tol:
+                break
+        if abs(resid) > tol:
+            raise RuntimeError(
+                f"energy matching did not converge: residual {abs(resid):.3e} exceeds {tol:.3e}"
+            )
+    return beta

@@ -13,8 +13,9 @@ extraction sign (positive = work gained), the negation of the quench cost
 from __future__ import annotations
 
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -27,14 +28,11 @@ __all__ = [
     "Trajectory",
     "StepRecord",
     "ProtocolRecord",
-    "SystemBathSplit",
     "ExactDynamics",
     "model_label",
     "hamiltonian_schedule",
     "run_schedule",
     "run_protocol",
-    "run_exact_schedule",
-    "run_exact_protocol",
     "QuasiStaticResult",
     "quasi_static",
     "optimal_work_bound",
@@ -47,7 +45,6 @@ __all__ = [
     "passive_trajectory",
     "ScanResult",
     "min_work_scan",
-    "chain_split",
     "thermal_bath_initial_state",
     "build_population_inverted_bath",
     "local_quench_schedule",
@@ -245,34 +242,18 @@ class ProtocolRecord:
 
 
 @dataclass(frozen=True)
-class SystemBathSplit:
-    """Disjoint covering split of the sites into system and bath."""
-
-    system: tuple[int, ...]
-    bath: tuple[int, ...]
-    coupling: str = "nearest-neighbour hopping"
-
-    def __post_init__(self):
-        sites = sorted(self.system + self.bath)
-        if len(set(sites)) != len(sites):
-            raise ValueError("system and bath indices must be disjoint")
-        if sites != list(range(len(sites))):
-            raise ValueError("system and bath must cover 0..n-1")
-
-
-def chain_split(n: int) -> SystemBathSplit:
-    """Site 0 is the controllable system; the rest is the bath."""
-    if n < 2:
-        raise ValueError("need at least two sites")
-    return SystemBathSplit(system=(0,), bath=tuple(range(1, n)))
-
-
-@dataclass(frozen=True)
 class ExactDynamics:
-    """Marker for scans: exact unitary evolution with sampled hold times."""
+    """Exact unitary evolution for a random hold time after every quench.
+
+    Each run starts a fresh PCG64 stream from ``seed`` (an int or a
+    ``numpy.random.SeedSequence``) and draws one hold time uniformly from
+    [hold_min, hold_max] per step, in step order, so a run is reproducible
+    from the model alone.
+    """
 
     hold_min: float
     hold_max: float
+    seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self):
         if self.hold_min > self.hold_max:
@@ -358,11 +339,16 @@ def run_schedule(
     keep_states: bool = True,
 ) -> ProtocolRecord:
     """Quench through the explicit Hamiltonian list, equilibrating after
-    every quench according to ``model``."""
+    every quench according to ``model``.
+
+    Under :class:`ExactDynamics` each step evolves exactly for a hold time
+    drawn from the model's own seeded stream."""
     _check_backend(backend)
     hams = _wrap_hams(hamiltonians, backend)
     if not hams:
         raise ValueError("the schedule must contain at least the initial Hamiltonian")
+    exact = isinstance(model, ExactDynamics)
+    rng = np.random.Generator(np.random.PCG64(model.seed)) if exact else None
     state = np.asarray(initial_state, dtype=complex)
     steps = [
         StepRecord(
@@ -377,7 +363,9 @@ def run_schedule(
     for m in range(1, len(hams)):
         try:
             cost = _energy(state, hams[m], backend) - _energy(state, hams[m - 1], backend)
-            state, duals = _equilibrate(state, hams[m], model, backend, degeneracy_tol)
+            step_model = model if rng is None else fg.Exact(
+                float(rng.uniform(model.hold_min, model.hold_max)))
+            state, duals = _equilibrate(state, hams[m], step_model, backend, degeneracy_tol)
             steps.append(
                 StepRecord(
                     step=m,
@@ -423,80 +411,6 @@ def run_protocol(
         model,
         backend=backend,
         degeneracy_tol=degeneracy_tol,
-        keep_states=keep_states,
-    )
-
-
-def _rng_from(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.PCG64(seed))
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(int(seed))))
-
-
-def run_exact_schedule(
-    initial_gamma,
-    hamiltonians,
-    hold,
-    seed,
-    *,
-    keep_states: bool = True,
-) -> ProtocolRecord:
-    """Same quench accounting, but every equilibration is replaced by exact
-    unitary evolution for a sampled hold time (fermionic back end only).
-
-    ``hold`` is either a (min, max) pair sampled uniformly or a callable
-    drawing a hold time from the provided generator.  One independent draw
-    per step from a PCG64 stream makes runs reproducible per seed.
-    """
-    hams = _wrap_hams(hamiltonians, "gaussian")
-    if not hams:
-        raise ValueError("the schedule must contain at least the initial Hamiltonian")
-    rng = _rng_from(seed)
-    if callable(hold):
-        draw = lambda: float(hold(rng))
-    else:
-        lo, hi = float(hold[0]), float(hold[1])
-        if lo > hi:
-            raise ValueError("hold_min must not exceed hold_max")
-        draw = lambda: float(rng.uniform(lo, hi))
-    state = np.asarray(initial_gamma, dtype=complex)
-    steps = [
-        StepRecord(0, 0.0, fg.energy(state, hams[0]), fg.entropy_gaussian(state), None,
-                   state if keep_states else None)
-    ]
-    hold_times = []
-    for m in range(1, len(hams)):
-        cost = fg.energy(state, hams[m]) - fg.energy(state, hams[m - 1])
-        t = draw()
-        hold_times.append(t)
-        state = fg.evolve_exact(state, hams[m], t)
-        steps.append(
-            StepRecord(m, -cost, fg.energy(state, hams[m]), fg.entropy_gaussian(state), None,
-                       state if keep_states else None)
-        )
-    return ProtocolRecord(
-        steps=steps,
-        hamiltonians=hams,
-        model=ExactDynamics(min(hold_times, default=0.0), max(hold_times, default=0.0)),
-        backend="gaussian",
-        meta={"final_state": state, "hold_times": tuple(hold_times)},
-    )
-
-
-def run_exact_protocol(
-    initial_gamma,
-    traj: Trajectory,
-    n_quenches: int,
-    hold,
-    seed,
-    *,
-    keep_states: bool = True,
-) -> ProtocolRecord:
-    return run_exact_schedule(
-        initial_gamma,
-        hamiltonian_schedule(traj, n_quenches),
-        hold,
-        seed,
         keep_states=keep_states,
     )
 
@@ -591,26 +505,35 @@ def optimal_work_bound(gamma0, ham0) -> float:
     return fg.energy(g, ham0) - floor
 
 
-def _population_aligned_coefficients(gamma: np.ndarray, ham: fg.QuadraticHamiltonian) -> np.ndarray:
-    """Coefficient matrix whose modes are the eigenvectors of ``gamma`` with
-    the spectrum of ``ham`` assigned anti-sorted (largest population on the
-    lowest energy)."""
-    g = 0.5 * (gamma + gamma.conj().T)
-    _, w = np.linalg.eigh(g)          # populations ascending
-    eps_desc = np.sort(ham.energies)[::-1]
-    return (w.conj() * eps_desc) @ w.T
+def _four_phase_schedule(state, ham0, half: int, dephase) -> list:
+    """Two legs, each a quench to the state's eigenbasis carrying the
+    spectrum of ``ham0`` anti-sorted, then a ``half``-step eigenbasis
+    rotation back to ``ham0`` (repeated ``ham0`` if the quench is a no-op).
+    The second leg starts from the state ``dephase`` leaves after the first.
+    A QuadraticHamiltonian ``ham0`` pairs with a correlation matrix, whose
+    modes are the conjugated eigenvectors; a dense one with a density matrix.
+    """
+    gaussian = isinstance(ham0, fg.QuadraticHamiltonian)
+    h0, energies = (ham0.c, ham0.energies) if gaussian else (ham0, np.linalg.eigvalsh(ham0))
+    e_desc = np.sort(energies)[::-1]
 
+    def leg(rho) -> list:
+        _, w = np.linalg.eigh(0.5 * (rho + rho.conj().T))    # populations ascending
+        if gaussian:
+            w = w.conj()
+        h_from = (w * e_desc) @ w.conj().T
+        if np.allclose(h_from, h0, atol=1e-13):
+            return [ham0] * (half + 1)
+        seg = Trajectory((h_from, h0), ("eigenvectors",))
+        out = [h_from] + [seg.sample(j / half) for j in range(1, half)]
+        if gaussian:
+            out = [fg.QuadraticHamiltonian(h) for h in out]
+        return out + [ham0]
 
-def _geodesic_leg(c_from: np.ndarray, ham0: fg.QuadraticHamiltonian, half: int) -> list:
-    """Quench to ``c_from`` followed by a ``half``-step eigenbasis rotation
-    back to ``ham0``.  A no-op start collapses to repeated ``ham0``."""
-    if np.allclose(c_from, ham0.c, atol=1e-13):
-        return [ham0] * (half + 1)
-    seg = Trajectory((c_from, ham0.c), ("eigenvectors",))
-    leg = [fg.QuadraticHamiltonian(c_from)]
-    leg += [fg.QuadraticHamiltonian(seg.sample(j / half)) for j in range(1, half)]
-    leg.append(ham0)
-    return leg
+    hams = [ham0] + leg(state)
+    for h in hams[1:]:
+        state = dephase(state, h)
+    return hams + leg(state)
 
 
 def optimal_gge_schedule(gamma0, ham0, n_quenches: int) -> list:
@@ -625,14 +548,7 @@ def optimal_gge_schedule(gamma0, ham0, n_quenches: int) -> list:
         raise ValueError("the number of quenches must be even and at least 2")
     ham0 = fg.as_hamiltonian(ham0)
     gamma = np.asarray(gamma0, dtype=complex)
-    half = n_quenches // 2
-    hams = [ham0]
-    hams += _geodesic_leg(_population_aligned_coefficients(gamma, ham0), ham0, half)
-    state = gamma
-    for m in range(1, len(hams)):
-        state = fg.dephase_gge(state, hams[m])
-    hams += _geodesic_leg(_population_aligned_coefficients(state, ham0), ham0, half)
-    return hams
+    return _four_phase_schedule(gamma, ham0, n_quenches // 2, fg.dephase_gge)
 
 
 def optimal_gge_protocol(gamma0, ham0, n_quenches: int, *, keep_states: bool = True) -> ProtocolRecord:
@@ -643,38 +559,14 @@ def optimal_gge_protocol(gamma0, ham0, n_quenches: int, *, keep_states: bool = T
     return record
 
 
-def _population_aligned_dense(rho: np.ndarray, energies: np.ndarray) -> np.ndarray:
-    """Dense analogue: eigenbasis of the state, energies assigned anti-sorted."""
-    _, w = np.linalg.eigh(0.5 * (rho + rho.conj().T))
-    e_desc = np.sort(energies)[::-1]
-    return (w * e_desc) @ w.conj().T
-
-
-def _geodesic_leg_dense(h_from: np.ndarray, h0: np.ndarray, half: int) -> list:
-    if np.allclose(h_from, h0, atol=1e-13):
-        return [h0] * (half + 1)
-    seg = Trajectory((h_from, h0), ("eigenvectors",))
-    leg = [h_from]
-    leg += [seg.sample(j / half) for j in range(1, half)]
-    leg.append(h0)
-    return leg
-
-
 def optimal_ta_schedule(rho0, h0, n_quenches: int, *, degeneracy_tol: float = DEGENERACY_TOL) -> list:
     """Dense counterpart of :func:`optimal_gge_schedule` for the pinching map."""
     if n_quenches < 2 or n_quenches % 2:
         raise ValueError("the number of quenches must be even and at least 2")
     h0 = require_hermitian(h0, atol=1e-10, name="Hamiltonian")
     rho = qd.check_state(rho0)
-    energies = np.linalg.eigvalsh(h0)
-    half = n_quenches // 2
-    hams = [h0]
-    hams += _geodesic_leg_dense(_population_aligned_dense(rho, energies), h0, half)
-    state = rho
-    for m in range(1, len(hams)):
-        state = qd.ta_state(state, hams[m], degeneracy_tol)
-    hams += _geodesic_leg_dense(_population_aligned_dense(state, energies), h0, half)
-    return hams
+    return _four_phase_schedule(rho, h0, n_quenches // 2,
+                                lambda state, h: qd.ta_state(state, h, degeneracy_tol))
 
 
 def optimal_ta_protocol(rho0, h0, n_quenches: int, *, degeneracy_tol: float = DEGENERACY_TOL,
@@ -721,20 +613,12 @@ def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,
     beta_star = qd.entropy_matching_beta(h0, qd.vn_entropy(rho))
     record.meta["beta_star"] = beta_star
     if beta_star is not None:
-        omega_star, _ = _gibbs_at(h0, beta_star)
+        es = eigh(h0, atol=1e-10)
+        omega_star = (es.vectors * qd._thermal_weights(es.values, beta_star)) @ es.vectors.conj().T
         record.meta["work_limit"] = (
             _energy(rho, h0, "dense") - _energy(omega_star, h0, "dense")
         )
     return record
-
-
-def _gibbs_at(h: np.ndarray, beta: float):
-    es = eigh(h, atol=1e-10)
-    x = -beta * es.values
-    x = x - x.max()
-    wts = np.exp(x)
-    wts /= wts.sum()
-    return (es.vectors * wts) @ es.vectors.conj().T, es
 
 
 def restricted_first_quench(state, family, *, backend: str = "dense",
@@ -818,12 +702,17 @@ def _max_workers(explicit=None) -> int:
     if explicit is not None:
         return max(1, int(explicit))
     env = os.environ.get("GGE_THERMO_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        warnings.warn(f"GGE_THERMO_THREADS={env!r} is not a positive integer; using 1 thread",
+                      RuntimeWarning, stacklevel=3)
+        return 1
+    return workers
 
 
 def _parallel_map(fn, items, workers: int):
@@ -888,13 +777,9 @@ def min_work_scan(
         model, n = models[i], ns[j]
         try:
             if isinstance(model, ExactDynamics):
-                child = np.random.SeedSequence(int(seed), spawn_key=(i, n))
-                rec = run_exact_protocol(initial_state, traj, n,
-                                         (model.hold_min, model.hold_max), child,
-                                         keep_states=False)
-            else:
-                rec = run_protocol(initial_state, traj, n, model, backend=backend,
-                                   degeneracy_tol=degeneracy_tol, keep_states=False)
+                model = replace(model, seed=np.random.SeedSequence(int(seed), spawn_key=(i, n)))
+            rec = run_protocol(initial_state, traj, n, model, backend=backend,
+                               degeneracy_tol=degeneracy_tol, keep_states=False)
             return (i, j, rec.work, None)
         except Exception as exc:
             return (i, j, float("nan"), f"{type(exc).__name__}: {exc}")

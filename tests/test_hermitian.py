@@ -3,12 +3,11 @@ import pytest
 
 from gge_thermo.hermitian import (
     cluster_degenerate,
-    conjugate,
     eigh,
     hermiticity_defect,
     require_hermitian,
 )
-from _helpers import make_rng, random_hermitian, random_unitary
+from _helpers import make_rng, random_hermitian
 
 
 def test_eigh_identity():
@@ -101,33 +100,6 @@ def test_cluster_degenerate_rejects_unsorted():
         cluster_degenerate([2.0, 1.0], 1e-9)
     with pytest.raises(ValueError, match="positive"):
         cluster_degenerate([1.0, 2.0], 0.0)
-
-
-def test_conjugate_identity_and_permutation():
-    m = np.diag([1.0, 2.0, 3.0]).astype(complex)
-    assert np.allclose(conjugate(m, np.eye(3)), m)
-    perm = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], dtype=float)
-    out = conjugate(m, perm)
-    assert np.allclose(np.sort(np.diag(out).real), [1.0, 2.0, 3.0])
-    assert not np.allclose(out, m)
-
-
-def test_conjugate_preserves_spectrum_trace_frobenius():
-    rng = make_rng(5)
-    m = random_hermitian(9, rng)
-    u = random_unitary(9, rng)
-    out = conjugate(m, u)
-    assert np.max(np.abs(np.linalg.eigvalsh(out) - np.linalg.eigvalsh(m))) < 1e-10
-    assert abs(np.trace(out) - np.trace(m)) < 1e-10
-    assert abs(np.linalg.norm(out) - np.linalg.norm(m)) < 1e-10
-
-
-def test_conjugate_rejects_bad_inputs():
-    m = np.eye(3)
-    with pytest.raises(ValueError, match="unitary"):
-        conjugate(m, 2.0 * np.eye(3))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        conjugate(np.eye(2), np.eye(3))
 
 
 def test_require_hermitian_symmetrises():

@@ -114,17 +114,41 @@ def test_exact_records_keep_spectrum_and_are_seeded():
     ham1 = gt.build_chain(4, rng.uniform(0, 2, 4), 0.8)
     gamma0 = random_correlation(4, rng)
     traj = gt.Trajectory.linear(ham0.c, ham1.c)
-    rec_a = gt.run_exact_protocol(gamma0, traj, 6, (1.0, 5.0), 42)
-    rec_b = gt.run_exact_protocol(gamma0, traj, 6, (1.0, 5.0), 42)
-    rec_c = gt.run_exact_protocol(gamma0, traj, 6, (1.0, 5.0), 43)
+    rec_a = gt.run_protocol(gamma0, traj, 6, gt.ExactDynamics(1.0, 5.0, 42))
+    rec_b = gt.run_protocol(gamma0, traj, 6, gt.ExactDynamics(1.0, 5.0, 42))
+    rec_c = gt.run_protocol(gamma0, traj, 6, gt.ExactDynamics(1.0, 5.0, 43))
     assert rec_a.work == rec_b.work
     assert rec_a.work != rec_c.work
     base = np.sort(np.linalg.eigvalsh(gamma0))
     for s in rec_a.steps:
         assert np.max(np.abs(np.sort(np.linalg.eigvalsh(s.state)) - base)) < 1e-10
-    # callable hold sampler is also accepted
-    rec_d = gt.run_exact_protocol(gamma0, traj, 6, lambda g: g.uniform(1.0, 5.0), 42)
-    assert rec_d.work == rec_a.work
+
+
+def test_exact_dynamics_draw_contract():
+    # one hold per step from a fresh PCG64 stream of the model's seed, in
+    # step order; the same model object gives the same run every time
+    rng = make_rng(61)
+    ham0 = gt.build_chain(4, rng.uniform(0, 2, 4), 0.4)
+    ham1 = gt.build_chain(4, rng.uniform(0, 2, 4), 0.8)
+    gamma0 = random_correlation(4, rng)
+    traj = gt.Trajectory.linear(ham0.c, ham1.c)
+    for seed in (7, np.random.SeedSequence(7, spawn_key=(2, 6))):
+        model = gt.ExactDynamics(1.0, 5.0, seed)
+        rec = gt.run_protocol(gamma0, traj, 6, model)
+        draws = np.random.Generator(np.random.PCG64(
+            seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)))
+        hams = [gt.QuadraticHamiltonian(h) for h in gt.hamiltonian_schedule(traj, 6)]
+        state = np.asarray(gamma0, dtype=complex)
+        works, energies = [0.0], [gt.energy(state, hams[0])]
+        for m in range(1, len(hams)):
+            cost = gt.energy(state, hams[m]) - gt.energy(state, hams[m - 1])
+            state = gt.evolve_exact(state, hams[m], float(draws.uniform(1.0, 5.0)))
+            works.append(-cost)
+            energies.append(gt.energy(state, hams[m]))
+        assert np.array_equal(rec.works, works)
+        assert np.array_equal(rec.energies, energies)
+        assert np.array_equal(rec.final_state, state)
+        assert gt.run_protocol(gamma0, traj, 6, model).work == rec.work
 
 
 def test_run_exact_zero_hold_is_pure_quench_accounting():
@@ -135,7 +159,7 @@ def test_run_exact_zero_hold_is_pure_quench_accounting():
     ham1 = gt.build_chain(3, rng.uniform(0, 2, 3), 0.7)
     gamma0 = random_correlation(3, rng)
     traj = gt.Trajectory.linear(ham0.c, ham1.c)
-    rec = gt.run_exact_protocol(gamma0, traj, 5, (0.0, 0.0), 1)
+    rec = gt.run_protocol(gamma0, traj, 5, gt.ExactDynamics(0.0, 0.0, 1))
     expected = gt.energy(gamma0, ham0) - gt.energy(gamma0, ham1)
     assert rec.work == pytest.approx(expected, abs=1e-12)
     assert np.max(np.abs(rec.final_state - gamma0)) < 1e-12
@@ -409,6 +433,26 @@ def test_min_work_scan_verdicts():
     assert header[0] == "N" and len(rows) == 5
 
 
+def test_min_work_scan_is_thread_independent():
+    ham = gt.build_chain(3, [0.5, 1.0, 1.5], 0.3)
+    gamma0 = random_correlation(3, make_rng(12), lo=0.1, hi=0.9)
+    traj = gt.Trajectory.linear(ham.c, gt.build_chain(3, [1.5, 1.0, 0.5], 0.3).c)
+    models = [gt.GGE, gt.GIBBS, pr.ExactDynamics(5.0, 20.0)]
+    serial = gt.min_work_scan(gamma0, traj, models, [1, 2, 4, 8, 16], seed=1, threads=1)
+    threaded = gt.min_work_scan(gamma0, traj, models, [1, 2, 4, 8, 16], seed=1, threads=2)
+    np.testing.assert_array_equal(serial.works, threaded.works)
+    assert serial.failures == threaded.failures
+
+
+def test_max_workers_warns_on_invalid_environment(monkeypatch):
+    for value in ("two", "0", "-3"):
+        monkeypatch.setenv("GGE_THERMO_THREADS", value)
+        with pytest.warns(RuntimeWarning, match=repr(value)):
+            assert pr._max_workers() == 1
+    monkeypatch.setenv("GGE_THERMO_THREADS", "3")
+    assert pr._max_workers() == 3
+
+
 def test_min_work_scan_survives_cell_failures():
     # a Gibbs cell with an unattainable target energy fails without killing
     # the scan
@@ -436,15 +480,6 @@ def test_build_population_inverted_bath():
     assert np.allclose(pops[-32:], 1.0, atol=1e-10)
     with pytest.raises(ValueError, match="K"):
         gt.build_population_inverted_bath(6, 6)
-
-
-def test_system_bath_split():
-    split = gt.chain_split(5)
-    assert split.system == (0,) and split.bath == (1, 2, 3, 4)
-    with pytest.raises(ValueError, match="disjoint"):
-        gt.SystemBathSplit(system=(0, 1), bath=(1, 2))
-    with pytest.raises(ValueError, match="cover"):
-        gt.SystemBathSplit(system=(0,), bath=(2,))
 
 
 def test_local_quench_schedule_shape():
