@@ -22,7 +22,7 @@ print("   N    W_exact    W_dephasing")
 for n_quenches in (2, 4, 8, 16, 32, 64):
     schedule = gt.local_quench_schedule(ham0, peak, n_quenches)
     w_gge = gt.run_schedule(gamma0, schedule, gt.GGE, keep_states=False).work
-    exact = gt.ExactDynamics(20.0 / g, 100.0 / g, seed + n_quenches)
+    exact = gt.Exact(20.0 / g, 100.0 / g, seed + n_quenches)
     w_exact = gt.run_schedule(gamma0, schedule, exact, keep_states=False).work
     print(f"{n_quenches:4d}  {w_exact:9.6f}  {w_gge:11.6f}")
 

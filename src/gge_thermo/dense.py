@@ -24,13 +24,7 @@ import scipy.sparse
 from scipy.optimize import brentq
 from scipy.special import xlogy
 
-from .hermitian import (
-    DEGENERACY_TOL,
-    _energy_matching_root,
-    cluster_degenerate,
-    eigh,
-    require_hermitian,
-)
+from .hermitian import _energy_matching_root, cluster_degenerate, eigh, require_hermitian
 
 __all__ = [
     "ConservedSet",
@@ -57,35 +51,48 @@ STATE_ATOL = 1e-10
 MAX_DENSE_MODES = 12
 
 
-def check_state(rho, atol: float = STATE_ATOL) -> np.ndarray:
+def check_state(rho) -> np.ndarray:
     """Validate Hermiticity, positivity and unit trace; return symmetrised copy."""
-    r = require_hermitian(rho, atol=atol, name="state")
+    r = require_hermitian(rho, atol=STATE_ATOL, name="state")
     tr = float(np.trace(r).real)
-    if abs(tr - 1.0) > atol:
-        raise ValueError(f"state trace {tr:.12g} deviates from 1 beyond {atol:.1e}")
+    if abs(tr - 1.0) > STATE_ATOL:
+        raise ValueError(f"state trace {tr:.12g} deviates from 1 beyond {STATE_ATOL:.1e}")
     lo = float(np.linalg.eigvalsh(r).min())
-    if lo < -atol:
+    if lo < -STATE_ATOL:
         raise ValueError(f"state has negative eigenvalue {lo:.3e}")
     return r
+
+
+def _prologue(rho, hamiltonian):
+    """Validated state and the Hamiltonian's eigensystem, of matching
+    dimensions: the checks every public map below runs before its kernel.
+    The kernels (``_pinch``, ``_gibbs``, ``_evolve``, ``_entropy``) trust
+    their arguments; the protocol runner calls them after validating a whole
+    schedule once."""
+    r = check_state(rho)
+    es = eigh(hamiltonian, atol=1e-10)
+    if r.shape != (es.dim, es.dim):
+        raise ValueError(f"dimension mismatch: state {r.shape} vs Hamiltonian dim {es.dim}")
+    return r, es
 
 
 def _expectation(rho: np.ndarray, obs: np.ndarray) -> float:
     return float(np.einsum("ij,ji->", obs, rho).real)
 
 
-def ta_state(rho, hamiltonian, tol: float = DEGENERACY_TOL) -> np.ndarray:
+def ta_state(rho, hamiltonian) -> np.ndarray:
     """Pinch the state in the eigenbasis of the Hamiltonian.
 
-    Coherences between eigenspaces separated by more than ``tol`` are
-    dropped; blocks within a near-degenerate group are kept.  This is the
-    infinite-time average of the unitary evolution and it preserves the
+    Coherences between eigenspaces separated by more than ``DEGENERACY_TOL``
+    are dropped; blocks within a near-degenerate group are kept.  This is
+    the infinite-time average of the unitary evolution and it preserves the
     expectation of every function of the Hamiltonian.
     """
-    r = check_state(rho)
-    es = eigh(hamiltonian, atol=1e-10)
-    if r.shape != (es.dim, es.dim):
-        raise ValueError(f"dimension mismatch: state {r.shape} vs Hamiltonian dim {es.dim}")
-    labels = cluster_degenerate(es.values, tol).labels()
+    return _pinch(*_prologue(rho, hamiltonian))
+
+
+def _pinch(r: np.ndarray, es) -> np.ndarray:
+    labels = cluster_degenerate(es.values).labels()
     mask = labels[:, None] == labels[None, :]
     b = es.vectors.conj().T @ r @ es.vectors
     return es.vectors @ (b * mask) @ es.vectors.conj().T
@@ -109,10 +116,10 @@ def gibbs_state_dense(rho, hamiltonian) -> tuple[np.ndarray, float]:
     Raises ValueError when the target energy sits at or outside the spectral
     edges (no thermal state can match it strictly).
     """
-    r = check_state(rho)
-    es = eigh(hamiltonian, atol=1e-10)
-    if r.shape != (es.dim, es.dim):
-        raise ValueError(f"dimension mismatch: state {r.shape} vs Hamiltonian dim {es.dim}")
+    return _gibbs(*_prologue(rho, hamiltonian))
+
+
+def _gibbs(r: np.ndarray, es) -> tuple[np.ndarray, float]:
     h = es.reconstruct()
     target = _expectation(r, h)
     eps = es.values
@@ -198,16 +205,7 @@ def _dual_stats(theta: np.ndarray, operators: list[np.ndarray]):
     return vals, vecs, w, ln_z
 
 
-def gge_state_dense(
-    rho,
-    hamiltonian,
-    conserved: ConservedSet,
-    *,
-    grad_tol: float = 1e-10,
-    residual_tol: float = 1e-8,
-    bound: float = 1e4,
-    max_iter: int = 300,
-) -> tuple[np.ndarray, DualPoint]:
+def gge_state_dense(rho, hamiltonian, conserved: ConservedSet) -> tuple[np.ndarray, DualPoint]:
     """Maximum-entropy state matching the energy of ``rho`` and the targets
     of ``conserved``.
 
@@ -226,38 +224,36 @@ def gge_state_dense(
     -------
     (omega, dual) : (array, DualPoint)
         omega = exp(-beta H + sum_j lambda_j Q_j) / Z with all constraint
-        residuals below ``residual_tol``.
+        residuals below 1e-8.
 
     Raises
     ------
     ValueError
-        Dual divergence (the sup-norm of the dual point exceeding ``bound``
+        Dual divergence (the sup-norm of the dual point exceeding 1e4
         signals targets on the boundary of the attainable set), or residuals
         that fail to converge (worst residual reported).
 
     Notes
     -----
     The damped Newton iteration starts from the energy-matching beta with
-    zero lambdas.  The Hessian of ln Z is the covariance-like matrix built
+    zero lambdas and stops once every gradient entry is at most 1e-10, or
+    after 300 steps.  The Hessian of ln Z is the covariance-like matrix built
     from the first divided differences of the exponential, so it is PSD and
     the backtracking line search keeps the dual monotone.
     """
-    r = check_state(rho)
     h = require_hermitian(hamiltonian, atol=1e-10, name="Hamiltonian")
-    if r.shape != h.shape:
-        raise ValueError(f"dimension mismatch: state {r.shape} vs Hamiltonian {h.shape}")
+    r, es = _prologue(rho, h)
     if conserved.q and conserved.observables[0].shape != h.shape:
         raise ValueError("conserved observables must match the Hamiltonian dimension")
 
+    omega, beta0 = _gibbs(r, es)
     if conserved.q == 0:
-        omega, beta = gibbs_state_dense(r, h)
-        return omega, DualPoint(beta=beta, lambdas=())
+        return omega, DualPoint(beta=beta0, lambdas=())
 
     e_target = _expectation(r, h)
     operators = [-h] + list(conserved.observables)
     consts = np.array([-e_target] + list(conserved.targets))
 
-    _, beta0 = gibbs_state_dense(r, h)
     theta = np.zeros(1 + conserved.q)
     theta[0] = beta0
 
@@ -269,8 +265,8 @@ def gge_state_dense(
         return phi, expect - consts, (vals, vecs, w, tilde)
 
     phi, grad, stats = phi_and_grad(theta)
-    for _ in range(max_iter):
-        if float(np.max(np.abs(grad))) <= grad_tol:
+    for _ in range(300):
+        if float(np.max(np.abs(grad))) <= 1e-10:
             break
         vals, vecs, w, tilde = stats
         dk = vals[:, None] - vals[None, :]
@@ -298,37 +294,44 @@ def gge_state_dense(
                 break
             alpha *= 0.5
         theta, phi, grad, stats = cand, phi_c, grad_c, stats_c
-        if float(np.max(np.abs(theta))) > bound:
+        if float(np.max(np.abs(theta))) > 1e4:
             worst = float(np.max(np.abs(grad)))
             raise ValueError(
                 "dual divergence: |(beta, lambda)| exceeded "
-                f"{bound:.0e} (targets at the boundary of the attainable set; "
+                "1e+04 (targets at the boundary of the attainable set; "
                 f"worst residual {worst:.3e})"
             )
 
     residuals = np.abs(grad)
-    if float(residuals.max()) > residual_tol:
+    if float(residuals.max()) > 1e-8:
         raise ValueError(
-            f"constraints not met: worst residual {float(residuals.max()):.3e} "
-            f"exceeds {residual_tol:.1e}"
+            f"constraints not met: worst residual {float(residuals.max()):.3e} exceeds 1.0e-08"
         )
     _, vecs, w, _ = stats
     omega = (vecs * w) @ vecs.conj().T
     return omega, DualPoint(beta=float(theta[0]), lambdas=tuple(float(x) for x in theta[1:]))
 
 
-def vn_entropy(rho, atol: float = STATE_ATOL) -> float:
+def vn_entropy(rho) -> float:
     """Von Neumann entropy in nats, with 0 log 0 = 0."""
-    p = np.linalg.eigvalsh(check_state(rho, atol=atol))
+    return _entropy(check_state(rho))
+
+
+def _entropy(r: np.ndarray) -> float:
+    # the sign check costs nothing beyond the eigenvalues the entropy needs,
+    # so it stays on the trusted path and still catches a drifting state
+    p = np.linalg.eigvalsh(r)
+    if p.size and p.min() < -STATE_ATOL:
+        raise ValueError(f"state has negative eigenvalue {p.min():.3e}")
     p = np.clip(p, 0.0, 1.0)
     return float(-np.sum(xlogy(p, p)))
 
 
-def kl_gap(rho, hamiltonian, conserved: ConservedSet, tol: float = DEGENERACY_TOL) -> float:
+def kl_gap(rho, hamiltonian, conserved: ConservedSet) -> float:
     """Entropy surplus of the constrained maximum-entropy state over the
     pinched state; equals their relative entropy and is non-negative."""
     omega, _ = gge_state_dense(rho, hamiltonian, conserved)
-    return vn_entropy(omega) - vn_entropy(ta_state(rho, hamiltonian, tol))
+    return vn_entropy(omega) - vn_entropy(ta_state(rho, hamiltonian))
 
 
 def is_passive(rho, hamiltonian, tol: float = 1e-9) -> bool:
@@ -338,10 +341,7 @@ def is_passive(rho, hamiltonian, tol: float = 1e-9) -> bool:
     Within each energy group (clustered at ``tol``) the populations are the
     eigenvalues of the state's block, which removes any basis ambiguity.
     """
-    r = check_state(rho)
-    es = eigh(hamiltonian, atol=1e-10)
-    if r.shape != (es.dim, es.dim):
-        raise ValueError(f"dimension mismatch: state {r.shape} vs Hamiltonian dim {es.dim}")
+    r, es = _prologue(rho, hamiltonian)
     h = es.reconstruct()
     if float(np.linalg.norm(r @ h - h @ r)) > tol:
         return False
@@ -362,35 +362,30 @@ def passive_rearrangement(rho, hamiltonian) -> np.ndarray:
     """State with the spectrum of ``rho`` arranged non-increasingly along the
     ascending energy eigenbasis; the minimum-energy point of the unitary
     orbit of ``rho``."""
-    r = check_state(rho)
-    es = eigh(hamiltonian, atol=1e-10)
-    if r.shape != (es.dim, es.dim):
-        raise ValueError(f"dimension mismatch: state {r.shape} vs Hamiltonian dim {es.dim}")
+    r, es = _prologue(rho, hamiltonian)
     p = np.linalg.eigvalsh(r)[::-1]
     return (es.vectors * p) @ es.vectors.conj().T
 
 
-def ground_degeneracy(hamiltonian, tol: float = DEGENERACY_TOL) -> int:
+def ground_degeneracy(hamiltonian) -> int:
     """Size of the lowest near-degenerate eigenvalue group."""
     es = eigh(hamiltonian, atol=1e-10)
     if es.dim == 0:
         raise ValueError("empty Hamiltonian")
-    return len(cluster_degenerate(es.values, tol).groups[0])
+    return len(cluster_degenerate(es.values).groups[0])
 
 
 def evolve_dense(rho, hamiltonian, t: float) -> np.ndarray:
     """rho(t) = exp(-i H t) rho exp(i H t)."""
-    r = check_state(rho)
-    es = eigh(hamiltonian, atol=1e-10)
-    if r.shape != (es.dim, es.dim):
-        raise ValueError(f"dimension mismatch: state {r.shape} vs Hamiltonian dim {es.dim}")
+    return _evolve(*_prologue(rho, hamiltonian), t)
+
+
+def _evolve(r: np.ndarray, es, t: float) -> np.ndarray:
     u = (es.vectors * np.exp(-1j * float(t) * es.values)) @ es.vectors.conj().T
     return u @ r @ u.conj().T
 
 
-def entropy_matching_beta(
-    hamiltonian, entropy: float, *, max_beta: float = 1e8
-) -> float | None:
+def entropy_matching_beta(hamiltonian, entropy: float) -> float | None:
     """Positive inverse temperature whose thermal state has the given
     entropy, or None when no such beta exists (entropy at or below the
     ground-degeneracy floor)."""
@@ -410,7 +405,7 @@ def entropy_matching_beta(
     if f0 == 0.0:
         return 0.0
     hi = 1.0
-    while s_of(hi) > s0 and hi < max_beta:
+    while s_of(hi) > s0 and hi < 1e8:
         hi *= 2.0
     if s_of(hi) > s0:
         return None
@@ -487,7 +482,7 @@ def correlation_of_dense(rho) -> np.ndarray:
     return gamma
 
 
-def gaussian_to_dense(gamma, atol: float = 1e-6) -> np.ndarray:
+def gaussian_to_dense(gamma) -> np.ndarray:
     """2^n-dimensional Gaussian state with the given correlation matrix.
 
     Eigendecomposing gamma = W diag(d) W^dag, the state is the product over
@@ -498,7 +493,7 @@ def gaussian_to_dense(gamma, atol: float = 1e-6) -> np.ndarray:
     n = g.shape[0]
     _check_mode_count(n)
     d, w = np.linalg.eigh(g)
-    if d.min() < -atol or d.max() > 1.0 + atol:
+    if d.min() < -1e-6 or d.max() > 1.0 + 1e-6:
         raise ValueError(
             f"correlation spectrum outside [0, 1]: min {d.min():.3e}, max {d.max():.6f}"
         )

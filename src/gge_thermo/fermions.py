@@ -20,8 +20,10 @@ the sum of binary entropies of the eigenvalues of ``gamma``.
 
 Equilibration maps
 ------------------
-``Exact(t)``
-    Unitary evolution for a hold time ``t``; spectrum preserving.
+``Exact(hold_min, hold_max=None, seed=0)``
+    Unitary evolution for a hold time drawn uniformly from
+    ``[hold_min, hold_max]`` after every quench; ``Exact(t)`` holds for
+    exactly ``t``.  Spectrum preserving.
 ``TimeAverageGGE``
     Dephasing in the instantaneous mode basis.  For quadratic Hamiltonians
     the infinite-time averaged correlation matrix and the maximum-entropy
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, xlogy
 
-from .hermitian import HERMITIAN_ATOL, _energy_matching_root, eigh, require_hermitian
+from .hermitian import _energy_matching_root, eigh, require_hermitian
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -61,7 +63,6 @@ __all__ = [
     "solve_beta",
     "evolve_exact",
     "dephase_gge",
-    "equilibrate",
     "energy",
     "entropy_gaussian",
     "work_of_quench",
@@ -77,9 +78,9 @@ class QuadraticHamiltonian:
 
     __slots__ = ("c", "eig")
 
-    def __init__(self, coefficients, atol: float = HERMITIAN_ATOL):
-        self.c = require_hermitian(coefficients, atol=atol, name="coefficient matrix")
-        self.eig = eigh(self.c, atol=atol)
+    def __init__(self, coefficients):
+        self.c = require_hermitian(coefficients, name="coefficient matrix")
+        self.eig = eigh(self.c)
 
     @property
     def n(self) -> int:
@@ -99,18 +100,34 @@ class QuadraticHamiltonian:
         return f"QuadraticHamiltonian(n={self.n})"
 
 
-def as_hamiltonian(obj, atol: float = HERMITIAN_ATOL) -> QuadraticHamiltonian:
+def as_hamiltonian(obj) -> QuadraticHamiltonian:
     """Pass through a QuadraticHamiltonian or wrap a coefficient matrix."""
     if isinstance(obj, QuadraticHamiltonian):
         return obj
-    return QuadraticHamiltonian(obj, atol=atol)
+    return QuadraticHamiltonian(obj)
 
 
 @dataclass(frozen=True)
 class Exact:
-    """Unitary evolution for a fixed hold time."""
+    """Unitary evolution for a hold time drawn uniformly from
+    [hold_min, hold_max] after every quench; ``Exact(t)`` holds for exactly
+    ``t``.
 
-    t: float
+    Each run starts a fresh PCG64 stream from ``seed`` (an int or a
+    ``numpy.random.SeedSequence``) and draws one hold per step, in step
+    order, so a run is reproducible from the model alone.  A fixed hold
+    draws ``uniform(t, t)``, which is ``t`` bit for bit.
+    """
+
+    hold_min: float
+    hold_max: float | None = None
+    seed: int | np.random.SeedSequence = 0
+
+    def __post_init__(self):
+        if self.hold_max is None:
+            object.__setattr__(self, "hold_max", self.hold_min)
+        if self.hold_min > self.hold_max:
+            raise ValueError("hold_min must not exceed hold_max")
 
 
 @dataclass(frozen=True)
@@ -247,22 +264,13 @@ def dephase_gge(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
     the maximum-entropy state with every mode population held fixed.  The
     mean energy is conserved because only the mode diagonal carries energy.
     """
-    ham = as_hamiltonian(ham)
-    p = np.real(np.diag(to_mode_basis(gamma, ham)))
-    return from_mode_basis(np.diag(p.astype(complex)), ham)
+    return _dephase(gamma, as_hamiltonian(ham))[0]
 
 
-def equilibrate(gamma, ham: QuadraticHamiltonian, model) -> np.ndarray:
-    """Apply one equilibration step under ``ham`` according to ``model``."""
-    ham = as_hamiltonian(ham)
-    if isinstance(model, Exact):
-        return evolve_exact(gamma, ham, model.t)
-    if isinstance(model, TimeAverageGGE):
-        return dephase_gge(gamma, ham)
-    if isinstance(model, Gibbs):
-        beta, _ = solve_beta(ham, energy(gamma, ham))
-        return gibbs_correlation(ham, beta)
-    raise TypeError(f"unknown equilibration model: {model!r}")
+def _dephase(gamma, ham: QuadraticHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel of :func:`dephase_gge`: ``(dephased state, mode populations)``."""
+    p = mode_populations(gamma, ham)
+    return from_mode_basis(np.diag(p.astype(complex)), ham), p
 
 
 def energy(gamma, ham: QuadraticHamiltonian) -> float:
@@ -273,15 +281,15 @@ def energy(gamma, ham: QuadraticHamiltonian) -> float:
     return float(np.sum(ham.c * g).real)
 
 
-def entropy_gaussian(gamma, atol: float = 1e-6) -> float:
+def entropy_gaussian(gamma) -> float:
     """Entropy (nats) of the Gaussian state with this correlation matrix.
 
-    Eigenvalues must lie in [-atol, 1 + atol]; they are clamped to [0, 1]
+    Eigenvalues must lie in [-1e-6, 1 + 1e-6]; they are clamped to [0, 1]
     before the binary-entropy sum, with 0 log 0 = 0.
     """
     g = require_hermitian(gamma, atol=1e-10, name="correlation matrix")
     d = np.linalg.eigvalsh(g)
-    if d.size and (d.min() < -atol or d.max() > 1.0 + atol):
+    if d.size and (d.min() < -1e-6 or d.max() > 1.0 + 1e-6):
         raise ValueError(
             f"correlation spectrum outside [0, 1]: min {d.min():.3e}, max {d.max():.6f}"
         )

@@ -21,7 +21,6 @@ HERMITIAN_ATOL = 1e-12
 DEGENERACY_TOL = 1e-9
 
 __all__ = [
-    "HERMITIAN_ATOL",
     "DEGENERACY_TOL",
     "EigenSystem",
     "DegeneracyPartition",

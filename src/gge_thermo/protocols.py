@@ -16,19 +16,20 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.optimize import minimize_scalar
 
 from . import dense as qd
 from . import fermions as fg
-from .hermitian import DEGENERACY_TOL, eigh, require_hermitian
+from .hermitian import eigh, require_hermitian
 
 __all__ = [
     "Trajectory",
     "StepRecord",
     "ProtocolRecord",
-    "ExactDynamics",
     "model_label",
     "hamiltonian_schedule",
     "run_schedule",
@@ -50,7 +51,6 @@ __all__ = [
     "local_quench_schedule",
 ]
 
-BACKENDS = ("gaussian", "dense")
 _RULES = ("linear", "eigenvalues", "eigenvectors")
 
 
@@ -119,6 +119,7 @@ class Trajectory:
             return self._cache[i]
         a, b = self.keyframes[i], self.keyframes[i + 1]
         rule = self.rules[i]
+        data = None
         if rule == "eigenvalues":
             scale = max(1.0, float(np.abs(a).max()) * float(np.abs(b).max()))
             defect = float(np.max(np.abs(a @ b - b @ a)))
@@ -126,7 +127,6 @@ class Trajectory:
                 raise ValueError(
                     f"eigenvalue segment {i}: keyframes do not commute (defect {defect:.3e})"
                 )
-            data = None
         elif rule == "eigenvectors":
             es_a, es_b = eigh(a), eigh(b)
             gap = float(np.max(np.abs(es_a.values - es_b.values)))
@@ -142,8 +142,6 @@ class Trajectory:
             log_v = 0.5 * (log_v - log_v.conj().T)
             phis, p = np.linalg.eigh(1j * log_v)
             data = (es_a.values, es_a.vectors, phis, p)
-        else:
-            data = None
         self._cache[i] = data
         return data
 
@@ -241,88 +239,117 @@ class ProtocolRecord:
         return out
 
 
-@dataclass(frozen=True)
-class ExactDynamics:
-    """Exact unitary evolution for a random hold time after every quench.
+# ---------------------------------------------------------------------------
+# Back ends and equilibration maps
+# ---------------------------------------------------------------------------
 
-    Each run starts a fresh PCG64 stream from ``seed`` (an int or a
-    ``numpy.random.SeedSequence``) and draws one hold time uniformly from
-    [hold_min, hold_max] per step, in step order, so a run is reproducible
-    from the model alone.
+class _Backend(NamedTuple):
+    """How one back end validates its inputs and applies the three maps.
+
+    ``check`` and ``wrap`` validate the initial state and each Hamiltonian
+    against it (a correlation matrix's Hermiticity and spectrum are checked
+    by its step-0 entropy); the other entries are kernels that trust their
+    arguments.  Each map returns ``(state, duals)``.  Entries call through
+    the module (``fg.energy``, not a bound reference), so a function patched
+    on its module is seen here too.
     """
 
-    hold_min: float
-    hold_max: float
-    seed: int | np.random.SeedSequence = 0
+    check: Callable        # state -> validated state
+    wrap: Callable         # (Hamiltonian, state) -> validated Hamiltonian
+    energy: Callable       # (state, ham) -> mean energy
+    entropy: Callable      # state -> entropy in nats
+    evolve: Callable       # (state, ham, hold time) -> exact evolution
+    dephase: Callable      # (state, ham) -> time average
+    thermalise: Callable   # (state, ham) -> energy-matching thermal state
 
-    def __post_init__(self):
-        if self.hold_min > self.hold_max:
-            raise ValueError("hold_min must not exceed hold_max")
+
+def _gaussian_wrap(h, gamma) -> fg.QuadraticHamiltonian:
+    ham = fg.as_hamiltonian(h)
+    fg._check_dims(gamma, ham)
+    return ham
+
+
+def _gaussian_dephase(gamma, ham):
+    # the multipliers log((1-p)/p) reuse the populations just computed
+    new, p = fg._dephase(gamma, ham)
+    p = np.clip(p, 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        lam = np.log((1.0 - p) / p)
+    return new, tuple(float(x) for x in lam)
+
+
+def _gaussian_thermalise(gamma, ham):
+    beta, _ = fg.solve_beta(ham, fg.energy(gamma, ham))
+    return fg.gibbs_correlation(ham, beta), (beta,)
+
+
+def _dense_wrap(h, rho) -> np.ndarray:
+    h = require_hermitian(h, atol=1e-10, name="Hamiltonian")
+    if h.shape != rho.shape:
+        raise ValueError(f"dimension mismatch: state {rho.shape} vs Hamiltonian {h.shape}")
+    return h
+
+
+def _dense_thermalise(rho, h):
+    omega, beta = qd._gibbs(rho, eigh(h, atol=1e-10))
+    return omega, (beta,)
+
+
+_BACKENDS = {
+    "gaussian": _Backend(
+        check=lambda gamma: np.asarray(gamma, dtype=complex),
+        wrap=_gaussian_wrap,
+        energy=lambda gamma, ham: fg.energy(gamma, ham),
+        entropy=lambda gamma: fg.entropy_gaussian(gamma),
+        evolve=lambda gamma, ham, t: (fg.evolve_exact(gamma, ham, t), None),
+        dephase=_gaussian_dephase,
+        thermalise=_gaussian_thermalise,
+    ),
+    "dense": _Backend(
+        check=lambda rho: qd.check_state(rho),
+        wrap=_dense_wrap,
+        energy=lambda rho, h: qd._expectation(rho, h),
+        entropy=lambda rho: qd._entropy(rho),
+        evolve=lambda rho, h, t: (qd._evolve(rho, eigh(h, atol=1e-10), t), None),
+        dephase=lambda rho, h: (qd._pinch(rho, eigh(h, atol=1e-10)), None),
+        thermalise=_dense_thermalise,
+    ),
+}
+
+
+def _backend(name: str) -> _Backend:
+    try:
+        return _BACKENDS[name]
+    except (KeyError, TypeError):
+        raise ValueError(f"backend must be one of {tuple(_BACKENDS)}, got {name!r}") from None
+
+
+def _exact_map(model: fg.Exact, backend: _Backend, steps: int):
+    # one run's holds, drawn in one call from a fresh PCG64 stream of the
+    # seed: the same numbers, in order, as one scalar draw per step
+    stream = np.random.Generator(np.random.PCG64(model.seed))
+    holds = iter(stream.uniform(model.hold_min, model.hold_max, steps).tolist())
+    return lambda state, ham: backend.evolve(state, ham, next(holds))
+
+
+# The one model dispatch: model type -> (label, build), where
+# build(model, backend, steps) gives the map (state, ham) -> (state, duals).
+_MODELS = {
+    fg.Exact: ("exact", _exact_map),
+    fg.TimeAverageGGE: ("ta-gge", lambda model, backend, steps: backend.dephase),
+    fg.Gibbs: ("gibbs", lambda model, backend, steps: backend.thermalise),
+}
+
+
+def _model(model) -> tuple[str, Callable]:
+    try:
+        return _MODELS[type(model)]
+    except KeyError:
+        raise TypeError(f"unknown equilibration model: {model!r}") from None
 
 
 def model_label(model) -> str:
-    if isinstance(model, (ExactDynamics, fg.Exact)):
-        return "exact"
-    if isinstance(model, fg.TimeAverageGGE):
-        return "ta-gge"
-    if isinstance(model, fg.Gibbs):
-        return "gibbs"
-    raise TypeError(f"unknown model {model!r}")
-
-
-# ---------------------------------------------------------------------------
-# Back-end dispatch
-# ---------------------------------------------------------------------------
-
-def _check_backend(backend: str) -> None:
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-
-
-def _wrap_hams(hamiltonians, backend: str) -> list:
-    if backend == "gaussian":
-        return [fg.as_hamiltonian(h) for h in hamiltonians]
-    return [require_hermitian(h, atol=1e-10, name="Hamiltonian") for h in hamiltonians]
-
-
-def _energy(state, ham, backend: str) -> float:
-    if backend == "gaussian":
-        return fg.energy(state, ham)
-    return float(np.einsum("ij,ji->", ham, state).real)
-
-
-def _entropy(state, backend: str) -> float:
-    if backend == "gaussian":
-        return fg.entropy_gaussian(state)
-    return qd.vn_entropy(state)
-
-
-def _mode_multipliers(populations: np.ndarray) -> tuple:
-    with np.errstate(divide="ignore"):
-        lam = np.log((1.0 - populations) / populations)
-    return tuple(float(x) for x in lam)
-
-
-def _equilibrate(state, ham, model, backend: str, tol: float):
-    if backend == "gaussian":
-        if isinstance(model, fg.Exact):
-            return fg.evolve_exact(state, ham, model.t), None
-        if isinstance(model, fg.TimeAverageGGE):
-            new = fg.dephase_gge(state, ham)
-            p = np.clip(fg.mode_populations(new, ham), 0.0, 1.0)
-            return new, _mode_multipliers(p)
-        if isinstance(model, fg.Gibbs):
-            beta, _ = fg.solve_beta(ham, fg.energy(state, ham))
-            return fg.gibbs_correlation(ham, beta), (beta,)
-        raise TypeError(f"unknown equilibration model: {model!r}")
-    if isinstance(model, fg.Exact):
-        return qd.evolve_dense(state, ham, model.t), None
-    if isinstance(model, fg.TimeAverageGGE):
-        return qd.ta_state(state, ham, tol), None
-    if isinstance(model, fg.Gibbs):
-        omega, beta = qd.gibbs_state_dense(state, ham)
-        return omega, (beta,)
-    raise TypeError(f"unknown equilibration model: {model!r}")
+    return _model(model)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -335,47 +362,34 @@ def run_schedule(
     model,
     *,
     backend: str = "gaussian",
-    degeneracy_tol: float = DEGENERACY_TOL,
     keep_states: bool = True,
 ) -> ProtocolRecord:
     """Quench through the explicit Hamiltonian list, equilibrating after
     every quench according to ``model``.
 
-    Under :class:`ExactDynamics` each step evolves exactly for a hold time
-    drawn from the model's own seeded stream."""
-    _check_backend(backend)
-    hams = _wrap_hams(hamiltonians, backend)
+    The back end, the model, the initial state and every Hamiltonian (with
+    the common dimension) are validated here, before step 1; the steps then
+    run trusted kernels, and a failing step is reported with its index.
+    Under :class:`~gge_thermo.fermions.Exact` each step evolves exactly for
+    a hold time drawn from the model's own seeded stream."""
+    be = _backend(backend)
+    state = be.check(initial_state)
+    hams = [be.wrap(h, state) for h in hamiltonians]
     if not hams:
         raise ValueError("the schedule must contain at least the initial Hamiltonian")
-    exact = isinstance(model, ExactDynamics)
-    rng = np.random.Generator(np.random.PCG64(model.seed)) if exact else None
-    state = np.asarray(initial_state, dtype=complex)
-    steps = [
-        StepRecord(
-            step=0,
-            work_extracted=0.0,
-            energy=_energy(state, hams[0], backend),
-            entropy=_entropy(state, backend),
-            duals=None,
-            state=state if keep_states else None,
-        )
-    ]
+    equilibrate = _model(model)[1](model, be, len(hams) - 1)
+
+    def record(m: int, state, work: float, duals) -> StepRecord:
+        return StepRecord(step=m, work_extracted=work, energy=be.energy(state, hams[m]),
+                          entropy=be.entropy(state), duals=duals,
+                          state=state if keep_states else None)
+
+    steps = [record(0, state, 0.0, None)]
     for m in range(1, len(hams)):
         try:
-            cost = _energy(state, hams[m], backend) - _energy(state, hams[m - 1], backend)
-            step_model = model if rng is None else fg.Exact(
-                float(rng.uniform(model.hold_min, model.hold_max)))
-            state, duals = _equilibrate(state, hams[m], step_model, backend, degeneracy_tol)
-            steps.append(
-                StepRecord(
-                    step=m,
-                    work_extracted=-cost,
-                    energy=_energy(state, hams[m], backend),
-                    entropy=_entropy(state, backend),
-                    duals=duals,
-                    state=state if keep_states else None,
-                )
-            )
+            cost = be.energy(state, hams[m]) - be.energy(state, hams[m - 1])
+            state, duals = equilibrate(state, hams[m])
+            steps.append(record(m, state, -cost, duals))
         except Exception as exc:
             raise RuntimeError(f"step {m}: {exc}") from exc
     return ProtocolRecord(
@@ -401,7 +415,6 @@ def run_protocol(
     model,
     *,
     backend: str = "gaussian",
-    degeneracy_tol: float = DEGENERACY_TOL,
     keep_states: bool = True,
 ) -> ProtocolRecord:
     """Run ``n_quenches`` equidistant quenches along the trajectory."""
@@ -410,7 +423,6 @@ def run_protocol(
         hamiltonian_schedule(traj, n_quenches),
         model,
         backend=backend,
-        degeneracy_tol=degeneracy_tol,
         keep_states=keep_states,
     )
 
@@ -459,7 +471,6 @@ def quasi_static(
     n_schedule,
     *,
     backend: str = "gaussian",
-    degeneracy_tol: float = DEGENERACY_TOL,
 ) -> QuasiStaticResult:
     """Run the protocol at each N and extrapolate W and the entropy
     production in 1/N.  Non-monotone sequences are reported raw, without
@@ -470,8 +481,7 @@ def quasi_static(
     if any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
         raise ValueError("N values must be strictly increasing and at least 1")
     records = [
-        run_protocol(initial_state, traj, n, model, backend=backend,
-                     degeneracy_tol=degeneracy_tol, keep_states=False)
+        run_protocol(initial_state, traj, n, model, backend=backend, keep_states=False)
         for n in ns
     ]
     works = np.array([r.work for r in records])
@@ -559,27 +569,24 @@ def optimal_gge_protocol(gamma0, ham0, n_quenches: int, *, keep_states: bool = T
     return record
 
 
-def optimal_ta_schedule(rho0, h0, n_quenches: int, *, degeneracy_tol: float = DEGENERACY_TOL) -> list:
+def optimal_ta_schedule(rho0, h0, n_quenches: int) -> list:
     """Dense counterpart of :func:`optimal_gge_schedule` for the pinching map."""
     if n_quenches < 2 or n_quenches % 2:
         raise ValueError("the number of quenches must be even and at least 2")
     h0 = require_hermitian(h0, atol=1e-10, name="Hamiltonian")
     rho = qd.check_state(rho0)
-    return _four_phase_schedule(rho, h0, n_quenches // 2,
-                                lambda state, h: qd.ta_state(state, h, degeneracy_tol))
+    return _four_phase_schedule(rho, h0, n_quenches // 2, qd.ta_state)
 
 
-def optimal_ta_protocol(rho0, h0, n_quenches: int, *, degeneracy_tol: float = DEGENERACY_TOL,
-                        keep_states: bool = True) -> ProtocolRecord:
+def optimal_ta_protocol(rho0, h0, n_quenches: int, *, keep_states: bool = True) -> ProtocolRecord:
     """Cyclic pinching protocol whose final state tends to the passive
     rearrangement of the initial state; work is bounded by the passive gap
     Tr(rho0 H0) - Tr(rearranged H0)."""
-    schedule = optimal_ta_schedule(rho0, h0, n_quenches, degeneracy_tol=degeneracy_tol)
-    record = run_schedule(rho0, schedule, fg.GGE, backend="dense",
-                          degeneracy_tol=degeneracy_tol, keep_states=keep_states)
+    schedule = optimal_ta_schedule(rho0, h0, n_quenches)
+    record = run_schedule(rho0, schedule, fg.GGE, backend="dense", keep_states=keep_states)
     target = qd.passive_rearrangement(rho0, schedule[0])
     record.meta["work_bound"] = (
-        _energy(np.asarray(rho0, complex), schedule[0], "dense") - _energy(target, schedule[0], "dense")
+        qd._expectation(np.asarray(rho0, complex), schedule[0]) - qd._expectation(target, schedule[0])
     )
     return record
 
@@ -610,49 +617,43 @@ def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,
     schedule += [(1.0 - j / n_quenches) * h1 + (j / n_quenches) * h0 for j in range(1, n_quenches)]
     schedule.append(h0)
     record = run_schedule(rho, schedule, fg.GIBBS, backend="dense", keep_states=keep_states)
-    beta_star = qd.entropy_matching_beta(h0, qd.vn_entropy(rho))
+    beta_star = qd.entropy_matching_beta(h0, record.steps[0].entropy)
     record.meta["beta_star"] = beta_star
     if beta_star is not None:
         es = eigh(h0, atol=1e-10)
         omega_star = (es.vectors * qd._thermal_weights(es.values, beta_star)) @ es.vectors.conj().T
         record.meta["work_limit"] = (
-            _energy(rho, h0, "dense") - _energy(omega_star, h0, "dense")
+            qd._expectation(rho, h0) - qd._expectation(omega_star, h0)
         )
     return record
 
 
-def restricted_first_quench(state, family, *, backend: str = "dense",
-                            grid_points: int = 33) -> np.ndarray:
+def restricted_first_quench(state, family, *, backend: str = "dense") -> np.ndarray:
     """Pick from a restricted Hamiltonian family the first quench whose
     thermal equilibration leaves the least entropy.
 
     ``family`` is either an iterable of Hamiltonians (finite scan) or a
     tuple ``(builder, lo, hi)`` with a 1-D parameter interval; the interval
-    is scanned on a coarse grid and refined by bounded golden-section
+    is scanned on a 33-point grid and refined by bounded golden-section
     minimisation around the best bracket.
     """
-    _check_backend(backend)
+    be = _backend(backend)
+    state = be.check(state)
 
     def entropy_after(h) -> float:
-        if backend == "dense":
-            omega, _ = qd.gibbs_state_dense(state, h)
-            return qd.vn_entropy(omega)
-        ham = fg.as_hamiltonian(h)
-        beta, _ = fg.solve_beta(ham, fg.energy(state, ham))
-        return fg.entropy_gaussian(fg.gibbs_correlation(ham, beta))
+        omega, _ = be.thermalise(state, be.wrap(h, state))
+        return be.entropy(omega)
 
     if isinstance(family, tuple) and len(family) == 3 and callable(family[0]):
         builder, lo, hi = family
         lo, hi = float(lo), float(hi)
         if not hi > lo:
             raise ValueError("parameter interval must satisfy lo < hi")
-        grid = np.linspace(lo, hi, grid_points)
+        grid = np.linspace(lo, hi, 33)
         values = [entropy_after(builder(x)) for x in grid]
         best = int(np.argmin(values))
         a = grid[max(best - 1, 0)]
-        b = grid[min(best + 1, grid_points - 1)]
-        from scipy.optimize import minimize_scalar
-
+        b = grid[min(best + 1, len(grid) - 1)]
         res = minimize_scalar(lambda x: entropy_after(builder(x)), bounds=(a, b),
                               method="bounded", options={"xatol": 1e-10})
         x_star = float(res.x) if res.fun <= values[best] else float(grid[best])
@@ -700,7 +701,9 @@ def passive_trajectory(h0, h1, populations=None) -> Trajectory:
 
 def _max_workers(explicit=None) -> int:
     if explicit is not None:
-        return max(1, int(explicit))
+        if isinstance(explicit, bool) or not isinstance(explicit, (int, np.integer)) or explicit < 1:
+            raise ValueError(f"threads must be an integer >= 1, got {explicit!r}")
+        return int(explicit)
     env = os.environ.get("GGE_THERMO_THREADS")
     if not env:
         return 1
@@ -758,14 +761,15 @@ def min_work_scan(
     *,
     backend: str = "gaussian",
     threads=None,
-    degeneracy_tol: float = DEGENERACY_TOL,
 ) -> ScanResult:
     """Work per (N, model) over a fixed trajectory, with a monotonicity
-    verdict per model.  Cells run independently (optionally in parallel,
-    capped by GGE_THERMO_THREADS); failures are recorded and the scan
-    continues.  Exact cells draw their hold times from per-cell seeds, so
-    results do not depend on scheduling."""
-    _check_backend(backend)
+    verdict per model.  Cells run independently (in parallel on ``threads``
+    workers, an integer >= 1, or else as many as GGE_THERMO_THREADS asks);
+    failures are recorded and the scan continues.  Exact cells draw their
+    hold times from per-cell seeds, so results do not depend on
+    scheduling."""
+    _backend(backend)
+    workers = _max_workers(threads)
     models = list(models)
     ns = [int(n) for n in n_list]
     if not models or not ns:
@@ -776,16 +780,15 @@ def min_work_scan(
         i, j = args
         model, n = models[i], ns[j]
         try:
-            if isinstance(model, ExactDynamics):
+            if isinstance(model, fg.Exact):
                 model = replace(model, seed=np.random.SeedSequence(int(seed), spawn_key=(i, n)))
-            rec = run_protocol(initial_state, traj, n, model, backend=backend,
-                               degeneracy_tol=degeneracy_tol, keep_states=False)
+            rec = run_protocol(initial_state, traj, n, model, backend=backend, keep_states=False)
             return (i, j, rec.work, None)
         except Exception as exc:
             return (i, j, float("nan"), f"{type(exc).__name__}: {exc}")
 
     pairs = [(i, j) for i in range(len(models)) for j in range(len(ns))]
-    results = _parallel_map(cell, pairs, _max_workers(threads))
+    results = _parallel_map(cell, pairs, workers)
     works = np.full((len(models), len(ns)), np.nan)
     failures = {}
     for i, j, w, err in results:

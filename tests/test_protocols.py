@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -114,9 +115,9 @@ def test_exact_records_keep_spectrum_and_are_seeded():
     ham1 = gt.build_chain(4, rng.uniform(0, 2, 4), 0.8)
     gamma0 = random_correlation(4, rng)
     traj = gt.Trajectory.linear(ham0.c, ham1.c)
-    rec_a = gt.run_protocol(gamma0, traj, 6, gt.ExactDynamics(1.0, 5.0, 42))
-    rec_b = gt.run_protocol(gamma0, traj, 6, gt.ExactDynamics(1.0, 5.0, 42))
-    rec_c = gt.run_protocol(gamma0, traj, 6, gt.ExactDynamics(1.0, 5.0, 43))
+    rec_a = gt.run_protocol(gamma0, traj, 6, gt.Exact(1.0, 5.0, 42))
+    rec_b = gt.run_protocol(gamma0, traj, 6, gt.Exact(1.0, 5.0, 42))
+    rec_c = gt.run_protocol(gamma0, traj, 6, gt.Exact(1.0, 5.0, 43))
     assert rec_a.work == rec_b.work
     assert rec_a.work != rec_c.work
     base = np.sort(np.linalg.eigvalsh(gamma0))
@@ -133,7 +134,7 @@ def test_exact_dynamics_draw_contract():
     gamma0 = random_correlation(4, rng)
     traj = gt.Trajectory.linear(ham0.c, ham1.c)
     for seed in (7, np.random.SeedSequence(7, spawn_key=(2, 6))):
-        model = gt.ExactDynamics(1.0, 5.0, seed)
+        model = gt.Exact(1.0, 5.0, seed)
         rec = gt.run_protocol(gamma0, traj, 6, model)
         draws = np.random.Generator(np.random.PCG64(
             seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)))
@@ -159,7 +160,7 @@ def test_run_exact_zero_hold_is_pure_quench_accounting():
     ham1 = gt.build_chain(3, rng.uniform(0, 2, 3), 0.7)
     gamma0 = random_correlation(3, rng)
     traj = gt.Trajectory.linear(ham0.c, ham1.c)
-    rec = gt.run_protocol(gamma0, traj, 5, gt.ExactDynamics(0.0, 0.0, 1))
+    rec = gt.run_protocol(gamma0, traj, 5, gt.Exact(0.0, 0.0, 1))
     expected = gt.energy(gamma0, ham0) - gt.energy(gamma0, ham1)
     assert rec.work == pytest.approx(expected, abs=1e-12)
     assert np.max(np.abs(rec.final_state - gamma0)) < 1e-12
@@ -191,6 +192,92 @@ def test_gge_transport_matches_old_state_populations():
         before = gt.mode_populations(rec.steps[m - 1].state, ham_m)
         after = gt.mode_populations(rec.steps[m].state, ham_m)
         assert np.max(np.abs(before - after)) < 1e-12
+
+
+def test_fixed_hold_exact_ignores_seed_and_matches_hand_loop():
+    # Exact(t) draws uniform(t, t) == t, so every seed gives the same run,
+    # bit for bit the plain evolve_exact loop with hold t
+    rng = make_rng(62)
+    ham0 = gt.build_chain(4, rng.uniform(0, 2, 4), 0.4)
+    ham1 = gt.build_chain(4, rng.uniform(0, 2, 4), 0.8)
+    gamma0 = random_correlation(4, rng)
+    traj = gt.Trajectory.linear(ham0.c, ham1.c)
+    t = 2.7
+    rec = gt.run_protocol(gamma0, traj, 6, gt.Exact(t))
+    hams = [gt.QuadraticHamiltonian(h) for h in gt.hamiltonian_schedule(traj, 6)]
+    state = np.asarray(gamma0, dtype=complex)
+    works, energies = [0.0], [gt.energy(state, hams[0])]
+    for m in range(1, len(hams)):
+        cost = gt.energy(state, hams[m]) - gt.energy(state, hams[m - 1])
+        state = gt.evolve_exact(state, hams[m], t)
+        works.append(-cost)
+        energies.append(gt.energy(state, hams[m]))
+    assert np.array_equal(rec.works, works)
+    assert np.array_equal(rec.energies, energies)
+    assert np.array_equal(rec.final_state, state)
+    seeds = [0, 2**64 - 1, *(int(s) for s in make_rng(63).integers(0, 2**63, 6))]
+    seeds += [np.random.SeedSequence(s) for s in (0, 12345, 2**32 - 1)]
+    for seed in seeds:
+        other = gt.run_protocol(gamma0, traj, 6, gt.Exact(t, t, seed))
+        assert np.array_equal(other.works, rec.works)
+        assert np.array_equal(other.energies, rec.energies)
+        assert np.array_equal(other.final_state, rec.final_state)
+    with pytest.raises(ValueError, match="hold_min"):
+        gt.Exact(2.0, 1.0)
+
+
+def test_run_schedule_rejects_unknown_backend_and_model_at_entry():
+    ham = gt.build_chain(2, [0.5, 1.0], 0.3)
+    gamma = random_correlation(2, make_rng(70))
+    with pytest.raises(ValueError, match="backend must be one of"):
+        gt.run_schedule(gamma, [ham, ham], gt.GGE, backend="sparse")
+    with pytest.raises(TypeError, match="unknown equilibration model"):
+        gt.run_schedule(gamma, [ham, ham], "gibbs")
+    with pytest.raises(TypeError, match="unknown equilibration model"):
+        gt.run_schedule(0.5 * np.eye(2), [np.eye(2), np.eye(2)], object(), backend="dense")
+
+
+def test_dense_run_schedule_validates_schedule_and_state_at_entry():
+    h2 = np.diag([0.0, 1.0]).astype(complex)
+    h3 = np.diag([0.0, 1.0, 2.0]).astype(complex)
+    rho = np.diag([0.7, 0.3]).astype(complex)
+    # the odd Hamiltonian comes last, yet the error is raised before step 1
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        gt.run_schedule(rho, [h2, h2, h2, h3], gt.GGE, backend="dense")
+    bad_states = {
+        "trace": np.diag([1.4, 0.6]),
+        "negative eigenvalue": np.diag([1.2, -0.2]),
+        "not Hermitian": np.array([[0.5, 0.1], [0.0, 0.5]]),
+    }
+    for message, state in bad_states.items():
+        for model in (gt.GGE, gt.GIBBS, gt.Exact(1.0)):
+            with pytest.raises(ValueError, match=message):
+                gt.run_schedule(state, [h2, h2], model, backend="dense")
+
+
+@pytest.mark.parametrize("kind", ["ta-gge", "gibbs", "exact"])
+@pytest.mark.parametrize("d", range(1, 9))
+def test_dense_runner_steps_equal_public_maps(d, kind):
+    # the runner's trusted kernels agree with the validating public maps
+    rng = make_rng(80 + d)
+    n_q = int(rng.integers(1, 5))
+    h0, h1 = random_hermitian(d, rng), random_hermitian(d, rng)
+    rho0 = random_density(d, rng)
+    t = float(rng.uniform(0.5, 5.0))
+    model = {"ta-gge": gt.GGE, "gibbs": gt.GIBBS, "exact": gt.Exact(t)}[kind]
+    traj = gt.Trajectory((h0, h1, h0), ("linear", "linear"))
+    rec = gt.run_protocol(rho0, traj, n_q, model, backend="dense")
+    for m in range(1, len(rec.steps)):
+        prev, ham = rec.steps[m - 1].state, rec.hamiltonians[m]
+        if kind == "ta-gge":
+            expected = gt.ta_state(prev, ham)
+        elif kind == "gibbs":
+            expected, beta = gt.gibbs_state_dense(prev, ham)
+            assert abs(rec.steps[m].duals[0] - beta) <= 1e-12 * max(1.0, abs(beta))
+        else:
+            expected = gt.evolve_dense(prev, ham, t)
+        assert np.max(np.abs(rec.steps[m].state - expected)) <= 1e-12
+        assert rec.steps[m].entropy == pytest.approx(gt.vn_entropy(rec.steps[m].state), abs=1e-12)
 
 
 def test_failure_reports_step_index():
@@ -424,7 +511,7 @@ def test_min_work_scan_verdicts():
     traj = gt.Trajectory.linear(ham.c, gt.build_chain(3, [1.5, 1.0, 0.5], 0.3).c)
     single = gt.min_work_scan(gamma0, traj, [gt.GGE], [4], seed=1)
     assert single.verdicts["ta-gge"] == "insufficient data"
-    scan = gt.min_work_scan(gamma0, traj, [gt.GGE, gt.GIBBS, pr.ExactDynamics(5.0, 20.0)],
+    scan = gt.min_work_scan(gamma0, traj, [gt.GGE, gt.GIBBS, gt.Exact(5.0, 20.0)],
                             [1, 2, 4, 8, 16], seed=1)
     assert set(scan.verdicts) == {"ta-gge", "gibbs", "exact"}
     assert scan.works.shape == (3, 5)
@@ -437,7 +524,7 @@ def test_min_work_scan_is_thread_independent():
     ham = gt.build_chain(3, [0.5, 1.0, 1.5], 0.3)
     gamma0 = random_correlation(3, make_rng(12), lo=0.1, hi=0.9)
     traj = gt.Trajectory.linear(ham.c, gt.build_chain(3, [1.5, 1.0, 0.5], 0.3).c)
-    models = [gt.GGE, gt.GIBBS, pr.ExactDynamics(5.0, 20.0)]
+    models = [gt.GGE, gt.GIBBS, gt.Exact(5.0, 20.0)]
     serial = gt.min_work_scan(gamma0, traj, models, [1, 2, 4, 8, 16], seed=1, threads=1)
     threaded = gt.min_work_scan(gamma0, traj, models, [1, 2, 4, 8, 16], seed=1, threads=2)
     np.testing.assert_array_equal(serial.works, threaded.works)
@@ -451,6 +538,18 @@ def test_max_workers_warns_on_invalid_environment(monkeypatch):
             assert pr._max_workers() == 1
     monkeypatch.setenv("GGE_THERMO_THREADS", "3")
     assert pr._max_workers() == 3
+
+
+def test_min_work_scan_rejects_invalid_threads():
+    # an explicit thread count is an integer >= 1; anything else is an error
+    # named at the call, not silently clamped or truncated
+    ham = gt.build_chain(2, [0.5, 1.0], 0.3)
+    gamma0 = random_correlation(2, make_rng(13), lo=0.1, hi=0.9)
+    traj = gt.Trajectory.linear(ham.c, gt.build_chain(2, [1.0, 0.5], 0.3).c)
+    for bad in (0, -3, 2.5, "2", True):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            gt.min_work_scan(gamma0, traj, [gt.GGE], [1, 2], seed=1, threads=bad)
+    assert pr._max_workers(np.int64(2)) == 2
 
 
 def test_min_work_scan_survives_cell_failures():
