@@ -24,7 +24,7 @@ import scipy.sparse
 from scipy.optimize import brentq
 from scipy.special import xlogy
 
-from .hermitian import _energy_matching_root, cluster_degenerate, eigh, require_hermitian
+from .hermitian import _eigh, _energy_matching_root, cluster_degenerate, eigh, require_hermitian
 
 __all__ = [
     "ConservedSet",
@@ -238,11 +238,23 @@ def gge_state_dense(rho, hamiltonian, conserved: ConservedSet) -> tuple[np.ndarr
     The damped Newton iteration starts from the energy-matching beta with
     zero lambdas and stops once every gradient entry is at most 1e-10, or
     after 300 steps.  The Hessian of ln Z is the covariance-like matrix built
-    from the first divided differences of the exponential, so it is PSD and
-    the backtracking line search keeps the dual monotone.
+    from the first divided differences of the exponential, so it is PSD.
+
+    Each Newton step is backtracked from the full step, halving alpha down
+    to 1e-12.  A candidate is accepted when it passes the Armijo test
+    phi(cand) <= phi + 1e-4 alpha (grad . step), or when its gradient
+    sup-norm is at most half the current one.  The second test accepts the
+    quadratically convergent steps near the optimum, where the Armijo
+    decrease (about 1e-4 |grad|^2) is below the round-off of ln Z.  When no
+    candidate is accepted the iteration stops without moving; the state is
+    then returned if every residual is within 1e-8, and ValueError is raised
+    otherwise.
     """
     h = require_hermitian(hamiltonian, atol=1e-10, name="Hamiltonian")
-    r, es = _prologue(rho, h)
+    r = check_state(rho)
+    if r.shape != h.shape:
+        raise ValueError(f"dimension mismatch: state {r.shape} vs Hamiltonian dim {h.shape[0]}")
+    es = _eigh(h)
     if conserved.q and conserved.observables[0].shape != h.shape:
         raise ValueError("conserved observables must match the Hamiltonian dimension")
 
@@ -266,7 +278,8 @@ def gge_state_dense(rho, hamiltonian, conserved: ConservedSet) -> tuple[np.ndarr
 
     phi, grad, stats = phi_and_grad(theta)
     for _ in range(300):
-        if float(np.max(np.abs(grad))) <= 1e-10:
+        g_sup = float(np.max(np.abs(grad)))
+        if g_sup <= 1e-10:
             break
         vals, vecs, w, tilde = stats
         dk = vals[:, None] - vals[None, :]
@@ -290,9 +303,12 @@ def gge_state_dense(rho, hamiltonian, conserved: ConservedSet) -> tuple[np.ndarr
         while alpha > 1e-12:
             cand = theta + alpha * step
             phi_c, grad_c, stats_c = phi_and_grad(cand)
-            if phi_c <= phi + 1e-4 * alpha * slope:
+            if (phi_c <= phi + 1e-4 * alpha * slope
+                    or float(np.max(np.abs(grad_c))) <= 0.5 * g_sup):
                 break
             alpha *= 0.5
+        else:
+            break  # no candidate accepted: keep theta; the residual check decides
         theta, phi, grad, stats = cand, phi_c, grad_c, stats_c
         if float(np.max(np.abs(theta))) > 1e4:
             worst = float(np.max(np.abs(grad)))

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, xlogy
 
-from .hermitian import _energy_matching_root, eigh, require_hermitian
+from .hermitian import _eigh, _energy_matching_root, require_hermitian
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -80,7 +80,7 @@ class QuadraticHamiltonian:
 
     def __init__(self, coefficients):
         self.c = require_hermitian(coefficients, name="coefficient matrix")
-        self.eig = eigh(self.c)
+        self.eig = _eigh(self.c)
 
     @property
     def n(self) -> int:
@@ -287,8 +287,13 @@ def entropy_gaussian(gamma) -> float:
     Eigenvalues must lie in [-1e-6, 1 + 1e-6]; they are clamped to [0, 1]
     before the binary-entropy sum, with 0 log 0 = 0.
     """
-    g = require_hermitian(gamma, atol=1e-10, name="correlation matrix")
-    d = np.linalg.eigvalsh(g)
+    return _entropy(require_hermitian(gamma, atol=1e-10, name="correlation matrix"))
+
+
+def _entropy(gamma: np.ndarray) -> float:
+    """Kernel of :func:`entropy_gaussian` for a correlation matrix whose
+    Hermiticity is already validated: symmetrised, but not re-checked."""
+    d = np.linalg.eigvalsh(0.5 * (gamma + gamma.conj().T))
     if d.size and (d.min() < -1e-6 or d.max() > 1.0 + 1e-6):
         raise ValueError(
             f"correlation spectrum outside [0, 1]: min {d.min():.3e}, max {d.max():.6f}"

@@ -101,7 +101,12 @@ def eigh(matrix, atol: float = HERMITIAN_ATOL) -> EigenSystem:
 
     Rejects inputs whose asymmetry exceeds ``atol``, reporting the defect.
     """
-    h = require_hermitian(matrix, atol=atol)
+    return _eigh(require_hermitian(matrix, atol=atol))
+
+
+def _eigh(h: np.ndarray) -> EigenSystem:
+    """Kernel of :func:`eigh` for a matrix ``require_hermitian`` has already
+    validated and symmetrised."""
     values, vectors = np.linalg.eigh(h)
     return EigenSystem(values=values, vectors=_fix_phases(vectors))
 

@@ -24,7 +24,7 @@ from scipy.optimize import minimize_scalar
 
 from . import dense as qd
 from . import fermions as fg
-from .hermitian import eigh, require_hermitian
+from .hermitian import _eigh, eigh, require_hermitian
 
 __all__ = [
     "Trajectory",
@@ -247,11 +247,11 @@ class _Backend(NamedTuple):
     """How one back end validates its inputs and applies the three maps.
 
     ``check`` and ``wrap`` validate the initial state and each Hamiltonian
-    against it (a correlation matrix's Hermiticity and spectrum are checked
-    by its step-0 entropy); the other entries are kernels that trust their
-    arguments.  Each map returns ``(state, duals)``.  Entries call through
-    the module (``fg.energy``, not a bound reference), so a function patched
-    on its module is seen here too.
+    against it (a correlation matrix's spectrum is checked by its step-0
+    entropy); the other entries are kernels that trust their arguments.
+    Each map returns ``(state, duals)``.  Entries call through the module
+    (``fg.energy``, not a bound reference), so a function patched on its
+    module is seen here too.
     """
 
     check: Callable        # state -> validated state
@@ -261,6 +261,12 @@ class _Backend(NamedTuple):
     evolve: Callable       # (state, ham, hold time) -> exact evolution
     dephase: Callable      # (state, ham) -> time average
     thermalise: Callable   # (state, ham) -> energy-matching thermal state
+
+
+def _gaussian_check(gamma) -> np.ndarray:
+    # validated, but returned as given: the entropy kernel symmetrises it
+    require_hermitian(gamma, atol=1e-10, name="correlation matrix")
+    return np.asarray(gamma, dtype=complex)
 
 
 def _gaussian_wrap(h, gamma) -> fg.QuadraticHamiltonian:
@@ -291,16 +297,16 @@ def _dense_wrap(h, rho) -> np.ndarray:
 
 
 def _dense_thermalise(rho, h):
-    omega, beta = qd._gibbs(rho, eigh(h, atol=1e-10))
+    omega, beta = qd._gibbs(rho, _eigh(h))
     return omega, (beta,)
 
 
 _BACKENDS = {
     "gaussian": _Backend(
-        check=lambda gamma: np.asarray(gamma, dtype=complex),
+        check=_gaussian_check,
         wrap=_gaussian_wrap,
         energy=lambda gamma, ham: fg.energy(gamma, ham),
-        entropy=lambda gamma: fg.entropy_gaussian(gamma),
+        entropy=lambda gamma: fg._entropy(gamma),
         evolve=lambda gamma, ham, t: (fg.evolve_exact(gamma, ham, t), None),
         dephase=_gaussian_dephase,
         thermalise=_gaussian_thermalise,
@@ -310,8 +316,8 @@ _BACKENDS = {
         wrap=_dense_wrap,
         energy=lambda rho, h: qd._expectation(rho, h),
         entropy=lambda rho: qd._entropy(rho),
-        evolve=lambda rho, h, t: (qd._evolve(rho, eigh(h, atol=1e-10), t), None),
-        dephase=lambda rho, h: (qd._pinch(rho, eigh(h, atol=1e-10)), None),
+        evolve=lambda rho, h, t: (qd._evolve(rho, _eigh(h), t), None),
+        dephase=lambda rho, h: (qd._pinch(rho, _eigh(h)), None),
         thermalise=_dense_thermalise,
     ),
 }
@@ -620,7 +626,7 @@ def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,
     beta_star = qd.entropy_matching_beta(h0, record.steps[0].entropy)
     record.meta["beta_star"] = beta_star
     if beta_star is not None:
-        es = eigh(h0, atol=1e-10)
+        es = _eigh(h0)
         omega_star = (es.vectors * qd._thermal_weights(es.values, beta_star)) @ es.vectors.conj().T
         record.meta["work_limit"] = (
             qd._expectation(rho, h0) - qd._expectation(omega_star, h0)

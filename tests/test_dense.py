@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gge_thermo as gt
+from gge_thermo import dense as qd
 from _helpers import make_rng, random_density, random_hermitian, random_unitary
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -315,3 +316,63 @@ def test_evolve_dense_unitary_invariants():
     assert np.max(np.abs(np.linalg.eigvalsh(out) - np.linalg.eigvalsh(rho))) < 1e-10
     assert expectation(out, h) == pytest.approx(expectation(rho, h), abs=1e-10)
     assert np.max(np.abs(gt.evolve_dense(rho, h, 0.0) - rho)) < 1e-12
+
+
+def _pinned_instances():
+    """The 150 (rho, h, observables) of the benchmark's pinned dense-small
+    set, in its draw order: even indices commute with h, odd ones do not."""
+    rng = make_rng(np.random.SeedSequence(12345, spawn_key=(9,)))
+    for k in range(150):
+        d, q = int(rng.integers(4, 33)), int(rng.integers(1, 5))
+        h, rho = random_hermitian(d, rng), random_density(d, rng)
+        if k % 2:
+            qs = [random_hermitian(d, rng) for _ in range(q)]
+        else:
+            vecs = np.linalg.eigh(h)[1]
+            qs = [(vecs * rng.normal(size=d)) @ vecs.conj().T for _ in range(q)]
+        yield rho, h, qs
+
+
+def _fresh_instances():
+    """200 non-commuting instances, d in 4..32 and 1..4 observables."""
+    rng = make_rng(np.random.SeedSequence(777, spawn_key=(3,)))
+    for _ in range(200):
+        d, q = int(rng.integers(4, 33)), int(rng.integers(1, 5))
+        h, rho = random_hermitian(d, rng), random_density(d, rng)
+        yield rho, h, [random_hermitian(d, rng) for _ in range(q)]
+
+
+def _worst_gge_residual(rho, h, qs):
+    conserved = gt.ConservedSet.from_state(rho, qs)
+    omega, _ = gt.gge_state_dense(rho, h, conserved)
+    return max(float(np.max(np.abs(conserved.residuals(omega)))),
+               abs(expectation(omega, h) - expectation(rho, h)))
+
+
+def test_gge_fresh_instance_38_meets_the_residual_contract():
+    # near the optimum the Armijo decrease falls below the round-off of ln Z;
+    # the solver then froze this instance at a worst residual of 1.2e-8
+    rho, h, qs = next(itertools.islice(_fresh_instances(), 38, None))
+    assert _worst_gge_residual(rho, h, qs) <= 1e-9
+
+
+def test_gge_pinned_stall_121_converges():
+    # the same stall ran 300 iterations and ended at 9.8e-9
+    rho, h, qs = next(itertools.islice(_pinned_instances(), 121, None))
+    assert _worst_gge_residual(rho, h, qs) <= 1e-9
+
+
+def test_gge_dual_evaluations_per_solve_are_bounded(monkeypatch):
+    # a stalled line search shows up as thousands of dual evaluations
+    calls = []
+    dual_stats = qd._dual_stats
+
+    def counting(*args):
+        calls.append(1)
+        return dual_stats(*args)
+
+    monkeypatch.setattr(qd, "_dual_stats", counting)
+    for rho, h, qs in itertools.chain(_pinned_instances(), _fresh_instances()):
+        calls.clear()
+        assert _worst_gge_residual(rho, h, qs) <= 1e-8
+        assert len(calls) <= 25

@@ -255,6 +255,20 @@ def test_dense_run_schedule_validates_schedule_and_state_at_entry():
                 gt.run_schedule(state, [h2, h2], model, backend="dense")
 
 
+def test_gaussian_run_schedule_validates_state_at_entry():
+    # the runner's entropy kernel does not re-check Hermiticity, so the
+    # initial correlation matrix is checked at entry
+    ham = gt.build_chain(2, [0.5, 1.0], 0.3)
+    bad_states = {
+        "not Hermitian": np.array([[0.5, 0.1], [0.0, 0.5]]),
+        r"outside \[0, 1\]": np.diag([1.2, 0.3]),
+    }
+    for message, state in bad_states.items():
+        for model in (gt.GGE, gt.GIBBS, gt.Exact(1.0)):
+            with pytest.raises(ValueError, match=message):
+                gt.run_schedule(state, [ham, ham], model)
+
+
 @pytest.mark.parametrize("kind", ["ta-gge", "gibbs", "exact"])
 @pytest.mark.parametrize("d", range(1, 9))
 def test_dense_runner_steps_equal_public_maps(d, kind):
