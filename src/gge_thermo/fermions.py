@@ -35,11 +35,16 @@ Equilibration maps
 Initial states need not be Gaussian: every map consumes and produces only
 correlation matrices, so any state with the same second moments gives the
 same work accounting.
+
+The protocol runner carries a dephased or thermal state, which is diagonal
+in the current modes, as its populations ``p`` (``_ModeState``).  A quench
+moves them by the doubly stochastic map ``p' = |A'^T A^*|^2 p``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, xlogy
@@ -113,10 +118,10 @@ class Exact:
     [hold_min, hold_max] after every quench; ``Exact(t)`` holds for exactly
     ``t``.
 
-    Each run starts a fresh PCG64 stream from ``seed`` (an int or a
+    Each run starts a fresh PCG64 stream from ``seed`` (an int >= 0 or a
     ``numpy.random.SeedSequence``) and draws one hold per step, in step
     order, so a run is reproducible from the model alone.  A fixed hold
-    draws ``uniform(t, t)``, which is ``t`` bit for bit.
+    needs no stream: ``uniform(t, t)`` is ``t`` bit for bit.
     """
 
     hold_min: float
@@ -128,6 +133,9 @@ class Exact:
             object.__setattr__(self, "hold_max", self.hold_min)
         if self.hold_min > self.hold_max:
             raise ValueError("hold_min must not exceed hold_max")
+        if not isinstance(self.seed, np.random.SeedSequence) and not (
+                isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be an int >= 0 or a SeedSequence, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -187,6 +195,29 @@ def mode_populations(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
     return np.real(np.diag(to_mode_basis(gamma, ham)))
 
 
+class _ModeState(NamedTuple):
+    """Gaussian state gamma = A.conj() @ diag(p) @ A.T, diagonal in the
+    modes of ``ham`` and held as its mode populations ``p``."""
+
+    ham: QuadraticHamiltonian
+    p: np.ndarray
+
+    def matrix(self) -> np.ndarray:
+        return from_mode_basis(np.diag(self.p.astype(complex)), self.ham)
+
+
+def _transport(state, ham: QuadraticHamiltonian) -> _ModeState:
+    """Dephased image of ``state`` in the modes of ``ham``: p' = |O|^2 p
+    with O = A'^T A^* for a :class:`_ModeState` (unchanged under its own
+    Hamiltonian), :func:`mode_populations` for a correlation matrix."""
+    if not isinstance(state, _ModeState):
+        return _ModeState(ham, mode_populations(state, ham))
+    if ham is state.ham:
+        return state
+    o = ham.modes.T @ state.ham.modes.conj()
+    return _ModeState(ham, (o.real * o.real + o.imag * o.imag) @ state.p)
+
+
 def gibbs_correlation(ham: QuadraticHamiltonian, beta: float) -> np.ndarray:
     """Correlation matrix of the thermal state at inverse temperature ``beta``.
 
@@ -196,8 +227,7 @@ def gibbs_correlation(ham: QuadraticHamiltonian, beta: float) -> np.ndarray:
     values describe population-inverted diagnostics).
     """
     ham = as_hamiltonian(ham)
-    p = expit(-float(beta) * ham.energies)
-    return from_mode_basis(np.diag(p.astype(complex)), ham)
+    return _ModeState(ham, expit(-float(beta) * ham.energies)).matrix()
 
 
 def attainable_energy_range(ham: QuadraticHamiltonian) -> tuple[float, float]:
@@ -264,13 +294,7 @@ def dephase_gge(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
     the maximum-entropy state with every mode population held fixed.  The
     mean energy is conserved because only the mode diagonal carries energy.
     """
-    return _dephase(gamma, as_hamiltonian(ham))[0]
-
-
-def _dephase(gamma, ham: QuadraticHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel of :func:`dephase_gge`: ``(dephased state, mode populations)``."""
-    p = mode_populations(gamma, ham)
-    return from_mode_basis(np.diag(p.astype(complex)), ham), p
+    return _transport(gamma, as_hamiltonian(ham)).matrix()
 
 
 def energy(gamma, ham: QuadraticHamiltonian) -> float:
@@ -293,7 +317,12 @@ def entropy_gaussian(gamma) -> float:
 def _entropy(gamma: np.ndarray) -> float:
     """Kernel of :func:`entropy_gaussian` for a correlation matrix whose
     Hermiticity is already validated: symmetrised, but not re-checked."""
-    d = np.linalg.eigvalsh(0.5 * (gamma + gamma.conj().T))
+    return _binary_entropy(np.linalg.eigvalsh(0.5 * (gamma + gamma.conj().T)))
+
+
+def _binary_entropy(d: np.ndarray) -> float:
+    """Binary-entropy sum over a correlation spectrum or mode populations,
+    checked to lie in [-1e-6, 1 + 1e-6] and clipped to [0, 1]."""
     if d.size and (d.min() < -1e-6 or d.max() > 1.0 + 1e-6):
         raise ValueError(
             f"correlation spectrum outside [0, 1]: min {d.min():.3e}, max {d.max():.6f}"

@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.linalg
 from scipy.optimize import minimize_scalar
+from scipy.special import expit
 
 from . import dense as qd
 from . import fermions as fg
@@ -252,12 +253,16 @@ class _Backend(NamedTuple):
     Each map returns ``(state, duals)``.  Entries call through the module
     (``fg.energy``, not a bound reference), so a function patched on its
     module is seen here too.
+    Gaussian dephasing and thermal maps return a ``fg._ModeState``, which
+    ``quench`` transports and ``matrix`` expands (identities on a matrix).
     """
 
     check: Callable        # state -> validated state
     wrap: Callable         # (Hamiltonian, state) -> validated Hamiltonian
+    quench: Callable       # (state, ham) -> state frozen across the quench to ham
     energy: Callable       # (state, ham) -> mean energy
     entropy: Callable      # state -> entropy in nats
+    matrix: Callable       # state -> correlation or density matrix
     evolve: Callable       # (state, ham, hold time) -> exact evolution
     dephase: Callable      # (state, ham) -> time average
     thermalise: Callable   # (state, ham) -> energy-matching thermal state
@@ -275,18 +280,24 @@ def _gaussian_wrap(h, gamma) -> fg.QuadraticHamiltonian:
     return ham
 
 
-def _gaussian_dephase(gamma, ham):
-    # the multipliers log((1-p)/p) reuse the populations just computed
-    new, p = fg._dephase(gamma, ham)
-    p = np.clip(p, 0.0, 1.0)
+def _gaussian_energy(state, ham) -> float:
+    if isinstance(state, fg._ModeState):
+        return float(ham.energies @ fg._transport(state, ham).p)
+    return fg.energy(state, ham)
+
+
+def _gaussian_dephase(state, ham):
+    # the multipliers log((1-p)/p) reuse the populations just transported
+    new = fg._transport(state, ham)
+    p = np.clip(new.p, 0.0, 1.0)
     with np.errstate(divide="ignore"):
         lam = np.log((1.0 - p) / p)
     return new, tuple(float(x) for x in lam)
 
 
-def _gaussian_thermalise(gamma, ham):
-    beta, _ = fg.solve_beta(ham, fg.energy(gamma, ham))
-    return fg.gibbs_correlation(ham, beta), (beta,)
+def _gaussian_thermalise(state, ham):
+    beta, _ = fg.solve_beta(ham, _gaussian_energy(state, ham))
+    return fg._ModeState(ham, expit(-beta * ham.energies)), (beta,)
 
 
 def _dense_wrap(h, rho) -> np.ndarray:
@@ -305,8 +316,11 @@ _BACKENDS = {
     "gaussian": _Backend(
         check=_gaussian_check,
         wrap=_gaussian_wrap,
-        energy=lambda gamma, ham: fg.energy(gamma, ham),
-        entropy=lambda gamma: fg._entropy(gamma),
+        quench=lambda s, ham: fg._transport(s, ham) if isinstance(s, fg._ModeState) else s,
+        energy=_gaussian_energy,
+        entropy=lambda s: (fg._binary_entropy(s.p) if isinstance(s, fg._ModeState)
+                           else fg._entropy(s)),
+        matrix=lambda s: s.matrix() if isinstance(s, fg._ModeState) else s,
         evolve=lambda gamma, ham, t: (fg.evolve_exact(gamma, ham, t), None),
         dephase=_gaussian_dephase,
         thermalise=_gaussian_thermalise,
@@ -314,8 +328,10 @@ _BACKENDS = {
     "dense": _Backend(
         check=lambda rho: qd.check_state(rho),
         wrap=_dense_wrap,
+        quench=lambda rho, h: rho,
         energy=lambda rho, h: qd._expectation(rho, h),
         entropy=lambda rho: qd._entropy(rho),
+        matrix=lambda rho: rho,
         evolve=lambda rho, h, t: (qd._evolve(rho, _eigh(h), t), None),
         dephase=lambda rho, h: (qd._pinch(rho, _eigh(h)), None),
         thermalise=_dense_thermalise,
@@ -331,6 +347,8 @@ def _backend(name: str) -> _Backend:
 
 
 def _exact_map(model: fg.Exact, backend: _Backend, steps: int):
+    if model.hold_min == model.hold_max:    # uniform(t, t) would draw t
+        return lambda state, ham: backend.evolve(state, ham, float(model.hold_min))
     # one run's holds, drawn in one call from a fresh PCG64 stream of the
     # seed: the same numbers, in order, as one scalar draw per step
     stream = np.random.Generator(np.random.PCG64(model.seed))
@@ -377,7 +395,9 @@ def run_schedule(
     the common dimension) are validated here, before step 1; the steps then
     run trusted kernels, and a failing step is reported with its index.
     Under :class:`~gge_thermo.fermions.Exact` each step evolves exactly for
-    a hold time drawn from the model's own seeded stream."""
+    a hold time drawn from the model's own seeded stream.  Gaussian
+    dephased and thermal states travel as mode populations; their matrix is
+    built only for kept states and the final state."""
     be = _backend(backend)
     state = be.check(initial_state)
     hams = [be.wrap(h, state) for h in hamiltonians]
@@ -388,12 +408,13 @@ def run_schedule(
     def record(m: int, state, work: float, duals) -> StepRecord:
         return StepRecord(step=m, work_extracted=work, energy=be.energy(state, hams[m]),
                           entropy=be.entropy(state), duals=duals,
-                          state=state if keep_states else None)
+                          state=be.matrix(state) if keep_states else None)
 
     steps = [record(0, state, 0.0, None)]
     for m in range(1, len(hams)):
         try:
-            cost = be.energy(state, hams[m]) - be.energy(state, hams[m - 1])
+            state = be.quench(state, hams[m])
+            cost = be.energy(state, hams[m]) - steps[-1].energy
             state, duals = equilibrate(state, hams[m])
             steps.append(record(m, state, -cost, duals))
         except Exception as exc:
@@ -403,7 +424,7 @@ def run_schedule(
         hamiltonians=hams,
         model=model,
         backend=backend,
-        meta={"final_state": state},
+        meta={"final_state": be.matrix(state)},
     )
 
 

@@ -304,6 +304,110 @@ def test_failure_reports_step_index():
         gt.run_schedule(gamma0, [ham0, ham1], gt.GIBBS)
 
 
+def test_fixed_hold_exact_still_rejects_invalid_seeds():
+    # a fixed hold builds no random stream, so the seed is checked by the
+    # model itself, for fixed and drawn holds alike
+    for holds in ((1.0,), (1.0, 1.0), (1.0, 2.0)):
+        for seed in (-1, "x", 1.5, None):
+            with pytest.raises(ValueError, match=re.escape(repr(seed))):
+                gt.Exact(*holds, seed=seed)
+    gt.Exact(1.0, seed=np.int64(3))
+    gt.Exact(1.0, seed=np.random.SeedSequence(3))
+
+
+def _random_chain_schedule(n, n_quenches, rng, pool=3):
+    # open chains with complex hopping (so the modes are complex), drawn
+    # from a small pool, so a schedule repeats Hamiltonian objects as well
+    # as changing them
+    def chain():
+        hop = rng.uniform(0.1, 1.0, n - 1) * np.exp(1j * rng.uniform(-np.pi, np.pi, n - 1))
+        c = np.diag(rng.uniform(-1, 2, n)).astype(complex) + np.diag(hop, 1)
+        return gt.QuadraticHamiltonian(c + np.triu(c, 1).conj().T)
+
+    chains = [chain() for _ in range(pool)]
+    return [chains[int(i)] for i in rng.integers(0, pool, n_quenches + 1)]
+
+
+@pytest.mark.parametrize("kind", ["exact", "ta-gge", "gibbs"])
+def test_jordan_wigner_oracle_runs_whole_schedules(kind):
+    # one schedule on both back ends: the dense runner on the Jordan-Wigner
+    # images is the independent check of the population transport.  Only
+    # exact and thermal states stay Gaussian, so the pinched dense state's
+    # entropy is not compared.
+    rng = make_rng(900 + ["exact", "ta-gge", "gibbs"].index(kind))
+    for case in range(12):
+        n, n_q = int(rng.integers(2, 6)), int(rng.integers(1, 7))
+        hams = _random_chain_schedule(n, n_q, rng, pool=n_q + 1)
+        gamma0 = random_correlation(n, rng, lo=0.05, hi=0.95)
+        model = {"exact": gt.Exact(0.5, 4.0, case), "ta-gge": gt.GGE, "gibbs": gt.GIBBS}[kind]
+        fermionic = gt.run_schedule(gamma0, hams, model)
+        dense = gt.run_schedule(gt.gaussian_to_dense(gamma0), [gt.quadratic_to_dense(h.c) for h in hams],
+                                model, backend="dense")
+        assert np.max(np.abs(fermionic.works - dense.works)) <= 1e-10
+        assert np.max(np.abs(fermionic.energies - dense.energies)) <= 1e-10
+        assert np.max(np.abs(gt.correlation_of_dense(dense.final_state) - fermionic.final_state)) <= 1e-10
+        if kind != "ta-gge":
+            assert np.max(np.abs(fermionic.entropies - dense.entropies)) <= 1e-10
+
+
+@pytest.mark.parametrize("keep_states", [True, False])
+@pytest.mark.parametrize("kind", ["ta-gge", "gibbs"])
+def test_gaussian_runner_matches_public_map_loop(kind, keep_states):
+    # the runner carries dephased and thermal states as mode populations;
+    # every recorded number and matrix matches the matrix loop of the
+    # public maps
+    model = {"ta-gge": gt.GGE, "gibbs": gt.GIBBS}[kind]
+    for n in range(1, 13):
+        rng = make_rng(300 + n)
+        n_q = int(rng.integers(1, 11))
+        hams = _random_chain_schedule(n, n_q, rng)
+        gamma0 = random_correlation(n, rng, lo=0.05, hi=0.95)
+        rec = gt.run_schedule(gamma0, hams, model, keep_states=keep_states)
+        state = gamma0
+        for m in range(1, n_q + 1):
+            cost = gt.energy(state, hams[m]) - gt.energy(state, hams[m - 1])
+            if kind == "ta-gge":
+                state = gt.dephase_gge(state, hams[m])
+                p = gt.mode_populations(state, hams[m])
+                duals = np.log((1.0 - p) / p)
+            else:
+                beta, _ = gt.solve_beta(hams[m], gt.energy(state, hams[m]))
+                state = gt.gibbs_correlation(hams[m], beta)
+                duals = np.array([beta])
+            step = rec.steps[m]
+            assert abs(step.work_extracted + cost) <= 1e-12
+            assert abs(step.energy - gt.energy(state, hams[m])) <= 1e-12
+            assert abs(step.entropy - gt.entropy_gaussian(state)) <= 1e-12
+            assert np.max(np.abs(np.array(step.duals) - duals)) <= 1e-12
+            if keep_states:
+                assert np.max(np.abs(step.state - state)) <= 1e-12
+            else:
+                assert step.state is None
+        assert isinstance(rec.final_state, np.ndarray)
+        assert np.max(np.abs(rec.final_state - state)) <= 1e-12
+
+
+def test_gaussian_runner_diagonalises_only_where_needed(monkeypatch):
+    # dephased and thermal entropies come from the populations: one eigvalsh
+    # (the initial state's entropy) per run; exact steps keep one per step
+    rng = make_rng(400)
+    n_q = 20
+    hams = _random_chain_schedule(6, n_q, rng)
+    gamma0 = random_correlation(6, rng, lo=0.05, hi=0.95)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for model, expected in ((gt.GGE, 1), (gt.GIBBS, 1), (gt.Exact(0.5, 4.0, 1), n_q + 1)):
+        calls.clear()
+        gt.run_schedule(gamma0, hams, model, keep_states=False)
+        assert len(calls) == expected, gt.model_label(model)
+
+
 # ---------------------------------------------------------------------------
 # Quasi-static limits
 # ---------------------------------------------------------------------------

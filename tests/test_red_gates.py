@@ -6,6 +6,8 @@ reason and not for a new one.  The gates themselves live, unchanged, in
 import numpy as np
 
 from gge_thermo import cli
+from gge_thermo import fermions as fg
+from gge_thermo import protocols as pr
 
 
 def test_fig1_gap_is_below_the_criterion_1b_threshold():
@@ -18,3 +20,31 @@ def test_fig1_gap_is_below_the_criterion_1b_threshold():
     assert 0.0075 <= abs(n1_gge - n1_gibbs) <= 0.0077
     window = table[:, 0] >= table[-1, 0] * 0.75
     assert abs(table[window, 1].mean() - n1_gge) <= 1e-4
+
+
+def test_fig2_extraction_sits_near_92_percent_of_the_ceiling():
+    # criterion 2b asks W(100) >= 0.99 of the majorization ceiling; the
+    # four-phase protocol at the fig2 defaults reaches about 0.922 (0.9219 on
+    # one BLAS thread, 0.9231 on two: its eigenbasis rotations have
+    # eigenvalues at -1, where the principal logarithm's branch follows
+    # round-off).  Criterion 2c compares against the N = 2 entropy
+    # production, which is zero for this mode-diagonal initial state.
+    ham0, gamma0 = cli.fig2_initial_state(cli.parse_config(["fig2"]))
+    rec = pr.optimal_gge_protocol(gamma0, ham0, 100, keep_states=False)
+    assert 0.921 <= rec.work / rec.meta["work_bound"] <= 0.924
+    two = pr.optimal_gge_protocol(gamma0, ham0, 2, keep_states=False)
+    assert abs(two.entropy_production) <= 1e-12
+
+
+def test_two_mode_swap_deficit_scales_like_one_over_n():
+    # each dephasing step loses a quadratic-in-angle fraction of the
+    # transported populations, so even a two-mode swap caps near 95% of its
+    # ceiling at N = 100 and the deficit times N stays flat out to N = 1024
+    ham = fg.build_chain(2, [1.0, 2.0], 0.0)
+    gamma = np.diag([0.1, 0.9]).astype(complex)
+    ceiling = (0.9 - 0.1) * (2.0 - 1.0)
+    ratios = {n: pr.optimal_gge_protocol(gamma, ham, n, keep_states=False).work / ceiling
+              for n in (100, 256, 1024)}
+    assert ratios[100] <= 0.96
+    for n, ratio in ratios.items():
+        assert 4.6 <= (1.0 - ratio) * n <= 5.0, n
