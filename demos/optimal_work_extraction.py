@@ -27,8 +27,7 @@ for n_quenches in (2, 4, 8, 16, 32, 64, 128, 256):
 
 print()
 print("exact unitary dynamics on the same schedule (seeded random hold times):")
-schedule = gt.optimal_gge_schedule(gamma0, ham0, 64)
-rec = gt.run_schedule(gamma0, schedule, gt.GGE, keep_states=False)
-exact = gt.run_schedule(gamma0, schedule, gt.Exact(20.0 / g, 100.0 / g, seed),
+rec = gt.optimal_gge_protocol(gamma0, ham0, 64, keep_states=False)
+exact = gt.run_schedule(gamma0, rec.hamiltonians, gt.Exact(20.0 / g, 100.0 / g, seed),
                         keep_states=False)
 print(f"  N = 64:  effective W = {rec.work:.6f},  exact W = {exact.work:.6f}")

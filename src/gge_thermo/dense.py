@@ -37,7 +37,6 @@ __all__ = [
     "kl_gap",
     "is_passive",
     "passive_rearrangement",
-    "ground_degeneracy",
     "evolve_dense",
     "entropy_matching_beta",
     "annihilation_operators",
@@ -381,14 +380,6 @@ def passive_rearrangement(rho, hamiltonian) -> np.ndarray:
     r, es = _prologue(rho, hamiltonian)
     p = np.linalg.eigvalsh(r)[::-1]
     return (es.vectors * p) @ es.vectors.conj().T
-
-
-def ground_degeneracy(hamiltonian) -> int:
-    """Size of the lowest near-degenerate eigenvalue group."""
-    es = eigh(hamiltonian, atol=1e-10)
-    if es.dim == 0:
-        raise ValueError("empty Hamiltonian")
-    return len(cluster_degenerate(es.values).groups[0])
 
 
 def evolve_dense(rho, hamiltonian, t: float) -> np.ndarray:

@@ -24,27 +24,19 @@ __all__ = [
     "DEGENERACY_TOL",
     "EigenSystem",
     "DegeneracyPartition",
-    "hermiticity_defect",
     "require_hermitian",
     "eigh",
     "cluster_degenerate",
 ]
 
 
-def hermiticity_defect(matrix) -> float:
-    """Largest entrywise magnitude of M - M†."""
-    m = np.asarray(matrix)
-    if m.size == 0:
-        return 0.0
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
 def require_hermitian(matrix, atol: float = HERMITIAN_ATOL, name: str = "matrix") -> np.ndarray:
-    """Validate Hermiticity within ``atol`` and return the symmetrised copy."""
+    """Validate Hermiticity within ``atol`` (the largest entrywise magnitude
+    of M - M†) and return the symmetrised copy."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    defect = hermiticity_defect(m)
+    defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
     if defect > atol:
         raise ValueError(
             f"{name} is not Hermitian: max asymmetry {defect:.3e} exceeds tolerance {atol:.1e}"

@@ -7,7 +7,9 @@ across each quench ``H^(m-1) -> H^(m)`` and then equilibrated under
 ``H^(m)`` according to the chosen model.  Work is recorded with the
 extraction sign (positive = work gained), the negation of the quench cost
 ``Tr(rho (H^(m) - H^(m-1)))``.  Both back ends are supported: ``gaussian``
-(n x n correlation matrices) and ``dense`` (d x d density matrices).
+(n x n correlation matrices) and ``dense`` (d x d density matrices).  The
+four-phase optimal construction is one function for both back ends, and its
+schedule is the returned record's ``hamiltonians``.
 """
 
 from __future__ import annotations
@@ -32,15 +34,12 @@ __all__ = [
     "StepRecord",
     "ProtocolRecord",
     "model_label",
-    "hamiltonian_schedule",
     "run_schedule",
     "run_protocol",
     "QuasiStaticResult",
     "quasi_static",
     "optimal_work_bound",
-    "optimal_gge_schedule",
     "optimal_gge_protocol",
-    "optimal_ta_schedule",
     "optimal_ta_protocol",
     "optimal_gibbs_protocol",
     "restricted_first_quench",
@@ -111,9 +110,6 @@ class Trajectory:
     @property
     def dim(self) -> int:
         return self.keyframes[0].shape[0]
-
-    def reversed(self) -> "Trajectory":
-        return Trajectory(self.keyframes[::-1], self.rules[::-1])
 
     def _segment_data(self, i: int):
         if i in self._cache:
@@ -223,22 +219,6 @@ class ProtocolRecord:
     def final_state(self) -> np.ndarray:
         return self.meta["final_state"]
 
-    def dual_jumps(self, threshold: float = 10.0) -> list[int]:
-        """Steps whose dual variables jump by more than ``threshold`` in sup
-        norm; a heuristic smoothness flag, not a certificate."""
-        out = []
-        prev = None
-        for s in self.steps:
-            if s.duals is not None and prev is not None and len(prev) == len(s.duals):
-                cur = np.asarray(s.duals, dtype=float)
-                old = np.asarray(prev, dtype=float)
-                finite = np.isfinite(cur) & np.isfinite(old)
-                if finite.any() and float(np.max(np.abs(cur[finite] - old[finite]))) > threshold:
-                    out.append(s.step)
-            if s.duals is not None:
-                prev = s.duals
-        return out
-
 
 # ---------------------------------------------------------------------------
 # Back ends and equilibration maps
@@ -266,6 +246,14 @@ class _Backend(NamedTuple):
     evolve: Callable       # (state, ham, hold time) -> exact evolution
     dephase: Callable      # (state, ham) -> time average
     thermalise: Callable   # (state, ham) -> energy-matching thermal state
+    eigenbasis: Callable   # state matrix -> (ascending populations, their modes)
+    levels: Callable       # ham -> (coefficient matrix, ascending energies)
+
+
+def _gaussian_eigenbasis(gamma: np.ndarray):
+    # a correlation matrix's modes are its conjugated eigenvectors
+    p, w = np.linalg.eigh(0.5 * (gamma + gamma.conj().T))
+    return p, w.conj()
 
 
 def _gaussian_check(gamma) -> np.ndarray:
@@ -324,6 +312,8 @@ _BACKENDS = {
         evolve=lambda gamma, ham, t: (fg.evolve_exact(gamma, ham, t), None),
         dephase=_gaussian_dephase,
         thermalise=_gaussian_thermalise,
+        eigenbasis=_gaussian_eigenbasis,
+        levels=lambda ham: (ham.c, ham.energies),
     ),
     "dense": _Backend(
         check=lambda rho: qd.check_state(rho),
@@ -335,6 +325,8 @@ _BACKENDS = {
         evolve=lambda rho, h, t: (qd._evolve(rho, _eigh(h), t), None),
         dephase=lambda rho, h: (qd._pinch(rho, _eigh(h)), None),
         thermalise=_dense_thermalise,
+        eigenbasis=np.linalg.eigh,      # check_state has symmetrised the state
+        levels=lambda h: (h, np.linalg.eigvalsh(h)),
     ),
 }
 
@@ -428,13 +420,6 @@ def run_schedule(
     )
 
 
-def hamiltonian_schedule(traj: Trajectory, n_quenches: int) -> list[np.ndarray]:
-    """Equidistant samples H(m / N) for m = 0..N."""
-    if n_quenches < 1:
-        raise ValueError("need at least one quench")
-    return [traj.sample(m / n_quenches) for m in range(n_quenches + 1)]
-
-
 def run_protocol(
     initial_state,
     traj: Trajectory,
@@ -444,10 +429,13 @@ def run_protocol(
     backend: str = "gaussian",
     keep_states: bool = True,
 ) -> ProtocolRecord:
-    """Run ``n_quenches`` equidistant quenches along the trajectory."""
+    """Run ``n_quenches`` equidistant quenches along the trajectory, through
+    the samples H(m / N) for m = 0..N."""
+    if n_quenches < 1:
+        raise ValueError("need at least one quench")
     return run_schedule(
         initial_state,
-        hamiltonian_schedule(traj, n_quenches),
+        [traj.sample(m / n_quenches) for m in range(n_quenches + 1)],
         model,
         backend=backend,
         keep_states=keep_states,
@@ -531,91 +519,74 @@ def quasi_static(
 # Optimal constructions
 # ---------------------------------------------------------------------------
 
+def _ergotropy(be: _Backend, state: np.ndarray, ham) -> float:
+    """Largest work a unitary can extract from the state matrix (the
+    ergotropy of Allahverdyan, Balian and Nieuwenhuizen): its energy minus
+    the anti-ordered pairing of its spectrum with the energies of ``ham``."""
+    m = 0.5 * (state + state.conj().T)
+    floor = float(np.linalg.eigvalsh(m)[::-1] @ be.levels(ham)[1])
+    return be.energy(m, ham) - floor
+
+
 def optimal_work_bound(gamma0, ham0) -> float:
     """Largest work any quench-and-dephase protocol can extract: the initial
     energy minus the anti-ordered pairing of the correlation spectrum with
     the mode energies."""
-    ham0 = fg.as_hamiltonian(ham0)
-    g = require_hermitian(gamma0, atol=1e-10, name="correlation matrix")
-    d = np.linalg.eigvalsh(g)
-    floor = float(np.sort(d)[::-1] @ np.sort(ham0.energies))
-    return fg.energy(g, ham0) - floor
+    be = _BACKENDS["gaussian"]
+    gamma = be.check(gamma0)
+    return _ergotropy(be, gamma, be.wrap(ham0, gamma))
 
 
-def _four_phase_schedule(state, ham0, half: int, dephase) -> list:
-    """Two legs, each a quench to the state's eigenbasis carrying the
-    spectrum of ``ham0`` anti-sorted, then a ``half``-step eigenbasis
-    rotation back to ``ham0`` (repeated ``ham0`` if the quench is a no-op).
-    The second leg starts from the state ``dephase`` leaves after the first.
-    A QuadraticHamiltonian ``ham0`` pairs with a correlation matrix, whose
-    modes are the conjugated eigenvectors; a dense one with a density matrix.
+def _optimal_protocol(state, ham0, n_quenches: int, backend: str,
+                      keep_states: bool) -> ProtocolRecord:
+    """Cyclic four-phase protocol extracting the maximum work under the
+    dephasing map, on either back end.
+
+    Two legs, each a quench aligning the modes with the state's eigenbasis
+    (the spectrum of ``ham0`` assigned anti-sorted), then an N/2-step
+    eigenbasis rotation back to ``ham0`` (repeated ``ham0`` if the quench is
+    a no-op).  The second leg is rebuilt from the state the first leaves.
     """
-    gaussian = isinstance(ham0, fg.QuadraticHamiltonian)
-    h0, energies = (ham0.c, ham0.energies) if gaussian else (ham0, np.linalg.eigvalsh(ham0))
-    e_desc = np.sort(energies)[::-1]
+    if n_quenches < 2 or n_quenches % 2:
+        raise ValueError(f"the number of quenches must be even and at least 2, got {n_quenches}")
+    be = _backend(backend)
+    state = be.check(state)
+    ham0 = be.wrap(ham0, state)
+    h0, energies = be.levels(ham0)
+    e_desc = energies[::-1]
+    half = n_quenches // 2
 
-    def leg(rho) -> list:
-        _, w = np.linalg.eigh(0.5 * (rho + rho.conj().T))    # populations ascending
-        if gaussian:
-            w = w.conj()
+    def leg(m) -> list:
+        _, w = be.eigenbasis(m)
         h_from = (w * e_desc) @ w.conj().T
         if np.allclose(h_from, h0, atol=1e-13):
             return [ham0] * (half + 1)
         seg = Trajectory((h_from, h0), ("eigenvectors",))
         out = [h_from] + [seg.sample(j / half) for j in range(1, half)]
-        if gaussian:
-            out = [fg.QuadraticHamiltonian(h) for h in out]
-        return out + [ham0]
+        return [be.wrap(h, m) for h in out] + [ham0]
 
     hams = [ham0] + leg(state)
+    mid = state
     for h in hams[1:]:
-        state = dephase(state, h)
-    return hams + leg(state)
-
-
-def optimal_gge_schedule(gamma0, ham0, n_quenches: int) -> list:
-    """Cyclic schedule extracting the maximum work under the dephasing map.
-
-    Four phases: a quench aligning the modes with the state's eigenbasis
-    (spectrum assigned anti-sorted), an N/2-step rotation back to the
-    original Hamiltonian, an ordering quench rebuilt from the mid-protocol
-    state, and a second N/2-step rotation back.
-    """
-    if n_quenches < 2 or n_quenches % 2:
-        raise ValueError("the number of quenches must be even and at least 2")
-    ham0 = fg.as_hamiltonian(ham0)
-    gamma = np.asarray(gamma0, dtype=complex)
-    return _four_phase_schedule(gamma, ham0, n_quenches // 2, fg.dephase_gge)
+        # re-validated (so symmetrised) each step: the second leg rotates by a
+        # permutation of ham0's eigenbasis, where the log's branch follows round-off
+        mid = be.check(be.matrix(be.dephase(mid, h)[0]))
+    hams += leg(mid)
+    record = run_schedule(state, hams, fg.GGE, backend=backend, keep_states=keep_states)
+    record.meta["work_bound"] = _ergotropy(be, state, ham0)
+    return record
 
 
 def optimal_gge_protocol(gamma0, ham0, n_quenches: int, *, keep_states: bool = True) -> ProtocolRecord:
-    """Run :func:`optimal_gge_schedule` under the dephasing map."""
-    schedule = optimal_gge_schedule(gamma0, ham0, n_quenches)
-    record = run_schedule(gamma0, schedule, fg.GGE, backend="gaussian", keep_states=keep_states)
-    record.meta["work_bound"] = optimal_work_bound(gamma0, ham0)
-    return record
-
-
-def optimal_ta_schedule(rho0, h0, n_quenches: int) -> list:
-    """Dense counterpart of :func:`optimal_gge_schedule` for the pinching map."""
-    if n_quenches < 2 or n_quenches % 2:
-        raise ValueError("the number of quenches must be even and at least 2")
-    h0 = require_hermitian(h0, atol=1e-10, name="Hamiltonian")
-    rho = qd.check_state(rho0)
-    return _four_phase_schedule(rho, h0, n_quenches // 2, qd.ta_state)
+    """Four-phase extraction from a correlation matrix under the dephasing
+    map; ``meta['work_bound']`` is :func:`optimal_work_bound`."""
+    return _optimal_protocol(gamma0, ham0, n_quenches, "gaussian", keep_states)
 
 
 def optimal_ta_protocol(rho0, h0, n_quenches: int, *, keep_states: bool = True) -> ProtocolRecord:
-    """Cyclic pinching protocol whose final state tends to the passive
-    rearrangement of the initial state; work is bounded by the passive gap
-    Tr(rho0 H0) - Tr(rearranged H0)."""
-    schedule = optimal_ta_schedule(rho0, h0, n_quenches)
-    record = run_schedule(rho0, schedule, fg.GGE, backend="dense", keep_states=keep_states)
-    target = qd.passive_rearrangement(rho0, schedule[0])
-    record.meta["work_bound"] = (
-        qd._expectation(np.asarray(rho0, complex), schedule[0]) - qd._expectation(target, schedule[0])
-    )
-    return record
+    """Four-phase extraction from a density matrix under the pinching map;
+    ``meta['work_bound']`` is the passive gap Tr(rho0 H0) - Tr(rearranged H0)."""
+    return _optimal_protocol(rho0, h0, n_quenches, "dense", keep_states)
 
 
 def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,

@@ -39,6 +39,10 @@ def test_parse_config_rejections():
         cli.parse_config(["fig1", "--n", "1"])
     with pytest.raises(ValueError, match="at least 1"):
         cli.parse_config(["fig3", "--quenches", "0,2"])
+    # fig2's four-phase protocol needs even counts >= 2, named before any run
+    for counts, bad in (("2,3", "3"), ("1,4", "1")):
+        with pytest.raises(ValueError, match=f"even and at least 2, got {bad}$"):
+            cli.parse_config(["fig2", "--quenches", counts])
 
 
 def test_parse_config_file_layering(tmp_path):

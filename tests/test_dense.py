@@ -260,12 +260,6 @@ def test_vacuum_oracle_equivalence():
     assert np.max(np.abs(gt.correlation_of_dense(rho))) < 1e-14
 
 
-def test_ground_degeneracy_examples():
-    assert gt.ground_degeneracy(np.diag([0.0, 1.0])) == 1
-    assert gt.ground_degeneracy(np.zeros((2, 2))) == 2
-    assert gt.ground_degeneracy(np.diag([0.0, 1e-12, 1.0])) == 2
-
-
 def test_gaussian_to_dense_examples():
     vac = gt.gaussian_to_dense(np.zeros((1, 1)))
     assert np.max(np.abs(vac - np.diag([1.0, 0.0]))) < 1e-14

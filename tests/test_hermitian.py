@@ -4,7 +4,6 @@ import pytest
 from gge_thermo.hermitian import (
     cluster_degenerate,
     eigh,
-    hermiticity_defect,
     require_hermitian,
 )
 from _helpers import make_rng, random_hermitian
@@ -59,8 +58,12 @@ def test_eigh_rejects_non_hermitian():
 
 
 def test_hermiticity_defect():
+    # the defect is the largest entrywise magnitude of M - M^dag
     m = np.array([[0.0, 1.0], [0.5, 0.0]])
-    assert hermiticity_defect(m) == pytest.approx(0.5)
+    with pytest.raises(ValueError, match="max asymmetry 5.000e-01"):
+        require_hermitian(m, atol=0.49)
+    assert np.array_equal(require_hermitian(m, atol=0.5), [[0.0, 0.75], [0.75, 0.0]])
+    assert require_hermitian(np.zeros((0, 0))).shape == (0, 0)
 
 
 def test_reconstruction_random():
@@ -105,4 +108,4 @@ def test_cluster_degenerate_rejects_unsorted():
 def test_require_hermitian_symmetrises():
     m = np.array([[1.0, 0.1 + 1e-14j], [0.1 - 2e-14j, 2.0]])
     out = require_hermitian(m)
-    assert hermiticity_defect(out) == 0.0
+    assert np.array_equal(out, out.conj().T)

@@ -7,7 +7,8 @@ import pytest
 
 import gge_thermo as gt
 from gge_thermo import protocols as pr
-from _helpers import make_rng, random_correlation, random_density, random_hermitian
+from _helpers import (make_rng, random_correlation, random_density, random_hermitian,
+                      random_unitary)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -54,14 +55,6 @@ def test_trajectory_eigenvector_rule_requires_equal_spectra():
 def test_trajectory_eigenvalue_rule_requires_commuting():
     with pytest.raises(ValueError, match="commute"):
         gt.Trajectory((SIGMA_Z, SIGMA_X), ("eigenvalues",)).sample(0.5)
-
-
-def test_trajectory_reversed():
-    rng = make_rng(1)
-    h0, h1 = random_hermitian(3, rng), random_hermitian(3, rng)
-    traj = gt.Trajectory.linear(h0, h1)
-    rev = traj.reversed()
-    assert np.max(np.abs(rev.sample(0.3) - traj.sample(0.7))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +131,7 @@ def test_exact_dynamics_draw_contract():
         rec = gt.run_protocol(gamma0, traj, 6, model)
         draws = np.random.Generator(np.random.PCG64(
             seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)))
-        hams = [gt.QuadraticHamiltonian(h) for h in gt.hamiltonian_schedule(traj, 6)]
+        hams = [gt.QuadraticHamiltonian(traj.sample(m / 6)) for m in range(7)]
         state = np.asarray(gamma0, dtype=complex)
         works, energies = [0.0], [gt.energy(state, hams[0])]
         for m in range(1, len(hams)):
@@ -204,7 +197,7 @@ def test_fixed_hold_exact_ignores_seed_and_matches_hand_loop():
     traj = gt.Trajectory.linear(ham0.c, ham1.c)
     t = 2.7
     rec = gt.run_protocol(gamma0, traj, 6, gt.Exact(t))
-    hams = [gt.QuadraticHamiltonian(h) for h in gt.hamiltonian_schedule(traj, 6)]
+    hams = [gt.QuadraticHamiltonian(traj.sample(m / 6)) for m in range(7)]
     state = np.asarray(gamma0, dtype=complex)
     works, energies = [0.0], [gt.energy(state, hams[0])]
     for m in range(1, len(hams)):
@@ -504,9 +497,10 @@ def test_optimal_gge_protocol_respects_bound_and_is_cyclic():
     bound = gt.optimal_work_bound(gamma, ham)
     for n in (2, 8, 32):
         rec = gt.optimal_gge_protocol(gamma, ham, n)
+        assert rec.meta["work_bound"] == bound
         assert rec.work <= bound + 1e-9
         assert np.max(np.abs(rec.hamiltonians[-1].c - ham.c)) < 1e-12
-    with pytest.raises(ValueError, match="even"):
+    with pytest.raises(ValueError, match="even and at least 2, got 3"):
         gt.optimal_gge_protocol(gamma, ham, 3)
 
 
@@ -527,10 +521,43 @@ def test_optimal_ta_protocol_two_level_inversion():
     w_inf = (1024 * works[1024] - 256 * works[256]) / (1024 - 256)
     assert w_inf == pytest.approx(0.6, abs=2e-3)
     rec = gt.optimal_ta_protocol(rho, h, 256)
+    assert rec.meta["work_bound"] == pytest.approx(0.6, abs=1e-12)
     assert rec.work <= rec.meta["work_bound"] + 1e-9
     # final spectrum drifts from the initial one only at O(1/N)
     final = np.sort(np.linalg.eigvalsh(rec.final_state))
     assert np.max(np.abs(final - [0.2, 0.8])) < 0.02
+
+
+@pytest.mark.parametrize("backend", ["gaussian", "dense"])
+def test_optimal_second_leg_orders_the_state_the_runner_reached(backend):
+    # the second leg is built from the state the first leg leaves; the state
+    # the runner reaches there commutes with the ordering Hamiltonian, which
+    # pairs its spectrum anti-sorted with the energies of ham0.  The dense
+    # ceiling is the passive gap, also for a degenerate ham0.
+    rng = make_rng(16)
+    for dim in range(2, 7):
+        for n in (2, 4, 8):
+            half = n // 2
+            if backend == "gaussian":
+                ham0 = gt.build_chain(dim, rng.uniform(0, 2, dim), float(rng.uniform(0.1, 1.0)))
+                rec = gt.optimal_gge_protocol(random_correlation(dim, rng), ham0, n)
+                energies = ham0.energies
+                state, h = rec.steps[half + 1].state.T, rec.hamiltonians[half + 2].c
+            else:
+                energies = np.sort(rng.uniform(0, 2, dim))
+                if dim > 2:
+                    energies[2] = energies[1]       # a degenerate ham0
+                u = random_unitary(dim, rng)
+                h0, rho0 = (u * energies) @ u.conj().T, random_density(dim, rng)
+                rec = gt.optimal_ta_protocol(rho0, h0, n)
+                passive = gt.passive_rearrangement(rho0, h0)
+                gap = np.trace(rho0 @ h0).real - np.trace(passive @ h0).real
+                assert rec.meta["work_bound"] == pytest.approx(gap, abs=1e-12)
+                state, h = rec.steps[half + 1].state, rec.hamiltonians[half + 2]
+            assert np.max(np.abs(state @ h - h @ state)) < 1e-10
+            assert np.allclose(np.linalg.eigvalsh(h), energies, atol=1e-10)
+            pairing = np.linalg.eigvalsh(state) @ energies[::-1]
+            assert np.trace(state @ h).real == pytest.approx(pairing, abs=1e-10)
 
 
 def test_optimal_gibbs_protocol_fixed_point():
@@ -729,11 +756,11 @@ def test_reversibility_of_converged_gge_runs():
     ham0 = gt.build_chain(3, [0.4, 1.0, 1.6], 0.3)
     ham1 = gt.build_chain(3, [1.0, 1.2, 2.0], 0.5)
     gamma0 = gt.dephase_gge(random_correlation(3, make_rng(14), lo=0.1, hi=0.9), ham0)
-    traj = gt.Trajectory.linear(ham0.c, ham1.c)
+    traj, back_traj = gt.Trajectory.linear(ham0.c, ham1.c), gt.Trajectory.linear(ham1.c, ham0.c)
     residuals = []
     for n in (8, 64):
         fwd = gt.run_protocol(gamma0, traj, n, gt.GGE, keep_states=False)
-        back = gt.run_protocol(fwd.final_state, traj.reversed(), n, gt.GGE, keep_states=False)
+        back = gt.run_protocol(fwd.final_state, back_traj, n, gt.GGE, keep_states=False)
         residuals.append(float(np.max(np.abs(back.final_state - gamma0))))
     assert residuals[1] < residuals[0] / 2.0
     assert residuals[1] < 5e-3
@@ -755,14 +782,3 @@ def test_quasi_static_final_passive_beats_finite_n_dense():
     for n in (1, 2, 5, 9):
         fast = gt.run_protocol(rho0, traj, n, gt.GGE, backend="dense", keep_states=False)
         assert fast.work <= slow.work + 1e-9
-
-
-def test_dual_jump_flags():
-    # the kinked path produces a dephasing basis jump that the dual-variable
-    # heuristic flags
-    plus = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    traj = gt.Trajectory((SIGMA_X, np.zeros((2, 2)), SIGMA_Z), ("linear", "linear"))
-    ham = gt.build_chain(2, [1.0, 1.0], 0.3)
-    gamma = np.diag([0.95, 0.05]).astype(complex)
-    rec = gt.run_protocol(gamma, gt.Trajectory.linear(ham.c, ham.c), 4, gt.GGE)
-    assert rec.dual_jumps(threshold=1e6) == []
