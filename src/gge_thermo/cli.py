@@ -15,7 +15,8 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -78,8 +79,6 @@ EXPERIMENT_DEFAULTS: dict[str, dict] = {
     "oracle-check": dict(n=3),
 }
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
-
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
     try:
@@ -96,19 +95,18 @@ def _parse_model_list(text: str) -> tuple[str, ...]:
     return models
 
 
-def _convert(key: str, value: str):
-    if key in ("n", "K", "seed"):
-        return int(value)
-    if key in ("eps", "eps1", "g", "beta0", "delta", "eps1_peak", "n1_system",
-               "hold_min", "hold_max"):
-        return float(value)
-    if key == "N_list":
-        return _parse_int_list(value)
-    if key == "models":
-        return _parse_model_list(value)
-    if key in ("out", "experiment"):
-        return str(value)
-    raise ValueError(f"unknown configuration key {key!r}")
+# The configuration keys a file or a flag may set, each with its parser.
+_CONFIG_KEYS = {
+    "n": int, "eps": float, "eps1": float, "g": float, "beta0": float, "delta": float,
+    "eps1_peak": float, "K": int, "n1_system": float, "N_list": _parse_int_list,
+    "models": _parse_model_list, "seed": int, "hold_min": float, "hold_max": float, "out": str,
+}
+# key -> command-line flag, for the keys that have one
+_FLAGS = {
+    "n": "--n", "g": "--g", "beta0": "--beta0", "delta": "--delta", "eps1_peak": "--eps1-peak",
+    "K": "--K", "N_list": "--quenches", "models": "--models", "seed": "--seed",
+    "hold_min": "--hold-min", "hold_max": "--hold-max", "out": "--out",
+}
 
 
 def _read_config_file(path: str) -> dict:
@@ -121,9 +119,9 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw.rstrip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELD_TYPES or key == "experiment":
+            if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown configuration key {key!r}")
-            overrides[key] = _convert(key, value)
+            overrides[key] = _CONFIG_KEYS[key](value)
     return overrides
 
 
@@ -134,6 +132,9 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         raise ValueError(f"n must be at least 2, got {config.n}")
     if not config.N_list or any(x < 1 for x in config.N_list):
         raise ValueError("quench counts must all be at least 1")
+    for a, b in zip(config.N_list, config.N_list[1:]):
+        if b <= a:
+            raise ValueError(f"quench counts must be strictly increasing, got {b} after {a}")
     odd = [x for x in config.N_list if x % 2]
     if config.experiment == "fig2" and odd:
         raise ValueError(f"fig2 quench counts must be even and at least 2, got {odd[0]}")
@@ -157,30 +158,15 @@ def parse_config(argv) -> ExperimentConfig:
     )
     parser.add_argument("experiment", choices=EXPERIMENTS)
     parser.add_argument("--config", default=None, help="flat key = value file")
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--g", type=float, default=None)
-    parser.add_argument("--beta0", type=float, default=None)
-    parser.add_argument("--delta", type=float, default=None)
-    parser.add_argument("--eps1-peak", dest="eps1_peak", type=float, default=None)
-    parser.add_argument("--K", type=int, default=None)
-    parser.add_argument("--quenches", dest="N_list", type=_parse_int_list, default=None)
-    parser.add_argument("--models", type=_parse_model_list, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--hold-min", dest="hold_min", type=float, default=None)
-    parser.add_argument("--hold-max", dest="hold_max", type=float, default=None)
-    parser.add_argument("--out", default=None)
+    for key, flag in _FLAGS.items():
+        parser.add_argument(flag, dest=key, type=_CONFIG_KEYS[key], default=None)
     args = parser.parse_args(argv)
 
     config = replace(ExperimentConfig(experiment=args.experiment),
                      **EXPERIMENT_DEFAULTS[args.experiment])
     if args.config is not None:
         config = replace(config, **_read_config_file(args.config))
-    flag_overrides = {
-        name: getattr(args, name)
-        for name in ("n", "g", "beta0", "delta", "eps1_peak", "K", "N_list",
-                     "models", "seed", "hold_min", "hold_max", "out")
-        if getattr(args, name) is not None
-    }
+    flag_overrides = {key: getattr(args, key) for key in _FLAGS if getattr(args, key) is not None}
     config = replace(config, **flag_overrides)
     return _validate(config)
 
@@ -290,25 +276,21 @@ def cmd_fig2(config: ExperimentConfig):
     return header, rows, diagnostics
 
 
-def _extrapolated(n_values, works) -> float:
-    limit, _ = pr._richardson(n_values, works)
-    return limit if limit is not None else float(works[-1])
+def _models(config: ExperimentConfig, names) -> list:
+    """The CLI's one model-name table; the sweep seeds each exact cell."""
+    table = {"exact": fg.Exact(*config.resolved_holds()), "ta-gge": fg.GGE, "gibbs": fg.GIBBS}
+    return [table[name] for name in names]
 
 
-def _run_local_experiment(config: ExperimentConfig, gamma0, ham0):
-    """Per-(N, model) works for the local-quench schedule."""
-    holds = config.resolved_holds()
-    table: dict[str, list[float]] = {m: [] for m in config.models}
-    for n_q in config.N_list:
-        schedule = pr.local_quench_schedule(ham0, config.eps1_peak, n_q)
-        for idx, name in enumerate(config.models):
-            if name == "exact":
-                child = np.random.SeedSequence(config.seed, spawn_key=(idx, n_q))
-                model = fg.Exact(*holds, child)
-            else:
-                model = fg.GGE if name == "ta-gge" else fg.GIBBS
-            table[name].append(pr.run_schedule(gamma0, schedule, model, keep_states=False).work)
-    return table
+def _local_quench_works(config: ExperimentConfig, gamma0, ham0, names) -> dict:
+    """Works per model name over the local-quench schedules; the first
+    failed cell is raised."""
+    result = pr.min_work_scan(gamma0, partial(pr.local_quench_schedule, ham0, config.eps1_peak),
+                              _models(config, names), config.N_list, config.seed)
+    if result.failures:
+        (label, n_q), msg = next(iter(result.failures.items()))
+        raise RuntimeError(f"{label} at N = {n_q}: {msg}")
+    return dict(zip(names, result.works))
 
 
 def cmd_fig3(config: ExperimentConfig):
@@ -318,11 +300,9 @@ def cmd_fig3(config: ExperimentConfig):
         config.n, config.beta0, g=config.g, eps_bulk=config.eps,
         system_occupation=config.n1_system,
     )
-    base_models = ("exact", "ta-gge", "gibbs")
-    cfg = replace(config, models=base_models)
-    table = _run_local_experiment(cfg, gamma0, ham0)
-    w_gge_inf = _extrapolated(config.N_list, table["ta-gge"])
-    w_gibbs_inf = _extrapolated(config.N_list, table["gibbs"])
+    table = _local_quench_works(config, gamma0, ham0, ("exact", "ta-gge", "gibbs"))
+    w_gge_inf, _ = pr.richardson_limit(config.N_list, table["ta-gge"])
+    w_gibbs_inf, _ = pr.richardson_limit(config.N_list, table["gibbs"])
     header = ["N", "W_exact", "W_gge", "W_gibbs", "W_gge_inf", "W_gibbs_inf"]
     rows = [
         [n_q, table["exact"][j], table["ta-gge"][j], table["gibbs"][j], w_gge_inf, w_gibbs_inf]
@@ -356,9 +336,8 @@ def fig4_positive_temperature_condition(config: ExperimentConfig) -> bool:
 def cmd_fig4(config: ExperimentConfig):
     """Local extraction from a population-inverted bath."""
     ham0, gamma0 = fig4_initial_state(config)
-    cfg = replace(config, models=("exact", "ta-gge"))
-    table = _run_local_experiment(cfg, gamma0, ham0)
-    w_gge_inf = _extrapolated(config.N_list, table["ta-gge"])
+    table = _local_quench_works(config, gamma0, ham0, ("exact", "ta-gge"))
+    w_gge_inf, _ = pr.richardson_limit(config.N_list, table["ta-gge"])
     header = ["N", "W_exact", "W_gge", "W_gge_inf"]
     rows = [
         [n_q, table["exact"][j], table["ta-gge"][j], w_gge_inf]
@@ -379,13 +358,11 @@ def cmd_scan(config: ExperimentConfig):
         config.n, config.beta0, g=config.g, eps_bulk=config.eps,
         system_occupation=config.n1_system,
     )
-    lo, hi = config.resolved_holds()
-    model_map = {"exact": fg.Exact(lo, hi), "ta-gge": fg.GGE, "gibbs": fg.GIBBS}
-    models = [model_map[name] for name in config.models]
     peak = ham0.c.copy()
     peak[0, 0] = config.eps1_peak
     traj = pr.Trajectory((peak, ham0.c), ("linear",))
-    result = pr.min_work_scan(gamma0, traj, models, config.N_list, config.seed)
+    result = pr.min_work_scan(gamma0, traj.schedule, _models(config, config.models),
+                              config.N_list, config.seed)
     header, rows = result.table()
     diagnostics = [f"verdict[{label}] = {verdict}"
                    for label, verdict in result.verdicts.items()]

@@ -1,15 +1,21 @@
 """Quench schedules, effective evolution under repeated quenches,
-quasi-static limits, entropy-production accounting, minimum-work scans and
-the optimal work-extraction constructions.
+entropy-production accounting, the minimum-work sweep, the quasi-static
+limit and the optimal work-extraction constructions.
 
 A protocol is a list of Hamiltonians ``H^(0) .. H^(N)``; the state is frozen
 across each quench ``H^(m-1) -> H^(m)`` and then equilibrated under
 ``H^(m)`` according to the chosen model.  Work is recorded with the
 extraction sign (positive = work gained), the negation of the quench cost
 ``Tr(rho (H^(m) - H^(m-1)))``.  Both back ends are supported: ``gaussian``
-(n x n correlation matrices) and ``dense`` (d x d density matrices).  The
-four-phase optimal construction is one function for both back ends, and its
-schedule is the returned record's ``hamiltonians``.
+(n x n correlation matrices) and ``dense`` (d x d density matrices).
+
+:func:`min_work_scan` is the one loop over (model, N): it takes a schedule
+builder ``n -> [H^(0) .. H^(N)]`` (``traj.schedule`` or a partial of
+:func:`local_quench_schedule`), builds each N's schedule once and runs every
+model on it.  :func:`richardson_limit` extrapolates any per-N sequence, such
+as works or entropy productions, to N -> infinity.  The four-phase optimal
+construction is one function for both back ends, and its schedule is the
+returned record's ``hamiltonians``.
 """
 
 from __future__ import annotations
@@ -36,8 +42,7 @@ __all__ = [
     "model_label",
     "run_schedule",
     "run_protocol",
-    "QuasiStaticResult",
-    "quasi_static",
+    "richardson_limit",
     "optimal_work_bound",
     "optimal_gge_protocol",
     "optimal_ta_protocol",
@@ -125,7 +130,7 @@ class Trajectory:
                     f"eigenvalue segment {i}: keyframes do not commute (defect {defect:.3e})"
                 )
         elif rule == "eigenvectors":
-            es_a, es_b = eigh(a), eigh(b)
+            es_a, es_b = _eigh(a), _eigh(b)     # keyframes are validated and symmetrised
             gap = float(np.max(np.abs(es_a.values - es_b.values)))
             if gap > 1e-8 * max(1.0, float(np.abs(es_a.values).max())):
                 raise ValueError(
@@ -165,6 +170,13 @@ class Trajectory:
         rot = (p * np.exp(-1j * s * phis)) @ p.conj().T
         u_s = rot @ a_vecs
         return (u_s * eps) @ u_s.conj().T
+
+    def schedule(self, n_quenches: int) -> list:
+        """The samples H(m / N) for m = 0..N of ``n_quenches`` equidistant
+        quenches."""
+        if n_quenches < 1:
+            raise ValueError("need at least one quench")
+        return [self.sample(m / n_quenches) for m in range(n_quenches + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -430,46 +442,42 @@ def run_protocol(
     keep_states: bool = True,
 ) -> ProtocolRecord:
     """Run ``n_quenches`` equidistant quenches along the trajectory, through
-    the samples H(m / N) for m = 0..N."""
-    if n_quenches < 1:
-        raise ValueError("need at least one quench")
-    return run_schedule(
-        initial_state,
-        [traj.sample(m / n_quenches) for m in range(n_quenches + 1)],
-        model,
-        backend=backend,
-        keep_states=keep_states,
-    )
+    ``traj.schedule(n_quenches)``."""
+    return run_schedule(initial_state, traj.schedule(n_quenches), model,
+                        backend=backend, keep_states=keep_states)
 
 
 # ---------------------------------------------------------------------------
 # Quasi-static limit
 # ---------------------------------------------------------------------------
 
-@dataclass
-class QuasiStaticResult:
-    n_values: tuple[int, ...]
-    records: list[ProtocolRecord]
-    works: np.ndarray
-    entropy_productions: np.ndarray
-    work_limit: float | None
-    work_error: float | None
-    entropy_limit: float | None
-    entropy_error: float | None
+def _quench_counts(n_list) -> list[int]:
+    raw = list(n_list)
+    ns = [int(n) for n in raw]
+    for n, r in zip(ns, raw):
+        if n != r:      # named, not truncated
+            raise ValueError(f"quench counts must be integers, got {r!r}")
+    for a, b in zip(ns, ns[1:]):
+        if b <= a:
+            raise ValueError(f"quench counts must be strictly increasing, got {b} after {a}")
+    return ns
 
 
-def _richardson(ns, ys):
-    """Eliminate the 1/N term from the last two points; the spread against
-    the previous pair estimates the error.  Returns (None, None) when the
-    sequence is not monotone."""
+def richardson_limit(ns, ys) -> tuple[float, float | None]:
+    """Extrapolate a per-N sequence to N -> infinity: eliminate the 1/N term
+    from the last two points, with the spread against the previous pair (or
+    against the last value, from two points) as the error.  A sequence of
+    one point or one that is not monotone is not extrapolated: the result is
+    its last value, with error None.  ``ns`` must be strictly increasing."""
+    ns = np.asarray(_quench_counts(ns), dtype=float)
     ys = np.asarray(ys, dtype=float)
-    ns = np.asarray(ns, dtype=float)
-    if ys.size < 2:
-        return None, None
+    if not ns.size or ys.shape != ns.shape:
+        raise ValueError(f"need one value per N, at least one: {ns.size} N values, "
+                         f"values of shape {ys.shape}")
     diffs = np.diff(ys)
     slack = 1e-12 * max(1.0, float(np.max(np.abs(ys))))
-    if not (np.all(diffs >= -slack) or np.all(diffs <= slack)):
-        return None, None
+    if ys.size < 2 or not (np.all(diffs >= -slack) or np.all(diffs <= slack)):
+        return float(ys[-1]), None
 
     def pair(i, j):
         return (ns[j] * ys[j] - ns[i] * ys[i]) / (ns[j] - ns[i])
@@ -477,42 +485,6 @@ def _richardson(ns, ys):
     last = pair(-2, -1)
     prev = pair(-3, -2) if ys.size >= 3 else ys[-1]
     return float(last), float(abs(last - prev))
-
-
-def quasi_static(
-    initial_state,
-    traj: Trajectory,
-    model,
-    n_schedule,
-    *,
-    backend: str = "gaussian",
-) -> QuasiStaticResult:
-    """Run the protocol at each N and extrapolate W and the entropy
-    production in 1/N.  Non-monotone sequences are reported raw, without
-    extrapolation."""
-    ns = [int(n) for n in n_schedule]
-    if len(ns) < 3:
-        raise ValueError("need at least three N values")
-    if any(b <= a for a, b in zip(ns, ns[1:])) or ns[0] < 1:
-        raise ValueError("N values must be strictly increasing and at least 1")
-    records = [
-        run_protocol(initial_state, traj, n, model, backend=backend, keep_states=False)
-        for n in ns
-    ]
-    works = np.array([r.work for r in records])
-    dss = np.array([r.entropy_production for r in records])
-    w_lim, w_err = _richardson(ns, works)
-    s_lim, s_err = _richardson(ns, dss)
-    return QuasiStaticResult(
-        n_values=tuple(ns),
-        records=records,
-        works=works,
-        entropy_productions=dss,
-        work_limit=w_lim,
-        work_error=w_err,
-        entropy_limit=s_lim,
-        entropy_error=s_err,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +724,7 @@ def _monotone_verdict(works: np.ndarray) -> str:
 
 def min_work_scan(
     initial_state,
-    traj: Trajectory,
+    schedule: Callable,
     models,
     n_list,
     seed,
@@ -760,39 +732,52 @@ def min_work_scan(
     backend: str = "gaussian",
     threads=None,
 ) -> ScanResult:
-    """Work per (N, model) over a fixed trajectory, with a monotonicity
-    verdict per model.  Cells run independently (in parallel on ``threads``
-    workers, an integer >= 1, or else as many as GGE_THERMO_THREADS asks);
-    failures are recorded and the scan continues.  Exact cells draw their
-    hold times from per-cell seeds, so results do not depend on
+    """Work per (model, N) with a monotonicity verdict per model.
+
+    ``schedule(n)`` builds the Hamiltonians ``H^(0) .. H^(n)`` of N = n
+    quenches, e.g. ``traj.schedule`` or
+    ``functools.partial(local_quench_schedule, ham0, peak)``.  ``n_list``
+    must be strictly increasing and ``seed`` an int >= 0.  There is one task
+    per N, largest first, on ``threads`` workers (an integer >= 1, or else as
+    many as GGE_THERMO_THREADS asks); each builds and validates its schedule
+    once and runs every model on it.  Failures are recorded and the sweep
+    continues.  The exact model at position i draws its hold times from
+    ``SeedSequence(seed, spawn_key=(i, N))``, so results do not depend on
     scheduling."""
-    _backend(backend)
+    be = _backend(backend)
     workers = _max_workers(threads)
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
     models = list(models)
-    ns = [int(n) for n in n_list]
+    ns = _quench_counts(n_list)
     if not models or not ns:
         raise ValueError("need at least one model and one N")
     labels = tuple(model_label(m) for m in models)
+    state = be.check(initial_state)
 
-    def cell(args):
-        i, j = args
-        model, n = models[i], ns[j]
+    def failure(exc) -> tuple:
+        return float("nan"), f"{type(exc).__name__}: {exc}"
+
+    def sweep(n) -> list[tuple]:
         try:
+            hams = [be.wrap(h, state) for h in schedule(n)]
+        except Exception as exc:
+            return [failure(exc)] * len(models)
+        cells = []
+        for i, model in enumerate(models):
             if isinstance(model, fg.Exact):
                 model = replace(model, seed=np.random.SeedSequence(int(seed), spawn_key=(i, n)))
-            rec = run_protocol(initial_state, traj, n, model, backend=backend, keep_states=False)
-            return (i, j, rec.work, None)
-        except Exception as exc:
-            return (i, j, float("nan"), f"{type(exc).__name__}: {exc}")
+            try:
+                cells.append((run_schedule(state, hams, model, backend=backend,
+                                           keep_states=False).work, None))
+            except Exception as exc:
+                cells.append(failure(exc))
+        return cells
 
-    pairs = [(i, j) for i in range(len(models)) for j in range(len(ns))]
-    results = _parallel_map(cell, pairs, workers)
-    works = np.full((len(models), len(ns)), np.nan)
-    failures = {}
-    for i, j, w, err in results:
-        works[i, j] = w
-        if err is not None:
-            failures[(labels[i], ns[j])] = err
+    per_n = _parallel_map(sweep, ns[::-1], workers)[::-1]
+    works = np.array([[cells[i][0] for cells in per_n] for i in range(len(models))])
+    failures = {(labels[i], n): cells[i][1] for i in range(len(models))
+                for n, cells in zip(ns, per_n) if cells[i][1] is not None}
     verdicts = {labels[i]: _monotone_verdict(works[i]) for i in range(len(models))}
     return ScanResult(
         n_values=tuple(ns),

@@ -45,6 +45,30 @@ def test_parse_config_rejections():
             cli.parse_config(["fig2", "--quenches", counts])
 
 
+def test_parse_config_rejects_unordered_quenches(tmp_path, capsys):
+    # every experiment names the first count out of order, before any run
+    for experiment in cli.EXPERIMENTS:
+        for counts, bad in (("8,4,2", "got 4 after 8"), ("4,4,8", "got 4 after 4")):
+            with pytest.raises(ValueError, match=f"strictly increasing, {bad}$"):
+                cli.parse_config([experiment, "--quenches", counts])
+    assert cli.main(["scan", "--n", "8", "--quenches", "8,4,2",
+                     "--out", str(tmp_path / "scan.csv")]) == 1
+    assert "got 4 after 8" in capsys.readouterr().err
+    assert not (tmp_path / "scan.csv").exists()
+
+
+def test_local_experiments_raise_the_first_failed_cell(tmp_path, capsys, monkeypatch):
+    # a failed cell stops fig3 with its model and N instead of writing NaN
+    def no_beta(*args, **kwargs):
+        raise ValueError("no temperature")
+
+    monkeypatch.setattr(gt.fermions, "solve_beta", no_beta)
+    out = tmp_path / "f3.csv"
+    assert cli.main(["fig3", "--n", "8", "--quenches", "2,4", "--out", str(out)]) == 1
+    assert "gibbs at N = 2: RuntimeError: step 1: no temperature" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_config_file_layering(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("# comment line\nn = 24\ng = 0.4  # trailing comment\nseed = 99\n")

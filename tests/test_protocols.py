@@ -1,11 +1,14 @@
+import functools
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import gge_thermo as gt
+from gge_thermo import hermitian
 from gge_thermo import protocols as pr
 from _helpers import (make_rng, random_correlation, random_density, random_hermitian,
                       random_unitary)
@@ -35,6 +38,34 @@ def test_trajectory_endpoints_exact():
     assert np.max(np.abs(mid - 0.5 * (h0 + h1))) < 1e-12
     with pytest.raises(ValueError, match="outside"):
         traj.sample(1.5)
+
+
+def test_trajectory_schedule_samples_equidistant_quenches():
+    traj = gt.Trajectory.linear(SIGMA_Z, SIGMA_X)
+    hams = traj.schedule(4)
+    assert len(hams) == 5
+    for m, h in enumerate(hams):
+        np.testing.assert_array_equal(h, traj.sample(m / 4))
+    with pytest.raises(ValueError, match="at least one quench"):
+        traj.schedule(0)
+
+
+def test_eigenvector_segment_does_not_revalidate_keyframes(monkeypatch):
+    # keyframes are validated and symmetrised once, when the trajectory is built
+    rng = make_rng(3)
+    h0 = random_hermitian(4, rng)
+    u = random_unitary(4, rng)
+    traj = gt.Trajectory((h0, u @ h0 @ u.conj().T), ("eigenvectors",))
+    checks = []
+
+    def counting(*args, **kwargs):
+        checks.append(1)
+        return require(*args, **kwargs)
+
+    require = hermitian.require_hermitian
+    monkeypatch.setattr(hermitian, "require_hermitian", counting)
+    traj.sample(0.5)
+    assert not checks
 
 
 def test_trajectory_eigenvector_rule_geodesic():
@@ -170,7 +201,7 @@ def test_min_work_scan_flags_population_inverted_violation():
     peak[0, 0] = 1.6
     gamma1 = gt.dephase_gge(gamma0, gt.QuadraticHamiltonian(peak))
     traj = gt.Trajectory.linear(peak, ham0.c)
-    scan = gt.min_work_scan(gamma1, traj, [gt.GGE], [2, 4, 8, 16, 32], seed=0)
+    scan = gt.min_work_scan(gamma1, traj.schedule, [gt.GGE], [2, 4, 8, 16, 32], seed=0)
     assert scan.verdicts["ta-gge"] == "violated"
 
 
@@ -412,12 +443,13 @@ def test_quasi_static_smooth_dense_ta_entropy_vanishes():
     w = np.exp(-np.array([0.0, 1.0]))
     w /= w.sum()
     rho0 = np.diag(w).astype(complex)
-    res = gt.quasi_static(rho0, traj, gt.GGE, (8, 16, 32, 64), backend="dense")
-    ds = res.entropy_productions
+    ns = (8, 16, 32, 64)
+    ds = np.array([gt.run_protocol(rho0, traj, n, gt.GGE, backend="dense",
+                                   keep_states=False).entropy_production for n in ns])
     assert np.all(ds > 0)
     # one extra quench halves the produced entropy: O(1/N)
     assert ds[-1] < ds[0] / 4.0
-    assert res.entropy_limit == pytest.approx(0.0, abs=5e-4)
+    assert gt.richardson_limit(ns, ds)[0] == pytest.approx(0.0, abs=5e-4)
 
 
 def test_quasi_static_kinked_path_produces_log2():
@@ -434,18 +466,49 @@ def test_quasi_static_gibbs_entropy_constant_without_degeneracy_growth():
     w = np.exp(-1.0 * np.array([0.0, 1.0]))
     w /= w.sum()
     rho0 = np.diag(w).astype(complex)
-    res = gt.quasi_static(rho0, gt.Trajectory.linear(h0, h1), gt.GIBBS, (8, 16, 32, 64),
-                          backend="dense")
-    assert res.entropy_limit == pytest.approx(0.0, abs=1e-4)
-    assert res.entropy_productions[-1] < res.entropy_productions[0]
+    ns = (8, 16, 32, 64)
+    ds = np.array([gt.run_protocol(rho0, gt.Trajectory.linear(h0, h1), n, gt.GIBBS,
+                                   backend="dense", keep_states=False).entropy_production
+                   for n in ns])
+    assert gt.richardson_limit(ns, ds)[0] == pytest.approx(0.0, abs=1e-4)
+    assert ds[-1] < ds[0]
 
 
 def test_quasi_static_validates_schedule():
+    # the limit and the sweep both name the first count out of order
     traj = gt.Trajectory.linear(SIGMA_Z, SIGMA_Z)
-    with pytest.raises(ValueError, match="three"):
-        gt.quasi_static(0.5 * np.eye(2), traj, gt.GGE, (2, 4), backend="dense")
-    with pytest.raises(ValueError, match="increasing"):
-        gt.quasi_static(0.5 * np.eye(2), traj, gt.GGE, (4, 2, 8), backend="dense")
+    for ns, bad in (((4, 2, 8), "got 2 after 4"), ((4, 4, 8), "got 4 after 4")):
+        with pytest.raises(ValueError, match=f"strictly increasing, {bad}$"):
+            gt.richardson_limit(ns, [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=f"strictly increasing, {bad}$"):
+            gt.min_work_scan(0.5 * np.eye(2), traj.schedule, [gt.GGE], ns, seed=0,
+                             backend="dense")
+    # a count that is not an integer is named, not truncated
+    with pytest.raises(ValueError, match=r"integers, got 4\.5$"):
+        gt.richardson_limit((2, 4.5, 8), [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"integers, got 1\.5$"):
+        gt.min_work_scan(0.5 * np.eye(2), traj.schedule, [gt.GGE], (1.5, 2), seed=0,
+                         backend="dense")
+    assert gt.richardson_limit(np.array([2, 4]), [1.0, 2.0]) == (3.0, 1.0)
+    with pytest.raises(ValueError, match="one value per N"):
+        gt.richardson_limit((2, 4), [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="one value per N"):
+        gt.richardson_limit((), [])
+
+
+def test_richardson_limit_cancels_the_one_over_n_term():
+    ns = (4, 8, 16, 32)
+    limit, error = gt.richardson_limit(ns, [1.5 - 2.0 / n for n in ns])
+    assert limit == pytest.approx(1.5, abs=1e-14)
+    assert error == pytest.approx(0.0, abs=1e-14)
+    # a 1/N^2 term is left over and shows in the error estimate
+    limit, error = gt.richardson_limit(ns, [1.5 - 2.0 / n + 4.0 / n**2 for n in ns])
+    assert abs(limit - 1.5) < error
+    # two points extrapolate; the error is the distance to the last value
+    assert gt.richardson_limit((2, 4), [1.0, 2.0]) == (3.0, 1.0)
+    # one point or a non-monotone sequence is reported raw, without error
+    assert gt.richardson_limit((8,), [0.25]) == (0.25, None)
+    assert gt.richardson_limit((2, 4, 8), [1.0, 3.0, 2.0]) == (2.0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -654,9 +717,9 @@ def test_min_work_scan_verdicts():
     ham = gt.build_chain(3, [0.5, 1.0, 1.5], 0.3)
     gamma0 = random_correlation(3, make_rng(12), lo=0.1, hi=0.9)
     traj = gt.Trajectory.linear(ham.c, gt.build_chain(3, [1.5, 1.0, 0.5], 0.3).c)
-    single = gt.min_work_scan(gamma0, traj, [gt.GGE], [4], seed=1)
+    single = gt.min_work_scan(gamma0, traj.schedule, [gt.GGE], [4], seed=1)
     assert single.verdicts["ta-gge"] == "insufficient data"
-    scan = gt.min_work_scan(gamma0, traj, [gt.GGE, gt.GIBBS, gt.Exact(5.0, 20.0)],
+    scan = gt.min_work_scan(gamma0, traj.schedule, [gt.GGE, gt.GIBBS, gt.Exact(5.0, 20.0)],
                             [1, 2, 4, 8, 16], seed=1)
     assert set(scan.verdicts) == {"ta-gge", "gibbs", "exact"}
     assert scan.works.shape == (3, 5)
@@ -670,8 +733,8 @@ def test_min_work_scan_is_thread_independent():
     gamma0 = random_correlation(3, make_rng(12), lo=0.1, hi=0.9)
     traj = gt.Trajectory.linear(ham.c, gt.build_chain(3, [1.5, 1.0, 0.5], 0.3).c)
     models = [gt.GGE, gt.GIBBS, gt.Exact(5.0, 20.0)]
-    serial = gt.min_work_scan(gamma0, traj, models, [1, 2, 4, 8, 16], seed=1, threads=1)
-    threaded = gt.min_work_scan(gamma0, traj, models, [1, 2, 4, 8, 16], seed=1, threads=2)
+    serial = gt.min_work_scan(gamma0, traj.schedule, models, [1, 2, 4, 8, 16], seed=1, threads=1)
+    threaded = gt.min_work_scan(gamma0, traj.schedule, models, [1, 2, 4, 8, 16], seed=1, threads=2)
     np.testing.assert_array_equal(serial.works, threaded.works)
     assert serial.failures == threaded.failures
 
@@ -693,8 +756,58 @@ def test_min_work_scan_rejects_invalid_threads():
     traj = gt.Trajectory.linear(ham.c, gt.build_chain(2, [1.0, 0.5], 0.3).c)
     for bad in (0, -3, 2.5, "2", True):
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
-            gt.min_work_scan(gamma0, traj, [gt.GGE], [1, 2], seed=1, threads=bad)
+            gt.min_work_scan(gamma0, traj.schedule, [gt.GGE], [1, 2], seed=1, threads=bad)
     assert pr._max_workers(np.int64(2)) == 2
+
+
+def test_min_work_scan_builds_each_schedule_once():
+    # one schedule per N, largest first, shared by all three models; each
+    # cell equals its own run, the exact one seeded by (model index, N)
+    ham = gt.build_chain(3, [0.5, 1.0, 1.5], 0.3)
+    gamma0 = random_correlation(3, make_rng(12), lo=0.1, hi=0.9)
+    traj = gt.Trajectory.linear(ham.c, gt.build_chain(3, [1.5, 1.0, 0.5], 0.3).c)
+    built = []
+
+    def schedule(n):
+        built.append(n)
+        return traj.schedule(n)
+
+    models = [gt.GGE, gt.Exact(5.0, 20.0), gt.GIBBS]
+    ns = [1, 2, 4, 8]
+    scan = gt.min_work_scan(gamma0, schedule, models, ns, seed=7, threads=1)
+    assert built == [8, 4, 2, 1]
+    for i, model in enumerate(models):
+        for j, n in enumerate(ns):
+            if isinstance(model, gt.Exact):
+                model = replace(model, seed=np.random.SeedSequence(7, spawn_key=(i, n)))
+            assert scan.works[i, j] == gt.run_protocol(gamma0, traj, n, model).work
+
+
+def test_min_work_scan_local_quench_sweep_is_thread_independent():
+    n = 8
+    ham0 = gt.build_chain(n, [0.1] + [1.0] * (n - 1), 0.5)
+    gamma0 = gt.thermal_bath_initial_state(n, 0.5, g=0.5)
+    schedule = functools.partial(gt.local_quench_schedule, ham0, 4.3)
+    models = [gt.Exact(40.0, 200.0), gt.GGE, gt.GIBBS]
+    serial = gt.min_work_scan(gamma0, schedule, models, [1, 2, 4, 8, 16], seed=3, threads=1)
+    threaded = gt.min_work_scan(gamma0, schedule, models, [1, 2, 4, 8, 16], seed=3, threads=2)
+    assert np.all(np.isfinite(serial.works))
+    np.testing.assert_array_equal(serial.works, threaded.works)
+    assert serial.failures == threaded.failures
+
+
+def test_min_work_scan_validates_seed():
+    # the exact model's rule: an int >= 0, named when it is broken
+    ham = gt.build_chain(2, [0.5, 1.0], 0.3)
+    gamma0 = random_correlation(2, make_rng(13), lo=0.1, hi=0.9)
+    traj = gt.Trajectory.linear(ham.c, gt.build_chain(2, [1.0, 0.5], 0.3).c)
+    models = [gt.GGE, gt.Exact(1.0, 2.0)]
+    for bad in (None, -1, 1.5, "3"):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            gt.min_work_scan(gamma0, traj.schedule, models, [1, 2], seed=bad)
+    plain = gt.min_work_scan(gamma0, traj.schedule, models, [1, 2], seed=3)
+    numpy_int = gt.min_work_scan(gamma0, traj.schedule, models, [1, 2], seed=np.int64(3))
+    np.testing.assert_array_equal(plain.works, numpy_int.works)
 
 
 def test_min_work_scan_survives_cell_failures():
@@ -704,7 +817,7 @@ def test_min_work_scan_survives_cell_failures():
     ham1 = gt.build_chain(1, [-1.0], 0.0)
     gamma0 = np.array([[0.9]], dtype=complex)
     traj = gt.Trajectory.linear(ham0.c, ham1.c)
-    scan = gt.min_work_scan(gamma0, traj, [gt.GGE, gt.GIBBS], [2, 4], seed=0)
+    scan = gt.min_work_scan(gamma0, traj.schedule, [gt.GGE, gt.GIBBS], [2, 4], seed=0)
     assert scan.failures
     assert np.all(np.isfinite(scan.works[0]))
     assert np.all(np.isnan(scan.works[1]))
