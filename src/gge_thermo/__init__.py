@@ -35,7 +35,6 @@ from .fermions import (
 from .dense import (
     ConservedSet,
     DualPoint,
-    annihilation_operators,
     check_state,
     correlation_of_dense,
     entropy_matching_beta,

@@ -17,10 +17,8 @@ constraint residuals, so dual optimality certifies the constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
-import scipy.sparse
 from scipy.optimize import brentq
 from scipy.special import xlogy
 
@@ -39,7 +37,6 @@ __all__ = [
     "passive_rearrangement",
     "evolve_dense",
     "entropy_matching_beta",
-    "annihilation_operators",
     "quadratic_to_dense",
     "mode_number_operators",
     "correlation_of_dense",
@@ -420,7 +417,9 @@ def entropy_matching_beta(hamiltonian, entropy: float) -> float | None:
 
 
 # ---------------------------------------------------------------------------
-# Fock-space bridge for the fermionic correlation-matrix formalism
+# Fock-space bridge for the fermionic correlation-matrix formalism.  Every
+# operator is built from one hopping rule on the 2^n occupation basis (site 0
+# leftmost, basis index bit 1 = occupied); no sparse matrices are formed.
 # ---------------------------------------------------------------------------
 
 def _check_mode_count(n: int) -> None:
@@ -430,18 +429,16 @@ def _check_mode_count(n: int) -> None:
         raise ValueError(f"n={n} too large for the dense bridge (max {MAX_DENSE_MODES})")
 
 
-def annihilation_operators(n: int) -> list[scipy.sparse.csr_matrix]:
-    """Jordan-Wigner annihilation operators on the 2^n occupation basis
-    (site 0 leftmost, basis index bit 1 = occupied)."""
-    _check_mode_count(n)
-    sz = scipy.sparse.csr_matrix(np.diag([1.0, -1.0]).astype(complex))
-    lower = scipy.sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-    ident = scipy.sparse.identity(2, dtype=complex, format="csr")
-    ops = []
-    for i in range(n):
-        factors = [sz] * i + [lower] + [ident] * (n - 1 - i)
-        ops.append(reduce(lambda a, b: scipy.sparse.kron(a, b, format="csr"), factors))
-    return ops
+def _hopping(n: int, i: int, j: int):
+    """Basis indices b, b' and signs s with a_i^dag a_j |b> = s |b'> for
+    every b it does not annihilate.  Under Jordan-Wigner the sign is the
+    parity of the occupied sites strictly between i and j."""
+    b = np.arange(2**n)
+    bit_i, bit_j = 1 << (n - 1 - i), 1 << (n - 1 - j)
+    b = b[((b & bit_j) != 0) & (((b & bit_i) == 0) | (i == j))]
+    parity = sum(((b >> (n - 1 - k)) & 1 for k in range(min(i, j) + 1, max(i, j))),
+                 np.zeros_like(b)) & 1
+    return b, b ^ bit_j ^ bit_i, 1.0 - 2.0 * parity
 
 
 def quadratic_to_dense(coefficients) -> np.ndarray:
@@ -449,26 +446,22 @@ def quadratic_to_dense(coefficients) -> np.ndarray:
     c = require_hermitian(coefficients, atol=1e-10, name="coefficient matrix")
     n = c.shape[0]
     _check_mode_count(n)
-    ops = annihilation_operators(n)
-    h = scipy.sparse.csr_matrix((2**n, 2**n), dtype=complex)
+    h = np.zeros((2**n, 2**n), dtype=complex)
     for i in range(n):
         for j in range(n):
             if c[i, j] != 0:
-                h = h + c[i, j] * (ops[i].conj().T @ ops[j])
-    return np.asarray(h.todense())
+                b, b_out, sign = _hopping(n, i, j)
+                h[b_out, b] += c[i, j] * sign
+    return h
 
 
 def mode_number_operators(modes) -> list[np.ndarray]:
-    """Dense number operators eta_k^dag eta_k for eta_k = sum_j conj(A[j,k]) a_j."""
+    """Dense number operators eta_k^dag eta_k for eta_k = sum_j conj(A[j,k]) a_j,
+    each the quadratic form of the rank-one matrix A[:, k] A[:, k]^dag."""
     a = np.asarray(modes, dtype=complex)
     n = a.shape[0]
     _check_mode_count(n)
-    ops = annihilation_operators(n)
-    out = []
-    for k in range(n):
-        eta = sum(np.conj(a[j, k]) * ops[j] for j in range(n))
-        out.append(np.asarray((eta.conj().T @ eta).todense()))
-    return out
+    return [quadratic_to_dense(np.outer(a[:, k], a[:, k].conj())) for k in range(n)]
 
 
 def correlation_of_dense(rho) -> np.ndarray:
@@ -479,13 +472,11 @@ def correlation_of_dense(rho) -> np.ndarray:
     if 2**n != d:
         raise ValueError(f"state dimension {d} is not a power of two")
     _check_mode_count(n)
-    ops = annihilation_operators(n)
-    b = [np.asarray((op @ r)) for op in ops]
     gamma = np.empty((n, n), dtype=complex)
     for i in range(n):
-        ai = ops[i].todense()
         for j in range(n):
-            gamma[i, j] = np.vdot(np.asarray(ai), b[j])
+            b, b_out, sign = _hopping(n, i, j)
+            gamma[i, j] = sign @ r[b, b_out]
     return gamma
 
 

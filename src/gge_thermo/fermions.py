@@ -320,14 +320,20 @@ def _entropy(gamma: np.ndarray) -> float:
     return _binary_entropy(np.linalg.eigvalsh(0.5 * (gamma + gamma.conj().T)))
 
 
-def _binary_entropy(d: np.ndarray) -> float:
-    """Binary-entropy sum over a correlation spectrum or mode populations,
-    checked to lie in [-1e-6, 1 + 1e-6] and clipped to [0, 1]."""
+def _check_spectrum(d: np.ndarray) -> np.ndarray:
+    """A correlation spectrum or mode populations, checked to lie in
+    [-1e-6, 1 + 1e-6] and returned unchanged."""
     if d.size and (d.min() < -1e-6 or d.max() > 1.0 + 1e-6):
         raise ValueError(
             f"correlation spectrum outside [0, 1]: min {d.min():.3e}, max {d.max():.6f}"
         )
-    d = np.clip(d, 0.0, 1.0)
+    return d
+
+
+def _binary_entropy(d: np.ndarray) -> float:
+    """Binary-entropy sum over a correlation spectrum or mode populations,
+    checked by :func:`_check_spectrum` and clipped to [0, 1]."""
+    d = np.clip(_check_spectrum(d), 0.0, 1.0)
     return float(-np.sum(xlogy(d, d) + xlogy(1.0 - d, 1.0 - d)))
 
 

@@ -56,7 +56,7 @@ __all__ = [
     "local_quench_schedule",
 ]
 
-_RULES = ("linear", "eigenvalues", "eigenvectors")
+_RULES = ("linear", "eigenvectors")
 
 
 # ---------------------------------------------------------------------------
@@ -71,10 +71,8 @@ class Trajectory:
     rule:
 
     ``linear``
-        Straight line in coefficient space.
-    ``eigenvalues``
-        Same as linear but asserts the keyframes commute, so only the
-        spectrum moves while the eigenbasis stays put.
+        Straight line in coefficient space (between commuting keyframes,
+        only the spectrum moves while the eigenbasis stays put).
     ``eigenvectors``
         Geodesic rotation of the eigenbasis at frozen spectrum,
         U(s) = exp(s log(A_b A_a^dag)) A_a with the principal matrix
@@ -112,40 +110,25 @@ class Trajectory:
     def linear(cls, h0, h1) -> "Trajectory":
         return cls((h0, h1), ("linear",))
 
-    @property
-    def dim(self) -> int:
-        return self.keyframes[0].shape[0]
-
     def _segment_data(self, i: int):
         if i in self._cache:
             return self._cache[i]
-        a, b = self.keyframes[i], self.keyframes[i + 1]
-        rule = self.rules[i]
-        data = None
-        if rule == "eigenvalues":
-            scale = max(1.0, float(np.abs(a).max()) * float(np.abs(b).max()))
-            defect = float(np.max(np.abs(a @ b - b @ a)))
-            if defect > 1e-8 * scale:
-                raise ValueError(
-                    f"eigenvalue segment {i}: keyframes do not commute (defect {defect:.3e})"
-                )
-        elif rule == "eigenvectors":
-            es_a, es_b = _eigh(a), _eigh(b)     # keyframes are validated and symmetrised
-            gap = float(np.max(np.abs(es_a.values - es_b.values)))
-            if gap > 1e-8 * max(1.0, float(np.abs(es_a.values).max())):
-                raise ValueError(
-                    f"eigenvector segment {i}: keyframes must share their spectra "
-                    f"(sorted mismatch {gap:.3e})"
-                )
-            v = es_b.vectors @ es_a.vectors.conj().T
-            # Principal logarithm of a unitary via its (diagonal) Schur form.
-            t_mat, z = scipy.linalg.schur(v, output="complex")
-            log_v = (z * (1j * np.angle(np.diag(t_mat)))) @ z.conj().T
-            log_v = 0.5 * (log_v - log_v.conj().T)
-            phis, p = np.linalg.eigh(1j * log_v)
-            data = (es_a.values, es_a.vectors, phis, p)
-        self._cache[i] = data
-        return data
+        # keyframes are validated and symmetrised
+        es_a, es_b = _eigh(self.keyframes[i]), _eigh(self.keyframes[i + 1])
+        gap = float(np.max(np.abs(es_a.values - es_b.values)))
+        if gap > 1e-8 * max(1.0, float(np.abs(es_a.values).max())):
+            raise ValueError(
+                f"eigenvector segment {i}: keyframes must share their spectra "
+                f"(sorted mismatch {gap:.3e})"
+            )
+        v = es_b.vectors @ es_a.vectors.conj().T
+        # Principal logarithm of a unitary via its (diagonal) Schur form.
+        t_mat, z = scipy.linalg.schur(v, output="complex")
+        log_v = (z * (1j * np.angle(np.diag(t_mat)))) @ z.conj().T
+        log_v = 0.5 * (log_v - log_v.conj().T)
+        phis, p = np.linalg.eigh(1j * log_v)
+        self._cache[i] = (es_a.values, es_a.vectors, phis, p)
+        return self._cache[i]
 
     def sample(self, u: float) -> np.ndarray:
         """Hamiltonian at path parameter u."""
@@ -161,11 +144,8 @@ class Trajectory:
             return self.keyframes[i].copy()
         if s >= 1.0:
             return self.keyframes[i + 1].copy()
-        rule = self.rules[i]
-        a, b = self.keyframes[i], self.keyframes[i + 1]
-        if rule in ("linear", "eigenvalues"):
-            self._segment_data(i)
-            return (1.0 - s) * a + s * b
+        if self.rules[i] == "linear":
+            return (1.0 - s) * self.keyframes[i] + s * self.keyframes[i + 1]
         eps, a_vecs, phis, p = self._segment_data(i)
         rot = (p * np.exp(-1j * s * phis)) @ p.conj().T
         u_s = rot @ a_vecs
@@ -496,7 +476,7 @@ def _ergotropy(be: _Backend, state: np.ndarray, ham) -> float:
     ergotropy of Allahverdyan, Balian and Nieuwenhuizen): its energy minus
     the anti-ordered pairing of its spectrum with the energies of ``ham``."""
     m = 0.5 * (state + state.conj().T)
-    floor = float(np.linalg.eigvalsh(m)[::-1] @ be.levels(ham)[1])
+    floor = float(fg._check_spectrum(np.linalg.eigvalsh(m))[::-1] @ be.levels(ham)[1])
     return be.energy(m, ham) - floor
 
 
@@ -662,18 +642,14 @@ def passive_trajectory(h0, h1, populations=None) -> Trajectory:
     e_assign[order] = np.sort(es1.values)
     h_mid = (es0.vectors * e_assign) @ es0.vectors.conj().T
     return Trajectory((es0.reconstruct(), h_mid, es1.reconstruct()),
-                      ("eigenvalues", "eigenvectors"))
+                      ("linear", "eigenvectors"))
 
 
 # ---------------------------------------------------------------------------
 # Scans
 # ---------------------------------------------------------------------------
 
-def _max_workers(explicit=None) -> int:
-    if explicit is not None:
-        if isinstance(explicit, bool) or not isinstance(explicit, (int, np.integer)) or explicit < 1:
-            raise ValueError(f"threads must be an integer >= 1, got {explicit!r}")
-        return int(explicit)
+def _max_workers() -> int:
     env = os.environ.get("GGE_THERMO_THREADS")
     if not env:
         return 1
@@ -730,22 +706,21 @@ def min_work_scan(
     seed,
     *,
     backend: str = "gaussian",
-    threads=None,
 ) -> ScanResult:
     """Work per (model, N) with a monotonicity verdict per model.
 
     ``schedule(n)`` builds the Hamiltonians ``H^(0) .. H^(n)`` of N = n
     quenches, e.g. ``traj.schedule`` or
     ``functools.partial(local_quench_schedule, ham0, peak)``.  ``n_list``
-    must be strictly increasing and ``seed`` an int >= 0.  There is one task
-    per N, largest first, on ``threads`` workers (an integer >= 1, or else as
-    many as GGE_THERMO_THREADS asks); each builds and validates its schedule
-    once and runs every model on it.  Failures are recorded and the sweep
-    continues.  The exact model at position i draws its hold times from
-    ``SeedSequence(seed, spawn_key=(i, N))``, so results do not depend on
-    scheduling."""
+    must be strictly increasing, ``seed`` an int >= 0 and the initial state
+    valid (its entropy is evaluated once here).  There is one task per N,
+    largest first, on as many workers as GGE_THERMO_THREADS asks; each
+    builds and validates its schedule once and runs every model on it.
+    Failures are recorded and the sweep continues.  The exact model at
+    position i draws its hold times from ``SeedSequence(seed, spawn_key=(i,
+    N))``, so results do not depend on scheduling."""
     be = _backend(backend)
-    workers = _max_workers(threads)
+    workers = _max_workers()
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError(f"seed must be an int >= 0, got {seed!r}")
     models = list(models)
@@ -754,6 +729,7 @@ def min_work_scan(
         raise ValueError("need at least one model and one N")
     labels = tuple(model_label(m) for m in models)
     state = be.check(initial_state)
+    be.entropy(state)       # a correlation spectrum outside [0, 1] raises here
 
     def failure(exc) -> tuple:
         return float("nan"), f"{type(exc).__name__}: {exc}"

@@ -6,7 +6,7 @@ import pytest
 
 import gge_thermo as gt
 from gge_thermo import dense as qd
-from _helpers import make_rng, random_density, random_hermitian, random_unitary
+from _helpers import make_rng, random_correlation, random_density, random_hermitian, random_unitary
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -274,6 +274,38 @@ def test_gaussian_to_dense_examples():
     gamma = (w * [0.2, 0.5, 0.9]) @ w.conj().T
     rho = gt.gaussian_to_dense(gamma)
     assert np.max(np.abs(gt.correlation_of_dense(rho) - gamma)) < 1e-10
+
+
+def test_quadratic_to_dense_spectrum_is_subset_sums():
+    # a dense complex c hops between every pair of sites, so each
+    # Jordan-Wigner sign (the parity strictly between i and j) is exercised
+    rng = make_rng(21)
+    for n in range(1, 7):
+        c = random_hermitian(n, rng)
+        eps = np.linalg.eigvalsh(c)
+        sums = np.sort([sum(eps[k] for k in range(n) if b >> k & 1) for b in range(2**n)])
+        h = gt.quadratic_to_dense(c)
+        assert np.array_equal(h, h.conj().T)
+        assert np.max(np.abs(np.linalg.eigvalsh(h) - sums)) < 1e-10
+
+
+def test_mode_number_operators_are_projectors_summing_to_particle_number():
+    rng = make_rng(22)
+    for n in (1, 3, 5):
+        numbers = gt.mode_number_operators(random_unitary(n, rng))
+        for p in numbers:
+            assert np.max(np.abs(p @ p - p)) < 1e-12
+            assert np.max(np.abs(p - p.conj().T)) < 1e-14
+        popcount = np.diag([bin(b).count("1") for b in range(2**n)]).astype(complex)
+        assert np.max(np.abs(sum(numbers) - popcount)) < 1e-12
+
+
+def test_correlation_round_trip_through_gaussian_state():
+    rng = make_rng(23)
+    for n in range(1, 7):
+        gamma = random_correlation(n, rng)
+        rho = gt.gaussian_to_dense(gamma)
+        assert np.max(np.abs(gt.correlation_of_dense(rho) - gamma)) < 1e-10
 
 
 def test_gaussian_to_dense_rejects_large_n():

@@ -83,11 +83,6 @@ def test_trajectory_eigenvector_rule_requires_equal_spectra():
         gt.Trajectory((np.diag([0.0, 1.0]), np.diag([0.0, 2.0])), ("eigenvectors",)).sample(0.5)
 
 
-def test_trajectory_eigenvalue_rule_requires_commuting():
-    with pytest.raises(ValueError, match="commute"):
-        gt.Trajectory((SIGMA_Z, SIGMA_X), ("eigenvalues",)).sample(0.5)
-
-
 # ---------------------------------------------------------------------------
 # Protocol runners and records
 # ---------------------------------------------------------------------------
@@ -534,6 +529,17 @@ def test_optimal_work_bound_matches_permutation_brute_force():
         gt.energy(gamma, ham) - floor, abs=1e-12)
 
 
+def test_optimal_work_bound_rejects_spectrum_outside_unit_interval():
+    # the runner's range rule, applied to the spectrum the bound pairs
+    gamma = np.diag([1.5, 0.2, -0.4]).astype(complex)
+    ham = gt.build_chain(3, [0.0, 1.0, 2.0], 0.3)
+    message = r"correlation spectrum outside \[0, 1\]: min -4\.000e-01, max 1\.500000"
+    with pytest.raises(ValueError, match=message):
+        gt.optimal_work_bound(gamma, ham)
+    with pytest.raises(ValueError, match=message):
+        gt.optimal_gge_protocol(gamma, ham, 2)
+
+
 def test_optimal_gge_protocol_sorted_state_idles():
     ham = gt.build_chain(2, [1.0, 2.0], 0.0)
     gamma = np.diag([0.9, 0.1]).astype(complex)
@@ -728,13 +734,15 @@ def test_min_work_scan_verdicts():
     assert header[0] == "N" and len(rows) == 5
 
 
-def test_min_work_scan_is_thread_independent():
+def test_min_work_scan_is_thread_independent(monkeypatch):
     ham = gt.build_chain(3, [0.5, 1.0, 1.5], 0.3)
     gamma0 = random_correlation(3, make_rng(12), lo=0.1, hi=0.9)
     traj = gt.Trajectory.linear(ham.c, gt.build_chain(3, [1.5, 1.0, 0.5], 0.3).c)
     models = [gt.GGE, gt.GIBBS, gt.Exact(5.0, 20.0)]
-    serial = gt.min_work_scan(gamma0, traj.schedule, models, [1, 2, 4, 8, 16], seed=1, threads=1)
-    threaded = gt.min_work_scan(gamma0, traj.schedule, models, [1, 2, 4, 8, 16], seed=1, threads=2)
+    monkeypatch.setenv("GGE_THERMO_THREADS", "1")
+    serial = gt.min_work_scan(gamma0, traj.schedule, models, [1, 2, 4, 8, 16], seed=1)
+    monkeypatch.setenv("GGE_THERMO_THREADS", "2")
+    threaded = gt.min_work_scan(gamma0, traj.schedule, models, [1, 2, 4, 8, 16], seed=1)
     np.testing.assert_array_equal(serial.works, threaded.works)
     assert serial.failures == threaded.failures
 
@@ -748,19 +756,7 @@ def test_max_workers_warns_on_invalid_environment(monkeypatch):
     assert pr._max_workers() == 3
 
 
-def test_min_work_scan_rejects_invalid_threads():
-    # an explicit thread count is an integer >= 1; anything else is an error
-    # named at the call, not silently clamped or truncated
-    ham = gt.build_chain(2, [0.5, 1.0], 0.3)
-    gamma0 = random_correlation(2, make_rng(13), lo=0.1, hi=0.9)
-    traj = gt.Trajectory.linear(ham.c, gt.build_chain(2, [1.0, 0.5], 0.3).c)
-    for bad in (0, -3, 2.5, "2", True):
-        with pytest.raises(ValueError, match=re.escape(repr(bad))):
-            gt.min_work_scan(gamma0, traj.schedule, [gt.GGE], [1, 2], seed=1, threads=bad)
-    assert pr._max_workers(np.int64(2)) == 2
-
-
-def test_min_work_scan_builds_each_schedule_once():
+def test_min_work_scan_builds_each_schedule_once(monkeypatch):
     # one schedule per N, largest first, shared by all three models; each
     # cell equals its own run, the exact one seeded by (model index, N)
     ham = gt.build_chain(3, [0.5, 1.0, 1.5], 0.3)
@@ -774,7 +770,8 @@ def test_min_work_scan_builds_each_schedule_once():
 
     models = [gt.GGE, gt.Exact(5.0, 20.0), gt.GIBBS]
     ns = [1, 2, 4, 8]
-    scan = gt.min_work_scan(gamma0, schedule, models, ns, seed=7, threads=1)
+    monkeypatch.setenv("GGE_THERMO_THREADS", "1")
+    scan = gt.min_work_scan(gamma0, schedule, models, ns, seed=7)
     assert built == [8, 4, 2, 1]
     for i, model in enumerate(models):
         for j, n in enumerate(ns):
@@ -783,14 +780,16 @@ def test_min_work_scan_builds_each_schedule_once():
             assert scan.works[i, j] == gt.run_protocol(gamma0, traj, n, model).work
 
 
-def test_min_work_scan_local_quench_sweep_is_thread_independent():
+def test_min_work_scan_local_quench_sweep_is_thread_independent(monkeypatch):
     n = 8
     ham0 = gt.build_chain(n, [0.1] + [1.0] * (n - 1), 0.5)
     gamma0 = gt.thermal_bath_initial_state(n, 0.5, g=0.5)
     schedule = functools.partial(gt.local_quench_schedule, ham0, 4.3)
     models = [gt.Exact(40.0, 200.0), gt.GGE, gt.GIBBS]
-    serial = gt.min_work_scan(gamma0, schedule, models, [1, 2, 4, 8, 16], seed=3, threads=1)
-    threaded = gt.min_work_scan(gamma0, schedule, models, [1, 2, 4, 8, 16], seed=3, threads=2)
+    monkeypatch.setenv("GGE_THERMO_THREADS", "1")
+    serial = gt.min_work_scan(gamma0, schedule, models, [1, 2, 4, 8, 16], seed=3)
+    monkeypatch.setenv("GGE_THERMO_THREADS", "2")
+    threaded = gt.min_work_scan(gamma0, schedule, models, [1, 2, 4, 8, 16], seed=3)
     assert np.all(np.isfinite(serial.works))
     np.testing.assert_array_equal(serial.works, threaded.works)
     assert serial.failures == threaded.failures
@@ -808,6 +807,22 @@ def test_min_work_scan_validates_seed():
     plain = gt.min_work_scan(gamma0, traj.schedule, models, [1, 2], seed=3)
     numpy_int = gt.min_work_scan(gamma0, traj.schedule, models, [1, 2], seed=np.int64(3))
     np.testing.assert_array_equal(plain.works, numpy_int.works)
+
+
+def test_min_work_scan_rejects_invalid_initial_state(monkeypatch):
+    # raised at entry, before any cell runs, not recorded as NaN cells
+    ham = gt.build_chain(3, [0.0, 1.0, 2.0], 0.3)
+    traj = gt.Trajectory.linear(ham.c, gt.build_chain(3, [2.0, 1.0, 0.0], 0.3).c)
+    built = []
+
+    def schedule(n):
+        built.append(n)
+        return traj.schedule(n)
+
+    gamma = np.diag([1.5, 0.2, -0.4]).astype(complex)
+    with pytest.raises(ValueError, match=r"correlation spectrum outside \[0, 1\]"):
+        gt.min_work_scan(gamma, schedule, [gt.GGE, gt.GIBBS], [1, 2], seed=0)
+    assert built == []
 
 
 def test_min_work_scan_survives_cell_failures():
@@ -889,7 +904,7 @@ def test_quasi_static_final_passive_beats_finite_n_dense():
     w /= w.sum()
     rho0 = (vecs * w) @ vecs.conj().T
     h1 = (vecs * (vals + np.array([0.0, 0.4, 1.0]))) @ vecs.conj().T  # no level crossing
-    traj = gt.Trajectory((h0, h1, h0), ("eigenvalues", "eigenvalues"))
+    traj = gt.Trajectory((h0, h1, h0), ("linear", "linear"))
     slow = gt.run_protocol(rho0, traj, 512, gt.GGE, backend="dense", keep_states=False)
     assert gt.is_passive(slow.final_state, h0, tol=1e-7)
     for n in (1, 2, 5, 9):
