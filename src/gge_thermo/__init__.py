@@ -63,8 +63,6 @@ from .protocols import (
     optimal_gibbs_protocol,
     optimal_ta_protocol,
     optimal_work_bound,
-    passive_trajectory,
-    restricted_first_quench,
     richardson_limit,
     run_protocol,
     run_schedule,

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import xlogy
 
-from .hermitian import _eigh, _energy_matching_root, cluster_degenerate, eigh, require_hermitian
+from .hermitian import (_check_spectrum, _eigh, _energy_matching_root, cluster_degenerate, eigh,
+                        require_hermitian)
 
 __all__ = [
     "ConservedSet",
@@ -391,29 +391,29 @@ def _evolve(r: np.ndarray, es, t: float) -> np.ndarray:
 
 def entropy_matching_beta(hamiltonian, entropy: float) -> float | None:
     """Positive inverse temperature whose thermal state has the given
-    entropy, or None when no such beta exists (entropy at or below the
-    ground-degeneracy floor)."""
-    es = eigh(hamiltonian, atol=1e-10)
-    eps = es.values
-
-    def s_of(beta: float) -> float:
-        w = _thermal_weights(eps, beta)
-        return float(-np.sum(xlogy(w, w)))
-
+    entropy, or None when no such beta exists (entropy above ln d, or at or
+    below the ground-degeneracy floor, probed at beta = 1e8).  For beta > 0
+    the entropy falls with slope -beta Var_beta(H); the root is bracketed
+    from [0, 1]."""
+    eps = eigh(hamiltonian, atol=1e-10).values
     s0 = float(entropy)
-    if s0 > np.log(es.dim) + 1e-12:
-        return None
-    f0 = s_of(0.0) - s0
-    if f0 < 0.0:
-        return None
+    if not np.isfinite(s0):
+        raise ValueError(f"entropy must be finite, got {entropy!r}")
+
+    def f(beta: float) -> float:
+        w = _thermal_weights(eps, beta)
+        return float(-np.sum(xlogy(w, w))) - s0
+
+    def slope(beta: float) -> float:
+        w = _thermal_weights(eps, beta)
+        return -beta * float(w @ (eps - w @ eps) ** 2)
+
+    f0 = f(0.0)
     if f0 == 0.0:
         return 0.0
-    hi = 1.0
-    while s_of(hi) > s0 and hi < 1e8:
-        hi *= 2.0
-    if s_of(hi) > s0:
+    if s0 > np.log(eps.size) + 1e-12 or f0 < 0.0 or f(1e8) >= 0.0:
         return None
-    return float(brentq(lambda b: s_of(b) - s0, 0.0, hi, xtol=1e-14))
+    return float(_energy_matching_root(f, slope, s0, lo=0.0, hi=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +491,7 @@ def gaussian_to_dense(gamma) -> np.ndarray:
     n = g.shape[0]
     _check_mode_count(n)
     d, w = np.linalg.eigh(g)
-    if d.min() < -1e-6 or d.max() > 1.0 + 1e-6:
-        raise ValueError(
-            f"correlation spectrum outside [0, 1]: min {d.min():.3e}, max {d.max():.6f}"
-        )
-    d = np.clip(d, 0.0, 1.0)
+    d = np.clip(_check_spectrum(d), 0.0, 1.0)
     numbers = mode_number_operators(w.conj())
     dim = 2**n
     rho = np.eye(dim, dtype=complex)

@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit, xlogy
 
-from .hermitian import _eigh, _energy_matching_root, require_hermitian
+from .hermitian import _check_spectrum, _eigh, _energy_matching_root, require_hermitian
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -115,8 +115,8 @@ def as_hamiltonian(obj) -> QuadraticHamiltonian:
 @dataclass(frozen=True)
 class Exact:
     """Unitary evolution for a hold time drawn uniformly from
-    [hold_min, hold_max] after every quench; ``Exact(t)`` holds for exactly
-    ``t``.
+    [hold_min, hold_max] (finite) after every quench; ``Exact(t)`` holds for
+    exactly ``t``.
 
     Each run starts a fresh PCG64 stream from ``seed`` (an int >= 0 or a
     ``numpy.random.SeedSequence``) and draws one hold per step, in step
@@ -131,6 +131,8 @@ class Exact:
     def __post_init__(self):
         if self.hold_max is None:
             object.__setattr__(self, "hold_max", self.hold_min)
+        if not (np.isfinite(self.hold_min) and np.isfinite(self.hold_max)):
+            raise ValueError(f"hold times must be finite, got {self.hold_min!r}, {self.hold_max!r}")
         if self.hold_min > self.hold_max:
             raise ValueError("hold_min must not exceed hold_max")
         if not isinstance(self.seed, np.random.SeedSequence) and not (
@@ -318,16 +320,6 @@ def _entropy(gamma: np.ndarray) -> float:
     """Kernel of :func:`entropy_gaussian` for a correlation matrix whose
     Hermiticity is already validated: symmetrised, but not re-checked."""
     return _binary_entropy(np.linalg.eigvalsh(0.5 * (gamma + gamma.conj().T)))
-
-
-def _check_spectrum(d: np.ndarray) -> np.ndarray:
-    """A correlation spectrum or mode populations, checked to lie in
-    [-1e-6, 1 + 1e-6] and returned unchanged."""
-    if d.size and (d.min() < -1e-6 or d.max() > 1.0 + 1e-6):
-        raise ValueError(
-            f"correlation spectrum outside [0, 1]: min {d.min():.3e}, max {d.max():.6f}"
-        )
-    return d
 
 
 def _binary_entropy(d: np.ndarray) -> float:

@@ -1,13 +1,18 @@
 """Hermitian eigendecomposition with a fixed phase convention, degeneracy
-clustering, and the energy-matching root finder shared by both back ends.
+clustering, and the numerical rules shared by both back ends.
 
 Eigenvectors are normalised so that the largest-magnitude component of each
 column is real and positive, which makes repeated runs reproducible.  All
 routines are pure functions; nothing mutates its inputs.
 
-``fermions.solve_beta`` and ``dense.gibbs_state_dense`` both match a mean
-energy with :func:`_energy_matching_root` (bracket, Brent, Newton polish),
-which lives here so that neither back end imports the other.
+Both back ends import this module and not each other, so the rules they
+share live here.  :func:`_energy_matching_root` (bracket, Brent, Newton
+polish) is the one root finder: ``fermions.solve_beta`` and
+``dense.gibbs_state_dense`` match a mean energy with it, and
+``dense.entropy_matching_beta`` an entropy.  :func:`_check_spectrum` is the
+one range rule for a correlation spectrum or mode populations, called by
+``fermions._binary_entropy``, ``dense.gaussian_to_dense`` and
+``protocols._ergotropy``.
 """
 
 from __future__ import annotations
@@ -36,12 +41,16 @@ def require_hermitian(matrix, atol: float = HERMITIAN_ATOL, name: str = "matrix"
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    defect = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if defect > atol:
+    mh = m.conj().T
+    with np.errstate(invalid="ignore"):     # inf - inf is NaN, classified below
+        defect = float(np.abs(m - mh).max()) if m.size else 0.0
+    if not defect <= atol:      # NaN fails this test too
+        if not np.all(np.isfinite(m)):
+            raise ValueError(f"{name} has non-finite entries")
         raise ValueError(
             f"{name} is not Hermitian: max asymmetry {defect:.3e} exceeds tolerance {atol:.1e}"
         )
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + mh)
 
 
 @dataclass(frozen=True)
@@ -124,29 +133,39 @@ def cluster_degenerate(values, tol: float = DEGENERACY_TOL) -> DegeneracyPartiti
     return DegeneracyPartition(groups=tuple(groups), tol=tol)
 
 
-def _energy_matching_root(f, slope, target: float) -> float:
-    """Root of the strictly decreasing residual ``f(beta)`` (mean energy
-    minus ``target``).
+def _check_spectrum(d: np.ndarray) -> np.ndarray:
+    """A correlation spectrum or mode populations, checked to lie in
+    [-1e-6, 1 + 1e-6] and returned unchanged."""
+    if d.size and (d.min() < -1e-6 or d.max() > 1.0 + 1e-6):
+        raise ValueError(
+            f"correlation spectrum outside [0, 1]: min {d.min():.3e}, max {d.max():.6f}"
+        )
+    return d
 
-    The bracket (-64, 64) doubles outwards until the residual changes sign
-    (up to |beta| = 1e12), Brent's method finds the root, and up to eight
-    Newton steps ``beta -= f / slope`` polish it when the residual still
-    exceeds ``1e-10 * max(1, |target|)``.
+
+def _energy_matching_root(f, slope, target: float, lo: float = -64.0, hi: float = 64.0) -> float:
+    """Root of the residual ``f(beta)`` (a mean energy or an entropy minus
+    ``target``), strictly decreasing on the bracket.
+
+    The bracket (``lo``, ``hi``) doubles outwards until the residual changes
+    sign (up to |beta| = 1e12; an end at zero stays put), Brent's method
+    finds the root, and up to eight Newton steps ``beta -= f / slope``
+    polish it when the residual still exceeds ``1e-10 * max(1, |target|)``.
 
     Raises RuntimeError when no sign change is found or the polish does not
     reach the tolerance (residual reported).
     """
-    b_lo, b_hi = -64.0, 64.0
+    b_lo, b_hi = lo, hi
     f_lo, f_hi = f(b_lo), f(b_hi)  # f decreasing: want f_lo >= 0 >= f_hi
-    while f_lo < 0.0 and abs(b_lo) < 1e12:
+    while f_lo < 0.0 and -1e12 < b_lo < 0.0:
         b_lo *= 2.0
         f_lo = f(b_lo)
-    while f_hi > 0.0 and abs(b_hi) < 1e12:
+    while f_hi > 0.0 and 0.0 < b_hi < 1e12:
         b_hi *= 2.0
         f_hi = f(b_hi)
     if f_lo < 0.0 or f_hi > 0.0:
         raise RuntimeError(
-            "energy matching found no sign change after bracket expansion; residual "
+            "beta matching found no sign change after bracket expansion; residual "
             f"{min(abs(f_lo), abs(f_hi)):.3e}"
         )
     beta = brentq(f, b_lo, b_hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=300)
@@ -163,6 +182,6 @@ def _energy_matching_root(f, slope, target: float) -> float:
                 break
         if abs(resid) > tol:
             raise RuntimeError(
-                f"energy matching did not converge: residual {abs(resid):.3e} exceeds {tol:.3e}"
+                f"beta matching did not converge: residual {abs(resid):.3e} exceeds {tol:.3e}"
             )
     return beta

@@ -28,12 +28,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 from . import dense as qd
 from . import fermions as fg
-from .hermitian import _eigh, eigh, require_hermitian
+from .hermitian import _check_spectrum, _eigh, require_hermitian
 
 __all__ = [
     "Trajectory",
@@ -47,8 +46,6 @@ __all__ = [
     "optimal_gge_protocol",
     "optimal_ta_protocol",
     "optimal_gibbs_protocol",
-    "restricted_first_quench",
-    "passive_trajectory",
     "ScanResult",
     "min_work_scan",
     "thermal_bath_initial_state",
@@ -435,8 +432,8 @@ def _quench_counts(n_list) -> list[int]:
     raw = list(n_list)
     ns = [int(n) for n in raw]
     for n, r in zip(ns, raw):
-        if n != r:      # named, not truncated
-            raise ValueError(f"quench counts must be integers, got {r!r}")
+        if n != r or n < 1:      # named, not truncated
+            raise ValueError(f"quench counts must be positive integers, got {r!r}")
     for a, b in zip(ns, ns[1:]):
         if b <= a:
             raise ValueError(f"quench counts must be strictly increasing, got {b} after {a}")
@@ -448,7 +445,8 @@ def richardson_limit(ns, ys) -> tuple[float, float | None]:
     from the last two points, with the spread against the previous pair (or
     against the last value, from two points) as the error.  A sequence of
     one point or one that is not monotone is not extrapolated: the result is
-    its last value, with error None.  ``ns`` must be strictly increasing."""
+    its last value, with error None.  ``ns`` must be positive integers,
+    strictly increasing."""
     ns = np.asarray(_quench_counts(ns), dtype=float)
     ys = np.asarray(ys, dtype=float)
     if not ns.size or ys.shape != ns.shape:
@@ -476,7 +474,7 @@ def _ergotropy(be: _Backend, state: np.ndarray, ham) -> float:
     ergotropy of Allahverdyan, Balian and Nieuwenhuizen): its energy minus
     the anti-ordered pairing of its spectrum with the energies of ``ham``."""
     m = 0.5 * (state + state.conj().T)
-    floor = float(fg._check_spectrum(np.linalg.eigvalsh(m))[::-1] @ be.levels(ham)[1])
+    floor = float(_check_spectrum(np.linalg.eigvalsh(m))[::-1] @ be.levels(ham)[1])
     return be.energy(m, ham) - floor
 
 
@@ -578,73 +576,6 @@ def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,
     return record
 
 
-def restricted_first_quench(state, family, *, backend: str = "dense") -> np.ndarray:
-    """Pick from a restricted Hamiltonian family the first quench whose
-    thermal equilibration leaves the least entropy.
-
-    ``family`` is either an iterable of Hamiltonians (finite scan) or a
-    tuple ``(builder, lo, hi)`` with a 1-D parameter interval; the interval
-    is scanned on a 33-point grid and refined by bounded golden-section
-    minimisation around the best bracket.
-    """
-    be = _backend(backend)
-    state = be.check(state)
-
-    def entropy_after(h) -> float:
-        omega, _ = be.thermalise(state, be.wrap(h, state))
-        return be.entropy(omega)
-
-    if isinstance(family, tuple) and len(family) == 3 and callable(family[0]):
-        builder, lo, hi = family
-        lo, hi = float(lo), float(hi)
-        if not hi > lo:
-            raise ValueError("parameter interval must satisfy lo < hi")
-        grid = np.linspace(lo, hi, 33)
-        values = [entropy_after(builder(x)) for x in grid]
-        best = int(np.argmin(values))
-        a = grid[max(best - 1, 0)]
-        b = grid[min(best + 1, len(grid) - 1)]
-        res = minimize_scalar(lambda x: entropy_after(builder(x)), bounds=(a, b),
-                              method="bounded", options={"xatol": 1e-10})
-        x_star = float(res.x) if res.fun <= values[best] else float(grid[best])
-        return builder(x_star)
-
-    members = list(family)
-    if not members:
-        raise ValueError("the Hamiltonian family is empty")
-    values = [entropy_after(h) for h in members]
-    return members[int(np.argmin(values))]
-
-
-def passive_trajectory(h0, h1, populations=None) -> Trajectory:
-    """Two-segment path whose quasi-static endpoint is passive: first morph
-    the eigenvalues (eigenbasis of ``h0`` fixed) to the spectrum of ``h1``,
-    ordered against the state's populations, then rotate the eigenbasis to
-    that of ``h1`` at frozen spectrum.
-
-    ``populations`` are the state's populations aligned with the ascending
-    eigenbasis of ``h0``; omitted, the state is assumed already passive with
-    respect to ``h0`` (populations non-increasing in energy).
-    """
-    es0 = eigh(h0, atol=1e-10)
-    es1 = eigh(h1, atol=1e-10)
-    if es0.dim != es1.dim:
-        raise ValueError(f"dimension mismatch: {es0.dim} vs {es1.dim}")
-    n = es0.dim
-    if populations is None:
-        order = np.arange(n)
-    else:
-        pops = np.asarray(populations, dtype=float)
-        if pops.shape != (n,):
-            raise ValueError(f"populations must have length {n}")
-        order = np.argsort(-pops, kind="stable")
-    e_assign = np.empty(n)
-    e_assign[order] = np.sort(es1.values)
-    h_mid = (es0.vectors * e_assign) @ es0.vectors.conj().T
-    return Trajectory((es0.reconstruct(), h_mid, es1.reconstruct()),
-                      ("linear", "eigenvectors"))
-
-
 # ---------------------------------------------------------------------------
 # Scans
 # ---------------------------------------------------------------------------
@@ -711,11 +642,12 @@ def min_work_scan(
 
     ``schedule(n)`` builds the Hamiltonians ``H^(0) .. H^(n)`` of N = n
     quenches, e.g. ``traj.schedule`` or
-    ``functools.partial(local_quench_schedule, ham0, peak)``.  ``n_list``
-    must be strictly increasing, ``seed`` an int >= 0 and the initial state
-    valid (its entropy is evaluated once here).  There is one task per N,
-    largest first, on as many workers as GGE_THERMO_THREADS asks; each
-    builds and validates its schedule once and runs every model on it.
+    ``functools.partial(local_quench_schedule, ham0, peak)``.  At entry,
+    ``n_list`` must be strictly increasing positive integers, ``seed`` an int
+    >= 0 and the initial state valid (its entropy is evaluated once here).
+    There is one task per N, largest first, on as many workers as
+    GGE_THERMO_THREADS asks; each builds and validates its schedule once and
+    runs every model on it.
     Failures are recorded and the sweep continues.  The exact model at
     position i draws its hold times from ``SeedSequence(seed, spawn_key=(i,
     N))``, so results do not depend on scheduling."""

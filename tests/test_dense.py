@@ -332,6 +332,19 @@ def test_entropy_matching_beta():
     # entropy below the pure-state floor of a gapped spectrum is available,
     # but entropy above log(d) is not
     assert gt.entropy_matching_beta(h, math.log(5) + 0.1) is None
+    assert gt.entropy_matching_beta(h, 0.0) is None     # the pure ground state
+    # the uniform state's entropy is matched at beta = 0; a doubly degenerate
+    # ground level puts the floor at log 2, which only beta -> infinity
+    # reaches, so the floor and what lies below it have no beta
+    uniform = np.full(5, 0.2)
+    assert gt.entropy_matching_beta(h, float(-np.sum(uniform * np.log(uniform)))) == 0.0
+    h_deg = np.diag([0.0, 0.0, 1.0, 2.0])
+    assert gt.entropy_matching_beta(h_deg, math.log(2) + 1e-3) > 5.0
+    for s in (math.log(2), math.log(2) - 1e-3, 0.0):
+        assert gt.entropy_matching_beta(h_deg, s) is None
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"entropy must be finite, got {bad!r}"):
+            gt.entropy_matching_beta(h, bad)
 
 
 def test_evolve_dense_unitary_invariants():

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+import gge_thermo as gt
 from gge_thermo.hermitian import (
     cluster_degenerate,
     eigh,
@@ -64,6 +67,31 @@ def test_hermiticity_defect():
         require_hermitian(m, atol=0.49)
     assert np.array_equal(require_hermitian(m, atol=0.5), [[0.0, 0.75], [0.75, 0.0]])
     assert require_hermitian(np.zeros((0, 0))).shape == (0, 0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "one-sided"])
+def test_non_finite_matrices_are_rejected_by_name(value, where):
+    # NaN fails every comparison and inf - inf is NaN, so the defect test
+    # alone let these through; no RuntimeWarning may escape either
+    m = np.diag([0.25, 0.5]).astype(complex)
+    if where == "diagonal":
+        m[0, 0] = value
+    else:
+        m[0, 1] = value
+        if where == "off-diagonal":
+            m[1, 0] = value
+    entries = {
+        "matrix": lambda: require_hermitian(m),
+        "coefficient matrix": lambda: gt.QuadraticHamiltonian(m),
+        "state": lambda: gt.check_state(m),
+        "correlation matrix": lambda: gt.entropy_gaussian(m),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in entries.items():
+            with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
+                call()
 
 
 def test_reconstruction_random():
