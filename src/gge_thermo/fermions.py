@@ -36,13 +36,14 @@ Initial states need not be Gaussian: every map consumes and produces only
 correlation matrices, so any state with the same second moments gives the
 same work accounting.
 
-The protocol runner carries a dephased or thermal state, which is diagonal
-in the current modes, as its populations ``p`` (``_ModeState``).  A quench
-moves them by the doubly stochastic map ``p' = |A'^T A^*|^2 p``.
+The protocol runner holds its state in the current modes (``_ModeState``).  A
+quench with ``O = A'^T A^*`` moves dephased or thermal populations to
+``|O|^2 p`` and an exact state's mode-basis matrix to ``O gamma_eta O^dag``.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -131,6 +132,8 @@ class Exact:
     def __post_init__(self):
         if self.hold_max is None:
             object.__setattr__(self, "hold_max", self.hold_min)
+        if not all(isinstance(h, numbers.Real) for h in (self.hold_min, self.hold_max)):
+            raise ValueError(f"hold times must be real numbers, got {self.hold_min!r}, {self.hold_max!r}")
         if not (np.isfinite(self.hold_min) and np.isfinite(self.hold_max)):
             raise ValueError(f"hold times must be finite, got {self.hold_min!r}, {self.hold_max!r}")
         if self.hold_min > self.hold_max:
@@ -198,14 +201,30 @@ def mode_populations(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
 
 
 class _ModeState(NamedTuple):
-    """Gaussian state gamma = A.conj() @ diag(p) @ A.T, diagonal in the
-    modes of ``ham`` and held as its mode populations ``p``."""
+    """Gaussian state A.conj() @ g @ A.T in the modes of ``ham``: g is its
+    mode-basis matrix or, for a state diagonal there, its populations p."""
 
     ham: QuadraticHamiltonian
-    p: np.ndarray
+    g: np.ndarray
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.g if self.g.ndim == 1 else self.g.diagonal().real
 
     def matrix(self) -> np.ndarray:
-        return from_mode_basis(np.diag(self.p.astype(complex)), self.ham)
+        return from_mode_basis(self.g if self.g.ndim == 2 else np.diag(self.g.astype(complex)),
+                               self.ham)
+
+    def entropy(self) -> float:
+        return _binary_entropy(self.g) if self.g.ndim == 1 else _entropy(self.g)
+
+    def quench(self, ham: QuadraticHamiltonian) -> "_ModeState":
+        """Frozen across the quench to ``ham`` (unchanged under its own): populations
+        by :func:`_transport`, a mode-basis matrix to O gamma_eta O^dag."""
+        if self.g.ndim == 1 or ham is self.ham:
+            return _transport(self, ham)
+        o = ham.modes.T @ self.ham.modes.conj()
+        return _ModeState(ham, o @ self.g @ o.conj().T)
 
 
 def _transport(state, ham: QuadraticHamiltonian) -> _ModeState:
@@ -218,6 +237,14 @@ def _transport(state, ham: QuadraticHamiltonian) -> _ModeState:
         return state
     o = ham.modes.T @ state.ham.modes.conj()
     return _ModeState(ham, (o.real * o.real + o.imag * o.imag) @ state.p)
+
+
+def _evolve(state, ham: QuadraticHamiltonian, t: float) -> _ModeState:
+    """Hold for time ``t`` of a correlation matrix or a mode-basis :class:`_ModeState`
+    in the modes of ``ham``: gamma_eta[k, l] picks up exp(i t (eps_k - eps_l))."""
+    g = state.g if isinstance(state, _ModeState) else to_mode_basis(state, ham)
+    phase = np.exp(1j * float(t) * ham.energies)
+    return _ModeState(ham, g * np.outer(phase, phase.conj()))
 
 
 def gibbs_correlation(ham: QuadraticHamiltonian, beta: float) -> np.ndarray:
@@ -283,10 +310,7 @@ def evolve_exact(gamma, ham: QuadraticHamiltonian, t: float) -> np.ndarray:
     In the mode basis each entry picks up the phase exp(i t (eps_k - eps_l));
     equivalently gamma -> U gamma U^dag with U = A.conj() exp(i t D) A.T.
     """
-    ham = as_hamiltonian(ham)
-    g_eta = to_mode_basis(gamma, ham)
-    phase = np.exp(1j * float(t) * ham.energies)
-    return from_mode_basis(g_eta * np.outer(phase, phase.conj()), ham)
+    return _evolve(gamma, as_hamiltonian(ham), t).matrix()
 
 
 def dephase_gge(gamma, ham: QuadraticHamiltonian) -> np.ndarray:

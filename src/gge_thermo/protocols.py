@@ -222,8 +222,8 @@ class _Backend(NamedTuple):
     Each map returns ``(state, duals)``.  Entries call through the module
     (``fg.energy``, not a bound reference), so a function patched on its
     module is seen here too.
-    Gaussian dephasing and thermal maps return a ``fg._ModeState``, which
-    ``quench`` transports and ``matrix`` expands (identities on a matrix).
+    Every gaussian map returns a ``fg._ModeState``, which ``quench`` moves
+    to the next modes and ``matrix`` expands (identities on a matrix).
     """
 
     check: Callable        # state -> validated state
@@ -259,7 +259,7 @@ def _gaussian_wrap(h, gamma) -> fg.QuadraticHamiltonian:
 
 def _gaussian_energy(state, ham) -> float:
     if isinstance(state, fg._ModeState):
-        return float(ham.energies @ fg._transport(state, ham).p)
+        return float(ham.energies @ state.quench(ham).p)
     return fg.energy(state, ham)
 
 
@@ -293,12 +293,11 @@ _BACKENDS = {
     "gaussian": _Backend(
         check=_gaussian_check,
         wrap=_gaussian_wrap,
-        quench=lambda s, ham: fg._transport(s, ham) if isinstance(s, fg._ModeState) else s,
+        quench=lambda s, ham: s.quench(ham) if isinstance(s, fg._ModeState) else s,
         energy=_gaussian_energy,
-        entropy=lambda s: (fg._binary_entropy(s.p) if isinstance(s, fg._ModeState)
-                           else fg._entropy(s)),
+        entropy=lambda s: s.entropy() if isinstance(s, fg._ModeState) else fg._entropy(s),
         matrix=lambda s: s.matrix() if isinstance(s, fg._ModeState) else s,
-        evolve=lambda gamma, ham, t: (fg.evolve_exact(gamma, ham, t), None),
+        evolve=lambda s, ham, t: (fg._evolve(s, ham, t), None),
         dephase=_gaussian_dephase,
         thermalise=_gaussian_thermalise,
         eigenbasis=_gaussian_eigenbasis,
@@ -376,9 +375,11 @@ def run_schedule(
     the common dimension) are validated here, before step 1; the steps then
     run trusted kernels, and a failing step is reported with its index.
     Under :class:`~gge_thermo.fermions.Exact` each step evolves exactly for
-    a hold time drawn from the model's own seeded stream.  Gaussian
-    dephased and thermal states travel as mode populations; their matrix is
-    built only for kept states and the final state."""
+    a hold time drawn from the model's own seeded stream; holds and frozen
+    quenches keep the spectrum, so every exact record but the last carries
+    the step-0 entropy, and the last computes it from the final state, where
+    drift would show.  Gaussian states travel in the current modes; their
+    matrix is built only for kept states and the final state."""
     be = _backend(backend)
     state = be.check(initial_state)
     hams = [be.wrap(h, state) for h in hamiltonians]
@@ -387,8 +388,9 @@ def run_schedule(
     equilibrate = _model(model)[1](model, be, len(hams) - 1)
 
     def record(m: int, state, work: float, duals) -> StepRecord:
+        unitary = isinstance(model, fg.Exact) and 0 < m < len(hams) - 1
         return StepRecord(step=m, work_extracted=work, energy=be.energy(state, hams[m]),
-                          entropy=be.entropy(state), duals=duals,
+                          entropy=steps[0].entropy if unitary else be.entropy(state), duals=duals,
                           state=be.matrix(state) if keep_states else None)
 
     steps = [record(0, state, 0.0, None)]
@@ -429,11 +431,15 @@ def run_protocol(
 # ---------------------------------------------------------------------------
 
 def _quench_counts(n_list) -> list[int]:
-    raw = list(n_list)
-    ns = [int(n) for n in raw]
-    for n, r in zip(ns, raw):
+    ns = []
+    for r in n_list:
+        try:
+            n = int(r)
+        except (TypeError, ValueError, OverflowError):
+            n = 0
         if n != r or n < 1:      # named, not truncated
             raise ValueError(f"quench counts must be positive integers, got {r!r}")
+        ns.append(n)
     for a, b in zip(ns, ns[1:]):
         if b <= a:
             raise ValueError(f"quench counts must be strictly increasing, got {b} after {a}")
@@ -758,10 +764,10 @@ def local_quench_schedule(ham0, eps1_peak: float, n_quenches: int) -> list:
     eps1_init = float(ham0.c[0, 0].real)
     if n_quenches == 1:
         values = [float(eps1_peak)]
-    else:
+    else:       # the closing value is eps1_init itself: ham0 is appended
         values = [
             float(eps1_peak) + j * (eps1_init - float(eps1_peak)) / (n_quenches - 1)
-            for j in range(n_quenches)
+            for j in range(n_quenches - 1)
         ]
     hams = [ham0]
     for v in values:
@@ -769,5 +775,5 @@ def local_quench_schedule(ham0, eps1_peak: float, n_quenches: int) -> list:
         c[0, 0] = v
         hams.append(fg.QuadraticHamiltonian(c))
     if n_quenches >= 2:
-        hams[-1] = ham0
+        hams.append(ham0)
     return hams

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gge_thermo as gt
-from gge_thermo import hermitian
+from gge_thermo import fermions, hermitian
 from gge_thermo import protocols as pr
 from _helpers import (make_rng, random_correlation, random_density, random_hermitian,
                       random_unitary)
@@ -144,6 +144,40 @@ def test_exact_records_keep_spectrum_and_are_seeded():
         assert np.max(np.abs(np.sort(np.linalg.eigvalsh(s.state)) - base)) < 1e-10
 
 
+def _mode_frame_exact_loop(gamma0, hams, holds):
+    # the runner's exact recurrence through public names: from step 1 the
+    # state is its mode-basis matrix g, a quench is O g O^dag with
+    # O = A'^T A^*, a hold multiplies g by the phase outer product and the
+    # energy is eps . Re diag(g)
+    works, energies, g = [0.0], [gt.energy(gamma0, hams[0])], None
+    for m in range(1, len(hams)):
+        if g is None:
+            cost = gt.energy(gamma0, hams[m]) - energies[-1]
+            g = gt.to_mode_basis(gamma0, hams[m])
+        else:
+            if hams[m] is not hams[m - 1]:
+                o = hams[m].modes.T @ hams[m - 1].modes.conj()
+                g = o @ g @ o.conj().T
+            cost = float(hams[m].energies @ g.diagonal().real) - energies[-1]
+        phase = np.exp(1j * float(holds[m - 1]) * hams[m].energies)
+        g = g * np.outer(phase, phase.conj())
+        works.append(-cost)
+        energies.append(float(hams[m].energies @ g.diagonal().real))
+    return works, energies, gt.from_mode_basis(g, hams[-1])
+
+
+def _evolve_exact_loop(gamma0, hams, holds):
+    # the same run as a site-basis loop of the public maps
+    state = np.asarray(gamma0, dtype=complex)
+    works, energies = [0.0], [gt.energy(state, hams[0])]
+    for m in range(1, len(hams)):
+        cost = gt.energy(state, hams[m]) - gt.energy(state, hams[m - 1])
+        state = gt.evolve_exact(state, hams[m], holds[m - 1])
+        works.append(-cost)
+        energies.append(gt.energy(state, hams[m]))
+    return works, energies, state
+
+
 def test_exact_dynamics_draw_contract():
     # one hold per step from a fresh PCG64 stream of the model's seed, in
     # step order; the same model object gives the same run every time
@@ -157,17 +191,16 @@ def test_exact_dynamics_draw_contract():
         rec = gt.run_protocol(gamma0, traj, 6, model)
         draws = np.random.Generator(np.random.PCG64(
             seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)))
+        holds = [float(draws.uniform(1.0, 5.0)) for _ in range(6)]
         hams = [gt.QuadraticHamiltonian(traj.sample(m / 6)) for m in range(7)]
-        state = np.asarray(gamma0, dtype=complex)
-        works, energies = [0.0], [gt.energy(state, hams[0])]
-        for m in range(1, len(hams)):
-            cost = gt.energy(state, hams[m]) - gt.energy(state, hams[m - 1])
-            state = gt.evolve_exact(state, hams[m], float(draws.uniform(1.0, 5.0)))
-            works.append(-cost)
-            energies.append(gt.energy(state, hams[m]))
+        works, energies, state = _mode_frame_exact_loop(gamma0, hams, holds)
         assert np.array_equal(rec.works, works)
         assert np.array_equal(rec.energies, energies)
         assert np.array_equal(rec.final_state, state)
+        works, energies, state = _evolve_exact_loop(gamma0, hams, holds)
+        assert np.max(np.abs(rec.works - works)) <= 1e-12
+        assert np.max(np.abs(rec.energies - energies)) <= 1e-12
+        assert np.max(np.abs(rec.final_state - state)) <= 1e-12
         assert gt.run_protocol(gamma0, traj, 6, model).work == rec.work
 
 
@@ -215,7 +248,7 @@ def test_gge_transport_matches_old_state_populations():
 
 def test_fixed_hold_exact_ignores_seed_and_matches_hand_loop():
     # Exact(t) draws uniform(t, t) == t, so every seed gives the same run,
-    # bit for bit the plain evolve_exact loop with hold t
+    # bit for bit the mode-frame loop with hold t
     rng = make_rng(62)
     ham0 = gt.build_chain(4, rng.uniform(0, 2, 4), 0.4)
     ham1 = gt.build_chain(4, rng.uniform(0, 2, 4), 0.8)
@@ -224,16 +257,14 @@ def test_fixed_hold_exact_ignores_seed_and_matches_hand_loop():
     t = 2.7
     rec = gt.run_protocol(gamma0, traj, 6, gt.Exact(t))
     hams = [gt.QuadraticHamiltonian(traj.sample(m / 6)) for m in range(7)]
-    state = np.asarray(gamma0, dtype=complex)
-    works, energies = [0.0], [gt.energy(state, hams[0])]
-    for m in range(1, len(hams)):
-        cost = gt.energy(state, hams[m]) - gt.energy(state, hams[m - 1])
-        state = gt.evolve_exact(state, hams[m], t)
-        works.append(-cost)
-        energies.append(gt.energy(state, hams[m]))
+    works, energies, state = _mode_frame_exact_loop(gamma0, hams, [t] * 6)
     assert np.array_equal(rec.works, works)
     assert np.array_equal(rec.energies, energies)
     assert np.array_equal(rec.final_state, state)
+    works, energies, state = _evolve_exact_loop(gamma0, hams, [t] * 6)
+    assert np.max(np.abs(rec.works - works)) <= 1e-12
+    assert np.max(np.abs(rec.energies - energies)) <= 1e-12
+    assert np.max(np.abs(rec.final_state - state)) <= 1e-12
     seeds = [0, 2**64 - 1, *(int(s) for s in make_rng(63).integers(0, 2**63, 6))]
     seeds += [np.random.SeedSequence(s) for s in (0, 12345, 2**32 - 1)]
     for seed in seeds:
@@ -326,7 +357,7 @@ def test_failure_reports_step_index():
 def test_fixed_hold_exact_still_rejects_invalid_seeds():
     # a fixed hold builds no random stream, so the seed is checked by the
     # model itself, for fixed and drawn holds alike; so are the holds, which
-    # must be finite
+    # must be finite real numbers
     for holds in ((1.0,), (1.0, 1.0), (1.0, 2.0)):
         for seed in (-1, "x", 1.5, None):
             with pytest.raises(ValueError, match=re.escape(repr(seed))):
@@ -334,6 +365,9 @@ def test_fixed_hold_exact_still_rejects_invalid_seeds():
     for holds in ((math.nan,), (1.0, math.nan), (math.inf,), (-math.inf, 1.0), (1.0, math.inf)):
         bad = next(h for h in holds if not math.isfinite(h))
         with pytest.raises(ValueError, match=f"finite, got .*{bad!r}"):
+            gt.Exact(*holds)
+    for holds in (("1.0",), (None,), ([1.0],), ([1.0], [2.0]), (1.0, "2"), (1j,)):
+        with pytest.raises(ValueError, match=re.escape(f"real numbers, got {holds[0]!r}")):
             gt.Exact(*holds)
     gt.Exact(1.0, seed=np.int64(3))
     gt.Exact(1.0, seed=np.random.SeedSequence(3))
@@ -375,18 +409,22 @@ def test_jordan_wigner_oracle_runs_whole_schedules(kind):
 
 
 @pytest.mark.parametrize("keep_states", [True, False])
-@pytest.mark.parametrize("kind", ["ta-gge", "gibbs"])
+@pytest.mark.parametrize("kind", ["ta-gge", "gibbs", "exact"])
 def test_gaussian_runner_matches_public_map_loop(kind, keep_states):
-    # the runner carries dephased and thermal states as mode populations;
-    # every recorded number and matrix matches the matrix loop of the
-    # public maps
-    model = {"ta-gge": gt.GGE, "gibbs": gt.GIBBS}[kind]
+    # the runner carries dephased and thermal states as mode populations and
+    # exact ones as their mode-basis matrix; every recorded number and matrix
+    # matches the matrix loop of the public maps
     for n in range(1, 13):
         rng = make_rng(300 + n)
         n_q = int(rng.integers(1, 11))
         hams = _random_chain_schedule(n, n_q, rng)
         gamma0 = random_correlation(n, rng, lo=0.05, hi=0.95)
+        model = {"ta-gge": gt.GGE, "gibbs": gt.GIBBS,
+                 "exact": (gt.Exact(2.7), gt.Exact(0.5, 4.0, n), gt.Exact(0.0))[n % 3]}[kind]
         rec = gt.run_schedule(gamma0, hams, model, keep_states=keep_states)
+        if kind == "exact":
+            holds = np.random.Generator(np.random.PCG64(model.seed)).uniform(
+                model.hold_min, model.hold_max, n_q)
         state = gamma0
         for m in range(1, n_q + 1):
             cost = gt.energy(state, hams[m]) - gt.energy(state, hams[m - 1])
@@ -394,15 +432,23 @@ def test_gaussian_runner_matches_public_map_loop(kind, keep_states):
                 state = gt.dephase_gge(state, hams[m])
                 p = gt.mode_populations(state, hams[m])
                 duals = np.log((1.0 - p) / p)
-            else:
+            elif kind == "gibbs":
                 beta, _ = gt.solve_beta(hams[m], gt.energy(state, hams[m]))
                 state = gt.gibbs_correlation(hams[m], beta)
                 duals = np.array([beta])
+            else:
+                state = gt.evolve_exact(state, hams[m], holds[m - 1])
+                duals = None
             step = rec.steps[m]
             assert abs(step.work_extracted + cost) <= 1e-12
             assert abs(step.energy - gt.energy(state, hams[m])) <= 1e-12
             assert abs(step.entropy - gt.entropy_gaussian(state)) <= 1e-12
-            assert np.max(np.abs(np.array(step.duals) - duals)) <= 1e-12
+            if duals is None:
+                assert step.duals is None
+                if m < n_q:     # unitary steps keep the step-0 entropy
+                    assert step.entropy == rec.steps[0].entropy
+            else:
+                assert np.max(np.abs(np.array(step.duals) - duals)) <= 1e-12
             if keep_states:
                 assert np.max(np.abs(step.state - state)) <= 1e-12
             else:
@@ -413,7 +459,8 @@ def test_gaussian_runner_matches_public_map_loop(kind, keep_states):
 
 def test_gaussian_runner_diagonalises_only_where_needed(monkeypatch):
     # dephased and thermal entropies come from the populations: one eigvalsh
-    # (the initial state's entropy) per run; exact steps keep one per step
+    # (the initial state's entropy) per run; an exact run adds one for its
+    # last record, whose entropy is computed from the final state
     rng = make_rng(400)
     n_q = 20
     hams = _random_chain_schedule(6, n_q, rng)
@@ -426,10 +473,32 @@ def test_gaussian_runner_diagonalises_only_where_needed(monkeypatch):
         return eigvalsh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    for model, expected in ((gt.GGE, 1), (gt.GIBBS, 1), (gt.Exact(0.5, 4.0, 1), n_q + 1)):
+    for model, expected in ((gt.GGE, 1), (gt.GIBBS, 1), (gt.Exact(0.5, 4.0, 1), 2)):
         calls.clear()
         gt.run_schedule(gamma0, hams, model, keep_states=False)
         assert len(calls) == expected, gt.model_label(model)
+
+
+def test_exact_last_entropy_shows_drift(monkeypatch):
+    # the last exact record's entropy is computed from the final state, so a
+    # hold that is not unitary moves it even though the records before it
+    # carry the step-0 value
+    rng = make_rng(401)
+    hams = _random_chain_schedule(6, 12, rng)
+    gamma0 = random_correlation(6, rng, lo=0.05, hi=0.95)
+    model = gt.Exact(0.5, 4.0, 1)
+    clean = gt.run_schedule(gamma0, hams, model, keep_states=False)
+    assert abs(clean.steps[-1].entropy - clean.steps[0].entropy) <= 1e-12
+    evolve = fermions._evolve
+
+    def leaky(state, ham, t):
+        held = evolve(state, ham, t)
+        return held._replace(g=held.g * (1.0 + 1e-6))
+
+    monkeypatch.setattr(fermions, "_evolve", leaky)
+    drifted = gt.run_schedule(gamma0, hams, model, keep_states=False)
+    assert drifted.steps[-2].entropy == clean.steps[0].entropy
+    assert abs(drifted.steps[-1].entropy - clean.steps[-1].entropy) > 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +565,14 @@ def test_quasi_static_validates_schedule():
     with pytest.raises(ValueError, match=r"integers, got 1\.5$"):
         gt.min_work_scan(0.5 * np.eye(2), traj.schedule, [gt.GGE], (1.5, 2), seed=0,
                          backend="dense")
+    # and so is one that is not a number at all
+    for ns, bad in (((math.nan, 2), "nan"), (("x", 2), "'x'"), ((None, 2), "None"),
+                    ((math.inf, 2), "inf"), (("2", 4), "'2'")):
+        with pytest.raises(ValueError, match=f"positive integers, got {bad}$"):
+            gt.richardson_limit(ns, [1.0, 2.0])
+        with pytest.raises(ValueError, match=f"positive integers, got {bad}$"):
+            gt.min_work_scan(0.5 * np.eye(2), traj.schedule, [gt.GGE], ns, seed=0,
+                             backend="dense")
     # so is a count below 1, at entry
     for ns, bad in (((0, 1), "0"), ((-2, 4), "-2")):
         with pytest.raises(ValueError, match=f"positive integers, got {bad}$"):
@@ -823,9 +900,14 @@ def test_build_population_inverted_bath():
         gt.build_population_inverted_bath(6, 6)
 
 
-def test_local_quench_schedule_shape():
+def test_local_quench_schedule_shape(monkeypatch):
     ham0 = gt.build_chain(4, [0.1, 1.0, 1.0, 1.0], 0.5)
+    # the closing Hamiltonian is ham0 itself: only the N - 1 others are built
+    calls = []
+    eigh = fermions._eigh
+    monkeypatch.setattr(fermions, "_eigh", lambda c: calls.append(1) or eigh(c))
     hams = gt.local_quench_schedule(ham0, 4.3, 5)
+    assert len(calls) == 4
     assert len(hams) == 6  # N quenches need N + 1 Hamiltonians
     assert hams[1].c[0, 0].real == pytest.approx(4.3)
     assert hams[-1] is ham0
