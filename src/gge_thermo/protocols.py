@@ -10,12 +10,12 @@ extraction sign (positive = work gained), the negation of the quench cost
 (n x n correlation matrices) and ``dense`` (d x d density matrices).
 
 :func:`min_work_scan` is the one loop over (model, N): it takes a schedule
-builder ``n -> [H^(0) .. H^(N)]`` (``traj.schedule`` or a partial of
-:func:`local_quench_schedule`), builds each N's schedule once and runs every
-model on it.  :func:`richardson_limit` extrapolates any per-N sequence, such
-as works or entropy productions, to N -> infinity.  The four-phase optimal
-construction is one function for both back ends, and its schedule is the
-returned record's ``hamiltonians``.
+builder ``n -> [H^(0) .. H^(N)]`` (``traj.schedule``, a partial of
+:func:`local_quench_schedule` or of the four-phase ``_optimal_schedule``),
+builds each N's schedule once and runs every model on it, recording works and
+entropy productions, which :func:`richardson_limit` extrapolates to
+N -> infinity.  The ``optimal_*_protocol`` functions run the four-phase
+schedule, one builder for both back ends, under the dephasing map.
 """
 
 from __future__ import annotations
@@ -151,8 +151,7 @@ class Trajectory:
     def schedule(self, n_quenches: int) -> list:
         """The samples H(m / N) for m = 0..N of ``n_quenches`` equidistant
         quenches."""
-        if n_quenches < 1:
-            raise ValueError("need at least one quench")
+        n_quenches = _quench_counts([n_quenches])[0]
         return [self.sample(m / n_quenches) for m in range(n_quenches + 1)]
 
 
@@ -493,16 +492,16 @@ def optimal_work_bound(gamma0, ham0) -> float:
     return _ergotropy(be, gamma, be.wrap(ham0, gamma))
 
 
-def _optimal_protocol(state, ham0, n_quenches: int, backend: str,
-                      keep_states: bool) -> ProtocolRecord:
-    """Cyclic four-phase protocol extracting the maximum work under the
-    dephasing map, on either back end.
+def _optimal_schedule(state, ham0, n_quenches: int, backend: str = "gaussian") -> list:
+    """Schedule of the cyclic four-phase protocol extracting the maximum
+    work under the dephasing map, on either back end.
 
     Two legs, each a quench aligning the modes with the state's eigenbasis
     (the spectrum of ``ham0`` assigned anti-sorted), then an N/2-step
     eigenbasis rotation back to ``ham0`` (repeated ``ham0`` if the quench is
     a no-op).  The second leg is rebuilt from the state the first leaves.
     """
+    n_quenches = _quench_counts([n_quenches])[0]
     if n_quenches < 2 or n_quenches % 2:
         raise ValueError(f"the number of quenches must be even and at least 2, got {n_quenches}")
     be = _backend(backend)
@@ -528,8 +527,16 @@ def _optimal_protocol(state, ham0, n_quenches: int, backend: str,
         # permutation of ham0's eigenbasis, where the log's branch follows round-off
         mid = be.check(be.matrix(be.dephase(mid, h)[0]))
     hams += leg(mid)
+    return hams
+
+
+def _optimal_protocol(state, ham0, n_quenches: int, backend: str,
+                      keep_states: bool) -> ProtocolRecord:
+    """:func:`_optimal_schedule` run under dephasing; ``meta['work_bound']`` is its ceiling."""
+    hams = _optimal_schedule(state, ham0, n_quenches, backend)
     record = run_schedule(state, hams, fg.GGE, backend=backend, keep_states=keep_states)
-    record.meta["work_bound"] = _ergotropy(be, state, ham0)
+    be = _backend(backend)
+    record.meta["work_bound"] = _ergotropy(be, be.check(state), hams[0])
     return record
 
 
@@ -556,10 +563,9 @@ def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,
     ``meta['beta_star'] = None`` and the protocol still runs, with residual
     entropy production.
     """
-    if k >= 0:
-        raise ValueError("k must be negative")
-    if n_quenches < 1:
-        raise ValueError("need at least one return quench")
+    if not k < 0:       # NaN fails this test too
+        raise ValueError(f"k must be negative, got {k}")
+    n_quenches = _quench_counts([n_quenches])[0]
     h0 = require_hermitian(h0, atol=1e-10, name="Hamiltonian")
     rho = qd.check_state(rho0)
     p, w = np.linalg.eigh(rho)
@@ -567,9 +573,7 @@ def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,
         raise ValueError(f"state is singular (smallest eigenvalue {float(p.min()):.3e}); "
                          "the logarithm quench needs full rank")
     h1 = (w * (k * np.log(p))) @ w.conj().T
-    schedule = [h0, h1]
-    schedule += [(1.0 - j / n_quenches) * h1 + (j / n_quenches) * h0 for j in range(1, n_quenches)]
-    schedule.append(h0)
+    schedule = [h0] + Trajectory.linear(h1, h0).schedule(n_quenches)
     record = run_schedule(rho, schedule, fg.GIBBS, backend="dense", keep_states=keep_states)
     beta_star = qd.entropy_matching_beta(h0, record.steps[0].entropy)
     record.meta["beta_star"] = beta_star
@@ -613,6 +617,7 @@ class ScanResult:
     n_values: tuple[int, ...]
     model_labels: tuple[str, ...]
     works: np.ndarray            # (models, n_values), NaN on failure
+    entropy_production: np.ndarray   # likewise
     verdicts: dict
     failures: dict
 
@@ -644,7 +649,7 @@ def min_work_scan(
     *,
     backend: str = "gaussian",
 ) -> ScanResult:
-    """Work per (model, N) with a monotonicity verdict per model.
+    """Work and entropy production per (model, N), with a monotonicity verdict per model.
 
     ``schedule(n)`` builds the Hamiltonians ``H^(0) .. H^(n)`` of N = n
     quenches, e.g. ``traj.schedule`` or
@@ -670,7 +675,7 @@ def min_work_scan(
     be.entropy(state)       # a correlation spectrum outside [0, 1] raises here
 
     def failure(exc) -> tuple:
-        return float("nan"), f"{type(exc).__name__}: {exc}"
+        return float("nan"), float("nan"), f"{type(exc).__name__}: {exc}"
 
     def sweep(n) -> list[tuple]:
         try:
@@ -682,21 +687,23 @@ def min_work_scan(
             if isinstance(model, fg.Exact):
                 model = replace(model, seed=np.random.SeedSequence(int(seed), spawn_key=(i, n)))
             try:
-                cells.append((run_schedule(state, hams, model, backend=backend,
-                                           keep_states=False).work, None))
+                rec = run_schedule(state, hams, model, backend=backend, keep_states=False)
+                cells.append((rec.work, rec.entropy_production, None))
             except Exception as exc:
                 cells.append(failure(exc))
         return cells
 
     per_n = _parallel_map(sweep, ns[::-1], workers)[::-1]
-    works = np.array([[cells[i][0] for cells in per_n] for i in range(len(models))])
-    failures = {(labels[i], n): cells[i][1] for i in range(len(models))
-                for n, cells in zip(ns, per_n) if cells[i][1] is not None}
+    works, entropy = (np.array([[cells[i][k] for cells in per_n] for i in range(len(models))])
+                      for k in (0, 1))
+    failures = {(labels[i], n): cells[i][2] for i in range(len(models))
+                for n, cells in zip(ns, per_n) if cells[i][2] is not None}
     verdicts = {labels[i]: _monotone_verdict(works[i]) for i in range(len(models))}
     return ScanResult(
         n_values=tuple(ns),
         model_labels=labels,
         works=works,
+        entropy_production=entropy,
         verdicts=verdicts,
         failures=failures,
     )
@@ -759,16 +766,11 @@ def local_quench_schedule(ham0, eps1_peak: float, n_quenches: int) -> list:
     equidistant quenches back to the starting Hamiltonian (cyclic for
     N >= 2)."""
     ham0 = fg.as_hamiltonian(ham0)
-    if n_quenches < 1:
-        raise ValueError("need at least one quench")
+    n_quenches = _quench_counts([n_quenches])[0]
     eps1_init = float(ham0.c[0, 0].real)
-    if n_quenches == 1:
-        values = [float(eps1_peak)]
-    else:       # the closing value is eps1_init itself: ham0 is appended
-        values = [
-            float(eps1_peak) + j * (eps1_init - float(eps1_peak)) / (n_quenches - 1)
-            for j in range(n_quenches - 1)
-        ]
+    # N = 1 gives the peak alone; otherwise the closing value is eps1_init, so ham0 is appended
+    steps = max(n_quenches - 1, 1)
+    values = [float(eps1_peak) + j * (eps1_init - float(eps1_peak)) / steps for j in range(steps)]
     hams = [ham0]
     for v in values:
         c = ham0.c.copy()

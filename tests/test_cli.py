@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import gge_thermo as gt
@@ -39,6 +40,13 @@ def test_parse_config_rejections():
         cli.parse_config(["fig1", "--n", "1"])
     with pytest.raises(ValueError, match="at least 1"):
         cli.parse_config(["fig3", "--quenches", "0,2"])
+    # g is named before the default holds 20/g and 100/g divide by it,
+    # also for oracle-check, which does not use it
+    for experiment, g, shown in (("fig3", "0", "0.0"), ("oracle-check", "0", "0.0"),
+                                 ("fig3", "-0.5", "-0.5"), ("fig1", "-0.1", "-0.1"),
+                                 ("fig2", "nan", "nan")):
+        with pytest.raises(ValueError, match=f"g must be positive, got {shown}$"):
+            cli.parse_config([experiment, "--g", g])
     # fig2's four-phase protocol needs even counts >= 2, named before any run
     for counts, bad in (("2,3", "3"), ("1,4", "1")):
         with pytest.raises(ValueError, match=f"even and at least 2, got {bad}$"):
@@ -68,6 +76,16 @@ def test_local_experiments_raise_the_first_failed_cell(tmp_path, capsys, monkeyp
     assert "gibbs at N = 2: RuntimeError: step 1: no temperature" in capsys.readouterr().err
     assert not out.exists()
 
+    # and so does fig2, which runs on the same sweep
+    def no_hold(*args, **kwargs):
+        raise ValueError("no hold")
+
+    monkeypatch.setattr(gt.fermions, "_evolve", no_hold)
+    out = tmp_path / "f2.csv"
+    assert cli.main(["fig2", "--n", "8", "--quenches", "2,4", "--out", str(out)]) == 1
+    assert "exact at N = 2: RuntimeError: step 1: no hold" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_parse_config_file_layering(tmp_path):
     cfg_file = tmp_path / "run.cfg"
@@ -80,6 +98,13 @@ def test_parse_config_file_layering(tmp_path):
     bad.write_text("volume = 11\n")
     with pytest.raises(ValueError, match="unknown configuration key"):
         cli.parse_config(["fig3", "--config", str(bad)])
+    # a value its parser rejects is named with its file, line and key
+    for text, message in (("n = 2.5", "invalid literal for int() with base 10: '2.5'"),
+                          ("g = abc", "could not convert string to float: 'abc'")):
+        bad.write_text(f"# comment\n{text}\n")
+        with pytest.raises(ValueError) as info:
+            cli.parse_config(["fig3", "--config", str(bad)])
+        assert str(info.value) == f"{bad}:2: {text.split()[0]}: {message}"
 
 
 def test_write_csv_roundtrip_and_atomicity(tmp_path):
@@ -120,10 +145,26 @@ def test_cmd_fig2_rows_respect_bound():
         assert row[2] <= row[3] + 1e-9  # W_gge <= W_bound on every row
 
 
-def test_cli_outputs_are_bit_identical_across_runs(tmp_path):
+def test_cmd_fig2_matches_the_four_phase_protocol_and_its_exact_run():
+    # each row is the four-phase record under dephasing and, on its schedule,
+    # the exact run whose holds draw from SeedSequence(seed, spawn_key=(1, N))
+    cfg = cli.parse_config(["fig2", "--n", "12", "--quenches", "2,4,8", "--seed", "3"])
+    header, rows, _ = cli.cmd_fig2(cfg)
+    assert header == ["N", "W_exact", "W_gge", "W_bound", "S_produced_gge"]
+    ham0, gamma0 = cli.fig2_initial_state(cfg)
+    holds = cfg.resolved_holds()
+    for row, n_q in zip(rows, cfg.N_list):
+        rec = gt.optimal_gge_protocol(gamma0, ham0, n_q, keep_states=False)
+        exact = gt.Exact(*holds, np.random.SeedSequence(3, spawn_key=(1, n_q)))
+        w_exact = gt.run_schedule(gamma0, rec.hamiltonians, exact, keep_states=False).work
+        assert row == [n_q, w_exact, rec.work, rec.meta["work_bound"], rec.entropy_production]
+
+
+def test_cli_outputs_are_bit_identical_across_runs(tmp_path, monkeypatch):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["fig2", "--n", "12", "--quenches", "2,4,8", "--seed", "3"]
     assert cli.main(args + ["--out", str(out1)]) == 0
+    monkeypatch.setenv("GGE_THERMO_THREADS", "2")    # the sweep's cells on two workers
     assert cli.main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     different = tmp_path / "c.csv"

@@ -46,7 +46,7 @@ def test_trajectory_schedule_samples_equidistant_quenches():
     assert len(hams) == 5
     for m, h in enumerate(hams):
         np.testing.assert_array_equal(h, traj.sample(m / 4))
-    with pytest.raises(ValueError, match="at least one quench"):
+    with pytest.raises(ValueError, match="positive integers, got 0$"):
         traj.schedule(0)
 
 
@@ -587,6 +587,28 @@ def test_quasi_static_validates_schedule():
         gt.richardson_limit((), [])
 
 
+def test_single_count_entry_points_share_the_count_rule():
+    # an integral float runs as its integer; any other count is named by the
+    # sweep's rule instead of surfacing as a raw TypeError
+    ham = gt.build_chain(3, [0.5, 1.0, 1.5], 0.3)
+    gamma = random_correlation(3, make_rng(12), lo=0.1, hi=0.9)
+    traj = gt.Trajectory.linear(ham.c, gt.build_chain(3, [1.5, 1.0, 0.5], 0.3).c)
+    h = np.diag([0.0, 1.0, 2.0]).astype(complex)
+    rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
+    entries = [
+        lambda n: gt.run_protocol(gamma, traj, n, gt.GGE).work,
+        lambda n: len(traj.schedule(n)),
+        lambda n: len(gt.local_quench_schedule(ham, 4.3, n)),
+        lambda n: gt.optimal_gge_protocol(gamma, ham, n).work,
+        lambda n: gt.optimal_gibbs_protocol(rho, h, -0.5, n).work,
+    ]
+    for entry in entries:
+        assert entry(4.0) == entry(4)
+        for bad in (2.5, "3", None, math.nan, 0, -2):
+            with pytest.raises(ValueError, match=f"positive integers, got {bad!r}$"):
+                entry(bad)
+
+
 def test_richardson_limit_cancels_the_one_over_n_term():
     ns = (4, 8, 16, 32)
     limit, error = gt.richardson_limit(ns, [1.5 - 2.0 / n for n in ns])
@@ -761,6 +783,8 @@ def test_optimal_gibbs_protocol_inverted_population():
     assert rec.meta["work_limit"] == pytest.approx(0.6006, abs=1e-4)
     with pytest.raises(ValueError, match="negative"):
         gt.optimal_gibbs_protocol(rho, h, 0.5, 8)
+    with pytest.raises(ValueError, match="negative, got nan$"):
+        gt.optimal_gibbs_protocol(rho, h, math.nan, 8)
     with pytest.raises(ValueError, match="singular"):
         gt.optimal_gibbs_protocol(np.diag([1.0, 0.0, 0.0]).astype(complex), h, -1.0, 8)
 
@@ -819,11 +843,14 @@ def test_min_work_scan_builds_each_schedule_once(monkeypatch):
     monkeypatch.setenv("GGE_THERMO_THREADS", "1")
     scan = gt.min_work_scan(gamma0, schedule, models, ns, seed=7)
     assert built == [8, 4, 2, 1]
+    assert scan.entropy_production.shape == scan.works.shape == (3, 4)
     for i, model in enumerate(models):
         for j, n in enumerate(ns):
             if isinstance(model, gt.Exact):
                 model = replace(model, seed=np.random.SeedSequence(7, spawn_key=(i, n)))
-            assert scan.works[i, j] == gt.run_protocol(gamma0, traj, n, model).work
+            rec = gt.run_protocol(gamma0, traj, n, model)
+            assert scan.works[i, j] == rec.work
+            assert scan.entropy_production[i, j] == rec.entropy_production
 
 
 def test_min_work_scan_local_quench_sweep_is_thread_independent(monkeypatch):
@@ -882,6 +909,8 @@ def test_min_work_scan_survives_cell_failures():
     assert scan.failures
     assert np.all(np.isfinite(scan.works[0]))
     assert np.all(np.isnan(scan.works[1]))
+    assert np.all(np.isfinite(scan.entropy_production[0]))
+    assert np.all(np.isnan(scan.entropy_production[1]))
 
 
 def test_build_population_inverted_bath():
