@@ -14,6 +14,7 @@ at a fixed BLAS thread count produce bit-identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -133,13 +134,17 @@ def _read_config_file(path: str) -> dict:
 def _validate(config: ExperimentConfig) -> ExperimentConfig:
     if not config.g > 0:        # NaN fails this test too
         raise ValueError(f"g must be positive, got {config.g}")
+    for key, parse in _CONFIG_KEYS.items():
+        value = getattr(config, key)
+        if parse is float and value is not None and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
     if config.n < 2:
         raise ValueError(f"n must be at least 2, got {config.n}")
-    if not config.N_list or any(x < 1 for x in config.N_list):
-        raise ValueError("quench counts must all be at least 1")
-    for a, b in zip(config.N_list, config.N_list[1:]):
-        if b <= a:
-            raise ValueError(f"quench counts must be strictly increasing, got {b} after {a}")
+    if not config.seed >= 0:
+        raise ValueError(f"seed must be an int >= 0, got {config.seed}")
+    if not config.N_list:
+        raise ValueError("need at least one quench count")
+    pr._quench_counts(config.N_list)
     odd = [x for x in config.N_list if x % 2]
     if config.experiment == "fig2" and odd:
         raise ValueError(f"fig2 quench counts must be even and at least 2, got {odd[0]}")
@@ -192,6 +197,8 @@ def write_csv(path: str, header, rows) -> None:
         if len(row) != width:
             raise ValueError(f"row arity {len(row)} does not match header arity {width}")
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"cannot write {path}: no directory {directory}")
     text = ",".join(header) + "\n"
     text += "".join(",".join(_format_cell(v) for v in row) + "\n" for row in rows)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

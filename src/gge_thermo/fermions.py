@@ -36,9 +36,9 @@ Initial states need not be Gaussian: every map consumes and produces only
 correlation matrices, so any state with the same second moments gives the
 same work accounting.
 
-The protocol runner holds its state in the current modes (``_ModeState``).  A
-quench with ``O = A'^T A^*`` moves dephased or thermal populations to
-``|O|^2 p`` and an exact state's mode-basis matrix to ``O gamma_eta O^dag``.
+Every state is one ``_ModeState``: in the modes of a Hamiltonian, or on the
+sites for a correlation matrix as given (a run's step 0).  Its ``quench`` is
+the one transport rule, and the public maps are views over a site state.
 """
 
 from __future__ import annotations
@@ -179,12 +179,16 @@ def _check_dims(gamma: np.ndarray, ham: QuadraticHamiltonian) -> None:
         )
 
 
-def to_mode_basis(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
-    """gamma_eta = A.T @ gamma @ A.conj()."""
+def _site(gamma, ham: QuadraticHamiltonian) -> "_ModeState":
+    """The correlation matrix ``gamma`` as a state on the sites, sized for ``ham``."""
     g = np.asarray(gamma, dtype=complex)
     _check_dims(g, ham)
-    a = ham.modes
-    return a.T @ g @ a.conj()
+    return _ModeState(None, g)
+
+
+def to_mode_basis(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
+    """gamma_eta = A.T @ gamma @ A.conj()."""
+    return _site(gamma, ham).quench(ham).g
 
 
 def from_mode_basis(gamma_eta, ham: QuadraticHamiltonian) -> np.ndarray:
@@ -201,10 +205,11 @@ def mode_populations(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
 
 
 class _ModeState(NamedTuple):
-    """Gaussian state A.conj() @ g @ A.T in the modes of ``ham``: g is its
-    mode-basis matrix or, for a state diagonal there, its populations p."""
+    """Gaussian state in the modes of ``ham``, A.conj() @ g @ A.T, or in the
+    site basis when ``ham`` is None: g is its matrix there or, for a state
+    diagonal there, its populations p."""
 
-    ham: QuadraticHamiltonian
+    ham: QuadraticHamiltonian | None
     g: np.ndarray
 
     @property
@@ -212,39 +217,47 @@ class _ModeState(NamedTuple):
         return self.g if self.g.ndim == 1 else self.g.diagonal().real
 
     def matrix(self) -> np.ndarray:
-        return from_mode_basis(self.g if self.g.ndim == 2 else np.diag(self.g.astype(complex)),
-                               self.ham)
+        g = self.g if self.g.ndim == 2 else np.diag(self.g.astype(complex))
+        return g if self.ham is None else from_mode_basis(g, self.ham)
 
     def entropy(self) -> float:
         return _binary_entropy(self.g) if self.g.ndim == 1 else _entropy(self.g)
 
+    def energy(self, ham: QuadraticHamiltonian) -> float:
+        """Mean energy: sum c[i, j] g[i, j] on the sites, else eps . p in the modes of ``ham``."""
+        if self.ham is None:
+            return float(np.sum(ham.c * self.g).real)
+        return float(ham.energies @ self.quench(ham).p)
+
     def quench(self, ham: QuadraticHamiltonian) -> "_ModeState":
-        """Frozen across the quench to ``ham`` (unchanged under its own): populations
-        by :func:`_transport`, a mode-basis matrix to O gamma_eta O^dag."""
-        if self.g.ndim == 1 or ham is self.ham:
-            return _transport(self, ham)
-        o = ham.modes.T @ self.ham.modes.conj()
+        """Frozen across the quench to ``ham`` (itself under its own): with O = A'^T A^*,
+        or A'^T from the sites, populations go to |O|^2 p and a matrix to O g O^dag."""
+        if ham is self.ham:
+            return self
+        o = ham.modes.T if self.ham is None else ham.modes.T @ self.ham.modes.conj()
+        if self.g.ndim == 1:
+            return _ModeState(ham, (o.real * o.real + o.imag * o.imag) @ self.g)
         return _ModeState(ham, o @ self.g @ o.conj().T)
 
 
-def _transport(state, ham: QuadraticHamiltonian) -> _ModeState:
-    """Dephased image of ``state`` in the modes of ``ham``: p' = |O|^2 p
-    with O = A'^T A^* for a :class:`_ModeState` (unchanged under its own
-    Hamiltonian), :func:`mode_populations` for a correlation matrix."""
-    if not isinstance(state, _ModeState):
-        return _ModeState(ham, mode_populations(state, ham))
-    if ham is state.ham:
-        return state
-    o = ham.modes.T @ state.ham.modes.conj()
-    return _ModeState(ham, (o.real * o.real + o.imag * o.imag) @ state.p)
-
-
-def _evolve(state, ham: QuadraticHamiltonian, t: float) -> _ModeState:
-    """Hold for time ``t`` of a correlation matrix or a mode-basis :class:`_ModeState`
-    in the modes of ``ham``: gamma_eta[k, l] picks up exp(i t (eps_k - eps_l))."""
-    g = state.g if isinstance(state, _ModeState) else to_mode_basis(state, ham)
+def _evolve(state: _ModeState, ham: QuadraticHamiltonian, t: float) -> _ModeState:
+    """Hold of a matrix state in the modes of ``ham``: g[k, l] picks up exp(i t (eps_k - eps_l))."""
     phase = np.exp(1j * float(t) * ham.energies)
-    return _ModeState(ham, g * np.outer(phase, phase.conj()))
+    return _ModeState(ham, state.g * np.outer(phase, phase.conj()))
+
+
+def _dephase(state: _ModeState, ham: QuadraticHamiltonian):
+    """Time average in the modes of ``ham``: the populations p, duals log((1-p)/p)."""
+    p = np.clip(state.p, 0.0, 1.0)
+    with np.errstate(divide="ignore"):
+        lam = np.log((1.0 - p) / p)
+    return _ModeState(ham, state.p), tuple(float(x) for x in lam)
+
+
+def _thermalise(state: _ModeState, ham: QuadraticHamiltonian):
+    """Thermal state of ``ham`` at the mean energy of ``state``; dual beta."""
+    beta, _ = solve_beta(ham, state.energy(ham))
+    return _ModeState(ham, expit(-beta * ham.energies)), (beta,)
 
 
 def gibbs_correlation(ham: QuadraticHamiltonian, beta: float) -> np.ndarray:
@@ -310,7 +323,8 @@ def evolve_exact(gamma, ham: QuadraticHamiltonian, t: float) -> np.ndarray:
     In the mode basis each entry picks up the phase exp(i t (eps_k - eps_l));
     equivalently gamma -> U gamma U^dag with U = A.conj() exp(i t D) A.T.
     """
-    return _evolve(gamma, as_hamiltonian(ham), t).matrix()
+    ham = as_hamiltonian(ham)
+    return _evolve(_site(gamma, ham).quench(ham), ham, t).matrix()
 
 
 def dephase_gge(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
@@ -320,15 +334,14 @@ def dephase_gge(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
     the maximum-entropy state with every mode population held fixed.  The
     mean energy is conserved because only the mode diagonal carries energy.
     """
-    return _transport(gamma, as_hamiltonian(ham)).matrix()
+    ham = as_hamiltonian(ham)
+    return _dephase(_site(gamma, ham).quench(ham), ham)[0].matrix()
 
 
 def energy(gamma, ham: QuadraticHamiltonian) -> float:
     """Mean energy sum_ij c[i, j] * gamma[i, j] (imaginary round-off dropped)."""
     ham = as_hamiltonian(ham)
-    g = np.asarray(gamma, dtype=complex)
-    _check_dims(g, ham)
-    return float(np.sum(ham.c * g).real)
+    return _site(gamma, ham).energy(ham)
 
 
 def entropy_gaussian(gamma) -> float:
@@ -358,8 +371,4 @@ def work_of_quench(gamma, ham_old: QuadraticHamiltonian, ham_new: QuadraticHamil
 
     Positive values cost energy; negate for the extraction convention.
     """
-    ham_old = as_hamiltonian(ham_old)
-    ham_new = as_hamiltonian(ham_new)
-    if ham_old.n != ham_new.n:
-        raise ValueError(f"dimension mismatch: {ham_old.n} vs {ham_new.n}")
     return energy(gamma, ham_new) - energy(gamma, ham_old)

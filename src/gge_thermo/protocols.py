@@ -28,7 +28,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.special import expit
 
 from . import dense as qd
 from . import fermions as fg
@@ -218,11 +217,13 @@ class _Backend(NamedTuple):
     ``check`` and ``wrap`` validate the initial state and each Hamiltonian
     against it (a correlation matrix's spectrum is checked by its step-0
     entropy); the other entries are kernels that trust their arguments.
-    Each map returns ``(state, duals)``.  Entries call through the module
-    (``fg.energy``, not a bound reference), so a function patched on its
-    module is seen here too.
-    Every gaussian map returns a ``fg._ModeState``, which ``quench`` moves
-    to the next modes and ``matrix`` expands (identities on a matrix).
+    Each map takes the state in the frame of its Hamiltonian (after
+    ``quench``) and returns ``(state, duals)``.  Entries call through the
+    module (``fg._evolve``, not a bound reference), so a function patched on
+    its module is seen here too.
+    The gaussian state is a ``fg._ModeState`` from step 0 on, in the site
+    basis until the first ``quench`` moves it to the modes; ``matrix``
+    expands it.  The dense state is the density matrix itself.
     """
 
     check: Callable        # state -> validated state
@@ -244,36 +245,16 @@ def _gaussian_eigenbasis(gamma: np.ndarray):
     return p, w.conj()
 
 
-def _gaussian_check(gamma) -> np.ndarray:
-    # validated, but returned as given: the entropy kernel symmetrises it
+def _gaussian_check(gamma) -> fg._ModeState:
+    # validated, but kept as given: the entropy kernel symmetrises it
     require_hermitian(gamma, atol=1e-10, name="correlation matrix")
-    return np.asarray(gamma, dtype=complex)
+    return fg._ModeState(None, np.asarray(gamma, dtype=complex))
 
 
-def _gaussian_wrap(h, gamma) -> fg.QuadraticHamiltonian:
+def _gaussian_wrap(h, state) -> fg.QuadraticHamiltonian:
     ham = fg.as_hamiltonian(h)
-    fg._check_dims(gamma, ham)
+    fg._check_dims(state.g, ham)
     return ham
-
-
-def _gaussian_energy(state, ham) -> float:
-    if isinstance(state, fg._ModeState):
-        return float(ham.energies @ state.quench(ham).p)
-    return fg.energy(state, ham)
-
-
-def _gaussian_dephase(state, ham):
-    # the multipliers log((1-p)/p) reuse the populations just transported
-    new = fg._transport(state, ham)
-    p = np.clip(new.p, 0.0, 1.0)
-    with np.errstate(divide="ignore"):
-        lam = np.log((1.0 - p) / p)
-    return new, tuple(float(x) for x in lam)
-
-
-def _gaussian_thermalise(state, ham):
-    beta, _ = fg.solve_beta(ham, _gaussian_energy(state, ham))
-    return fg._ModeState(ham, expit(-beta * ham.energies)), (beta,)
 
 
 def _dense_wrap(h, rho) -> np.ndarray:
@@ -292,13 +273,13 @@ _BACKENDS = {
     "gaussian": _Backend(
         check=_gaussian_check,
         wrap=_gaussian_wrap,
-        quench=lambda s, ham: s.quench(ham) if isinstance(s, fg._ModeState) else s,
-        energy=_gaussian_energy,
-        entropy=lambda s: s.entropy() if isinstance(s, fg._ModeState) else fg._entropy(s),
-        matrix=lambda s: s.matrix() if isinstance(s, fg._ModeState) else s,
+        quench=lambda s, ham: s.quench(ham),
+        energy=lambda s, ham: s.energy(ham),
+        entropy=lambda s: s.entropy(),
+        matrix=lambda s: s.matrix(),
         evolve=lambda s, ham, t: (fg._evolve(s, ham, t), None),
-        dephase=_gaussian_dephase,
-        thermalise=_gaussian_thermalise,
+        dephase=lambda s, ham: fg._dephase(s, ham),
+        thermalise=lambda s, ham: fg._thermalise(s, ham),
         eigenbasis=_gaussian_eigenbasis,
         levels=lambda ham: (ham.c, ham.energies),
     ),
@@ -377,8 +358,8 @@ def run_schedule(
     a hold time drawn from the model's own seeded stream; holds and frozen
     quenches keep the spectrum, so every exact record but the last carries
     the step-0 entropy, and the last computes it from the final state, where
-    drift would show.  Gaussian states travel in the current modes; their
-    matrix is built only for kept states and the final state."""
+    drift would show.  A gaussian state travels in the current modes (on the
+    sites at step 0); its matrix is built only for kept and final states."""
     be = _backend(backend)
     state = be.check(initial_state)
     hams = [be.wrap(h, state) for h in hamiltonians]
@@ -474,13 +455,15 @@ def richardson_limit(ns, ys) -> tuple[float, float | None]:
 # Optimal constructions
 # ---------------------------------------------------------------------------
 
-def _ergotropy(be: _Backend, state: np.ndarray, ham) -> float:
-    """Largest work a unitary can extract from the state matrix (the
-    ergotropy of Allahverdyan, Balian and Nieuwenhuizen): its energy minus
-    the anti-ordered pairing of its spectrum with the energies of ``ham``."""
-    m = 0.5 * (state + state.conj().T)
+def _ergotropy(be: _Backend, state, ham) -> float:
+    """Largest work a unitary can extract from the validated state (the
+    ergotropy of Allahverdyan, Balian and Nieuwenhuizen): the energy of its
+    symmetrised matrix minus the anti-ordered pairing of its spectrum with
+    the energies of ``ham``."""
+    m = be.matrix(state)
+    m = 0.5 * (m + m.conj().T)
     floor = float(_check_spectrum(np.linalg.eigvalsh(m))[::-1] @ be.levels(ham)[1])
-    return be.energy(m, ham) - floor
+    return be.energy(be.check(m), ham) - floor
 
 
 def optimal_work_bound(gamma0, ham0) -> float:
@@ -488,8 +471,8 @@ def optimal_work_bound(gamma0, ham0) -> float:
     energy minus the anti-ordered pairing of the correlation spectrum with
     the mode energies."""
     be = _BACKENDS["gaussian"]
-    gamma = be.check(gamma0)
-    return _ergotropy(be, gamma, be.wrap(ham0, gamma))
+    state = be.check(gamma0)
+    return _ergotropy(be, state, be.wrap(ham0, state))
 
 
 def _optimal_schedule(state, ham0, n_quenches: int, backend: str = "gaussian") -> list:
@@ -512,7 +495,7 @@ def _optimal_schedule(state, ham0, n_quenches: int, backend: str = "gaussian") -
     half = n_quenches // 2
 
     def leg(m) -> list:
-        _, w = be.eigenbasis(m)
+        _, w = be.eigenbasis(be.matrix(m))
         h_from = (w * e_desc) @ w.conj().T
         if np.allclose(h_from, h0, atol=1e-13):
             return [ham0] * (half + 1)
@@ -525,7 +508,7 @@ def _optimal_schedule(state, ham0, n_quenches: int, backend: str = "gaussian") -
     for h in hams[1:]:
         # re-validated (so symmetrised) each step: the second leg rotates by a
         # permutation of ham0's eigenbasis, where the log's branch follows round-off
-        mid = be.check(be.matrix(be.dephase(mid, h)[0]))
+        mid = be.check(be.matrix(be.dephase(be.quench(mid, h), h)[0]))
     hams += leg(mid)
     return hams
 
@@ -687,7 +670,7 @@ def min_work_scan(
             if isinstance(model, fg.Exact):
                 model = replace(model, seed=np.random.SeedSequence(int(seed), spawn_key=(i, n)))
             try:
-                rec = run_schedule(state, hams, model, backend=backend, keep_states=False)
+                rec = run_schedule(be.matrix(state), hams, model, backend=backend, keep_states=False)
                 cells.append((rec.work, rec.entropy_production, None))
             except Exception as exc:
                 cells.append(failure(exc))

@@ -38,8 +38,18 @@ def test_parse_config_rejections():
         cli.parse_config(["fig3", "--models", "boltzmann"])
     with pytest.raises(ValueError, match="at least 2"):
         cli.parse_config(["fig1", "--n", "1"])
-    with pytest.raises(ValueError, match="at least 1"):
+    with pytest.raises(ValueError, match="positive integers, got 0$"):
         cli.parse_config(["fig3", "--quenches", "0,2"])
+    with pytest.raises(ValueError, match="need at least one quench count$"):
+        cli.parse_config(["fig3", "--quenches", ","])
+    # a negative seed is named for every experiment, not only the sweeps
+    for experiment in ("fig2", "fig3", "oracle-check"):
+        with pytest.raises(ValueError, match="seed must be an int >= 0, got -1$"):
+            cli.parse_config([experiment, "--seed", "-1"])
+    # a non-finite float is named by its key
+    for flag, key, value in (("--beta0", "beta0", "nan"), ("--eps1-peak", "eps1_peak", "inf")):
+        with pytest.raises(ValueError, match=f"{key} must be finite, got {value}$"):
+            cli.parse_config(["fig3", flag, value])
     # g is named before the default holds 20/g and 100/g divide by it,
     # also for oracle-check, which does not use it
     for experiment, g, shown in (("fig3", "0", "0.0"), ("oracle-check", "0", "0.0"),
@@ -123,6 +133,15 @@ def test_write_csv_roundtrip_and_atomicity(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
     with pytest.raises(ValueError, match="arity"):
         cli.write_csv(str(path), ["a"], [[1, 2]])
+
+
+def test_write_csv_names_a_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main(["oracle-check", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot write {out}: no directory {out.parent}" in err
+    assert ".tmp" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cmd_fig1_time_zero_matches_prequench_occupation():

@@ -223,6 +223,10 @@ def test_work_of_quench_examples():
     single2 = gt.build_chain(1, [1.4], 0.0)
     gamma1 = np.array([[0.3]], dtype=complex)
     assert gt.work_of_quench(gamma1, single, single2) == pytest.approx(0.3 * 0.4)
+    # the energies name a Hamiltonian of the wrong size, either one
+    for pair in ((ham, single), (single, ham)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            gt.work_of_quench(gamma, *pair)
 
 
 def test_work_of_quench_local_site_cost():

@@ -145,20 +145,18 @@ def test_exact_records_keep_spectrum_and_are_seeded():
 
 
 def _mode_frame_exact_loop(gamma0, hams, holds):
-    # the runner's exact recurrence through public names: from step 1 the
-    # state is its mode-basis matrix g, a quench is O g O^dag with
-    # O = A'^T A^*, a hold multiplies g by the phase outer product and the
-    # energy is eps . Re diag(g)
+    # the runner's exact recurrence through public names: step 0 is gamma0
+    # on the sites, each quench moves the state to the new modes (the first
+    # by to_mode_basis, then O g O^dag with O = A'^T A^*), a hold multiplies
+    # g by the phase outer product and the energy is eps . Re diag(g)
     works, energies, g = [0.0], [gt.energy(gamma0, hams[0])], None
     for m in range(1, len(hams)):
         if g is None:
-            cost = gt.energy(gamma0, hams[m]) - energies[-1]
             g = gt.to_mode_basis(gamma0, hams[m])
-        else:
-            if hams[m] is not hams[m - 1]:
-                o = hams[m].modes.T @ hams[m - 1].modes.conj()
-                g = o @ g @ o.conj().T
-            cost = float(hams[m].energies @ g.diagonal().real) - energies[-1]
+        elif hams[m] is not hams[m - 1]:
+            o = hams[m].modes.T @ hams[m - 1].modes.conj()
+            g = o @ g @ o.conj().T
+        cost = float(hams[m].energies @ g.diagonal().real) - energies[-1]
         phase = np.exp(1j * float(holds[m - 1]) * hams[m].energies)
         g = g * np.outer(phase, phase.conj())
         works.append(-cost)
@@ -422,6 +420,11 @@ def test_gaussian_runner_matches_public_map_loop(kind, keep_states):
         model = {"ta-gge": gt.GGE, "gibbs": gt.GIBBS,
                  "exact": (gt.Exact(2.7), gt.Exact(0.5, 4.0, n), gt.Exact(0.0))[n % 3]}[kind]
         rec = gt.run_schedule(gamma0, hams, model, keep_states=keep_states)
+        # step 0 is the initial matrix as given, on the sites
+        assert rec.steps[0].energy == gt.energy(gamma0, hams[0])
+        assert rec.steps[0].entropy == gt.entropy_gaussian(gamma0)
+        if keep_states:
+            assert np.array_equal(rec.steps[0].state, gamma0)
         if kind == "exact":
             holds = np.random.Generator(np.random.PCG64(model.seed)).uniform(
                 model.hold_min, model.hold_max, n_q)
