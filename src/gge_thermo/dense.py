@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .hermitian import (_check_spectrum, _eigh, _energy_matching_root, cluster_degenerate, eigh,
-                        require_hermitian)
+from .hermitian import (STATE_ATOL, _check_spectrum, _eigh, _energy_matching_root,
+                        cluster_degenerate, eigh, require_hermitian)
 
 __all__ = [
     "ConservedSet",
@@ -43,7 +43,6 @@ __all__ = [
     "gaussian_to_dense",
 ]
 
-STATE_ATOL = 1e-10
 MAX_DENSE_MODES = 12
 
 
@@ -66,7 +65,7 @@ def _prologue(rho, hamiltonian):
     their arguments; the protocol runner calls them after validating a whole
     schedule once."""
     r = check_state(rho)
-    es = eigh(hamiltonian, atol=1e-10)
+    es = eigh(hamiltonian, atol=STATE_ATOL)
     if r.shape != (es.dim, es.dim):
         raise ValueError(f"dimension mismatch: state {r.shape} vs Hamiltonian dim {es.dim}")
     return r, es
@@ -151,7 +150,7 @@ class ConservedSet:
     targets: tuple[float, ...]
 
     def __post_init__(self):
-        obs = tuple(require_hermitian(q, atol=1e-10, name=f"observable {i}")
+        obs = tuple(require_hermitian(q, atol=STATE_ATOL, name=f"observable {i}")
                     for i, q in enumerate(self.observables))
         tgt = tuple(float(t) for t in self.targets)
         if len(obs) != len(tgt):
@@ -246,7 +245,7 @@ def gge_state_dense(rho, hamiltonian, conserved: ConservedSet) -> tuple[np.ndarr
     then returned if every residual is within 1e-8, and ValueError is raised
     otherwise.
     """
-    h = require_hermitian(hamiltonian, atol=1e-10, name="Hamiltonian")
+    h = require_hermitian(hamiltonian, atol=STATE_ATOL, name="Hamiltonian")
     r = check_state(rho)
     if r.shape != h.shape:
         raise ValueError(f"dimension mismatch: state {r.shape} vs Hamiltonian dim {h.shape[0]}")
@@ -395,7 +394,7 @@ def entropy_matching_beta(hamiltonian, entropy: float) -> float | None:
     below the ground-degeneracy floor, probed at beta = 1e8).  For beta > 0
     the entropy falls with slope -beta Var_beta(H); the root is bracketed
     from [0, 1]."""
-    eps = eigh(hamiltonian, atol=1e-10).values
+    eps = eigh(hamiltonian, atol=STATE_ATOL).values
     s0 = float(entropy)
     if not np.isfinite(s0):
         raise ValueError(f"entropy must be finite, got {entropy!r}")
@@ -443,7 +442,7 @@ def _hopping(n: int, i: int, j: int):
 
 def quadratic_to_dense(coefficients) -> np.ndarray:
     """2^n-dimensional Hamiltonian sum_ij c[i, j] a_i^dag a_j."""
-    c = require_hermitian(coefficients, atol=1e-10, name="coefficient matrix")
+    c = require_hermitian(coefficients, atol=STATE_ATOL, name="coefficient matrix")
     n = c.shape[0]
     _check_mode_count(n)
     h = np.zeros((2**n, 2**n), dtype=complex)
@@ -487,7 +486,7 @@ def gaussian_to_dense(gamma) -> np.ndarray:
     the eigenmodes of (d_k on occupied, 1 - d_k on empty); its correlation
     matrix reproduces gamma exactly.
     """
-    g = require_hermitian(gamma, atol=1e-10, name="correlation matrix")
+    g = require_hermitian(gamma, atol=STATE_ATOL, name="correlation matrix")
     n = g.shape[0]
     _check_mode_count(n)
     d, w = np.linalg.eigh(g)

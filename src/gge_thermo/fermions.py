@@ -38,7 +38,8 @@ same work accounting.
 
 Every state is one ``_ModeState``: in the modes of a Hamiltonian, or on the
 sites for a correlation matrix as given (a run's step 0).  Its ``quench`` is
-the one transport rule, and the public maps are views over a site state.
+the one transport rule.  ``_site`` builds the runner's initial state and the
+site state of every public map, and names a NaN or non-Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit, xlogy
 
-from .hermitian import _check_spectrum, _eigh, _energy_matching_root, require_hermitian
+from .hermitian import STATE_ATOL, _check_spectrum, _eigh, _energy_matching_root, require_hermitian
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -179,10 +180,13 @@ def _check_dims(gamma: np.ndarray, ham: QuadraticHamiltonian) -> None:
         )
 
 
-def _site(gamma, ham: QuadraticHamiltonian) -> "_ModeState":
-    """The correlation matrix ``gamma`` as a state on the sites, sized for ``ham``."""
+def _site(gamma, ham: QuadraticHamiltonian | None = None) -> "_ModeState":
+    """The correlation matrix ``gamma`` as a state on the sites: finite and Hermitian
+    within ``STATE_ATOL``, kept as given, and sized for ``ham`` when one is given."""
+    require_hermitian(gamma, atol=STATE_ATOL, name="correlation matrix")
     g = np.asarray(gamma, dtype=complex)
-    _check_dims(g, ham)
+    if ham is not None:
+        _check_dims(g, ham)
     return _ModeState(None, g)
 
 
@@ -205,9 +209,9 @@ def mode_populations(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
 
 
 class _ModeState(NamedTuple):
-    """Gaussian state in the modes of ``ham``, A.conj() @ g @ A.T, or in the
-    site basis when ``ham`` is None: g is its matrix there or, for a state
-    diagonal there, its populations p."""
+    """Gaussian state in the modes of ``ham``, A.conj() @ g @ A.T, with g its
+    matrix there or, for a state diagonal there, its populations p; or on
+    the sites when ``ham`` is None, with g the correlation matrix."""
 
     ham: QuadraticHamiltonian | None
     g: np.ndarray
@@ -221,7 +225,12 @@ class _ModeState(NamedTuple):
         return g if self.ham is None else from_mode_basis(g, self.ham)
 
     def entropy(self) -> float:
-        return _binary_entropy(self.g) if self.g.ndim == 1 else _entropy(self.g)
+        """Binary-entropy sum over the populations or the symmetrised matrix's
+        spectrum, checked by :func:`_check_spectrum` and clipped to [0, 1]."""
+        g = self.g
+        d = g if g.ndim == 1 else np.linalg.eigvalsh(0.5 * (g + g.conj().T))
+        d = np.clip(_check_spectrum(d), 0.0, 1.0)
+        return float(-np.sum(xlogy(d, d) + xlogy(1.0 - d, 1.0 - d)))
 
     def energy(self, ham: QuadraticHamiltonian) -> float:
         """Mean energy: sum c[i, j] g[i, j] on the sites, else eps . p in the modes of ``ham``."""
@@ -350,20 +359,7 @@ def entropy_gaussian(gamma) -> float:
     Eigenvalues must lie in [-1e-6, 1 + 1e-6]; they are clamped to [0, 1]
     before the binary-entropy sum, with 0 log 0 = 0.
     """
-    return _entropy(require_hermitian(gamma, atol=1e-10, name="correlation matrix"))
-
-
-def _entropy(gamma: np.ndarray) -> float:
-    """Kernel of :func:`entropy_gaussian` for a correlation matrix whose
-    Hermiticity is already validated: symmetrised, but not re-checked."""
-    return _binary_entropy(np.linalg.eigvalsh(0.5 * (gamma + gamma.conj().T)))
-
-
-def _binary_entropy(d: np.ndarray) -> float:
-    """Binary-entropy sum over a correlation spectrum or mode populations,
-    checked by :func:`_check_spectrum` and clipped to [0, 1]."""
-    d = np.clip(_check_spectrum(d), 0.0, 1.0)
-    return float(-np.sum(xlogy(d, d) + xlogy(1.0 - d, 1.0 - d)))
+    return _site(gamma).entropy()
 
 
 def work_of_quench(gamma, ham_old: QuadraticHamiltonian, ham_new: QuadraticHamiltonian) -> float:

@@ -11,7 +11,7 @@ polish) is the one root finder: ``fermions.solve_beta`` and
 ``dense.gibbs_state_dense`` match a mean energy with it, and
 ``dense.entropy_matching_beta`` an entropy.  :func:`_check_spectrum` is the
 one range rule for a correlation spectrum or mode populations, called by
-``fermions._binary_entropy``, ``dense.gaussian_to_dense`` and
+``fermions._ModeState.entropy``, ``dense.gaussian_to_dense`` and
 ``protocols._ergotropy``.
 """
 
@@ -23,6 +23,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 HERMITIAN_ATOL = 1e-12
+STATE_ATOL = 1e-10      # inputs: states, and the Hamiltonians and observables checked with them
 DEGENERACY_TOL = 1e-9
 
 __all__ = [

@@ -31,7 +31,7 @@ import scipy.linalg
 
 from . import dense as qd
 from . import fermions as fg
-from .hermitian import _check_spectrum, _eigh, require_hermitian
+from .hermitian import STATE_ATOL, _check_spectrum, _eigh, require_hermitian
 
 __all__ = [
     "Trajectory",
@@ -84,7 +84,7 @@ class Trajectory:
 
     def __post_init__(self):
         frames = tuple(
-            require_hermitian(k, atol=1e-10, name=f"keyframe {i}")
+            require_hermitian(k, atol=STATE_ATOL, name=f"keyframe {i}")
             for i, k in enumerate(self.keyframes)
         )
         if len(frames) < 2:
@@ -215,8 +215,9 @@ class _Backend(NamedTuple):
     """How one back end validates its inputs and applies the three maps.
 
     ``check`` and ``wrap`` validate the initial state and each Hamiltonian
-    against it (a correlation matrix's spectrum is checked by its step-0
-    entropy); the other entries are kernels that trust their arguments.
+    against it, once per entry point, which hands them to ``_run`` with the
+    step-0 ``entropy`` (the check of a correlation spectrum); the other
+    entries are kernels that trust their arguments.
     Each map takes the state in the frame of its Hamiltonian (after
     ``quench``) and returns ``(state, duals)``.  Entries call through the
     module (``fg._evolve``, not a bound reference), so a function patched on
@@ -245,12 +246,6 @@ def _gaussian_eigenbasis(gamma: np.ndarray):
     return p, w.conj()
 
 
-def _gaussian_check(gamma) -> fg._ModeState:
-    # validated, but kept as given: the entropy kernel symmetrises it
-    require_hermitian(gamma, atol=1e-10, name="correlation matrix")
-    return fg._ModeState(None, np.asarray(gamma, dtype=complex))
-
-
 def _gaussian_wrap(h, state) -> fg.QuadraticHamiltonian:
     ham = fg.as_hamiltonian(h)
     fg._check_dims(state.g, ham)
@@ -258,7 +253,7 @@ def _gaussian_wrap(h, state) -> fg.QuadraticHamiltonian:
 
 
 def _dense_wrap(h, rho) -> np.ndarray:
-    h = require_hermitian(h, atol=1e-10, name="Hamiltonian")
+    h = require_hermitian(h, atol=STATE_ATOL, name="Hamiltonian")
     if h.shape != rho.shape:
         raise ValueError(f"dimension mismatch: state {rho.shape} vs Hamiltonian {h.shape}")
     return h
@@ -271,7 +266,7 @@ def _dense_thermalise(rho, h):
 
 _BACKENDS = {
     "gaussian": _Backend(
-        check=_gaussian_check,
+        check=lambda gamma: fg._site(gamma),
         wrap=_gaussian_wrap,
         quench=lambda s, ham: s.quench(ham),
         energy=lambda s, ham: s.energy(ham),
@@ -363,14 +358,22 @@ def run_schedule(
     be = _backend(backend)
     state = be.check(initial_state)
     hams = [be.wrap(h, state) for h in hamiltonians]
+    return _run(state, be.entropy(state), hams, model, backend, keep_states)
+
+
+def _run(state, entropy: float, hams, model, backend: str, keep_states: bool) -> ProtocolRecord:
+    """The one protocol loop, behind :func:`run_schedule`, the sweep and the optimal
+    constructions, on a checked ``state``, its step-0 ``entropy`` and ``hams`` wrapped
+    against it; it checks only the model and that the schedule is not empty."""
     if not hams:
         raise ValueError("the schedule must contain at least the initial Hamiltonian")
+    be = _BACKENDS[backend]
     equilibrate = _model(model)[1](model, be, len(hams) - 1)
 
     def record(m: int, state, work: float, duals) -> StepRecord:
-        unitary = isinstance(model, fg.Exact) and 0 < m < len(hams) - 1
+        held = m == 0 or (isinstance(model, fg.Exact) and m < len(hams) - 1)
         return StepRecord(step=m, work_extracted=work, energy=be.energy(state, hams[m]),
-                          entropy=steps[0].entropy if unitary else be.entropy(state), duals=duals,
+                          entropy=entropy if held else be.entropy(state), duals=duals,
                           state=be.matrix(state) if keep_states else None)
 
     steps = [record(0, state, 0.0, None)]
@@ -517,9 +520,10 @@ def _optimal_protocol(state, ham0, n_quenches: int, backend: str,
                       keep_states: bool) -> ProtocolRecord:
     """:func:`_optimal_schedule` run under dephasing; ``meta['work_bound']`` is its ceiling."""
     hams = _optimal_schedule(state, ham0, n_quenches, backend)
-    record = run_schedule(state, hams, fg.GGE, backend=backend, keep_states=keep_states)
     be = _backend(backend)
-    record.meta["work_bound"] = _ergotropy(be, be.check(state), hams[0])
+    state = be.check(state)
+    record = _run(state, be.entropy(state), hams, fg.GGE, backend, keep_states)
+    record.meta["work_bound"] = _ergotropy(be, state, hams[0])
     return record
 
 
@@ -549,15 +553,15 @@ def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,
     if not k < 0:       # NaN fails this test too
         raise ValueError(f"k must be negative, got {k}")
     n_quenches = _quench_counts([n_quenches])[0]
-    h0 = require_hermitian(h0, atol=1e-10, name="Hamiltonian")
     rho = qd.check_state(rho0)
+    h0 = _dense_wrap(h0, rho)
     p, w = np.linalg.eigh(rho)
     if float(p.min()) < 1e-12:
         raise ValueError(f"state is singular (smallest eigenvalue {float(p.min()):.3e}); "
                          "the logarithm quench needs full rank")
     h1 = (w * (k * np.log(p))) @ w.conj().T
     schedule = [h0] + Trajectory.linear(h1, h0).schedule(n_quenches)
-    record = run_schedule(rho, schedule, fg.GIBBS, backend="dense", keep_states=keep_states)
+    record = _run(rho, qd._entropy(rho), schedule, fg.GIBBS, "dense", keep_states)
     beta_star = qd.entropy_matching_beta(h0, record.steps[0].entropy)
     record.meta["beta_star"] = beta_star
     if beta_star is not None:
@@ -655,7 +659,7 @@ def min_work_scan(
         raise ValueError("need at least one model and one N")
     labels = tuple(model_label(m) for m in models)
     state = be.check(initial_state)
-    be.entropy(state)       # a correlation spectrum outside [0, 1] raises here
+    entropy = be.entropy(state)     # a correlation spectrum outside [0, 1] raises here
 
     def failure(exc) -> tuple:
         return float("nan"), float("nan"), f"{type(exc).__name__}: {exc}"
@@ -670,7 +674,7 @@ def min_work_scan(
             if isinstance(model, fg.Exact):
                 model = replace(model, seed=np.random.SeedSequence(int(seed), spawn_key=(i, n)))
             try:
-                rec = run_schedule(be.matrix(state), hams, model, backend=backend, keep_states=False)
+                rec = _run(state, entropy, hams, model, backend, keep_states=False)
                 cells.append((rec.work, rec.entropy_production, None))
             except Exception as exc:
                 cells.append(failure(exc))

@@ -81,17 +81,38 @@ def test_non_finite_matrices_are_rejected_by_name(value, where):
         m[0, 1] = value
         if where == "off-diagonal":
             m[1, 0] = value
-    entries = {
-        "matrix": lambda: require_hermitian(m),
-        "coefficient matrix": lambda: gt.QuadraticHamiltonian(m),
-        "state": lambda: gt.check_state(m),
-        "correlation matrix": lambda: gt.entropy_gaussian(m),
-    }
+    entries = [
+        ("matrix", lambda: require_hermitian(m)),
+        ("coefficient matrix", lambda: gt.QuadraticHamiltonian(m)),
+        ("state", lambda: gt.check_state(m)),
+    ] + [("correlation matrix", view) for view in _correlation_views(m)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for name, call in entries.items():
+        for name, call in entries:
             with pytest.raises(ValueError, match=f"^{name} has non-finite entries$"):
                 call()
+
+
+def _correlation_views(gamma):
+    # every public fermions map that takes a correlation matrix
+    ham = gt.build_chain(2, [0.5, 1.0], 0.3)
+    return [
+        lambda: gt.entropy_gaussian(gamma),
+        lambda: gt.energy(gamma, ham),
+        lambda: gt.dephase_gge(gamma, ham),
+        lambda: gt.to_mode_basis(gamma, ham),
+        lambda: gt.mode_populations(gamma, ham),
+        lambda: gt.evolve_exact(gamma, ham, 1.0),
+        lambda: gt.work_of_quench(gamma, ham, ham),
+    ]
+
+
+def test_non_hermitian_correlation_matrices_are_rejected_by_name():
+    # an asymmetry of 1e-9 is above the 1e-10 input tolerance
+    m = np.array([[0.25, 1e-9], [0.0, 0.5]], dtype=complex)
+    for call in _correlation_views(m):
+        with pytest.raises(ValueError, match="^correlation matrix is not Hermitian: "):
+            call()
 
 
 def test_reconstruction_random():

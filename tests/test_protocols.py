@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gge_thermo as gt
-from gge_thermo import fermions, hermitian
+from gge_thermo import dense, fermions, hermitian
 from gge_thermo import protocols as pr
 from _helpers import (make_rng, random_correlation, random_density, random_hermitian,
                       random_unitary)
@@ -480,6 +480,42 @@ def test_gaussian_runner_diagonalises_only_where_needed(monkeypatch):
         calls.clear()
         gt.run_schedule(gamma0, hams, model, keep_states=False)
         assert len(calls) == expected, gt.model_label(model)
+    # the sweep validates the state and takes its entropy once for all its
+    # cells; each exact cell adds the entropy of its final state
+    checks = []
+
+    def counting_check(matrix, *args, **kwargs):
+        checks.append(kwargs.get("name"))
+        return hermitian.require_hermitian(matrix, *args, **kwargs)
+
+    for module in (fermions, pr):
+        monkeypatch.setattr(module, "require_hermitian", counting_check)
+    calls.clear()
+    ns = (4, 10, 20)
+    scan = gt.min_work_scan(gamma0, lambda n: hams[:n + 1],
+                            [gt.GGE, gt.GIBBS, gt.Exact(0.5, 4.0)], ns, seed=3)
+    assert not scan.failures
+    assert len(calls) == 1 + len(ns)
+    assert checks.count("correlation matrix") == 1
+
+
+@pytest.mark.parametrize("n_q", [2, 4, 8])
+def test_optimal_ta_protocol_checks_the_state_once_per_built_step(monkeypatch, n_q):
+    # the builder checks the state and each state of its first leg (N/2 + 2);
+    # the run and the work bound then share one more check, and the bound's
+    # energy takes the last
+    rng = make_rng(402)
+    rho0, h0 = random_density(4, rng), random_hermitian(4, rng)
+    checks = []
+    check_state = dense.check_state
+
+    def counting(rho):
+        checks.append(1)
+        return check_state(rho)
+
+    monkeypatch.setattr(dense, "check_state", counting)
+    gt.optimal_ta_protocol(rho0, h0, n_q, keep_states=False)
+    assert len(checks) <= n_q // 2 + 4
 
 
 def test_exact_last_entropy_shows_drift(monkeypatch):
