@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
-from .hermitian import (STATE_ATOL, _check_spectrum, _eigh, _energy_matching_root,
+from .hermitian import (STATE_ATOL, _check_spectrum, _eigh, _energy_matching_root, _xlogx,
                         cluster_degenerate, eigh, require_hermitian)
 
 __all__ = [
@@ -128,15 +127,12 @@ def _gibbs(r: np.ndarray, es) -> tuple[np.ndarray, float]:
             f"({eps[0]:.12g}, {eps[-1]:.12g})"
         )
 
-    def f(beta: float) -> float:
-        return float(_thermal_weights(eps, beta) @ eps) - target
-
-    def slope(beta: float) -> float:
+    def fs(beta: float) -> tuple[float, float]:
         w = _thermal_weights(eps, beta)
         mean = float(w @ eps)
-        return -float(w @ (eps - mean) ** 2)
+        return mean - target, -float(w @ (eps - mean) ** 2)
 
-    beta = _energy_matching_root(f, slope, target)
+    beta = _energy_matching_root(fs)
     w = _thermal_weights(eps, beta)
     omega = (es.vectors * w) @ es.vectors.conj().T
     return omega, float(beta)
@@ -335,7 +331,7 @@ def _entropy(r: np.ndarray) -> float:
     if p.size and p.min() < -STATE_ATOL:
         raise ValueError(f"state has negative eigenvalue {p.min():.3e}")
     p = np.clip(p, 0.0, 1.0)
-    return float(-np.sum(xlogy(p, p)))
+    return 0.0 - float(np.sum(_xlogx(p)))       # +0.0, not -0.0, when pure
 
 
 def kl_gap(rho, hamiltonian, conserved: ConservedSet) -> float:
@@ -399,20 +395,16 @@ def entropy_matching_beta(hamiltonian, entropy: float) -> float | None:
     if not np.isfinite(s0):
         raise ValueError(f"entropy must be finite, got {entropy!r}")
 
-    def f(beta: float) -> float:
+    def fs(beta: float) -> tuple[float, float]:
         w = _thermal_weights(eps, beta)
-        return float(-np.sum(xlogy(w, w))) - s0
+        return -float(np.sum(_xlogx(w))) - s0, -beta * float(w @ (eps - w @ eps) ** 2)
 
-    def slope(beta: float) -> float:
-        w = _thermal_weights(eps, beta)
-        return -beta * float(w @ (eps - w @ eps) ** 2)
-
-    f0 = f(0.0)
+    f0 = fs(0.0)[0]
     if f0 == 0.0:
         return 0.0
-    if s0 > np.log(eps.size) + 1e-12 or f0 < 0.0 or f(1e8) >= 0.0:
+    if s0 > np.log(eps.size) + 1e-12 or f0 < 0.0 or fs(1e8)[0] >= 0.0:
         return None
-    return float(_energy_matching_root(f, slope, s0, lo=0.0, hi=1.0))
+    return float(_energy_matching_root(fs, lo=0.0, hi=1.0))
 
 
 # ---------------------------------------------------------------------------

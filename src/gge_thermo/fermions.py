@@ -49,9 +49,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit, xlogy
 
-from .hermitian import STATE_ATOL, _check_spectrum, _eigh, _energy_matching_root, require_hermitian
+from .hermitian import (STATE_ATOL, _check_spectrum, _eigh, _energy_matching_root, _fermi, _xlogx,
+                        require_hermitian)
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -196,11 +196,12 @@ def to_mode_basis(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
 
 
 def from_mode_basis(gamma_eta, ham: QuadraticHamiltonian) -> np.ndarray:
-    """Inverse of :func:`to_mode_basis`: gamma = A.conj() @ gamma_eta @ A.T."""
+    """Inverse of :func:`to_mode_basis`: gamma = A.conj() @ gamma_eta @ A.T.
+    ``gamma_eta`` must be finite and Hermitian within ``STATE_ATOL``; it is used as given."""
+    require_hermitian(gamma_eta, atol=STATE_ATOL, name="mode-basis correlation matrix")
     g = np.asarray(gamma_eta, dtype=complex)
     _check_dims(g, ham)
-    a = ham.modes
-    return a.conj() @ g @ a.T
+    return _ModeState(ham, g).matrix()
 
 
 def mode_populations(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
@@ -222,7 +223,7 @@ class _ModeState(NamedTuple):
 
     def matrix(self) -> np.ndarray:
         g = self.g if self.g.ndim == 2 else np.diag(self.g.astype(complex))
-        return g if self.ham is None else from_mode_basis(g, self.ham)
+        return g if self.ham is None else self.ham.modes.conj() @ g @ self.ham.modes.T
 
     def entropy(self) -> float:
         """Binary-entropy sum over the populations or the symmetrised matrix's
@@ -230,7 +231,7 @@ class _ModeState(NamedTuple):
         g = self.g
         d = g if g.ndim == 1 else np.linalg.eigvalsh(0.5 * (g + g.conj().T))
         d = np.clip(_check_spectrum(d), 0.0, 1.0)
-        return float(-np.sum(xlogy(d, d) + xlogy(1.0 - d, 1.0 - d)))
+        return 0.0 - float(np.sum(_xlogx(d) + _xlogx(1.0 - d)))     # +0.0, not -0.0, when pure
 
     def energy(self, ham: QuadraticHamiltonian) -> float:
         """Mean energy: sum c[i, j] g[i, j] on the sites, else eps . p in the modes of ``ham``."""
@@ -266,7 +267,7 @@ def _dephase(state: _ModeState, ham: QuadraticHamiltonian):
 def _thermalise(state: _ModeState, ham: QuadraticHamiltonian):
     """Thermal state of ``ham`` at the mean energy of ``state``; dual beta."""
     beta, _ = solve_beta(ham, state.energy(ham))
-    return _ModeState(ham, expit(-beta * ham.energies)), (beta,)
+    return _ModeState(ham, _fermi(beta * ham.energies)), (beta,)
 
 
 def gibbs_correlation(ham: QuadraticHamiltonian, beta: float) -> np.ndarray:
@@ -278,7 +279,7 @@ def gibbs_correlation(ham: QuadraticHamiltonian, beta: float) -> np.ndarray:
     values describe population-inverted diagnostics).
     """
     ham = as_hamiltonian(ham)
-    return _ModeState(ham, expit(-float(beta) * ham.energies)).matrix()
+    return _ModeState(ham, _fermi(float(beta) * ham.energies)).matrix()
 
 
 def attainable_energy_range(ham: QuadraticHamiltonian) -> tuple[float, float]:
@@ -291,8 +292,8 @@ def solve_beta(ham: QuadraticHamiltonian, target_energy: float) -> tuple[float, 
     """Inverse temperature whose thermal state has the given mean energy.
 
     The energy is strictly decreasing in beta, so bracketed root finding
-    (geometric bracket expansion followed by Brent iteration, with a Newton
-    polish if needed) cannot fail inside the attainable range.
+    (geometric bracket expansion followed by Newton steps safeguarded by
+    bisection) cannot fail inside the attainable range.
 
     Returns ``(beta, negative_temperature_flag)``; the flag is set when the
     matched beta is negative, which corresponds to a population-inverted
@@ -315,14 +316,13 @@ def solve_beta(ham: QuadraticHamiltonian, target_energy: float) -> tuple[float, 
             f"({lo_e:.12g}, {hi_e:.12g})"
         )
 
-    def f(beta: float) -> float:
-        return float(np.sum(eps * expit(-beta * eps))) - t
+    eps2 = eps * eps
 
-    def slope(beta: float) -> float:
-        p = expit(-beta * eps)
-        return float(-np.sum(eps * eps * p * (1.0 - p)))
+    def fs(beta: float) -> tuple[float, float]:
+        p = _fermi(beta * eps)
+        return float(eps @ p) - t, -float(eps2 @ (p * (1.0 - p)))
 
-    beta = _energy_matching_root(f, slope, t)
+    beta = _energy_matching_root(fs)
     return float(beta), bool(beta < 0.0)
 
 

@@ -6,13 +6,14 @@ column is real and positive, which makes repeated runs reproducible.  All
 routines are pure functions; nothing mutates its inputs.
 
 Both back ends import this module and not each other, so the rules they
-share live here.  :func:`_energy_matching_root` (bracket, Brent, Newton
-polish) is the one root finder: ``fermions.solve_beta`` and
+share live here.  :func:`_energy_matching_root` (bracket, then safeguarded
+Newton-bisection) is the one root finder: ``fermions.solve_beta`` and
 ``dense.gibbs_state_dense`` match a mean energy with it, and
 ``dense.entropy_matching_beta`` an entropy.  :func:`_check_spectrum` is the
 one range rule for a correlation spectrum or mode populations, called by
 ``fermions._ModeState.entropy``, ``dense.gaussian_to_dense`` and
-``protocols._ergotropy``.
+``protocols._ergotropy``.  :func:`_fermi` and :func:`_xlogx` are the
+Fermi-function and entropy kernels; nothing here imports scipy.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 HERMITIAN_ATOL = 1e-12
 STATE_ATOL = 1e-10      # inputs: states, and the Hamiltonians and observables checked with them
 DEGENERACY_TOL = 1e-9
+_LOG_MAX = float(np.log(np.finfo(float).max))   # exp overflows above this
+_EPS4 = 4.0 * float(np.finfo(float).eps)
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -144,45 +146,58 @@ def _check_spectrum(d: np.ndarray) -> np.ndarray:
     return d
 
 
-def _energy_matching_root(f, slope, target: float, lo: float = -64.0, hi: float = 64.0) -> float:
-    """Root of the residual ``f(beta)`` (a mean energy or an entropy minus
-    ``target``), strictly decreasing on the bracket.
+def _fermi(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(x)) elementwise; where exp(x) would overflow it is taken as inf, giving 0."""
+    return 1.0 / (1.0 + np.exp(x, out=np.full(x.shape, np.inf), where=x < _LOG_MAX))
+
+
+def _xlogx(p: np.ndarray) -> np.ndarray:
+    """p log p elementwise for p >= 0, with 0 log 0 = 0."""
+    return p * np.log(np.where(p > 0.0, p, 1.0))
+
+
+def _energy_matching_root(fs, lo: float = -64.0, hi: float = 64.0) -> float:
+    """Root of a residual f (a mean energy or an entropy minus its target),
+    strictly decreasing on the bracket; ``fs(beta)`` returns ``(f, df/dbeta)``.
 
     The bracket (``lo``, ``hi``) doubles outwards until the residual changes
-    sign (up to |beta| = 1e12; an end at zero stays put), Brent's method
-    finds the root, and up to eight Newton steps ``beta -= f / slope``
-    polish it when the residual still exceeds ``1e-10 * max(1, |target|)``.
+    sign (up to |beta| = 1e12; an end at zero stays put).  From its midpoint,
+    a Newton step is taken when it stays inside the shrinking bracket and is
+    at most half the step before last; otherwise the bracket is bisected.  The
+    root is returned once a step falls below 1e-14 + 4 eps |beta|.
 
-    Raises RuntimeError when no sign change is found or the polish does not
-    reach the tolerance (residual reported).
+    Raises RuntimeError when no sign change is found or 200 steps do not
+    converge (residual reported).
     """
-    b_lo, b_hi = lo, hi
-    f_lo, f_hi = f(b_lo), f(b_hi)  # f decreasing: want f_lo >= 0 >= f_hi
-    while f_lo < 0.0 and -1e12 < b_lo < 0.0:
-        b_lo *= 2.0
-        f_lo = f(b_lo)
-    while f_hi > 0.0 and 0.0 < b_hi < 1e12:
-        b_hi *= 2.0
-        f_hi = f(b_hi)
+    f_lo, f_hi = fs(lo)[0], fs(hi)[0]  # f decreasing: want f_lo >= 0 >= f_hi
+    while f_lo < 0.0 and -1e12 < lo < 0.0:
+        lo *= 2.0
+        f_lo = fs(lo)[0]
+    while f_hi > 0.0 and 0.0 < hi < 1e12:
+        hi *= 2.0
+        f_hi = fs(hi)[0]
     if f_lo < 0.0 or f_hi > 0.0:
         raise RuntimeError(
             "beta matching found no sign change after bracket expansion; residual "
             f"{min(abs(f_lo), abs(f_hi)):.3e}"
         )
-    beta = brentq(f, b_lo, b_hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=300)
-    tol = 1e-10 * max(1.0, abs(target))
-    resid = f(beta)
-    if abs(resid) > tol:
-        for _ in range(8):
-            s = slope(beta)
-            if s == 0.0:
-                break
-            beta -= resid / s
-            resid = f(beta)
-            if abs(resid) <= tol:
-                break
-        if abs(resid) > tol:
-            raise RuntimeError(
-                f"beta matching did not converge: residual {abs(resid):.3e} exceeds {tol:.3e}"
-            )
-    return beta
+    beta = 0.5 * (lo + hi)
+    step = step_old = hi - lo
+    for _ in range(200):
+        f, s = fs(beta)
+        if f == 0.0:
+            return beta
+        if f > 0.0:
+            lo = beta
+        else:
+            hi = beta
+        newton = f / s if s < 0.0 else np.inf
+        if lo <= beta - newton <= hi and 2.0 * abs(newton) <= step_old:
+            step_old, step = step, abs(newton)
+            beta -= newton
+        else:
+            step_old, step = step, 0.5 * (hi - lo)
+            beta = lo + step
+        if step <= 1e-14 + _EPS4 * abs(beta):
+            return beta
+    raise RuntimeError(f"beta matching did not converge: residual {abs(f):.3e} after 200 steps")

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import dense as qd
 from . import fermions as fg
@@ -118,7 +117,9 @@ class Trajectory:
                 f"(sorted mismatch {gap:.3e})"
             )
         v = es_b.vectors @ es_a.vectors.conj().T
-        # Principal logarithm of a unitary via its (diagonal) Schur form.
+        # Principal logarithm of a unitary via its (diagonal) Schur form;
+        # scipy loads here, for eigenvector-rule segments only.
+        import scipy.linalg
         t_mat, z = scipy.linalg.schur(v, output="complex")
         log_v = (z * (1j * np.angle(np.diag(t_mat)))) @ z.conj().T
         log_v = 0.5 * (log_v - log_v.conj().T)

@@ -29,3 +29,47 @@ def random_correlation(n, rng, lo=0.0, hi=1.0):
     w = random_unitary(n, rng)
     p = rng.uniform(lo, hi, n)
     return (w * p) @ w.conj().T
+
+
+def record_roots(monkeypatch, module):
+    """Wrap ``module._energy_matching_root``: each call appends a record of its
+    residual callback ``fs``, its bracket, its root and how often it called ``fs``."""
+    finder = module._energy_matching_root
+    records = []
+
+    def recording(fs, lo=-64.0, hi=64.0):
+        calls = [0]
+
+        def counted(beta):
+            calls[0] += 1
+            return fs(beta)
+
+        beta = finder(counted, lo, hi)
+        records.append({"fs": fs, "lo": lo, "hi": hi, "beta": beta, "calls": calls[0]})
+        return beta
+
+    monkeypatch.setattr(module, "_energy_matching_root", recording)
+    return records
+
+
+def brentq_root(fs, lo, hi):
+    """Reference root of ``fs(beta)[0]``: the finder's bracket doubling, then
+    scipy's Brent method at xtol 1e-14, rtol 4 eps.  Returns the root and the
+    number of residual evaluations."""
+    from scipy.optimize import brentq
+
+    calls = [0]
+
+    def f(beta):
+        calls[0] += 1
+        return fs(beta)[0]
+
+    f_lo, f_hi = f(lo), f(hi)
+    while f_lo < 0.0 and -1e12 < lo < 0.0:
+        lo *= 2.0
+        f_lo = f(lo)
+    while f_hi > 0.0 and 0.0 < hi < 1e12:
+        hi *= 2.0
+        f_hi = f(hi)
+    root = brentq(f, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=300)
+    return root, calls[0]

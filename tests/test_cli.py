@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -248,3 +253,23 @@ def test_small_fig4_runs_end_to_end(tmp_path, capsys):
     assert "positive-temperature condition" in capsys.readouterr().out
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "N,W_exact,W_gge,W_gge_inf"
+
+
+def test_import_and_scipy_free_runs_load_no_scipy(tmp_path):
+    # scipy is needed only by eigenvector-rule trajectories (their Schur
+    # logarithm); importing the package and running fig1 or oracle-check must
+    # not load it, so a fresh interpreter reports the scipy modules it holds
+    script = "\n".join([
+        "import sys",
+        "import gge_thermo",
+        "from gge_thermo import cli",
+        f"assert cli.main(['fig1', '--n', '8', '--out', {str(tmp_path / 'fig1.csv')!r}]) == 0",
+        f"assert cli.main(['oracle-check', '--n', '3', '--out', {str(tmp_path / 'oracle.csv')!r}]) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"

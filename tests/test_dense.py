@@ -6,7 +6,8 @@ import pytest
 
 import gge_thermo as gt
 from gge_thermo import dense as qd
-from _helpers import make_rng, random_correlation, random_density, random_hermitian, random_unitary
+from _helpers import (brentq_root, make_rng, random_correlation, random_density, random_hermitian,
+                      random_unitary, record_roots)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -318,6 +319,25 @@ def test_check_state_rejections():
         gt.check_state(np.eye(2))
     with pytest.raises(ValueError, match="negative eigenvalue"):
         gt.check_state(np.diag([1.5, -0.5]))
+
+
+def test_dense_beta_matching_agrees_with_brentq(monkeypatch):
+    # energy matching (gibbs_state_dense) and entropy matching on the
+    # Newton-bisection finder against scipy's brentq on the same residual
+    roots = record_roots(monkeypatch, qd)
+    rng = make_rng(15)
+    for _ in range(200):
+        d = int(rng.integers(2, 17))
+        h = random_hermitian(d, rng)
+        gt.gibbs_state_dense(random_density(d, rng), h)
+        vals = np.linalg.eigvalsh(h)
+        w = np.exp(-float(rng.uniform(0.05, 5.0)) * (vals - vals[0]))
+        w /= w.sum()
+        gt.entropy_matching_beta(h, float(-(w * np.log(w)).sum()))
+    assert len(roots) == 400
+    for rec in roots:
+        ref, _ = brentq_root(rec["fs"], rec["lo"], rec["hi"])
+        assert abs(rec["beta"] - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 def test_entropy_matching_beta():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import gge_thermo as gt
-from _helpers import make_rng, random_correlation
+from gge_thermo import fermions as fg
+from _helpers import brentq_root, make_rng, random_correlation, record_roots
 
 
 def two_site(g=0.1):
@@ -57,16 +58,31 @@ def test_solve_beta_rejects_unattainable():
         gt.solve_beta(ham, -0.1)
 
 
-def test_solve_beta_residuals_random():
+def test_solve_beta_residuals_random(monkeypatch):
+    # the Newton-bisection finder against scipy's brentq on the same residual:
+    # targets mid-range and within 1e-7..1e-3 of either edge of the range
+    roots = record_roots(monkeypatch, fg)
     rng = make_rng(11)
-    for _ in range(200):
-        n = int(rng.integers(1, 9))
+    calls, brent_calls = [], []
+    for i in range(2000):
+        n = int(rng.integers(2, 61))
         ham = gt.build_chain(n, rng.uniform(-1.0, 2.0, n), float(rng.uniform(0.0, 1.0)))
         lo, hi = gt.attainable_energy_range(ham)
-        target = float(rng.uniform(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo)))
+        edge = 10.0 ** rng.uniform(-7.0, -3.0) * (hi - lo)
+        mid = float(rng.uniform(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo)))
+        target = (mid, lo + edge, hi - edge)[i % 3]
         beta, _ = gt.solve_beta(ham, target)
         resid = abs(gt.energy(gt.gibbs_correlation(ham, beta), ham) - target)
         assert resid <= 1e-10 * max(1.0, abs(target))
+        rec = roots[-1]
+        ref, ref_calls = brentq_root(rec["fs"], rec["lo"], rec["hi"])
+        calls.append(rec["calls"])
+        brent_calls.append(ref_calls)
+        # near an edge the root is ill-conditioned: both finders leave a zero
+        # residual yet differ by a few 1e-10 relative, so only mid-range roots compare
+        if i % 3 == 0:
+            assert abs(beta - ref) <= 1e-12 * max(1.0, abs(beta))
+    assert np.mean(calls) < np.mean(brent_calls)
 
 
 def test_evolve_exact_identity_and_stationarity():

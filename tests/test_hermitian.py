@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 import gge_thermo as gt
 from gge_thermo.hermitian import (
+    _fermi,
+    _xlogx,
     cluster_degenerate,
     eigh,
     require_hermitian,
@@ -81,10 +84,12 @@ def test_non_finite_matrices_are_rejected_by_name(value, where):
         m[0, 1] = value
         if where == "off-diagonal":
             m[1, 0] = value
+    ham = gt.build_chain(2, [0.5, 1.0], 0.3)
     entries = [
         ("matrix", lambda: require_hermitian(m)),
         ("coefficient matrix", lambda: gt.QuadraticHamiltonian(m)),
         ("state", lambda: gt.check_state(m)),
+        ("mode-basis correlation matrix", lambda: gt.from_mode_basis(m, ham)),
     ] + [("correlation matrix", view) for view in _correlation_views(m)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -113,6 +118,36 @@ def test_non_hermitian_correlation_matrices_are_rejected_by_name():
     for call in _correlation_views(m):
         with pytest.raises(ValueError, match="^correlation matrix is not Hermitian: "):
             call()
+
+
+def test_from_mode_basis_rejects_a_non_hermitian_matrix_by_name():
+    ham = gt.build_chain(2, [0.5, 1.0], 0.3)
+    with pytest.raises(ValueError, match="^mode-basis correlation matrix is not Hermitian: "):
+        gt.from_mode_basis(np.array([[0.25, 1.0], [0.0, 0.5]]), ham)
+    # within the input tolerance the matrix is used as given, not symmetrised
+    g = np.array([[0.25, 1e-11], [0.0, 0.5]], dtype=complex)
+    a = ham.modes
+    assert np.array_equal(gt.from_mode_basis(g, ham), a.conj() @ g @ a.T)
+
+
+def test_fermi_and_xlogx_kernels_match_scipy_without_warnings():
+    from scipy.special import expit, xlogy
+
+    rng = make_rng(4)
+    eps = np.array([-2.0, -1e-3, 0.0, 1e-3, 2.0])
+    x = np.concatenate([1e12 * eps, -1e12 * eps, rng.normal(0.0, 30.0, 1000)])
+    p = np.concatenate([[0.0, 5e-324, 1.0], rng.uniform(0.0, 1.0, 1000)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fermi, xlogx = _fermi(x), _xlogx(p)
+    np.testing.assert_allclose(fermi, expit(-x), rtol=5e-16, atol=0.0)
+    np.testing.assert_allclose(xlogx, xlogy(p, p), rtol=5e-16, atol=0.0)
+
+
+def test_pure_state_entropy_is_positive_zero():
+    # -0.0 would print as "-0" in a CSV cell
+    for s in (gt.entropy_gaussian(np.diag([1.0, 0.0])), gt.vn_entropy(np.diag([1.0, 0.0]))):
+        assert s == 0.0 and math.copysign(1.0, s) == 1.0
 
 
 def test_reconstruction_random():
