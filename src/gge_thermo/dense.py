@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import (STATE_ATOL, _check_spectrum, _eigh, _energy_matching_root, _xlogx,
+from .hermitian import (_EPS4, STATE_ATOL, _check_spectrum, _eigh, _energy_matching_root, _xlogx,
                         cluster_degenerate, eigh, require_hermitian)
 
 __all__ = [
@@ -132,7 +132,7 @@ def _gibbs(r: np.ndarray, es) -> tuple[np.ndarray, float]:
         mean = float(w @ eps)
         return mean - target, -float(w @ (eps - mean) ** 2)
 
-    beta = _energy_matching_root(fs)
+    beta = _energy_matching_root(fs, floor=_EPS4 * (float(np.abs(eps).sum()) + abs(target)))
     w = _thermal_weights(eps, beta)
     omega = (es.vectors * w) @ es.vectors.conj().T
     return omega, float(beta)

@@ -50,8 +50,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermitian import (STATE_ATOL, _check_spectrum, _eigh, _energy_matching_root, _fermi, _xlogx,
-                        require_hermitian)
+from .hermitian import (_EPS4, STATE_ATOL, _check_spectrum, _eigh, _energy_matching_root, _fermi,
+                        _xlogx, require_hermitian)
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -322,7 +322,8 @@ def solve_beta(ham: QuadraticHamiltonian, target_energy: float) -> tuple[float, 
         p = _fermi(beta * eps)
         return float(eps @ p) - t, -float(eps2 @ (p * (1.0 - p)))
 
-    beta = _energy_matching_root(fs)
+    # the residual's round-off floor: hi_e - lo_e is sum |eps_k|
+    beta = _energy_matching_root(fs, floor=_EPS4 * (hi_e - lo_e + abs(t)))
     return float(beta), bool(beta < 0.0)
 
 

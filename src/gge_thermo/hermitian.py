@@ -156,7 +156,7 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return p * np.log(np.where(p > 0.0, p, 1.0))
 
 
-def _energy_matching_root(fs, lo: float = -64.0, hi: float = 64.0) -> float:
+def _energy_matching_root(fs, lo: float = -64.0, hi: float = 64.0, floor: float = 0.0) -> float:
     """Root of a residual f (a mean energy or an entropy minus its target),
     strictly decreasing on the bracket; ``fs(beta)`` returns ``(f, df/dbeta)``.
 
@@ -164,7 +164,8 @@ def _energy_matching_root(fs, lo: float = -64.0, hi: float = 64.0) -> float:
     sign (up to |beta| = 1e12; an end at zero stays put).  From its midpoint,
     a Newton step is taken when it stays inside the shrinking bracket and is
     at most half the step before last; otherwise the bracket is bisected.  The
-    root is returned once a step falls below 1e-14 + 4 eps |beta|.
+    root is returned once a step falls below 1e-14 + 4 eps |beta|, or once
+    |f| is at most ``floor``, the residual's round-off level.
 
     Raises RuntimeError when no sign change is found or 200 steps do not
     converge (residual reported).
@@ -185,7 +186,7 @@ def _energy_matching_root(fs, lo: float = -64.0, hi: float = 64.0) -> float:
     step = step_old = hi - lo
     for _ in range(200):
         f, s = fs(beta)
-        if f == 0.0:
+        if abs(f) <= floor:
             return beta
         if f > 0.0:
             lo = beta

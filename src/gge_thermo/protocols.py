@@ -11,11 +11,12 @@ extraction sign (positive = work gained), the negation of the quench cost
 
 :func:`min_work_scan` is the one loop over (model, N): it takes a schedule
 builder ``n -> [H^(0) .. H^(N)]`` (``traj.schedule``, a partial of
-:func:`local_quench_schedule` or of the four-phase ``_optimal_schedule``),
-builds each N's schedule once and runs every model on it, recording works and
-entropy productions, which :func:`richardson_limit` extrapolates to
-N -> infinity.  The ``optimal_*_protocol`` functions run the four-phase
-schedule, one builder for both back ends, under the dephasing map.
+:func:`local_quench_schedule`, or the four-phase builder ``_four_phase``,
+which builds its first leg once for every N), builds each N's schedule once
+and runs every model on it, recording works and entropy productions, which
+:func:`richardson_limit` extrapolates to N -> infinity.  The
+``optimal_*_protocol`` functions run that four-phase schedule on either back
+end under the dephasing map.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from threading import Lock
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -74,12 +76,14 @@ class Trajectory:
         logarithm; keyframes must share their sorted spectra.
 
     Sampling is deterministic in u and reproduces the keyframes exactly at
-    the segment ends.
+    the segment ends.  A segment's rotation is built once, under a lock, so
+    threads sampling one trajectory share it.
     """
 
     keyframes: tuple
     rules: tuple
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _lock: Lock = field(default_factory=Lock, repr=False, compare=False)
 
     def __post_init__(self):
         frames = tuple(
@@ -106,26 +110,27 @@ class Trajectory:
         return cls((h0, h1), ("linear",))
 
     def _segment_data(self, i: int):
-        if i in self._cache:
+        with self._lock:
+            if i in self._cache:
+                return self._cache[i]
+            # keyframes are validated and symmetrised
+            es_a, es_b = _eigh(self.keyframes[i]), _eigh(self.keyframes[i + 1])
+            gap = float(np.max(np.abs(es_a.values - es_b.values)))
+            if gap > 1e-8 * max(1.0, float(np.abs(es_a.values).max())):
+                raise ValueError(
+                    f"eigenvector segment {i}: keyframes must share their spectra "
+                    f"(sorted mismatch {gap:.3e})"
+                )
+            v = es_b.vectors @ es_a.vectors.conj().T
+            # Principal logarithm of a unitary via its (diagonal) Schur form;
+            # scipy loads here, for eigenvector-rule segments only.
+            import scipy.linalg
+            t_mat, z = scipy.linalg.schur(v, output="complex")
+            log_v = (z * (1j * np.angle(np.diag(t_mat)))) @ z.conj().T
+            log_v = 0.5 * (log_v - log_v.conj().T)
+            phis, p = np.linalg.eigh(1j * log_v)
+            self._cache[i] = (es_a.values, es_a.vectors, phis, p)
             return self._cache[i]
-        # keyframes are validated and symmetrised
-        es_a, es_b = _eigh(self.keyframes[i]), _eigh(self.keyframes[i + 1])
-        gap = float(np.max(np.abs(es_a.values - es_b.values)))
-        if gap > 1e-8 * max(1.0, float(np.abs(es_a.values).max())):
-            raise ValueError(
-                f"eigenvector segment {i}: keyframes must share their spectra "
-                f"(sorted mismatch {gap:.3e})"
-            )
-        v = es_b.vectors @ es_a.vectors.conj().T
-        # Principal logarithm of a unitary via its (diagonal) Schur form;
-        # scipy loads here, for eigenvector-rule segments only.
-        import scipy.linalg
-        t_mat, z = scipy.linalg.schur(v, output="complex")
-        log_v = (z * (1j * np.angle(np.diag(t_mat)))) @ z.conj().T
-        log_v = 0.5 * (log_v - log_v.conj().T)
-        phis, p = np.linalg.eigh(1j * log_v)
-        self._cache[i] = (es_a.values, es_a.vectors, phis, p)
-        return self._cache[i]
 
     def sample(self, u: float) -> np.ndarray:
         """Hamiltonian at path parameter u."""
@@ -479,48 +484,53 @@ def optimal_work_bound(gamma0, ham0) -> float:
     return _ergotropy(be, state, be.wrap(ham0, state))
 
 
-def _optimal_schedule(state, ham0, n_quenches: int, backend: str = "gaussian") -> list:
-    """Schedule of the cyclic four-phase protocol extracting the maximum
-    work under the dephasing map, on either back end.
+def _four_phase(state, ham0, backend: str = "gaussian") -> Callable:
+    """Builder ``n -> [H^(0) .. H^(n)]`` of the cyclic four-phase protocol
+    extracting the maximum work under the dephasing map, on either back end.
 
     Two legs, each a quench aligning the modes with the state's eigenbasis
     (the spectrum of ``ham0`` assigned anti-sorted), then an N/2-step
     eigenbasis rotation back to ``ham0`` (repeated ``ham0`` if the quench is
-    a no-op).  The second leg is rebuilt from the state the first leaves.
+    a no-op).  The state and ``ham0`` are validated, and the first leg's
+    rotation built, once for every N; the second leg is rebuilt from the
+    state the first leaves.
     """
-    n_quenches = _quench_counts([n_quenches])[0]
-    if n_quenches < 2 or n_quenches % 2:
-        raise ValueError(f"the number of quenches must be even and at least 2, got {n_quenches}")
     be = _backend(backend)
     state = be.check(state)
     ham0 = be.wrap(ham0, state)
     h0, energies = be.levels(ham0)
     e_desc = energies[::-1]
-    half = n_quenches // 2
 
-    def leg(m) -> list:
+    def leg(m) -> Callable:
         _, w = be.eigenbasis(be.matrix(m))
         h_from = (w * e_desc) @ w.conj().T
         if np.allclose(h_from, h0, atol=1e-13):
-            return [ham0] * (half + 1)
-        seg = Trajectory((h_from, h0), ("eigenvectors",))
-        out = [h_from] + [seg.sample(j / half) for j in range(1, half)]
-        return [be.wrap(h, m) for h in out] + [ham0]
+            return lambda half: [ham0] * (half + 1)
+        seg, start = Trajectory((h_from, h0), ("eigenvectors",)), be.wrap(h_from, m)
+        return lambda half: ([start] + [be.wrap(seg.sample(j / half), m) for j in range(1, half)]
+                             + [ham0])
 
-    hams = [ham0] + leg(state)
-    mid = state
-    for h in hams[1:]:
-        # re-validated (so symmetrised) each step: the second leg rotates by a
-        # permutation of ham0's eigenbasis, where the log's branch follows round-off
-        mid = be.check(be.matrix(be.dephase(be.quench(mid, h), h)[0]))
-    hams += leg(mid)
-    return hams
+    first = leg(state)
+
+    def schedule(n: int) -> list:
+        n = _quench_counts([n])[0]
+        if n < 2 or n % 2:
+            raise ValueError(f"the number of quenches must be even and at least 2, got {n}")
+        hams = [ham0] + first(n // 2)
+        mid = state
+        for h in hams[1:]:
+            # re-validated (so symmetrised) each step: the second leg rotates by a
+            # permutation of ham0's eigenbasis, where the log's branch follows round-off
+            mid = be.check(be.matrix(be.dephase(be.quench(mid, h), h)[0]))
+        return hams + leg(mid)(n // 2)
+
+    return schedule
 
 
 def _optimal_protocol(state, ham0, n_quenches: int, backend: str,
                       keep_states: bool) -> ProtocolRecord:
-    """:func:`_optimal_schedule` run under dephasing; ``meta['work_bound']`` is its ceiling."""
-    hams = _optimal_schedule(state, ham0, n_quenches, backend)
+    """:func:`_four_phase`'s schedule run under dephasing; ``meta['work_bound']`` is its ceiling."""
+    hams = _four_phase(state, ham0, backend)(n_quenches)
     be = _backend(backend)
     state = be.check(state)
     record = _run(state, be.entropy(state), hams, fg.GGE, backend, keep_states)

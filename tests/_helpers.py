@@ -1,4 +1,6 @@
-"""Shared random-instance builders for the test suite."""
+"""Shared random-instance builders and call counters for the test suite."""
+
+import time
 
 import numpy as np
 
@@ -33,19 +35,21 @@ def random_correlation(n, rng, lo=0.0, hi=1.0):
 
 def record_roots(monkeypatch, module):
     """Wrap ``module._energy_matching_root``: each call appends a record of its
-    residual callback ``fs``, its bracket, its root and how often it called ``fs``."""
+    residual callback ``fs``, its bracket and round-off floor, its root and how
+    often it called ``fs``."""
     finder = module._energy_matching_root
     records = []
 
-    def recording(fs, lo=-64.0, hi=64.0):
+    def recording(fs, lo=-64.0, hi=64.0, floor=0.0):
         calls = [0]
 
         def counted(beta):
             calls[0] += 1
             return fs(beta)
 
-        beta = finder(counted, lo, hi)
-        records.append({"fs": fs, "lo": lo, "hi": hi, "beta": beta, "calls": calls[0]})
+        beta = finder(counted, lo, hi, floor)
+        records.append({"fs": fs, "lo": lo, "hi": hi, "floor": floor, "beta": beta,
+                        "calls": calls[0]})
         return beta
 
     monkeypatch.setattr(module, "_energy_matching_root", recording)
@@ -73,3 +77,20 @@ def brentq_root(fs, lo, hi):
         f_hi = f(hi)
     root = brentq(f, lo, hi, xtol=1e-14, rtol=4 * np.finfo(float).eps, maxiter=300)
     return root, calls[0]
+
+
+def count_schur(monkeypatch, delay=0.0):
+    """Count ``scipy.linalg.schur`` calls, which ``Trajectory._segment_data``
+    looks up on the module, so the patch is seen there; ``delay`` seconds of
+    sleep inside each call release the interpreter lock."""
+    import scipy.linalg
+
+    calls, schur = [], scipy.linalg.schur
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        time.sleep(delay)
+        return schur(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "schur", counted)
+    return calls

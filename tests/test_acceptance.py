@@ -55,8 +55,10 @@ def fig3_table():
 @pytest.fixture(scope="module")
 def fig4_result():
     cfg = cli.parse_config(["fig4"])
-    _, rows, _ = cli.cmd_fig4(cfg)
-    return np.array(rows, dtype=float), cli.fig4_positive_temperature_condition(cfg)
+    _, rows, diagnostics = cli.cmd_fig4(cfg)
+    verdict = diagnostics[0].removeprefix("positive-temperature condition: ")
+    assert verdict in ("satisfied", "violated"), diagnostics[0]
+    return np.array(rows, dtype=float), verdict == "satisfied"
 
 
 def test_criterion_01_single_quench_equilibration(fig1_table):

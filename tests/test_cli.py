@@ -8,6 +8,7 @@ import pytest
 
 import gge_thermo as gt
 from gge_thermo import cli
+from _helpers import count_schur
 
 
 def test_parse_config_defaults_per_experiment():
@@ -162,6 +163,20 @@ def test_cmd_fig1_time_zero_matches_prequench_occupation():
     assert rows[0][3] == rows[-1][3]
 
 
+def test_cmd_fig1_exact_occupation_matches_a_per_time_reference():
+    # n1(t) = v(t)^dag g_eta v(t), v_k(t) = A_0k exp(-i eps_k t), one time at a time
+    cfg = cli.parse_config(["fig1", "--n", "16"])
+    _, rows, _ = cli.cmd_fig1(cfg)
+    ham0 = gt.build_chain(16, [1.0] * 16, cfg.g)
+    c1 = ham0.c.copy()
+    c1[0, 0] += cfg.delta
+    ham1 = gt.QuadraticHamiltonian(c1)
+    g_eta = gt.to_mode_basis(gt.gibbs_correlation(ham0, cfg.beta0), ham1)
+    for t, n1 in ((row[0], row[1]) for row in rows):
+        v = ham1.modes[0, :] * np.exp(-1j * t * ham1.energies)
+        assert abs(n1 - (v.conj() @ g_eta @ v).real) <= 1e-15, t
+
+
 def test_cmd_fig2_rows_respect_bound():
     cfg = cli.parse_config(["fig2", "--n", "10", "--quenches", "2,4,8,16"])
     _, rows, _ = cli.cmd_fig2(cfg)
@@ -182,6 +197,21 @@ def test_cmd_fig2_matches_the_four_phase_protocol_and_its_exact_run():
         exact = gt.Exact(*holds, np.random.SeedSequence(3, spawn_key=(1, n_q)))
         w_exact = gt.run_schedule(gamma0, rec.hamiltonians, exact, keep_states=False).work
         assert row == [n_q, w_exact, rec.work, rec.meta["work_bound"], rec.entropy_production]
+
+
+def test_cmd_fig2_builds_the_first_leg_once_across_workers(monkeypatch):
+    # the sweep's two workers share the four-phase builder: one Schur
+    # logarithm for the first leg, one per N >= 4 for its second leg (N = 2
+    # samples no rotation), on every run
+    calls = count_schur(monkeypatch)
+    monkeypatch.setenv("GGE_THERMO_THREADS", "2")
+    cfg = cli.parse_config(["fig2", "--n", "12", "--quenches", "2,4,8", "--seed", "3"])
+    counts = []
+    for _ in range(3):
+        calls.clear()
+        cli.cmd_fig2(cfg)
+        counts.append(len(calls))
+    assert counts == [1 + 2] * 3
 
 
 def test_cli_outputs_are_bit_identical_across_runs(tmp_path, monkeypatch):
@@ -255,14 +285,35 @@ def test_small_fig4_runs_end_to_end(tmp_path, capsys):
     assert lines[0] == "N,W_exact,W_gge,W_gge_inf"
 
 
+def test_cmd_fig4_builds_each_hamiltonian_once(monkeypatch):
+    # the initial chain and bath, then N - 1 local quenches per N: the
+    # temperature check runs on the sweep's largest-N schedule and builds none
+    calls, init = [], gt.QuadraticHamiltonian.__init__
+    monkeypatch.setattr(gt.QuadraticHamiltonian, "__init__",
+                        lambda self, c: calls.append(1) or init(self, c))
+    cfg = cli.parse_config(["fig4", "--n", "8", "--K", "2", "--quenches", "2,4,8"])
+    _, _, diagnostics = cli.cmd_fig4(cfg)
+    assert len(calls) == 2 + (1 + 3 + 7)
+    ham0, gamma0 = cli.fig4_initial_state(cfg)
+    rec = gt.run_schedule(gamma0, gt.local_quench_schedule(ham0, cfg.eps1_peak, 8), gt.GIBBS,
+                          keep_states=False)
+    satisfied = all(s.duals[0] >= 0.0 for s in rec.steps[1:])
+    assert diagnostics[0] == "positive-temperature condition: " + (
+        "satisfied" if satisfied else "violated")
+
+
 def test_import_and_scipy_free_runs_load_no_scipy(tmp_path):
     # scipy is needed only by eigenvector-rule trajectories (their Schur
-    # logarithm); importing the package and running fig1 or oracle-check must
-    # not load it, so a fresh interpreter reports the scipy modules it holds
+    # logarithm); importing the package, running fig1 or oracle-check and a
+    # two-quench four-phase protocol (which samples no rotation) must not load
+    # it, so a fresh interpreter reports the scipy modules it holds
     script = "\n".join([
         "import sys",
+        "import numpy as np",
         "import gge_thermo",
         "from gge_thermo import cli",
+        "ham = gge_thermo.build_chain(3, [0.0, 1.0, 2.0], 0.3)",
+        "gge_thermo.optimal_gge_protocol(np.diag([0.1, 0.5, 0.9]).astype(complex), ham, 2)",
         f"assert cli.main(['fig1', '--n', '8', '--out', {str(tmp_path / 'fig1.csv')!r}]) == 0",
         f"assert cli.main(['oracle-check', '--n', '3', '--out', {str(tmp_path / 'oracle.csv')!r}]) == 0",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",

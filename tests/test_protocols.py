@@ -2,6 +2,8 @@ import functools
 import itertools
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +12,8 @@ import pytest
 import gge_thermo as gt
 from gge_thermo import dense, fermions, hermitian
 from gge_thermo import protocols as pr
-from _helpers import (make_rng, random_correlation, random_density, random_hermitian,
-                      random_unitary)
+from _helpers import (count_schur, make_rng, random_correlation, random_density,
+                      random_hermitian, random_unitary)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -728,6 +730,47 @@ def test_optimal_gge_protocol_respects_bound_and_is_cyclic():
         assert np.max(np.abs(rec.hamiltonians[-1].c - ham.c)) < 1e-12
     with pytest.raises(ValueError, match="even and at least 2, got 3"):
         gt.optimal_gge_protocol(gamma, ham, 3)
+
+
+def test_four_phase_builder_shares_its_first_leg(monkeypatch):
+    # one builder serves every N: its schedules equal a fresh builder's bit for
+    # bit, N = 2 samples no rotation, and once N = 4 has built the first leg's
+    # Schur logarithm every larger N builds only its second leg's
+    rng = make_rng(17)
+    ham0 = gt.build_chain(5, rng.uniform(0, 2, 5), 0.4)
+    gamma0 = random_correlation(5, rng)
+    calls = count_schur(monkeypatch)
+    gt.optimal_gge_protocol(gamma0, ham0, 2)
+    assert not calls
+    build, shared, fresh = pr._four_phase(gamma0, ham0), [], []
+    for n in (2, 4, 8, 16):
+        before = len(calls)
+        hams = build(n)
+        shared.append(len(calls) - before)
+        alone = pr._four_phase(gamma0, ham0)(n)
+        fresh.append(len(calls) - before - shared[-1])
+        assert all(np.array_equal(a.c, b.c) for a, b in zip(hams, alone, strict=True))
+    assert shared[:2] == fresh[:2] == [0, 2]
+    assert [f - s for s, f in zip(shared[2:], fresh[2:])] == [1, 1]
+
+
+def test_trajectory_builds_each_segment_once_across_threads(monkeypatch):
+    # more sampling threads than cores, frequent switches and a Schur call that
+    # yields: a segment built outside the lock would be built more than once
+    rng = make_rng(18)
+    h0 = random_hermitian(4, rng)
+    u = random_unitary(4, rng)
+    traj = gt.Trajectory((h0, u @ h0 @ u.conj().T), ("eigenvectors",))
+    calls, points = count_schur(monkeypatch, delay=0.01), np.linspace(0.05, 0.95, 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            samples = list(pool.map(traj.sample, points, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 1
+    assert all(np.array_equal(h, traj.sample(x)) for h, x in zip(samples, points))
 
 
 def test_optimal_ta_protocol_passive_state_idles():
