@@ -8,7 +8,8 @@ against the 2^n dense one.  fig2, fig3, fig4 and scan run their models over
 the quench counts on the one sweep, ``protocols.min_work_scan``, which seeds
 each exact cell.  Output is a CSV file written atomically; all randomness
 flows from PCG64 streams derived from the --seed flag, so equal invocations
-at a fixed BLAS thread count produce bit-identical files.
+at a fixed BLAS thread count produce bit-identical files; across BLAS thread
+counts every cell agrees within 1e-10, but files need not be byte-identical.
 """
 
 from __future__ import annotations

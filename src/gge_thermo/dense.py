@@ -132,7 +132,9 @@ def _gibbs(r: np.ndarray, es) -> tuple[np.ndarray, float]:
         mean = float(w @ eps)
         return mean - target, -float(w @ (eps - mean) ** 2)
 
-    beta = _energy_matching_root(fs, floor=_EPS4 * (float(np.abs(eps).sum()) + abs(target)))
+    # the residual's round-off floor: the weights sum to 1, so the mean is off by eps max |eps_k|
+    floor = _EPS4 * (max(abs(float(eps[0])), abs(float(eps[-1]))) + abs(target))
+    beta = _energy_matching_root(fs, floor=floor)
     w = _thermal_weights(eps, beta)
     omega = (es.vectors * w) @ es.vectors.conj().T
     return omega, float(beta)

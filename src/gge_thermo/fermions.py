@@ -165,7 +165,7 @@ def build_chain(n: int, eps, g: float) -> QuadraticHamiltonian:
     eps = np.asarray(eps, dtype=float)
     if eps.shape != (n,):
         raise ValueError(f"eps must have length {n}, got shape {eps.shape}")
-    c = np.zeros((n, n), dtype=complex)
+    c = np.zeros((n, n))
     np.fill_diagonal(c, eps)
     for i in range(n - 1):
         c[i, i + 1] = g
@@ -180,11 +180,18 @@ def _check_dims(gamma: np.ndarray, ham: QuadraticHamiltonian) -> None:
         )
 
 
+def _as_checked(matrix, name: str) -> np.ndarray:
+    """``matrix``, finite and Hermitian within ``STATE_ATOL``, as given (not symmetrised)
+    in the dtype :func:`require_hermitian` keeps: float64 when it is real."""
+    real = np.isrealobj(require_hermitian(matrix, atol=STATE_ATOL, name=name))
+    m = np.asarray(matrix)
+    return m.real.astype(float, copy=False) if real else m.astype(complex, copy=False)
+
+
 def _site(gamma, ham: QuadraticHamiltonian | None = None) -> "_ModeState":
     """The correlation matrix ``gamma`` as a state on the sites: finite and Hermitian
     within ``STATE_ATOL``, kept as given, and sized for ``ham`` when one is given."""
-    require_hermitian(gamma, atol=STATE_ATOL, name="correlation matrix")
-    g = np.asarray(gamma, dtype=complex)
+    g = _as_checked(gamma, "correlation matrix")
     if ham is not None:
         _check_dims(g, ham)
     return _ModeState(None, g)
@@ -198,8 +205,7 @@ def to_mode_basis(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
 def from_mode_basis(gamma_eta, ham: QuadraticHamiltonian) -> np.ndarray:
     """Inverse of :func:`to_mode_basis`: gamma = A.conj() @ gamma_eta @ A.T.
     ``gamma_eta`` must be finite and Hermitian within ``STATE_ATOL``; it is used as given."""
-    require_hermitian(gamma_eta, atol=STATE_ATOL, name="mode-basis correlation matrix")
-    g = np.asarray(gamma_eta, dtype=complex)
+    g = _as_checked(gamma_eta, "mode-basis correlation matrix")
     _check_dims(g, ham)
     return _ModeState(ham, g).matrix()
 
@@ -222,7 +228,7 @@ class _ModeState(NamedTuple):
         return self.g if self.g.ndim == 1 else self.g.diagonal().real
 
     def matrix(self) -> np.ndarray:
-        g = self.g if self.g.ndim == 2 else np.diag(self.g.astype(complex))
+        g = self.g if self.g.ndim == 2 else np.diag(self.g)
         return g if self.ham is None else self.ham.modes.conj() @ g @ self.ham.modes.T
 
     def entropy(self) -> float:
@@ -241,12 +247,19 @@ class _ModeState(NamedTuple):
 
     def quench(self, ham: QuadraticHamiltonian) -> "_ModeState":
         """Frozen across the quench to ``ham`` (itself under its own): with O = A'^T A^*,
-        or A'^T from the sites, populations go to |O|^2 p and a matrix to O g O^dag."""
+        or A'^T from the sites, populations go to |O|^2 p and a matrix to O g O^dag.
+        O is real when both mode sets are, and |O|^2 is then O * O."""
         if ham is self.ham:
             return self
         o = ham.modes.T if self.ham is None else ham.modes.T @ self.ham.modes.conj()
         if self.g.ndim == 1:
-            return _ModeState(ham, (o.real * o.real + o.imag * o.imag) @ self.g)
+            o2 = o * o if np.isrealobj(o) else o.real * o.real + o.imag * o.imag
+            return _ModeState(ham, o2 @ self.g)
+        if np.isrealobj(o) and np.iscomplexobj(self.g):
+            # a real O acts on real and imaginary parts alike: two real products
+            # on the interleaved float view instead of two complex ones
+            h = (o @ np.ascontiguousarray(self.g).view(float)).view(complex)
+            return _ModeState(ham, (o @ np.ascontiguousarray(h.T).view(float)).view(complex).T)
         return _ModeState(ham, o @ self.g @ o.conj().T)
 
 

@@ -1,9 +1,15 @@
 """Hermitian eigendecomposition with a fixed phase convention, degeneracy
 clustering, and the numerical rules shared by both back ends.
 
-Eigenvectors are normalised so that the largest-magnitude component of each
-column is real and positive, which makes repeated runs reproducible.  All
-routines are pure functions; nothing mutates its inputs.
+A matrix that is real, or complex with an imaginary part that is exactly
+zero, is validated and kept as float64, so its eigendecomposition and every
+product with its eigenvectors run in real arithmetic.  Each eigenvector is
+anchored on the first entry whose magnitude is within a relative 1e-8 of its
+column's maximum, and that entry is made real and positive: ties between
+mirror-image entries (a uniform chain's modes) then resolve to the lower
+index whatever the round-off, which makes runs reproducible across BLAS
+builds and thread counts.  All routines are pure functions; nothing mutates
+its inputs.
 
 Both back ends import this module and not each other, so the rules they
 share live here.  :func:`_energy_matching_root` (bracket, then safeguarded
@@ -27,6 +33,7 @@ STATE_ATOL = 1e-10      # inputs: states, and the Hamiltonians and observables c
 DEGENERACY_TOL = 1e-9
 _LOG_MAX = float(np.log(np.finfo(float).max))   # exp overflows above this
 _EPS4 = 4.0 * float(np.finfo(float).eps)
+_ANCHOR_RTOL = 1e-8     # an eigenvector's anchor: its first entry this close to the largest
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -40,8 +47,12 @@ __all__ = [
 
 def require_hermitian(matrix, atol: float = HERMITIAN_ATOL, name: str = "matrix") -> np.ndarray:
     """Validate Hermiticity within ``atol`` (the largest entrywise magnitude
-    of M - M†) and return the symmetrised copy."""
-    m = np.asarray(matrix, dtype=complex)
+    of M - M†) and return the symmetrised copy: float64 when the input is
+    real or its imaginary part is exactly zero, complex otherwise."""
+    m = np.asarray(matrix)
+    if np.iscomplexobj(m) and not m.imag.any():     # a NaN imaginary part stays complex
+        m = m.real
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     mh = m.conj().T
@@ -91,10 +102,12 @@ class DegeneracyPartition:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    # Anchor each column on its largest-magnitude entry (first one on ties).
-    idx = np.argmax(np.abs(vectors), axis=0)
+    # Anchor each column on its first entry within a relative _ANCHOR_RTOL of
+    # the column's largest magnitude; a real column keeps its dtype (phase +-1).
+    mags = np.abs(vectors)
+    idx = np.argmax(mags >= (1.0 - _ANCHOR_RTOL) * mags.max(axis=0, initial=0.0), axis=0)
     anchors = vectors[idx, np.arange(vectors.shape[1])]
-    mags = np.abs(anchors)
+    mags = mags[idx, np.arange(vectors.shape[1])]
     safe = np.where(mags > 0.0, mags, 1.0)
     phases = np.where(mags > 0.0, anchors / safe, 1.0)
     return vectors * phases.conj()

@@ -75,6 +75,16 @@ class Trajectory:
         U(s) = exp(s log(A_b A_a^dag)) A_a with the principal matrix
         logarithm; keyframes must share their sorted spectra.
 
+    Cycle gauge: when M = A_a^dag A_b is a phase permutation (the four-phase
+    legs rotate by a signed permutation of modes), the lowest-index column
+    of A_b in each cycle of length L is rescaled so that the cycle's phase
+    product is (-1)^(L+1).  Then A_b A_a^dag has no eigenvalue -1 and its
+    principal logarithm is unique, so the path does not follow round-off;
+    the rescaled columns describe the same keyframe.  When both keyframes
+    are real and the rotation has no eigenvalue -1, so is the logarithm:
+    the imaginary round-off (at most 1e-8) of the log and of each sampled
+    rotation is dropped, and the path stays float64.
+
     Sampling is deterministic in u and reproduces the keyframes exactly at
     the segment ends.  A segment's rotation is built once, under a lock, so
     threads sampling one trajectory share it.
@@ -121,15 +131,17 @@ class Trajectory:
                     f"eigenvector segment {i}: keyframes must share their spectra "
                     f"(sorted mismatch {gap:.3e})"
                 )
-            v = es_b.vectors @ es_a.vectors.conj().T
+            v = _cycle_gauge(es_a.vectors, es_b.vectors) @ es_a.vectors.conj().T
             # Principal logarithm of a unitary via its (diagonal) Schur form;
             # scipy loads here, for eigenvector-rule segments only.
             import scipy.linalg
             t_mat, z = scipy.linalg.schur(v, output="complex")
             log_v = (z * (1j * np.angle(np.diag(t_mat)))) @ z.conj().T
             log_v = 0.5 * (log_v - log_v.conj().T)
-            phis, p = np.linalg.eigh(1j * log_v)
-            self._cache[i] = (es_a.values, es_a.vectors, phis, p)
+            # real keyframes whose rotation has no eigenvalue -1 have a real logarithm
+            real = np.isrealobj(v) and float(np.abs(log_v.imag).max(initial=0.0)) <= 1e-8
+            phis, p = np.linalg.eigh(1j * (log_v.real if real else log_v))
+            self._cache[i] = (es_a.values, es_a.vectors, phis, p, real)
             return self._cache[i]
 
     def sample(self, u: float) -> np.ndarray:
@@ -148,9 +160,9 @@ class Trajectory:
             return self.keyframes[i + 1].copy()
         if self.rules[i] == "linear":
             return (1.0 - s) * self.keyframes[i] + s * self.keyframes[i + 1]
-        eps, a_vecs, phis, p = self._segment_data(i)
+        eps, a_vecs, phis, p, real = self._segment_data(i)
         rot = (p * np.exp(-1j * s * phis)) @ p.conj().T
-        u_s = rot @ a_vecs
+        u_s = (rot.real if real else rot) @ a_vecs
         return (u_s * eps) @ u_s.conj().T
 
     def schedule(self, n_quenches: int) -> list:
@@ -158,6 +170,29 @@ class Trajectory:
         quenches."""
         n_quenches = _quench_counts([n_quenches])[0]
         return [self.sample(m / n_quenches) for m in range(n_quenches + 1)]
+
+
+def _cycle_gauge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``b`` with the cycle gauge of :class:`Trajectory` when M = a^dag b is a
+    phase permutation (each column's largest entry within 1e-8 of modulus 1,
+    on distinct rows), else ``b`` itself.  A real ``b`` stays real."""
+    m = a.conj().T @ b
+    cols = np.arange(m.shape[1])
+    perm = np.argmax(np.abs(m), axis=0)
+    phase = m[perm, cols]
+    if np.unique(perm).size != perm.size or np.abs(np.abs(phase) - 1.0).max(initial=0.0) > 1e-8:
+        return b
+    phase = phase / np.abs(phase)
+    b, seen = b.copy(), np.zeros(perm.size, dtype=bool)
+    for j in cols:      # j is the lowest index of each cycle it opens
+        if seen[j]:
+            continue
+        cycle = [j]
+        while perm[cycle[-1]] != j:
+            cycle.append(perm[cycle[-1]])
+        seen[cycle] = True
+        b[:, j] *= (-1.0) ** (len(cycle) + 1) / np.prod(phase[cycle])
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +329,7 @@ _BACKENDS = {
         evolve=lambda rho, h, t: (qd._evolve(rho, _eigh(h), t), None),
         dephase=lambda rho, h: (qd._pinch(rho, _eigh(h)), None),
         thermalise=_dense_thermalise,
-        eigenbasis=np.linalg.eigh,      # check_state has symmetrised the state
+        eigenbasis=lambda rho: np.linalg.eigh(0.5 * (rho + rho.conj().T)),
         levels=lambda h: (h, np.linalg.eigvalsh(h)),
     ),
 }
@@ -466,13 +501,13 @@ def richardson_limit(ns, ys) -> tuple[float, float | None]:
 
 def _ergotropy(be: _Backend, state, ham) -> float:
     """Largest work a unitary can extract from the validated state (the
-    ergotropy of Allahverdyan, Balian and Nieuwenhuizen): the energy of its
-    symmetrised matrix minus the anti-ordered pairing of its spectrum with
-    the energies of ``ham``."""
+    ergotropy of Allahverdyan, Balian and Nieuwenhuizen): its energy minus
+    the anti-ordered pairing of its symmetrised matrix's spectrum with the
+    energies of ``ham``."""
     m = be.matrix(state)
-    m = 0.5 * (m + m.conj().T)
-    floor = float(_check_spectrum(np.linalg.eigvalsh(m))[::-1] @ be.levels(ham)[1])
-    return be.energy(be.check(m), ham) - floor
+    floor = float(_check_spectrum(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))[::-1]
+                  @ be.levels(ham)[1])
+    return be.energy(state, ham) - floor
 
 
 def optimal_work_bound(gamma0, ham0) -> float:
@@ -486,17 +521,22 @@ def optimal_work_bound(gamma0, ham0) -> float:
 
 def _four_phase(state, ham0, backend: str = "gaussian") -> Callable:
     """Builder ``n -> [H^(0) .. H^(n)]`` of the cyclic four-phase protocol
-    extracting the maximum work under the dephasing map, on either back end.
+    extracting the maximum work under the dephasing map, on either back end."""
+    be = _backend(backend)
+    return _four_phase_of(be, be.check(state), ham0)
+
+
+def _four_phase_of(be: _Backend, state, ham0) -> Callable:
+    """:func:`_four_phase` for a validated ``state``.
 
     Two legs, each a quench aligning the modes with the state's eigenbasis
     (the spectrum of ``ham0`` assigned anti-sorted), then an N/2-step
     eigenbasis rotation back to ``ham0`` (repeated ``ham0`` if the quench is
-    a no-op).  The state and ``ham0`` are validated, and the first leg's
-    rotation built, once for every N; the second leg is rebuilt from the
-    state the first leaves.
+    a no-op).  ``ham0`` is validated, and the first leg's rotation built,
+    once for every N; the second leg is rebuilt from the state the first
+    leaves, walked with the trusted kernels (under the cycle gauge its
+    rotation does not follow their round-off).
     """
-    be = _backend(backend)
-    state = be.check(state)
     ham0 = be.wrap(ham0, state)
     h0, energies = be.levels(ham0)
     e_desc = energies[::-1]
@@ -506,9 +546,9 @@ def _four_phase(state, ham0, backend: str = "gaussian") -> Callable:
         h_from = (w * e_desc) @ w.conj().T
         if np.allclose(h_from, h0, atol=1e-13):
             return lambda half: [ham0] * (half + 1)
-        seg, start = Trajectory((h_from, h0), ("eigenvectors",)), be.wrap(h_from, m)
-        return lambda half: ([start] + [be.wrap(seg.sample(j / half), m) for j in range(1, half)]
-                             + [ham0])
+        seg, start = Trajectory((h_from, h0), ("eigenvectors",)), be.wrap(h_from, state)
+        return lambda half: ([start] + [be.wrap(seg.sample(j / half), state)
+                                        for j in range(1, half)] + [ham0])
 
     first = leg(state)
 
@@ -519,9 +559,7 @@ def _four_phase(state, ham0, backend: str = "gaussian") -> Callable:
         hams = [ham0] + first(n // 2)
         mid = state
         for h in hams[1:]:
-            # re-validated (so symmetrised) each step: the second leg rotates by a
-            # permutation of ham0's eigenbasis, where the log's branch follows round-off
-            mid = be.check(be.matrix(be.dephase(be.quench(mid, h), h)[0]))
+            mid = be.dephase(be.quench(mid, h), h)[0]
         return hams + leg(mid)(n // 2)
 
     return schedule
@@ -530,9 +568,9 @@ def _four_phase(state, ham0, backend: str = "gaussian") -> Callable:
 def _optimal_protocol(state, ham0, n_quenches: int, backend: str,
                       keep_states: bool) -> ProtocolRecord:
     """:func:`_four_phase`'s schedule run under dephasing; ``meta['work_bound']`` is its ceiling."""
-    hams = _four_phase(state, ham0, backend)(n_quenches)
     be = _backend(backend)
     state = be.check(state)
+    hams = _four_phase_of(be, state, ham0)(n_quenches)
     record = _run(state, be.entropy(state), hams, fg.GGE, backend, keep_states)
     record.meta["work_bound"] = _ergotropy(be, state, hams[0])
     return record

@@ -94,3 +94,21 @@ def count_schur(monkeypatch, delay=0.0):
 
     monkeypatch.setattr(scipy.linalg, "schur", counted)
     return calls
+
+
+def count_eigh(monkeypatch):
+    """Record the dtype of each matrix the Hamiltonian kernel ``hermitian._eigh``
+    decomposes, wrapped where ``hermitian``, ``fermions``, ``dense`` and
+    ``protocols`` look it up (a Trajectory's log rotation is not a Hamiltonian
+    and is not counted)."""
+    from gge_thermo import dense, fermions, hermitian, protocols
+
+    dtypes, kernel = [], hermitian._eigh
+
+    def counted(h):
+        dtypes.append(h.dtype)
+        return kernel(h)
+
+    for module in (hermitian, fermions, dense, protocols):
+        monkeypatch.setattr(module, "_eigh", counted)
+    return dtypes

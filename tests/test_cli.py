@@ -8,7 +8,7 @@ import pytest
 
 import gge_thermo as gt
 from gge_thermo import cli
-from _helpers import count_schur
+from _helpers import count_eigh, count_schur
 
 
 def test_parse_config_defaults_per_experiment():
@@ -212,6 +212,37 @@ def test_cmd_fig2_builds_the_first_leg_once_across_workers(monkeypatch):
         cli.cmd_fig2(cfg)
         counts.append(len(calls))
     assert counts == [1 + 2] * 3
+
+
+def test_fig2_cells_agree_across_blas_thread_counts(tmp_path):
+    # under the cycle gauge the four-phase rotations have a unique principal
+    # logarithm, so BLAS round-off moves fig2's cells by round-off only
+    # (without it W_gge(4) read 4.929 on one thread and 4.519 on two)
+    src = Path(__file__).resolve().parents[1] / "src"
+    cells = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"fig2-{threads}.csv"
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-m", "gge_thermo.cli", "fig2", "--quenches", "2,4",
+                              "--out", str(out)], env=env, capture_output=True, text=True,
+                             timeout=300)
+        assert run.returncode == 0, run.stderr
+        cells.append(np.loadtxt(out, delimiter=",", skiprows=1))
+    assert np.max(np.abs(cells[0] - cells[1])) <= 1e-10
+
+
+def test_chain_experiments_decompose_only_real_hamiltonians(monkeypatch):
+    # the chains and their states are real, so every Hamiltonian, the
+    # four-phase samples included, stays float64 and is decomposed in real
+    # arithmetic
+    dtypes = count_eigh(monkeypatch)
+    for args in (["fig2", "--n", "10", "--quenches", "2,4,8"],
+                 ["fig3", "--n", "10", "--quenches", "2,4"],
+                 ["fig4", "--n", "10", "--K", "2", "--quenches", "2,4"],
+                 ["scan", "--n", "10", "--quenches", "2,4"]):
+        dtypes.clear()
+        cli.COMMANDS[args[0]](cli.parse_config(args))
+        assert dtypes and set(dtypes) == {np.dtype(np.float64)}, args
 
 
 def test_cli_outputs_are_bit_identical_across_runs(tmp_path, monkeypatch):

@@ -340,6 +340,21 @@ def test_dense_beta_matching_agrees_with_brentq(monkeypatch):
         assert abs(rec["beta"] - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
+def test_thermal_energy_residual_is_at_the_mean_energy_round_off():
+    # the weights sum to 1, so the thermal mean energy is off by about
+    # eps max |eps_k|, not eps sum |eps_k|: at d = 64 the matched state's
+    # energy stays within a few eps (max |eps_k| + |E|) of the target
+    rng = make_rng(64)
+    worst = 0.0
+    for _ in range(40):
+        rho, h = random_density(64, rng), random_hermitian(64, rng)
+        omega, _ = gt.gibbs_state_dense(rho, h)
+        target = float(np.trace(rho @ h).real)
+        scale = np.finfo(float).eps * (np.abs(np.linalg.eigvalsh(h)).max() + abs(target))
+        worst = max(worst, abs(float(np.trace(omega @ h).real) - target) / scale)
+    assert worst <= 8.0
+
+
 def test_entropy_matching_beta():
     rng = make_rng(14)
     h = random_hermitian(5, rng)

@@ -283,3 +283,6 @@ def test_mode_basis_roundtrip():
     gamma = random_correlation(6, rng)
     back = gt.from_mode_basis(gt.to_mode_basis(gamma, ham), ham)
     assert np.max(np.abs(back - gamma)) < 1e-12
+    # real modes take a complex state's real and imaginary parts in real products
+    a = ham.modes
+    assert np.max(np.abs(gt.to_mode_basis(gamma, ham) - a.T @ gamma @ a.conj())) < 1e-14

@@ -48,6 +48,32 @@ def test_eigh_phase_convention_real_positive_anchor():
         assert anchor.real > 0
 
 
+def test_phase_anchor_ignores_mirror_ties():
+    # a uniform chain's modes have mirror-image entries of equal magnitude; the
+    # anchor is the first entry within 1e-8 of the largest, so a 1e-15 nudge
+    # picks the same one and the vectors do not flip sign
+    c = gt.build_chain(8, [1.0] * 8, 0.5).c
+    base = eigh(c).vectors
+    rng = make_rng(8)
+    for _ in range(10):
+        e = 1e-15 * rng.normal(size=(8, 8))
+        assert np.max(np.abs(eigh(c + e + e.T).vectors - base)) <= 1e-12
+
+
+def test_real_input_stays_real():
+    # real input, or complex input with an exactly zero imaginary part, is
+    # kept as float64 and decomposed in real arithmetic; any imaginary part
+    # keeps it complex
+    m = np.array([[1.0, 0.25], [0.25, 2.0]])
+    for given in (m, m.astype(complex), m.astype(int)):
+        assert require_hermitian(given).dtype == np.float64
+    es = eigh(m.astype(complex))
+    assert es.vectors.dtype == np.float64
+    assert np.array_equal(es.vectors, eigh(m).vectors)
+    assert require_hermitian(m + 1e-300j * np.array([[0, 1], [-1, 0]])).dtype == np.complex128
+    assert gt.build_chain(3, [0.0, 1.0, 2.0], 0.3).modes.dtype == np.float64
+
+
 def test_eigh_deterministic():
     rng = make_rng(4)
     m = random_hermitian(8, rng)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gge_thermo as gt
-from gge_thermo import dense, fermions, hermitian
+from gge_thermo import cli, dense, fermions, hermitian
 from gge_thermo import protocols as pr
 from _helpers import (count_schur, make_rng, random_correlation, random_density,
                       random_hermitian, random_unitary)
@@ -78,6 +78,49 @@ def test_trajectory_eigenvector_rule_geodesic():
         h_u = traj.sample(u)
         assert np.max(np.abs(np.linalg.eigvalsh(h_u) - [0.0, 1.0])) < 1e-10
     assert np.max(np.abs(traj.sample(1.0) - h1)) < 1e-12
+
+
+def _fig2_first_leg(n, seed):
+    # the fig2 state's first four-phase leg: keyframes whose eigenbases differ
+    # by a signed permutation of modes
+    ham0, gamma0 = cli.fig2_initial_state(
+        cli.parse_config(["fig2", "--n", str(n), "--seed", str(seed)]))
+    _, w = pr._gaussian_eigenbasis(gamma0)
+    return (w * ham0.energies[::-1]) @ w.conj().T, ham0.c
+
+
+def test_eigenvector_path_does_not_follow_round_off():
+    # at n = 8, seed 1 the leg's permutation has an even cycle of sign product
+    # +1, so without the cycle gauge its rotation has eigenvalue -1 and a
+    # 1e-15 nudge of a keyframe moves the samples by up to 0.6; with it the
+    # log is unique
+    h_from, h0 = _fig2_first_leg(8, 1)
+    traj = gt.Trajectory((h_from, h0), ("eigenvectors",))
+    points = (0.25, 0.5, 0.75)
+    rng = make_rng(9)
+    for _ in range(6):
+        e = 1e-15 * rng.normal(size=h0.shape)
+        nudged = gt.Trajectory((h_from + e + e.T, h0), ("eigenvectors",))
+        for u in points:
+            assert np.max(np.abs(nudged.sample(u) - traj.sample(u))) <= 1e-10, u
+
+
+def test_real_keyframes_give_a_real_path_only_without_eigenvalue_minus_one():
+    # real keyframes rotated by a signed permutation sample float64 matrices;
+    # a real rotation by pi about a generic axis is no phase permutation, has
+    # a doubly degenerate eigenvalue -1 and no real principal log, so its path
+    # stays complex and still reaches its end keyframe
+    h_from, h0 = _fig2_first_leg(8, 1)
+    traj = gt.Trajectory((h_from, h0), ("eigenvectors",))
+    assert all(traj.sample(u).dtype == np.float64 for u in (0.3, 0.6))
+    axis = np.array([1.0, 2.0, 2.0]) / 3.0
+    q, _ = np.linalg.qr(make_rng(9).normal(size=(3, 3)))
+    h_a = (q * [0.0, 1.0, 3.0]) @ q.T
+    r = 2.0 * np.outer(axis, axis) - np.eye(3)
+    traj = gt.Trajectory((h_a, r @ h_a @ r.T), ("eigenvectors",))
+    assert np.iscomplexobj(traj.sample(0.5))
+    assert np.max(np.abs(traj.sample(1.0 - 1e-9) - traj.keyframes[1])) <= 1e-8
+    assert np.max(np.abs(np.linalg.eigvalsh(traj.sample(0.5)) - [0.0, 1.0, 3.0])) <= 1e-12
 
 
 def test_trajectory_eigenvector_rule_requires_equal_spectra():
@@ -503,9 +546,8 @@ def test_gaussian_runner_diagonalises_only_where_needed(monkeypatch):
 
 @pytest.mark.parametrize("n_q", [2, 4, 8])
 def test_optimal_ta_protocol_checks_the_state_once_per_built_step(monkeypatch, n_q):
-    # the builder checks the state and each state of its first leg (N/2 + 2);
-    # the run and the work bound then share one more check, and the bound's
-    # energy takes the last
+    # the state is checked once: the builder, its first-leg walk, the run and
+    # the work bound all take the validated state
     rng = make_rng(402)
     rho0, h0 = random_density(4, rng), random_hermitian(4, rng)
     checks = []
@@ -517,7 +559,7 @@ def test_optimal_ta_protocol_checks_the_state_once_per_built_step(monkeypatch, n
 
     monkeypatch.setattr(dense, "check_state", counting)
     gt.optimal_ta_protocol(rho0, h0, n_q, keep_states=False)
-    assert len(checks) <= n_q // 2 + 4
+    assert len(checks) == 1
 
 
 def test_exact_last_entropy_shows_drift(monkeypatch):
@@ -752,6 +794,21 @@ def test_four_phase_builder_shares_its_first_leg(monkeypatch):
         assert all(np.array_equal(a.c, b.c) for a, b in zip(hams, alone, strict=True))
     assert shared[:2] == fresh[:2] == [0, 2]
     assert [f - s for s, f in zip(shared[2:], fresh[2:])] == [1, 1]
+
+
+def test_real_four_phase_schedules_stay_float64():
+    # a real chain and state keep every Hamiltonian, mode set and state real
+    # on both back ends
+    ham0, gamma0 = cli.fig2_initial_state(cli.parse_config(["fig2", "--n", "8", "--seed", "1"]))
+    rec = gt.optimal_gge_protocol(gamma0, ham0, 8)
+    assert all(h.c.dtype == h.modes.dtype == np.float64 for h in rec.hamiltonians)
+    assert all(s.state.dtype == np.float64 for s in rec.steps)
+    rng = make_rng(19)
+    z = rng.normal(size=(4, 4))
+    rho0 = z @ z.T + 0.1 * np.eye(4)
+    rec = gt.optimal_ta_protocol(rho0 / np.trace(rho0), (z + z.T) / 2, 6)
+    assert all(h.dtype == np.float64 for h in rec.hamiltonians)
+    assert all(s.state.dtype == np.float64 for s in rec.steps)
 
 
 def test_trajectory_builds_each_segment_once_across_threads(monkeypatch):

@@ -26,16 +26,18 @@ def test_fig1_gap_is_below_the_criterion_1b_threshold():
     assert abs(table[window, 1].mean() - n1_gge) <= 1e-4
 
 
-def test_fig2_extraction_sits_near_92_percent_of_the_ceiling():
+def test_fig2_extraction_sits_near_94_percent_of_the_ceiling():
     # criterion 2b asks W(100) >= 0.99 of the majorization ceiling; the
-    # four-phase protocol at the fig2 defaults reaches about 0.922 (0.9219 on
-    # one BLAS thread, 0.9231 on two: its eigenbasis rotations have
-    # eigenvalues at -1, where the principal logarithm's branch follows
-    # round-off).  Criterion 2c compares against the N = 2 entropy
-    # production, which is zero for this mode-diagonal initial state.
+    # four-phase protocol at the fig2 defaults reaches 0.9362 on any BLAS
+    # thread count (its legs rotate by signed permutations of modes, whose
+    # principal logarithm the cycle gauge makes unique): each of the N
+    # dephasing steps loses a quadratic-in-angle fraction of the transported
+    # populations, so the deficit falls only like 1/N (see the two-mode swap
+    # below).  Criterion 2c compares against the N = 2 entropy production,
+    # which is zero for this mode-diagonal initial state.
     ham0, gamma0 = cli.fig2_initial_state(cli.parse_config(["fig2"]))
     rec = pr.optimal_gge_protocol(gamma0, ham0, 100, keep_states=False)
-    assert 0.921 <= rec.work / rec.meta["work_bound"] <= 0.924
+    assert 0.9355 <= rec.work / rec.meta["work_bound"] <= 0.937
     two = pr.optimal_gge_protocol(gamma0, ham0, 2, keep_states=False)
     assert abs(two.entropy_production) <= 1e-12
 
