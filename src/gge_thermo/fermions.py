@@ -50,8 +50,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermitian import (_EPS4, STATE_ATOL, _check_spectrum, _eigh, _energy_matching_root, _fermi,
-                        _xlogx, require_hermitian)
+from .hermitian import (_EPS4, STATE_ATOL, EigenSystem, _check_spectrum, _eigh, _energy_matching_root,
+                        _fermi, _fix_phases, _hermitian_part, _xlogx, require_hermitian)
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -88,6 +88,13 @@ class QuadraticHamiltonian:
     def __init__(self, coefficients):
         self.c = require_hermitian(coefficients, name="coefficient matrix")
         self.eig = _eigh(self.c)
+
+    @classmethod
+    def _of(cls, es: EigenSystem) -> "QuadraticHamiltonian":
+        """Trusted, from an eigensystem: modes its phase-fixed U, c = U diag(eps) U^dag."""
+        ham = cls.__new__(cls)
+        ham.c, ham.eig = _hermitian_part(es.reconstruct()), EigenSystem(es.values, _fix_phases(es.vectors))
+        return ham
 
     @property
     def n(self) -> int:
@@ -274,7 +281,7 @@ def _dephase(state: _ModeState, ham: QuadraticHamiltonian):
     p = np.clip(state.p, 0.0, 1.0)
     with np.errstate(divide="ignore"):
         lam = np.log((1.0 - p) / p)
-    return _ModeState(ham, state.p), tuple(float(x) for x in lam)
+    return _ModeState(ham, state.p), tuple(lam.tolist())
 
 
 def _thermalise(state: _ModeState, ham: QuadraticHamiltonian):

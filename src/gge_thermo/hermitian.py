@@ -67,6 +67,11 @@ def require_hermitian(matrix, atol: float = HERMITIAN_ATOL, name: str = "matrix"
     return 0.5 * (m + mh)
 
 
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M†) / 2, the symmetrisation of :func:`require_hermitian` without its check."""
+    return 0.5 * (m + m.conj().T)
+
+
 @dataclass(frozen=True)
 class EigenSystem:
     """Ascending eigenvalues and the unitary whose k-th column is the

@@ -32,7 +32,8 @@ import numpy as np
 
 from . import dense as qd
 from . import fermions as fg
-from .hermitian import STATE_ATOL, _check_spectrum, _eigh, require_hermitian
+from .hermitian import (STATE_ATOL, EigenSystem, _check_spectrum, _eigh, _hermitian_part,
+                        require_hermitian)
 
 __all__ = [
     "Trajectory",
@@ -78,20 +79,21 @@ class Trajectory:
     Cycle gauge: when M = A_a^dag A_b is a phase permutation (the four-phase
     legs rotate by a signed permutation of modes), the lowest-index column
     of A_b in each cycle of length L is rescaled so that the cycle's phase
-    product is (-1)^(L+1).  Then A_b A_a^dag has no eigenvalue -1 and its
+    product is (-1)^(L+1).  Then v = A_b A_a^dag has no eigenvalue -1 and its
     principal logarithm is unique, so the path does not follow round-off;
-    the rescaled columns describe the same keyframe.  When both keyframes
-    are real and the rotation has no eigenvalue -1, so is the logarithm:
-    the imaginary round-off (at most 1e-8) of the log and of each sampled
-    rotation is dropped, and the path stays float64.
+    the rescaled columns describe the same keyframe.
 
-    Sampling is deterministic in u and reproduces the keyframes exactly at
-    the segment ends.  A segment's rotation is built once, under a lock, so
-    threads sampling one trajectory share it.
+    A segment keeps one Schur form v = Z T Z^dag and B = Z^dag A_a; a sample
+    U(s) = Z R(s) B turns row pairs of B by s theta (real form, real
+    keyframes: the path stays float64) or scales rows by e^{i s phi}
+    (complex form, also for an eigenvalue -1), and the matrix is the
+    reconstruction of that eigensystem.  Segment ends return the keyframes
+    exactly; a segment is built once, under a lock, shared by threads.
     """
 
     keyframes: tuple
     rules: tuple
+    _eigs: dict = field(default_factory=dict, repr=False, compare=False)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
     _lock: Lock = field(default_factory=Lock, repr=False, compare=False)
 
@@ -123,26 +125,36 @@ class Trajectory:
         with self._lock:
             if i in self._cache:
                 return self._cache[i]
-            # keyframes are validated and symmetrised
-            es_a, es_b = _eigh(self.keyframes[i]), _eigh(self.keyframes[i + 1])
+            # keyframes are validated and symmetrised; a caller may give their eigensystems
+            es_a, es_b = (self._eigs.get(j) or _eigh(self.keyframes[j]) for j in (i, i + 1))
             gap = float(np.max(np.abs(es_a.values - es_b.values)))
             if gap > 1e-8 * max(1.0, float(np.abs(es_a.values).max())):
-                raise ValueError(
-                    f"eigenvector segment {i}: keyframes must share their spectra "
-                    f"(sorted mismatch {gap:.3e})"
-                )
+                raise ValueError(f"eigenvector segment {i}: keyframes must share their spectra "
+                                 f"(sorted mismatch {gap:.3e})")
             v = _cycle_gauge(es_a.vectors, es_b.vectors) @ es_a.vectors.conj().T
-            # Principal logarithm of a unitary via its (diagonal) Schur form;
-            # scipy loads here, for eigenvector-rule segments only.
+            # scipy loads here, for eigenvector-rule segments only
             import scipy.linalg
-            t_mat, z = scipy.linalg.schur(v, output="complex")
-            log_v = (z * (1j * np.angle(np.diag(t_mat)))) @ z.conj().T
-            log_v = 0.5 * (log_v - log_v.conj().T)
-            # real keyframes whose rotation has no eigenvalue -1 have a real logarithm
-            real = np.isrealobj(v) and float(np.abs(log_v.imag).max(initial=0.0)) <= 1e-8
-            phis, p = np.linalg.eigh(1j * (log_v.real if real else log_v))
-            self._cache[i] = (es_a.values, es_a.vectors, phis, p, real)
+            t, z = scipy.linalg.schur(v, output="real" if np.isrealobj(v) else "complex")
+            k = np.flatnonzero(np.diag(t, -1))      # first rows of the real 2x2 blocks
+            lone = np.diag(t).copy()                # the 1x1 blocks' entries, +-1
+            lone[k], lone[k + 1] = 1.0, 1.0
+            if np.isrealobj(t) and np.any(lone < 0.0):
+                t, z = scipy.linalg.rsf2csf(t, z)   # eigenvalue -1: no real logarithm
+            b = z.conj().T @ es_a.vectors
+            if np.iscomplexobj(t):  # R(s) B = cos(s angles) B + sin(s angles) turned, row by row
+                angles, turned = np.angle(np.diag(t)), 1j * b
+            else:   # a block [[c, -s], [s, c]] at rows k, k + 1 has angle theta
+                theta = np.arctan2(t[k + 1, k] - t[k, k + 1], t[k, k] + t[k + 1, k + 1])
+                angles, partner = np.zeros(len(t)), np.arange(len(t))
+                angles[k], angles[k + 1], partner[k], partner[k + 1] = -theta, theta, k + 1, k
+                turned = b[partner]
+            self._cache[i] = (es_a.values, z, b, turned, angles[:, None])
             return self._cache[i]
+
+    def _rotated(self, i: int, s: float) -> EigenSystem:
+        """Segment ``i``'s eigensystem at 0 < s < 1: keyframe spectrum, U(s) = Z R(s) B."""
+        eps, z, b, turned, angles = self._segment_data(i)
+        return EigenSystem(eps, z @ (np.cos(s * angles) * b + np.sin(s * angles) * turned))
 
     def sample(self, u: float) -> np.ndarray:
         """Hamiltonian at path parameter u."""
@@ -150,9 +162,8 @@ class Trajectory:
         if not (-1e-12 <= u <= 1.0 + 1e-12):
             raise ValueError(f"path parameter {u} outside [0, 1]")
         u = min(max(u, 0.0), 1.0)
-        nseg = len(self.rules)
-        x = u * nseg
-        i = min(int(np.floor(x)), nseg - 1)
+        x = u * len(self.rules)
+        i = min(int(np.floor(x)), len(self.rules) - 1)
         s = x - i
         if s <= 0.0:
             return self.keyframes[i].copy()
@@ -160,10 +171,7 @@ class Trajectory:
             return self.keyframes[i + 1].copy()
         if self.rules[i] == "linear":
             return (1.0 - s) * self.keyframes[i] + s * self.keyframes[i + 1]
-        eps, a_vecs, phis, p, real = self._segment_data(i)
-        rot = (p * np.exp(-1j * s * phis)) @ p.conj().T
-        u_s = (rot.real if real else rot) @ a_vecs
-        return (u_s * eps) @ u_s.conj().T
+        return self._rotated(i, s).reconstruct()
 
     def schedule(self, n_quenches: int) -> list:
         """The samples H(m / N) for m = 0..N of ``n_quenches`` equidistant
@@ -175,7 +183,7 @@ class Trajectory:
 def _cycle_gauge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``b`` with the cycle gauge of :class:`Trajectory` when M = a^dag b is a
     phase permutation (each column's largest entry within 1e-8 of modulus 1,
-    on distinct rows), else ``b`` itself.  A real ``b`` stays real."""
+    on distinct rows), in the dtype of M (real when both are); else ``b``."""
     m = a.conj().T @ b
     cols = np.arange(m.shape[1])
     perm = np.argmax(np.abs(m), axis=0)
@@ -183,7 +191,7 @@ def _cycle_gauge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if np.unique(perm).size != perm.size or np.abs(np.abs(phase) - 1.0).max(initial=0.0) > 1e-8:
         return b
     phase = phase / np.abs(phase)
-    b, seen = b.copy(), np.zeros(perm.size, dtype=bool)
+    b, seen = b.astype(m.dtype), np.zeros(perm.size, dtype=bool)
     for j in cols:      # j is the lowest index of each cycle it opens
         if seen[j]:
             continue
@@ -278,7 +286,8 @@ class _Backend(NamedTuple):
     dephase: Callable      # (state, ham) -> time average
     thermalise: Callable   # (state, ham) -> energy-matching thermal state
     eigenbasis: Callable   # state matrix -> (ascending populations, their modes)
-    levels: Callable       # ham -> (coefficient matrix, ascending energies)
+    levels: Callable       # ham -> (coefficient matrix, its EigenSystem)
+    hamiltonian: Callable  # EigenSystem -> its Hamiltonian, decomposing nothing
 
 
 def _gaussian_eigenbasis(gamma: np.ndarray):
@@ -317,7 +326,8 @@ _BACKENDS = {
         dephase=lambda s, ham: fg._dephase(s, ham),
         thermalise=lambda s, ham: fg._thermalise(s, ham),
         eigenbasis=_gaussian_eigenbasis,
-        levels=lambda ham: (ham.c, ham.energies),
+        levels=lambda ham: (ham.c, ham.eig),
+        hamiltonian=lambda es: fg.QuadraticHamiltonian._of(es),
     ),
     "dense": _Backend(
         check=lambda rho: qd.check_state(rho),
@@ -330,7 +340,8 @@ _BACKENDS = {
         dephase=lambda rho, h: (qd._pinch(rho, _eigh(h)), None),
         thermalise=_dense_thermalise,
         eigenbasis=lambda rho: np.linalg.eigh(0.5 * (rho + rho.conj().T)),
-        levels=lambda h: (h, np.linalg.eigvalsh(h)),
+        levels=lambda h: (h, _eigh(h)),
+        hamiltonian=lambda es: _hermitian_part(es.reconstruct()),
     ),
 }
 
@@ -506,7 +517,7 @@ def _ergotropy(be: _Backend, state, ham) -> float:
     energies of ``ham``."""
     m = be.matrix(state)
     floor = float(_check_spectrum(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))[::-1]
-                  @ be.levels(ham)[1])
+                  @ be.levels(ham)[1].values)
     return be.energy(state, ham) - floor
 
 
@@ -535,19 +546,21 @@ def _four_phase_of(be: _Backend, state, ham0) -> Callable:
     a no-op).  ``ham0`` is validated, and the first leg's rotation built,
     once for every N; the second leg is rebuilt from the state the first
     leaves, walked with the trusted kernels (under the cycle gauge its
-    rotation does not follow their round-off).
+    rotation does not follow their round-off).  No Hamiltonian is decomposed
+    twice: legs build them from the eigensystems their segments hold.
     """
     ham0 = be.wrap(ham0, state)
-    h0, energies = be.levels(ham0)
-    e_desc = energies[::-1]
+    h0, es0 = be.levels(ham0)
+    e_desc = es0.values[::-1]
 
     def leg(m) -> Callable:
         _, w = be.eigenbasis(be.matrix(m))
         h_from = (w * e_desc) @ w.conj().T
         if np.allclose(h_from, h0, atol=1e-13):
             return lambda half: [ham0] * (half + 1)
-        seg, start = Trajectory((h_from, h0), ("eigenvectors",)), be.wrap(h_from, state)
-        return lambda half: ([start] + [be.wrap(seg.sample(j / half), state)
+        seg = Trajectory((h_from, h0), ("eigenvectors",), _eigs={1: es0})
+        start = be.hamiltonian(seg._eigs.setdefault(0, _eigh(seg.keyframes[0])))
+        return lambda half: ([start] + [be.hamiltonian(seg._rotated(0, j / half))
                                         for j in range(1, half)] + [ham0])
 
     first = leg(state)

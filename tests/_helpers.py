@@ -80,17 +80,18 @@ def brentq_root(fs, lo, hi):
 
 
 def count_schur(monkeypatch, delay=0.0):
-    """Count ``scipy.linalg.schur`` calls, which ``Trajectory._segment_data``
-    looks up on the module, so the patch is seen there; ``delay`` seconds of
-    sleep inside each call release the interpreter lock."""
+    """Record the ``output`` form ("real", scipy's default, or "complex") of
+    each ``scipy.linalg.schur`` call, which ``Trajectory._segment_data`` looks
+    up on the module, so the patch is seen there; ``delay`` seconds of sleep
+    inside each call release the interpreter lock."""
     import scipy.linalg
 
     calls, schur = [], scipy.linalg.schur
 
-    def counted(*args, **kwargs):
-        calls.append(1)
+    def counted(a, *args, **kwargs):
+        calls.append(kwargs.get("output", args[0] if args else "real"))
         time.sleep(delay)
-        return schur(*args, **kwargs)
+        return schur(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "schur", counted)
     return calls
@@ -99,8 +100,7 @@ def count_schur(monkeypatch, delay=0.0):
 def count_eigh(monkeypatch):
     """Record the dtype of each matrix the Hamiltonian kernel ``hermitian._eigh``
     decomposes, wrapped where ``hermitian``, ``fermions``, ``dense`` and
-    ``protocols`` look it up (a Trajectory's log rotation is not a Hamiltonian
-    and is not counted)."""
+    ``protocols`` look it up."""
     from gge_thermo import dense, fermions, hermitian, protocols
 
     dtypes, kernel = [], hermitian._eigh
@@ -112,3 +112,14 @@ def count_eigh(monkeypatch):
     for module in (hermitian, fermions, dense, protocols):
         monkeypatch.setattr(module, "_eigh", counted)
     return dtypes
+
+
+def step_equilibration_length(p, e, x):
+    """Large-N limit of the work deficit times N of N quench-and-dephase steps
+    along a rotation exp(sX), s in [0, 1], at frozen spectrum:
+    2 sum_{j<k} |p_j - p_k| |e_j - e_k| |X_jk|^2, with p the populations, e the
+    energies and X the generator in the modes of the first keyframe (the
+    step-equilibration form of thermodynamic length)."""
+    p, e = np.asarray(p, dtype=float), np.asarray(e, dtype=float)
+    w = np.abs(p[:, None] - p) * np.abs(e[:, None] - e) * np.abs(np.asarray(x)) ** 2
+    return float(np.sum(np.triu(w, 1))) * 2.0

@@ -200,9 +200,9 @@ def test_cmd_fig2_matches_the_four_phase_protocol_and_its_exact_run():
 
 
 def test_cmd_fig2_builds_the_first_leg_once_across_workers(monkeypatch):
-    # the sweep's two workers share the four-phase builder: one Schur
-    # logarithm for the first leg, one per N >= 4 for its second leg (N = 2
-    # samples no rotation), on every run
+    # the sweep's two workers share the four-phase builder: one Schur form
+    # for the first leg, one per N >= 4 for its second leg (N = 2 samples no
+    # rotation), on every run
     calls = count_schur(monkeypatch)
     monkeypatch.setenv("GGE_THERMO_THREADS", "2")
     cfg = cli.parse_config(["fig2", "--n", "12", "--quenches", "2,4,8", "--seed", "3"])
@@ -212,6 +212,16 @@ def test_cmd_fig2_builds_the_first_leg_once_across_workers(monkeypatch):
         cli.cmd_fig2(cfg)
         counts.append(len(calls))
     assert counts == [1 + 2] * 3
+
+
+def test_cmd_fig2_decomposes_no_four_phase_sample(monkeypatch):
+    # the chain is decomposed once, and each leg's start once (the first leg
+    # and the second legs of N = 2, 4 and 8); each segment takes the
+    # eigensystems of its start and of ham0, and the 8 interior samples carry
+    # their own
+    dtypes = count_eigh(monkeypatch)
+    cli.cmd_fig2(cli.parse_config(["fig2", "--n", "10", "--quenches", "2,4,8"]))
+    assert len(dtypes) == 1 + 4
 
 
 def test_fig2_cells_agree_across_blas_thread_counts(tmp_path):
@@ -335,7 +345,7 @@ def test_cmd_fig4_builds_each_hamiltonian_once(monkeypatch):
 
 def test_import_and_scipy_free_runs_load_no_scipy(tmp_path):
     # scipy is needed only by eigenvector-rule trajectories (their Schur
-    # logarithm); importing the package, running fig1 or oracle-check and a
+    # form); importing the package, running fig1 or oracle-check and a
     # two-quench four-phase protocol (which samples no rotation) must not load
     # it, so a fresh interpreter reports the scipy modules it holds
     script = "\n".join([

@@ -105,6 +105,21 @@ def test_eigenvector_path_does_not_follow_round_off():
             assert np.max(np.abs(nudged.sample(u) - traj.sample(u))) <= 1e-10, u
 
 
+def _pi_rotation():
+    # real keyframes related by a rotation by pi about a generic axis
+    axis = np.array([1.0, 2.0, 2.0]) / 3.0
+    q, _ = np.linalg.qr(make_rng(9).normal(size=(3, 3)))
+    h_a = (q * [0.0, 1.0, 3.0]) @ q.T
+    r = 2.0 * np.outer(axis, axis) - np.eye(3)
+    return gt.Trajectory((h_a, r @ h_a @ r.T), ("eigenvectors",))
+
+
+def _complex_pair():
+    rng = make_rng(21)
+    h0, u = random_hermitian(5, rng), random_unitary(5, rng)
+    return gt.Trajectory((h0, u @ h0 @ u.conj().T), ("eigenvectors",))
+
+
 def test_real_keyframes_give_a_real_path_only_without_eigenvalue_minus_one():
     # real keyframes rotated by a signed permutation sample float64 matrices;
     # a real rotation by pi about a generic axis is no phase permutation, has
@@ -113,14 +128,34 @@ def test_real_keyframes_give_a_real_path_only_without_eigenvalue_minus_one():
     h_from, h0 = _fig2_first_leg(8, 1)
     traj = gt.Trajectory((h_from, h0), ("eigenvectors",))
     assert all(traj.sample(u).dtype == np.float64 for u in (0.3, 0.6))
-    axis = np.array([1.0, 2.0, 2.0]) / 3.0
-    q, _ = np.linalg.qr(make_rng(9).normal(size=(3, 3)))
-    h_a = (q * [0.0, 1.0, 3.0]) @ q.T
-    r = 2.0 * np.outer(axis, axis) - np.eye(3)
-    traj = gt.Trajectory((h_a, r @ h_a @ r.T), ("eigenvectors",))
+    traj = _pi_rotation()
     assert np.iscomplexobj(traj.sample(0.5))
     assert np.max(np.abs(traj.sample(1.0 - 1e-9) - traj.keyframes[1])) <= 1e-8
     assert np.max(np.abs(np.linalg.eigvalsh(traj.sample(0.5)) - [0.0, 1.0, 3.0])) <= 1e-12
+
+
+@pytest.mark.parametrize("build, form", [
+    (lambda: gt.Trajectory(_fig2_first_leg(8, 1), ("eigenvectors",)), "real"),
+    (_complex_pair, "complex"),
+    (_pi_rotation, "real"),
+], ids=["fig2-leg", "complex-pair", "pi-rotation"])
+def test_sampled_eigensystem_is_the_sample(monkeypatch, build, form):
+    # one Schur form per segment, real for real keyframes (with an eigenvalue
+    # -1 it is converted to the complex form, not taken again), gives each
+    # interior sample its eigensystem: its reconstruction is the sample, its
+    # values are the keyframe spectrum and its vectors, phase-fixed, are those
+    # eigh finds in the sample
+    calls = count_schur(monkeypatch)
+    traj = build()
+    spectrum = hermitian.eigh(traj.keyframes[0]).values
+    for u in (0.3, 0.7):
+        es = traj._rotated(0, u)
+        np.testing.assert_array_equal(es.reconstruct(), traj.sample(u))
+        np.testing.assert_array_equal(es.values, spectrum)
+        vectors = hermitian.eigh(traj.sample(u)).vectors
+        assert np.max(np.abs(hermitian._fix_phases(es.vectors) - vectors)) <= 1e-12, u
+    assert np.max(np.abs(traj.sample(1.0 - 1e-9) - traj.keyframes[1])) <= 1e-8
+    assert calls == [form]
 
 
 def test_trajectory_eigenvector_rule_requires_equal_spectra():
@@ -777,7 +812,7 @@ def test_optimal_gge_protocol_respects_bound_and_is_cyclic():
 def test_four_phase_builder_shares_its_first_leg(monkeypatch):
     # one builder serves every N: its schedules equal a fresh builder's bit for
     # bit, N = 2 samples no rotation, and once N = 4 has built the first leg's
-    # Schur logarithm every larger N builds only its second leg's
+    # Schur form every larger N builds only its second leg's
     rng = make_rng(17)
     ham0 = gt.build_chain(5, rng.uniform(0, 2, 5), 0.4)
     gamma0 = random_correlation(5, rng)
@@ -809,6 +844,20 @@ def test_real_four_phase_schedules_stay_float64():
     rec = gt.optimal_ta_protocol(rho0 / np.trace(rho0), (z + z.T) / 2, 6)
     assert all(h.dtype == np.float64 for h in rec.hamiltonians)
     assert all(s.state.dtype == np.float64 for s in rec.steps)
+
+
+def test_real_dense_four_phase_runs_when_its_first_leg_turns_complex():
+    # at d = 3 the first leg's real rotation often has determinant -1, hence
+    # an eigenvalue -1 and complex samples; the second leg then turns a
+    # complex keyframe onto the real h0 by a permutation of modes, whose
+    # gauged columns must take the complex dtype (seeds 0, 1, 3 and 11 raised
+    # a casting error when they kept the real one)
+    for seed in range(12):
+        rng = make_rng(seed)
+        z = rng.normal(size=(3, 3))
+        rho = z @ z.T + 0.1 * np.eye(3)
+        rec = gt.optimal_ta_protocol(rho / np.trace(rho), (z + z.T) / 2, 4, keep_states=False)
+        assert rec.work <= rec.meta["work_bound"] + 1e-9, seed
 
 
 def test_trajectory_builds_each_segment_once_across_threads(monkeypatch):

@@ -11,7 +11,7 @@ import gge_thermo as gt
 from gge_thermo import cli
 from gge_thermo import fermions as fg
 from gge_thermo import protocols as pr
-from _helpers import make_rng, random_correlation
+from _helpers import make_rng, random_correlation, step_equilibration_length
 
 
 def test_fig1_gap_is_below_the_criterion_1b_threshold():
@@ -40,6 +40,30 @@ def test_fig2_extraction_sits_near_94_percent_of_the_ceiling():
     assert 0.9355 <= rec.work / rec.meta["work_bound"] <= 0.937
     two = pr.optimal_gge_protocol(gamma0, ham0, 2, keep_states=False)
     assert abs(two.entropy_production) <= 1e-12
+
+
+def test_fig2_deficit_approaches_its_step_equilibration_length():
+    # the fig2 deficit (criterion 2b) is the thermodynamic length of its first
+    # leg: with X the leg's generator, read from its segment's Schur form, in
+    # the modes of its first keyframe, 2 sum |p_j - p_k| |e_j - e_k| |X_jk|^2
+    # is 6.68 per unit of ceiling, and deficit x N approaches it from below
+    # at O(1/N) (6.38 and 6.53 at N = 100 and 200; the remainder times N
+    # reads 30.1 and 30.8); 2b's 0.99 at N = 100 would need a length of at most 1.0.
+    ham0, gamma0 = cli.fig2_initial_state(cli.parse_config(["fig2"]))
+    _, w = pr._gaussian_eigenbasis(gamma0)
+    h_from = (w * ham0.energies[::-1]) @ w.conj().T
+    traj = pr.Trajectory((h_from, ham0.c), ("eigenvectors",))
+    energies, _, b, turned, angles = traj._segment_data(0)
+    x = b.conj().T @ (angles * turned)      # d/ds of R(s) B at s = 0, in the modes
+    assert np.max(np.abs(x + x.conj().T)) <= 1e-12
+    populations = fg.mode_populations(gamma0, fg.QuadraticHamiltonian(traj.keyframes[0]))
+    ceiling = pr.optimal_work_bound(gamma0, ham0)
+    length = step_equilibration_length(populations, energies, x) / ceiling
+    assert 6.675 <= length <= 6.69
+    for n in (100, 200):
+        rec = pr.optimal_gge_protocol(gamma0, ham0, n, keep_states=False)
+        deficit = (1.0 - rec.work / rec.meta["work_bound"]) * n
+        assert 25.0 <= (length - deficit) * n <= 35.0, n
 
 
 def test_two_mode_swap_deficit_scales_like_one_over_n():
