@@ -27,7 +27,6 @@ from .fermions import (
     evolve_exact,
     from_mode_basis,
     gibbs_correlation,
-    mode_populations,
     solve_beta,
     to_mode_basis,
     work_of_quench,
@@ -38,7 +37,6 @@ from .dense import (
     check_state,
     correlation_of_dense,
     entropy_matching_beta,
-    evolve_dense,
     gaussian_to_dense,
     gge_state_dense,
     gibbs_state_dense,

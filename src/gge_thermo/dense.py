@@ -34,7 +34,6 @@ __all__ = [
     "kl_gap",
     "is_passive",
     "passive_rearrangement",
-    "evolve_dense",
     "entropy_matching_beta",
     "quadratic_to_dense",
     "mode_number_operators",
@@ -374,11 +373,6 @@ def passive_rearrangement(rho, hamiltonian) -> np.ndarray:
     r, es = _prologue(rho, hamiltonian)
     p = np.linalg.eigvalsh(r)[::-1]
     return (es.vectors * p) @ es.vectors.conj().T
-
-
-def evolve_dense(rho, hamiltonian, t: float) -> np.ndarray:
-    """rho(t) = exp(-i H t) rho exp(i H t)."""
-    return _evolve(*_prologue(rho, hamiltonian), t)
 
 
 def _evolve(r: np.ndarray, es, t: float) -> np.ndarray:

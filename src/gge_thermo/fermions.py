@@ -64,7 +64,6 @@ __all__ = [
     "build_chain",
     "to_mode_basis",
     "from_mode_basis",
-    "mode_populations",
     "gibbs_correlation",
     "attainable_energy_range",
     "solve_beta",
@@ -217,11 +216,6 @@ def from_mode_basis(gamma_eta, ham: QuadraticHamiltonian) -> np.ndarray:
     return _ModeState(ham, g).matrix()
 
 
-def mode_populations(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
-    """Diagonal of the mode-basis correlation matrix, p_k = <eta_k^dag eta_k>."""
-    return np.real(np.diag(to_mode_basis(gamma, ham)))
-
-
 class _ModeState(NamedTuple):
     """Gaussian state in the modes of ``ham``, A.conj() @ g @ A.T, with g its
     matrix there or, for a state diagonal there, its populations p; or on
@@ -296,10 +290,13 @@ def gibbs_correlation(ham: QuadraticHamiltonian, beta: float) -> np.ndarray:
     For a quadratic Hamiltonian the thermal state is Gaussian with
     Fermi-Dirac mode occupations p_k = 1 / (1 + exp(beta * eps_k)); no
     approximation is involved.  ``beta`` may be any real number (negative
-    values describe population-inverted diagnostics).
+    values describe population-inverted diagnostics, and +-inf the
+    ground-state and fully inverted limits); a NaN ``beta`` raises.
     """
-    ham = as_hamiltonian(ham)
-    return _ModeState(ham, _fermi(float(beta) * ham.energies)).matrix()
+    ham, beta = as_hamiltonian(ham), float(beta)
+    if np.isnan(beta):      # _fermi would read it as an empty mode: the vacuum
+        raise ValueError(f"beta must be a real number, got {beta}")
+    return _ModeState(ham, _fermi(beta * ham.energies)).matrix()
 
 
 def attainable_energy_range(ham: QuadraticHamiltonian) -> tuple[float, float]:

@@ -12,11 +12,11 @@ extraction sign (positive = work gained), the negation of the quench cost
 :func:`min_work_scan` is the one loop over (model, N): it takes a schedule
 builder ``n -> [H^(0) .. H^(N)]`` (``traj.schedule``, a partial of
 :func:`local_quench_schedule`, or the four-phase builder ``_four_phase``,
-which builds its first leg once for every N), builds each N's schedule once
-and runs every model on it, recording works and entropy productions, which
-:func:`richardson_limit` extrapolates to N -> infinity.  The
-``optimal_*_protocol`` functions run that four-phase schedule on either back
-end under the dephasing map.
+which builds its first leg once for every N and returns n + 3 Hamiltonians,
+i.e. n + 2 quenches), builds each N's schedule once and runs every model on
+it, recording works and entropy productions, which :func:`richardson_limit`
+extrapolates to N -> infinity.  The ``optimal_*_protocol`` functions run
+that four-phase schedule on either back end under the dephasing map.
 """
 
 from __future__ import annotations
@@ -83,19 +83,14 @@ class Trajectory:
     principal logarithm is unique, so the path does not follow round-off;
     the rescaled columns describe the same keyframe.
 
-    A segment keeps one Schur form v = Z T Z^dag and B = Z^dag A_a; a sample
-    U(s) = Z R(s) B turns row pairs of B by s theta (real form, real
-    keyframes: the path stays float64) or scales rows by e^{i s phi}
-    (complex form, also for an eigenvalue -1), and the matrix is the
-    reconstruction of that eigensystem.  Segment ends return the keyframes
-    exactly; a segment is built once, under a lock, shared by threads.
+    Each eigenvector segment is a :class:`_Rotation` between its keyframes'
+    eigensystems, checked when the trajectory is built; segment ends return
+    the keyframes exactly.
     """
 
     keyframes: tuple
     rules: tuple
-    _eigs: dict = field(default_factory=dict, repr=False, compare=False)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _lock: Lock = field(default_factory=Lock, repr=False, compare=False)
+    _rotations: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         frames = tuple(
@@ -114,47 +109,15 @@ class Trajectory:
         for r in rules:
             if r not in _RULES:
                 raise ValueError(f"unknown interpolation rule {r!r}; choose from {_RULES}")
+        rotations = tuple(_Rotation(_eigh(frames[i]), _eigh(frames[i + 1]), f"eigenvector segment {i}")
+                          if r == "eigenvectors" else None for i, r in enumerate(rules))
         object.__setattr__(self, "keyframes", frames)
         object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "_rotations", rotations)
 
     @classmethod
     def linear(cls, h0, h1) -> "Trajectory":
         return cls((h0, h1), ("linear",))
-
-    def _segment_data(self, i: int):
-        with self._lock:
-            if i in self._cache:
-                return self._cache[i]
-            # keyframes are validated and symmetrised; a caller may give their eigensystems
-            es_a, es_b = (self._eigs.get(j) or _eigh(self.keyframes[j]) for j in (i, i + 1))
-            gap = float(np.max(np.abs(es_a.values - es_b.values)))
-            if gap > 1e-8 * max(1.0, float(np.abs(es_a.values).max())):
-                raise ValueError(f"eigenvector segment {i}: keyframes must share their spectra "
-                                 f"(sorted mismatch {gap:.3e})")
-            v = _cycle_gauge(es_a.vectors, es_b.vectors) @ es_a.vectors.conj().T
-            # scipy loads here, for eigenvector-rule segments only
-            import scipy.linalg
-            t, z = scipy.linalg.schur(v, output="real" if np.isrealobj(v) else "complex")
-            k = np.flatnonzero(np.diag(t, -1))      # first rows of the real 2x2 blocks
-            lone = np.diag(t).copy()                # the 1x1 blocks' entries, +-1
-            lone[k], lone[k + 1] = 1.0, 1.0
-            if np.isrealobj(t) and np.any(lone < 0.0):
-                t, z = scipy.linalg.rsf2csf(t, z)   # eigenvalue -1: no real logarithm
-            b = z.conj().T @ es_a.vectors
-            if np.iscomplexobj(t):  # R(s) B = cos(s angles) B + sin(s angles) turned, row by row
-                angles, turned = np.angle(np.diag(t)), 1j * b
-            else:   # a block [[c, -s], [s, c]] at rows k, k + 1 has angle theta
-                theta = np.arctan2(t[k + 1, k] - t[k, k + 1], t[k, k] + t[k + 1, k + 1])
-                angles, partner = np.zeros(len(t)), np.arange(len(t))
-                angles[k], angles[k + 1], partner[k], partner[k + 1] = -theta, theta, k + 1, k
-                turned = b[partner]
-            self._cache[i] = (es_a.values, z, b, turned, angles[:, None])
-            return self._cache[i]
-
-    def _rotated(self, i: int, s: float) -> EigenSystem:
-        """Segment ``i``'s eigensystem at 0 < s < 1: keyframe spectrum, U(s) = Z R(s) B."""
-        eps, z, b, turned, angles = self._segment_data(i)
-        return EigenSystem(eps, z @ (np.cos(s * angles) * b + np.sin(s * angles) * turned))
 
     def sample(self, u: float) -> np.ndarray:
         """Hamiltonian at path parameter u."""
@@ -171,13 +134,56 @@ class Trajectory:
             return self.keyframes[i + 1].copy()
         if self.rules[i] == "linear":
             return (1.0 - s) * self.keyframes[i] + s * self.keyframes[i + 1]
-        return self._rotated(i, s).reconstruct()
+        return self._rotations[i].at(s).reconstruct()
 
     def schedule(self, n_quenches: int) -> list:
         """The samples H(m / N) for m = 0..N of ``n_quenches`` equidistant
         quenches."""
         n_quenches = _quench_counts([n_quenches])[0]
         return [self.sample(m / n_quenches) for m in range(n_quenches + 1)]
+
+
+class _Rotation:
+    """The eigenvector rule of :class:`Trajectory` from ``es_a`` to ``es_b``,
+    whose sorted spectra must agree (the error is prefixed by ``name``).
+
+    One Schur form v = Z T Z^dag of the gauged v = A_b A_a^dag, built at the
+    first :meth:`at`, once, under a lock shared by threads, gives B = Z^dag A_a
+    and U(s) = Z R(s) B: R(s) turns row pairs of B by s theta (real form, real
+    eigensystems: the path stays float64) or scales rows by e^{i s phi}
+    (complex form, also for an eigenvalue -1)."""
+
+    def __init__(self, es_a: EigenSystem, es_b: EigenSystem, name: str = "rotation"):
+        gap = float(np.max(np.abs(es_a.values - es_b.values)))
+        if gap > 1e-8 * max(1.0, float(np.abs(es_a.values).max())):
+            raise ValueError(f"{name}: keyframes must share their spectra "
+                             f"(sorted mismatch {gap:.3e})")
+        self._a, self._b, self._lock, self._form = es_a, es_b, Lock(), None
+
+    def at(self, s: float) -> EigenSystem:
+        """The eigensystem at 0 < s < 1: the common spectrum, U(s) = Z R(s) B."""
+        with self._lock:
+            if self._form is None:
+                a = self._a.vectors
+                v = _cycle_gauge(a, self._b.vectors) @ a.conj().T
+                # scipy loads here, for eigenvector rotations only
+                import scipy.linalg
+                t, z = scipy.linalg.schur(v, output="real" if np.isrealobj(v) else "complex")
+                k = np.flatnonzero(np.diag(t, -1))      # first rows of the real 2x2 blocks
+                # a 1x1 block's entry is +-1; an eigenvalue -1 has no real logarithm
+                if np.isrealobj(t) and np.any(np.delete(np.diag(t), np.r_[k, k + 1]) < 0.0):
+                    t, z = scipy.linalg.rsf2csf(t, z)
+                b = z.conj().T @ a
+                if np.iscomplexobj(t):  # R(s) B = cos(s angles) B + sin(s angles) turned, row by row
+                    angles, turned = np.angle(np.diag(t)), 1j * b
+                else:   # a block [[c, -s], [s, c]] at rows k, k + 1 has angle theta
+                    theta = np.arctan2(t[k + 1, k] - t[k, k + 1], t[k, k] + t[k + 1, k + 1])
+                    angles, partner = np.zeros(len(t)), np.arange(len(t))
+                    angles[k], angles[k + 1], partner[k], partner[k + 1] = -theta, theta, k + 1, k
+                    turned = b[partner]
+                self._form = (z, b, turned, angles[:, None])
+        z, b, turned, angles = self._form
+        return EigenSystem(self._a.values, z @ (np.cos(s * angles) * b + np.sin(s * angles) * turned))
 
 
 def _cycle_gauge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -531,8 +537,9 @@ def optimal_work_bound(gamma0, ham0) -> float:
 
 
 def _four_phase(state, ham0, backend: str = "gaussian") -> Callable:
-    """Builder ``n -> [H^(0) .. H^(n)]`` of the cyclic four-phase protocol
-    extracting the maximum work under the dephasing map, on either back end."""
+    """Builder ``n -> [H^(0) .. H^(n + 2)]`` of the cyclic four-phase protocol
+    extracting the maximum work under the dephasing map, on either back end:
+    n + 2 quenches, two aligning ones plus n rotation steps."""
     be = _backend(backend)
     return _four_phase_of(be, be.check(state), ham0)
 
@@ -543,11 +550,12 @@ def _four_phase_of(be: _Backend, state, ham0) -> Callable:
     Two legs, each a quench aligning the modes with the state's eigenbasis
     (the spectrum of ``ham0`` assigned anti-sorted), then an N/2-step
     eigenbasis rotation back to ``ham0`` (repeated ``ham0`` if the quench is
-    a no-op).  ``ham0`` is validated, and the first leg's rotation built,
-    once for every N; the second leg is rebuilt from the state the first
-    leaves, walked with the trusted kernels (under the cycle gauge its
-    rotation does not follow their round-off).  No Hamiltonian is decomposed
-    twice: legs build them from the eigensystems their segments hold.
+    a no-op).  ``ham0`` is validated and decomposed, and the first leg's
+    :class:`_Rotation` built, once for every N; the second leg is rebuilt
+    from the state the first leaves, walked with the trusted kernels (under
+    the cycle gauge its rotation does not follow their round-off).  No
+    Hamiltonian is decomposed twice: a leg decomposes its aligned keyframe
+    once and builds its Hamiltonians from the eigensystems its rotation gives.
     """
     ham0 = be.wrap(ham0, state)
     h0, es0 = be.levels(ham0)
@@ -558,9 +566,9 @@ def _four_phase_of(be: _Backend, state, ham0) -> Callable:
         h_from = (w * e_desc) @ w.conj().T
         if np.allclose(h_from, h0, atol=1e-13):
             return lambda half: [ham0] * (half + 1)
-        seg = Trajectory((h_from, h0), ("eigenvectors",), _eigs={1: es0})
-        start = be.hamiltonian(seg._eigs.setdefault(0, _eigh(seg.keyframes[0])))
-        return lambda half: ([start] + [be.hamiltonian(seg._rotated(0, j / half))
+        es = _eigh(require_hermitian(h_from, atol=STATE_ATOL))
+        rotation, start = _Rotation(es, es0), be.hamiltonian(es)
+        return lambda half: ([start] + [be.hamiltonian(rotation.at(j / half))
                                         for j in range(1, half)] + [ham0])
 
     first = leg(state)
@@ -590,14 +598,15 @@ def _optimal_protocol(state, ham0, n_quenches: int, backend: str,
 
 
 def optimal_gge_protocol(gamma0, ham0, n_quenches: int, *, keep_states: bool = True) -> ProtocolRecord:
-    """Four-phase extraction from a correlation matrix under the dephasing
-    map; ``meta['work_bound']`` is :func:`optimal_work_bound`."""
+    """Four-phase extraction from a correlation matrix under the dephasing map, in
+    ``n_quenches`` + 2 quenches (see :func:`_four_phase`); ``meta['work_bound']``
+    is :func:`optimal_work_bound`."""
     return _optimal_protocol(gamma0, ham0, n_quenches, "gaussian", keep_states)
 
 
 def optimal_ta_protocol(rho0, h0, n_quenches: int, *, keep_states: bool = True) -> ProtocolRecord:
-    """Four-phase extraction from a density matrix under the pinching map;
-    ``meta['work_bound']`` is the passive gap Tr(rho0 H0) - Tr(rearranged H0)."""
+    """Four-phase extraction from a density matrix under the pinching map, in ``n_quenches``
+    + 2 quenches; ``meta['work_bound']`` is the passive gap Tr(rho0 H0) - Tr(rearranged H0)."""
     return _optimal_protocol(rho0, h0, n_quenches, "dense", keep_states)
 
 
@@ -701,8 +710,8 @@ def min_work_scan(
     """Work and entropy production per (model, N), with a monotonicity verdict per model.
 
     ``schedule(n)`` builds the Hamiltonians ``H^(0) .. H^(n)`` of N = n
-    quenches, e.g. ``traj.schedule`` or
-    ``functools.partial(local_quench_schedule, ham0, peak)``.  At entry,
+    quenches, e.g. ``traj.schedule`` or ``functools.partial(local_quench_schedule,
+    ham0, peak)`` (``_four_phase`` gives n + 3 of them: n + 2 quenches).  At entry,
     ``n_list`` must be strictly increasing positive integers, ``seed`` an int
     >= 0 and the initial state valid (its entropy is evaluated once here).
     There is one task per N, largest first, on as many workers as

@@ -81,8 +81,8 @@ def brentq_root(fs, lo, hi):
 
 def count_schur(monkeypatch, delay=0.0):
     """Record the ``output`` form ("real", scipy's default, or "complex") of
-    each ``scipy.linalg.schur`` call, which ``Trajectory._segment_data`` looks
-    up on the module, so the patch is seen there; ``delay`` seconds of sleep
+    each ``scipy.linalg.schur`` call, which ``protocols._Rotation`` looks up
+    on the module, so the patch is seen there; ``delay`` seconds of sleep
     inside each call release the interpreter lock."""
     import scipy.linalg
 

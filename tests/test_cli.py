@@ -224,18 +224,20 @@ def test_cmd_fig2_decomposes_no_four_phase_sample(monkeypatch):
     assert len(dtypes) == 1 + 4
 
 
-def test_fig2_cells_agree_across_blas_thread_counts(tmp_path):
-    # under the cycle gauge the four-phase rotations have a unique principal
-    # logarithm, so BLAS round-off moves fig2's cells by round-off only
-    # (without it W_gge(4) read 4.929 on one thread and 4.519 on two)
+@pytest.mark.parametrize("experiment", ["fig2", "fig3", "fig4", "scan"])
+def test_cli_cells_agree_across_blas_thread_counts(tmp_path, experiment):
+    # BLAS round-off moves the cells by round-off only: for fig2, under the
+    # cycle gauge the four-phase rotations have a unique principal logarithm
+    # (without it W_gge(4) read 4.929 on one thread and 4.519 on two); the
+    # local-quench sweeps of fig3, fig4 and scan have no such branch choice
     src = Path(__file__).resolve().parents[1] / "src"
     cells = []
     for threads in ("1", "2"):
-        out = tmp_path / f"fig2-{threads}.csv"
+        out = tmp_path / f"{experiment}-{threads}.csv"
         env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
-        run = subprocess.run([sys.executable, "-m", "gge_thermo.cli", "fig2", "--quenches", "2,4",
-                              "--out", str(out)], env=env, capture_output=True, text=True,
-                             timeout=300)
+        run = subprocess.run([sys.executable, "-m", "gge_thermo.cli", experiment,
+                              "--quenches", "2,4", "--out", str(out)], env=env,
+                             capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         cells.append(np.loadtxt(out, delimiter=",", skiprows=1))
     assert np.max(np.abs(cells[0] - cells[1])) <= 1e-10

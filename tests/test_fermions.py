@@ -32,9 +32,23 @@ def test_gibbs_correlation_single_mode():
 
 def test_gibbs_correlation_two_site_closed_form():
     gamma = gt.gibbs_correlation(two_site(), 2.0)
-    pops = np.sort(gt.mode_populations(gamma, two_site()))[::-1]
+    pops = np.sort(np.diag(gt.to_mode_basis(gamma, two_site())).real)[::-1]
     assert pops[0] == pytest.approx(1.0 / (1.0 + math.exp(1.8)), rel=1e-12)
     assert pops[1] == pytest.approx(1.0 / (1.0 + math.exp(2.2)), rel=1e-12)
+
+
+def test_gibbs_correlation_rejects_nan_beta_and_keeps_infinite_limits():
+    # a NaN beta used to give the vacuum, as did a thermal bath built from
+    # it; +inf fills the negative-energy modes and -inf the positive ones
+    ham = gt.build_chain(4, [-1.0, -0.5, 0.5, 1.0], 0.2)
+    for call in (lambda: gt.gibbs_correlation(ham, math.nan),
+                 lambda: gt.thermal_bath_initial_state(4, math.nan, g=0.3)):
+        with pytest.raises(ValueError, match="^beta must be a real number, got nan$"):
+            call()
+    below = ham.energies < 0.0
+    for beta, filled in ((math.inf, below), (-math.inf, ~below)):
+        pops = np.diag(gt.to_mode_basis(gt.gibbs_correlation(ham, beta), ham)).real
+        np.testing.assert_allclose(pops, filled.astype(float), atol=1e-14)
 
 
 def test_solve_beta_examples():
@@ -133,7 +147,7 @@ def test_dephase_gge_two_site_energy_and_populations():
     g_eta = gt.to_mode_basis(out, ham)
     assert abs(g_eta[0, 1]) < 1e-14
     assert gt.energy(out, ham) == pytest.approx(gt.energy(gamma, ham), abs=1e-12)
-    assert np.allclose(gt.mode_populations(out, ham), gt.mode_populations(gamma, ham), atol=1e-14)
+    assert np.allclose(np.diag(g_eta).real, np.diag(gt.to_mode_basis(gamma, ham)).real, atol=1e-14)
 
 
 def test_dephase_majorization():

@@ -132,7 +132,6 @@ def _correlation_views(gamma):
         lambda: gt.energy(gamma, ham),
         lambda: gt.dephase_gge(gamma, ham),
         lambda: gt.to_mode_basis(gamma, ham),
-        lambda: gt.mode_populations(gamma, ham),
         lambda: gt.evolve_exact(gamma, ham, 1.0),
         lambda: gt.work_of_quench(gamma, ham, ham),
     ]

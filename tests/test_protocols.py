@@ -144,12 +144,13 @@ def test_sampled_eigensystem_is_the_sample(monkeypatch, build, form):
     # -1 it is converted to the complex form, not taken again), gives each
     # interior sample its eigensystem: its reconstruction is the sample, its
     # values are the keyframe spectrum and its vectors, phase-fixed, are those
-    # eigh finds in the sample
+    # eigh finds in the sample; building the trajectory takes no Schur form
     calls = count_schur(monkeypatch)
     traj = build()
+    assert not calls
     spectrum = hermitian.eigh(traj.keyframes[0]).values
     for u in (0.3, 0.7):
-        es = traj._rotated(0, u)
+        es = traj._rotations[0].at(u)
         np.testing.assert_array_equal(es.reconstruct(), traj.sample(u))
         np.testing.assert_array_equal(es.values, spectrum)
         vectors = hermitian.eigh(traj.sample(u)).vectors
@@ -159,8 +160,11 @@ def test_sampled_eigensystem_is_the_sample(monkeypatch, build, form):
 
 
 def test_trajectory_eigenvector_rule_requires_equal_spectra():
-    with pytest.raises(ValueError, match="spectra"):
-        gt.Trajectory((np.diag([0.0, 1.0]), np.diag([0.0, 2.0])), ("eigenvectors",)).sample(0.5)
+    # checked when the trajectory is built, not at its first interior sample;
+    # the error names the segment
+    h = np.diag([0.0, 1.0])
+    with pytest.raises(ValueError, match="^eigenvector segment 1: keyframes must share their spectra"):
+        gt.Trajectory((h, h, np.diag([0.0, 2.0])), ("linear", "eigenvectors"))
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +323,8 @@ def test_gge_transport_matches_old_state_populations():
     rec = gt.run_protocol(gamma0, gt.Trajectory.linear(ham0.c, ham1.c), 5, gt.GGE)
     for m in range(1, len(rec.steps)):
         ham_m = rec.hamiltonians[m]
-        before = gt.mode_populations(rec.steps[m - 1].state, ham_m)
-        after = gt.mode_populations(rec.steps[m].state, ham_m)
+        before = np.diag(gt.to_mode_basis(rec.steps[m - 1].state, ham_m)).real
+        after = np.diag(gt.to_mode_basis(rec.steps[m].state, ham_m)).real
         assert np.max(np.abs(before - after)) < 1e-12
 
 
@@ -416,8 +420,10 @@ def test_dense_runner_steps_equal_public_maps(d, kind):
         elif kind == "gibbs":
             expected, beta = gt.gibbs_state_dense(prev, ham)
             assert abs(rec.steps[m].duals[0] - beta) <= 1e-12 * max(1.0, abs(beta))
-        else:
-            expected = gt.evolve_dense(prev, ham, t)
+        else:   # V e^{-iEt} V^dag from numpy's own eigh, not the runner's kernel
+            e, v = np.linalg.eigh(ham)
+            u = (v * np.exp(-1j * t * e)) @ v.conj().T
+            expected = u @ prev @ u.conj().T
         assert np.max(np.abs(rec.steps[m].state - expected)) <= 1e-12
         assert rec.steps[m].entropy == pytest.approx(gt.vn_entropy(rec.steps[m].state), abs=1e-12)
 
@@ -513,7 +519,7 @@ def test_gaussian_runner_matches_public_map_loop(kind, keep_states):
             cost = gt.energy(state, hams[m]) - gt.energy(state, hams[m - 1])
             if kind == "ta-gge":
                 state = gt.dephase_gge(state, hams[m])
-                p = gt.mode_populations(state, hams[m])
+                p = np.diag(gt.to_mode_basis(state, hams[m])).real
                 duals = np.log((1.0 - p) / p)
             elif kind == "gibbs":
                 beta, _ = gt.solve_beta(hams[m], gt.energy(state, hams[m]))
@@ -1110,7 +1116,7 @@ def test_build_population_inverted_bath():
     assert gamma.shape == (150, 150)
     assert np.trace(gamma).real == pytest.approx(32.1)
     bath = gt.build_chain(149, [1.0] * 149, 0.5)
-    pops = np.sort(gt.mode_populations(gamma[1:, 1:], bath))
+    pops = np.sort(np.diag(gt.to_mode_basis(gamma[1:, 1:], bath)).real)
     assert np.allclose(pops[:-32], 0.0, atol=1e-10)
     assert np.allclose(pops[-32:], 1.0, atol=1e-10)
     with pytest.raises(ValueError, match="K"):

@@ -53,10 +53,12 @@ def test_fig2_deficit_approaches_its_step_equilibration_length():
     _, w = pr._gaussian_eigenbasis(gamma0)
     h_from = (w * ham0.energies[::-1]) @ w.conj().T
     traj = pr.Trajectory((h_from, ham0.c), ("eigenvectors",))
-    energies, _, b, turned, angles = traj._segment_data(0)
+    rotation = traj._rotations[0]
+    energies = rotation.at(0.5).values      # the keyframe spectrum; builds the Schur form
+    _, b, turned, angles = rotation._form
     x = b.conj().T @ (angles * turned)      # d/ds of R(s) B at s = 0, in the modes
     assert np.max(np.abs(x + x.conj().T)) <= 1e-12
-    populations = fg.mode_populations(gamma0, fg.QuadraticHamiltonian(traj.keyframes[0]))
+    populations = np.diag(fg.to_mode_basis(gamma0, fg.QuadraticHamiltonian(traj.keyframes[0]))).real
     ceiling = pr.optimal_work_bound(gamma0, ham0)
     length = step_equilibration_length(populations, energies, x) / ceiling
     assert 6.675 <= length <= 6.69
