@@ -290,8 +290,8 @@ def gibbs_correlation(ham: QuadraticHamiltonian, beta: float) -> np.ndarray:
     For a quadratic Hamiltonian the thermal state is Gaussian with
     Fermi-Dirac mode occupations p_k = 1 / (1 + exp(beta * eps_k)); no
     approximation is involved.  ``beta`` may be any real number (negative
-    values describe population-inverted diagnostics, and +-inf the
-    ground-state and fully inverted limits); a NaN ``beta`` raises.
+    values describe population-inverted diagnostics, and +-inf the limits of
+    the nonzero-energy modes); a NaN ``beta`` raises.
     """
     ham, beta = as_hamiltonian(ham), float(beta)
     if np.isnan(beta):      # _fermi would read it as an empty mode: the vacuum
