@@ -56,6 +56,15 @@ def check_state(rho) -> np.ndarray:
     return r
 
 
+def _hamiltonian(hamiltonian, r: np.ndarray) -> np.ndarray:
+    """The one dense Hamiltonian check: Hermitian within ``STATE_ATOL`` and
+    of the shape of the validated state ``r``; returns the symmetrised copy."""
+    h = require_hermitian(hamiltonian, atol=STATE_ATOL, name="Hamiltonian")
+    if h.shape != r.shape:
+        raise ValueError(f"dimension mismatch: state {r.shape} vs Hamiltonian {h.shape}")
+    return h
+
+
 def _prologue(rho, hamiltonian):
     """Validated state and the Hamiltonian's eigensystem, of matching
     dimensions: the checks every public map below runs before its kernel.
@@ -63,10 +72,7 @@ def _prologue(rho, hamiltonian):
     their arguments; the protocol runner calls them after validating a whole
     schedule once."""
     r = check_state(rho)
-    es = eigh(hamiltonian, atol=STATE_ATOL)
-    if r.shape != (es.dim, es.dim):
-        raise ValueError(f"dimension mismatch: state {r.shape} vs Hamiltonian dim {es.dim}")
-    return r, es
+    return r, _eigh(_hamiltonian(hamiltonian, r))
 
 
 def _expectation(rho: np.ndarray, obs: np.ndarray) -> float:
@@ -229,23 +235,24 @@ def gge_state_dense(rho, hamiltonian, conserved: ConservedSet) -> tuple[np.ndarr
     -----
     The damped Newton iteration starts from the energy-matching beta with
     zero lambdas and stops once every gradient entry is at most 1e-10, or
-    after 300 steps.  The Hessian of ln Z is the covariance-like matrix built
-    from the first divided differences of the exponential, so it is PSD.
+    after 300 steps.  The Hessian of ln Z is the covariance matrix of
+    X = (-H, Q_1, ...) built from the first divided differences of the
+    exponential; each step solves it plus the ridge 1e-12 max(1, max diag),
+    which is positive definite.  If some sum_a c_a X_a is proportional to I,
+    ln Z is flat along c: such c (the null space of Tr(X_a X_b) -
+    Tr X_a Tr X_b / d, X at unit norm, cut 1e-10) are found once and every
+    step drops its part along them, so the dual point is canonical.
 
-    Each Newton step is backtracked from the full step, halving alpha down
-    to 1e-12.  A candidate is accepted when it passes the Armijo test
+    Each step is backtracked from the full step, halving alpha down to
+    1e-12.  A candidate is accepted by the Armijo test
     phi(cand) <= phi + 1e-4 alpha (grad . step), or when its gradient
-    sup-norm is at most half the current one.  The second test accepts the
-    quadratically convergent steps near the optimum, where the Armijo
+    sup-norm is at most half the current one: near the optimum the Armijo
     decrease (about 1e-4 |grad|^2) is below the round-off of ln Z.  When no
-    candidate is accepted the iteration stops without moving; the state is
-    then returned if every residual is within 1e-8, and ValueError is raised
-    otherwise.
+    candidate is accepted the iteration stops without moving, and the state
+    is returned only if every residual is within 1e-8.
     """
-    h = require_hermitian(hamiltonian, atol=STATE_ATOL, name="Hamiltonian")
     r = check_state(rho)
-    if r.shape != h.shape:
-        raise ValueError(f"dimension mismatch: state {r.shape} vs Hamiltonian dim {h.shape[0]}")
+    h = _hamiltonian(hamiltonian, r)
     es = _eigh(h)
     if conserved.q and conserved.observables[0].shape != h.shape:
         raise ValueError("conserved observables must match the Hamiltonian dimension")
@@ -258,8 +265,13 @@ def gge_state_dense(rho, hamiltonian, conserved: ConservedSet) -> tuple[np.ndarr
     operators = [-h] + list(conserved.observables)
     consts = np.array([-e_target] + list(conserved.targets))
 
-    theta = np.zeros(1 + conserved.q)
-    theta[0] = beta0
+    theta = np.r_[beta0, np.zeros(conserved.q)]
+    # an orthonormal basis of the flat directions c (see Notes); a zero X_a keeps norm 1
+    flat = np.array([x.ravel() for x in operators])
+    gram, tr = (flat.conj() @ flat.T).real, flat[:, ::len(h) + 1].sum(axis=1).real
+    norm = np.sqrt(np.diag(gram)) + (np.diag(gram) == 0.0)
+    vals, vecs = np.linalg.eigh((gram - np.outer(tr, tr) / len(h)) / np.outer(norm, norm))
+    null = np.linalg.qr(vecs[:, vals <= 1e-10] / norm[:, None])[0]
 
     def phi_and_grad(th):
         vals, vecs, w, ln_z = _dual_stats(th, operators)
@@ -286,10 +298,8 @@ def gge_state_dense(rho, hamiltonian, conserved: ConservedSet) -> tuple[np.ndarr
                 t_ab = float(np.sum(tilde[a].T * tilde[b] * fdiv).real)
                 hess[a, b] = hess[b, a] = t_ab - expect[a] * expect[b]
         ridge = 1e-12 * max(1.0, float(np.abs(np.diag(hess)).max()))
-        try:
-            step = np.linalg.solve(hess + ridge * np.eye(m), -grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        step = np.linalg.solve(hess + ridge * np.eye(m), -grad)
+        step -= null @ (null.T @ step)
         alpha = 1.0
         slope = float(grad @ step)
         while alpha > 1e-12:
@@ -303,12 +313,8 @@ def gge_state_dense(rho, hamiltonian, conserved: ConservedSet) -> tuple[np.ndarr
             break  # no candidate accepted: keep theta; the residual check decides
         theta, phi, grad, stats = cand, phi_c, grad_c, stats_c
         if float(np.max(np.abs(theta))) > 1e4:
-            worst = float(np.max(np.abs(grad)))
-            raise ValueError(
-                "dual divergence: |(beta, lambda)| exceeded "
-                "1e+04 (targets at the boundary of the attainable set; "
-                f"worst residual {worst:.3e})"
-            )
+            raise ValueError("dual divergence: |(beta, lambda)| exceeded 1e+04 (targets at the boundary "
+                             f"of the attainable set; worst residual {float(np.max(np.abs(grad))):.3e})")
 
     residuals = np.abs(grad)
     if float(residuals.max()) > 1e-8:

@@ -289,14 +289,15 @@ def gibbs_correlation(ham: QuadraticHamiltonian, beta: float) -> np.ndarray:
 
     For a quadratic Hamiltonian the thermal state is Gaussian with
     Fermi-Dirac mode occupations p_k = 1 / (1 + exp(beta * eps_k)); no
-    approximation is involved.  ``beta`` may be any real number (negative
-    values describe population-inverted diagnostics, and +-inf the limits of
-    the nonzero-energy modes); a NaN ``beta`` raises.
+    approximation is involved.  ``beta`` may be any real number: negative for
+    population-inverted diagnostics, +-inf for the ground-state and fully
+    inverted limits (a zero-energy mode stays half filled).  A NaN raises.
     """
     ham, beta = as_hamiltonian(ham), float(beta)
     if np.isnan(beta):      # _fermi would read it as an empty mode: the vacuum
         raise ValueError(f"beta must be a real number, got {beta}")
-    return _ModeState(ham, _fermi(beta * ham.energies)).matrix()
+    eps = ham.energies      # beta eps is 0 where eps is, also at beta = +-inf (inf * 0 is NaN)
+    return _ModeState(ham, _fermi(np.multiply(beta, eps, out=np.zeros_like(eps), where=eps != 0.0))).matrix()
 
 
 def attainable_energy_range(ham: QuadraticHamiltonian) -> tuple[float, float]:

@@ -308,13 +308,6 @@ def _gaussian_wrap(h, state) -> fg.QuadraticHamiltonian:
     return ham
 
 
-def _dense_wrap(h, rho) -> np.ndarray:
-    h = require_hermitian(h, atol=STATE_ATOL, name="Hamiltonian")
-    if h.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: state {rho.shape} vs Hamiltonian {h.shape}")
-    return h
-
-
 def _dense_thermalise(rho, h):
     omega, beta = qd._gibbs(rho, _eigh(h))
     return omega, (beta,)
@@ -337,7 +330,7 @@ _BACKENDS = {
     ),
     "dense": _Backend(
         check=lambda rho: qd.check_state(rho),
-        wrap=_dense_wrap,
+        wrap=lambda h, rho: qd._hamiltonian(h, rho),
         quench=lambda rho, h: rho,
         energy=lambda rho, h: qd._expectation(rho, h),
         entropy=lambda rho: qd._entropy(rho),
@@ -536,16 +529,16 @@ def optimal_work_bound(gamma0, ham0) -> float:
     return _ergotropy(be, state, be.wrap(ham0, state))
 
 
-def _four_phase(state, ham0, backend: str = "gaussian") -> Callable:
+def _four_phase(gamma0, ham0) -> Callable:
     """Builder ``n -> [H^(0) .. H^(n + 2)]`` of the cyclic four-phase protocol
-    extracting the maximum work under the dephasing map, on either back end:
-    n + 2 quenches, two aligning ones plus n rotation steps."""
-    be = _backend(backend)
-    return _four_phase_of(be, be.check(state), ham0)
+    extracting the maximum work from a correlation matrix under the dephasing
+    map: n + 2 quenches, two aligning ones plus n rotation steps."""
+    be = _BACKENDS["gaussian"]
+    return _four_phase_of(be, be.check(gamma0), ham0)
 
 
 def _four_phase_of(be: _Backend, state, ham0) -> Callable:
-    """:func:`_four_phase` for a validated ``state``.
+    """:func:`_four_phase` on either back end ``be``, for a validated ``state``.
 
     Two legs, each a quench aligning the modes with the state's eigenbasis
     (the spectrum of ``ham0`` assigned anti-sorted), then an N/2-step
@@ -625,7 +618,7 @@ def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,
         raise ValueError(f"k must be negative, got {k}")
     n_quenches = _quench_counts([n_quenches])[0]
     rho = qd.check_state(rho0)
-    h0 = _dense_wrap(h0, rho)
+    h0 = qd._hamiltonian(h0, rho)
     p, w = np.linalg.eigh(rho)
     if float(p.min()) < 1e-12:
         raise ValueError(f"state is singular (smallest eigenvalue {float(p.min()):.3e}); "

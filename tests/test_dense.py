@@ -426,6 +426,58 @@ def _worst_gge_residual(rho, h, qs):
                abs(expectation(omega, h) - expectation(rho, h)))
 
 
+def test_gge_duals_are_canonical_on_a_dependent_set():
+    # P0 + P1 is also an observable and the projectors with h span I, so ln Z
+    # is flat along two directions; 1e-16 nudges of rho moved the duals by
+    # 5.5e-4 when the ridge step drifted along them
+    rng = make_rng(0)
+    h = np.diag([0.0, 0.7, 1.3, 2.0])
+    projectors = [np.diag(np.eye(4)[k]) for k in range(3)]
+    qs = projectors + [projectors[0] + projectors[1]]
+    rho = random_density(4, rng)
+    duals = []
+    for nudge in [0.0] + [1e-16] * 3:
+        r = rho + nudge * random_hermitian(4, rng)
+        conserved = gt.ConservedSet.from_state(r, qs)
+        omega, dual = gt.gge_state_dense(r, h, conserved)
+        assert np.max(np.abs(conserved.residuals(omega))) <= 1e-12
+        duals.append(np.array([dual.beta, *dual.lambdas]))
+    assert max(float(np.max(np.abs(x - duals[0]))) for x in duals) <= 1e-10
+
+
+def test_gge_line_search_halves_the_newton_step():
+    # a near-pure state of a diagonal d = 3 instance: the full Newton step
+    # overshoots, and with alpha fixed at 1 the solve stops at residual 0.22
+    rng = np.random.default_rng(1)
+    h = np.diag(np.sort(rng.normal(size=3)))
+    qs = [np.diag(rng.normal(size=3)) for _ in range(4)]
+    p = rng.dirichlet(0.1 * np.ones(3)) + 1e-7
+    assert _worst_gge_residual(np.diag(p / p.sum()), h, qs) <= 1e-12
+
+
+@pytest.mark.parametrize("route", ["ta_state", "gibbs_state_dense", "gge_state_dense",
+                                   "run_schedule", "optimal_gibbs_protocol"])
+def test_dense_hamiltonian_is_checked_by_one_rule(route):
+    call = {
+        "ta_state": gt.ta_state,
+        "gibbs_state_dense": gt.gibbs_state_dense,
+        "gge_state_dense": lambda rho, h: gt.gge_state_dense(rho, h, gt.ConservedSet((), ())),
+        "run_schedule": lambda rho, h: gt.run_schedule(rho, [h, h], gt.GGE, backend="dense"),
+        "optimal_gibbs_protocol": lambda rho, h: gt.optimal_gibbs_protocol(rho, h, -1.0, 2),
+    }[route]
+    rho = np.diag([0.7, 0.3])
+    bad = {
+        "^Hamiltonian has non-finite entries$": np.diag([0.0, np.nan]),
+        "^Hamiltonian is not Hermitian: max asymmetry 1.000e-01": np.array([[0.0, 0.1], [0.0, 1.0]]),
+        r"^dimension mismatch: state \(2, 2\) vs Hamiltonian \(3, 3\)$": np.eye(3),
+    }
+    for message, h in bad.items():
+        with pytest.raises(ValueError, match=message):
+            call(rho, h)
+    with pytest.raises(ValueError, match="^state trace"):    # the state is checked first
+        call(2.0 * rho, np.eye(3))
+
+
 def test_gge_fresh_instance_38_meets_the_residual_contract():
     # near the optimum the Armijo decrease falls below the round-off of ln Z;
     # the solver then froze this instance at a worst residual of 1.2e-8

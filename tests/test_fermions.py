@@ -39,16 +39,19 @@ def test_gibbs_correlation_two_site_closed_form():
 
 def test_gibbs_correlation_rejects_nan_beta_and_keeps_infinite_limits():
     # a NaN beta used to give the vacuum, as did a thermal bath built from
-    # it; +inf fills the negative-energy modes and -inf the positive ones
+    # it; +inf fills the negative-energy modes and -inf the positive ones,
+    # and a zero-energy mode stays half filled (inf * 0 used to empty it,
+    # with a RuntimeWarning)
     ham = gt.build_chain(4, [-1.0, -0.5, 0.5, 1.0], 0.2)
     for call in (lambda: gt.gibbs_correlation(ham, math.nan),
                  lambda: gt.thermal_bath_initial_state(4, math.nan, g=0.3)):
         with pytest.raises(ValueError, match="^beta must be a real number, got nan$"):
             call()
-    below = ham.energies < 0.0
-    for beta, filled in ((math.inf, below), (-math.inf, ~below)):
-        pops = np.diag(gt.to_mode_basis(gt.gibbs_correlation(ham, beta), ham)).real
-        np.testing.assert_allclose(pops, filled.astype(float), atol=1e-14)
+    for chain in (ham, gt.build_chain(3, [-1.0, 0.0, 1.0], 0.0)):
+        for beta in (math.inf, -math.inf):
+            pops = np.diag(gt.to_mode_basis(gt.gibbs_correlation(chain, beta), chain)).real
+            expected = 0.5 - 0.5 * np.sign(beta) * np.sign(chain.energies)
+            np.testing.assert_allclose(pops, expected, atol=1e-14)
 
 
 def test_solve_beta_examples():

@@ -159,6 +159,19 @@ def test_sampled_eigensystem_is_the_sample(monkeypatch, build, form):
     assert calls == [form]
 
 
+def test_trajectory_rejects_malformed_keyframes_and_rules():
+    h = np.diag([0.0, 1.0])
+    cases = {
+        "^a trajectory needs at least two keyframes$": ((h,), ()),
+        r"^keyframe 1 has shape \(3, 3\), expected \(2, 2\)$": ((h, np.eye(3)), ("linear",)),
+        "^2 keyframes need 1 rules, got 2$": ((h, h), ("linear", "linear")),
+        "^unknown interpolation rule 'cubic'": ((h, h), ("cubic",)),
+    }
+    for message, (frames, rules) in cases.items():
+        with pytest.raises(ValueError, match=message):
+            gt.Trajectory(frames, rules)
+
+
 def test_trajectory_eigenvector_rule_requires_equal_spectra():
     # checked when the trajectory is built, not at its first interior sample;
     # the error names the segment
@@ -1105,6 +1118,35 @@ def test_min_work_scan_survives_cell_failures():
     assert np.all(np.isnan(scan.works[1]))
     assert np.all(np.isfinite(scan.entropy_production[0]))
     assert np.all(np.isnan(scan.entropy_production[1]))
+
+
+def test_min_work_scan_records_a_schedule_that_fails_at_one_n():
+    # every model fails at that N with the builder's error; the other N run
+    ham = gt.build_chain(2, [0.5, 1.0], 0.3)
+    traj = gt.Trajectory.linear(ham.c, gt.build_chain(2, [1.0, 0.5], 0.3).c)
+    gamma0 = random_correlation(2, make_rng(14), lo=0.1, hi=0.9)
+
+    def schedule(n):
+        if n == 2:
+            raise RuntimeError("no schedule at N = 2")
+        return traj.schedule(n)
+
+    scan = gt.min_work_scan(gamma0, schedule, [gt.GGE, gt.GIBBS], [1, 2, 4], seed=0)
+    assert scan.failures == {(label, 2): "RuntimeError: no schedule at N = 2"
+                             for label in ("ta-gge", "gibbs")}
+    assert np.all(np.isnan(scan.works[:, 1])) and np.all(np.isnan(scan.entropy_production[:, 1]))
+    assert np.all(np.isfinite(scan.works[:, [0, 2]]))
+
+
+def test_empty_schedules_and_scans_are_rejected():
+    ham = gt.build_chain(2, [0.5, 1.0], 0.3)
+    gamma0 = random_correlation(2, make_rng(15))
+    with pytest.raises(ValueError, match="^the schedule must contain at least the initial Hamiltonian$"):
+        gt.run_schedule(gamma0, [], gt.GGE)
+    traj = gt.Trajectory.linear(ham.c, ham.c)
+    for models, ns in (([], [1, 2]), ([gt.GGE], [])):
+        with pytest.raises(ValueError, match="^need at least one model and one N$"):
+            gt.min_work_scan(gamma0, traj.schedule, models, ns, seed=0)
 
 
 def test_build_population_inverted_bath():
