@@ -56,7 +56,6 @@ from .protocols import (
     build_population_inverted_bath,
     local_quench_schedule,
     min_work_scan,
-    model_label,
     optimal_gge_protocol,
     optimal_gibbs_protocol,
     optimal_ta_protocol,

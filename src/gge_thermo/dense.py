@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermitian import (_EPS4, STATE_ATOL, _check_spectrum, _eigh, _energy_matching_root, _xlogx,
-                        cluster_degenerate, eigh, require_hermitian)
+                        cluster_degenerate, require_hermitian)
 
 __all__ = [
     "ConservedSet",
@@ -46,7 +46,7 @@ MAX_DENSE_MODES = 12
 
 def check_state(rho) -> np.ndarray:
     """Validate Hermiticity, positivity and unit trace; return symmetrised copy."""
-    r = require_hermitian(rho, atol=STATE_ATOL, name="state")
+    r = require_hermitian(rho, name="state")
     tr = float(np.trace(r).real)
     if abs(tr - 1.0) > STATE_ATOL:
         raise ValueError(f"state trace {tr:.12g} deviates from 1 beyond {STATE_ATOL:.1e}")
@@ -59,7 +59,7 @@ def check_state(rho) -> np.ndarray:
 def _hamiltonian(hamiltonian, r: np.ndarray) -> np.ndarray:
     """The one dense Hamiltonian check: Hermitian within ``STATE_ATOL`` and
     of the shape of the validated state ``r``; returns the symmetrised copy."""
-    h = require_hermitian(hamiltonian, atol=STATE_ATOL, name="Hamiltonian")
+    h = require_hermitian(hamiltonian, name="Hamiltonian")
     if h.shape != r.shape:
         raise ValueError(f"dimension mismatch: state {r.shape} vs Hamiltonian {h.shape}")
     return h
@@ -122,10 +122,9 @@ def _gibbs(r: np.ndarray, es) -> tuple[np.ndarray, float]:
     h = es.reconstruct()
     target = _expectation(r, h)
     eps = es.values
-    d = es.dim
     span = float(eps[-1] - eps[0])
     if span <= 1e-14 * max(1.0, abs(float(eps[0]))):
-        return np.eye(d) / d, 0.0
+        return np.eye(len(eps)) / len(eps), 0.0
     if not (eps[0] < target < eps[-1]):
         raise ValueError(
             f"target energy {target:.12g} at or outside the spectral edges "
@@ -153,7 +152,7 @@ class ConservedSet:
     targets: tuple[float, ...]
 
     def __post_init__(self):
-        obs = tuple(require_hermitian(q, atol=STATE_ATOL, name=f"observable {i}")
+        obs = tuple(require_hermitian(q, name=f"observable {i}")
                     for i, q in enumerate(self.observables))
         tgt = tuple(float(t) for t in self.targets)
         if len(obs) != len(tgt):
@@ -392,7 +391,12 @@ def entropy_matching_beta(hamiltonian, entropy: float) -> float | None:
     below the ground-degeneracy floor, probed at beta = 1e8).  For beta > 0
     the entropy falls with slope -beta Var_beta(H); the root is bracketed
     from [0, 1]."""
-    eps = eigh(hamiltonian, atol=STATE_ATOL).values
+    return _entropy_matching_beta(_eigh(require_hermitian(hamiltonian, name="Hamiltonian")).values,
+                                  entropy)
+
+
+def _entropy_matching_beta(eps: np.ndarray, entropy: float) -> float | None:
+    """Kernel of :func:`entropy_matching_beta` on the ascending energies ``eps``."""
     s0 = float(entropy)
     if not np.isfinite(s0):
         raise ValueError(f"entropy must be finite, got {entropy!r}")
@@ -436,7 +440,7 @@ def _hopping(n: int, i: int, j: int):
 
 def quadratic_to_dense(coefficients) -> np.ndarray:
     """2^n-dimensional Hamiltonian sum_ij c[i, j] a_i^dag a_j."""
-    c = require_hermitian(coefficients, atol=STATE_ATOL, name="coefficient matrix")
+    c = require_hermitian(coefficients, name="coefficient matrix")
     n = c.shape[0]
     _check_mode_count(n)
     h = np.zeros((2**n, 2**n), dtype=complex)
@@ -480,7 +484,7 @@ def gaussian_to_dense(gamma) -> np.ndarray:
     the eigenmodes of (d_k on occupied, 1 - d_k on empty); its correlation
     matrix reproduces gamma exactly.
     """
-    g = require_hermitian(gamma, atol=STATE_ATOL, name="correlation matrix")
+    g = require_hermitian(gamma, name="correlation matrix")
     n = g.shape[0]
     _check_mode_count(n)
     d, w = np.linalg.eigh(g)

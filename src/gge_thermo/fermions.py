@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermitian import (_EPS4, STATE_ATOL, EigenSystem, _check_spectrum, _eigh, _energy_matching_root,
+from .hermitian import (_EPS4, EigenSystem, _check_spectrum, _eigh, _energy_matching_root,
                         _fermi, _fix_phases, _hermitian_part, _xlogx, require_hermitian)
 
 __all__ = [
@@ -189,7 +189,7 @@ def _check_dims(gamma: np.ndarray, ham: QuadraticHamiltonian) -> None:
 def _as_checked(matrix, name: str) -> np.ndarray:
     """``matrix``, finite and Hermitian within ``STATE_ATOL``, as given (not symmetrised)
     in the dtype :func:`require_hermitian` keeps: float64 when it is real."""
-    real = np.isrealobj(require_hermitian(matrix, atol=STATE_ATOL, name=name))
+    real = np.isrealobj(require_hermitian(matrix, name=name))
     m = np.asarray(matrix)
     return m.real.astype(float, copy=False) if real else m.astype(complex, copy=False)
 

@@ -1,8 +1,9 @@
 """Hermitian eigendecomposition with a fixed phase convention, degeneracy
 clustering, and the numerical rules shared by both back ends.
 
-A matrix that is real, or complex with an imaginary part that is exactly
-zero, is validated and kept as float64, so its eigendecomposition and every
+Every input matrix passes :func:`require_hermitian` at the one tolerance
+``STATE_ATOL`` = 1e-10.  One that is real, or complex with an imaginary part
+exactly zero, is kept as float64, so its eigendecomposition and every
 product with its eigenvectors run in real arithmetic.  Each eigenvector is
 anchored on the first entry whose magnitude is within a relative 1e-8 of its
 column's maximum, and that entry is made real and positive: ties between
@@ -28,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITIAN_ATOL = 1e-12
-STATE_ATOL = 1e-10      # inputs: states, and the Hamiltonians and observables checked with them
+STATE_ATOL = 1e-10      # every input: Hermiticity of matrices, a state's trace and spectrum
 DEGENERACY_TOL = 1e-9
 _LOG_MAX = float(np.log(np.finfo(float).max))   # exp overflows above this
 _EPS4 = 4.0 * float(np.finfo(float).eps)
@@ -45,10 +45,10 @@ __all__ = [
 ]
 
 
-def require_hermitian(matrix, atol: float = HERMITIAN_ATOL, name: str = "matrix") -> np.ndarray:
-    """Validate Hermiticity within ``atol`` (the largest entrywise magnitude
-    of M - M†) and return the symmetrised copy: float64 when the input is
-    real or its imaginary part is exactly zero, complex otherwise."""
+def require_hermitian(matrix, name: str = "matrix") -> np.ndarray:
+    """Validate Hermiticity within ``STATE_ATOL`` (the largest entrywise
+    magnitude of M - M†) and return the symmetrised copy: float64 when the
+    input is real or its imaginary part is exactly zero, complex otherwise."""
     m = np.asarray(matrix)
     if np.iscomplexobj(m) and not m.imag.any():     # a NaN imaginary part stays complex
         m = m.real
@@ -58,11 +58,11 @@ def require_hermitian(matrix, atol: float = HERMITIAN_ATOL, name: str = "matrix"
     mh = m.conj().T
     with np.errstate(invalid="ignore"):     # inf - inf is NaN, classified below
         defect = float(np.abs(m - mh).max()) if m.size else 0.0
-    if not defect <= atol:      # NaN fails this test too
+    if not defect <= STATE_ATOL:      # NaN fails this test too
         if not np.all(np.isfinite(m)):
             raise ValueError(f"{name} has non-finite entries")
         raise ValueError(
-            f"{name} is not Hermitian: max asymmetry {defect:.3e} exceeds tolerance {atol:.1e}"
+            f"{name} is not Hermitian: max asymmetry {defect:.3e} exceeds tolerance {STATE_ATOL:.1e}"
         )
     return 0.5 * (m + mh)
 
@@ -80,10 +80,6 @@ class EigenSystem:
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
-
     def reconstruct(self) -> np.ndarray:
         """A diag(values) A†."""
         return (self.vectors * self.values) @ self.vectors.conj().T
@@ -91,10 +87,9 @@ class EigenSystem:
 
 @dataclass(frozen=True)
 class DegeneracyPartition:
-    """Index groups of near-degenerate eigenvalues and the tolerance used."""
+    """Index groups of near-degenerate eigenvalues."""
 
     groups: tuple[tuple[int, ...], ...]
-    tol: float
 
     def labels(self) -> np.ndarray:
         """Group label per index; handy for building block masks."""
@@ -118,12 +113,12 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * phases.conj()
 
 
-def eigh(matrix, atol: float = HERMITIAN_ATOL) -> EigenSystem:
+def eigh(matrix) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, phases fixed as above.
 
-    Rejects inputs whose asymmetry exceeds ``atol``, reporting the defect.
+    Rejects inputs whose asymmetry exceeds ``STATE_ATOL``, reporting the defect.
     """
-    return _eigh(require_hermitian(matrix, atol=atol))
+    return _eigh(require_hermitian(matrix))
 
 
 def _eigh(h: np.ndarray) -> EigenSystem:
@@ -151,7 +146,7 @@ def cluster_degenerate(values, tol: float = DEGENERACY_TOL) -> DegeneracyPartiti
             start = i
     if v.size:
         groups.append(tuple(range(start, v.size)))
-    return DegeneracyPartition(groups=tuple(groups), tol=tol)
+    return DegeneracyPartition(groups=tuple(groups))
 
 
 def _check_spectrum(d: np.ndarray) -> np.ndarray:

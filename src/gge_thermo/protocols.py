@@ -32,14 +32,12 @@ import numpy as np
 
 from . import dense as qd
 from . import fermions as fg
-from .hermitian import (STATE_ATOL, EigenSystem, _check_spectrum, _eigh, _hermitian_part,
-                        require_hermitian)
+from .hermitian import EigenSystem, _check_spectrum, _eigh, _hermitian_part, require_hermitian
 
 __all__ = [
     "Trajectory",
     "StepRecord",
     "ProtocolRecord",
-    "model_label",
     "run_schedule",
     "run_protocol",
     "richardson_limit",
@@ -94,7 +92,7 @@ class Trajectory:
 
     def __post_init__(self):
         frames = tuple(
-            require_hermitian(k, atol=STATE_ATOL, name=f"keyframe {i}")
+            require_hermitian(k, name=f"keyframe {i}")
             for i, k in enumerate(self.keyframes)
         )
         if len(frames) < 2:
@@ -291,15 +289,14 @@ class _Backend(NamedTuple):
     evolve: Callable       # (state, ham, hold time) -> exact evolution
     dephase: Callable      # (state, ham) -> time average
     thermalise: Callable   # (state, ham) -> energy-matching thermal state
-    eigenbasis: Callable   # state matrix -> (ascending populations, their modes)
+    eigenbasis: Callable   # state matrix -> its modes, by ascending population
     levels: Callable       # ham -> (coefficient matrix, its EigenSystem)
     hamiltonian: Callable  # EigenSystem -> its Hamiltonian, decomposing nothing
 
 
-def _gaussian_eigenbasis(gamma: np.ndarray):
+def _gaussian_eigenbasis(gamma: np.ndarray) -> np.ndarray:
     # a correlation matrix's modes are its conjugated eigenvectors
-    p, w = np.linalg.eigh(0.5 * (gamma + gamma.conj().T))
-    return p, w.conj()
+    return np.linalg.eigh(0.5 * (gamma + gamma.conj().T))[1].conj()
 
 
 def _gaussian_wrap(h, state) -> fg.QuadraticHamiltonian:
@@ -338,7 +335,7 @@ _BACKENDS = {
         evolve=lambda rho, h, t: (qd._evolve(rho, _eigh(h), t), None),
         dephase=lambda rho, h: (qd._pinch(rho, _eigh(h)), None),
         thermalise=_dense_thermalise,
-        eigenbasis=lambda rho: np.linalg.eigh(0.5 * (rho + rho.conj().T)),
+        eigenbasis=lambda rho: np.linalg.eigh(0.5 * (rho + rho.conj().T))[1],
         levels=lambda h: (h, _eigh(h)),
         hamiltonian=lambda es: _hermitian_part(es.reconstruct()),
     ),
@@ -376,10 +373,6 @@ def _model(model) -> tuple[str, Callable]:
         return _MODELS[type(model)]
     except KeyError:
         raise TypeError(f"unknown equilibration model: {model!r}") from None
-
-
-def model_label(model) -> str:
-    return _model(model)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +548,11 @@ def _four_phase_of(be: _Backend, state, ham0) -> Callable:
     e_desc = es0.values[::-1]
 
     def leg(m) -> Callable:
-        _, w = be.eigenbasis(be.matrix(m))
+        w = be.eigenbasis(be.matrix(m))
         h_from = (w * e_desc) @ w.conj().T
         if np.allclose(h_from, h0, atol=1e-13):
             return lambda half: [ham0] * (half + 1)
-        es = _eigh(require_hermitian(h_from, atol=STATE_ATOL))
+        es = _eigh(require_hermitian(h_from))
         rotation, start = _Rotation(es, es0), be.hamiltonian(es)
         return lambda half: ([start] + [be.hamiltonian(rotation.at(j / half))
                                         for j in range(1, half)] + [ham0])
@@ -626,10 +619,10 @@ def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,
     h1 = (w * (k * np.log(p))) @ w.conj().T
     schedule = [h0] + Trajectory.linear(h1, h0).schedule(n_quenches)
     record = _run(rho, qd._entropy(rho), schedule, fg.GIBBS, "dense", keep_states)
-    beta_star = qd.entropy_matching_beta(h0, record.steps[0].entropy)
+    es = _eigh(h0)
+    beta_star = qd._entropy_matching_beta(es.values, record.steps[0].entropy)
     record.meta["beta_star"] = beta_star
     if beta_star is not None:
-        es = _eigh(h0)
         omega_star = (es.vectors * qd._thermal_weights(es.values, beta_star)) @ es.vectors.conj().T
         record.meta["work_limit"] = (
             qd._expectation(rho, h0) - qd._expectation(omega_star, h0)
@@ -697,8 +690,6 @@ def min_work_scan(
     models,
     n_list,
     seed,
-    *,
-    backend: str = "gaussian",
 ) -> ScanResult:
     """Work and entropy production per (model, N), with a monotonicity verdict per model.
 
@@ -706,14 +697,15 @@ def min_work_scan(
     quenches, e.g. ``traj.schedule`` or ``functools.partial(local_quench_schedule,
     ham0, peak)`` (``_four_phase`` gives n + 3 of them: n + 2 quenches).  At entry,
     ``n_list`` must be strictly increasing positive integers, ``seed`` an int
-    >= 0 and the initial state valid (its entropy is evaluated once here).
+    >= 0, the models' labels distinct and the initial state a valid correlation
+    matrix (the gaussian back end; its entropy is evaluated once here).
     There is one task per N, largest first, on as many workers as
     GGE_THERMO_THREADS asks; each builds and validates its schedule once and
     runs every model on it.
     Failures are recorded and the sweep continues.  The exact model at
     position i draws its hold times from ``SeedSequence(seed, spawn_key=(i,
     N))``, so results do not depend on scheduling."""
-    be = _backend(backend)
+    be = _BACKENDS["gaussian"]
     workers = _max_workers()
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError(f"seed must be an int >= 0, got {seed!r}")
@@ -721,7 +713,10 @@ def min_work_scan(
     ns = _quench_counts(n_list)
     if not models or not ns:
         raise ValueError("need at least one model and one N")
-    labels = tuple(model_label(m) for m in models)
+    labels = tuple(_model(m)[0] for m in models)
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(f"models must have distinct labels, got {label!r} more than once")
     state = be.check(initial_state)
     entropy = be.entropy(state)     # a correlation spectrum outside [0, 1] raises here
 
@@ -738,7 +733,7 @@ def min_work_scan(
             if isinstance(model, fg.Exact):
                 model = replace(model, seed=np.random.SeedSequence(int(seed), spawn_key=(i, n)))
             try:
-                rec = _run(state, entropy, hams, model, backend, keep_states=False)
+                rec = _run(state, entropy, hams, model, "gaussian", keep_states=False)
                 cells.append((rec.work, rec.entropy_production, None))
             except Exception as exc:
                 cells.append(failure(exc))

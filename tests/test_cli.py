@@ -304,6 +304,12 @@ def test_cmd_scan_emits_verdicts(tmp_path, capsys):
 def test_main_error_paths(tmp_path, capsys):
     assert cli.main(["fig4", "--K", "200", "--n", "150"]) == 1
     assert "error:" in capsys.readouterr().err
+    # a repeated model would write two columns of one label
+    out = tmp_path / "scan.csv"
+    assert cli.main(["scan", "--n", "4", "--quenches", "2", "--models", "ta-gge,ta-gge",
+                     "--out", str(out)]) == 1
+    assert "distinct labels, got 'ta-gge'" in capsys.readouterr().err
+    assert not out.exists()
     with pytest.raises(SystemExit):
         cli.main(["fig1", "--not-a-flag", "3"])
 

@@ -456,7 +456,8 @@ def test_gge_line_search_halves_the_newton_step():
 
 
 @pytest.mark.parametrize("route", ["ta_state", "gibbs_state_dense", "gge_state_dense",
-                                   "run_schedule", "optimal_gibbs_protocol"])
+                                   "run_schedule", "optimal_gibbs_protocol",
+                                   "entropy_matching_beta"])
 def test_dense_hamiltonian_is_checked_by_one_rule(route):
     call = {
         "ta_state": gt.ta_state,
@@ -464,16 +465,21 @@ def test_dense_hamiltonian_is_checked_by_one_rule(route):
         "gge_state_dense": lambda rho, h: gt.gge_state_dense(rho, h, gt.ConservedSet((), ())),
         "run_schedule": lambda rho, h: gt.run_schedule(rho, [h, h], gt.GGE, backend="dense"),
         "optimal_gibbs_protocol": lambda rho, h: gt.optimal_gibbs_protocol(rho, h, -1.0, 2),
+        "entropy_matching_beta": lambda rho, h: gt.entropy_matching_beta(h, 0.5),
     }[route]
     rho = np.diag([0.7, 0.3])
     bad = {
         "^Hamiltonian has non-finite entries$": np.diag([0.0, np.nan]),
         "^Hamiltonian is not Hermitian: max asymmetry 1.000e-01": np.array([[0.0, 0.1], [0.0, 1.0]]),
-        r"^dimension mismatch: state \(2, 2\) vs Hamiltonian \(3, 3\)$": np.eye(3),
+        r"^Hamiltonian must be a square matrix, got shape \(2, 3\)$": np.ones((2, 3)),
     }
     for message, h in bad.items():
         with pytest.raises(ValueError, match=message):
             call(rho, h)
+    if route == "entropy_matching_beta":    # it takes no state to match or to check first
+        return
+    with pytest.raises(ValueError, match=r"^dimension mismatch: state \(2, 2\) vs Hamiltonian \(3, 3\)$"):
+        call(rho, np.eye(3))
     with pytest.raises(ValueError, match="^state trace"):    # the state is checked first
         call(2.0 * rho, np.eye(3))
 

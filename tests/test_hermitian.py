@@ -90,12 +90,27 @@ def test_eigh_rejects_non_hermitian():
 
 
 def test_hermiticity_defect():
-    # the defect is the largest entrywise magnitude of M - M^dag
-    m = np.array([[0.0, 1.0], [0.5, 0.0]])
-    with pytest.raises(ValueError, match="max asymmetry 5.000e-01"):
-        require_hermitian(m, atol=0.49)
-    assert np.array_equal(require_hermitian(m, atol=0.5), [[0.0, 0.75], [0.75, 0.0]])
+    # the defect is the largest entrywise magnitude of M - M^dag, held to the
+    # one input tolerance 1e-10
+    m = np.array([[0.0, 1.0], [1.0 + 2e-10, 0.0]])
+    with pytest.raises(ValueError, match="max asymmetry 2.000e-10 exceeds tolerance 1.0e-10"):
+        require_hermitian(m)
+    m = np.array([[0.0, 1.0], [1.0 + 5e-11, 0.0]])
+    assert np.array_equal(require_hermitian(m), [[0.0, 1.0 + 2.5e-11], [1.0 + 2.5e-11, 0.0]])
     assert require_hermitian(np.zeros((0, 0))).shape == (0, 0)
+
+
+def test_inputs_share_one_hermiticity_tolerance():
+    # a coefficient matrix and an eigh input are symmetrised and accepted at
+    # 5e-11 asymmetry, as a state is, and rejected above 1e-10
+    c = np.array([[0.5, 0.3], [0.3 + 5e-11, 1.0]])
+    ham = gt.QuadraticHamiltonian(c)
+    assert np.array_equal(ham.c, 0.5 * (c + c.T))
+    assert np.array_equal(eigh(c).values, ham.energies)
+    c[1, 0] = 0.3 + 2e-10
+    for call in (gt.QuadraticHamiltonian, eigh):
+        with pytest.raises(ValueError, match="max asymmetry 2.000e-10"):
+            call(c)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

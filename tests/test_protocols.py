@@ -12,7 +12,7 @@ import pytest
 import gge_thermo as gt
 from gge_thermo import cli, dense, fermions, hermitian
 from gge_thermo import protocols as pr
-from _helpers import (count_schur, make_rng, random_correlation, random_density,
+from _helpers import (count_eigh, count_schur, make_rng, random_correlation, random_density,
                       random_hermitian, random_unitary)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -85,7 +85,7 @@ def _fig2_first_leg(n, seed):
     # by a signed permutation of modes
     ham0, gamma0 = cli.fig2_initial_state(
         cli.parse_config(["fig2", "--n", str(n), "--seed", str(seed)]))
-    _, w = pr._gaussian_eigenbasis(gamma0)
+    w = pr._gaussian_eigenbasis(gamma0)
     return (w * ham0.energies[::-1]) @ w.conj().T, ham0.c
 
 
@@ -578,7 +578,7 @@ def test_gaussian_runner_diagonalises_only_where_needed(monkeypatch):
     for model, expected in ((gt.GGE, 1), (gt.GIBBS, 1), (gt.Exact(0.5, 4.0, 1), 2)):
         calls.clear()
         gt.run_schedule(gamma0, hams, model, keep_states=False)
-        assert len(calls) == expected, gt.model_label(model)
+        assert len(calls) == expected, model
     # the sweep validates the state and takes its entropy once for all its
     # cells; each exact cell adds the entropy of its final state
     checks = []
@@ -694,29 +694,25 @@ def test_quasi_static_validates_schedule():
         with pytest.raises(ValueError, match=f"strictly increasing, {bad}$"):
             gt.richardson_limit(ns, [0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match=f"strictly increasing, {bad}$"):
-            gt.min_work_scan(0.5 * np.eye(2), traj.schedule, [gt.GGE], ns, seed=0,
-                             backend="dense")
+            gt.min_work_scan(0.5 * np.eye(2), traj.schedule, [gt.GGE], ns, seed=0)
     # a count that is not an integer is named, not truncated
     with pytest.raises(ValueError, match=r"integers, got 4\.5$"):
         gt.richardson_limit((2, 4.5, 8), [0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match=r"integers, got 1\.5$"):
-        gt.min_work_scan(0.5 * np.eye(2), traj.schedule, [gt.GGE], (1.5, 2), seed=0,
-                         backend="dense")
+        gt.min_work_scan(0.5 * np.eye(2), traj.schedule, [gt.GGE], (1.5, 2), seed=0)
     # and so is one that is not a number at all
     for ns, bad in (((math.nan, 2), "nan"), (("x", 2), "'x'"), ((None, 2), "None"),
                     ((math.inf, 2), "inf"), (("2", 4), "'2'")):
         with pytest.raises(ValueError, match=f"positive integers, got {bad}$"):
             gt.richardson_limit(ns, [1.0, 2.0])
         with pytest.raises(ValueError, match=f"positive integers, got {bad}$"):
-            gt.min_work_scan(0.5 * np.eye(2), traj.schedule, [gt.GGE], ns, seed=0,
-                             backend="dense")
+            gt.min_work_scan(0.5 * np.eye(2), traj.schedule, [gt.GGE], ns, seed=0)
     # so is a count below 1, at entry
     for ns, bad in (((0, 1), "0"), ((-2, 4), "-2")):
         with pytest.raises(ValueError, match=f"positive integers, got {bad}$"):
             gt.richardson_limit(ns, [1.0, 2.0])
         with pytest.raises(ValueError, match=f"positive integers, got {bad}$"):
-            gt.min_work_scan(0.5 * np.eye(2), traj.schedule, [gt.GGE], ns, seed=0,
-                             backend="dense")
+            gt.min_work_scan(0.5 * np.eye(2), traj.schedule, [gt.GGE], ns, seed=0)
     assert gt.richardson_limit(np.array([2, 4]), [1.0, 2.0]) == (3.0, 1.0)
     with pytest.raises(ValueError, match="one value per N"):
         gt.richardson_limit((2, 4), [0.0, 0.0, 0.0])
@@ -966,7 +962,7 @@ def test_optimal_gibbs_protocol_fixed_point():
     assert np.max(np.abs(rec.final_state - rho)) < 1e-7
 
 
-def test_optimal_gibbs_protocol_inverted_population():
+def test_optimal_gibbs_protocol_inverted_population(monkeypatch):
     # two levels: the thermal map at matched energy keeps the populations,
     # so the state never moves and the exact work is 0 for every N
     h = np.diag([0.0, 1.0]).astype(complex)
@@ -994,6 +990,11 @@ def test_optimal_gibbs_protocol_inverted_population():
         gt.optimal_gibbs_protocol(rho, h, math.nan, 8)
     with pytest.raises(ValueError, match="singular"):
         gt.optimal_gibbs_protocol(np.diag([1.0, 0.0, 0.0]).astype(complex), h, -1.0, 8)
+    # each of the 9 thermal steps decomposes its Hamiltonian; h0 is decomposed
+    # once more, for both beta* and the state it matches
+    dtypes = count_eigh(monkeypatch)
+    gt.optimal_gibbs_protocol(rho, h, -0.5, 8, keep_states=False)
+    assert len(dtypes) == 10
 
 
 def test_min_work_scan_verdicts():
@@ -1136,6 +1137,18 @@ def test_min_work_scan_records_a_schedule_that_fails_at_one_n():
                              for label in ("ta-gge", "gibbs")}
     assert np.all(np.isnan(scan.works[:, 1])) and np.all(np.isnan(scan.entropy_production[:, 1]))
     assert np.all(np.isfinite(scan.works[:, [0, 2]]))
+
+
+def test_min_work_scan_rejects_models_that_share_a_label():
+    # one verdict per label and failures keyed by (label, N): two models with
+    # one label would overwrite each other
+    ham = gt.build_chain(2, [0.5, 1.0], 0.3)
+    traj = gt.Trajectory.linear(ham.c, gt.build_chain(2, [1.0, 0.5], 0.3).c)
+    gamma0 = random_correlation(2, make_rng(16), lo=0.1, hi=0.9)
+    for models, label in (([gt.Exact(1.0), gt.Exact(50.0, 60.0)], "exact"),
+                          ([gt.GGE, gt.GIBBS, gt.GGE], "ta-gge")):
+        with pytest.raises(ValueError, match=f"^models must have distinct labels, got '{label}'"):
+            gt.min_work_scan(gamma0, traj.schedule, models, [1, 2, 4], seed=0)
 
 
 def test_empty_schedules_and_scans_are_rejected():
