@@ -5,7 +5,6 @@ and efficient free-fermion simulation through correlation matrices."""
 
 from .hermitian import (
     DEGENERACY_TOL,
-    DegeneracyPartition,
     EigenSystem,
     cluster_degenerate,
     eigh,
@@ -36,7 +35,6 @@ from .dense import (
     DualPoint,
     check_state,
     correlation_of_dense,
-    entropy_matching_beta,
     gaussian_to_dense,
     gge_state_dense,
     gibbs_state_dense,

@@ -151,6 +151,9 @@ def _validate(config: ExperimentConfig) -> ExperimentConfig:
         raise ValueError(f"fig2 quench counts must be even and at least 2, got {odd[0]}")
     if not config.models:
         raise ValueError("models must be non-empty")
+    for m in config.models:     # the sweep's rule, checked before any state is built
+        if config.models.count(m) > 1:
+            raise ValueError(f"models must have distinct labels, got {m!r} more than once")
     lo, hi = config.resolved_holds()
     if lo > hi:
         raise ValueError(f"hold_min {lo} exceeds hold_max {hi}")

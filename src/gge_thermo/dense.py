@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import (_EPS4, STATE_ATOL, _check_spectrum, _eigh, _energy_matching_root, _xlogx,
-                        cluster_degenerate, require_hermitian)
+from .hermitian import (_EPS4, STATE_ATOL, _check_spectrum, _eigh, _energy_matching_root,
+                        _hermitian_part, _xlogx, cluster_degenerate, require_hermitian)
 
 __all__ = [
     "ConservedSet",
@@ -34,7 +34,6 @@ __all__ = [
     "kl_gap",
     "is_passive",
     "passive_rearrangement",
-    "entropy_matching_beta",
     "quadratic_to_dense",
     "mode_number_operators",
     "correlation_of_dense",
@@ -56,12 +55,13 @@ def check_state(rho) -> np.ndarray:
     return r
 
 
-def _hamiltonian(hamiltonian, r: np.ndarray) -> np.ndarray:
-    """The one dense Hamiltonian check: Hermitian within ``STATE_ATOL`` and
-    of the shape of the validated state ``r``; returns the symmetrised copy."""
-    h = require_hermitian(hamiltonian, name="Hamiltonian")
+def _hamiltonian(hamiltonian, r: np.ndarray, name: str = "Hamiltonian") -> np.ndarray:
+    """The one dense Hamiltonian (or observable, named ``name`` in errors)
+    check: Hermitian within ``STATE_ATOL`` and of the shape of the validated
+    state ``r``; returns the symmetrised copy."""
+    h = require_hermitian(hamiltonian, name=name)
     if h.shape != r.shape:
-        raise ValueError(f"dimension mismatch: state {r.shape} vs Hamiltonian {h.shape}")
+        raise ValueError(f"dimension mismatch: state {r.shape} vs {name} {h.shape}")
     return h
 
 
@@ -91,7 +91,7 @@ def ta_state(rho, hamiltonian) -> np.ndarray:
 
 
 def _pinch(r: np.ndarray, es) -> np.ndarray:
-    labels = cluster_degenerate(es.values).labels()
+    labels = cluster_degenerate(es.values)
     mask = labels[:, None] == labels[None, :]
     b = es.vectors.conj().T @ r @ es.vectors
     return es.vectors @ (b * mask) @ es.vectors.conj().T
@@ -170,7 +170,7 @@ class ConservedSet:
     @classmethod
     def from_state(cls, rho, observables) -> "ConservedSet":
         r = check_state(rho)
-        obs = tuple(np.asarray(q, dtype=complex) for q in observables)
+        obs = tuple(_hamiltonian(q, r, f"observable {i}") for i, q in enumerate(observables))
         return cls(obs, tuple(_expectation(r, q) for q in obs))
 
     @property
@@ -358,17 +358,11 @@ def is_passive(rho, hamiltonian, tol: float = 1e-9) -> bool:
     h = es.reconstruct()
     if float(np.linalg.norm(r @ h - h @ r)) > tol:
         return False
-    part = cluster_degenerate(es.values, tol)
+    labels = cluster_degenerate(es.values, tol)
     b = es.vectors.conj().T @ r @ es.vectors
-    group_pops = []
-    for group in part.groups:
-        idx = np.asarray(group)
-        block = b[np.ix_(idx, idx)]
-        group_pops.append(np.linalg.eigvalsh(0.5 * (block + block.conj().T)))
-    for lower, upper in zip(group_pops, group_pops[1:]):
-        if float(lower.min()) < float(upper.max()) - tol:
-            return False
-    return True
+    pops = [np.linalg.eigvalsh(_hermitian_part(b[np.ix_(labels == k, labels == k)]))
+            for k in range(labels[-1] + 1)]
+    return not any(float(lower.min()) < float(upper.max()) - tol for lower, upper in zip(pops, pops[1:]))
 
 
 def passive_rearrangement(rho, hamiltonian) -> np.ndarray:
@@ -385,18 +379,12 @@ def _evolve(r: np.ndarray, es, t: float) -> np.ndarray:
     return u @ r @ u.conj().T
 
 
-def entropy_matching_beta(hamiltonian, entropy: float) -> float | None:
-    """Positive inverse temperature whose thermal state has the given
-    entropy, or None when no such beta exists (entropy above ln d, or at or
-    below the ground-degeneracy floor, probed at beta = 1e8).  For beta > 0
-    the entropy falls with slope -beta Var_beta(H); the root is bracketed
-    from [0, 1]."""
-    return _entropy_matching_beta(_eigh(require_hermitian(hamiltonian, name="Hamiltonian")).values,
-                                  entropy)
-
-
 def _entropy_matching_beta(eps: np.ndarray, entropy: float) -> float | None:
-    """Kernel of :func:`entropy_matching_beta` on the ascending energies ``eps``."""
+    """Positive inverse temperature at which the thermal state of the
+    ascending energies ``eps`` has the given entropy, or None when no such
+    beta exists (entropy above ln d, or at or below the ground-degeneracy
+    floor, probed at beta = 1e8).  For beta > 0 the entropy falls with slope
+    -beta Var_beta(H); the root is bracketed from [0, 1]."""
     s0 = float(entropy)
     if not np.isfinite(s0):
         raise ValueError(f"entropy must be finite, got {entropy!r}")

@@ -15,8 +15,9 @@ its inputs.
 Both back ends import this module and not each other, so the rules they
 share live here.  :func:`_energy_matching_root` (bracket, then safeguarded
 Newton-bisection) is the one root finder: ``fermions.solve_beta`` and
-``dense.gibbs_state_dense`` match a mean energy with it, and
-``dense.entropy_matching_beta`` an entropy.  :func:`_check_spectrum` is the
+``dense.gibbs_state_dense`` match a mean energy with it, and the kernel
+``dense._entropy_matching_beta`` an entropy (beta* of
+``protocols.optimal_gibbs_protocol``).  :func:`_check_spectrum` is the
 one range rule for a correlation spectrum or mode populations, called by
 ``fermions._ModeState.entropy``, ``dense.gaussian_to_dense`` and
 ``protocols._ergotropy``.  :func:`_fermi` and :func:`_xlogx` are the
@@ -38,7 +39,6 @@ _ANCHOR_RTOL = 1e-8     # an eigenvector's anchor: its first entry this close to
 __all__ = [
     "DEGENERACY_TOL",
     "EigenSystem",
-    "DegeneracyPartition",
     "require_hermitian",
     "eigh",
     "cluster_degenerate",
@@ -85,22 +85,6 @@ class EigenSystem:
         return (self.vectors * self.values) @ self.vectors.conj().T
 
 
-@dataclass(frozen=True)
-class DegeneracyPartition:
-    """Index groups of near-degenerate eigenvalues."""
-
-    groups: tuple[tuple[int, ...], ...]
-
-    def labels(self) -> np.ndarray:
-        """Group label per index; handy for building block masks."""
-        n = sum(len(g) for g in self.groups)
-        out = np.empty(n, dtype=int)
-        for label, group in enumerate(self.groups):
-            for i in group:
-                out[i] = label
-        return out
-
-
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     # Anchor each column on its first entry within a relative _ANCHOR_RTOL of
     # the column's largest magnitude; a real column keeps its dtype (phase +-1).
@@ -128,9 +112,10 @@ def _eigh(h: np.ndarray) -> EigenSystem:
     return EigenSystem(values=values, vectors=_fix_phases(vectors))
 
 
-def cluster_degenerate(values, tol: float = DEGENERACY_TOL) -> DegeneracyPartition:
-    """Group ascending-sorted values; a gap larger than ``tol`` starts a new
-    group.  Empty input yields an empty partition."""
+def cluster_degenerate(values, tol: float = DEGENERACY_TOL) -> np.ndarray:
+    """Degeneracy label per ascending-sorted value: 0 for the first, and one
+    more at each gap larger than ``tol``, so level k is ``labels == k``.
+    Empty input yields an empty int array."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     v = np.asarray(values, dtype=float)
@@ -138,15 +123,7 @@ def cluster_degenerate(values, tol: float = DEGENERACY_TOL) -> DegeneracyPartiti
         raise ValueError("values must be one-dimensional")
     if v.size and np.any(np.diff(v) < 0):
         raise ValueError("values must be sorted in ascending order")
-    groups: list[tuple[int, ...]] = []
-    start = 0
-    for i in range(1, v.size):
-        if v[i] - v[i - 1] > tol:
-            groups.append(tuple(range(start, i)))
-            start = i
-    if v.size:
-        groups.append(tuple(range(start, v.size)))
-    return DegeneracyPartition(groups=tuple(groups))
+    return np.cumsum(np.diff(v, prepend=v[:1]) > tol)
 
 
 def _check_spectrum(d: np.ndarray) -> np.ndarray:

@@ -226,12 +226,16 @@ class StepRecord:
 
 @dataclass
 class ProtocolRecord:
-    """Full log of a quench-equilibrate run."""
+    """Full log of a quench-equilibrate run: its steps, the validated
+    Hamiltonians, the final correlation or density matrix, and in ``meta``
+    what a construction adds (``work_bound`` of the four-phase protocols,
+    ``beta_star`` and ``work_limit`` of :func:`optimal_gibbs_protocol`)."""
 
     steps: list[StepRecord]
     hamiltonians: list
     model: object
     backend: str
+    final_state: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
@@ -254,10 +258,6 @@ class ProtocolRecord:
     @property
     def entropy_production(self) -> float:
         return self.steps[-1].entropy - self.steps[0].entropy
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.meta["final_state"]
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +406,9 @@ def run_schedule(
 
 
 def _run(state, entropy: float, hams, model, backend: str, keep_states: bool) -> ProtocolRecord:
-    """The one protocol loop, behind :func:`run_schedule`, the sweep and the optimal
-    constructions, on a checked ``state``, its step-0 ``entropy`` and ``hams`` wrapped
-    against it; it checks only the model and that the schedule is not empty."""
+    """The one protocol loop, behind :func:`run_schedule`, the sweep, the four-phase
+    builder and the optimal constructions, on a checked ``state``, its step-0 ``entropy``
+    and ``hams`` wrapped against it; it checks only the model and a non-empty schedule."""
     if not hams:
         raise ValueError("the schedule must contain at least the initial Hamiltonian")
     be = _BACKENDS[backend]
@@ -434,7 +434,7 @@ def _run(state, entropy: float, hams, model, backend: str, keep_states: bool) ->
         hamiltonians=hams,
         model=model,
         backend=backend,
-        meta={"final_state": be.matrix(state)},
+        final_state=be.matrix(state),
     )
 
 
@@ -526,29 +526,29 @@ def _four_phase(gamma0, ham0) -> Callable:
     """Builder ``n -> [H^(0) .. H^(n + 2)]`` of the cyclic four-phase protocol
     extracting the maximum work from a correlation matrix under the dephasing
     map: n + 2 quenches, two aligning ones plus n rotation steps."""
-    be = _BACKENDS["gaussian"]
-    return _four_phase_of(be, be.check(gamma0), ham0)
+    return _four_phase_of("gaussian", _BACKENDS["gaussian"].check(gamma0), ham0)
 
 
-def _four_phase_of(be: _Backend, state, ham0) -> Callable:
-    """:func:`_four_phase` on either back end ``be``, for a validated ``state``.
+def _four_phase_of(backend: str, state, ham0) -> Callable:
+    """:func:`_four_phase` on either ``backend``, for a validated ``state``.
 
-    Two legs, each a quench aligning the modes with the state's eigenbasis
-    (the spectrum of ``ham0`` assigned anti-sorted), then an N/2-step
-    eigenbasis rotation back to ``ham0`` (repeated ``ham0`` if the quench is
-    a no-op).  ``ham0`` is validated and decomposed, and the first leg's
-    :class:`_Rotation` built, once for every N; the second leg is rebuilt
-    from the state the first leaves, walked with the trusted kernels (under
-    the cycle gauge its rotation does not follow their round-off).  No
-    Hamiltonian is decomposed twice: a leg decomposes its aligned keyframe
+    Two legs, each a quench aligning the modes with the eigenbasis of a
+    state matrix (the spectrum of ``ham0`` assigned anti-sorted), then an
+    N/2-step eigenbasis rotation back to ``ham0`` (repeated ``ham0`` if the
+    quench is a no-op).  ``ham0`` is validated and decomposed, and the first
+    leg's :class:`_Rotation` built, once for every N; the second leg starts
+    from the final state of :func:`_run` on ``ham0`` and the first leg under
+    dephasing (under the cycle gauge its rotation does not follow round-off).
+    No Hamiltonian is decomposed twice: a leg decomposes its aligned keyframe
     once and builds its Hamiltonians from the eigensystems its rotation gives.
     """
+    be = _BACKENDS[backend]
     ham0 = be.wrap(ham0, state)
     h0, es0 = be.levels(ham0)
     e_desc = es0.values[::-1]
 
-    def leg(m) -> Callable:
-        w = be.eigenbasis(be.matrix(m))
+    def leg(m: np.ndarray) -> Callable:
+        w = be.eigenbasis(m)
         h_from = (w * e_desc) @ w.conj().T
         if np.allclose(h_from, h0, atol=1e-13):
             return lambda half: [ham0] * (half + 1)
@@ -557,17 +557,14 @@ def _four_phase_of(be: _Backend, state, ham0) -> Callable:
         return lambda half: ([start] + [be.hamiltonian(rotation.at(j / half))
                                         for j in range(1, half)] + [ham0])
 
-    first = leg(state)
+    first = leg(be.matrix(state))
 
     def schedule(n: int) -> list:
         n = _quench_counts([n])[0]
         if n < 2 or n % 2:
             raise ValueError(f"the number of quenches must be even and at least 2, got {n}")
         hams = [ham0] + first(n // 2)
-        mid = state
-        for h in hams[1:]:
-            mid = be.dephase(be.quench(mid, h), h)[0]
-        return hams + leg(mid)(n // 2)
+        return hams + leg(_run(state, 0.0, hams, fg.GGE, backend, False).final_state)(n // 2)
 
     return schedule
 
@@ -577,8 +574,9 @@ def _optimal_protocol(state, ham0, n_quenches: int, backend: str,
     """:func:`_four_phase`'s schedule run under dephasing; ``meta['work_bound']`` is its ceiling."""
     be = _backend(backend)
     state = be.check(state)
-    hams = _four_phase_of(be, state, ham0)(n_quenches)
-    record = _run(state, be.entropy(state), hams, fg.GGE, backend, keep_states)
+    entropy = be.entropy(state)     # a spectrum outside [0, 1] raises here, not in the builder
+    hams = _four_phase_of(backend, state, ham0)(n_quenches)
+    record = _run(state, entropy, hams, fg.GGE, backend, keep_states)
     record.meta["work_bound"] = _ergotropy(be, state, hams[0])
     return record
 

@@ -314,6 +314,19 @@ def test_main_error_paths(tmp_path, capsys):
         cli.main(["fig1", "--not-a-flag", "3"])
 
 
+def test_repeated_models_are_a_config_error(tmp_path, capsys, monkeypatch):
+    # the sweep's rule, named by the parser before any initial state is built
+    with pytest.raises(ValueError, match="^models must have distinct labels, got 'ta-gge' more than once$"):
+        cli.parse_config(["scan", "--models", "ta-gge,ta-gge"])
+    built = []
+    monkeypatch.setattr(cli, "fig3_initial_state", lambda config: built.append(config))
+    out = tmp_path / "scan.csv"
+    assert cli.main(["scan", "--n", "4", "--quenches", "2", "--models", "exact,ta-gge,exact",
+                     "--out", str(out)]) == 1
+    assert "models must have distinct labels, got 'exact' more than once" in capsys.readouterr().err
+    assert not built and not out.exists()
+
+
 def test_small_fig3_runs_end_to_end(tmp_path):
     out = tmp_path / "f3.csv"
     code = cli.main(["fig3", "--n", "14", "--quenches", "2,4,8", "--seed", "11",

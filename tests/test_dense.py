@@ -152,6 +152,17 @@ def test_gge_divergence_guard_reports_boundary():
         gt.gge_state_dense(rho, h, conserved)
 
 
+def test_conserved_set_from_state_names_a_malformed_observable():
+    # each observable is checked against the state before its target is taken
+    rho = np.eye(2) / 2
+    with pytest.raises(ValueError, match=r"^dimension mismatch: state \(2, 2\) vs observable 0 \(3, 3\)$"):
+        gt.ConservedSet.from_state(rho, [np.eye(3)])
+    with pytest.raises(ValueError, match=r"^observable 0 must be a square matrix, got shape \(3,\)$"):
+        gt.ConservedSet.from_state(rho, [np.ones(3)])
+    with pytest.raises(ValueError, match="^observable 1 is not Hermitian: max asymmetry 1.000e-01"):
+        gt.ConservedSet.from_state(rho, [SIGMA_Z, np.array([[0.0, 0.1], [0.0, 1.0]])])
+
+
 def test_entropy_ordering_hierarchy():
     # with commuting conserved quantities: S(TA) <= S(GGE) <= S(Gibbs)
     rng = make_rng(8)
@@ -211,6 +222,19 @@ def test_is_passive_examples():
     assert not gt.is_passive(rho, hd)
     # non-commuting state is not passive either
     assert not gt.is_passive(PLUS, SIGMA_Z)
+
+
+def test_is_passive_ranks_a_coherent_degenerate_level_by_its_block_eigenvalues():
+    # h = diag(0, 1, 1): the upper level's populations are d +- o, the
+    # eigenvalues of its block [[d, o], [o, d]], not its diagonal d
+    h = np.diag([0.0, 1.0, 1.0])
+
+    def rho(g, d, o):
+        return np.array([[g, 0.0, 0.0], [0.0, d, o], [0.0, o, d]])
+
+    assert not gt.is_passive(rho(0.35, 0.325, 0.1), h)     # 0.425 > 0.35 > 0.325
+    assert gt.is_passive(rho(0.45, 0.275, 0.1), h)
+    assert gt.is_passive(rho(0.35, 0.325, 0.0), h)
 
 
 def test_passive_rearrangement_examples():
@@ -333,7 +357,7 @@ def test_dense_beta_matching_agrees_with_brentq(monkeypatch):
         vals = np.linalg.eigvalsh(h)
         w = np.exp(-float(rng.uniform(0.05, 5.0)) * (vals - vals[0]))
         w /= w.sum()
-        gt.entropy_matching_beta(h, float(-(w * np.log(w)).sum()))
+        qd._entropy_matching_beta(gt.eigh(h).values, float(-(w * np.log(w)).sum()))
     assert len(roots) == 400
     for rec in roots:
         ref, _ = brentq_root(rec["fs"], rec["lo"], rec["hi"])
@@ -362,24 +386,25 @@ def test_entropy_matching_beta():
     w = np.exp(-1.3 * vals)
     w /= w.sum()
     s_target = float(-(w * np.log(w)).sum())
-    beta = gt.entropy_matching_beta(h, s_target)
+    eps = gt.eigh(h).values
+    beta = qd._entropy_matching_beta(eps, s_target)
     assert beta == pytest.approx(1.3, rel=1e-9)
     # entropy below the pure-state floor of a gapped spectrum is available,
     # but entropy above log(d) is not
-    assert gt.entropy_matching_beta(h, math.log(5) + 0.1) is None
-    assert gt.entropy_matching_beta(h, 0.0) is None     # the pure ground state
+    assert qd._entropy_matching_beta(eps, math.log(5) + 0.1) is None
+    assert qd._entropy_matching_beta(eps, 0.0) is None     # the pure ground state
     # the uniform state's entropy is matched at beta = 0; a doubly degenerate
     # ground level puts the floor at log 2, which only beta -> infinity
     # reaches, so the floor and what lies below it have no beta
     uniform = np.full(5, 0.2)
-    assert gt.entropy_matching_beta(h, float(-np.sum(uniform * np.log(uniform)))) == 0.0
-    h_deg = np.diag([0.0, 0.0, 1.0, 2.0])
-    assert gt.entropy_matching_beta(h_deg, math.log(2) + 1e-3) > 5.0
+    assert qd._entropy_matching_beta(eps, float(-np.sum(uniform * np.log(uniform)))) == 0.0
+    eps_deg = gt.eigh(np.diag([0.0, 0.0, 1.0, 2.0])).values
+    assert qd._entropy_matching_beta(eps_deg, math.log(2) + 1e-3) > 5.0
     for s in (math.log(2), math.log(2) - 1e-3, 0.0):
-        assert gt.entropy_matching_beta(h_deg, s) is None
+        assert qd._entropy_matching_beta(eps_deg, s) is None
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"entropy must be finite, got {bad!r}"):
-            gt.entropy_matching_beta(h, bad)
+            qd._entropy_matching_beta(eps, bad)
 
 
 def test_evolve_dense_unitary_invariants():
@@ -456,8 +481,7 @@ def test_gge_line_search_halves_the_newton_step():
 
 
 @pytest.mark.parametrize("route", ["ta_state", "gibbs_state_dense", "gge_state_dense",
-                                   "run_schedule", "optimal_gibbs_protocol",
-                                   "entropy_matching_beta"])
+                                   "run_schedule", "optimal_gibbs_protocol"])
 def test_dense_hamiltonian_is_checked_by_one_rule(route):
     call = {
         "ta_state": gt.ta_state,
@@ -465,7 +489,6 @@ def test_dense_hamiltonian_is_checked_by_one_rule(route):
         "gge_state_dense": lambda rho, h: gt.gge_state_dense(rho, h, gt.ConservedSet((), ())),
         "run_schedule": lambda rho, h: gt.run_schedule(rho, [h, h], gt.GGE, backend="dense"),
         "optimal_gibbs_protocol": lambda rho, h: gt.optimal_gibbs_protocol(rho, h, -1.0, 2),
-        "entropy_matching_beta": lambda rho, h: gt.entropy_matching_beta(h, 0.5),
     }[route]
     rho = np.diag([0.7, 0.3])
     bad = {
@@ -476,8 +499,6 @@ def test_dense_hamiltonian_is_checked_by_one_rule(route):
     for message, h in bad.items():
         with pytest.raises(ValueError, match=message):
             call(rho, h)
-    if route == "entropy_matching_beta":    # it takes no state to match or to check first
-        return
     with pytest.raises(ValueError, match=r"^dimension mismatch: state \(2, 2\) vs Hamiltonian \(3, 3\)$"):
         call(rho, np.eye(3))
     with pytest.raises(ValueError, match="^state trace"):    # the state is checked first
