@@ -50,8 +50,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermitian import (_EPS4, EigenSystem, _check_spectrum, _eigh, _energy_matching_root,
-                        _fermi, _fix_phases, _hermitian_part, _xlogx, require_hermitian)
+from .hermitian import (_EPS4, EigenSystem, _check_spectrum, _eigh, _eigh_all, _energy_matching_root, _fermi,
+                        _fix_phases, _hermitian_part, _require_hermitian_all, _xlogx, require_hermitian)
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -118,6 +118,17 @@ def as_hamiltonian(obj) -> QuadraticHamiltonian:
     if isinstance(obj, QuadraticHamiltonian):
         return obj
     return QuadraticHamiltonian(obj)
+
+
+def _hamiltonians(objs) -> list[QuadraticHamiltonian]:
+    """:func:`as_hamiltonian` of each entry, checking and decomposing the matrices in stacked calls."""
+    hams = list(objs)
+    at = [i for i, h in enumerate(hams) if not isinstance(h, QuadraticHamiltonian)]
+    cs = _require_hermitian_all([hams[i] for i in at], "coefficient matrix")
+    for i, c, es in zip(at, cs, _eigh_all(cs)):
+        hams[i] = ham = QuadraticHamiltonian.__new__(QuadraticHamiltonian)
+        ham.c, ham.eig = c, es
+    return hams
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ column's maximum, and that entry is made real and positive: ties between
 mirror-image entries (a uniform chain's modes) then resolve to the lower
 index whatever the round-off, which makes runs reproducible across BLAS
 builds and thread counts.  All routines are pure functions; nothing mutates
-its inputs.
+its inputs.  A list of matrices (a gaussian schedule, keyframes) is checked and
+decomposed in stacked calls: bit for bit as one call per matrix, with the same errors.
 
 Both back ends import this module and not each other, so the rules they
 share live here.  :func:`_energy_matching_root` (bracket, then safeguarded
@@ -35,6 +36,7 @@ DEGENERACY_TOL = 1e-9
 _LOG_MAX = float(np.log(np.finfo(float).max))   # exp overflows above this
 _EPS4 = 4.0 * float(np.finfo(float).eps)
 _ANCHOR_RTOL = 1e-8     # an eigenvector's anchor: its first entry this close to the largest
+_BATCH_ENTRIES = 1 << 16    # entries per stacked call, bounding its temporaries: 6 matrices at n = 100
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -49,10 +51,7 @@ def require_hermitian(matrix, name: str = "matrix") -> np.ndarray:
     """Validate Hermiticity within ``STATE_ATOL`` (the largest entrywise
     magnitude of M - M†) and return the symmetrised copy: float64 when the
     input is real or its imaginary part is exactly zero, complex otherwise."""
-    m = np.asarray(matrix)
-    if np.iscomplexobj(m) and not m.imag.any():     # a NaN imaginary part stays complex
-        m = m.real
-    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+    m = _hermitian_dtype(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     mh = m.conj().T
@@ -65,6 +64,42 @@ def require_hermitian(matrix, name: str = "matrix") -> np.ndarray:
             f"{name} is not Hermitian: max asymmetry {defect:.3e} exceeds tolerance {STATE_ATOL:.1e}"
         )
     return 0.5 * (m + mh)
+
+
+def _hermitian_dtype(matrix) -> np.ndarray:
+    """``matrix`` as float64 when it is real or its imaginary part is exactly zero, else complex."""
+    m = np.asarray(matrix)
+    if np.iscomplexobj(m) and not m.imag.any():     # a NaN imaginary part stays complex
+        m = m.real
+    return m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+
+
+def _stacks(ms: list[np.ndarray]):
+    """``(indices, stack)`` of ``ms`` per (shape, dtype), at most ``_BATCH_ENTRIES`` entries or one array."""
+    groups: dict = {}
+    for i, m in enumerate(ms):
+        groups.setdefault((m.shape, m.dtype), []).append(i)
+    for idx in groups.values():
+        step = max(1, _BATCH_ENTRIES // max(1, ms[idx[0]].size))
+        for k in range(0, len(idx), step):
+            yield idx[k:k + step], np.array([ms[i] for i in idx[k:k + step]])
+
+
+def _require_hermitian_all(matrices, name: str = "matrix") -> list[np.ndarray]:
+    """:func:`require_hermitian` of each matrix (the i-th named ``name.format(i=i)``) in
+    stacked calls; if one fails, the per-matrix calls raise the first error in order."""
+    matrices, out = list(matrices), {}
+    try:
+        for idx, s in _stacks([_hermitian_dtype(m) for m in matrices]):
+            sh = s.conj().transpose(0, 2, 1)    # a ValueError unless a stack of matrices
+            with np.errstate(invalid="ignore"):     # inf - inf is NaN, which fails
+                if sh.shape != s.shape or not np.abs(s - sh).max(initial=0.0) <= STATE_ATOL:
+                    raise ValueError
+            out.update(zip(idx, 0.5 * (s + sh)))
+        return [out[i] for i in range(len(matrices))]
+    except (TypeError, ValueError):     # a failing or non-numeric entry: name the first
+        pass
+    return [require_hermitian(m, name.format(i=i)) for i, m in enumerate(matrices)]
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -110,6 +145,18 @@ def _eigh(h: np.ndarray) -> EigenSystem:
     validated and symmetrised."""
     values, vectors = np.linalg.eigh(h)
     return EigenSystem(values=values, vectors=_fix_phases(vectors))
+
+
+def _eigh_all(hs: list[np.ndarray]) -> list[EigenSystem]:
+    """:func:`_eigh` of each validated matrix in stacked calls, bit for bit: a stack's
+    columns are phase-fixed side by side, each on its own."""
+    out = {}
+    for idx, s in _stacks(hs):
+        values, vectors = np.linalg.eigh(s)
+        b, n = vectors.shape[:2]
+        vectors = _fix_phases(vectors.transpose(1, 0, 2).reshape(n, b * n)).reshape(n, b, n)
+        out.update(zip(idx, map(EigenSystem, values, np.ascontiguousarray(vectors.transpose(1, 0, 2)))))
+    return [out[i] for i in range(len(hs))]
 
 
 def cluster_degenerate(values, tol: float = DEGENERACY_TOL) -> np.ndarray:

@@ -32,7 +32,8 @@ import numpy as np
 
 from . import dense as qd
 from . import fermions as fg
-from .hermitian import EigenSystem, _check_spectrum, _eigh, _hermitian_part, require_hermitian
+from .hermitian import (EigenSystem, _check_spectrum, _eigh, _eigh_all, _hermitian_part,
+                        _require_hermitian_all, require_hermitian)
 
 __all__ = [
     "Trajectory",
@@ -82,8 +83,8 @@ class Trajectory:
     the rescaled columns describe the same keyframe.
 
     Each eigenvector segment is a :class:`_Rotation` between its keyframes'
-    eigensystems, checked when the trajectory is built; segment ends return
-    the keyframes exactly.
+    eigensystems (a shared keyframe decomposed once), checked when the
+    trajectory is built; segment ends return the keyframes exactly.
     """
 
     keyframes: tuple
@@ -91,10 +92,7 @@ class Trajectory:
     _rotations: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        frames = tuple(
-            require_hermitian(k, name=f"keyframe {i}")
-            for i, k in enumerate(self.keyframes)
-        )
+        frames = tuple(_require_hermitian_all(self.keyframes, "keyframe {i}"))
         if len(frames) < 2:
             raise ValueError("a trajectory needs at least two keyframes")
         dim = frames[0].shape[0]
@@ -107,7 +105,9 @@ class Trajectory:
         for r in rules:
             if r not in _RULES:
                 raise ValueError(f"unknown interpolation rule {r!r}; choose from {_RULES}")
-        rotations = tuple(_Rotation(_eigh(frames[i]), _eigh(frames[i + 1]), f"eigenvector segment {i}")
+        ends = sorted({j for i, r in enumerate(rules) if r == "eigenvectors" for j in (i, i + 1)})
+        es = dict(zip(ends, _eigh_all([frames[j] for j in ends])))
+        rotations = tuple(_Rotation(es[i], es[i + 1], f"eigenvector segment {i}")
                           if r == "eigenvectors" else None for i, r in enumerate(rules))
         object.__setattr__(self, "keyframes", frames)
         object.__setattr__(self, "rules", rules)
@@ -267,10 +267,10 @@ class ProtocolRecord:
 class _Backend(NamedTuple):
     """How one back end validates its inputs and applies the three maps.
 
-    ``check`` and ``wrap`` validate the initial state and each Hamiltonian
-    against it, once per entry point, which hands them to ``_run`` with the
-    step-0 ``entropy`` (the check of a correlation spectrum); the other
-    entries are kernels that trust their arguments.
+    ``check`` and ``wrap`` validate the initial state and a list of Hamiltonians
+    against it (gaussian: in stacked calls, by ``fermions._hamiltonians``), once
+    per entry point, which hands them to ``_run`` with the step-0 ``entropy`` (the
+    check of a correlation spectrum); the other entries trust their arguments.
     Each map takes the state in the frame of its Hamiltonian (after
     ``quench``) and returns ``(state, duals)``.  Entries call through the
     module (``fg._evolve``, not a bound reference), so a function patched on
@@ -281,7 +281,7 @@ class _Backend(NamedTuple):
     """
 
     check: Callable        # state -> validated state
-    wrap: Callable         # (Hamiltonian, state) -> validated Hamiltonian
+    wrap: Callable         # (Hamiltonians, state) -> validated list
     quench: Callable       # (state, ham) -> state frozen across the quench to ham
     energy: Callable       # (state, ham) -> mean energy
     entropy: Callable      # state -> entropy in nats
@@ -299,10 +299,11 @@ def _gaussian_eigenbasis(gamma: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(0.5 * (gamma + gamma.conj().T))[1].conj()
 
 
-def _gaussian_wrap(h, state) -> fg.QuadraticHamiltonian:
-    ham = fg.as_hamiltonian(h)
-    fg._check_dims(state.g, ham)
-    return ham
+def _gaussian_wrap(hs, state) -> list:
+    hams = fg._hamiltonians(hs)
+    for ham in hams:
+        fg._check_dims(state.g, ham)
+    return hams
 
 
 def _dense_thermalise(rho, h):
@@ -327,7 +328,7 @@ _BACKENDS = {
     ),
     "dense": _Backend(
         check=lambda rho: qd.check_state(rho),
-        wrap=lambda h, rho: qd._hamiltonian(h, rho),
+        wrap=lambda hs, rho: [qd._hamiltonian(h, rho) for h in hs],
         quench=lambda rho, h: rho,
         energy=lambda rho, h: qd._expectation(rho, h),
         entropy=lambda rho: qd._entropy(rho),
@@ -401,7 +402,7 @@ def run_schedule(
     sites at step 0); its matrix is built only for kept and final states."""
     be = _backend(backend)
     state = be.check(initial_state)
-    hams = [be.wrap(h, state) for h in hamiltonians]
+    hams = be.wrap(hamiltonians, state)
     return _run(state, be.entropy(state), hams, model, backend, keep_states)
 
 
@@ -519,7 +520,7 @@ def optimal_work_bound(gamma0, ham0) -> float:
     the mode energies."""
     be = _BACKENDS["gaussian"]
     state = be.check(gamma0)
-    return _ergotropy(be, state, be.wrap(ham0, state))
+    return _ergotropy(be, state, be.wrap([ham0], state)[0])
 
 
 def _four_phase(gamma0, ham0) -> Callable:
@@ -543,7 +544,7 @@ def _four_phase_of(backend: str, state, ham0) -> Callable:
     once and builds its Hamiltonians from the eigensystems its rotation gives.
     """
     be = _BACKENDS[backend]
-    ham0 = be.wrap(ham0, state)
+    ham0 = be.wrap([ham0], state)[0]
     h0, es0 = be.levels(ham0)
     e_desc = es0.values[::-1]
 
@@ -723,7 +724,7 @@ def min_work_scan(
 
     def sweep(n) -> list[tuple]:
         try:
-            hams = [be.wrap(h, state) for h in schedule(n)]
+            hams = be.wrap(schedule(n), state)
         except Exception as exc:
             return [failure(exc)] * len(models)
         cells = []

@@ -98,19 +98,26 @@ def count_schur(monkeypatch, delay=0.0):
 
 
 def count_eigh(monkeypatch):
-    """Record the dtype of each matrix the Hamiltonian kernel ``hermitian._eigh``
-    decomposes, wrapped where ``hermitian``, ``fermions``, ``dense`` and
-    ``protocols`` look it up."""
+    """Record the dtype of each matrix the Hamiltonian kernels decompose, one by
+    one (``hermitian._eigh``) or in a stack (``hermitian._eigh_all``, one entry
+    per matrix), wrapped where ``hermitian``, ``fermions``, ``dense`` and
+    ``protocols`` look them up."""
     from gge_thermo import dense, fermions, hermitian, protocols
 
-    dtypes, kernel = [], hermitian._eigh
+    dtypes, kernel, stacked = [], hermitian._eigh, hermitian._eigh_all
 
     def counted(h):
         dtypes.append(h.dtype)
         return kernel(h)
 
+    def counted_all(hs):
+        dtypes.extend(h.dtype for h in hs)
+        return stacked(hs)
+
     for module in (hermitian, fermions, dense, protocols):
         monkeypatch.setattr(module, "_eigh", counted)
+    for module in (hermitian, fermions, protocols):
+        monkeypatch.setattr(module, "_eigh_all", counted_all)
     return dtypes
 
 

@@ -246,15 +246,16 @@ def test_cli_cells_agree_across_blas_thread_counts(tmp_path, experiment):
 def test_chain_experiments_decompose_only_real_hamiltonians(monkeypatch):
     # the chains and their states are real, so every Hamiltonian, the
     # four-phase samples included, stays float64 and is decomposed in real
-    # arithmetic
+    # arithmetic; the counts take in the matrices decomposed in a stack (the
+    # scan's: its chain, its bath and the 3 + 5 samples of N = 2 and 4)
     dtypes = count_eigh(monkeypatch)
-    for args in (["fig2", "--n", "10", "--quenches", "2,4,8"],
-                 ["fig3", "--n", "10", "--quenches", "2,4"],
-                 ["fig4", "--n", "10", "--K", "2", "--quenches", "2,4"],
-                 ["scan", "--n", "10", "--quenches", "2,4"]):
+    for args, count in ((["fig2", "--n", "10", "--quenches", "2,4,8"], 5),
+                        (["fig3", "--n", "10", "--quenches", "2,4"], 6),
+                        (["fig4", "--n", "10", "--K", "2", "--quenches", "2,4"], 6),
+                        (["scan", "--n", "10", "--quenches", "2,4"], 10)):
         dtypes.clear()
         cli.COMMANDS[args[0]](cli.parse_config(args))
-        assert dtypes and set(dtypes) == {np.dtype(np.float64)}, args
+        assert len(dtypes) == count and set(dtypes) == {np.dtype(np.float64)}, args
 
 
 def test_cli_outputs_are_bit_identical_across_runs(tmp_path, monkeypatch):

@@ -5,11 +5,53 @@ import pytest
 
 import gge_thermo as gt
 from gge_thermo import fermions as fg
-from _helpers import brentq_root, make_rng, random_correlation, record_roots
+from gge_thermo import hermitian
+from _helpers import brentq_root, make_rng, random_correlation, random_hermitian, record_roots
 
 
 def two_site(g=0.1):
     return gt.build_chain(2, [1.0, 1.0], g)
+
+
+def test_stacked_hamiltonians_match_one_by_one_construction(monkeypatch):
+    # fermions._hamiltonians checks and decomposes a list's matrices in
+    # stacked calls; QuadraticHamiltonian(m), one matrix at a time, is the
+    # reference, bit for bit, and objects in the list pass through as they are
+    rng = make_rng(31)
+
+    def real(n):
+        z = rng.normal(size=(n, n))
+        return z + z.T
+
+    chain, other = gt.build_chain(3, [0.5, 1.0, 1.5], 0.3), fg.QuadraticHamiltonian(random_hermitian(4, rng))
+    cases = {
+        "real": [real(5) for _ in range(7)],
+        "complex": [random_hermitian(5, rng) for _ in range(7)],
+        "zero imaginary part": [real(5).astype(complex) for _ in range(7)],
+        "mixed dtypes": [real(3), random_hermitian(3, rng), real(3).astype(complex), real(4),
+                         random_hermitian(3, rng), real(3) + 1e-12 * rng.normal(size=(3, 3))],
+        "with objects": [random_hermitian(4, rng), chain, real(3), other, chain],
+        "n = 100, two chunks": [real(100) for _ in range(8)],
+        "n = 200, one matrix a chunk": [real(200) for _ in range(3)],
+    }
+    assert [len(idx) for idx, _ in hermitian._stacks(cases["n = 100, two chunks"])] == [6, 2]
+    checks, require = [], hermitian.require_hermitian
+    monkeypatch.setattr(hermitian, "require_hermitian", lambda *a, **k: checks.append(1) or require(*a, **k))
+    for label, ms in cases.items():
+        copies = [m.copy() if isinstance(m, np.ndarray) else m for m in ms]
+        hams = fg._hamiltonians(ms)
+        assert not checks, label     # the stacked path, not the per-matrix one
+        for m, copy, ham in zip(ms, copies, hams, strict=True):
+            if isinstance(m, fg.QuadraticHamiltonian):
+                assert ham is m, label
+                continue
+            ref = fg.QuadraticHamiltonian(m)
+            for got, want in ((ham.c, ref.c), (ham.energies, ref.energies), (ham.modes, ref.modes)):
+                assert got.dtype == want.dtype and np.array_equal(got, want), label
+            assert np.array_equal(m, copy), label
+        if label == "zero imaginary part":
+            assert all(ham.c.dtype == ham.modes.dtype == np.float64 for ham in hams)
+    assert fg._hamiltonians([]) == []
 
 
 def test_build_chain_examples():

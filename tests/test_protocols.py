@@ -172,6 +172,41 @@ def test_trajectory_rejects_malformed_keyframes_and_rules():
             gt.Trajectory(frames, rules)
 
 
+def test_trajectory_keyframe_errors_name_the_first_bad_keyframe():
+    # the keyframes are checked in stacked calls; a failing list is checked
+    # again one keyframe at a time, so the first bad one in order is named
+    h = np.diag([0.0, 1.0])
+    asym, nan = h + [[0.0, 1e-3], [0.0, 0.0]], h + [[np.nan, 0.0], [0.0, 0.0]]
+    cases = {
+        "keyframe 2 is not Hermitian: max asymmetry 1.000e-03 exceeds tolerance 1.0e-10": (h, h, asym),
+        "keyframe 1 has non-finite entries": (h, nan, asym),
+        "keyframe 0 must be a square matrix, got shape (2,)": (np.ones(2), h, nan),
+        "keyframe 0 is not Hermitian: max asymmetry 1.000e-03 exceeds tolerance 1.0e-10": (asym, "x", h),
+    }
+    for message, frames in cases.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+            gt.Trajectory(frames, ("linear",) * (len(frames) - 1))
+        assert info.value.__context__ is None     # raised as one check alone raises it
+
+
+def test_trajectory_decomposes_each_keyframe_once(monkeypatch):
+    # two eigenvector segments share keyframe 1: three decompositions, not
+    # four, and the samples are those of rotations built from one-by-one
+    # eigensystems, bit for bit
+    rng = make_rng(41)
+    h0 = np.diag([0.0, 1.0, 2.5])
+    q1, q2 = (np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2))
+    frames = (h0, q1 @ h0 @ q1.T, q2 @ h0 @ q2.T)
+    dtypes = count_eigh(monkeypatch)
+    traj = gt.Trajectory(frames, ("eigenvectors", "eigenvectors"))
+    assert len(dtypes) == 3
+    monkeypatch.undo()
+    alone = [pr._Rotation(hermitian.eigh(frames[i]), hermitian.eigh(frames[i + 1])) for i in (0, 1)]
+    for u in (0.1, 0.25, 0.4, 0.6, 0.75, 0.9):
+        i = int(u * 2)
+        assert np.array_equal(traj.sample(u), alone[i].at(u * 2 - i).reconstruct()), u
+
+
 def test_trajectory_eigenvector_rule_requires_equal_spectra():
     # checked when the trajectory is built, not at its first interior sample;
     # the error names the segment
@@ -1160,6 +1195,47 @@ def test_empty_schedules_and_scans_are_rejected():
     for models, ns in (([], [1, 2]), ([gt.GGE], [])):
         with pytest.raises(ValueError, match="^need at least one model and one N$"):
             gt.min_work_scan(gamma0, traj.schedule, models, ns, seed=0)
+
+
+def test_gaussian_schedule_errors_keep_their_text_and_come_before_step_1(monkeypatch):
+    # the gaussian wrap checks a schedule in stacked calls; a bad matrix last
+    # in a 30-element schedule still raises its one-by-one text before any
+    # step runs, and the sweep records that text for every N
+    c = gt.build_chain(4, [0.5, 1.0, 1.5, 2.0], 0.3).c
+    gamma0 = np.diag([0.2, 0.4, 0.6, 0.8])
+    asym, nan = c.copy(), c.copy()
+    asym[0, 1] += 1e-3
+    nan[2, 2] = np.nan
+    cases = {
+        "coefficient matrix is not Hermitian: max asymmetry 1.000e-03 exceeds tolerance 1.0e-10": asym,
+        "coefficient matrix has non-finite entries": nan,
+        "coefficient matrix must be a square matrix, got shape (2, 3)": np.ones((2, 3)),
+        "dimension mismatch: correlation matrix (4, 4) vs Hamiltonian n=5": np.eye(5),
+    }
+    good = [c + 0.01 * j * np.eye(4) for j in range(29)]
+    runs, run = [], pr._run
+    monkeypatch.setattr(pr, "_run", lambda *args, **kwargs: runs.append(1) or run(*args, **kwargs))
+    for message, bad in cases.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gt.run_schedule(gamma0, good + [bad], gt.GGE)
+        assert not runs
+        scan = gt.min_work_scan(gamma0, lambda n: good[:n] + [bad], [gt.GGE, gt.GIBBS], [2, 4], seed=0)
+        assert scan.failures == {(label, n): f"ValueError: {message}"
+                                 for label in ("ta-gge", "gibbs") for n in (2, 4)}
+        assert not runs
+
+
+def test_gaussian_run_decomposes_each_schedule_matrix_once(monkeypatch):
+    # N quenches along a linear trajectory: N + 1 matrices, each decomposed
+    # once, in a stack
+    c0 = gt.build_chain(4, [0.1, 0.5, 1.0, 1.5], 0.3).c
+    c1 = gt.build_chain(4, [1.5, 1.0, 0.5, 0.1], 0.6).c
+    traj = gt.Trajectory((c0, c1, c0), ("linear", "linear"))
+    dtypes = count_eigh(monkeypatch)
+    for n_q in (1, 7, 20):
+        dtypes.clear()
+        gt.run_protocol(np.diag([0.2, 0.4, 0.6, 0.8]), traj, n_q, gt.GGE, keep_states=False)
+        assert len(dtypes) == n_q + 1
 
 
 def test_build_population_inverted_bath():
