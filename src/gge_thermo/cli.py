@@ -175,6 +175,8 @@ def parse_config(argv) -> ExperimentConfig:
     for key, flag in _FLAGS.items():
         parser.add_argument(flag, dest=key, type=_CONFIG_KEYS[key], default=None)
     args = parser.parse_args(argv)
+    if args.models is not None and args.experiment != "scan":    # the others run fixed models
+        raise ValueError(f"--models is read by scan only, not by {args.experiment}")
 
     config = replace(ExperimentConfig(experiment=args.experiment),
                      **EXPERIMENT_DEFAULTS[args.experiment])

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import (_EPS4, STATE_ATOL, _check_spectrum, _eigh, _energy_matching_root,
-                        _hermitian_part, _xlogx, cluster_degenerate, require_hermitian)
+from .hermitian import (_EPS4, STATE_ATOL, EigenSystem, _check_spectrum, _eigh, _eigh_all,
+                        _energy_matching_root, _hermitian_part, _labels, _require_hermitian_all,
+                        _xlogx, cluster_degenerate, require_hermitian)
 
 __all__ = [
     "ConservedSet",
@@ -65,6 +66,53 @@ def _hamiltonian(hamiltonian, r: np.ndarray, name: str = "Hamiltonian") -> np.nd
     return h
 
 
+def _checked(matrices, r: np.ndarray, name: str = "Hamiltonian") -> list[np.ndarray]:
+    """:func:`_hamiltonian` of each matrix (the i-th named ``name.format(i=i)``) in one
+    stacked check; if one fails, the per-matrix checks raise the first error in order."""
+    ms = list(matrices)
+    try:
+        hs = _require_hermitian_all(ms, name)
+        if all(h.shape == r.shape for h in hs):
+            return hs
+    except (TypeError, ValueError):
+        pass
+    return [_hamiltonian(m, r, name.format(i=i)) for i, m in enumerate(ms)]
+
+
+class _Hamiltonian:
+    """A checked Hamiltonian ``h`` carrying its eigensystem ``es`` and the pinching
+    ``labels`` of its energies: the dense counterpart of
+    ``fermions.QuadraticHamiltonian``.  :func:`_schedule` decomposes a schedule's
+    in stacked calls; one it leaves undecomposed is decomposed on first use."""
+
+    __slots__ = ("h", "_levels")
+
+    def __init__(self, h: np.ndarray, levels: tuple | None = None):
+        self.h, self._levels = h, levels
+
+    def _decomposed(self) -> tuple:
+        if self._levels is None:
+            es = _eigh(self.h)
+            self._levels = es, _labels(es.values)
+        return self._levels
+
+    @property
+    def es(self) -> EigenSystem:
+        return self._decomposed()[0]
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._decomposed()[1]
+
+
+def _schedule(hs: list[np.ndarray]) -> list[_Hamiltonian]:
+    """Checked Hamiltonians as :class:`_Hamiltonian` records, all but the first decomposed
+    and labelled in stacked calls: a schedule's step 0 is never equilibrated."""
+    es = _eigh_all(hs[1:])
+    labels = _labels(np.array([e.values for e in es], ndmin=2))
+    return [_Hamiltonian(h, levels) for h, levels in zip(hs, [None, *zip(es, labels)])]
+
+
 def _prologue(rho, hamiltonian):
     """Validated state and the Hamiltonian's eigensystem, of matching
     dimensions: the checks every public map below runs before its kernel.
@@ -87,11 +135,11 @@ def ta_state(rho, hamiltonian) -> np.ndarray:
     the infinite-time average of the unitary evolution and it preserves the
     expectation of every function of the Hamiltonian.
     """
-    return _pinch(*_prologue(rho, hamiltonian))
+    r, es = _prologue(rho, hamiltonian)
+    return _pinch(r, es, cluster_degenerate(es.values))
 
 
-def _pinch(r: np.ndarray, es) -> np.ndarray:
-    labels = cluster_degenerate(es.values)
+def _pinch(r: np.ndarray, es, labels: np.ndarray) -> np.ndarray:
     mask = labels[:, None] == labels[None, :]
     b = es.vectors.conj().T @ r @ es.vectors
     return es.vectors @ (b * mask) @ es.vectors.conj().T
@@ -152,9 +200,11 @@ class ConservedSet:
     targets: tuple[float, ...]
 
     def __post_init__(self):
-        obs = tuple(require_hermitian(q, name=f"observable {i}")
-                    for i, q in enumerate(self.observables))
-        tgt = tuple(float(t) for t in self.targets)
+        self._set(_require_hermitian_all(self.observables, "observable {i}"), self.targets)
+
+    def _set(self, obs, targets) -> None:
+        """The fields from validated observables: one target each, a common shape, finite targets."""
+        obs, tgt = tuple(obs), tuple(float(t) for t in targets)
         if len(obs) != len(tgt):
             raise ValueError(f"{len(obs)} observables but {len(tgt)} targets")
         if obs:
@@ -170,8 +220,10 @@ class ConservedSet:
     @classmethod
     def from_state(cls, rho, observables) -> "ConservedSet":
         r = check_state(rho)
-        obs = tuple(_hamiltonian(q, r, f"observable {i}") for i, q in enumerate(observables))
-        return cls(obs, tuple(_expectation(r, q) for q in obs))
+        obs = _checked(observables, r, "observable {i}")
+        conserved = cls.__new__(cls)
+        conserved._set(obs, [_expectation(r, q) for q in obs])
+        return conserved
 
     @property
     def q(self) -> int:

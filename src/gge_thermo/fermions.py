@@ -85,7 +85,7 @@ class QuadraticHamiltonian:
     __slots__ = ("c", "eig")
 
     def __init__(self, coefficients):
-        self.c = require_hermitian(coefficients, name="coefficient matrix")
+        self.c = _nonempty([require_hermitian(coefficients, name="coefficient matrix")])[0]
         self.eig = _eigh(self.c)
 
     @classmethod
@@ -113,6 +113,13 @@ class QuadraticHamiltonian:
         return f"QuadraticHamiltonian(n={self.n})"
 
 
+def _nonempty(cs: list[np.ndarray]) -> list[np.ndarray]:
+    """Checked coefficient matrices, rejected when one has no mode (is 0 x 0)."""
+    if not all(c.size for c in cs):
+        raise ValueError("coefficient matrix has shape (0, 0): a Hamiltonian needs at least one mode")
+    return cs
+
+
 def as_hamiltonian(obj) -> QuadraticHamiltonian:
     """Pass through a QuadraticHamiltonian or wrap a coefficient matrix."""
     if isinstance(obj, QuadraticHamiltonian):
@@ -124,7 +131,7 @@ def _hamiltonians(objs) -> list[QuadraticHamiltonian]:
     """:func:`as_hamiltonian` of each entry, checking and decomposing the matrices in stacked calls."""
     hams = list(objs)
     at = [i for i, h in enumerate(hams) if not isinstance(h, QuadraticHamiltonian)]
-    cs = _require_hermitian_all([hams[i] for i in at], "coefficient matrix")
+    cs = _nonempty(_require_hermitian_all([hams[i] for i in at], "coefficient matrix"))
     for i, c, es in zip(at, cs, _eigh_all(cs)):
         hams[i] = ham = QuadraticHamiltonian.__new__(QuadraticHamiltonian)
         ham.c, ham.eig = c, es

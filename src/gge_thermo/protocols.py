@@ -268,9 +268,15 @@ class _Backend(NamedTuple):
     """How one back end validates its inputs and applies the three maps.
 
     ``check`` and ``wrap`` validate the initial state and a list of Hamiltonians
-    against it (gaussian: in stacked calls, by ``fermions._hamiltonians``), once
-    per entry point, which hands them to ``_run`` with the step-0 ``entropy`` (the
+    against it, checking and decomposing the matrices in stacked calls, once per
+    entry point, which hands them to ``_run`` with the step-0 ``entropy`` (the
     check of a correlation spectrum); the other entries trust their arguments.
+    A wrapped Hamiltonian carries its eigensystem: a ``fg.QuadraticHamiltonian``
+    (by ``fg._hamiltonians``), or a ``qd._Hamiltonian`` (by ``qd._checked`` and
+    ``qd._schedule``), which also carries its pinching labels and leaves step 0
+    undecomposed until a caller asks.  ``listed`` gives what
+    ``ProtocolRecord.hamiltonians`` holds: the gaussian records, or copies of
+    the dense matrices.
     Each map takes the state in the frame of its Hamiltonian (after
     ``quench``) and returns ``(state, duals)``.  Entries call through the
     module (``fg._evolve``, not a bound reference), so a function patched on
@@ -291,7 +297,8 @@ class _Backend(NamedTuple):
     thermalise: Callable   # (state, ham) -> energy-matching thermal state
     eigenbasis: Callable   # state matrix -> its modes, by ascending population
     levels: Callable       # ham -> (coefficient matrix, its EigenSystem)
-    hamiltonian: Callable  # EigenSystem -> its Hamiltonian, decomposing nothing
+    hamiltonian: Callable  # EigenSystem -> its Hamiltonian (dense: decomposed on first use)
+    listed: Callable       # wrapped Hamiltonians -> ProtocolRecord.hamiltonians
 
 
 def _gaussian_eigenbasis(gamma: np.ndarray) -> np.ndarray:
@@ -306,8 +313,8 @@ def _gaussian_wrap(hs, state) -> list:
     return hams
 
 
-def _dense_thermalise(rho, h):
-    omega, beta = qd._gibbs(rho, _eigh(h))
+def _dense_thermalise(rho, ham):
+    omega, beta = qd._gibbs(rho, ham.es)
     return omega, (beta,)
 
 
@@ -325,20 +332,25 @@ _BACKENDS = {
         eigenbasis=_gaussian_eigenbasis,
         levels=lambda ham: (ham.c, ham.eig),
         hamiltonian=lambda es: fg.QuadraticHamiltonian._of(es),
+        listed=lambda hams: hams,
     ),
     "dense": _Backend(
         check=lambda rho: qd.check_state(rho),
-        wrap=lambda hs, rho: [qd._hamiltonian(h, rho) for h in hs],
-        quench=lambda rho, h: rho,
-        energy=lambda rho, h: qd._expectation(rho, h),
+        wrap=lambda hs, rho: qd._schedule(qd._checked(hs, rho)),
+        quench=lambda rho, ham: rho,
+        energy=lambda rho, ham: qd._expectation(rho, ham.h),
         entropy=lambda rho: qd._entropy(rho),
         matrix=lambda rho: rho,
-        evolve=lambda rho, h, t: (qd._evolve(rho, _eigh(h), t), None),
-        dephase=lambda rho, h: (qd._pinch(rho, _eigh(h)), None),
+        evolve=lambda rho, ham, t: (qd._evolve(rho, ham.es, t), None),
+        dephase=lambda rho, ham: (qd._pinch(rho, ham.es, ham.labels), None),
         thermalise=_dense_thermalise,
         eigenbasis=lambda rho: np.linalg.eigh(0.5 * (rho + rho.conj().T))[1],
-        levels=lambda h: (h, _eigh(h)),
-        hamiltonian=lambda es: _hermitian_part(es.reconstruct()),
+        levels=lambda ham: (ham.h, ham.es),
+        hamiltonian=lambda es: qd._Hamiltonian(_hermitian_part(es.reconstruct())),
+        # a copy, not a view that pins the schedule's stacked check: records kept
+        # by the caller then fragment the heap less (1.5-2 MB of peak RSS on the
+        # dense-small benchmark workload)
+        listed=lambda hams: [ham.h.copy() for ham in hams],
     ),
 }
 
@@ -432,7 +444,7 @@ def _run(state, entropy: float, hams, model, backend: str, keep_states: bool) ->
             raise RuntimeError(f"step {m}: {exc}") from exc
     return ProtocolRecord(
         steps=steps,
-        hamiltonians=hams,
+        hamiltonians=be.listed(hams),
         model=model,
         backend=backend,
         final_state=be.matrix(state),
@@ -541,7 +553,8 @@ def _four_phase_of(backend: str, state, ham0) -> Callable:
     from the final state of :func:`_run` on ``ham0`` and the first leg under
     dephasing (under the cycle gauge its rotation does not follow round-off).
     No Hamiltonian is decomposed twice: a leg decomposes its aligned keyframe
-    once and builds its Hamiltonians from the eigensystems its rotation gives.
+    once and builds its Hamiltonians from the eigensystems its rotation gives
+    (a dense one is the reconstructed matrix, decomposed when a step first uses it).
     """
     be = _BACKENDS[backend]
     ham0 = be.wrap([ham0], state)[0]
@@ -616,9 +629,9 @@ def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,
         raise ValueError(f"state is singular (smallest eigenvalue {float(p.min()):.3e}); "
                          "the logarithm quench needs full rank")
     h1 = (w * (k * np.log(p))) @ w.conj().T
-    schedule = [h0] + Trajectory.linear(h1, h0).schedule(n_quenches)
-    record = _run(rho, qd._entropy(rho), schedule, fg.GIBBS, "dense", keep_states)
-    es = _eigh(h0)
+    hams = qd._schedule([h0] + Trajectory.linear(h1, h0).schedule(n_quenches))
+    record = _run(rho, qd._entropy(rho), hams, fg.GIBBS, "dense", keep_states)
+    es = hams[-1].es    # the last Hamiltonian is h0
     beta_star = qd._entropy_matching_beta(es.values, record.steps[0].entropy)
     record.meta["beta_star"] = beta_star
     if beta_star is not None:

@@ -116,7 +116,7 @@ def count_eigh(monkeypatch):
 
     for module in (hermitian, fermions, dense, protocols):
         monkeypatch.setattr(module, "_eigh", counted)
-    for module in (hermitian, fermions, protocols):
+    for module in (hermitian, fermions, dense, protocols):
         monkeypatch.setattr(module, "_eigh_all", counted_all)
     return dtypes
 

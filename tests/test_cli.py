@@ -28,7 +28,7 @@ def test_parse_config_defaults_per_experiment():
 
 
 def test_parse_config_flag_overrides():
-    cfg = cli.parse_config(["fig3", "--quenches", "1,2,4,8", "--n", "20",
+    cfg = cli.parse_config(["scan", "--quenches", "1,2,4,8", "--n", "20",
                             "--seed", "7", "--models", "ta-gge,gibbs"])
     assert cfg.N_list == (1, 2, 4, 8)
     assert cfg.n == 20 and cfg.seed == 7
@@ -313,6 +313,19 @@ def test_main_error_paths(tmp_path, capsys):
     assert not out.exists()
     with pytest.raises(SystemExit):
         cli.main(["fig1", "--not-a-flag", "3"])
+
+
+def test_models_flag_is_a_config_error_where_no_command_reads_it(tmp_path, capsys):
+    # only scan reads --models; fig2 used to accept "--models gibbs" and still
+    # write W_exact,W_gge, so the others reject it before building anything
+    for experiment in ("fig1", "fig2", "fig3", "fig4", "oracle-check"):
+        with pytest.raises(ValueError, match=f"^--models is read by scan only, not by {experiment}$"):
+            cli.parse_config([experiment, "--models", "gibbs"])
+    out = tmp_path / "fig2.csv"
+    assert cli.main(["fig2", "--n", "4", "--quenches", "2", "--models", "gibbs", "--out", str(out)]) == 1
+    assert "error: --models is read by scan only, not by fig2" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.parse_config(["scan", "--models", "gibbs"]).models == ("gibbs",)
 
 
 def test_repeated_models_are_a_config_error(tmp_path, capsys, monkeypatch):

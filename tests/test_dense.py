@@ -6,6 +6,7 @@ import pytest
 
 import gge_thermo as gt
 from gge_thermo import dense as qd
+from gge_thermo import hermitian
 from _helpers import (brentq_root, make_rng, random_correlation, random_density, random_hermitian,
                       random_unitary, record_roots)
 
@@ -161,6 +162,29 @@ def test_conserved_set_from_state_names_a_malformed_observable():
         gt.ConservedSet.from_state(rho, [np.ones(3)])
     with pytest.raises(ValueError, match="^observable 1 is not Hermitian: max asymmetry 1.000e-01"):
         gt.ConservedSet.from_state(rho, [SIGMA_Z, np.array([[0.0, 0.1], [0.0, 1.0]])])
+    with pytest.raises(ValueError, match=r"^dimension mismatch: state \(2, 2\) vs observable 1 \(3, 3\)$"):
+        gt.ConservedSet.from_state(rho, [SIGMA_Z, np.eye(3), np.array([[0.0, 0.1], [0.0, 1.0]])])
+
+
+def test_conserved_set_from_state_checks_each_observable_once(monkeypatch):
+    # one stacked check of the observables, none one by one, and the same
+    # observables and targets as the checked constructor, bit for bit
+    rng = make_rng(9)
+    rho, qs = random_density(4, rng), [random_hermitian(4, rng) + 1e-12j * rng.normal(size=(4, 4))
+                                       for _ in range(3)]
+    stacked, single = [], []
+    monkeypatch.setattr(qd, "_require_hermitian_all",
+                        lambda ms, name: stacked.append(name) or hermitian._require_hermitian_all(ms, name))
+    monkeypatch.setattr(qd, "require_hermitian",
+                        lambda m, name="matrix": single.append(name) or hermitian.require_hermitian(m, name))
+    conserved = gt.ConservedSet.from_state(rho, qs)
+    assert stacked == ["observable {i}"] and single == ["state"]
+    monkeypatch.undo()
+    obs = [hermitian.require_hermitian(q) for q in qs]
+    r = qd.check_state(rho)
+    want = gt.ConservedSet(obs, [np.einsum("ij,ji->", q, r).real for q in obs])
+    assert all(np.array_equal(a, b) for a, b in zip(conserved.observables, want.observables, strict=True))
+    assert conserved.targets == want.targets
 
 
 def test_entropy_ordering_hierarchy():

@@ -31,10 +31,11 @@ def test_stacked_hamiltonians_match_one_by_one_construction(monkeypatch):
         "mixed dtypes": [real(3), random_hermitian(3, rng), real(3).astype(complex), real(4),
                          random_hermitian(3, rng), real(3) + 1e-12 * rng.normal(size=(3, 3))],
         "with objects": [random_hermitian(4, rng), chain, real(3), other, chain],
-        "n = 100, two chunks": [real(100) for _ in range(8)],
-        "n = 200, one matrix a chunk": [real(200) for _ in range(3)],
+        "n = 30, two chunks": [real(30) for _ in range(6)],
+        "n = 100, one matrix a chunk": [real(100) for _ in range(3)],
     }
-    assert [len(idx) for idx, _ in hermitian._stacks(cases["n = 100, two chunks"])] == [6, 2]
+    assert [len(idx) for idx, _ in hermitian._stacks(cases["n = 30, two chunks"])] == [4, 2]
+    assert [len(idx) for idx, _ in hermitian._stacks(cases["n = 100, one matrix a chunk"])] == [1, 1, 1]
     checks, require = [], hermitian.require_hermitian
     monkeypatch.setattr(hermitian, "require_hermitian", lambda *a, **k: checks.append(1) or require(*a, **k))
     for label, ms in cases.items():
@@ -52,6 +53,18 @@ def test_stacked_hamiltonians_match_one_by_one_construction(monkeypatch):
         if label == "zero imaginary part":
             assert all(ham.c.dtype == ham.modes.dtype == np.float64 for ham in hams)
     assert fg._hamiltonians([]) == []
+
+
+def test_empty_coefficient_matrix_is_named():
+    # a 0 x 0 matrix passes require_hermitian, but a Hamiltonian needs a mode:
+    # both gaussian entry points name it instead of failing inside argmax
+    text = r"^coefficient matrix has shape \(0, 0\): a Hamiltonian needs at least one mode$"
+    with pytest.raises(ValueError, match=text):
+        fg.QuadraticHamiltonian(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match=text):
+        fg._hamiltonians([np.eye(2), np.zeros((0, 0))])
+    with pytest.raises(ValueError, match=text):
+        gt.run_schedule(np.zeros((0, 0)), [np.zeros((0, 0))] * 3, gt.GGE)
 
 
 def test_build_chain_examples():

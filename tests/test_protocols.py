@@ -435,6 +435,32 @@ def test_dense_run_schedule_validates_schedule_and_state_at_entry():
                 gt.run_schedule(state, [h2, h2], model, backend="dense")
 
 
+def test_dense_schedule_errors_are_the_one_by_one_checks_in_order():
+    # the dense wrap checks a schedule in one stacked call; a failing matrix is
+    # named by the per-matrix check (dense._hamiltonian), with its own text,
+    # and the first failure in schedule order wins, whatever its kind
+    rho = np.eye(2) / 2
+    ok, big = np.diag([0.0, 1.0]), np.eye(3)
+    asym = np.array([[0.0, 0.1], [0.0, 1.0]])
+    nan = np.array([[0.0, np.nan], [np.nan, 1.0]])
+    texts = {"asym": r"^Hamiltonian is not Hermitian: max asymmetry 1\.000e-01 exceeds tolerance 1\.0e-10",
+             "big": r"^dimension mismatch: state \(2, 2\) vs Hamiltonian \(3, 3\)$",
+             "nan": r"^Hamiltonian has non-finite entries$"}
+    bad = {"asym": asym, "big": big, "nan": nan, None: ok}
+    for first, second in itertools.permutations(bad, 2):
+        for k in range(3) if first else ():
+            hams = [ok] * 4
+            hams[k], hams[k + 1] = bad[first], bad[second]
+            with pytest.raises(ValueError, match=texts[first]) as stacked:
+                pr._BACKENDS["dense"].wrap(hams, rho)
+            with pytest.raises(ValueError) as alone:
+                [dense._hamiltonian(h, rho) for h in hams]
+            assert str(stacked.value) == str(alone.value)
+            for model in (gt.GGE, gt.GIBBS, gt.Exact(1.0)):
+                with pytest.raises(ValueError, match=texts[first]):
+                    gt.run_schedule(rho, hams, model, backend="dense")
+
+
 def test_gaussian_run_schedule_validates_state_at_entry():
     # the runner's entropy kernel does not re-check Hermiticity, so the
     # initial correlation matrix is checked at entry
@@ -474,6 +500,116 @@ def test_dense_runner_steps_equal_public_maps(d, kind):
             expected = u @ prev @ u.conj().T
         assert np.max(np.abs(rec.steps[m].state - expected)) <= 1e-12
         assert rec.steps[m].entropy == pytest.approx(gt.vn_entropy(rec.steps[m].state), abs=1e-12)
+
+
+def _one_by_one_dense():
+    """The dense back end checking each Hamiltonian on its own and decomposing
+    it, again, wherever a step or a construction uses it: the reference for
+    the stacked records."""
+    eig = hermitian.eigh
+
+    def dephase(rho, h):
+        es = eig(h)
+        return dense._pinch(rho, es, hermitian.cluster_degenerate(es.values)), None
+
+    def thermalise(rho, h):
+        omega, beta = dense._gibbs(rho, eig(h))
+        return omega, (beta,)
+
+    return pr._BACKENDS["dense"]._replace(
+        wrap=lambda hs, rho: [dense._hamiltonian(h, rho) for h in hs],
+        energy=lambda rho, h: dense._expectation(rho, h),
+        evolve=lambda rho, h, t: (dense._evolve(rho, eig(h), t), None),
+        dephase=dephase,
+        thermalise=thermalise,
+        levels=lambda h: (h, eig(h)),
+        hamiltonian=lambda es: hermitian._hermitian_part(es.reconstruct()),
+        listed=lambda hs: hs,
+    )
+
+
+def _assert_same_record(got, want):
+    assert len(got.steps) == len(want.steps)
+    for a, b in zip(got.steps, want.steps):
+        assert (a.step, a.work_extracted, a.energy, a.entropy, a.duals) == \
+            (b.step, b.work_extracted, b.energy, b.entropy, b.duals)
+        assert (a.state is None) == (b.state is None)
+        assert a.state is None or (a.state.dtype == b.state.dtype and np.array_equal(a.state, b.state))
+    assert np.array_equal(got.final_state, want.final_state)
+    for a, b in zip(got.hamiltonians, want.hamiltonians, strict=True):
+        assert isinstance(a, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    assert got.meta == want.meta
+
+
+def test_dense_stacked_runs_equal_one_by_one_reference(monkeypatch):
+    # the dense wrap checks and decomposes a schedule in stacked calls and
+    # carries each eigensystem and its pinching labels with its Hamiltonian;
+    # every record equals the one-by-one reference bit for bit: all three
+    # models, kept states or not, real and complex schedules with degenerate
+    # and slightly asymmetric entries, and the two dense optimal constructions
+    rng = make_rng(86)
+    u = random_unitary(4, rng)
+    degenerate = (u * [0.0, 1.0, 1.0, 2.0]) @ u.conj().T
+    q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    schedules = {
+        "complex": [random_hermitian(4, rng), degenerate, random_hermitian(4, rng),
+                    degenerate + 1e-13 * rng.normal(size=(4, 4)), random_hermitian(4, rng)],
+        "real": [(lambda z: z + z.T)(rng.normal(size=(4, 4))) for _ in range(3)]
+                + [(q * [0.0, 0.5, 0.5, 1.0]) @ q.T],
+        "one matrix": [random_hermitian(4, rng)],
+    }
+    rho0 = random_density(4, rng)
+    real_rho = (lambda z: z @ z.T + 0.1 * np.eye(4))(rng.normal(size=(4, 4)))
+    real_rho /= np.trace(real_rho)
+    models = (gt.GGE, gt.GIBBS, gt.Exact(1.0, 5.0, seed=3))
+    runs = [(lambda rho=rho, hams=hams, model=model, keep=keep:
+             gt.run_schedule(rho, hams, model, backend="dense", keep_states=keep))
+            for label, hams in schedules.items()
+            for rho in ((real_rho, rho0) if label == "real" else (rho0,))
+            for model in models for keep in (True, False)]
+    h0 = schedules["real"][0]
+    runs += [(lambda rho=rho, n=n, keep=keep, h0=h0: gt.optimal_ta_protocol(rho, h0, n, keep_states=keep))
+             for rho in (real_rho, rho0) for n in (2, 6) for keep in (True, False)]
+    stacked = [run() for run in runs]
+    with monkeypatch.context() as patch:
+        patch.setitem(pr._BACKENDS, "dense", _one_by_one_dense())
+        for run, got in zip(runs, stacked):
+            _assert_same_record(got, run())
+    # optimal_gibbs_protocol: the reference runs its schedule one by one and
+    # decomposes h0 once more for beta*
+    h0 = schedules["complex"][0]
+    for rho, k, n in ((rho0, -1.0, 4), (rho0, -0.3, 9), (real_rho, -2.0, 16)):
+        for keep in (True, False):
+            got = gt.optimal_gibbs_protocol(rho, h0, k, n, keep_states=keep)
+            r = dense.check_state(rho)
+            h = dense._hamiltonian(h0, r)
+            p, w = np.linalg.eigh(r)
+            schedule = [h] + gt.Trajectory.linear((w * (k * np.log(p))) @ w.conj().T, h).schedule(n)
+            with monkeypatch.context() as patch:
+                patch.setitem(pr._BACKENDS, "dense", _one_by_one_dense())
+                want = pr._run(r, dense._entropy(r), schedule, gt.GIBBS, "dense", keep)
+            es = hermitian.eigh(h)
+            beta_star = dense._entropy_matching_beta(es.values, want.steps[0].entropy)
+            want.meta["beta_star"] = beta_star
+            if beta_star is not None:
+                omega = (es.vectors * dense._thermal_weights(es.values, beta_star)) @ es.vectors.conj().T
+                want.meta["work_limit"] = dense._expectation(r, h) - dense._expectation(omega, h)
+            _assert_same_record(got, want)
+
+
+def test_dense_run_decomposes_each_equilibrated_matrix_once(monkeypatch):
+    # N quenches along a linear trajectory: N + 1 matrices, the N equilibrated
+    # ones decomposed once, in a stack; step 0 is never equilibrated
+    rng = make_rng(87)
+    h0, h1 = random_hermitian(5, rng), random_hermitian(5, rng)
+    rho0 = random_density(5, rng)
+    traj = gt.Trajectory((h0, h1, h0), ("linear", "linear"))
+    dtypes = count_eigh(monkeypatch)
+    for model in (gt.GGE, gt.GIBBS, gt.Exact(2.0)):
+        for n_q in (1, 7, 20):
+            dtypes.clear()
+            gt.run_protocol(rho0, traj, n_q, model, backend="dense", keep_states=False)
+            assert len(dtypes) == n_q, (model, n_q)
 
 
 def test_failure_reports_step_index():
@@ -1025,11 +1161,11 @@ def test_optimal_gibbs_protocol_inverted_population(monkeypatch):
         gt.optimal_gibbs_protocol(rho, h, math.nan, 8)
     with pytest.raises(ValueError, match="singular"):
         gt.optimal_gibbs_protocol(np.diag([1.0, 0.0, 0.0]).astype(complex), h, -1.0, 8)
-    # each of the 9 thermal steps decomposes its Hamiltonian; h0 is decomposed
-    # once more, for both beta* and the state it matches
+    # the 9 thermal steps decompose their Hamiltonians, in one stack; the last
+    # one is h0, whose eigensystem beta* and the state it matches reuse
     dtypes = count_eigh(monkeypatch)
     gt.optimal_gibbs_protocol(rho, h, -0.5, 8, keep_states=False)
-    assert len(dtypes) == 10
+    assert len(dtypes) == 9
 
 
 def test_min_work_scan_verdicts():
