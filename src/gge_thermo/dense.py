@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import (_EPS4, STATE_ATOL, EigenSystem, _check_spectrum, _eigh, _eigh_all,
-                        _energy_matching_root, _hermitian_part, _labels, _require_hermitian_all,
-                        _xlogx, cluster_degenerate, require_hermitian)
+from .hermitian import (_EPS4, STATE_ATOL, _check_spectrum, _energy_matching_root, _Hamiltonian,
+                        _hermitian_part, _require_hermitian_all, _xlogx, cluster_degenerate,
+                        require_hermitian)
 
 __all__ = [
     "ConservedSet",
@@ -79,48 +79,13 @@ def _checked(matrices, r: np.ndarray, name: str = "Hamiltonian") -> list[np.ndar
     return [_hamiltonian(m, r, name.format(i=i)) for i, m in enumerate(ms)]
 
 
-class _Hamiltonian:
-    """A checked Hamiltonian ``h`` carrying its eigensystem ``es`` and the pinching
-    ``labels`` of its energies: the dense counterpart of
-    ``fermions.QuadraticHamiltonian``.  :func:`_schedule` decomposes a schedule's
-    in stacked calls; one it leaves undecomposed is decomposed on first use."""
-
-    __slots__ = ("h", "_levels")
-
-    def __init__(self, h: np.ndarray, levels: tuple | None = None):
-        self.h, self._levels = h, levels
-
-    def _decomposed(self) -> tuple:
-        if self._levels is None:
-            es = _eigh(self.h)
-            self._levels = es, _labels(es.values)
-        return self._levels
-
-    @property
-    def es(self) -> EigenSystem:
-        return self._decomposed()[0]
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self._decomposed()[1]
-
-
-def _schedule(hs: list[np.ndarray]) -> list[_Hamiltonian]:
-    """Checked Hamiltonians as :class:`_Hamiltonian` records, all but the first decomposed
-    and labelled in stacked calls: a schedule's step 0 is never equilibrated."""
-    es = _eigh_all(hs[1:])
-    labels = _labels(np.array([e.values for e in es], ndmin=2))
-    return [_Hamiltonian(h, levels) for h, levels in zip(hs, [None, *zip(es, labels)])]
-
-
 def _prologue(rho, hamiltonian):
-    """Validated state and the Hamiltonian's eigensystem, of matching
-    dimensions: the checks every public map below runs before its kernel.
-    The kernels (``_pinch``, ``_gibbs``, ``_evolve``, ``_entropy``) trust
-    their arguments; the protocol runner calls them after validating a whole
-    schedule once."""
+    """Validated state and the Hamiltonian's record, of matching dimensions: the
+    checks every public map below runs before its kernel.  The kernels (``_pinch``,
+    ``_gibbs``, ``_evolve``, ``_entropy``) trust their arguments; the protocol runner
+    calls them after validating a whole schedule once."""
     r = check_state(rho)
-    return r, _eigh(_hamiltonian(hamiltonian, r))
+    return r, _Hamiltonian(_hamiltonian(hamiltonian, r))
 
 
 def _expectation(rho: np.ndarray, obs: np.ndarray) -> float:
@@ -135,11 +100,11 @@ def ta_state(rho, hamiltonian) -> np.ndarray:
     the infinite-time average of the unitary evolution and it preserves the
     expectation of every function of the Hamiltonian.
     """
-    r, es = _prologue(rho, hamiltonian)
-    return _pinch(r, es, cluster_degenerate(es.values))
+    return _pinch(*_prologue(rho, hamiltonian))
 
 
-def _pinch(r: np.ndarray, es, labels: np.ndarray) -> np.ndarray:
+def _pinch(r: np.ndarray, ham: _Hamiltonian) -> np.ndarray:
+    es, labels = ham.es, ham.labels
     mask = labels[:, None] == labels[None, :]
     b = es.vectors.conj().T @ r @ es.vectors
     return es.vectors @ (b * mask) @ es.vectors.conj().T
@@ -166,9 +131,9 @@ def gibbs_state_dense(rho, hamiltonian) -> tuple[np.ndarray, float]:
     return _gibbs(*_prologue(rho, hamiltonian))
 
 
-def _gibbs(r: np.ndarray, es) -> tuple[np.ndarray, float]:
-    h = es.reconstruct()
-    target = _expectation(r, h)
+def _gibbs(r: np.ndarray, ham: _Hamiltonian) -> tuple[np.ndarray, float]:
+    target = _expectation(r, ham.h)
+    es = ham.es
     eps = es.values
     span = float(eps[-1] - eps[0])
     if span <= 1e-14 * max(1.0, abs(float(eps[0]))):
@@ -302,13 +267,12 @@ def gge_state_dense(rho, hamiltonian, conserved: ConservedSet) -> tuple[np.ndarr
     candidate is accepted the iteration stops without moving, and the state
     is returned only if every residual is within 1e-8.
     """
-    r = check_state(rho)
-    h = _hamiltonian(hamiltonian, r)
-    es = _eigh(h)
+    r, ham = _prologue(rho, hamiltonian)
+    h = ham.h
     if conserved.q and conserved.observables[0].shape != h.shape:
         raise ValueError("conserved observables must match the Hamiltonian dimension")
 
-    omega, beta0 = _gibbs(r, es)
+    omega, beta0 = _gibbs(r, ham)
     if conserved.q == 0:
         return omega, DualPoint(beta=beta0, lambdas=())
 
@@ -406,8 +370,8 @@ def is_passive(rho, hamiltonian, tol: float = 1e-9) -> bool:
     Within each energy group (clustered at ``tol``) the populations are the
     eigenvalues of the state's block, which removes any basis ambiguity.
     """
-    r, es = _prologue(rho, hamiltonian)
-    h = es.reconstruct()
+    r, ham = _prologue(rho, hamiltonian)
+    h, es = ham.h, ham.es
     if float(np.linalg.norm(r @ h - h @ r)) > tol:
         return False
     labels = cluster_degenerate(es.values, tol)
@@ -421,12 +385,13 @@ def passive_rearrangement(rho, hamiltonian) -> np.ndarray:
     """State with the spectrum of ``rho`` arranged non-increasingly along the
     ascending energy eigenbasis; the minimum-energy point of the unitary
     orbit of ``rho``."""
-    r, es = _prologue(rho, hamiltonian)
+    r, ham = _prologue(rho, hamiltonian)
     p = np.linalg.eigvalsh(r)[::-1]
-    return (es.vectors * p) @ es.vectors.conj().T
+    return (ham.es.vectors * p) @ ham.es.vectors.conj().T
 
 
-def _evolve(r: np.ndarray, es, t: float) -> np.ndarray:
+def _evolve(r: np.ndarray, ham: _Hamiltonian, t: float) -> np.ndarray:
+    es = ham.es
     u = (es.vectors * np.exp(-1j * float(t) * es.values)) @ es.vectors.conj().T
     return u @ r @ u.conj().T
 

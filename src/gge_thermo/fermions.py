@@ -50,8 +50,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hermitian import (_EPS4, EigenSystem, _check_spectrum, _eigh, _eigh_all, _energy_matching_root, _fermi,
-                        _fix_phases, _hermitian_part, _require_hermitian_all, _xlogx, require_hermitian)
+from .hermitian import (_EPS4, _check_spectrum, _eigh, _energy_matching_root, _fermi, _Hamiltonian,
+                        _require_hermitian_all, _xlogx, require_hermitian)
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -75,39 +75,37 @@ __all__ = [
 ]
 
 
-class QuadraticHamiltonian:
+class QuadraticHamiltonian(_Hamiltonian):
     """Particle-number conserving quadratic Hamiltonian.
 
-    The eigendecomposition of the coefficient matrix is computed once at
-    construction and reused by every map that needs the normal modes.
+    The Hamiltonian record of ``hermitian`` for the coefficient matrix ``c``:
+    the public constructor checks and decomposes it at once, for every map
+    that needs the normal modes; a schedule's step 0 is decomposed on first use.
     """
 
-    __slots__ = ("c", "eig")
+    __slots__ = ()
 
     def __init__(self, coefficients):
-        self.c = _nonempty([require_hermitian(coefficients, name="coefficient matrix")])[0]
-        self.eig = _eigh(self.c)
+        c = _nonempty([require_hermitian(coefficients, name="coefficient matrix")])[0]
+        super().__init__(c, _eigh(c))
 
-    @classmethod
-    def _of(cls, es: EigenSystem) -> "QuadraticHamiltonian":
-        """Trusted, from an eigensystem: modes its phase-fixed U, c = U diag(eps) U^dag."""
-        ham = cls.__new__(cls)
-        ham.c, ham.eig = _hermitian_part(es.reconstruct()), EigenSystem(es.values, _fix_phases(es.vectors))
-        return ham
+    @property
+    def c(self) -> np.ndarray:
+        return self.h
 
     @property
     def n(self) -> int:
-        return self.c.shape[0]
+        return self.h.shape[0]
 
     @property
     def energies(self) -> np.ndarray:
         """Single-particle energies, ascending."""
-        return self.eig.values
+        return self.es.values
 
     @property
     def modes(self) -> np.ndarray:
         """Unitary of normal modes (columns), matching :attr:`energies`."""
-        return self.eig.vectors
+        return self.es.vectors
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"QuadraticHamiltonian(n={self.n})"
@@ -128,14 +126,12 @@ def as_hamiltonian(obj) -> QuadraticHamiltonian:
 
 
 def _hamiltonians(objs) -> list[QuadraticHamiltonian]:
-    """:func:`as_hamiltonian` of each entry, checking and decomposing the matrices in stacked calls."""
+    """:func:`as_hamiltonian` of each entry of a schedule, in ``_schedule``'s stacked calls."""
     hams = list(objs)
     at = [i for i, h in enumerate(hams) if not isinstance(h, QuadraticHamiltonian)]
-    cs = _nonempty(_require_hermitian_all([hams[i] for i in at], "coefficient matrix"))
-    for i, c, es in zip(at, cs, _eigh_all(cs)):
-        hams[i] = ham = QuadraticHamiltonian.__new__(QuadraticHamiltonian)
-        ham.c, ham.eig = c, es
-    return hams
+    for i, c in zip(at, _nonempty(_require_hermitian_all([hams[i] for i in at], "coefficient matrix"))):
+        hams[i] = c
+    return QuadraticHamiltonian._schedule(hams)
 
 
 @dataclass(frozen=True)

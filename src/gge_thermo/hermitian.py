@@ -11,8 +11,12 @@ mirror-image entries (a uniform chain's modes) then resolve to the lower
 index whatever the round-off, which makes runs reproducible across BLAS
 builds and thread counts.  All routines are pure functions; nothing mutates
 its inputs.  A list of matrices (a schedule on either back end, keyframes,
-observables) is checked and decomposed in stacked calls, and a stack of spectra
-labelled in one: bit for bit as one call per matrix, with the same errors.
+observables) is checked and decomposed in stacked calls: bit for bit as one
+call per matrix, with the same errors.
+
+:class:`_Hamiltonian` is the one Hamiltonian record of both back ends (the
+gaussian ``fermions.QuadraticHamiltonian`` is a subclass): a checked matrix
+whose eigensystem and degeneracy labels are given or worked out on first use.
 
 Both back ends import this module and not each other, so the rules they
 share live here.  :func:`_energy_matching_root` (bracket, then safeguarded
@@ -179,9 +183,55 @@ def cluster_degenerate(values, tol: float = DEGENERACY_TOL) -> np.ndarray:
 
 
 def _labels(values: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
-    """Kernel of :func:`cluster_degenerate` along the last axis, so a stack of
-    validated spectra is labelled in one call, row by row."""
-    return np.cumsum(np.diff(values, axis=-1, prepend=values[..., :1]) > tol, axis=-1)
+    """Kernel of :func:`cluster_degenerate` for validated values."""
+    labels = np.zeros(values.shape, dtype=np.intp)
+    np.cumsum(values[1:] - values[:-1] > tol, out=labels[1:])
+    return labels
+
+
+class _Hamiltonian:
+    """A checked Hermitian matrix ``h`` carrying its eigensystem ``es`` and the
+    degeneracy ``labels`` of its spectrum, each given or worked out on first use
+    (threads that race there work out the same arrays, and one is kept)."""
+
+    __slots__ = ("h", "_es", "_lab")
+
+    def __init__(self, h: np.ndarray, es: EigenSystem | None = None):
+        self.h, self._es, self._lab = h, es, None
+
+    @property
+    def es(self) -> EigenSystem:
+        if self._es is None:
+            self._es = _eigh(self.h)
+        return self._es
+
+    @property
+    def labels(self) -> np.ndarray:
+        if self._lab is None:
+            self._lab = _labels(self.es.values)
+        return self._lab
+
+    @classmethod
+    def _trusted(cls, h: np.ndarray, es: EigenSystem | None = None):
+        """A ``cls`` record of the checked ``h``, past a subclass's checking constructor."""
+        ham = cls.__new__(cls)
+        _Hamiltonian.__init__(ham, h, es)
+        return ham
+
+    @classmethod
+    def _of(cls, es: EigenSystem):
+        """Trusted, from an eigensystem (a rotation's): ``h`` = U diag(eps) U^dag
+        symmetrised, carrying ``es`` with its U phase-fixed."""
+        return cls._trusted(_hermitian_part(es.reconstruct()), EigenSystem(es.values, _fix_phases(es.vectors)))
+
+    @classmethod
+    def _schedule(cls, hs: list) -> list:
+        """Records of a checked schedule, whose entries are matrices or records (kept
+        as they are): the matrices of steps 1..N decomposed in stacked calls, step 0,
+        which is never equilibrated, on first use."""
+        at = [i for i, h in enumerate(hs) if i and not isinstance(h, _Hamiltonian)]
+        es = dict(zip(at, _eigh_all([hs[i] for i in at])))
+        return [h if isinstance(h, _Hamiltonian) else cls._trusted(h, es.get(i)) for i, h in enumerate(hs)]
 
 
 def _check_spectrum(d: np.ndarray) -> np.ndarray:

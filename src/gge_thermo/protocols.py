@@ -32,7 +32,7 @@ import numpy as np
 
 from . import dense as qd
 from . import fermions as fg
-from .hermitian import (EigenSystem, _check_spectrum, _eigh, _eigh_all, _hermitian_part,
+from .hermitian import (EigenSystem, _check_spectrum, _eigh, _eigh_all, _Hamiltonian,
                         _require_hermitian_all, require_hermitian)
 
 __all__ = [
@@ -244,18 +244,6 @@ class ProtocolRecord:
         return sum(s.work_extracted for s in self.steps)
 
     @property
-    def works(self) -> np.ndarray:
-        return np.array([s.work_extracted for s in self.steps])
-
-    @property
-    def energies(self) -> np.ndarray:
-        return np.array([s.energy for s in self.steps])
-
-    @property
-    def entropies(self) -> np.ndarray:
-        return np.array([s.entropy for s in self.steps])
-
-    @property
     def entropy_production(self) -> float:
         return self.steps[-1].entropy - self.steps[0].entropy
 
@@ -271,12 +259,11 @@ class _Backend(NamedTuple):
     against it, checking and decomposing the matrices in stacked calls, once per
     entry point, which hands them to ``_run`` with the step-0 ``entropy`` (the
     check of a correlation spectrum); the other entries trust their arguments.
-    A wrapped Hamiltonian carries its eigensystem: a ``fg.QuadraticHamiltonian``
-    (by ``fg._hamiltonians``), or a ``qd._Hamiltonian`` (by ``qd._checked`` and
-    ``qd._schedule``), which also carries its pinching labels and leaves step 0
-    undecomposed until a caller asks.  ``listed`` gives what
-    ``ProtocolRecord.hamiltonians`` holds: the gaussian records, or copies of
-    the dense matrices.
+    A wrapped Hamiltonian is a ``hermitian._Hamiltonian`` record (gaussian: a
+    ``fg.QuadraticHamiltonian``): ``h``, ``es`` and ``labels``, steps 1..N decomposed
+    in ``_schedule``'s stacked calls and step 0 on first use.  ``listed`` gives
+    what ``ProtocolRecord.hamiltonians`` holds: the gaussian records, or copies
+    of the dense matrices.
     Each map takes the state in the frame of its Hamiltonian (after
     ``quench``) and returns ``(state, duals)``.  Entries call through the
     module (``fg._evolve``, not a bound reference), so a function patched on
@@ -296,8 +283,6 @@ class _Backend(NamedTuple):
     dephase: Callable      # (state, ham) -> time average
     thermalise: Callable   # (state, ham) -> energy-matching thermal state
     eigenbasis: Callable   # state matrix -> its modes, by ascending population
-    levels: Callable       # ham -> (coefficient matrix, its EigenSystem)
-    hamiltonian: Callable  # EigenSystem -> its Hamiltonian (dense: decomposed on first use)
     listed: Callable       # wrapped Hamiltonians -> ProtocolRecord.hamiltonians
 
 
@@ -314,7 +299,7 @@ def _gaussian_wrap(hs, state) -> list:
 
 
 def _dense_thermalise(rho, ham):
-    omega, beta = qd._gibbs(rho, ham.es)
+    omega, beta = qd._gibbs(rho, ham)
     return omega, (beta,)
 
 
@@ -330,23 +315,19 @@ _BACKENDS = {
         dephase=lambda s, ham: fg._dephase(s, ham),
         thermalise=lambda s, ham: fg._thermalise(s, ham),
         eigenbasis=_gaussian_eigenbasis,
-        levels=lambda ham: (ham.c, ham.eig),
-        hamiltonian=lambda es: fg.QuadraticHamiltonian._of(es),
         listed=lambda hams: hams,
     ),
     "dense": _Backend(
         check=lambda rho: qd.check_state(rho),
-        wrap=lambda hs, rho: qd._schedule(qd._checked(hs, rho)),
+        wrap=lambda hs, rho: _Hamiltonian._schedule(qd._checked(hs, rho)),
         quench=lambda rho, ham: rho,
         energy=lambda rho, ham: qd._expectation(rho, ham.h),
         entropy=lambda rho: qd._entropy(rho),
         matrix=lambda rho: rho,
-        evolve=lambda rho, ham, t: (qd._evolve(rho, ham.es, t), None),
-        dephase=lambda rho, ham: (qd._pinch(rho, ham.es, ham.labels), None),
+        evolve=lambda rho, ham, t: (qd._evolve(rho, ham, t), None),
+        dephase=lambda rho, ham: (qd._pinch(rho, ham), None),
         thermalise=_dense_thermalise,
         eigenbasis=lambda rho: np.linalg.eigh(0.5 * (rho + rho.conj().T))[1],
-        levels=lambda ham: (ham.h, ham.es),
-        hamiltonian=lambda es: qd._Hamiltonian(_hermitian_part(es.reconstruct())),
         # a copy, not a view that pins the schedule's stacked check: records kept
         # by the caller then fragment the heap less (1.5-2 MB of peak RSS on the
         # dense-small benchmark workload)
@@ -522,7 +503,7 @@ def _ergotropy(be: _Backend, state, ham) -> float:
     energies of ``ham``."""
     m = be.matrix(state)
     floor = float(_check_spectrum(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))[::-1]
-                  @ be.levels(ham)[1].values)
+                  @ ham.es.values)
     return be.energy(state, ham) - floor
 
 
@@ -553,12 +534,12 @@ def _four_phase_of(backend: str, state, ham0) -> Callable:
     from the final state of :func:`_run` on ``ham0`` and the first leg under
     dephasing (under the cycle gauge its rotation does not follow round-off).
     No Hamiltonian is decomposed twice: a leg decomposes its aligned keyframe
-    once and builds its Hamiltonians from the eigensystems its rotation gives
-    (a dense one is the reconstructed matrix, decomposed when a step first uses it).
+    once and builds its Hamiltonians with the record class's ``_of`` from the
+    eigensystems its rotation gives, which they keep.
     """
     be = _BACKENDS[backend]
     ham0 = be.wrap([ham0], state)[0]
-    h0, es0 = be.levels(ham0)
+    h0, es0 = ham0.h, ham0.es
     e_desc = es0.values[::-1]
 
     def leg(m: np.ndarray) -> Callable:
@@ -567,9 +548,8 @@ def _four_phase_of(backend: str, state, ham0) -> Callable:
         if np.allclose(h_from, h0, atol=1e-13):
             return lambda half: [ham0] * (half + 1)
         es = _eigh(require_hermitian(h_from))
-        rotation, start = _Rotation(es, es0), be.hamiltonian(es)
-        return lambda half: ([start] + [be.hamiltonian(rotation.at(j / half))
-                                        for j in range(1, half)] + [ham0])
+        rotation, start = _Rotation(es, es0), ham0._of(es)
+        return lambda half: [start] + [ham0._of(rotation.at(j / half)) for j in range(1, half)] + [ham0]
 
     first = leg(be.matrix(state))
 
@@ -629,7 +609,7 @@ def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,
         raise ValueError(f"state is singular (smallest eigenvalue {float(p.min()):.3e}); "
                          "the logarithm quench needs full rank")
     h1 = (w * (k * np.log(p))) @ w.conj().T
-    hams = qd._schedule([h0] + Trajectory.linear(h1, h0).schedule(n_quenches))
+    hams = _Hamiltonian._schedule([h0] + Trajectory.linear(h1, h0).schedule(n_quenches))
     record = _run(rho, qd._entropy(rho), hams, fg.GIBBS, "dense", keep_states)
     es = hams[-1].es    # the last Hamiltonian is h0
     beta_star = qd._entropy_matching_beta(es.values, record.steps[0].entropy)

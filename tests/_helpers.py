@@ -100,8 +100,8 @@ def count_schur(monkeypatch, delay=0.0):
 def count_eigh(monkeypatch):
     """Record the dtype of each matrix the Hamiltonian kernels decompose, one by
     one (``hermitian._eigh``) or in a stack (``hermitian._eigh_all``, one entry
-    per matrix), wrapped where ``hermitian``, ``fermions``, ``dense`` and
-    ``protocols`` look them up."""
+    per matrix), wrapped in each of ``hermitian``, ``fermions``, ``dense`` and
+    ``protocols`` that binds the name."""
     from gge_thermo import dense, fermions, hermitian, protocols
 
     dtypes, kernel, stacked = [], hermitian._eigh, hermitian._eigh_all
@@ -115,9 +115,9 @@ def count_eigh(monkeypatch):
         return stacked(hs)
 
     for module in (hermitian, fermions, dense, protocols):
-        monkeypatch.setattr(module, "_eigh", counted)
-    for module in (hermitian, fermions, dense, protocols):
-        monkeypatch.setattr(module, "_eigh_all", counted_all)
+        for name, wrapper in (("_eigh", counted), ("_eigh_all", counted_all)):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, wrapper)
     return dtypes
 
 

@@ -247,12 +247,13 @@ def test_chain_experiments_decompose_only_real_hamiltonians(monkeypatch):
     # the chains and their states are real, so every Hamiltonian, the
     # four-phase samples included, stays float64 and is decomposed in real
     # arithmetic; the counts take in the matrices decomposed in a stack (the
-    # scan's: its chain, its bath and the 3 + 5 samples of N = 2 and 4)
+    # scan's: its chain, its bath and the 2 + 4 equilibrated samples of N = 2
+    # and 4; step 0 of a schedule is never equilibrated)
     dtypes = count_eigh(monkeypatch)
     for args, count in ((["fig2", "--n", "10", "--quenches", "2,4,8"], 5),
                         (["fig3", "--n", "10", "--quenches", "2,4"], 6),
                         (["fig4", "--n", "10", "--K", "2", "--quenches", "2,4"], 6),
-                        (["scan", "--n", "10", "--quenches", "2,4"], 10)):
+                        (["scan", "--n", "10", "--quenches", "2,4"], 8)):
         dtypes.clear()
         cli.COMMANDS[args[0]](cli.parse_config(args))
         assert len(dtypes) == count and set(dtypes) == {np.dtype(np.float64)}, args

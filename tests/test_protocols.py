@@ -19,6 +19,11 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
+def _column(rec, name):
+    """One ``StepRecord`` field over a record's steps, as an array."""
+    return np.array([getattr(step, name) for step in rec.steps])
+
+
 def rotated_two_level(theta):
     c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
     u = np.array([[c, -s], [s, c]], dtype=complex)
@@ -248,7 +253,7 @@ def test_entropy_monotone_along_effective_runs():
     gamma0 = random_correlation(4, rng, lo=0.05, hi=0.95)
     for model in (gt.GGE, gt.GIBBS):
         rec = gt.run_protocol(gamma0, gt.Trajectory.linear(ham0.c, ham1.c), 9, model)
-        assert np.all(np.diff(rec.entropies) >= -1e-9)
+        assert np.all(np.diff(_column(rec, "entropy")) >= -1e-9)
 
 
 def test_gibbs_telescoping_identity():
@@ -324,12 +329,12 @@ def test_exact_dynamics_draw_contract():
         holds = [float(draws.uniform(1.0, 5.0)) for _ in range(6)]
         hams = [gt.QuadraticHamiltonian(traj.sample(m / 6)) for m in range(7)]
         works, energies, state = _mode_frame_exact_loop(gamma0, hams, holds)
-        assert np.array_equal(rec.works, works)
-        assert np.array_equal(rec.energies, energies)
+        assert np.array_equal(_column(rec, "work_extracted"), works)
+        assert np.array_equal(_column(rec, "energy"), energies)
         assert np.array_equal(rec.final_state, state)
         works, energies, state = _evolve_exact_loop(gamma0, hams, holds)
-        assert np.max(np.abs(rec.works - works)) <= 1e-12
-        assert np.max(np.abs(rec.energies - energies)) <= 1e-12
+        assert np.max(np.abs(_column(rec, "work_extracted") - works)) <= 1e-12
+        assert np.max(np.abs(_column(rec, "energy") - energies)) <= 1e-12
         assert np.max(np.abs(rec.final_state - state)) <= 1e-12
         assert gt.run_protocol(gamma0, traj, 6, model).work == rec.work
 
@@ -388,19 +393,19 @@ def test_fixed_hold_exact_ignores_seed_and_matches_hand_loop():
     rec = gt.run_protocol(gamma0, traj, 6, gt.Exact(t))
     hams = [gt.QuadraticHamiltonian(traj.sample(m / 6)) for m in range(7)]
     works, energies, state = _mode_frame_exact_loop(gamma0, hams, [t] * 6)
-    assert np.array_equal(rec.works, works)
-    assert np.array_equal(rec.energies, energies)
+    assert np.array_equal(_column(rec, "work_extracted"), works)
+    assert np.array_equal(_column(rec, "energy"), energies)
     assert np.array_equal(rec.final_state, state)
     works, energies, state = _evolve_exact_loop(gamma0, hams, [t] * 6)
-    assert np.max(np.abs(rec.works - works)) <= 1e-12
-    assert np.max(np.abs(rec.energies - energies)) <= 1e-12
+    assert np.max(np.abs(_column(rec, "work_extracted") - works)) <= 1e-12
+    assert np.max(np.abs(_column(rec, "energy") - energies)) <= 1e-12
     assert np.max(np.abs(rec.final_state - state)) <= 1e-12
     seeds = [0, 2**64 - 1, *(int(s) for s in make_rng(63).integers(0, 2**63, 6))]
     seeds += [np.random.SeedSequence(s) for s in (0, 12345, 2**32 - 1)]
     for seed in seeds:
         other = gt.run_protocol(gamma0, traj, 6, gt.Exact(t, t, seed))
-        assert np.array_equal(other.works, rec.works)
-        assert np.array_equal(other.energies, rec.energies)
+        assert np.array_equal(_column(other, "work_extracted"), _column(rec, "work_extracted"))
+        assert np.array_equal(_column(other, "energy"), _column(rec, "energy"))
         assert np.array_equal(other.final_state, rec.final_state)
     with pytest.raises(ValueError, match="hold_min"):
         gt.Exact(2.0, 1.0)
@@ -502,30 +507,37 @@ def test_dense_runner_steps_equal_public_maps(d, kind):
         assert rec.steps[m].entropy == pytest.approx(gt.vn_entropy(rec.steps[m].state), abs=1e-12)
 
 
-def _one_by_one_dense():
-    """The dense back end checking each Hamiltonian on its own and decomposing
-    it, again, wherever a step or a construction uses it: the reference for
-    the stacked records."""
-    eig = hermitian.eigh
+class _Fresh(hermitian._Hamiltonian):
+    """The reference record: it decomposes its matrix afresh, one by one, on
+    every use, and labels the spectrum with the public ``cluster_degenerate``;
+    one built from a rotation (by ``_of``) keeps the rotation's eigensystem."""
 
-    def dephase(rho, h):
-        es = eig(h)
-        return dense._pinch(rho, es, hermitian.cluster_degenerate(es.values)), None
+    __slots__ = ()
 
-    def thermalise(rho, h):
-        omega, beta = dense._gibbs(rho, eig(h))
-        return omega, (beta,)
+    @property
+    def es(self):
+        return hermitian.eigh(self.h) if self._es is None else self._es
 
-    return pr._BACKENDS["dense"]._replace(
-        wrap=lambda hs, rho: [dense._hamiltonian(h, rho) for h in hs],
-        energy=lambda rho, h: dense._expectation(rho, h),
-        evolve=lambda rho, h, t: (dense._evolve(rho, eig(h), t), None),
-        dephase=dephase,
-        thermalise=thermalise,
-        levels=lambda h: (h, eig(h)),
-        hamiltonian=lambda es: hermitian._hermitian_part(es.reconstruct()),
-        listed=lambda hs: hs,
-    )
+    @property
+    def labels(self):
+        return hermitian.cluster_degenerate(self.es.values)
+
+
+class _Redecomposed(_Fresh):
+    """:class:`_Fresh`, with a rotation's samples decomposed again from their
+    reconstructed matrices, as the dense four-phase builder once did."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _of(cls, es):
+        return cls(hermitian._hermitian_part(es.reconstruct()))
+
+
+def _one_by_one_dense(record=_Fresh):
+    """The dense back end checking each Hamiltonian on its own into a ``record``:
+    the reference for the stacked records."""
+    return pr._BACKENDS["dense"]._replace(wrap=lambda hs, rho: [record(dense._hamiltonian(h, rho)) for h in hs])
 
 
 def _assert_same_record(got, want):
@@ -587,7 +599,7 @@ def test_dense_stacked_runs_equal_one_by_one_reference(monkeypatch):
             schedule = [h] + gt.Trajectory.linear((w * (k * np.log(p))) @ w.conj().T, h).schedule(n)
             with monkeypatch.context() as patch:
                 patch.setitem(pr._BACKENDS, "dense", _one_by_one_dense())
-                want = pr._run(r, dense._entropy(r), schedule, gt.GIBBS, "dense", keep)
+                want = pr._run(r, dense._entropy(r), [_Fresh(h) for h in schedule], gt.GIBBS, "dense", keep)
             es = hermitian.eigh(h)
             beta_star = dense._entropy_matching_beta(es.values, want.steps[0].entropy)
             want.meta["beta_star"] = beta_star
@@ -597,19 +609,62 @@ def test_dense_stacked_runs_equal_one_by_one_reference(monkeypatch):
             _assert_same_record(got, want)
 
 
+def test_dense_four_phase_samples_keep_their_rotation_eigensystems(monkeypatch):
+    # the dense four-phase samples carry the eigensystems their rotation gives;
+    # decomposing them again from their reconstructed matrices moves every
+    # record by round-off only
+    rng = make_rng(88)
+    worst = 0.0
+    for d in range(2, 9):
+        for n in (2, 8, 32):
+            rho, h0 = random_density(d, rng), random_hermitian(d, rng)
+            got = gt.optimal_ta_protocol(rho, h0, n)
+            with monkeypatch.context() as patch:
+                patch.setitem(pr._BACKENDS, "dense", _one_by_one_dense(_Redecomposed))
+                want = gt.optimal_ta_protocol(rho, h0, n)
+            assert len(got.steps) == len(want.steps) == n + 3
+            for a, b in zip(got.steps, want.steps):
+                worst = max(worst, abs(a.work_extracted - b.work_extracted), abs(a.energy - b.energy),
+                            abs(a.entropy - b.entropy), float(np.max(np.abs(a.state - b.state))))
+            worst = max(worst, abs(got.work - want.work), abs(got.meta["work_bound"] - want.meta["work_bound"]),
+                        float(np.max(np.abs(got.final_state - want.final_state))))
+    assert worst <= 1e-12
+
+
+def test_dense_four_phase_decomposes_only_h0_and_its_leg_starts(monkeypatch):
+    # a dense four-phase run at d = 6 decomposes h0 and each leg's aligned
+    # start (the second leg of N = 32 is a no-op); every sample carries its
+    # rotation's eigensystem (decomposing the samples again took 5, 11, 18)
+    rng = make_rng(5)
+    dtypes, counts = count_eigh(monkeypatch), []
+    for n in (2, 8, 32):
+        rho, h0 = random_density(6, rng), random_hermitian(6, rng)
+        dtypes.clear()
+        gt.optimal_ta_protocol(rho, h0, n, keep_states=False)
+        counts.append(len(dtypes))
+    assert counts == [3, 3, 2]
+
+
 def test_dense_run_decomposes_each_equilibrated_matrix_once(monkeypatch):
     # N quenches along a linear trajectory: N + 1 matrices, the N equilibrated
-    # ones decomposed once, in a stack; step 0 is never equilibrated
+    # ones decomposed once, in a stack; step 0 is never equilibrated.  No step,
+    # and no thermal or passivity map, rebuilds H from its eigensystem
     rng = make_rng(87)
     h0, h1 = random_hermitian(5, rng), random_hermitian(5, rng)
     rho0 = random_density(5, rng)
     traj = gt.Trajectory((h0, h1, h0), ("linear", "linear"))
-    dtypes = count_eigh(monkeypatch)
+    dtypes, rebuilt = count_eigh(monkeypatch), []
+    reconstruct = hermitian.EigenSystem.reconstruct
+    monkeypatch.setattr(hermitian.EigenSystem, "reconstruct", lambda es: rebuilt.append(1) or reconstruct(es))
     for model in (gt.GGE, gt.GIBBS, gt.Exact(2.0)):
         for n_q in (1, 7, 20):
             dtypes.clear()
             gt.run_protocol(rho0, traj, n_q, model, backend="dense", keep_states=False)
             assert len(dtypes) == n_q, (model, n_q)
+    gt.gibbs_state_dense(rho0, h0)
+    gt.gge_state_dense(rho0, h0, gt.ConservedSet((), ()))
+    assert not gt.is_passive(rho0, h0)
+    assert not rebuilt
 
 
 def test_failure_reports_step_index():
@@ -669,11 +724,11 @@ def test_jordan_wigner_oracle_runs_whole_schedules(kind):
         fermionic = gt.run_schedule(gamma0, hams, model)
         dense = gt.run_schedule(gt.gaussian_to_dense(gamma0), [gt.quadratic_to_dense(h.c) for h in hams],
                                 model, backend="dense")
-        assert np.max(np.abs(fermionic.works - dense.works)) <= 1e-10
-        assert np.max(np.abs(fermionic.energies - dense.energies)) <= 1e-10
+        assert np.max(np.abs(_column(fermionic, "work_extracted") - _column(dense, "work_extracted"))) <= 1e-10
+        assert np.max(np.abs(_column(fermionic, "energy") - _column(dense, "energy"))) <= 1e-10
         assert np.max(np.abs(gt.correlation_of_dense(dense.final_state) - fermionic.final_state)) <= 1e-10
         if kind != "ta-gge":
-            assert np.max(np.abs(fermionic.entropies - dense.entropies)) <= 1e-10
+            assert np.max(np.abs(_column(fermionic, "entropy") - _column(dense, "entropy"))) <= 1e-10
 
 
 @pytest.mark.parametrize("keep_states", [True, False])
@@ -1362,8 +1417,8 @@ def test_gaussian_schedule_errors_keep_their_text_and_come_before_step_1(monkeyp
 
 
 def test_gaussian_run_decomposes_each_schedule_matrix_once(monkeypatch):
-    # N quenches along a linear trajectory: N + 1 matrices, each decomposed
-    # once, in a stack
+    # N quenches along a linear trajectory: N + 1 matrices, the N equilibrated
+    # ones decomposed once, in a stack; step 0 is never equilibrated
     c0 = gt.build_chain(4, [0.1, 0.5, 1.0, 1.5], 0.3).c
     c1 = gt.build_chain(4, [1.5, 1.0, 0.5, 0.1], 0.6).c
     traj = gt.Trajectory((c0, c1, c0), ("linear", "linear"))
@@ -1371,7 +1426,7 @@ def test_gaussian_run_decomposes_each_schedule_matrix_once(monkeypatch):
     for n_q in (1, 7, 20):
         dtypes.clear()
         gt.run_protocol(np.diag([0.2, 0.4, 0.6, 0.8]), traj, n_q, gt.GGE, keep_states=False)
-        assert len(dtypes) == n_q + 1
+        assert len(dtypes) == n_q
 
 
 def test_build_population_inverted_bath():
