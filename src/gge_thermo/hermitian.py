@@ -27,7 +27,7 @@ Newton-bisection) is the one root finder: ``fermions.solve_beta`` and
 one range rule for a correlation spectrum or mode populations, called by
 ``fermions._ModeState.entropy``, ``dense.gaussian_to_dense`` and
 ``protocols._ergotropy``.  :func:`_fermi` and :func:`_xlogx` are the
-Fermi-function and entropy kernels; nothing here imports scipy.
+Fermi-function and entropy kernels, in numpy like the whole package.
 """
 
 from __future__ import annotations

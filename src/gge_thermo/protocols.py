@@ -84,7 +84,9 @@ class Trajectory:
 
     Each eigenvector segment is a :class:`_Rotation` between its keyframes'
     eigensystems (a shared keyframe decomposed once), checked when the
-    trajectory is built; segment ends return the keyframes exactly.
+    trajectory is built; its first interior sample takes one Schur basis of
+    the rotation (numpy ``eig`` and QR), and each sample then costs one
+    n x n product.  Segment ends return the keyframes exactly.
     """
 
     keyframes: tuple
@@ -145,11 +147,11 @@ class _Rotation:
     """The eigenvector rule of :class:`Trajectory` from ``es_a`` to ``es_b``,
     whose sorted spectra must agree (the error is prefixed by ``name``).
 
-    One Schur form v = Z T Z^dag of the gauged v = A_b A_a^dag, built at the
-    first :meth:`at`, once, under a lock shared by threads, gives B = Z^dag A_a
-    and U(s) = Z R(s) B: R(s) turns row pairs of B by s theta (real form, real
-    eigensystems: the path stays float64) or scales rows by e^{i s phi}
-    (complex form, also for an eigenvalue -1)."""
+    One Schur basis Z of the gauged v = A_b A_a^dag (:func:`_schur`), built at
+    the first :meth:`at`, once, under a lock shared by threads, gives
+    T = Z^dag v Z, B = Z^dag A_a and U(s) = Z R(s) B: R(s) turns row pairs of
+    B by s theta (real form, real eigensystems: the path stays float64) or
+    scales rows by e^{i s phi} (complex form, also for an eigenvalue -1)."""
 
     def __init__(self, es_a: EigenSystem, es_b: EigenSystem, name: str = "rotation"):
         gap = float(np.max(np.abs(es_a.values - es_b.values)))
@@ -164,15 +166,9 @@ class _Rotation:
             if self._form is None:
                 a = self._a.vectors
                 v = _cycle_gauge(a, self._b.vectors) @ a.conj().T
-                # scipy loads here, for eigenvector rotations only
-                import scipy.linalg
-                t, z = scipy.linalg.schur(v, output="real" if np.isrealobj(v) else "complex")
-                k = np.flatnonzero(np.diag(t, -1))      # first rows of the real 2x2 blocks
-                # a 1x1 block's entry is +-1; an eigenvalue -1 has no real logarithm
-                if np.isrealobj(t) and np.any(np.delete(np.diag(t), np.r_[k, k + 1]) < 0.0):
-                    t, z = scipy.linalg.rsf2csf(t, z)
-                b = z.conj().T @ a
-                if np.iscomplexobj(t):  # R(s) B = cos(s angles) B + sin(s angles) turned, row by row
+                z, k = _schur(v)
+                t, b = z.conj().T @ v @ z, z.conj().T @ a
+                if np.iscomplexobj(z):  # R(s) B = cos(s angles) B + sin(s angles) turned, row by row
                     angles, turned = np.angle(np.diag(t)), 1j * b
                 else:   # a block [[c, -s], [s, c]] at rows k, k + 1 has angle theta
                     theta = np.arctan2(t[k + 1, k] - t[k, k + 1], t[k, k] + t[k + 1, k + 1])
@@ -182,6 +178,19 @@ class _Rotation:
                 self._form = (z, b, turned, angles[:, None])
         z, b, turned, angles = self._form
         return EigenSystem(self._a.values, z @ (np.cos(s * angles) * b + np.sin(s * angles) * turned))
+
+
+def _schur(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A Schur basis Z of the unitary ``v`` and the first rows of its real 2x2
+    blocks, from one ``eig``: LAPACK returns the eigenvectors in Schur order,
+    as Z times a (quasi-)upper-triangular matrix, so their QR factor is Z.  A
+    real v enters each conjugate pair (adjacent, positive imaginary part
+    first) as its real and imaginary columns, so Z is real; a complex v, or a
+    real v with an eigenvalue -1 (no real logarithm), its complex vectors."""
+    w, x = np.linalg.eig(v)
+    if np.iscomplexobj(v) or np.any((w.imag == 0.0) & (w.real < 0.0)):
+        return np.linalg.qr(x.astype(complex))[0], np.zeros(0, dtype=int)
+    return np.linalg.qr(np.where(w.imag < 0.0, -x.imag, x.real))[0], np.flatnonzero(w.imag > 0.0)
 
 
 def _cycle_gauge(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -80,20 +80,21 @@ def brentq_root(fs, lo, hi):
 
 
 def count_schur(monkeypatch, delay=0.0):
-    """Record the ``output`` form ("real", scipy's default, or "complex") of
-    each ``scipy.linalg.schur`` call, which ``protocols._Rotation`` looks up
-    on the module, so the patch is seen there; ``delay`` seconds of sleep
-    inside each call release the interpreter lock."""
-    import scipy.linalg
+    """Record the form ("real" or "complex", the dtype of the basis it
+    returns) of each ``protocols._schur`` call, which ``protocols._Rotation``
+    looks up on the module, so the patch is seen there; ``delay`` seconds of
+    sleep inside each call release the interpreter lock."""
+    from gge_thermo import protocols
 
-    calls, schur = [], scipy.linalg.schur
+    calls, schur = [], protocols._schur
 
-    def counted(a, *args, **kwargs):
-        calls.append(kwargs.get("output", args[0] if args else "real"))
+    def counted(v):
+        z, k = schur(v)
+        calls.append("complex" if np.iscomplexobj(z) else "real")
         time.sleep(delay)
-        return schur(a, *args, **kwargs)
+        return z, k
 
-    monkeypatch.setattr(scipy.linalg, "schur", counted)
+    monkeypatch.setattr(protocols, "_schur", counted)
     return calls
 
 

@@ -200,7 +200,7 @@ def test_cmd_fig2_matches_the_four_phase_protocol_and_its_exact_run():
 
 
 def test_cmd_fig2_builds_the_first_leg_once_across_workers(monkeypatch):
-    # the sweep's two workers share the four-phase builder: one Schur form
+    # the sweep's two workers share the four-phase builder: one Schur basis
     # for the first leg, one per N >= 4 for its second leg (N = 2 samples no
     # rotation), on every run
     calls = count_schur(monkeypatch)
@@ -380,10 +380,11 @@ def test_cmd_fig4_builds_each_hamiltonian_once(monkeypatch):
 
 
 def test_import_and_scipy_free_runs_load_no_scipy(tmp_path):
-    # scipy is needed only by eigenvector-rule trajectories (their Schur
-    # form); importing the package, running fig1 or oracle-check and a
-    # two-quench four-phase protocol (which samples no rotation) must not load
-    # it, so a fresh interpreter reports the scipy modules it holds
+    # no runtime path needs scipy: importing the package, running fig1,
+    # oracle-check and fig2 (whose four-phase legs take Schur bases of their
+    # rotations), a two-quench four-phase protocol (which samples no rotation)
+    # and a dense four-quench one (which does) must not load it, so a fresh
+    # interpreter reports the scipy modules it holds
     script = "\n".join([
         "import sys",
         "import numpy as np",
@@ -391,8 +392,12 @@ def test_import_and_scipy_free_runs_load_no_scipy(tmp_path):
         "from gge_thermo import cli",
         "ham = gge_thermo.build_chain(3, [0.0, 1.0, 2.0], 0.3)",
         "gge_thermo.optimal_gge_protocol(np.diag([0.1, 0.5, 0.9]).astype(complex), ham, 2)",
+        "h = np.array([[0.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 2.0]])",
+        "gge_thermo.optimal_ta_protocol(np.diag([0.1, 0.3, 0.6]), h, 4)",
         f"assert cli.main(['fig1', '--n', '8', '--out', {str(tmp_path / 'fig1.csv')!r}]) == 0",
         f"assert cli.main(['oracle-check', '--n', '3', '--out', {str(tmp_path / 'oracle.csv')!r}]) == 0",
+        f"assert cli.main(['fig2', '--n', '12', '--quenches', '2,4,8', "
+        f"'--out', {str(tmp_path / 'fig2.csv')!r}]) == 0",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     ])
     src = Path(__file__).resolve().parents[1] / "src"

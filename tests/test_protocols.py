@@ -142,14 +142,14 @@ def test_real_keyframes_give_a_real_path_only_without_eigenvalue_minus_one():
 @pytest.mark.parametrize("build, form", [
     (lambda: gt.Trajectory(_fig2_first_leg(8, 1), ("eigenvectors",)), "real"),
     (_complex_pair, "complex"),
-    (_pi_rotation, "real"),
+    (_pi_rotation, "complex"),
 ], ids=["fig2-leg", "complex-pair", "pi-rotation"])
 def test_sampled_eigensystem_is_the_sample(monkeypatch, build, form):
-    # one Schur form per segment, real for real keyframes (with an eigenvalue
-    # -1 it is converted to the complex form, not taken again), gives each
+    # one Schur basis per segment, real for real keyframes (with an eigenvalue
+    # -1, one complex basis from the complex eigenvectors), gives each
     # interior sample its eigensystem: its reconstruction is the sample, its
     # values are the keyframe spectrum and its vectors, phase-fixed, are those
-    # eigh finds in the sample; building the trajectory takes no Schur form
+    # eigh finds in the sample; building the trajectory takes no Schur basis
     calls = count_schur(monkeypatch)
     traj = build()
     assert not calls
@@ -162,6 +162,124 @@ def test_sampled_eigensystem_is_the_sample(monkeypatch, build, form):
         assert np.max(np.abs(hermitian._fix_phases(es.vectors) - vectors)) <= 1e-12, u
     assert np.max(np.abs(traj.sample(1.0 - 1e-9) - traj.keyframes[1])) <= 1e-8
     assert calls == [form]
+
+
+def _scipy_schur_path(a, v, s):
+    # reference sample U(s) a of the rotation v: scipy's real Schur form for
+    # real v, converted to the complex form when it has an eigenvalue -1
+    import scipy.linalg
+
+    t, z = scipy.linalg.schur(v, output="real" if np.isrealobj(v) else "complex")
+    k = np.flatnonzero(np.diag(t, -1))
+    if np.isrealobj(t) and np.any(np.delete(np.diag(t), np.r_[k, k + 1]) < 0.0):
+        t, z = scipy.linalg.rsf2csf(t, z)
+    b = z.conj().T @ a
+    if np.iscomplexobj(t):
+        angles, turned = np.angle(np.diag(t)), 1j * b
+    else:
+        theta = np.arctan2(t[k + 1, k] - t[k, k + 1], t[k, k] + t[k + 1, k + 1])
+        angles, partner = np.zeros(len(t)), np.arange(len(t))
+        angles[k], angles[k + 1], partner[k], partner[k + 1] = -theta, theta, k + 1, k
+        turned = b[partner]
+    return z @ (np.cos(s * angles[:, None]) * b + np.sin(s * angles[:, None]) * turned)
+
+
+def _orthogonal(n, rng):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def _plane_rotation(n, angles, rng, blocks=()):
+    # a random real rotation by the given plane angles (the rest fixed), with
+    # the exact 2x2 blocks ``blocks`` on the planes after them
+    d = np.eye(n)
+    for i, block in enumerate([[[math.cos(x), -math.sin(x)], [math.sin(x), math.cos(x)]]
+                               for x in angles] + list(blocks)):
+        d[2 * i:2 * i + 2, 2 * i:2 * i + 2] = block
+    q = _orthogonal(n, rng)
+    return q @ d @ q.T
+
+
+def _rotation_keyframes(n, rng):
+    # every family of the Schur-basis oracle at dimension n: the eigenvectors
+    # a, b of two keyframes, b = v a for a real or complex unitary v, and a
+    # fig2-like leg, b a signed permutation of a's columns (gauged by cycles)
+    m, angles = n // 2, rng.uniform(0.0, 3.0, n // 2)
+    w, phases = random_unitary(n, rng), rng.uniform(-3.0, 3.0, n)
+    near_pi = np.r_[math.pi - 1e-6, phases[1:-1], 1e-10 - math.pi][:n]
+    rotations = {
+        "real generic": _plane_rotation(n, angles, rng),
+        "real repeated": _plane_rotation(n, np.full(m, angles[0]), rng),
+        "real tiny": _plane_rotation(n, np.r_[1e-9, angles[1:]], rng),
+        "real near pi 1e-6": _plane_rotation(n, np.r_[angles[1:], math.pi - 1e-6], rng),
+        "real near pi 1e-10": _plane_rotation(n, np.r_[angles[1:], math.pi - 1e-10], rng),
+        "real one plane": _plane_rotation(n, angles[:1], rng),
+        "real two planes": _plane_rotation(n, angles[:2], rng),
+        "complex generic": (w * np.exp(1j * phases)) @ w.conj().T,
+        "complex repeated": (w * np.exp(1j * rng.choice(phases[:2], n))) @ w.conj().T,
+        "complex near pi": (w * np.exp(1j * near_pi)) @ w.conj().T,
+    }
+    for family, v in rotations.items():
+        a = _orthogonal(n, rng) if np.isrealobj(v) else random_unitary(n, rng)
+        yield family, a, v @ a
+    a = _orthogonal(n, rng)
+    yield "fig2 leg", a, a[:, rng.permutation(n)] * rng.choice([-1.0, 1.0], n)
+
+
+def test_schur_basis_samples_match_scipy_schur_path():
+    # the eig + QR Schur basis gives the samples of scipy's Schur form, in the
+    # same dtype, on generic, degenerate, near-identity and near-pi rotations
+    # and on fig2-like legs; real eig output pairs each conjugate eigenpair
+    # adjacently, positive imaginary part first
+    worst = {}
+    for n in range(2, 40):
+        rng = make_rng(2800 + n)
+        for family, a, b in _rotation_keyframes(n, rng):
+            v = pr._cycle_gauge(a, b) @ a.conj().T
+            if np.isrealobj(v):
+                w, x = np.linalg.eig(v)
+                k = np.flatnonzero(w.imag > 0.0)
+                assert np.count_nonzero(w.imag) == 2 * k.size, family
+                np.testing.assert_array_equal(w[k + 1], w[k].conj())
+                np.testing.assert_array_equal(x[:, k + 1], x[:, k].conj())
+            values = np.sort(rng.normal(size=n))
+            rotation = pr._Rotation(hermitian.EigenSystem(values, a),
+                                    hermitian.EigenSystem(values, b))
+            for s in (0.1, 0.3, 0.5, 0.77, 0.99):
+                got, want = rotation.at(s).vectors, _scipy_schur_path(a, v, s)
+                assert got.dtype == want.dtype, (family, n)
+                worst[family] = max(worst.get(family, 0.0), float(np.max(np.abs(got - want))))
+    assert len(worst) == 11
+    assert max(worst.values()) <= 1e-12, worst
+
+
+def test_schur_basis_with_an_exact_eigenvalue_minus_one():
+    # a real rotation with an exact eigenvalue -1 has no real logarithm: with
+    # determinant -1 its path is complex; an exact pi plane is complex too
+    # unless round-off splits it into a pair at pi - 1e-16, where the path
+    # takes scipy's form; either way the path reaches its end keyframe and
+    # keeps the spectrum (which of +-pi it turns by follows round-off, so the
+    # samples are not compared with scipy's); at n = 2 the pi plane is -1,
+    # which the cycle gauge turns into the identity
+    forms = []
+    for n in range(2, 40):
+        rng = make_rng(2900 + n)
+        q = _orthogonal(n, rng)
+        flipped = q * np.r_[-np.sign(np.linalg.det(q)), np.ones(n - 1)]
+        pi_plane = _plane_rotation(n, rng.uniform(0.0, 3.0, n // 2 - 1), rng, [-np.eye(2)])
+        for v in (flipped, pi_plane)[:1 if n == 2 else 2]:
+            a, values = _orthogonal(n, rng), np.sort(rng.normal(size=n))
+            rotation = pr._Rotation(hermitian.EigenSystem(values, a),
+                                    hermitian.EigenSystem(values, v @ a))
+            es = rotation.at(0.5)
+            gauged = pr._cycle_gauge(a, v @ a) @ a.T
+            assert es.vectors.dtype == _scipy_schur_path(a, gauged, 0.5).dtype, n
+            assert np.iscomplexobj(es.vectors) or v is pi_plane, n
+            forms.append(es.vectors.dtype)
+            assert np.max(np.abs(np.linalg.eigvalsh(es.reconstruct()) - values)) <= 1e-12, n
+            end = rotation.at(1.0 - 1e-9).reconstruct()
+            assert np.max(np.abs(end - ((v @ a) * values) @ (v @ a).T)) <= 1e-8, n
+    assert forms.count(np.complex128) >= 70
 
 
 def test_trajectory_rejects_malformed_keyframes_and_rules():
@@ -1053,7 +1171,7 @@ def test_optimal_gge_protocol_respects_bound_and_is_cyclic():
 def test_four_phase_builder_shares_its_first_leg(monkeypatch):
     # one builder serves every N: its schedules equal a fresh builder's bit for
     # bit, N = 2 samples no rotation, and once N = 4 has built the first leg's
-    # Schur form every larger N builds only its second leg's
+    # Schur basis every larger N builds only its second leg's
     rng = make_rng(17)
     ham0 = gt.build_chain(5, rng.uniform(0, 2, 5), 0.4)
     gamma0 = random_correlation(5, rng)
@@ -1102,7 +1220,7 @@ def test_real_dense_four_phase_runs_when_its_first_leg_turns_complex():
 
 
 def test_trajectory_builds_each_segment_once_across_threads(monkeypatch):
-    # more sampling threads than cores, frequent switches and a Schur call that
+    # more sampling threads than cores, frequent switches and a Schur basis that
     # yields: a segment built outside the lock would be built more than once
     rng = make_rng(18)
     h0 = random_hermitian(4, rng)

@@ -44,7 +44,7 @@ def test_fig2_extraction_sits_near_94_percent_of_the_ceiling():
 
 def test_fig2_deficit_approaches_its_step_equilibration_length():
     # the fig2 deficit (criterion 2b) is the thermodynamic length of its first
-    # leg: with X the leg's generator, read from its segment's Schur form, in
+    # leg: with X the leg's generator, read from its segment's Schur basis, in
     # the modes of its first keyframe, 2 sum |p_j - p_k| |e_j - e_k| |X_jk|^2
     # is 6.68 per unit of ceiling, and deficit x N approaches it from below
     # at O(1/N) (6.38 and 6.53 at N = 100 and 200; the remainder times N
@@ -54,7 +54,7 @@ def test_fig2_deficit_approaches_its_step_equilibration_length():
     h_from = (w * ham0.energies[::-1]) @ w.conj().T
     traj = pr.Trajectory((h_from, ham0.c), ("eigenvectors",))
     rotation = traj._rotations[0]
-    energies = rotation.at(0.5).values      # the keyframe spectrum; builds the Schur form
+    energies = rotation.at(0.5).values      # the keyframe spectrum; builds the Schur basis
     _, b, turned, angles = rotation._form
     x = b.conj().T @ (angles * turned)      # d/ds of R(s) B at s = 0, in the modes
     assert np.max(np.abs(x + x.conj().T)) <= 1e-12
