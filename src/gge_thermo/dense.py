@@ -3,9 +3,12 @@ small dimensions, the maximum-entropy dual solver for arbitrary conserved
 quantities, passivity tests, and the brute-force bridge to the fermionic
 correlation-matrix formalism.
 
-States are plain d x d numpy arrays (Hermitian, PSD, unit trace).  The
-maximum-entropy state compatible with a mean energy and a set of observable
-expectations is found by minimising the smooth convex dual
+Public maps take plain d x d arrays (Hermitian, PSD, unit trace).  Inside,
+as in ``fermions``, a state is one ``_State`` in the eigenbasis of a
+Hamiltonian, pinched and thermal states as level populations, which the
+runner and the public maps share.  The maximum-entropy state compatible
+with a mean energy and a set of observable expectations is found by
+minimising the smooth convex dual
 
     phi(beta, lambda) = ln Tr exp(-beta H + sum_j lambda_j Q_j)
                         + beta E_target - sum_j lambda_j q_j
@@ -17,6 +20,7 @@ constraint residuals, so dual optimality certifies the constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,12 +84,12 @@ def _checked(matrices, r: np.ndarray, name: str = "Hamiltonian") -> list[np.ndar
 
 
 def _prologue(rho, hamiltonian):
-    """Validated state and the Hamiltonian's record, of matching dimensions: the
-    checks every public map below runs before its kernel.  The kernels (``_pinch``,
-    ``_gibbs``, ``_evolve``, ``_entropy``) trust their arguments; the protocol runner
-    calls them after validating a whole schedule once."""
+    """Validated state, as a ``_State``, and the Hamiltonian's record, of matching
+    dimensions: the checks every public map below runs before its kernel.  The
+    kernels (``_State``, ``_dephase``, ``_thermalise``, ``_hold``) trust their
+    arguments; the protocol runner calls them after validating a schedule once."""
     r = check_state(rho)
-    return r, _Hamiltonian(_hamiltonian(hamiltonian, r))
+    return _State(None, r), _Hamiltonian(_hamiltonian(hamiltonian, r))
 
 
 def _expectation(rho: np.ndarray, obs: np.ndarray) -> float:
@@ -100,14 +104,74 @@ def ta_state(rho, hamiltonian) -> np.ndarray:
     the infinite-time average of the unitary evolution and it preserves the
     expectation of every function of the Hamiltonian.
     """
-    return _pinch(*_prologue(rho, hamiltonian))
+    state, ham = _prologue(rho, hamiltonian)
+    return _dephase(state.quench(ham), ham)[0].matrix()
 
 
-def _pinch(r: np.ndarray, ham: _Hamiltonian) -> np.ndarray:
-    es, labels = ham.es, ham.labels
-    mask = labels[:, None] == labels[None, :]
-    b = es.vectors.conj().T @ r @ es.vectors
-    return es.vectors @ (b * mask) @ es.vectors.conj().T
+class _State(NamedTuple):
+    """Density matrix V b V^dag in the eigenbasis V of ``ham``, with b its matrix
+    there or, for a state diagonal there, its populations p; or, when ``ham`` is
+    None, the checked input matrix b.  A hold never meets populations: an exact
+    run starts from a matrix and stays one."""
+
+    ham: _Hamiltonian | None
+    b: np.ndarray
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.b if self.b.ndim == 1 else self.b.diagonal().real
+
+    def matrix(self) -> np.ndarray:
+        if self.ham is None:
+            return self.b
+        v = self.ham.es.vectors
+        return (v * self.b) @ v.conj().T if self.b.ndim == 1 else v @ self.b @ v.conj().T
+
+    def entropy(self) -> float:
+        """Von Neumann entropy of the populations, or of the matrix's spectrum; a
+        negative one beyond ``STATE_ATOL`` raises, so a drifting state shows."""
+        p = self.b if self.b.ndim == 1 else np.linalg.eigvalsh(self.b)
+        if p.size and p.min() < -STATE_ATOL:
+            raise ValueError(f"state has negative eigenvalue {p.min():.3e}")
+        return 0.0 - float(np.sum(_xlogx(np.clip(p, 0.0, 1.0))))      # +0.0, not -0.0, when pure
+
+    def energy(self, ham: _Hamiltonian) -> float:
+        """Mean energy: Tr(H b) for the input matrix, else eps . p in the eigenbasis of ``ham``."""
+        if self.ham is None:
+            return _expectation(self.b, ham.h)
+        return float(ham.es.values @ self.quench(ham).p)
+
+    def quench(self, ham: _Hamiltonian) -> "_State":
+        """Frozen across the quench to ``ham`` (itself under its own): with O = V'^dag V,
+        or V'^dag from the input matrix, a matrix goes to O b O^dag.  Populations go to
+        |O|^2 p when every level of ``ham`` is a singleton; otherwise to the matrix
+        O diag(p) O^dag, so that pinching keeps each degenerate block."""
+        if ham is self.ham:
+            return self
+        o = ham.es.vectors.conj().T
+        if self.ham is not None:
+            o = o @ self.ham.es.vectors
+        if self.b.ndim == 2:
+            return _State(ham, o @ self.b @ o.conj().T)
+        if ham.labels[-1] == len(self.b) - 1:
+            o2 = o * o if np.isrealobj(o) else o.real * o.real + o.imag * o.imag
+            return _State(ham, o2 @ self.b)
+        return _State(ham, (o * self.b) @ o.conj().T)
+
+
+def _dephase(state: _State, ham: _Hamiltonian):
+    """Pinching of a state in the eigenbasis of ``ham``: populations as they are; a
+    matrix's diagonal, or its blocks within the levels when one is degenerate."""
+    labels = ham.labels
+    if state.b.ndim == 1 or labels[-1] == len(labels) - 1:
+        return _State(ham, state.p), None
+    return _State(ham, state.b * (labels[:, None] == labels[None, :])), None
+
+
+def _hold(state: _State, ham: _Hamiltonian, t: float) -> _State:
+    """Hold of a matrix state in the eigenbasis of ``ham``: b[k, l] picks up exp(-i t (eps_k - eps_l))."""
+    phase = np.exp(-1j * float(t) * ham.es.values)
+    return _State(ham, state.b * np.outer(phase, phase.conj()))
 
 
 def _thermal_weights(eps: np.ndarray, beta: float) -> np.ndarray:
@@ -128,16 +192,17 @@ def gibbs_state_dense(rho, hamiltonian) -> tuple[np.ndarray, float]:
     Raises ValueError when the target energy sits at or outside the spectral
     edges (no thermal state can match it strictly).
     """
-    return _gibbs(*_prologue(rho, hamiltonian))
+    state, (beta,) = _thermalise(*_prologue(rho, hamiltonian))
+    return state.matrix(), beta
 
 
-def _gibbs(r: np.ndarray, ham: _Hamiltonian) -> tuple[np.ndarray, float]:
-    target = _expectation(r, ham.h)
-    es = ham.es
-    eps = es.values
+def _thermalise(state: _State, ham: _Hamiltonian):
+    """Thermal state of ``ham`` at the mean energy of ``state``, as its Gibbs weights; dual beta."""
+    target = state.energy(ham)
+    eps = ham.es.values
     span = float(eps[-1] - eps[0])
     if span <= 1e-14 * max(1.0, abs(float(eps[0]))):
-        return np.eye(len(eps)) / len(eps), 0.0
+        return _State(ham, np.full(len(eps), 1.0 / len(eps))), (0.0,)
     if not (eps[0] < target < eps[-1]):
         raise ValueError(
             f"target energy {target:.12g} at or outside the spectral edges "
@@ -152,9 +217,7 @@ def _gibbs(r: np.ndarray, ham: _Hamiltonian) -> tuple[np.ndarray, float]:
     # the residual's round-off floor: the weights sum to 1, so the mean is off by eps max |eps_k|
     floor = _EPS4 * (max(abs(float(eps[0])), abs(float(eps[-1]))) + abs(target))
     beta = _energy_matching_root(fs, floor=floor)
-    w = _thermal_weights(eps, beta)
-    omega = (es.vectors * w) @ es.vectors.conj().T
-    return omega, float(beta)
+    return _State(ham, _thermal_weights(eps, beta)), (float(beta),)
 
 
 @dataclass(frozen=True)
@@ -267,16 +330,16 @@ def gge_state_dense(rho, hamiltonian, conserved: ConservedSet) -> tuple[np.ndarr
     candidate is accepted the iteration stops without moving, and the state
     is returned only if every residual is within 1e-8.
     """
-    r, ham = _prologue(rho, hamiltonian)
+    state, ham = _prologue(rho, hamiltonian)
     h = ham.h
     if conserved.q and conserved.observables[0].shape != h.shape:
         raise ValueError("conserved observables must match the Hamiltonian dimension")
 
-    omega, beta0 = _gibbs(r, ham)
+    start, (beta0,) = _thermalise(state, ham)
     if conserved.q == 0:
-        return omega, DualPoint(beta=beta0, lambdas=())
+        return start.matrix(), DualPoint(beta=beta0, lambdas=())
 
-    e_target = _expectation(r, h)
+    e_target = state.energy(ham)
     operators = [-h] + list(conserved.observables)
     consts = np.array([-e_target] + list(conserved.targets))
 
@@ -343,17 +406,7 @@ def gge_state_dense(rho, hamiltonian, conserved: ConservedSet) -> tuple[np.ndarr
 
 def vn_entropy(rho) -> float:
     """Von Neumann entropy in nats, with 0 log 0 = 0."""
-    return _entropy(check_state(rho))
-
-
-def _entropy(r: np.ndarray) -> float:
-    # the sign check costs nothing beyond the eigenvalues the entropy needs,
-    # so it stays on the trusted path and still catches a drifting state
-    p = np.linalg.eigvalsh(r)
-    if p.size and p.min() < -STATE_ATOL:
-        raise ValueError(f"state has negative eigenvalue {p.min():.3e}")
-    p = np.clip(p, 0.0, 1.0)
-    return 0.0 - float(np.sum(_xlogx(p)))       # +0.0, not -0.0, when pure
+    return _State(None, check_state(rho)).entropy()
 
 
 def kl_gap(rho, hamiltonian, conserved: ConservedSet) -> float:
@@ -370,7 +423,7 @@ def is_passive(rho, hamiltonian, tol: float = 1e-9) -> bool:
     Within each energy group (clustered at ``tol``) the populations are the
     eigenvalues of the state's block, which removes any basis ambiguity.
     """
-    r, ham = _prologue(rho, hamiltonian)
+    (_, r), ham = _prologue(rho, hamiltonian)
     h, es = ham.h, ham.es
     if float(np.linalg.norm(r @ h - h @ r)) > tol:
         return False
@@ -385,15 +438,8 @@ def passive_rearrangement(rho, hamiltonian) -> np.ndarray:
     """State with the spectrum of ``rho`` arranged non-increasingly along the
     ascending energy eigenbasis; the minimum-energy point of the unitary
     orbit of ``rho``."""
-    r, ham = _prologue(rho, hamiltonian)
-    p = np.linalg.eigvalsh(r)[::-1]
-    return (ham.es.vectors * p) @ ham.es.vectors.conj().T
-
-
-def _evolve(r: np.ndarray, ham: _Hamiltonian, t: float) -> np.ndarray:
-    es = ham.es
-    u = (es.vectors * np.exp(-1j * float(t) * es.values)) @ es.vectors.conj().T
-    return u @ r @ u.conj().T
+    (_, r), ham = _prologue(rho, hamiltonian)
+    return _State(ham, np.linalg.eigvalsh(r)[::-1]).matrix()
 
 
 def _entropy_matching_beta(eps: np.ndarray, entropy: float) -> float | None:
@@ -445,25 +491,31 @@ def _hopping(n: int, i: int, j: int):
 
 def quadratic_to_dense(coefficients) -> np.ndarray:
     """2^n-dimensional Hamiltonian sum_ij c[i, j] a_i^dag a_j."""
-    c = require_hermitian(coefficients, name="coefficient matrix")
-    n = c.shape[0]
+    return _quadratic_to_dense_all([require_hermitian(coefficients, name="coefficient matrix")])[0]
+
+
+def _quadratic_to_dense_all(cs: list[np.ndarray]) -> list[np.ndarray]:
+    """:func:`quadratic_to_dense` of each checked n x n coefficient matrix, bit for bit:
+    each hopping table is built once and added into every matrix, in (i, j) order."""
+    n = cs[0].shape[0]
     _check_mode_count(n)
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if c[i, j] != 0:
-                b, b_out, sign = _hopping(n, i, j)
-                h[b_out, b] += c[i, j] * sign
-    return h
+    hs = [np.zeros((2**n, 2**n), dtype=complex) for _ in cs]
+    for i, j in np.ndindex(n, n):
+        terms = [(h, c[i, j]) for h, c in zip(hs, cs) if c[i, j] != 0]
+        if terms:
+            b, b_out, sign = _hopping(n, i, j)
+            for h, cij in terms:
+                h[b_out, b] += cij * sign
+    return hs
 
 
 def mode_number_operators(modes) -> list[np.ndarray]:
     """Dense number operators eta_k^dag eta_k for eta_k = sum_j conj(A[j,k]) a_j,
     each the quadratic form of the rank-one matrix A[:, k] A[:, k]^dag."""
     a = np.asarray(modes, dtype=complex)
-    n = a.shape[0]
-    _check_mode_count(n)
-    return [quadratic_to_dense(np.outer(a[:, k], a[:, k].conj())) for k in range(n)]
+    _check_mode_count(a.shape[0])
+    outers = [np.outer(a[:, k], a[:, k].conj()) for k in range(a.shape[0])]
+    return _quadratic_to_dense_all(_require_hermitian_all(outers, "coefficient matrix"))
 
 
 def correlation_of_dense(rho) -> np.ndarray:

@@ -266,28 +266,25 @@ class _Backend(NamedTuple):
 
     ``check`` and ``wrap`` validate the initial state and a list of Hamiltonians
     against it, checking and decomposing the matrices in stacked calls, once per
-    entry point, which hands them to ``_run`` with the step-0 ``entropy`` (the
+    entry point, which hands them to ``_run`` with the step-0 entropy (the
     check of a correlation spectrum); the other entries trust their arguments.
     A wrapped Hamiltonian is a ``hermitian._Hamiltonian`` record (gaussian: a
     ``fg.QuadraticHamiltonian``): ``h``, ``es`` and ``labels``, steps 1..N decomposed
     in ``_schedule``'s stacked calls and step 0 on first use.  ``listed`` gives
     what ``ProtocolRecord.hamiltonians`` holds: the gaussian records, or copies
     of the dense matrices.
-    Each map takes the state in the frame of its Hamiltonian (after
-    ``quench``) and returns ``(state, duals)``.  Entries call through the
-    module (``fg._evolve``, not a bound reference), so a function patched on
-    its module is seen here too.
-    The gaussian state is a ``fg._ModeState`` from step 0 on, in the site
-    basis until the first ``quench`` moves it to the modes; ``matrix``
-    expands it.  The dense state is the density matrix itself.
+    The state is a ``fg._ModeState`` or a ``qd._State`` from step 0 on: the checked
+    input matrix until the first ``quench`` moves it to the eigenbasis of a
+    Hamiltonian, where a dephased or thermal state travels as its populations.
+    Both answer ``quench``, ``energy``, ``entropy`` and ``matrix``, so the runner
+    calls them directly.  Each map takes the state in the frame of its
+    Hamiltonian (after ``quench``) and returns ``(state, duals)``.  Entries call
+    through the module (``fg._evolve``, not a bound reference), so a function
+    patched on its module is seen here too.
     """
 
     check: Callable        # state -> validated state
     wrap: Callable         # (Hamiltonians, state) -> validated list
-    quench: Callable       # (state, ham) -> state frozen across the quench to ham
-    energy: Callable       # (state, ham) -> mean energy
-    entropy: Callable      # state -> entropy in nats
-    matrix: Callable       # state -> correlation or density matrix
     evolve: Callable       # (state, ham, hold time) -> exact evolution
     dephase: Callable      # (state, ham) -> time average
     thermalise: Callable   # (state, ham) -> energy-matching thermal state
@@ -307,19 +304,10 @@ def _gaussian_wrap(hs, state) -> list:
     return hams
 
 
-def _dense_thermalise(rho, ham):
-    omega, beta = qd._gibbs(rho, ham)
-    return omega, (beta,)
-
-
 _BACKENDS = {
     "gaussian": _Backend(
         check=lambda gamma: fg._site(gamma),
         wrap=_gaussian_wrap,
-        quench=lambda s, ham: s.quench(ham),
-        energy=lambda s, ham: s.energy(ham),
-        entropy=lambda s: s.entropy(),
-        matrix=lambda s: s.matrix(),
         evolve=lambda s, ham, t: (fg._evolve(s, ham, t), None),
         dephase=lambda s, ham: fg._dephase(s, ham),
         thermalise=lambda s, ham: fg._thermalise(s, ham),
@@ -327,15 +315,11 @@ _BACKENDS = {
         listed=lambda hams: hams,
     ),
     "dense": _Backend(
-        check=lambda rho: qd.check_state(rho),
-        wrap=lambda hs, rho: _Hamiltonian._schedule(qd._checked(hs, rho)),
-        quench=lambda rho, ham: rho,
-        energy=lambda rho, ham: qd._expectation(rho, ham.h),
-        entropy=lambda rho: qd._entropy(rho),
-        matrix=lambda rho: rho,
-        evolve=lambda rho, ham, t: (qd._evolve(rho, ham, t), None),
-        dephase=lambda rho, ham: (qd._pinch(rho, ham), None),
-        thermalise=_dense_thermalise,
+        check=lambda rho: qd._State(None, qd.check_state(rho)),
+        wrap=lambda hs, s: _Hamiltonian._schedule(qd._checked(hs, s.b)),
+        evolve=lambda s, ham, t: (qd._hold(s, ham, t), None),
+        dephase=lambda s, ham: qd._dephase(s, ham),
+        thermalise=lambda s, ham: qd._thermalise(s, ham),
         eigenbasis=lambda rho: np.linalg.eigh(0.5 * (rho + rho.conj().T))[1],
         # a copy, not a view that pins the schedule's stacked check: records kept
         # by the caller then fragment the heap less (1.5-2 MB of peak RSS on the
@@ -400,12 +384,13 @@ def run_schedule(
     a hold time drawn from the model's own seeded stream; holds and frozen
     quenches keep the spectrum, so every exact record but the last carries
     the step-0 entropy, and the last computes it from the final state, where
-    drift would show.  A gaussian state travels in the current modes (on the
-    sites at step 0); its matrix is built only for kept and final states."""
+    drift would show.  The state travels in the current eigenbasis (as given
+    at step 0), a dephased or thermal one as its populations; its matrix is
+    built only for kept and final states."""
     be = _backend(backend)
     state = be.check(initial_state)
     hams = be.wrap(hamiltonians, state)
-    return _run(state, be.entropy(state), hams, model, backend, keep_states)
+    return _run(state, state.entropy(), hams, model, backend, keep_states)
 
 
 def _run(state, entropy: float, hams, model, backend: str, keep_states: bool) -> ProtocolRecord:
@@ -419,15 +404,15 @@ def _run(state, entropy: float, hams, model, backend: str, keep_states: bool) ->
 
     def record(m: int, state, work: float, duals) -> StepRecord:
         held = m == 0 or (isinstance(model, fg.Exact) and m < len(hams) - 1)
-        return StepRecord(step=m, work_extracted=work, energy=be.energy(state, hams[m]),
-                          entropy=entropy if held else be.entropy(state), duals=duals,
-                          state=be.matrix(state) if keep_states else None)
+        return StepRecord(step=m, work_extracted=work, energy=state.energy(hams[m]),
+                          entropy=entropy if held else state.entropy(), duals=duals,
+                          state=state.matrix() if keep_states else None)
 
     steps = [record(0, state, 0.0, None)]
     for m in range(1, len(hams)):
         try:
-            state = be.quench(state, hams[m])
-            cost = be.energy(state, hams[m]) - steps[-1].energy
+            state = state.quench(hams[m])
+            cost = state.energy(hams[m]) - steps[-1].energy
             state, duals = equilibrate(state, hams[m])
             steps.append(record(m, state, -cost, duals))
         except Exception as exc:
@@ -437,7 +422,7 @@ def _run(state, entropy: float, hams, model, backend: str, keep_states: bool) ->
         hamiltonians=be.listed(hams),
         model=model,
         backend=backend,
-        final_state=be.matrix(state),
+        final_state=state.matrix(),
     )
 
 
@@ -505,15 +490,15 @@ def richardson_limit(ns, ys) -> tuple[float, float | None]:
 # Optimal constructions
 # ---------------------------------------------------------------------------
 
-def _ergotropy(be: _Backend, state, ham) -> float:
+def _ergotropy(state, ham) -> float:
     """Largest work a unitary can extract from the validated state (the
     ergotropy of Allahverdyan, Balian and Nieuwenhuizen): its energy minus
     the anti-ordered pairing of its symmetrised matrix's spectrum with the
     energies of ``ham``."""
-    m = be.matrix(state)
+    m = state.matrix()
     floor = float(_check_spectrum(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))[::-1]
                   @ ham.es.values)
-    return be.energy(state, ham) - floor
+    return state.energy(ham) - floor
 
 
 def optimal_work_bound(gamma0, ham0) -> float:
@@ -522,7 +507,7 @@ def optimal_work_bound(gamma0, ham0) -> float:
     the mode energies."""
     be = _BACKENDS["gaussian"]
     state = be.check(gamma0)
-    return _ergotropy(be, state, be.wrap([ham0], state)[0])
+    return _ergotropy(state, be.wrap([ham0], state)[0])
 
 
 def _four_phase(gamma0, ham0) -> Callable:
@@ -560,7 +545,7 @@ def _four_phase_of(backend: str, state, ham0) -> Callable:
         rotation, start = _Rotation(es, es0), ham0._of(es)
         return lambda half: [start] + [ham0._of(rotation.at(j / half)) for j in range(1, half)] + [ham0]
 
-    first = leg(be.matrix(state))
+    first = leg(state.matrix())
 
     def schedule(n: int) -> list:
         n = _quench_counts([n])[0]
@@ -577,10 +562,10 @@ def _optimal_protocol(state, ham0, n_quenches: int, backend: str,
     """:func:`_four_phase`'s schedule run under dephasing; ``meta['work_bound']`` is its ceiling."""
     be = _backend(backend)
     state = be.check(state)
-    entropy = be.entropy(state)     # a spectrum outside [0, 1] raises here, not in the builder
+    entropy = state.entropy()     # a spectrum outside [0, 1] raises here, not in the builder
     hams = _four_phase_of(backend, state, ham0)(n_quenches)
     record = _run(state, entropy, hams, fg.GGE, backend, keep_states)
-    record.meta["work_bound"] = _ergotropy(be, state, hams[0])
+    record.meta["work_bound"] = _ergotropy(state, hams[0])
     return record
 
 
@@ -619,12 +604,13 @@ def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,
                          "the logarithm quench needs full rank")
     h1 = (w * (k * np.log(p))) @ w.conj().T
     hams = _Hamiltonian._schedule([h0] + Trajectory.linear(h1, h0).schedule(n_quenches))
-    record = _run(rho, qd._entropy(rho), hams, fg.GIBBS, "dense", keep_states)
+    state = qd._State(None, rho)
+    record = _run(state, state.entropy(), hams, fg.GIBBS, "dense", keep_states)
     es = hams[-1].es    # the last Hamiltonian is h0
     beta_star = qd._entropy_matching_beta(es.values, record.steps[0].entropy)
     record.meta["beta_star"] = beta_star
     if beta_star is not None:
-        omega_star = (es.vectors * qd._thermal_weights(es.values, beta_star)) @ es.vectors.conj().T
+        omega_star = qd._State(hams[-1], qd._thermal_weights(es.values, beta_star)).matrix()
         record.meta["work_limit"] = (
             qd._expectation(rho, h0) - qd._expectation(omega_star, h0)
         )
@@ -719,7 +705,7 @@ def min_work_scan(
         if labels.count(label) > 1:
             raise ValueError(f"models must have distinct labels, got {label!r} more than once")
     state = be.check(initial_state)
-    entropy = be.entropy(state)     # a correlation spectrum outside [0, 1] raises here
+    entropy = state.entropy()     # a correlation spectrum outside [0, 1] raises here
 
     def failure(exc) -> tuple:
         return float("nan"), float("nan"), f"{type(exc).__name__}: {exc}"

@@ -339,10 +339,14 @@ def test_quadratic_to_dense_spectrum_is_subset_sums():
 
 
 def test_mode_number_operators_are_projectors_summing_to_particle_number():
+    # the set shares one hopping table per (i, j), and each operator is still the
+    # quadratic form of its own rank-one matrix, bit for bit
     rng = make_rng(22)
     for n in (1, 3, 5):
-        numbers = gt.mode_number_operators(random_unitary(n, rng))
-        for p in numbers:
+        modes = random_unitary(n, rng)
+        numbers = gt.mode_number_operators(modes)
+        for k, p in enumerate(numbers):
+            assert np.array_equal(p, gt.quadratic_to_dense(np.outer(modes[:, k], modes[:, k].conj())))
             assert np.max(np.abs(p @ p - p)) < 1e-12
             assert np.max(np.abs(p - p.conj().T)) < 1e-14
         popcount = np.diag([bin(b).count("1") for b in range(2**n)]).astype(complex)

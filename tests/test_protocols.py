@@ -12,7 +12,7 @@ import pytest
 import gge_thermo as gt
 from gge_thermo import cli, dense, fermions, hermitian
 from gge_thermo import protocols as pr
-from _helpers import (count_eigh, count_schur, make_rng, random_correlation, random_density,
+from _helpers import (brentq_root, count_eigh, count_schur, make_rng, random_correlation, random_density,
                       random_hermitian, random_unitary)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -575,7 +575,7 @@ def test_dense_schedule_errors_are_the_one_by_one_checks_in_order():
             hams = [ok] * 4
             hams[k], hams[k + 1] = bad[first], bad[second]
             with pytest.raises(ValueError, match=texts[first]) as stacked:
-                pr._BACKENDS["dense"].wrap(hams, rho)
+                pr._BACKENDS["dense"].wrap(hams, dense._State(None, rho))
             with pytest.raises(ValueError) as alone:
                 [dense._hamiltonian(h, rho) for h in hams]
             assert str(stacked.value) == str(alone.value)
@@ -655,7 +655,8 @@ class _Redecomposed(_Fresh):
 def _one_by_one_dense(record=_Fresh):
     """The dense back end checking each Hamiltonian on its own into a ``record``:
     the reference for the stacked records."""
-    return pr._BACKENDS["dense"]._replace(wrap=lambda hs, rho: [record(dense._hamiltonian(h, rho)) for h in hs])
+    return pr._BACKENDS["dense"]._replace(
+        wrap=lambda hs, state: [record(dense._hamiltonian(h, state.b)) for h in hs])
 
 
 def _assert_same_record(got, want):
@@ -717,7 +718,8 @@ def test_dense_stacked_runs_equal_one_by_one_reference(monkeypatch):
             schedule = [h] + gt.Trajectory.linear((w * (k * np.log(p))) @ w.conj().T, h).schedule(n)
             with monkeypatch.context() as patch:
                 patch.setitem(pr._BACKENDS, "dense", _one_by_one_dense())
-                want = pr._run(r, dense._entropy(r), [_Fresh(h) for h in schedule], gt.GIBBS, "dense", keep)
+                state = dense._State(None, r)
+                want = pr._run(state, state.entropy(), [_Fresh(h) for h in schedule], gt.GIBBS, "dense", keep)
             es = hermitian.eigh(h)
             beta_star = dense._entropy_matching_beta(es.values, want.steps[0].entropy)
             want.meta["beta_star"] = beta_star
@@ -783,6 +785,145 @@ def test_dense_run_decomposes_each_equilibrated_matrix_once(monkeypatch):
     gt.gge_state_dense(rho0, h0, gt.ConservedSet((), ()))
     assert not gt.is_passive(rho0, h0)
     assert not rebuilt
+
+
+def _matrix_path_reference(rho0, hs, model):
+    """Works, energies, entropies, duals and states of a dense run by the matrix
+    path, from numpy's own ``eigh``: pinching is V (V^dag r V o mask) V^dag with the
+    levels split at gaps above ``DEGENERACY_TOL``, the thermal state V diag(w) V^dag
+    at the energy-matching beta, a hold U r U^dag; every entropy is from ``eigvalsh``
+    and every energy an ``einsum``."""
+    def entropy(r):
+        p = np.clip(np.linalg.eigvalsh(r), 0.0, 1.0)
+        return float(-np.sum(p * np.log(np.where(p > 0.0, p, 1.0))))
+
+    def energy(h, r):
+        return float(np.einsum("ij,ji->", h, r).real)
+
+    if isinstance(model, gt.Exact):
+        holds = np.random.Generator(np.random.PCG64(model.seed)).uniform(
+            model.hold_min, model.hold_max, len(hs) - 1)
+    r, out = rho0, {"work": [0.0], "energy": [energy(hs[0], rho0)], "entropy": [entropy(rho0)],
+                    "duals": [None], "state": [rho0]}
+    for m in range(1, len(hs)):
+        h = hs[m]
+        e, v = np.linalg.eigh(h)
+        cost, duals = energy(h, r) - energy(hs[m - 1], r), None
+        if isinstance(model, gt.TimeAverageGGE):
+            labels = np.r_[0, np.cumsum(np.diff(e) > hermitian.DEGENERACY_TOL)]
+            r = v @ ((v.conj().T @ r @ v) * (labels[:, None] == labels[None, :])) @ v.conj().T
+        elif isinstance(model, gt.Gibbs):
+            target = energy(h, r)
+
+            def fs(beta):
+                w = np.exp(-beta * (e - e[0]) if beta >= 0 else -beta * (e - e[-1]))
+                w /= w.sum()
+                return float(w @ e) - target, -float(w @ (e - w @ e) ** 2)
+
+            beta, _ = brentq_root(fs, -64.0, 64.0)
+            w = np.exp(-beta * (e - e[0]) if beta >= 0 else -beta * (e - e[-1]))
+            r, duals = (v * (w / w.sum())) @ v.conj().T, (beta,)
+        else:
+            u = (v * np.exp(-1j * holds[m - 1] * e)) @ v.conj().T
+            r = u @ r @ u.conj().T
+        for key, value in (("work", -cost), ("energy", energy(h, r)), ("entropy", entropy(r)),
+                           ("duals", duals), ("state", r)):
+            out[key].append(value)
+    return out
+
+
+@pytest.mark.parametrize("keep_states", [True, False])
+@pytest.mark.parametrize("kind", ["ta-gge", "gibbs", "exact"])
+def test_dense_runner_matches_matrix_path_reference(kind, keep_states):
+    # the runner carries pinched and thermal states as level populations, or as
+    # blocks inside degenerate levels; every record matches the matrix path to
+    # 1e-12: complex and real schedules, exactly degenerate levels, splittings
+    # of 1e-12 (one level) and 1e-6 (two levels) around DEGENERACY_TOL, and the
+    # Jordan-Wigner image of a chain, whose many-body spectrum is degenerate
+    rng = make_rng(404)
+    u, q = random_unitary(4, rng), np.linalg.qr(rng.normal(size=(4, 4)))[0]
+
+    def levels(w, *eps):
+        return (w * np.array(eps)) @ w.conj().T
+
+    def real_symmetric():
+        z = rng.normal(size=(4, 4))
+        return z + z.T
+
+    def jordan_wigner(eps, g):
+        return gt.quadratic_to_dense(gt.build_chain(3, eps, g).c)
+
+    real_rho = (lambda z: z @ z.T + 0.1 * np.eye(4))(rng.normal(size=(4, 4)))
+    cases = {
+        "complex": (random_density(4, rng),
+                    [random_hermitian(4, rng), random_hermitian(4, rng), levels(u, 0.0, 1.0, 1.0, 2.0),
+                     random_hermitian(4, rng), levels(random_unitary(4, rng), -1.0, -1.0, 0.5, 0.5),
+                     levels(u, 0.0, 1.0, 1.0, 2.0)]),
+        "real": (real_rho / np.trace(real_rho),
+                 [real_symmetric(), real_symmetric(), levels(q, 0.0, 0.5, 0.5, 1.0), real_symmetric()]),
+        "split 1e-12": (random_density(4, rng),
+                        [random_hermitian(4, rng), random_hermitian(4, rng),
+                         levels(u, 0.0, 1.0, 1.0 + 1e-12, 2.0), random_hermitian(4, rng)]),
+        "split 1e-6": (random_density(4, rng),
+                       [random_hermitian(4, rng), random_hermitian(4, rng),
+                        levels(u, 0.0, 1.0, 1.0 + 1e-6, 2.0), random_hermitian(4, rng)]),
+        "Jordan-Wigner": (random_density(8, rng),
+                          [jordan_wigner([0.3, 0.9, -0.4], 0.6), jordan_wigner([0.5, -0.2, 1.1], 0.4),
+                           jordan_wigner([0.0, 0.0, 0.0], 0.5), jordan_wigner([0.7, 0.1, -0.6], 0.8),
+                           jordan_wigner([0.2, 0.2, 0.2], 1.0)]),
+    }
+    model = {"ta-gge": gt.GGE, "gibbs": gt.GIBBS, "exact": gt.Exact(1.0, 5.0, seed=3)}[kind]
+    for label, (rho0, hs) in cases.items():
+        rec = gt.run_schedule(rho0, hs, model, backend="dense", keep_states=keep_states)
+        want = _matrix_path_reference(dense.check_state(rho0), rec.hamiltonians, model)
+        for m, step in enumerate(rec.steps):
+            for key in ("work", "energy", "entropy"):
+                got = {"work": step.work_extracted, "energy": step.energy, "entropy": step.entropy}[key]
+                assert abs(got - want[key][m]) <= 1e-12, (label, m, key)
+            if want["duals"][m] is None:
+                assert step.duals is None
+            else:
+                assert abs(step.duals[0] - want["duals"][m][0]) <= 1e-12, (label, m)
+            if keep_states:
+                assert np.max(np.abs(step.state - want["state"][m])) <= 1e-12, (label, m)
+            else:
+                assert step.state is None
+        assert np.max(np.abs(rec.final_state - want["state"][-1])) <= 1e-12, label
+
+
+def test_dense_runner_diagonalises_only_where_needed(monkeypatch):
+    # pinched and thermal states travel as populations, so their entropies and
+    # energies need no diagonalisation: on a nondegenerate schedule, eigvalsh
+    # and eigh run only before step 1 (the state's check and entropy, the
+    # schedule's stacked decomposition); an exact run adds one eigvalsh, for its
+    # last record.  No step rebuilds a matrix from an eigensystem unless states
+    # are kept
+    rng = make_rng(403)
+    n_q = 20
+    hams = [random_hermitian(6, rng) for _ in range(n_q + 1)]
+    rho0 = random_density(6, rng)
+    calls, rebuilt = [], []
+
+    def counting(name):
+        kernel = getattr(np.linalg, name)
+        return lambda *args, **kwargs: calls.append(name) or kernel(*args, **kwargs)
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    quench = dense._State.quench
+    monkeypatch.setattr(dense._State, "quench", lambda state, ham: calls.append("quench") or quench(state, ham))
+    reconstruct = hermitian.EigenSystem.reconstruct
+    monkeypatch.setattr(hermitian.EigenSystem, "reconstruct", lambda es: rebuilt.append(1) or reconstruct(es))
+    for model, after in ((gt.GGE, []), (gt.GIBBS, []), (gt.Exact(0.5, 4.0, 1), ["eigvalsh"])):
+        for keep in (False, True):
+            calls.clear()
+            rebuilt.clear()
+            gt.run_schedule(rho0, hams, model, backend="dense", keep_states=keep)
+            first = calls.index("quench")
+            assert {"eigvalsh", "eigh"} <= set(calls[:first]), model
+            assert [c for c in calls[first:] if c != "quench"] == after, (model, keep)
+            if not keep:
+                assert not rebuilt, model
 
 
 def test_failure_reports_step_index():
