@@ -5,10 +5,11 @@ correlation-matrix formalism.
 
 Public maps take plain d x d arrays (Hermitian, PSD, unit trace).  Inside,
 as in ``fermions``, a state is one ``_State`` in the eigenbasis of a
-Hamiltonian, pinched and thermal states as level populations, which the
-runner and the public maps share.  The maximum-entropy state compatible
-with a mean energy and a set of observable expectations is found by
-minimising the smooth convex dual
+Hamiltonian, pinched and thermal states as level populations; its
+``evolve``, ``dephase`` and ``thermalise`` are the three maps, for the
+protocol runner and the public maps alike.  The maximum-entropy state
+compatible with a mean energy and a set of observable expectations is found
+by minimising the smooth convex dual
 
     phi(beta, lambda) = ln Tr exp(-beta H + sum_j lambda_j Q_j)
                         + beta E_target - sum_j lambda_j q_j
@@ -50,14 +51,7 @@ MAX_DENSE_MODES = 12
 
 def check_state(rho) -> np.ndarray:
     """Validate Hermiticity, positivity and unit trace; return symmetrised copy."""
-    r = require_hermitian(rho, name="state")
-    tr = float(np.trace(r).real)
-    if abs(tr - 1.0) > STATE_ATOL:
-        raise ValueError(f"state trace {tr:.12g} deviates from 1 beyond {STATE_ATOL:.1e}")
-    lo = float(np.linalg.eigvalsh(r).min())
-    if lo < -STATE_ATOL:
-        raise ValueError(f"state has negative eigenvalue {lo:.3e}")
-    return r
+    return _State.of(rho).b
 
 
 def _hamiltonian(hamiltonian, r: np.ndarray, name: str = "Hamiltonian") -> np.ndarray:
@@ -85,11 +79,10 @@ def _checked(matrices, r: np.ndarray, name: str = "Hamiltonian") -> list[np.ndar
 
 def _prologue(rho, hamiltonian):
     """Validated state, as a ``_State``, and the Hamiltonian's record, of matching
-    dimensions: the checks every public map below runs before its kernel.  The
-    kernels (``_State``, ``_dephase``, ``_thermalise``, ``_hold``) trust their
-    arguments; the protocol runner calls them after validating a schedule once."""
-    r = check_state(rho)
-    return _State(None, r), _Hamiltonian(_hamiltonian(hamiltonian, r))
+    dimensions: the checks every public map below runs before the state's
+    methods, which trust their arguments, as in the protocol runner."""
+    state = _State.of(rho)
+    return state, _Hamiltonian(_hamiltonian(hamiltonian, state.b))
 
 
 def _expectation(rho: np.ndarray, obs: np.ndarray) -> float:
@@ -105,17 +98,49 @@ def ta_state(rho, hamiltonian) -> np.ndarray:
     expectation of every function of the Hamiltonian.
     """
     state, ham = _prologue(rho, hamiltonian)
-    return _dephase(state.quench(ham), ham)[0].matrix()
+    return state.quench(ham).dephase(ham)[0].matrix()
 
 
 class _State(NamedTuple):
     """Density matrix V b V^dag in the eigenbasis V of ``ham``, with b its matrix
     there or, for a state diagonal there, its populations p; or, when ``ham`` is
-    None, the checked input matrix b.  A hold never meets populations: an exact
-    run starts from a matrix and stays one."""
+    None, the checked input matrix b and the eigenvalues its check computed.  A hold
+    never meets populations: an exact run starts from a matrix and stays one.
+
+    The dense back end: :meth:`of` and :meth:`schedule` validate the inputs, the
+    other methods trust them; each map takes the state after :meth:`quench` to
+    its Hamiltonian and returns ``(state, duals)``."""
 
     ham: _Hamiltonian | None
     b: np.ndarray
+    eigenvalues: np.ndarray | None = None
+    backend = "dense"
+
+    @classmethod
+    def of(cls, rho) -> "_State":
+        """Validate Hermiticity, positivity and unit trace: the symmetrised copy on the sites."""
+        r = require_hermitian(rho, name="state")
+        tr = float(np.trace(r).real)
+        if abs(tr - 1.0) > STATE_ATOL:
+            raise ValueError(f"state trace {tr:.12g} deviates from 1 beyond {STATE_ATOL:.1e}")
+        state = cls(None, r, np.linalg.eigvalsh(r))
+        state.spectrum()    # a negative eigenvalue raises
+        return state
+
+    def schedule(self, hs) -> list[_Hamiltonian]:
+        """:func:`_hamiltonian` of each matrix of ``hs`` against this state, as records."""
+        return _Hamiltonian._schedule(_checked(hs, self.b))
+
+    @staticmethod
+    def listed(hams: list) -> list[np.ndarray]:
+        """What ``ProtocolRecord.hamiltonians`` holds: copies, not views that pin the stacked
+        check (kept records then fragment the heap less: 1.5-2 MB of peak RSS on dense-small)."""
+        return [ham.h.copy() for ham in hams]
+
+    @staticmethod
+    def eigenbasis(rho: np.ndarray) -> np.ndarray:
+        """A density matrix's eigenvectors, by ascending population."""
+        return np.linalg.eigh(0.5 * (rho + rho.conj().T))[1]
 
     @property
     def p(self) -> np.ndarray:
@@ -127,13 +152,18 @@ class _State(NamedTuple):
         v = self.ham.es.vectors
         return (v * self.b) @ v.conj().T if self.b.ndim == 1 else v @ self.b @ v.conj().T
 
-    def entropy(self) -> float:
-        """Von Neumann entropy of the populations, or of the matrix's spectrum; a
+    def spectrum(self) -> np.ndarray:
+        """The populations, or the matrix's eigenvalues (the check's, on the sites); a
         negative one beyond ``STATE_ATOL`` raises, so a drifting state shows."""
-        p = self.b if self.b.ndim == 1 else np.linalg.eigvalsh(self.b)
+        p = self.b if self.b.ndim == 1 else self.eigenvalues
+        p = np.linalg.eigvalsh(self.b) if p is None else p
         if p.size and p.min() < -STATE_ATOL:
             raise ValueError(f"state has negative eigenvalue {p.min():.3e}")
-        return 0.0 - float(np.sum(_xlogx(np.clip(p, 0.0, 1.0))))      # +0.0, not -0.0, when pure
+        return p
+
+    def entropy(self) -> float:
+        """Von Neumann entropy of :meth:`spectrum`."""
+        return 0.0 - float(np.sum(_xlogx(np.clip(self.spectrum(), 0.0, 1.0))))   # +0.0, not -0.0, when pure
 
     def energy(self, ham: _Hamiltonian) -> float:
         """Mean energy: Tr(H b) for the input matrix, else eps . p in the eigenbasis of ``ham``."""
@@ -158,20 +188,41 @@ class _State(NamedTuple):
             return _State(ham, o2 @ self.b)
         return _State(ham, (o * self.b) @ o.conj().T)
 
+    def evolve(self, ham: _Hamiltonian, t: float):
+        """Hold of a matrix state in the eigenbasis of ``ham``: b[k, l] picks up exp(-i t (eps_k - eps_l))."""
+        phase = np.exp(-1j * float(t) * ham.es.values)
+        return _State(ham, self.b * np.outer(phase, phase.conj())), None
 
-def _dephase(state: _State, ham: _Hamiltonian):
-    """Pinching of a state in the eigenbasis of ``ham``: populations as they are; a
-    matrix's diagonal, or its blocks within the levels when one is degenerate."""
-    labels = ham.labels
-    if state.b.ndim == 1 or labels[-1] == len(labels) - 1:
-        return _State(ham, state.p), None
-    return _State(ham, state.b * (labels[:, None] == labels[None, :])), None
+    def dephase(self, ham: _Hamiltonian):
+        """Pinching in the eigenbasis of ``ham``: populations as they are; a matrix's
+        diagonal, or its blocks within the levels when one is degenerate."""
+        labels = ham.labels
+        if self.b.ndim == 1 or labels[-1] == len(labels) - 1:
+            return _State(ham, self.p), None
+        return _State(ham, self.b * (labels[:, None] == labels[None, :])), None
 
+    def thermalise(self, ham: _Hamiltonian):
+        """Thermal state of ``ham`` at the mean energy of this state, as its Gibbs weights; dual beta."""
+        target = self.energy(ham)
+        eps = ham.es.values
+        span = float(eps[-1] - eps[0])
+        if span <= 1e-14 * max(1.0, abs(float(eps[0]))):
+            return _State(ham, np.full(len(eps), 1.0 / len(eps))), (0.0,)
+        if not (eps[0] < target < eps[-1]):
+            raise ValueError(
+                f"target energy {target:.12g} at or outside the spectral edges "
+                f"({eps[0]:.12g}, {eps[-1]:.12g})"
+            )
 
-def _hold(state: _State, ham: _Hamiltonian, t: float) -> _State:
-    """Hold of a matrix state in the eigenbasis of ``ham``: b[k, l] picks up exp(-i t (eps_k - eps_l))."""
-    phase = np.exp(-1j * float(t) * ham.es.values)
-    return _State(ham, state.b * np.outer(phase, phase.conj()))
+        def fs(beta: float) -> tuple[float, float]:
+            w = _thermal_weights(eps, beta)
+            mean = float(w @ eps)
+            return mean - target, -float(w @ (eps - mean) ** 2)
+
+        # the residual's round-off floor: the weights sum to 1, so the mean is off by eps max |eps_k|
+        floor = _EPS4 * (max(abs(float(eps[0])), abs(float(eps[-1]))) + abs(target))
+        beta = _energy_matching_root(fs, floor=floor)
+        return _State(ham, _thermal_weights(eps, beta)), (float(beta),)
 
 
 def _thermal_weights(eps: np.ndarray, beta: float) -> np.ndarray:
@@ -192,32 +243,8 @@ def gibbs_state_dense(rho, hamiltonian) -> tuple[np.ndarray, float]:
     Raises ValueError when the target energy sits at or outside the spectral
     edges (no thermal state can match it strictly).
     """
-    state, (beta,) = _thermalise(*_prologue(rho, hamiltonian))
+    state, (beta,) = _State.thermalise(*_prologue(rho, hamiltonian))
     return state.matrix(), beta
-
-
-def _thermalise(state: _State, ham: _Hamiltonian):
-    """Thermal state of ``ham`` at the mean energy of ``state``, as its Gibbs weights; dual beta."""
-    target = state.energy(ham)
-    eps = ham.es.values
-    span = float(eps[-1] - eps[0])
-    if span <= 1e-14 * max(1.0, abs(float(eps[0]))):
-        return _State(ham, np.full(len(eps), 1.0 / len(eps))), (0.0,)
-    if not (eps[0] < target < eps[-1]):
-        raise ValueError(
-            f"target energy {target:.12g} at or outside the spectral edges "
-            f"({eps[0]:.12g}, {eps[-1]:.12g})"
-        )
-
-    def fs(beta: float) -> tuple[float, float]:
-        w = _thermal_weights(eps, beta)
-        mean = float(w @ eps)
-        return mean - target, -float(w @ (eps - mean) ** 2)
-
-    # the residual's round-off floor: the weights sum to 1, so the mean is off by eps max |eps_k|
-    floor = _EPS4 * (max(abs(float(eps[0])), abs(float(eps[-1]))) + abs(target))
-    beta = _energy_matching_root(fs, floor=floor)
-    return _State(ham, _thermal_weights(eps, beta)), (float(beta),)
 
 
 @dataclass(frozen=True)
@@ -335,7 +362,7 @@ def gge_state_dense(rho, hamiltonian, conserved: ConservedSet) -> tuple[np.ndarr
     if conserved.q and conserved.observables[0].shape != h.shape:
         raise ValueError("conserved observables must match the Hamiltonian dimension")
 
-    start, (beta0,) = _thermalise(state, ham)
+    start, (beta0,) = state.thermalise(ham)
     if conserved.q == 0:
         return start.matrix(), DualPoint(beta=beta0, lambdas=())
 
@@ -406,7 +433,7 @@ def gge_state_dense(rho, hamiltonian, conserved: ConservedSet) -> tuple[np.ndarr
 
 def vn_entropy(rho) -> float:
     """Von Neumann entropy in nats, with 0 log 0 = 0."""
-    return _State(None, check_state(rho)).entropy()
+    return _State.of(rho).entropy()
 
 
 def kl_gap(rho, hamiltonian, conserved: ConservedSet) -> float:
@@ -423,8 +450,8 @@ def is_passive(rho, hamiltonian, tol: float = 1e-9) -> bool:
     Within each energy group (clustered at ``tol``) the populations are the
     eigenvalues of the state's block, which removes any basis ambiguity.
     """
-    (_, r), ham = _prologue(rho, hamiltonian)
-    h, es = ham.h, ham.es
+    state, ham = _prologue(rho, hamiltonian)
+    r, h, es = state.b, ham.h, ham.es
     if float(np.linalg.norm(r @ h - h @ r)) > tol:
         return False
     labels = cluster_degenerate(es.values, tol)
@@ -438,8 +465,8 @@ def passive_rearrangement(rho, hamiltonian) -> np.ndarray:
     """State with the spectrum of ``rho`` arranged non-increasingly along the
     ascending energy eigenbasis; the minimum-energy point of the unitary
     orbit of ``rho``."""
-    (_, r), ham = _prologue(rho, hamiltonian)
-    return _State(ham, np.linalg.eigvalsh(r)[::-1]).matrix()
+    state, ham = _prologue(rho, hamiltonian)
+    return _State(ham, state.spectrum()[::-1]).matrix()
 
 
 def _entropy_matching_beta(eps: np.ndarray, entropy: float) -> float | None:

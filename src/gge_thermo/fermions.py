@@ -38,8 +38,9 @@ same work accounting.
 
 Every state is one ``_ModeState``: in the modes of a Hamiltonian, or on the
 sites for a correlation matrix as given (a run's step 0).  Its ``quench`` is
-the one transport rule.  ``_site`` builds the runner's initial state and the
-site state of every public map, and names a NaN or non-Hermitian matrix.
+the one transport rule, its ``evolve``, ``dephase`` and ``thermalise`` the
+three maps of the runner and the public maps alike; its ``of`` builds every
+site state and names a NaN or non-Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -208,18 +209,9 @@ def _as_checked(matrix, name: str) -> np.ndarray:
     return m.real.astype(float, copy=False) if real else m.astype(complex, copy=False)
 
 
-def _site(gamma, ham: QuadraticHamiltonian | None = None) -> "_ModeState":
-    """The correlation matrix ``gamma`` as a state on the sites: finite and Hermitian
-    within ``STATE_ATOL``, kept as given, and sized for ``ham`` when one is given."""
-    g = _as_checked(gamma, "correlation matrix")
-    if ham is not None:
-        _check_dims(g, ham)
-    return _ModeState(None, g)
-
-
 def to_mode_basis(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
     """gamma_eta = A.T @ gamma @ A.conj()."""
-    return _site(gamma, ham).quench(ham).g
+    return _ModeState.of(gamma, ham).quench(ham).g
 
 
 def from_mode_basis(gamma_eta, ham: QuadraticHamiltonian) -> np.ndarray:
@@ -233,10 +225,40 @@ def from_mode_basis(gamma_eta, ham: QuadraticHamiltonian) -> np.ndarray:
 class _ModeState(NamedTuple):
     """Gaussian state in the modes of ``ham``, A.conj() @ g @ A.T, with g its
     matrix there or, for a state diagonal there, its populations p; or on
-    the sites when ``ham`` is None, with g the correlation matrix."""
+    the sites when ``ham`` is None, with g the correlation matrix.
+
+    The gaussian back end: :meth:`of` and :meth:`schedule` validate the inputs,
+    the other methods trust them; each map takes the state after :meth:`quench`
+    to its Hamiltonian and returns ``(state, duals)``."""
 
     ham: QuadraticHamiltonian | None
     g: np.ndarray
+    backend = "gaussian"
+
+    @classmethod
+    def of(cls, gamma, ham: QuadraticHamiltonian | None = None) -> "_ModeState":
+        """The correlation matrix ``gamma`` as a state on the sites: finite and Hermitian
+        within ``STATE_ATOL``, kept as given, and sized for ``ham`` when one is given."""
+        g = _as_checked(gamma, "correlation matrix")
+        if ham is not None:
+            _check_dims(g, ham)
+        return cls(None, g)
+
+    def schedule(self, hs) -> list[QuadraticHamiltonian]:
+        """:func:`as_hamiltonian` of each entry of ``hs``, each sized for this state."""
+        hams = _hamiltonians(hs)
+        for ham in hams:
+            _check_dims(self.g, ham)
+        return hams
+
+    @staticmethod
+    def listed(hams: list) -> list:     # what ProtocolRecord.hamiltonians holds
+        return hams
+
+    @staticmethod
+    def eigenbasis(gamma: np.ndarray) -> np.ndarray:
+        """A correlation matrix's modes, by ascending population: its conjugated eigenvectors."""
+        return np.linalg.eigh(0.5 * (gamma + gamma.conj().T))[1].conj()
 
     @property
     def p(self) -> np.ndarray:
@@ -246,12 +268,14 @@ class _ModeState(NamedTuple):
         g = self.g if self.g.ndim == 2 else np.diag(self.g)
         return g if self.ham is None else self.ham.modes.conj() @ g @ self.ham.modes.T
 
-    def entropy(self) -> float:
-        """Binary-entropy sum over the populations or the symmetrised matrix's
-        spectrum, checked by :func:`_check_spectrum` and clipped to [0, 1]."""
+    def spectrum(self) -> np.ndarray:
+        """The populations or the symmetrised matrix's spectrum, checked by :func:`_check_spectrum`."""
         g = self.g
-        d = g if g.ndim == 1 else np.linalg.eigvalsh(0.5 * (g + g.conj().T))
-        d = np.clip(_check_spectrum(d), 0.0, 1.0)
+        return _check_spectrum(g if g.ndim == 1 else np.linalg.eigvalsh(0.5 * (g + g.conj().T)))
+
+    def entropy(self) -> float:
+        """Binary-entropy sum over :meth:`spectrum`, clipped to [0, 1]."""
+        d = np.clip(self.spectrum(), 0.0, 1.0)
         return 0.0 - float(np.sum(_xlogx(d) + _xlogx(1.0 - d)))     # +0.0, not -0.0, when pure
 
     def energy(self, ham: QuadraticHamiltonian) -> float:
@@ -277,25 +301,22 @@ class _ModeState(NamedTuple):
             return _ModeState(ham, (o @ np.ascontiguousarray(h.T).view(float)).view(complex).T)
         return _ModeState(ham, o @ self.g @ o.conj().T)
 
+    def evolve(self, ham: QuadraticHamiltonian, t: float):
+        """Hold of a matrix state in the modes of ``ham``: g[k, l] picks up exp(i t (eps_k - eps_l))."""
+        phase = np.exp(1j * float(t) * ham.energies)
+        return _ModeState(ham, self.g * np.outer(phase, phase.conj())), None
 
-def _evolve(state: _ModeState, ham: QuadraticHamiltonian, t: float) -> _ModeState:
-    """Hold of a matrix state in the modes of ``ham``: g[k, l] picks up exp(i t (eps_k - eps_l))."""
-    phase = np.exp(1j * float(t) * ham.energies)
-    return _ModeState(ham, state.g * np.outer(phase, phase.conj()))
+    def dephase(self, ham: QuadraticHamiltonian):
+        """Time average in the modes of ``ham``: the populations p, duals log((1-p)/p)."""
+        p = np.clip(self.p, 0.0, 1.0)
+        with np.errstate(divide="ignore"):
+            lam = np.log((1.0 - p) / p)
+        return _ModeState(ham, self.p), tuple(lam.tolist())
 
-
-def _dephase(state: _ModeState, ham: QuadraticHamiltonian):
-    """Time average in the modes of ``ham``: the populations p, duals log((1-p)/p)."""
-    p = np.clip(state.p, 0.0, 1.0)
-    with np.errstate(divide="ignore"):
-        lam = np.log((1.0 - p) / p)
-    return _ModeState(ham, state.p), tuple(lam.tolist())
-
-
-def _thermalise(state: _ModeState, ham: QuadraticHamiltonian):
-    """Thermal state of ``ham`` at the mean energy of ``state``; dual beta."""
-    beta, _ = solve_beta(ham, state.energy(ham))
-    return _ModeState(ham, _fermi(beta * ham.energies)), (beta,)
+    def thermalise(self, ham: QuadraticHamiltonian):
+        """Thermal state of ``ham`` at the mean energy of this state; dual beta."""
+        beta, _ = solve_beta(ham, self.energy(ham))
+        return _ModeState(ham, _fermi(beta * ham.energies)), (beta,)
 
 
 def gibbs_correlation(ham: QuadraticHamiltonian, beta: float) -> np.ndarray:
@@ -366,7 +387,7 @@ def evolve_exact(gamma, ham: QuadraticHamiltonian, t: float) -> np.ndarray:
     equivalently gamma -> U gamma U^dag with U = A.conj() exp(i t D) A.T.
     """
     ham = as_hamiltonian(ham)
-    return _evolve(_site(gamma, ham).quench(ham), ham, t).matrix()
+    return _ModeState.of(gamma, ham).quench(ham).evolve(ham, t)[0].matrix()
 
 
 def dephase_gge(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
@@ -377,13 +398,13 @@ def dephase_gge(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
     mean energy is conserved because only the mode diagonal carries energy.
     """
     ham = as_hamiltonian(ham)
-    return _dephase(_site(gamma, ham).quench(ham), ham)[0].matrix()
+    return _ModeState.of(gamma, ham).quench(ham).dephase(ham)[0].matrix()
 
 
 def energy(gamma, ham: QuadraticHamiltonian) -> float:
     """Mean energy sum_ij c[i, j] * gamma[i, j] (imaginary round-off dropped)."""
     ham = as_hamiltonian(ham)
-    return _site(gamma, ham).energy(ham)
+    return _ModeState.of(gamma, ham).energy(ham)
 
 
 def entropy_gaussian(gamma) -> float:
@@ -392,7 +413,7 @@ def entropy_gaussian(gamma) -> float:
     Eigenvalues must lie in [-1e-6, 1 + 1e-6]; they are clamped to [0, 1]
     before the binary-entropy sum, with 0 log 0 = 0.
     """
-    return _site(gamma).entropy()
+    return _ModeState.of(gamma).entropy()
 
 
 def work_of_quench(gamma, ham_old: QuadraticHamiltonian, ham_new: QuadraticHamiltonian) -> float:

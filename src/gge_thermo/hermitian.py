@@ -25,8 +25,8 @@ Newton-bisection) is the one root finder: ``fermions.solve_beta`` and
 ``dense._entropy_matching_beta`` an entropy (beta* of
 ``protocols.optimal_gibbs_protocol``).  :func:`_check_spectrum` is the
 one range rule for a correlation spectrum or mode populations, called by
-``fermions._ModeState.entropy``, ``dense.gaussian_to_dense`` and
-``protocols._ergotropy``.  :func:`_fermi` and :func:`_xlogx` are the
+``fermions._ModeState.spectrum`` (for its entropy and the ergotropy floor)
+and ``dense.gaussian_to_dense``.  :func:`_fermi` and :func:`_xlogx` are the
 Fermi-function and entropy kernels, in numpy like the whole package.
 """
 

@@ -6,8 +6,10 @@ A protocol is a list of Hamiltonians ``H^(0) .. H^(N)``; the state is frozen
 across each quench ``H^(m-1) -> H^(m)`` and then equilibrated under
 ``H^(m)`` according to the chosen model.  Work is recorded with the
 extraction sign (positive = work gained), the negation of the quench cost
-``Tr(rho (H^(m) - H^(m-1)))``.  Both back ends are supported: ``gaussian``
-(n x n correlation matrices) and ``dense`` (d x d density matrices).
+``Tr(rho (H^(m) - H^(m-1)))``.  A back end is its state type, which validates
+the inputs and applies the three maps: ``gaussian`` (``fermions._ModeState``,
+n x n correlation matrices) and ``dense`` (``dense._State``, d x d density
+matrices).
 
 :func:`min_work_scan` is the one loop over (model, N): it takes a schedule
 builder ``n -> [H^(0) .. H^(N)]`` (``traj.schedule``, a partial of
@@ -26,14 +28,14 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from threading import Lock
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from . import dense as qd
 from . import fermions as fg
-from .hermitian import (EigenSystem, _check_spectrum, _eigh, _eigh_all, _Hamiltonian,
-                        _require_hermitian_all, require_hermitian)
+from .hermitian import (EigenSystem, _eigh, _eigh_all, _Hamiltonian, _require_hermitian_all,
+                        require_hermitian)
 
 __all__ = [
     "Trajectory",
@@ -261,97 +263,26 @@ class ProtocolRecord:
 # Back ends and equilibration maps
 # ---------------------------------------------------------------------------
 
-class _Backend(NamedTuple):
-    """How one back end validates its inputs and applies the three maps.
-
-    ``check`` and ``wrap`` validate the initial state and a list of Hamiltonians
-    against it, checking and decomposing the matrices in stacked calls, once per
-    entry point, which hands them to ``_run`` with the step-0 entropy (the
-    check of a correlation spectrum); the other entries trust their arguments.
-    A wrapped Hamiltonian is a ``hermitian._Hamiltonian`` record (gaussian: a
-    ``fg.QuadraticHamiltonian``): ``h``, ``es`` and ``labels``, steps 1..N decomposed
-    in ``_schedule``'s stacked calls and step 0 on first use.  ``listed`` gives
-    what ``ProtocolRecord.hamiltonians`` holds: the gaussian records, or copies
-    of the dense matrices.
-    The state is a ``fg._ModeState`` or a ``qd._State`` from step 0 on: the checked
-    input matrix until the first ``quench`` moves it to the eigenbasis of a
-    Hamiltonian, where a dephased or thermal state travels as its populations.
-    Both answer ``quench``, ``energy``, ``entropy`` and ``matrix``, so the runner
-    calls them directly.  Each map takes the state in the frame of its
-    Hamiltonian (after ``quench``) and returns ``(state, duals)``.  Entries call
-    through the module (``fg._evolve``, not a bound reference), so a function
-    patched on its module is seen here too.
-    """
-
-    check: Callable        # state -> validated state
-    wrap: Callable         # (Hamiltonians, state) -> validated list
-    evolve: Callable       # (state, ham, hold time) -> exact evolution
-    dephase: Callable      # (state, ham) -> time average
-    thermalise: Callable   # (state, ham) -> energy-matching thermal state
-    eigenbasis: Callable   # state matrix -> its modes, by ascending population
-    listed: Callable       # wrapped Hamiltonians -> ProtocolRecord.hamiltonians
+_STATES = {"gaussian": fg._ModeState, "dense": qd._State}
 
 
-def _gaussian_eigenbasis(gamma: np.ndarray) -> np.ndarray:
-    # a correlation matrix's modes are its conjugated eigenvectors
-    return np.linalg.eigh(0.5 * (gamma + gamma.conj().T))[1].conj()
-
-
-def _gaussian_wrap(hs, state) -> list:
-    hams = fg._hamiltonians(hs)
-    for ham in hams:
-        fg._check_dims(state.g, ham)
-    return hams
-
-
-_BACKENDS = {
-    "gaussian": _Backend(
-        check=lambda gamma: fg._site(gamma),
-        wrap=_gaussian_wrap,
-        evolve=lambda s, ham, t: (fg._evolve(s, ham, t), None),
-        dephase=lambda s, ham: fg._dephase(s, ham),
-        thermalise=lambda s, ham: fg._thermalise(s, ham),
-        eigenbasis=_gaussian_eigenbasis,
-        listed=lambda hams: hams,
-    ),
-    "dense": _Backend(
-        check=lambda rho: qd._State(None, qd.check_state(rho)),
-        wrap=lambda hs, s: _Hamiltonian._schedule(qd._checked(hs, s.b)),
-        evolve=lambda s, ham, t: (qd._hold(s, ham, t), None),
-        dephase=lambda s, ham: qd._dephase(s, ham),
-        thermalise=lambda s, ham: qd._thermalise(s, ham),
-        eigenbasis=lambda rho: np.linalg.eigh(0.5 * (rho + rho.conj().T))[1],
-        # a copy, not a view that pins the schedule's stacked check: records kept
-        # by the caller then fragment the heap less (1.5-2 MB of peak RSS on the
-        # dense-small benchmark workload)
-        listed=lambda hams: [ham.h.copy() for ham in hams],
-    ),
-}
-
-
-def _backend(name: str) -> _Backend:
-    try:
-        return _BACKENDS[name]
-    except (KeyError, TypeError):
-        raise ValueError(f"backend must be one of {tuple(_BACKENDS)}, got {name!r}") from None
-
-
-def _exact_map(model: fg.Exact, backend: _Backend, steps: int):
+def _exact_map(model: fg.Exact, state, steps: int):
+    evolve = type(state).evolve
     if model.hold_min == model.hold_max:    # uniform(t, t) would draw t
-        return lambda state, ham: backend.evolve(state, ham, float(model.hold_min))
+        return lambda state, ham: evolve(state, ham, float(model.hold_min))
     # one run's holds, drawn in one call from a fresh PCG64 stream of the
     # seed: the same numbers, in order, as one scalar draw per step
     stream = np.random.Generator(np.random.PCG64(model.seed))
     holds = iter(stream.uniform(model.hold_min, model.hold_max, steps).tolist())
-    return lambda state, ham: backend.evolve(state, ham, next(holds))
+    return lambda state, ham: evolve(state, ham, next(holds))
 
 
-# The one model dispatch: model type -> (label, build), where
-# build(model, backend, steps) gives the map (state, ham) -> (state, duals).
+# The one model dispatch: model type -> (label, build), where build(model,
+# state, steps) gives the map (state, ham) -> (state, duals) of state's type.
 _MODELS = {
     fg.Exact: ("exact", _exact_map),
-    fg.TimeAverageGGE: ("ta-gge", lambda model, backend, steps: backend.dephase),
-    fg.Gibbs: ("gibbs", lambda model, backend, steps: backend.thermalise),
+    fg.TimeAverageGGE: ("ta-gge", lambda model, state, steps: type(state).dephase),
+    fg.Gibbs: ("gibbs", lambda model, state, steps: type(state).thermalise),
 }
 
 
@@ -387,20 +318,20 @@ def run_schedule(
     drift would show.  The state travels in the current eigenbasis (as given
     at step 0), a dephased or thermal one as its populations; its matrix is
     built only for kept and final states."""
-    be = _backend(backend)
-    state = be.check(initial_state)
-    hams = be.wrap(hamiltonians, state)
-    return _run(state, state.entropy(), hams, model, backend, keep_states)
+    if not isinstance(backend, str) or backend not in _STATES:     # names an unhashable one too
+        raise ValueError(f"backend must be one of {tuple(_STATES)}, got {backend!r}")
+    state = _STATES[backend].of(initial_state)
+    return _run(state, state.entropy(), state.schedule(hamiltonians), model, keep_states)
 
 
-def _run(state, entropy: float, hams, model, backend: str, keep_states: bool) -> ProtocolRecord:
+def _run(state, entropy: float, hams, model, keep_states: bool) -> ProtocolRecord:
     """The one protocol loop, behind :func:`run_schedule`, the sweep, the four-phase
-    builder and the optimal constructions, on a checked ``state``, its step-0 ``entropy``
-    and ``hams`` wrapped against it; it checks only the model and a non-empty schedule."""
+    builder and the optimal constructions, on a checked ``state`` (its type is the
+    back end), its step-0 ``entropy`` and ``hams`` from its ``schedule``; it checks
+    only the model and a non-empty schedule."""
     if not hams:
         raise ValueError("the schedule must contain at least the initial Hamiltonian")
-    be = _BACKENDS[backend]
-    equilibrate = _model(model)[1](model, be, len(hams) - 1)
+    equilibrate = _model(model)[1](model, state, len(hams) - 1)
 
     def record(m: int, state, work: float, duals) -> StepRecord:
         held = m == 0 or (isinstance(model, fg.Exact) and m < len(hams) - 1)
@@ -419,9 +350,9 @@ def _run(state, entropy: float, hams, model, backend: str, keep_states: bool) ->
             raise RuntimeError(f"step {m}: {exc}") from exc
     return ProtocolRecord(
         steps=steps,
-        hamiltonians=be.listed(hams),
+        hamiltonians=state.listed(hams),
         model=model,
-        backend=backend,
+        backend=state.backend,
         final_state=state.matrix(),
     )
 
@@ -495,30 +426,26 @@ def _ergotropy(state, ham) -> float:
     ergotropy of Allahverdyan, Balian and Nieuwenhuizen): its energy minus
     the anti-ordered pairing of its symmetrised matrix's spectrum with the
     energies of ``ham``."""
-    m = state.matrix()
-    floor = float(_check_spectrum(np.linalg.eigvalsh(0.5 * (m + m.conj().T)))[::-1]
-                  @ ham.es.values)
-    return state.energy(ham) - floor
+    return state.energy(ham) - float(state.spectrum()[::-1] @ ham.es.values)
 
 
 def optimal_work_bound(gamma0, ham0) -> float:
     """Largest work any quench-and-dephase protocol can extract: the initial
     energy minus the anti-ordered pairing of the correlation spectrum with
     the mode energies."""
-    be = _BACKENDS["gaussian"]
-    state = be.check(gamma0)
-    return _ergotropy(state, be.wrap([ham0], state)[0])
+    state = fg._ModeState.of(gamma0)
+    return _ergotropy(state, state.schedule([ham0])[0])
 
 
 def _four_phase(gamma0, ham0) -> Callable:
     """Builder ``n -> [H^(0) .. H^(n + 2)]`` of the cyclic four-phase protocol
     extracting the maximum work from a correlation matrix under the dephasing
     map: n + 2 quenches, two aligning ones plus n rotation steps."""
-    return _four_phase_of("gaussian", _BACKENDS["gaussian"].check(gamma0), ham0)
+    return _four_phase_of(fg._ModeState.of(gamma0), ham0)
 
 
-def _four_phase_of(backend: str, state, ham0) -> Callable:
-    """:func:`_four_phase` on either ``backend``, for a validated ``state``.
+def _four_phase_of(state, ham0) -> Callable:
+    """:func:`_four_phase` on the back end of the validated ``state``.
 
     Two legs, each a quench aligning the modes with the eigenbasis of a
     state matrix (the spectrum of ``ham0`` assigned anti-sorted), then an
@@ -531,13 +458,12 @@ def _four_phase_of(backend: str, state, ham0) -> Callable:
     once and builds its Hamiltonians with the record class's ``_of`` from the
     eigensystems its rotation gives, which they keep.
     """
-    be = _BACKENDS[backend]
-    ham0 = be.wrap([ham0], state)[0]
+    ham0 = state.schedule([ham0])[0]
     h0, es0 = ham0.h, ham0.es
     e_desc = es0.values[::-1]
 
     def leg(m: np.ndarray) -> Callable:
-        w = be.eigenbasis(m)
+        w = state.eigenbasis(m)
         h_from = (w * e_desc) @ w.conj().T
         if np.allclose(h_from, h0, atol=1e-13):
             return lambda half: [ham0] * (half + 1)
@@ -552,19 +478,17 @@ def _four_phase_of(backend: str, state, ham0) -> Callable:
         if n < 2 or n % 2:
             raise ValueError(f"the number of quenches must be even and at least 2, got {n}")
         hams = [ham0] + first(n // 2)
-        return hams + leg(_run(state, 0.0, hams, fg.GGE, backend, False).final_state)(n // 2)
+        return hams + leg(_run(state, 0.0, hams, fg.GGE, False).final_state)(n // 2)
 
     return schedule
 
 
-def _optimal_protocol(state, ham0, n_quenches: int, backend: str,
-                      keep_states: bool) -> ProtocolRecord:
-    """:func:`_four_phase`'s schedule run under dephasing; ``meta['work_bound']`` is its ceiling."""
-    be = _backend(backend)
-    state = be.check(state)
+def _optimal_protocol(state, ham0, n_quenches: int, keep_states: bool) -> ProtocolRecord:
+    """:func:`_four_phase`'s schedule run under dephasing from the validated ``state``;
+    ``meta['work_bound']`` is its ceiling."""
     entropy = state.entropy()     # a spectrum outside [0, 1] raises here, not in the builder
-    hams = _four_phase_of(backend, state, ham0)(n_quenches)
-    record = _run(state, entropy, hams, fg.GGE, backend, keep_states)
+    hams = _four_phase_of(state, ham0)(n_quenches)
+    record = _run(state, entropy, hams, fg.GGE, keep_states)
     record.meta["work_bound"] = _ergotropy(state, hams[0])
     return record
 
@@ -573,13 +497,13 @@ def optimal_gge_protocol(gamma0, ham0, n_quenches: int, *, keep_states: bool = T
     """Four-phase extraction from a correlation matrix under the dephasing map, in
     ``n_quenches`` + 2 quenches (see :func:`_four_phase`); ``meta['work_bound']``
     is :func:`optimal_work_bound`."""
-    return _optimal_protocol(gamma0, ham0, n_quenches, "gaussian", keep_states)
+    return _optimal_protocol(fg._ModeState.of(gamma0), ham0, n_quenches, keep_states)
 
 
 def optimal_ta_protocol(rho0, h0, n_quenches: int, *, keep_states: bool = True) -> ProtocolRecord:
     """Four-phase extraction from a density matrix under the pinching map, in ``n_quenches``
     + 2 quenches; ``meta['work_bound']`` is the passive gap Tr(rho0 H0) - Tr(rearranged H0)."""
-    return _optimal_protocol(rho0, h0, n_quenches, "dense", keep_states)
+    return _optimal_protocol(qd._State.of(rho0), h0, n_quenches, keep_states)
 
 
 def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,
@@ -596,16 +520,15 @@ def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,
     if not k < 0:       # NaN fails this test too
         raise ValueError(f"k must be negative, got {k}")
     n_quenches = _quench_counts([n_quenches])[0]
-    rho = qd.check_state(rho0)
-    h0 = qd._hamiltonian(h0, rho)
+    state = qd._State.of(rho0)
+    rho, h0 = state.b, qd._hamiltonian(h0, state.b)
     p, w = np.linalg.eigh(rho)
     if float(p.min()) < 1e-12:
         raise ValueError(f"state is singular (smallest eigenvalue {float(p.min()):.3e}); "
                          "the logarithm quench needs full rank")
     h1 = (w * (k * np.log(p))) @ w.conj().T
     hams = _Hamiltonian._schedule([h0] + Trajectory.linear(h1, h0).schedule(n_quenches))
-    state = qd._State(None, rho)
-    record = _run(state, state.entropy(), hams, fg.GIBBS, "dense", keep_states)
+    record = _run(state, state.entropy(), hams, fg.GIBBS, keep_states)
     es = hams[-1].es    # the last Hamiltonian is h0
     beta_star = qd._entropy_matching_beta(es.values, record.steps[0].entropy)
     record.meta["beta_star"] = beta_star
@@ -692,7 +615,6 @@ def min_work_scan(
     Failures are recorded and the sweep continues.  The exact model at
     position i draws its hold times from ``SeedSequence(seed, spawn_key=(i,
     N))``, so results do not depend on scheduling."""
-    be = _BACKENDS["gaussian"]
     workers = _max_workers()
     if not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError(f"seed must be an int >= 0, got {seed!r}")
@@ -704,7 +626,7 @@ def min_work_scan(
     for label in labels:
         if labels.count(label) > 1:
             raise ValueError(f"models must have distinct labels, got {label!r} more than once")
-    state = be.check(initial_state)
+    state = fg._ModeState.of(initial_state)
     entropy = state.entropy()     # a correlation spectrum outside [0, 1] raises here
 
     def failure(exc) -> tuple:
@@ -712,7 +634,7 @@ def min_work_scan(
 
     def sweep(n) -> list[tuple]:
         try:
-            hams = be.wrap(schedule(n), state)
+            hams = state.schedule(schedule(n))
         except Exception as exc:
             return [failure(exc)] * len(models)
         cells = []
@@ -720,7 +642,7 @@ def min_work_scan(
             if isinstance(model, fg.Exact):
                 model = replace(model, seed=np.random.SeedSequence(int(seed), spawn_key=(i, n)))
             try:
-                rec = _run(state, entropy, hams, model, "gaussian", keep_states=False)
+                rec = _run(state, entropy, hams, model, keep_states=False)
                 cells.append((rec.work, rec.entropy_production, None))
             except Exception as exc:
                 cells.append(failure(exc))

@@ -96,7 +96,7 @@ def test_local_experiments_raise_the_first_failed_cell(tmp_path, capsys, monkeyp
     def no_hold(*args, **kwargs):
         raise ValueError("no hold")
 
-    monkeypatch.setattr(gt.fermions, "_evolve", no_hold)
+    monkeypatch.setattr(gt.fermions._ModeState, "evolve", no_hold)
     out = tmp_path / "f2.csv"
     assert cli.main(["fig2", "--n", "8", "--quenches", "2,4", "--out", str(out)]) == 1
     assert "exact at N = 2: RuntimeError: step 1: no hold" in capsys.readouterr().err

@@ -90,7 +90,7 @@ def _fig2_first_leg(n, seed):
     # by a signed permutation of modes
     ham0, gamma0 = cli.fig2_initial_state(
         cli.parse_config(["fig2", "--n", str(n), "--seed", str(seed)]))
-    w = pr._gaussian_eigenbasis(gamma0)
+    w = fermions._ModeState.eigenbasis(gamma0)
     return (w * ham0.energies[::-1]) @ w.conj().T, ham0.c
 
 
@@ -532,12 +532,34 @@ def test_fixed_hold_exact_ignores_seed_and_matches_hand_loop():
 def test_run_schedule_rejects_unknown_backend_and_model_at_entry():
     ham = gt.build_chain(2, [0.5, 1.0], 0.3)
     gamma = random_correlation(2, make_rng(70))
-    with pytest.raises(ValueError, match="backend must be one of"):
-        gt.run_schedule(gamma, [ham, ham], gt.GGE, backend="sparse")
+    for backend in ("sparse", ["dense"], None):
+        with pytest.raises(ValueError, match=re.escape(
+                f"backend must be one of ('gaussian', 'dense'), got {backend!r}")):
+            gt.run_schedule(gamma, [ham, ham], gt.GGE, backend=backend)
     with pytest.raises(TypeError, match="unknown equilibration model"):
         gt.run_schedule(gamma, [ham, ham], "gibbs")
     with pytest.raises(TypeError, match="unknown equilibration model"):
         gt.run_schedule(0.5 * np.eye(2), [np.eye(2), np.eye(2)], object(), backend="dense")
+
+
+def test_protocol_record_names_its_back_end_at_every_entry_point():
+    # ProtocolRecord.backend is the public name of the state type that ran it
+    rng = make_rng(71)
+    ham = gt.build_chain(2, [0.5, 1.0], 0.3)
+    gamma = random_correlation(2, rng, lo=0.05, hi=0.95)
+    rho, h = random_density(4, rng), random_hermitian(4, rng)
+    records = {
+        "gaussian": [gt.run_schedule(gamma, [ham, ham], gt.GGE),
+                     gt.run_schedule(gamma, [ham, ham], gt.GIBBS, backend="gaussian"),
+                     gt.run_protocol(gamma, gt.Trajectory.linear(ham.c, 2.0 * ham.c), 2, gt.Exact(1.0)),
+                     gt.optimal_gge_protocol(gamma, ham, 2)],
+        "dense": [gt.run_schedule(rho, [h, h], gt.GGE, backend="dense"),
+                  gt.run_protocol(rho, gt.Trajectory.linear(h, 2.0 * h), 2, gt.GIBBS, backend="dense"),
+                  gt.optimal_ta_protocol(rho, h, 2),
+                  gt.optimal_gibbs_protocol(rho, h, -1.0, 2)],
+    }
+    for name, recs in records.items():
+        assert [rec.backend for rec in recs] == [name] * len(recs)
 
 
 def test_dense_run_schedule_validates_schedule_and_state_at_entry():
@@ -559,7 +581,7 @@ def test_dense_run_schedule_validates_schedule_and_state_at_entry():
 
 
 def test_dense_schedule_errors_are_the_one_by_one_checks_in_order():
-    # the dense wrap checks a schedule in one stacked call; a failing matrix is
+    # the dense schedule is checked in one stacked call; a failing matrix is
     # named by the per-matrix check (dense._hamiltonian), with its own text,
     # and the first failure in schedule order wins, whatever its kind
     rho = np.eye(2) / 2
@@ -575,7 +597,7 @@ def test_dense_schedule_errors_are_the_one_by_one_checks_in_order():
             hams = [ok] * 4
             hams[k], hams[k + 1] = bad[first], bad[second]
             with pytest.raises(ValueError, match=texts[first]) as stacked:
-                pr._BACKENDS["dense"].wrap(hams, dense._State(None, rho))
+                dense._State(None, rho).schedule(hams)
             with pytest.raises(ValueError) as alone:
                 [dense._hamiltonian(h, rho) for h in hams]
             assert str(stacked.value) == str(alone.value)
@@ -653,10 +675,9 @@ class _Redecomposed(_Fresh):
 
 
 def _one_by_one_dense(record=_Fresh):
-    """The dense back end checking each Hamiltonian on its own into a ``record``:
+    """The dense ``schedule`` checking each Hamiltonian on its own into a ``record``:
     the reference for the stacked records."""
-    return pr._BACKENDS["dense"]._replace(
-        wrap=lambda hs, state: [record(dense._hamiltonian(h, state.b)) for h in hs])
+    return lambda state, hs: [record(dense._hamiltonian(h, state.b)) for h in hs]
 
 
 def _assert_same_record(got, want):
@@ -673,7 +694,7 @@ def _assert_same_record(got, want):
 
 
 def test_dense_stacked_runs_equal_one_by_one_reference(monkeypatch):
-    # the dense wrap checks and decomposes a schedule in stacked calls and
+    # dense._State.schedule checks and decomposes a schedule in stacked calls and
     # carries each eigensystem and its pinching labels with its Hamiltonian;
     # every record equals the one-by-one reference bit for bit: all three
     # models, kept states or not, real and complex schedules with degenerate
@@ -703,7 +724,7 @@ def test_dense_stacked_runs_equal_one_by_one_reference(monkeypatch):
              for rho in (real_rho, rho0) for n in (2, 6) for keep in (True, False)]
     stacked = [run() for run in runs]
     with monkeypatch.context() as patch:
-        patch.setitem(pr._BACKENDS, "dense", _one_by_one_dense())
+        patch.setattr(dense._State, "schedule", _one_by_one_dense())
         for run, got in zip(runs, stacked):
             _assert_same_record(got, run())
     # optimal_gibbs_protocol: the reference runs its schedule one by one and
@@ -717,9 +738,9 @@ def test_dense_stacked_runs_equal_one_by_one_reference(monkeypatch):
             p, w = np.linalg.eigh(r)
             schedule = [h] + gt.Trajectory.linear((w * (k * np.log(p))) @ w.conj().T, h).schedule(n)
             with monkeypatch.context() as patch:
-                patch.setitem(pr._BACKENDS, "dense", _one_by_one_dense())
+                patch.setattr(dense._State, "schedule", _one_by_one_dense())
                 state = dense._State(None, r)
-                want = pr._run(state, state.entropy(), [_Fresh(h) for h in schedule], gt.GIBBS, "dense", keep)
+                want = pr._run(state, state.entropy(), [_Fresh(h) for h in schedule], gt.GIBBS, keep)
             es = hermitian.eigh(h)
             beta_star = dense._entropy_matching_beta(es.values, want.steps[0].entropy)
             want.meta["beta_star"] = beta_star
@@ -740,7 +761,7 @@ def test_dense_four_phase_samples_keep_their_rotation_eigensystems(monkeypatch):
             rho, h0 = random_density(d, rng), random_hermitian(d, rng)
             got = gt.optimal_ta_protocol(rho, h0, n)
             with monkeypatch.context() as patch:
-                patch.setitem(pr._BACKENDS, "dense", _one_by_one_dense(_Redecomposed))
+                patch.setattr(dense._State, "schedule", _one_by_one_dense(_Redecomposed))
                 want = gt.optimal_ta_protocol(rho, h0, n)
             assert len(got.steps) == len(want.steps) == n + 3
             for a, b in zip(got.steps, want.steps):
@@ -894,10 +915,10 @@ def test_dense_runner_matches_matrix_path_reference(kind, keep_states):
 def test_dense_runner_diagonalises_only_where_needed(monkeypatch):
     # pinched and thermal states travel as populations, so their entropies and
     # energies need no diagonalisation: on a nondegenerate schedule, eigvalsh
-    # and eigh run only before step 1 (the state's check and entropy, the
-    # schedule's stacked decomposition); an exact run adds one eigvalsh, for its
-    # last record.  No step rebuilds a matrix from an eigensystem unless states
-    # are kept
+    # and eigh run only before step 1 (one eigvalsh for the state's check, whose
+    # spectrum gives the step-0 entropy, and the schedule's stacked
+    # decomposition); an exact run adds one eigvalsh, for its last record.  No
+    # step rebuilds a matrix from an eigensystem unless states are kept
     rng = make_rng(403)
     n_q = 20
     hams = [random_hermitian(6, rng) for _ in range(n_q + 1)]
@@ -920,7 +941,7 @@ def test_dense_runner_diagonalises_only_where_needed(monkeypatch):
             rebuilt.clear()
             gt.run_schedule(rho0, hams, model, backend="dense", keep_states=keep)
             first = calls.index("quench")
-            assert {"eigvalsh", "eigh"} <= set(calls[:first]), model
+            assert calls[:first].count("eigvalsh") == 1 and "eigh" in calls[:first], model
             assert [c for c in calls[first:] if c != "quench"] == after, (model, keep)
             if not keep:
                 assert not rebuilt, model
@@ -1090,13 +1111,13 @@ def test_optimal_ta_protocol_checks_the_state_once_per_built_step(monkeypatch, n
     rng = make_rng(402)
     rho0, h0 = random_density(4, rng), random_hermitian(4, rng)
     checks = []
-    check_state = dense.check_state
+    of = dense._State.of
 
-    def counting(rho):
+    def counting(cls, rho):
         checks.append(1)
-        return check_state(rho)
+        return of(rho)
 
-    monkeypatch.setattr(dense, "check_state", counting)
+    monkeypatch.setattr(dense._State, "of", classmethod(counting))
     gt.optimal_ta_protocol(rho0, h0, n_q, keep_states=False)
     assert len(checks) == 1
 
@@ -1111,13 +1132,13 @@ def test_exact_last_entropy_shows_drift(monkeypatch):
     model = gt.Exact(0.5, 4.0, 1)
     clean = gt.run_schedule(gamma0, hams, model, keep_states=False)
     assert abs(clean.steps[-1].entropy - clean.steps[0].entropy) <= 1e-12
-    evolve = fermions._evolve
+    evolve = fermions._ModeState.evolve
 
     def leaky(state, ham, t):
-        held = evolve(state, ham, t)
-        return held._replace(g=held.g * (1.0 + 1e-6))
+        held, duals = evolve(state, ham, t)
+        return held._replace(g=held.g * (1.0 + 1e-6)), duals
 
-    monkeypatch.setattr(fermions, "_evolve", leaky)
+    monkeypatch.setattr(fermions._ModeState, "evolve", leaky)
     drifted = gt.run_schedule(gamma0, hams, model, keep_states=False)
     assert drifted.steps[-2].entropy == clean.steps[0].entropy
     assert abs(drifted.steps[-1].entropy - clean.steps[-1].entropy) > 1e-9
@@ -1648,7 +1669,7 @@ def test_empty_schedules_and_scans_are_rejected():
 
 
 def test_gaussian_schedule_errors_keep_their_text_and_come_before_step_1(monkeypatch):
-    # the gaussian wrap checks a schedule in stacked calls; a bad matrix last
+    # the gaussian schedule is checked in stacked calls; a bad matrix last
     # in a 30-element schedule still raises its one-by-one text before any
     # step runs, and the sweep records that text for every N
     c = gt.build_chain(4, [0.5, 1.0, 1.5, 2.0], 0.3).c

@@ -50,7 +50,7 @@ def test_fig2_deficit_approaches_its_step_equilibration_length():
     # at O(1/N) (6.38 and 6.53 at N = 100 and 200; the remainder times N
     # reads 30.1 and 30.8); 2b's 0.99 at N = 100 would need a length of at most 1.0.
     ham0, gamma0 = cli.fig2_initial_state(cli.parse_config(["fig2"]))
-    w = pr._gaussian_eigenbasis(gamma0)
+    w = fg._ModeState.eigenbasis(gamma0)
     h_from = (w * ham0.energies[::-1]) @ w.conj().T
     traj = pr.Trajectory((h_from, ham0.c), ("eigenvectors",))
     rotation = traj._rotations[0]
