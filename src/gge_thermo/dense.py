@@ -162,8 +162,12 @@ class _State(NamedTuple):
         return p
 
     def entropy(self) -> float:
-        """Von Neumann entropy of :meth:`spectrum`."""
-        return 0.0 - float(np.sum(_xlogx(np.clip(self.spectrum(), 0.0, 1.0))))   # +0.0, not -0.0, when pure
+        return float(self.entropies(self.spectrum()))
+
+    @staticmethod
+    def entropies(p: np.ndarray) -> np.ndarray:
+        """Von Neumann entropy of each checked spectrum (a row of ``p``, or ``p``)."""
+        return 0.0 - np.sum(_xlogx(np.clip(p, 0.0, 1.0)), axis=-1)   # +0.0, not -0.0, when pure
 
     def energy(self, ham: _Hamiltonian) -> float:
         """Mean energy: Tr(H b) for the input matrix, else eps . p in the eigenbasis of ``ham``."""
@@ -201,8 +205,8 @@ class _State(NamedTuple):
             return _State(ham, self.p), None
         return _State(ham, self.b * (labels[:, None] == labels[None, :])), None
 
-    def thermalise(self, ham: _Hamiltonian):
-        """Thermal state of ``ham`` at the mean energy of this state, as its Gibbs weights; dual beta."""
+    def thermalise(self, ham: _Hamiltonian, start: float | None = None):
+        """Gibbs weights of ``ham`` at this state's energy, beta sought from ``start`` if given; dual beta."""
         target = self.energy(ham)
         eps = ham.es.values
         span = float(eps[-1] - eps[0])
@@ -221,7 +225,7 @@ class _State(NamedTuple):
 
         # the residual's round-off floor: the weights sum to 1, so the mean is off by eps max |eps_k|
         floor = _EPS4 * (max(abs(float(eps[0])), abs(float(eps[-1]))) + abs(target))
-        beta = _energy_matching_root(fs, floor=floor)
+        beta = _energy_matching_root(fs, floor=floor, start=start)
         return _State(ham, _thermal_weights(eps, beta)), (float(beta),)
 
 

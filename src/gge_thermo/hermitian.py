@@ -20,11 +20,11 @@ whose eigensystem and degeneracy labels are given or worked out on first use.
 
 Both back ends import this module and not each other, so the rules they
 share live here.  :func:`_energy_matching_root` (bracket, then safeguarded
-Newton-bisection) is the one root finder: ``fermions.solve_beta`` and
-``dense.gibbs_state_dense`` match a mean energy with it, and the kernel
-``dense._entropy_matching_beta`` an entropy (beta* of
-``protocols.optimal_gibbs_protocol``).  :func:`_check_spectrum` is the
-one range rule for a correlation spectrum or mode populations, called by
+Newton-bisection, or warm from a run's last beta) is the one root finder:
+``fermions.solve_beta``, ``dense.gibbs_state_dense`` and both thermal maps
+match a mean energy with it, ``dense._entropy_matching_beta`` an entropy
+(beta* of ``protocols.optimal_gibbs_protocol``).  :func:`_check_spectrum` is
+the one range rule for a correlation spectrum or mode populations, called by
 ``fermions._ModeState.spectrum`` (for its entropy and the ergotropy floor)
 and ``dense.gaussian_to_dense``.  :func:`_fermi` and :func:`_xlogx` are the
 Fermi-function and entropy kernels, in numpy like the whole package.
@@ -254,49 +254,59 @@ def _xlogx(p: np.ndarray) -> np.ndarray:
     return p * np.log(np.where(p > 0.0, p, 1.0))
 
 
-def _energy_matching_root(fs, lo: float = -64.0, hi: float = 64.0, floor: float = 0.0) -> float:
+def _energy_matching_root(fs, lo: float = -64.0, hi: float = 64.0, floor: float = 0.0, start=None) -> float:
     """Root of a residual f (a mean energy or an entropy minus its target),
     strictly decreasing on the bracket; ``fs(beta)`` returns ``(f, df/dbeta)``.
 
-    The bracket (``lo``, ``hi``) doubles outwards until the residual changes
-    sign (up to |beta| = 1e12; an end at zero stays put).  From its midpoint,
-    a Newton step is taken when it stays inside the shrinking bracket and is
-    at most half the step before last; otherwise the bracket is bisected.  The
-    root is returned once a step falls below 1e-14 + 4 eps |beta|, or once
-    |f| is at most ``floor``, the residual's round-off level.
+    Cold, the bracket (``lo``, ``hi``) doubles outwards until the residual
+    changes sign (up to |beta| = 1e12; an end at zero stays put), and the
+    search starts at its midpoint; warm, it starts at ``start`` (if below 1e12
+    in size, so not at NaN or +-inf) with both sides open.  A Newton step is
+    taken when it stays inside the bracket and is at most half the step before
+    last; else a closed bracket is bisected, and an open one grows from the
+    point towards the root by twice the last step (first max(1, |start|)).
+    The root is returned once a step falls below 1e-14 + 4 eps |beta|, or once
+    |f| is at most ``floor``, the residual's round-off level.  A warm search
+    not done after 8 evaluations falls back to the cold one.
 
     Raises RuntimeError when no sign change is found or 200 steps do not
     converge (residual reported).
     """
-    f_lo, f_hi = fs(lo)[0], fs(hi)[0]  # f decreasing: want f_lo >= 0 >= f_hi
-    while f_lo < 0.0 and -1e12 < lo < 0.0:
-        lo *= 2.0
-        f_lo = fs(lo)[0]
-    while f_hi > 0.0 and 0.0 < hi < 1e12:
-        hi *= 2.0
-        f_hi = fs(hi)[0]
-    if f_lo < 0.0 or f_hi > 0.0:
-        raise RuntimeError(
-            "beta matching found no sign change after bracket expansion; residual "
-            f"{min(abs(f_lo), abs(f_hi)):.3e}"
-        )
-    beta = 0.5 * (lo + hi)
-    step = step_old = hi - lo
-    for _ in range(200):
-        f, s = fs(beta)
-        if abs(f) <= floor:
-            return beta
-        if f > 0.0:
-            lo = beta
-        else:
-            hi = beta
-        newton = f / s if s < 0.0 else np.inf
-        if lo <= beta - newton <= hi and 2.0 * abs(newton) <= step_old:
-            step_old, step = step, abs(newton)
-            beta -= newton
-        else:
-            step_old, step = step, 0.5 * (hi - lo)
-            beta = lo + step
-        if step <= 1e-14 + _EPS4 * abs(beta):
-            return beta
+    for warm in (True, False) if start is not None and abs(start) < 1e12 else (False,):
+        a, b, beta = -np.inf, np.inf, start
+        if not warm:
+            f_lo, f_hi = fs(lo)[0], fs(hi)[0]  # f decreasing: want f_lo >= 0 >= f_hi
+            while f_lo < 0.0 and -1e12 < lo < 0.0:
+                lo *= 2.0
+                f_lo = fs(lo)[0]
+            while f_hi > 0.0 and 0.0 < hi < 1e12:
+                hi *= 2.0
+                f_hi = fs(hi)[0]
+            if f_lo < 0.0 or f_hi > 0.0:
+                raise RuntimeError(
+                    "beta matching found no sign change after bracket expansion; residual "
+                    f"{min(abs(f_lo), abs(f_hi)):.3e}"
+                )
+            a, b, beta = lo, hi, 0.5 * (lo + hi)
+        step = step_old = max(1.0, abs(start)) if warm else hi - lo
+        for _ in range(8 if warm else 200):
+            f, s = fs(beta)
+            if abs(f) <= floor:
+                return beta
+            if f > 0.0:
+                a = beta
+            else:
+                b = beta
+            newton = f / s if s < 0.0 else np.inf
+            if a <= beta - newton <= b and 2.0 * abs(newton) <= step_old:
+                step_old, step = step, abs(newton)
+                beta -= newton
+            elif b - a < np.inf:
+                step_old, step = step, 0.5 * (b - a)
+                beta = a + step
+            else:
+                step_old, step = step, 2.0 * step
+                beta += step if f > 0.0 else -step
+            if step <= 1e-14 + _EPS4 * abs(beta):
+                return beta
     raise RuntimeError(f"beta matching did not converge: residual {abs(f):.3e} after 200 steps")

@@ -277,12 +277,22 @@ def _exact_map(model: fg.Exact, state, steps: int):
     return lambda state, ham: evolve(state, ham, next(holds))
 
 
+def _gibbs_map(model: fg.Gibbs, state, steps: int):
+    """One run's thermal map: each step's beta is searched from the step before's, the first cold."""
+    thermalise, duals = type(state).thermalise, [()]    # the step before's (beta,)
+
+    def equilibrate(state, ham):
+        state, duals[0] = thermalise(state, ham, *duals[0])
+        return state, duals[0]
+    return equilibrate
+
+
 # The one model dispatch: model type -> (label, build), where build(model,
 # state, steps) gives the map (state, ham) -> (state, duals) of state's type.
 _MODELS = {
     fg.Exact: ("exact", _exact_map),
     fg.TimeAverageGGE: ("ta-gge", lambda model, state, steps: type(state).dephase),
-    fg.Gibbs: ("gibbs", lambda model, state, steps: type(state).thermalise),
+    fg.Gibbs: ("gibbs", _gibbs_map),
 }
 
 
@@ -332,11 +342,14 @@ def _run(state, entropy: float, hams, model, keep_states: bool) -> ProtocolRecor
     if not hams:
         raise ValueError("the schedule must contain at least the initial Hamiltonian")
     equilibrate = _model(model)[1](model, state, len(hams) - 1)
+    spectra = {}    # step -> spectrum, of the steps not held, checked as they run
 
     def record(m: int, state, work: float, duals) -> StepRecord:
         held = m == 0 or (isinstance(model, fg.Exact) and m < len(hams) - 1)
+        if not held:
+            spectra[m] = state.spectrum()
         return StepRecord(step=m, work_extracted=work, energy=state.energy(hams[m]),
-                          entropy=entropy if held else state.entropy(), duals=duals,
+                          entropy=entropy if held else None, duals=duals,
                           state=state.matrix() if keep_states else None)
 
     steps = [record(0, state, 0.0, None)]
@@ -348,6 +361,8 @@ def _run(state, entropy: float, hams, model, keep_states: bool) -> ProtocolRecor
             steps.append(record(m, state, -cost, duals))
         except Exception as exc:
             raise RuntimeError(f"step {m}: {exc}") from exc
+    for m, s in zip(spectra, state.entropies(np.array(list(spectra.values()), ndmin=2)).tolist()):
+        steps[m].entropy = s    # their entropies, in one stacked call
     return ProtocolRecord(
         steps=steps,
         hamiltonians=state.listed(hams),

@@ -35,21 +35,21 @@ def random_correlation(n, rng, lo=0.0, hi=1.0):
 
 def record_roots(monkeypatch, module):
     """Wrap ``module._energy_matching_root``: each call appends a record of its
-    residual callback ``fs``, its bracket and round-off floor, its root and how
-    often it called ``fs``."""
+    residual callback ``fs``, its bracket, round-off floor and warm start, its
+    root and how often it called ``fs``."""
     finder = module._energy_matching_root
     records = []
 
-    def recording(fs, lo=-64.0, hi=64.0, floor=0.0):
+    def recording(fs, lo=-64.0, hi=64.0, floor=0.0, start=None):
         calls = [0]
 
         def counted(beta):
             calls[0] += 1
             return fs(beta)
 
-        beta = finder(counted, lo, hi, floor)
-        records.append({"fs": fs, "lo": lo, "hi": hi, "floor": floor, "beta": beta,
-                        "calls": calls[0]})
+        beta = finder(counted, lo, hi, floor, start)
+        records.append({"fs": fs, "lo": lo, "hi": hi, "floor": floor, "start": start,
+                        "beta": beta, "calls": calls[0]})
         return beta
 
     monkeypatch.setattr(module, "_energy_matching_root", recording)

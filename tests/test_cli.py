@@ -86,7 +86,7 @@ def test_local_experiments_raise_the_first_failed_cell(tmp_path, capsys, monkeyp
     def no_beta(*args, **kwargs):
         raise ValueError("no temperature")
 
-    monkeypatch.setattr(gt.fermions, "solve_beta", no_beta)
+    monkeypatch.setattr(gt.fermions._ModeState, "thermalise", no_beta)
     out = tmp_path / "f3.csv"
     assert cli.main(["fig3", "--n", "8", "--quenches", "2,4", "--out", str(out)]) == 1
     assert "gibbs at N = 2: RuntimeError: step 1: no temperature" in capsys.readouterr().err

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 import gge_thermo as gt
+from gge_thermo import dense, fermions
 from gge_thermo.hermitian import (
+    _energy_matching_root,
     _fermi,
     _xlogx,
     cluster_degenerate,
     eigh,
     require_hermitian,
 )
-from _helpers import make_rng, random_hermitian
+from _helpers import make_rng, random_density, random_hermitian, record_roots
 
 
 def test_eigh_identity():
@@ -234,3 +236,121 @@ def test_require_hermitian_symmetrises():
     m = np.array([[1.0, 0.1 + 1e-14j], [0.1 - 2e-14j, 2.0]])
     out = require_hermitian(m)
     assert np.array_equal(out, out.conj().T)
+
+
+def _warm_and_cold(monkeypatch, rng, count):
+    """Cold and warm energy matches, as ``(cold, warm)`` root records of the finder,
+    on ``count`` random gaussian spectra (chains, through ``fermions._matching_beta``)
+    and as many dense ones (through ``dense._State.thermalise``), each warm one from
+    a start drawn around the cold root: off by 1e-4..10 either way."""
+    pairs = []
+    for module in (fermions, dense):
+        roots = record_roots(monkeypatch, module)
+        for _ in range(count):
+            if module is fermions:
+                n = int(rng.integers(2, 61))
+                ham = gt.build_chain(n, rng.uniform(-1.0, 2.0, n), float(rng.uniform(0.0, 1.0)))
+                lo, hi = gt.attainable_energy_range(ham)
+                target = float(rng.uniform(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo)))
+
+                def solve(start):
+                    fermions._matching_beta(ham, target, start)
+            else:
+                d = int(rng.integers(2, 17))
+                state = dense._State.of(random_density(d, rng))
+                ham = dense._Hamiltonian(dense._hamiltonian(random_hermitian(d, rng), state.b))
+
+                def solve(start):
+                    state.thermalise(ham, start)
+            solve(None)
+            solve(roots[-1]["beta"] + float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-4.0, 1.0))
+            pairs.append((roots[-2], roots[-1]))
+    return pairs
+
+
+def test_warm_energy_match_agrees_with_cold(monkeypatch):
+    # a warm start on either side of the root lands on the cold root: the two
+    # residuals agree within the finder's round-off floor, the roots within
+    # 1e-12 relative; far fewer evaluations are needed from close starts
+    pairs = _warm_and_cold(monkeypatch, make_rng(31), 300)
+    assert len(pairs) == 600
+    sides = set()
+    for cold, warm in pairs:
+        assert cold["start"] is None and warm["start"] is not None
+        sides.add(warm["start"] > cold["beta"])
+        f_cold, f_warm = cold["fs"](cold["beta"])[0], warm["fs"](warm["beta"])[0]
+        assert abs(f_warm - f_cold) <= 2.0 * cold["floor"], (cold, warm)
+        assert abs(warm["beta"] - cold["beta"]) <= 1e-12 * max(1.0, abs(cold["beta"]))
+    assert sides == {False, True}
+    near = [warm["calls"] for cold, warm in pairs if abs(warm["start"] - cold["beta"]) < 1e-2]
+    assert near and np.mean(near) <= 4.0
+
+
+def test_warm_energy_match_from_a_far_start():
+    # at |beta| = 1e3 every weight saturates and dE/dbeta underflows to 0, so
+    # no Newton step exists there: the bracket grows outwards from the start
+    # and the search still lands on the cold root, within its budget of 8
+    # evaluations before the cold search would take over
+    eps = np.array([-1.5, -0.8, 0.9, 2.0])
+    target = -0.7
+    calls = []
+
+    def fs(beta):
+        calls.append(beta)
+        p = _fermi(beta * eps)
+        return float(eps @ p) - target, -float((eps * eps) @ (p * (1.0 - p)))
+
+    floor = 4.0 * np.finfo(float).eps * (np.abs(eps).sum() + abs(target))
+    cold = _energy_matching_root(fs, floor=floor)
+    n_cold = len(calls)
+    for start in (1e3, -1e3):
+        assert fs(start)[1] == 0.0
+        calls.clear()
+        beta = _energy_matching_root(fs, floor=floor, start=start)
+        assert abs(beta - cold) <= 1e-12 * abs(cold)
+        assert abs(fs(beta)[0]) <= floor
+        assert len(calls) - 1 <= 8 + n_cold
+
+
+def test_warm_energy_match_falls_back_cold_after_8_evaluations():
+    # with no slope to step on, the warm search only brackets and bisects; not
+    # done after 8 evaluations, it hands over to the cold search, whose root
+    # and evaluations are those of a cold call
+    calls = []
+
+    def fs(beta):
+        calls.append(beta)
+        return math.tanh(0.55 - beta), 0.0
+
+    cold = _energy_matching_root(fs)
+    cold_calls = list(calls)
+    calls.clear()
+    assert _energy_matching_root(fs, start=0.3) == cold
+    assert len(calls) == 8 + len(cold_calls) and calls[8:] == cold_calls
+
+
+def test_warm_energy_match_ignores_non_finite_starts():
+    # NaN and +-inf are no start: the search runs cold, evaluation for evaluation
+    eps = np.array([-0.5, 0.1, 0.9])
+    calls = []
+
+    def fs(beta):
+        calls.append(beta)
+        p = _fermi(beta * eps)
+        return float(eps @ p) - 0.2, -float((eps * eps) @ (p * (1.0 - p)))
+
+    cold = _energy_matching_root(fs)
+    cold_calls = list(calls)
+    for start in (math.nan, math.inf, -math.inf):
+        calls.clear()
+        assert _energy_matching_root(fs, start=start) == cold
+        assert calls == cold_calls
+
+
+def test_warm_energy_match_keeps_the_no_sign_change_error():
+    # a residual that never changes sign exhausts the warm budget, then raises
+    # the cold search's error, text unchanged
+    for start in (None, 0.5, -3.0):
+        with pytest.raises(RuntimeError, match=r"^beta matching found no sign change after bracket "
+                                               r"expansion; residual 1\.000e\+00$"):
+            _energy_matching_root(lambda beta: (1.0, 0.0), start=start)

@@ -13,7 +13,7 @@ import gge_thermo as gt
 from gge_thermo import cli, dense, fermions, hermitian
 from gge_thermo import protocols as pr
 from _helpers import (brentq_root, count_eigh, count_schur, make_rng, random_correlation, random_density,
-                      random_hermitian, random_unitary)
+                      random_hermitian, random_unitary, record_roots)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -1144,6 +1144,83 @@ def test_exact_last_entropy_shows_drift(monkeypatch):
     assert abs(drifted.steps[-1].entropy - clean.steps[-1].entropy) > 1e-9
 
 
+def _returned_entropies(monkeypatch, cls, names):
+    """Wrap the maps ``names`` of the state class ``cls``: each call appends the
+    ``entropy()`` of the state it returns and whether that state is a matrix."""
+    seen = []
+    for name in names:
+        def returned(state, *args, _map=getattr(cls, name)):
+            out, duals = _map(state, *args)
+            seen.append((out.entropy(), out[1].ndim == 2))
+            return out, duals
+
+        monkeypatch.setattr(cls, name, returned)
+    return seen
+
+
+def test_step_entropies_are_each_state_entropy_bit_for_bit(monkeypatch):
+    # a run takes its steps' entropies in one stacked call; each is the entropy()
+    # of the state its step's map returned, bit for bit: gaussian ta-gge, Gibbs
+    # and the exact last step, and dense pinching and Gibbs on a schedule with a
+    # degenerate level every other step, where pinched states are matrices
+    rng = make_rng(77)
+    gamma0 = random_correlation(6, rng, lo=0.05, hi=0.95)
+    hams = _random_chain_schedule(6, 12, rng)
+    seen = _returned_entropies(monkeypatch, fermions._ModeState, ("dephase", "thermalise", "evolve"))
+    for model in (gt.GGE, gt.GIBBS, gt.Exact(0.5, 4.0, 1)):
+        seen.clear()
+        steps = gt.run_schedule(gamma0, hams, model, keep_states=False).steps
+        assert len(seen) == 12
+        held = 11 if isinstance(model, gt.Exact) else 0
+        assert [s.entropy for s in steps[1 + held:]] == [e for e, _ in seen[held:]], model
+
+    rho0 = random_density(4, rng)
+    us = [random_unitary(4, rng) for _ in range(11)]
+    hs = [random_hermitian(4, rng) if m % 2 else (u * [0.0, 1.0, 1.0, 2.5]) @ u.conj().T for m, u in enumerate(us)]
+    seen = _returned_entropies(monkeypatch, dense._State, ("dephase", "thermalise"))
+    for model in (gt.GGE, gt.GIBBS):
+        seen.clear()
+        steps = gt.run_schedule(rho0, hs, model, backend="dense", keep_states=False).steps
+        assert [s.entropy for s in steps[1:]] == [e for e, _ in seen], model
+        assert {matrix for _, matrix in seen} == ({False, True} if model is gt.GGE else {False})
+
+
+def test_population_drift_is_named_at_its_step_before_later_failures(monkeypatch):
+    # populations pushed out of [0, 1] at step 3 raise, named with that step,
+    # even though the map fails outright at step 5: the spectrum is checked as
+    # each step runs, and only the entropies wait for the stacked call
+    rng = make_rng(78)
+    gamma0 = random_correlation(5, rng, lo=0.05, hi=0.95)
+    hams = _random_chain_schedule(5, 8, rng)
+    dephase, calls = fermions._ModeState.dephase, []
+
+    def drifting(state, ham):
+        calls.append(ham)
+        if len(calls) == 5:
+            raise ValueError("a later failure")
+        out, duals = dephase(state, ham)
+        return (out._replace(g=out.g + 1.0) if len(calls) == 3 else out), duals
+
+    monkeypatch.setattr(fermions._ModeState, "dephase", drifting)
+    with pytest.raises(RuntimeError, match=r"^step 3: correlation spectrum outside \[0, 1\]: min 1\.\d+e\+00"):
+        gt.run_schedule(gamma0, hams, gt.GGE, keep_states=False)
+
+
+def test_gibbs_run_matches_each_energy_from_the_last_beta(monkeypatch):
+    # fig3 at its defaults (n = 100, N = 64): the first thermal step matches its
+    # energy cold and each later one starts from the step before's beta, so a
+    # match averages at most 3.5 residual evaluations (7.02 with every one cold)
+    roots = record_roots(monkeypatch, fermions)
+    config = cli.parse_config(["fig3"])
+    ham0, gamma0 = cli.fig3_initial_state(config)
+    hams = pr.local_quench_schedule(ham0, config.eps1_peak, 64)
+    steps = gt.run_schedule(gamma0, hams, gt.GIBBS, keep_states=False).steps
+    assert len(roots) == 64
+    assert [r["start"] for r in roots] == [None] + [s.duals[0] for s in steps[1:-1]]
+    assert [r["beta"] for r in roots] == [s.duals[0] for s in steps[1:]]
+    assert np.mean([r["calls"] for r in roots]) <= 3.5
+
+
 # ---------------------------------------------------------------------------
 # Quasi-static limits
 # ---------------------------------------------------------------------------
@@ -1528,6 +1605,7 @@ def test_min_work_scan_is_thread_independent(monkeypatch):
     monkeypatch.setenv("GGE_THERMO_THREADS", "2")
     threaded = gt.min_work_scan(gamma0, traj.schedule, models, [1, 2, 4, 8, 16], seed=1)
     np.testing.assert_array_equal(serial.works, threaded.works)
+    np.testing.assert_array_equal(serial.entropy_production, threaded.entropy_production)
     assert serial.failures == threaded.failures
 
 
@@ -1579,6 +1657,7 @@ def test_min_work_scan_local_quench_sweep_is_thread_independent(monkeypatch):
     threaded = gt.min_work_scan(gamma0, schedule, models, [1, 2, 4, 8, 16], seed=3)
     assert np.all(np.isfinite(serial.works))
     np.testing.assert_array_equal(serial.works, threaded.works)
+    np.testing.assert_array_equal(serial.entropy_production, threaded.entropy_production)
     assert serial.failures == threaded.failures
 
 
