@@ -4,8 +4,9 @@ quantities, passivity tests, and the brute-force bridge to the fermionic
 correlation-matrix formalism.
 
 Public maps take plain d x d arrays (Hermitian, PSD, unit trace).  Inside,
-as in ``fermions``, a state is one ``_State`` in the eigenbasis of a
-Hamiltonian, pinched and thermal states as level populations; its
+a state is one ``_State`` in the eigenbasis of a Hamiltonian, pinched and
+thermal states as level populations: the eigenbasis state
+``hermitian._EigenState`` that ``fermions._ModeState`` also is.  Its
 ``evolve``, ``dephase`` and ``thermalise`` are the three maps, for the
 protocol runner and the public maps alike.  The maximum-entropy state
 compatible with a mean energy and a set of observable expectations is found
@@ -21,13 +22,12 @@ constraint residuals, so dual optimality certifies the constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .hermitian import (_EPS4, STATE_ATOL, _check_spectrum, _energy_matching_root, _Hamiltonian,
-                        _hermitian_part, _require_hermitian_all, _xlogx, cluster_degenerate,
-                        require_hermitian)
+from .hermitian import (_EPS4, STATE_ATOL, _check_spectrum, _EigenState, _energy_matching_root,
+                        _expectation, _Hamiltonian, _hermitian_part, _require_hermitian_all, _xlogx,
+                        cluster_degenerate, require_hermitian)
 
 __all__ = [
     "ConservedSet",
@@ -85,10 +85,6 @@ def _prologue(rho, hamiltonian):
     return state, _Hamiltonian(_hamiltonian(hamiltonian, state.b))
 
 
-def _expectation(rho: np.ndarray, obs: np.ndarray) -> float:
-    return float(np.einsum("ij,ji->", obs, rho).real)
-
-
 def ta_state(rho, hamiltonian) -> np.ndarray:
     """Pinch the state in the eigenbasis of the Hamiltonian.
 
@@ -101,19 +97,11 @@ def ta_state(rho, hamiltonian) -> np.ndarray:
     return state.quench(ham).dephase(ham)[0].matrix()
 
 
-class _State(NamedTuple):
-    """Density matrix V b V^dag in the eigenbasis V of ``ham``, with b its matrix
-    there or, for a state diagonal there, its populations p; or, when ``ham`` is
-    None, the checked input matrix b and the eigenvalues its check computed.  A hold
-    never meets populations: an exact run starts from a matrix and stays one.
+class _State(_EigenState):
+    """Density matrix: ``hermitian._EigenState`` in the eigenbasis of ``ham``, or on the
+    sites, with the dense checks, spectrum and thermal map."""
 
-    The dense back end: :meth:`of` and :meth:`schedule` validate the inputs, the
-    other methods trust them; each map takes the state after :meth:`quench` to
-    its Hamiltonian and returns ``(state, duals)``."""
-
-    ham: _Hamiltonian | None
-    b: np.ndarray
-    eigenvalues: np.ndarray | None = None
+    __slots__ = ()
     backend = "dense"
 
     @classmethod
@@ -137,21 +125,6 @@ class _State(NamedTuple):
         check (kept records then fragment the heap less: 1.5-2 MB of peak RSS on dense-small)."""
         return [ham.h.copy() for ham in hams]
 
-    @staticmethod
-    def eigenbasis(rho: np.ndarray) -> np.ndarray:
-        """A density matrix's eigenvectors, by ascending population."""
-        return np.linalg.eigh(0.5 * (rho + rho.conj().T))[1]
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.b if self.b.ndim == 1 else self.b.diagonal().real
-
-    def matrix(self) -> np.ndarray:
-        if self.ham is None:
-            return self.b
-        v = self.ham.es.vectors
-        return (v * self.b) @ v.conj().T if self.b.ndim == 1 else v @ self.b @ v.conj().T
-
     def spectrum(self) -> np.ndarray:
         """The populations, or the matrix's eigenvalues (the check's, on the sites); a
         negative one beyond ``STATE_ATOL`` raises, so a drifting state shows."""
@@ -161,49 +134,10 @@ class _State(NamedTuple):
             raise ValueError(f"state has negative eigenvalue {p.min():.3e}")
         return p
 
-    def entropy(self) -> float:
-        return float(self.entropies(self.spectrum()))
-
     @staticmethod
     def entropies(p: np.ndarray) -> np.ndarray:
         """Von Neumann entropy of each checked spectrum (a row of ``p``, or ``p``)."""
         return 0.0 - np.sum(_xlogx(np.clip(p, 0.0, 1.0)), axis=-1)   # +0.0, not -0.0, when pure
-
-    def energy(self, ham: _Hamiltonian) -> float:
-        """Mean energy: Tr(H b) for the input matrix, else eps . p in the eigenbasis of ``ham``."""
-        if self.ham is None:
-            return _expectation(self.b, ham.h)
-        return float(ham.es.values @ self.quench(ham).p)
-
-    def quench(self, ham: _Hamiltonian) -> "_State":
-        """Frozen across the quench to ``ham`` (itself under its own): with O = V'^dag V,
-        or V'^dag from the input matrix, a matrix goes to O b O^dag.  Populations go to
-        |O|^2 p when every level of ``ham`` is a singleton; otherwise to the matrix
-        O diag(p) O^dag, so that pinching keeps each degenerate block."""
-        if ham is self.ham:
-            return self
-        o = ham.es.vectors.conj().T
-        if self.ham is not None:
-            o = o @ self.ham.es.vectors
-        if self.b.ndim == 2:
-            return _State(ham, o @ self.b @ o.conj().T)
-        if ham.labels[-1] == len(self.b) - 1:
-            o2 = o * o if np.isrealobj(o) else o.real * o.real + o.imag * o.imag
-            return _State(ham, o2 @ self.b)
-        return _State(ham, (o * self.b) @ o.conj().T)
-
-    def evolve(self, ham: _Hamiltonian, t: float):
-        """Hold of a matrix state in the eigenbasis of ``ham``: b[k, l] picks up exp(-i t (eps_k - eps_l))."""
-        phase = np.exp(-1j * float(t) * ham.es.values)
-        return _State(ham, self.b * np.outer(phase, phase.conj())), None
-
-    def dephase(self, ham: _Hamiltonian):
-        """Pinching in the eigenbasis of ``ham``: populations as they are; a matrix's
-        diagonal, or its blocks within the levels when one is degenerate."""
-        labels = ham.labels
-        if self.b.ndim == 1 or labels[-1] == len(labels) - 1:
-            return _State(ham, self.p), None
-        return _State(ham, self.b * (labels[:, None] == labels[None, :])), None
 
     def thermalise(self, ham: _Hamiltonian, start: float | None = None):
         """Gibbs weights of ``ham`` at this state's energy, beta sought from ``start`` if given; dual beta."""

@@ -25,12 +25,15 @@ Equilibration maps
     ``[hold_min, hold_max]`` after every quench; ``Exact(t)`` holds for
     exactly ``t``.  Spectrum preserving.
 ``TimeAverageGGE``
-    Dephasing in the instantaneous mode basis.  For quadratic Hamiltonians
-    the infinite-time averaged correlation matrix and the maximum-entropy
-    state preserving all mode populations coincide, so one tag covers both.
+    Dephasing in the instantaneous mode basis, keeping the block of each
+    degenerate single-particle level.  For quadratic Hamiltonians the
+    infinite-time averaged correlation matrix and the maximum-entropy state
+    preserving every conserved quadratic charge (the mode populations and,
+    inside a degenerate level, its block) coincide, so one tag covers both.
     Its entropy is the Gaussian maximum entropy, not the von Neumann entropy
     of the pinched many-body state; on degenerate many-body levels the two
-    differ (by up to 3.9e-3 along a schedule on the n = 6 periodic ring).
+    differ (by up to 3.9e-3 along a schedule on the n = 6 periodic ring),
+    while their correlation matrices agree.
 ``Gibbs``
     Fermi-Dirac state at the inverse temperature fixed by conserving the
     mean energy.
@@ -40,22 +43,23 @@ correlation matrices, so any state with the same second moments gives the
 same work accounting.
 
 Every state is one ``_ModeState``: in the modes of a Hamiltonian, or on the
-sites for a correlation matrix as given (a run's step 0).  Its ``quench`` is
-the one transport rule, its ``evolve``, ``dephase`` and ``thermalise`` the
-three maps of the runner and the public maps alike; its ``of`` builds every
-site state and names a NaN or non-Hermitian matrix.
+sites for a correlation matrix as given (a run's step 0).  It is the dense
+back end's eigenbasis state ``hermitian._EigenState`` in the conjugate basis
+A^*, so both back ends share one ``quench`` (the one transport rule),
+``evolve`` and ``dephase``; with ``thermalise`` they are the three maps of
+the runner and the public maps alike.  Its ``of`` builds every site state and
+names a NaN or non-Hermitian matrix.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .hermitian import (_EPS4, _check_spectrum, _eigh, _energy_matching_root, _fermi, _Hamiltonian,
-                        _require_hermitian_all, _xlogx, require_hermitian)
+from .hermitian import (_EPS4, _check_spectrum, _eigh, _EigenState, _energy_matching_root, _fermi,
+                        _Hamiltonian, _require_hermitian_all, _xlogx, require_hermitian)
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -170,8 +174,8 @@ class Exact:
 
 @dataclass(frozen=True)
 class TimeAverageGGE:
-    """Dephasing in the instantaneous mode basis; its entropy is the Gaussian maximum
-    entropy, which on degenerate many-body levels is not that of the pinched state."""
+    """Dephasing in the instantaneous mode basis, keeping degenerate blocks; its entropy is the
+    Gaussian maximum entropy, which on degenerate many-body levels is not the pinched state's."""
 
 
 @dataclass(frozen=True)
@@ -215,7 +219,7 @@ def _as_checked(matrix, name: str) -> np.ndarray:
 
 def to_mode_basis(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
     """gamma_eta = A.T @ gamma @ A.conj()."""
-    return _ModeState.of(gamma, ham).quench(ham).g
+    return _ModeState.of(gamma, ham).quench(ham).b
 
 
 def from_mode_basis(gamma_eta, ham: QuadraticHamiltonian) -> np.ndarray:
@@ -226,18 +230,14 @@ def from_mode_basis(gamma_eta, ham: QuadraticHamiltonian) -> np.ndarray:
     return _ModeState(ham, g).matrix()
 
 
-class _ModeState(NamedTuple):
-    """Gaussian state in the modes of ``ham``, A.conj() @ g @ A.T, with g its
-    matrix there or, for a state diagonal there, its populations p; or on
-    the sites when ``ham`` is None, with g the correlation matrix.
+class _ModeState(_EigenState):
+    """Gaussian state: ``hermitian._EigenState`` in the basis A^* of the modes A of ``ham``,
+    so the correlation matrix A^* b A^T, or on the sites when ``ham`` is None; with the
+    gaussian checks, spectrum, site energy, dephasing duals and thermal map."""
 
-    The gaussian back end: :meth:`of` and :meth:`schedule` validate the inputs,
-    the other methods trust them; each map takes the state after :meth:`quench`
-    to its Hamiltonian and returns ``(state, duals)``."""
-
-    ham: QuadraticHamiltonian | None
-    g: np.ndarray
+    __slots__ = ()
     backend = "gaussian"
+    _conjugate = True
 
     @classmethod
     def of(cls, gamma, ham: QuadraticHamiltonian | None = None) -> "_ModeState":
@@ -252,33 +252,17 @@ class _ModeState(NamedTuple):
         """:func:`as_hamiltonian` of each entry of ``hs``, each sized for this state."""
         hams = _hamiltonians(hs)
         for ham in hams:
-            _check_dims(self.g, ham)
+            _check_dims(self.b, ham)
         return hams
 
     @staticmethod
     def listed(hams: list) -> list:     # what ProtocolRecord.hamiltonians holds
         return hams
 
-    @staticmethod
-    def eigenbasis(gamma: np.ndarray) -> np.ndarray:
-        """A correlation matrix's modes, by ascending population: its conjugated eigenvectors."""
-        return np.linalg.eigh(0.5 * (gamma + gamma.conj().T))[1].conj()
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.g if self.g.ndim == 1 else self.g.diagonal().real
-
-    def matrix(self) -> np.ndarray:
-        g = self.g if self.g.ndim == 2 else np.diag(self.g)
-        return g if self.ham is None else self.ham.modes.conj() @ g @ self.ham.modes.T
-
     def spectrum(self) -> np.ndarray:
         """The populations or the symmetrised matrix's spectrum, checked by :func:`_check_spectrum`."""
-        g = self.g
-        return _check_spectrum(g if g.ndim == 1 else np.linalg.eigvalsh(0.5 * (g + g.conj().T)))
-
-    def entropy(self) -> float:
-        return float(self.entropies(self.spectrum()))
+        b = self.b
+        return _check_spectrum(b if b.ndim == 1 else np.linalg.eigvalsh(0.5 * (b + b.conj().T)))
 
     @staticmethod
     def entropies(d: np.ndarray) -> np.ndarray:
@@ -286,40 +270,19 @@ class _ModeState(NamedTuple):
         d = np.clip(d, 0.0, 1.0)
         return 0.0 - np.sum(_xlogx(d) + _xlogx(1.0 - d), axis=-1)     # +0.0, not -0.0, when pure
 
-    def energy(self, ham: QuadraticHamiltonian) -> float:
-        """Mean energy: sum c[i, j] g[i, j] on the sites, else eps . p in the modes of ``ham``."""
-        if self.ham is None:
-            return float(np.sum(ham.c * self.g).real)
-        return float(ham.energies @ self.quench(ham).p)
-
-    def quench(self, ham: QuadraticHamiltonian) -> "_ModeState":
-        """Frozen across the quench to ``ham`` (itself under its own): with O = A'^T A^*,
-        or A'^T from the sites, populations go to |O|^2 p and a matrix to O g O^dag.
-        O is real when both mode sets are, and |O|^2 is then O * O."""
-        if ham is self.ham:
-            return self
-        o = ham.modes.T if self.ham is None else ham.modes.T @ self.ham.modes.conj()
-        if self.g.ndim == 1:
-            o2 = o * o if np.isrealobj(o) else o.real * o.real + o.imag * o.imag
-            return _ModeState(ham, o2 @ self.g)
-        if np.isrealobj(o) and np.iscomplexobj(self.g):
-            # a real O acts on real and imaginary parts alike: two real products
-            # on the interleaved float view instead of two complex ones
-            h = (o @ np.ascontiguousarray(self.g).view(float)).view(complex)
-            return _ModeState(ham, (o @ np.ascontiguousarray(h.T).view(float)).view(complex).T)
-        return _ModeState(ham, o @ self.g @ o.conj().T)
-
-    def evolve(self, ham: QuadraticHamiltonian, t: float):
-        """Hold of a matrix state in the modes of ``ham``: g[k, l] picks up exp(i t (eps_k - eps_l))."""
-        phase = np.exp(1j * float(t) * ham.energies)
-        return _ModeState(ham, self.g * np.outer(phase, phase.conj())), None
+    def _site_energy(self, ham: QuadraticHamiltonian) -> float:
+        """Mean energy sum c[i, j] g[i, j] of the correlation matrix g on the sites."""
+        return float(np.sum(ham.c * self.b).real)
 
     def dephase(self, ham: QuadraticHamiltonian):
-        """Time average in the modes of ``ham``: the populations p, duals log((1-p)/p)."""
-        p = np.clip(self.p, 0.0, 1.0)
+        """Time average in the modes of ``ham`` (the pinching, which keeps each degenerate
+        level's block); duals log((1-p)/p) of the populations p, the block's diagonal
+        on a degenerate level."""
+        state = _EigenState.dephase(self, ham)[0]
+        p = np.clip(state.p, 0.0, 1.0)
         with np.errstate(divide="ignore"):
             lam = np.log((1.0 - p) / p)
-        return _ModeState(ham, self.p), tuple(lam.tolist())
+        return state, tuple(lam.tolist())
 
     def thermalise(self, ham: QuadraticHamiltonian, start: float | None = None):
         """Thermal state of ``ham`` at this state's energy, beta sought from ``start`` if given; dual beta."""
@@ -401,11 +364,13 @@ def evolve_exact(gamma, ham: QuadraticHamiltonian, t: float) -> np.ndarray:
 
 
 def dephase_gge(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
-    """Drop all coherences between normal modes, keeping populations exactly.
+    """Drop the coherences between normal modes of different energies, keeping
+    populations exactly and the block of each degenerate level.
 
     This is simultaneously the infinite-time averaged correlation matrix and
-    the maximum-entropy state with every mode population held fixed.  The
-    mean energy is conserved because only the mode diagonal carries energy.
+    the maximum-entropy state with every conserved quadratic charge held
+    fixed.  The mean energy is conserved because only the mode diagonal
+    carries energy.
     """
     ham = as_hamiltonian(ham)
     return _ModeState.of(gamma, ham).quench(ham).dephase(ham)[0].matrix()

@@ -17,6 +17,8 @@ call per matrix, with the same errors.
 :class:`_Hamiltonian` is the one Hamiltonian record of both back ends (the
 gaussian ``fermions.QuadraticHamiltonian`` is a subclass): a checked matrix
 whose eigensystem and degeneracy labels are given or worked out on first use.
+:class:`_EigenState` is the one state of both (``fermions._ModeState`` and
+``dense._State`` are subclasses), with the one quench, hold and pinching.
 
 Both back ends import this module and not each other, so the rules they
 share live here.  :func:`_energy_matching_root` (bracket, then safeguarded
@@ -33,6 +35,7 @@ Fermi-function and entropy kernels, in numpy like the whole package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,9 +81,9 @@ def require_hermitian(matrix, name: str = "matrix") -> np.ndarray:
 def _hermitian_dtype(matrix) -> np.ndarray:
     """``matrix`` as float64 when it is real or its imaginary part is exactly zero, else complex."""
     m = np.asarray(matrix)
-    if np.iscomplexobj(m) and not m.imag.any():     # a NaN imaginary part stays complex
+    if m.dtype.kind == "c" and not m.imag.any():     # a NaN imaginary part stays complex
         m = m.real
-    return m.astype(complex if np.iscomplexobj(m) else float, copy=False)
+    return m.astype(complex if m.dtype.kind == "c" else float, copy=False)
 
 
 def _stacks(ms: list[np.ndarray]):
@@ -156,16 +159,23 @@ def _eigh(h: np.ndarray) -> EigenSystem:
     return EigenSystem(values=values, vectors=_fix_phases(vectors))
 
 
-def _eigh_all(hs: list[np.ndarray]) -> list[EigenSystem]:
-    """:func:`_eigh` of each validated matrix in stacked calls, bit for bit: a stack's
-    columns are phase-fixed side by side, each on its own."""
-    out = {}
+def _eigh_all(hs: list[np.ndarray]) -> tuple[list[EigenSystem], list[np.ndarray]]:
+    """:func:`_eigh` of each validated matrix in stacked calls, bit for bit (a stack's
+    columns are phase-fixed side by side, each on its own), and each spectrum's labels:
+    one array, read-only, for a stack's simple spectra, a cumsum if one is degenerate."""
+    es, labels = {}, {}
     for idx, s in _stacks(hs):
         values, vectors = np.linalg.eigh(s)
         b, n = vectors.shape[:2]
         vectors = _fix_phases(vectors.transpose(1, 0, 2).reshape(n, b * n)).reshape(n, b, n)
-        out.update(zip(idx, map(EigenSystem, values, np.ascontiguousarray(vectors.transpose(1, 0, 2)))))
-    return [out[i] for i in range(len(hs))]
+        es.update(zip(idx, map(EigenSystem, values, np.ascontiguousarray(vectors.transpose(1, 0, 2)))))
+        rows = [np.arange(n)] * b   # the labels of a simple spectrum, one array for the stack
+        if (values[:, 1:] - values[:, :-1] <= DEGENERACY_TOL).any():
+            lab = _labels(values)
+            for k in np.flatnonzero(lab[:, -1] < n - 1):
+                rows[k] = lab[k]
+        labels.update(zip(idx, rows))
+    return [es[i] for i in range(len(hs))], [labels[i] for i in range(len(hs))]
 
 
 def cluster_degenerate(values, tol: float = DEGENERACY_TOL) -> np.ndarray:
@@ -183,9 +193,9 @@ def cluster_degenerate(values, tol: float = DEGENERACY_TOL) -> np.ndarray:
 
 
 def _labels(values: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
-    """Kernel of :func:`cluster_degenerate` for validated values."""
+    """Kernel of :func:`cluster_degenerate` for validated values, row by row along the last axis."""
     labels = np.zeros(values.shape, dtype=np.intp)
-    np.cumsum(values[1:] - values[:-1] > tol, out=labels[1:])
+    np.cumsum(values[..., 1:] - values[..., :-1] > tol, axis=-1, out=labels[..., 1:])
     return labels
 
 
@@ -196,8 +206,8 @@ class _Hamiltonian:
 
     __slots__ = ("h", "_es", "_lab")
 
-    def __init__(self, h: np.ndarray, es: EigenSystem | None = None):
-        self.h, self._es, self._lab = h, es, None
+    def __init__(self, h: np.ndarray, es: EigenSystem | None = None, labels: np.ndarray | None = None):
+        self.h, self._es, self._lab = h, es, labels
 
     @property
     def es(self) -> EigenSystem:
@@ -212,10 +222,10 @@ class _Hamiltonian:
         return self._lab
 
     @classmethod
-    def _trusted(cls, h: np.ndarray, es: EigenSystem | None = None):
+    def _trusted(cls, h: np.ndarray, es: EigenSystem | None = None, labels: np.ndarray | None = None):
         """A ``cls`` record of the checked ``h``, past a subclass's checking constructor."""
         ham = cls.__new__(cls)
-        _Hamiltonian.__init__(ham, h, es)
+        _Hamiltonian.__init__(ham, h, es, labels)
         return ham
 
     @classmethod
@@ -227,11 +237,98 @@ class _Hamiltonian:
     @classmethod
     def _schedule(cls, hs: list) -> list:
         """Records of a checked schedule, whose entries are matrices or records (kept
-        as they are): the matrices of steps 1..N decomposed in stacked calls, step 0,
-        which is never equilibrated, on first use."""
+        as they are): the matrices of steps 1..N decomposed and labelled in stacked
+        calls, step 0, which is never equilibrated, on first use."""
         at = [i for i, h in enumerate(hs) if i and not isinstance(h, _Hamiltonian)]
-        es = dict(zip(at, _eigh_all([hs[i] for i in at])))
-        return [h if isinstance(h, _Hamiltonian) else cls._trusted(h, es.get(i)) for i, h in enumerate(hs)]
+        made = dict(zip(at, zip(*_eigh_all([hs[i] for i in at]))))
+        return [h if isinstance(h, _Hamiltonian) else cls._trusted(h, *made.get(i, ())) for i, h in enumerate(hs)]
+
+
+def _expectation(rho: np.ndarray, obs: np.ndarray) -> float:     # Re Tr(obs rho)
+    return float(np.einsum("ij,ji->", obs, rho).real)
+
+
+class _EigenState(NamedTuple):
+    """A state V b V^dag in the eigenbasis V of ``ham`` (its eigenvectors, or their
+    conjugate when ``_conjugate`` is set: a gaussian state in the modes A is this state
+    in the basis A^*, whose holds turn the other way), with b its matrix there or its
+    populations p; or, when ``ham`` is None, the checked input matrix b and the
+    ``eigenvalues`` its check computed, if any.  A back end subclasses it with ``of``
+    and ``schedule``, which validate the inputs (the other methods trust them), the
+    thermal map and the spectrum; each map takes the state after :meth:`quench` to
+    its Hamiltonian and returns ``(state, duals)``."""
+
+    ham: _Hamiltonian | None
+    b: np.ndarray
+    eigenvalues: np.ndarray | None = None
+    _conjugate = False
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.b if self.b.ndim == 1 else self.b.diagonal().real
+
+    def matrix(self) -> np.ndarray:
+        if self.ham is None:
+            return self.b
+        v = self.ham.es.vectors.conj() if self._conjugate else self.ham.es.vectors
+        return (v * self.b) @ v.conj().T if self.b.ndim == 1 else v @ self.b @ v.conj().T
+
+    @classmethod
+    def eigenbasis(cls, m: np.ndarray) -> np.ndarray:
+        """The state matrix ``m``'s eigenbasis V, by ascending population."""
+        v = np.linalg.eigh(0.5 * (m + m.conj().T))[1]
+        return v.conj() if cls._conjugate else v
+
+    def entropy(self) -> float:
+        return float(self.entropies(self.spectrum()))
+
+    def energy(self, ham: _Hamiltonian) -> float:
+        """Mean energy: the input matrix's :meth:`_site_energy`, else eps . p in the eigenbasis of ``ham``."""
+        if self.ham is None:
+            return self._site_energy(ham)
+        return float(ham.es.values @ (self if ham is self.ham else self.quench(ham)).p)
+
+    def _site_energy(self, ham: _Hamiltonian) -> float:     # Tr(H b)
+        return _expectation(self.b, ham.h)
+
+    def quench(self, ham: _Hamiltonian) -> "_EigenState":
+        """Frozen across the quench to ``ham`` (itself under its own): with O = V'^dag V,
+        or V'^dag from the input matrix, a matrix goes to O b O^dag (a real O takes both
+        parts of a complex b in real products).  Populations go to |O|^2 p when every
+        level of ``ham`` is a singleton; otherwise to the matrix O diag(p) O^dag, so that
+        pinching keeps each degenerate block."""
+        if ham is self.ham:
+            return self
+        o = ham.es.vectors.conj().T
+        if self.ham is not None:
+            o = o @ self.ham.es.vectors
+        if self._conjugate:
+            o = o.conj()    # (A'^dag A)^* = A'^T A^*; free when real
+        if self.b.ndim == 2:
+            if np.isrealobj(o) and np.iscomplexobj(self.b):
+                # two real products on the interleaved float view instead of two complex ones
+                h = (o @ np.ascontiguousarray(self.b).view(float)).view(complex)
+                return type(self)(ham, (o @ np.ascontiguousarray(h.T).view(float)).view(complex).T)
+            return type(self)(ham, o @ self.b @ o.conj().T)
+        if ham.labels[-1] == len(self.b) - 1:
+            o2 = o * o if np.isrealobj(o) else o.real * o.real + o.imag * o.imag
+            return type(self)(ham, o2 @ self.b)
+        return type(self)(ham, (o * self.b) @ o.conj().T)
+
+    def evolve(self, ham: _Hamiltonian, t: float):
+        """Hold of a matrix state in the eigenbasis of ``ham``: b[k, l] picks up
+        exp(-i t (eps_k - eps_l)), or exp(+i t (eps_k - eps_l)) in a conjugate basis."""
+        phase = np.exp((1j if self._conjugate else -1j) * float(t) * ham.es.values)
+        return type(self)(ham, self.b * np.outer(phase, phase.conj())), None
+
+    def dephase(self, ham: _Hamiltonian):
+        """Pinching in the eigenbasis of ``ham``: populations as they are; a matrix's
+        diagonal, or its blocks within the levels when one is degenerate."""
+        if self.b.ndim == 2:
+            labels = ham.labels
+            if labels[-1] < len(labels) - 1:
+                return type(self)(ham, self.b * (labels[:, None] == labels[None, :])), None
+        return type(self)(ham, self.p), None
 
 
 def _check_spectrum(d: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ extraction sign (positive = work gained), the negation of the quench cost
 ``Tr(rho (H^(m) - H^(m-1)))``.  A back end is its state type, which validates
 the inputs and applies the three maps: ``gaussian`` (``fermions._ModeState``,
 n x n correlation matrices) and ``dense`` (``dense._State``, d x d density
-matrices).
+matrices), each a subclass of the one eigenbasis state ``hermitian._EigenState``.
 
 :func:`min_work_scan` is the one loop over (model, N): it takes a schedule
 builder ``n -> [H^(0) .. H^(N)]`` (``traj.schedule``, a partial of
@@ -110,7 +110,7 @@ class Trajectory:
             if r not in _RULES:
                 raise ValueError(f"unknown interpolation rule {r!r}; choose from {_RULES}")
         ends = sorted({j for i, r in enumerate(rules) if r == "eigenvectors" for j in (i, i + 1)})
-        es = dict(zip(ends, _eigh_all([frames[j] for j in ends])))
+        es = dict(zip(ends, _eigh_all([frames[j] for j in ends])[0]))
         rotations = tuple(_Rotation(es[i], es[i + 1], f"eigenvector segment {i}")
                           if r == "eigenvectors" else None for i, r in enumerate(rules))
         object.__setattr__(self, "keyframes", frames)
@@ -224,8 +224,9 @@ def _cycle_gauge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass
 class StepRecord:
-    """Per-step log entry; ``duals`` holds beta for the thermal map or the
-    per-mode multipliers log((1-p)/p) for the dephasing map."""
+    """Per-step log entry; ``duals`` holds (beta,) for the thermal map, the
+    per-mode multipliers log((1-p)/p) of the mode populations for the gaussian
+    dephasing map, and None for dense pinching and exact holds."""
 
     step: int
     work_extracted: float

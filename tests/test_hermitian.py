@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gge_thermo as gt
-from gge_thermo import dense, fermions
+from gge_thermo import dense, fermions, hermitian
 from gge_thermo.hermitian import (
     _energy_matching_root,
     _fermi,
@@ -14,7 +14,7 @@ from gge_thermo.hermitian import (
     eigh,
     require_hermitian,
 )
-from _helpers import make_rng, random_density, random_hermitian, record_roots
+from _helpers import make_rng, random_density, random_hermitian, random_unitary, record_roots
 
 
 def test_eigh_identity():
@@ -223,6 +223,36 @@ def test_cluster_degenerate_covers_everything():
     labels = cluster_degenerate(vals, 0.1)
     assert labels.shape == (20,) and labels[0] == 0
     assert np.array_equal(np.diff(labels), np.diff(vals) > 0.1)
+
+
+@pytest.mark.parametrize("split", [1e-6, 1e-9, 1e-12])
+def test_schedule_labels_every_record_in_its_stack(split):
+    # a schedule's records carry the degeneracy labels of their spectra, worked out
+    # per stack as the schedule is decomposed: each equals cluster_degenerate of its
+    # record's values, on real and complex stacks of two sizes whose spectra hold a
+    # pair, or a triple, of levels ``split`` apart.  Step 0 and a record built on its
+    # own work theirs out on first use
+    rng = make_rng(31)
+    hs = []
+    for k in range(24):
+        n = (3, 5)[k % 2]
+        e = np.sort(rng.uniform(-1.0, 1.0, n))
+        j = int(rng.integers(0, n - 2))
+        e[j + 1:j + 1 + k % 3] = e[j] + split * np.arange(1, 1 + k % 3)     # k % 3 levels above e[j]
+        u = random_unitary(n, rng) if k % 4 < 2 else np.linalg.qr(rng.normal(size=(n, n)))[0]
+        hs.append((u * e) @ u.conj().T)
+    hams = hermitian._Hamiltonian._schedule(hermitian._require_hermitian_all(hs))
+    assert hams[0]._lab is None and hams[0]._es is None
+    simple = 0
+    for ham in hams[1:]:
+        assert ham._lab is not None
+        assert ham._lab.dtype.kind == "i"
+        assert np.array_equal(ham._lab, cluster_degenerate(ham.es.values))
+        simple += ham._lab[-1] == len(ham._lab) - 1
+    if split != 1e-9:   # at the tolerance itself, round-off picks the side
+        assert simple == (23 if split > hermitian.DEGENERACY_TOL else 7)
+    for ham in (hams[0], hermitian._Hamiltonian(hams[1].h)):
+        assert np.array_equal(ham.labels, cluster_degenerate(ham.es.values))
 
 
 def test_cluster_degenerate_rejects_unsorted():

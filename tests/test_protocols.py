@@ -989,26 +989,79 @@ def _random_chain_schedule(n, n_quenches, rng, pool=3):
     return [chains[int(i)] for i in rng.integers(0, pool, n_quenches + 1)]
 
 
+def _ring_schedule(n, eps, t):
+    """The open chain, the periodic ring (levels degenerate in pairs), their midpoint,
+    the ring and the chain again, as coefficient matrices."""
+    chain = gt.build_chain(n, [eps] * n, t).c
+    ring = chain.copy()
+    ring[0, -1] = ring[-1, 0] = t
+    return [chain, ring, 0.5 * (chain + ring), ring, chain]
+
+
+def _degenerate_schedules(n, rng):
+    """Schedules at n modes whose single-particle levels are exactly degenerate or
+    cross: c proportional to I on blocks (U diag(eps) U^dag with repeated eps, and a
+    multiple of I), the ring schedule, and a straight line between two Hamiltonians
+    of one eigenbasis with their levels in opposite orders, so that the levels cross
+    and meet in pairs at the midpoint."""
+    pool = [(u * rng.choice(rng.uniform(-1.0, 2.0, 2), n)) @ u.conj().T
+            for u in (random_unitary(n, rng) for _ in range(2))] + [float(rng.uniform(0.5, 1.5)) * np.eye(n)]
+    u, e = random_unitary(n, rng), np.sort(rng.uniform(-1.0, 2.0, n))
+    return [[pool[int(i)] for i in rng.integers(0, 3, 6)],
+            _ring_schedule(n, float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.3, 1.0))),
+            gt.Trajectory.linear((u * e) @ u.conj().T, (u * e[::-1]) @ u.conj().T).schedule(6)]
+
+
 @pytest.mark.parametrize("kind", ["exact", "ta-gge", "gibbs"])
 def test_jordan_wigner_oracle_runs_whole_schedules(kind):
     # one schedule on both back ends: the dense runner on the Jordan-Wigner
-    # images is the independent check of the population transport.  Only
-    # exact and thermal states stay Gaussian, so the pinched dense state's
-    # entropy is not compared.
+    # images is the independent check of the population transport, on random
+    # chains (as Hamiltonian objects, some repeated) and on schedules whose
+    # levels are degenerate or cross (as matrices), where dephasing keeps each
+    # degenerate block on both back ends.  Only exact and thermal states stay
+    # Gaussian, so the pinched dense state's entropy is not compared.
     rng = make_rng(900 + ["exact", "ta-gge", "gibbs"].index(kind))
+    cases = []
     for case in range(12):
         n, n_q = int(rng.integers(2, 6)), int(rng.integers(1, 7))
         hams = _random_chain_schedule(n, n_q, rng, pool=n_q + 1)
-        gamma0 = random_correlation(n, rng, lo=0.05, hi=0.95)
+        cases.append((hams, random_correlation(n, rng, lo=0.05, hi=0.95)))
+    rng = make_rng(910 + ["exact", "ta-gge", "gibbs"].index(kind))
+    for n in range(3, 7):
+        cases += [(hams, random_correlation(n, rng, lo=0.05, hi=0.95)) for hams in _degenerate_schedules(n, rng)]
+    for case, (hams, gamma0) in enumerate(cases):
         model = {"exact": gt.Exact(0.5, 4.0, case), "ta-gge": gt.GGE, "gibbs": gt.GIBBS}[kind]
         fermionic = gt.run_schedule(gamma0, hams, model)
-        dense = gt.run_schedule(gt.gaussian_to_dense(gamma0), [gt.quadratic_to_dense(h.c) for h in hams],
-                                model, backend="dense")
+        dense = gt.run_schedule(gt.gaussian_to_dense(gamma0),
+                                [gt.quadratic_to_dense(getattr(h, "c", h)) for h in hams], model, backend="dense")
         assert np.max(np.abs(_column(fermionic, "work_extracted") - _column(dense, "work_extracted"))) <= 1e-10
         assert np.max(np.abs(_column(fermionic, "energy") - _column(dense, "energy"))) <= 1e-10
         assert np.max(np.abs(gt.correlation_of_dense(dense.final_state) - fermionic.final_state)) <= 1e-10
         if kind != "ta-gge":
             assert np.max(np.abs(_column(fermionic, "entropy") - _column(dense, "entropy"))) <= 1e-10
+
+
+def test_dephasing_keeps_degenerate_blocks_on_both_back_ends():
+    # the time average keeps the coherences inside a degenerate level: at c = I
+    # dephasing leaves any correlation matrix and its entropy as they are, and on
+    # the ring schedule from the open chain's thermal state the gaussian and dense
+    # dephasing runs agree
+    w = random_unitary(3, make_rng(0))
+    gamma = (w * [0.2, 0.5, 0.9]) @ w.conj().T
+    out = gt.dephase_gge(gamma, np.eye(3))
+    assert np.max(np.abs(out - gamma)) <= 1e-14
+    assert abs(gt.entropy_gaussian(out) - gt.entropy_gaussian(gamma)) <= 1e-14
+    cs = _ring_schedule(6, 0.0, 1.0)
+    gamma0 = gt.gibbs_correlation(gt.QuadraticHamiltonian(cs[0]), 0.7)
+    fermionic = gt.run_schedule(gamma0, cs, gt.GGE)
+    dense = gt.run_schedule(gt.gaussian_to_dense(gamma0), [gt.quadratic_to_dense(c) for c in cs], gt.GGE,
+                            backend="dense")
+    assert np.max(np.abs(_column(fermionic, "work_extracted") - _column(dense, "work_extracted"))) <= 1e-12
+    assert np.max(np.abs(gt.correlation_of_dense(dense.final_state) - fermionic.final_state)) <= 1e-12
+    # a degenerate dephased block travels as a matrix; its duals are those of its diagonal
+    duals = np.array(fermionic.steps[1].duals)
+    p = np.diag(gt.to_mode_basis(fermionic.steps[1].state, gt.QuadraticHamiltonian(cs[1]))).real
+    assert np.max(np.abs(duals - np.log((1.0 - p) / p))) <= 1e-12
 
 
 @pytest.mark.parametrize("keep_states", [True, False])
@@ -1136,7 +1189,7 @@ def test_exact_last_entropy_shows_drift(monkeypatch):
 
     def leaky(state, ham, t):
         held, duals = evolve(state, ham, t)
-        return held._replace(g=held.g * (1.0 + 1e-6)), duals
+        return held._replace(b=held.b * (1.0 + 1e-6)), duals
 
     monkeypatch.setattr(fermions._ModeState, "evolve", leaky)
     drifted = gt.run_schedule(gamma0, hams, model, keep_states=False)
@@ -1199,7 +1252,7 @@ def test_population_drift_is_named_at_its_step_before_later_failures(monkeypatch
         if len(calls) == 5:
             raise ValueError("a later failure")
         out, duals = dephase(state, ham)
-        return (out._replace(g=out.g + 1.0) if len(calls) == 3 else out), duals
+        return (out._replace(b=out.b + 1.0) if len(calls) == 3 else out), duals
 
     monkeypatch.setattr(fermions._ModeState, "dephase", drifting)
     with pytest.raises(RuntimeError, match=r"^step 3: correlation spectrum outside \[0, 1\]: min 1\.\d+e\+00"):
