@@ -7,8 +7,8 @@ Public maps take plain d x d arrays (Hermitian, PSD, unit trace).  Inside,
 a state is one ``_State`` in the eigenbasis of a Hamiltonian, pinched and
 thermal states as level populations: the eigenbasis state
 ``hermitian._EigenState`` that ``fermions._ModeState`` also is.  Its
-``evolve``, ``dephase`` and ``thermalise`` are the three maps, for the
-protocol runner and the public maps alike.  The maximum-entropy state
+``evolve``, ``dephase`` and ``thermalise`` (here on Boltzmann weights) are the
+three maps, for the protocol runner and the public maps alike.  The maximum-entropy state
 compatible with a mean energy and a set of observable expectations is found
 by minimising the smooth convex dual
 
@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import (_EPS4, STATE_ATOL, _check_spectrum, _EigenState, _energy_matching_root,
-                        _expectation, _Hamiltonian, _hermitian_part, _require_hermitian_all, _xlogx,
-                        cluster_degenerate, require_hermitian)
+from .hermitian import (STATE_ATOL, _check_spectrum, _EigenState, _expectation, _Hamiltonian, _hermitian_part,
+                        _require_hermitian_all, _xlogx, cluster_degenerate, require_hermitian)
 
 __all__ = [
     "ConservedSet",
@@ -99,7 +98,7 @@ def ta_state(rho, hamiltonian) -> np.ndarray:
 
 class _State(_EigenState):
     """Density matrix: ``hermitian._EigenState`` in the eigenbasis of ``ham``, or on the
-    sites, with the dense checks, spectrum and thermal map."""
+    sites, with the dense checks, spectrum and Boltzmann weights."""
 
     __slots__ = ()
     backend = "dense"
@@ -139,47 +138,32 @@ class _State(_EigenState):
         """Von Neumann entropy of each checked spectrum (a row of ``p``, or ``p``)."""
         return 0.0 - np.sum(_xlogx(np.clip(p, 0.0, 1.0)), axis=-1)   # +0.0, not -0.0, when pure
 
-    def thermalise(self, ham: _Hamiltonian, start: float | None = None):
-        """Gibbs weights of ``ham`` at this state's energy, beta sought from ``start`` if given; dual beta."""
-        target = self.energy(ham)
-        eps = ham.es.values
-        span = float(eps[-1] - eps[0])
-        if span <= 1e-14 * max(1.0, abs(float(eps[0]))):
-            return _State(ham, np.full(len(eps), 1.0 / len(eps))), (0.0,)
-        if not (eps[0] < target < eps[-1]):
-            raise ValueError(
-                f"target energy {target:.12g} at or outside the spectral edges "
-                f"({eps[0]:.12g}, {eps[-1]:.12g})"
-            )
+    @staticmethod
+    def _weights(eps: np.ndarray, beta: float) -> np.ndarray:     # Boltzmann weights, normalised
+        x = -beta * eps
+        w = np.exp(x - x.max())
+        return w / w.sum()
 
-        def fs(beta: float) -> tuple[float, float]:
-            w = _thermal_weights(eps, beta)
-            mean = float(w @ eps)
-            return mean - target, -float(w @ (eps - mean) ** 2)
+    @staticmethod
+    def _moments(eps: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+        mean = float(w @ eps)
+        return mean, float(w @ (eps - mean) ** 2)
 
-        # the residual's round-off floor: the weights sum to 1, so the mean is off by eps max |eps_k|
-        floor = _EPS4 * (max(abs(float(eps[0])), abs(float(eps[-1]))) + abs(target))
-        beta = _energy_matching_root(fs, floor=floor, start=start)
-        return _State(ham, _thermal_weights(eps, beta)), (float(beta),)
-
-
-def _thermal_weights(eps: np.ndarray, beta: float) -> np.ndarray:
-    x = -beta * eps
-    x = x - x.max()
-    w = np.exp(x)
-    return w / w.sum()
+    @staticmethod
+    def _range(eps: np.ndarray) -> tuple[float, float, float]:     # the weights sum to 1: max |eps_k|
+        lo, hi = float(eps[0]), float(eps[-1])
+        return lo, hi, max(abs(lo), abs(hi))
 
 
 def gibbs_state_dense(rho, hamiltonian) -> tuple[np.ndarray, float]:
     """Thermal state of the Hamiltonian at the energy of ``rho``.
 
-    The inverse temperature is fixed by Tr(H omega) = Tr(H rho) via bracketed
-    root finding on the strictly decreasing energy curve.  A negative beta is
-    returned as-is (population-inverted target); a flat spectrum returns the
-    maximally mixed state at beta = 0 since every beta matches the energy.
-
-    Raises ValueError when the target energy sits at or outside the spectral
-    edges (no thermal state can match it strictly).
+    The inverse temperature is fixed by Tr(H omega) = Tr(H rho) = E with
+    ``hermitian._EigenState.energy_beta``, the energy match of both back ends.
+    A negative beta is returned as-is (population-inverted target); a spectrum
+    at most 8 eps (max |eps_k| + |E|) wide is flat: every beta matches, so the
+    maximally mixed state at beta = 0 is returned.  Raises ValueError when E
+    is outside the spectral edges or within 4 eps (max |eps_k| + |E|) of one.
     """
     state, (beta,) = _State.thermalise(*_prologue(rho, hamiltonian))
     return state.matrix(), beta
@@ -271,9 +255,10 @@ def gge_state_dense(rho, hamiltonian, conserved: ConservedSet) -> tuple[np.ndarr
     Raises
     ------
     ValueError
-        Dual divergence (the sup-norm of the dual point exceeding 1e4
-        signals targets on the boundary of the attainable set), or residuals
-        that fail to converge (worst residual reported).
+        An energy within round-off of the spectral edges (see
+        :func:`gibbs_state_dense`), dual divergence (the sup-norm of the dual
+        point exceeding 1e4 signals targets on the boundary of the attainable
+        set), or residuals that fail to converge (worst residual reported).
 
     Notes
     -----
@@ -405,28 +390,6 @@ def passive_rearrangement(rho, hamiltonian) -> np.ndarray:
     orbit of ``rho``."""
     state, ham = _prologue(rho, hamiltonian)
     return _State(ham, state.spectrum()[::-1]).matrix()
-
-
-def _entropy_matching_beta(eps: np.ndarray, entropy: float) -> float | None:
-    """Positive inverse temperature at which the thermal state of the
-    ascending energies ``eps`` has the given entropy, or None when no such
-    beta exists (entropy above ln d, or at or below the ground-degeneracy
-    floor, probed at beta = 1e8).  For beta > 0 the entropy falls with slope
-    -beta Var_beta(H); the root is bracketed from [0, 1]."""
-    s0 = float(entropy)
-    if not np.isfinite(s0):
-        raise ValueError(f"entropy must be finite, got {entropy!r}")
-
-    def fs(beta: float) -> tuple[float, float]:
-        w = _thermal_weights(eps, beta)
-        return -float(np.sum(_xlogx(w))) - s0, -beta * float(w @ (eps - w @ eps) ** 2)
-
-    f0 = fs(0.0)[0]
-    if f0 == 0.0:
-        return 0.0
-    if s0 > np.log(eps.size) + 1e-12 or f0 < 0.0 or fs(1e8)[0] >= 0.0:
-        return None
-    return float(_energy_matching_root(fs, lo=0.0, hi=1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -46,9 +46,9 @@ Every state is one ``_ModeState``: in the modes of a Hamiltonian, or on the
 sites for a correlation matrix as given (a run's step 0).  It is the dense
 back end's eigenbasis state ``hermitian._EigenState`` in the conjugate basis
 A^*, so both back ends share one ``quench`` (the one transport rule),
-``evolve`` and ``dephase``; with ``thermalise`` they are the three maps of
-the runner and the public maps alike.  Its ``of`` builds every site state and
-names a NaN or non-Hermitian matrix.
+``evolve``, ``dephase`` and ``thermalise`` (here on Fermi weights), the three
+maps of the runner and the public maps alike.  Its ``of`` builds every site
+state and names a NaN or non-Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import (_EPS4, _check_spectrum, _eigh, _EigenState, _energy_matching_root, _fermi,
-                        _Hamiltonian, _require_hermitian_all, _xlogx, require_hermitian)
+from .hermitian import (_check_spectrum, _eigh, _EigenState, _fermi, _Hamiltonian, _require_hermitian_all,
+                        _xlogx, require_hermitian)
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -233,7 +233,7 @@ def from_mode_basis(gamma_eta, ham: QuadraticHamiltonian) -> np.ndarray:
 class _ModeState(_EigenState):
     """Gaussian state: ``hermitian._EigenState`` in the basis A^* of the modes A of ``ham``,
     so the correlation matrix A^* b A^T, or on the sites when ``ham`` is None; with the
-    gaussian checks, spectrum, site energy, dephasing duals and thermal map."""
+    gaussian checks, spectrum, site energy, dephasing duals and Fermi weights."""
 
     __slots__ = ()
     backend = "gaussian"
@@ -251,7 +251,7 @@ class _ModeState(_EigenState):
     def schedule(self, hs) -> list[QuadraticHamiltonian]:
         """:func:`as_hamiltonian` of each entry of ``hs``, each sized for this state."""
         hams = _hamiltonians(hs)
-        for ham in hams:
+        for ham in (ham for ham in hams if ham.h.shape != self.b.shape):     # the first raises
             _check_dims(self.b, ham)
         return hams
 
@@ -284,10 +284,18 @@ class _ModeState(_EigenState):
             lam = np.log((1.0 - p) / p)
         return state, tuple(lam.tolist())
 
-    def thermalise(self, ham: QuadraticHamiltonian, start: float | None = None):
-        """Thermal state of ``ham`` at this state's energy, beta sought from ``start`` if given; dual beta."""
-        beta = _matching_beta(ham, self.energy(ham), start)
-        return _ModeState(ham, _fermi(beta * ham.energies)), (beta,)
+    @staticmethod
+    def _weights(eps: np.ndarray, beta: float) -> np.ndarray:     # Fermi-Dirac populations
+        return _fermi(beta * eps)
+
+    @staticmethod
+    def _moments(eps: np.ndarray, p: np.ndarray) -> tuple[float, float]:
+        return float(eps @ p), float((eps * eps) @ (p * (1.0 - p)))
+
+    @staticmethod
+    def _range(eps: np.ndarray) -> tuple[float, float, float]:     # populations in (0, 1); sum |eps_k|
+        lo, hi = float(np.minimum(eps, 0.0).sum()), float(np.maximum(eps, 0.0).sum())
+        return lo, hi, hi - lo
 
 
 def gibbs_correlation(ham: QuadraticHamiltonian, beta: float) -> np.ndarray:
@@ -307,9 +315,9 @@ def gibbs_correlation(ham: QuadraticHamiltonian, beta: float) -> np.ndarray:
 
 
 def attainable_energy_range(ham: QuadraticHamiltonian) -> tuple[float, float]:
-    """Open interval of mean energies reachable with mode occupations in (0, 1)."""
-    eps = as_hamiltonian(ham).energies
-    return float(np.minimum(eps, 0.0).sum()), float(np.maximum(eps, 0.0).sum())
+    """Open interval of mean energies reachable with mode occupations in (0, 1); the
+    thermal match takes targets within 4 eps (sum |eps_k| + |target|) of neither end."""
+    return _ModeState._range(as_hamiltonian(ham).energies)[:2]
 
 
 def solve_beta(ham: QuadraticHamiltonian, target_energy: float) -> tuple[float, bool]:
@@ -317,40 +325,22 @@ def solve_beta(ham: QuadraticHamiltonian, target_energy: float) -> tuple[float, 
 
     The energy is strictly decreasing in beta, so bracketed root finding
     (geometric bracket expansion followed by Newton steps safeguarded by
-    bisection) cannot fail inside the attainable range.
+    bisection) cannot fail inside the attainable range; it is the energy match
+    of both back ends, ``hermitian._EigenState.energy_beta``, on Fermi weights.
 
     Returns ``(beta, negative_temperature_flag)``; the flag is set when the
     matched beta is negative, which corresponds to a population-inverted
-    target.
+    target.  An all-zero spectrum matches at beta = 0.
 
     Raises
     ------
     ValueError
-        Target outside the attainable open interval.
+        Target outside the attainable open interval or within round-off of it.
     RuntimeError
         No convergence after bracket expansion (residual reported).
     """
-    beta = _matching_beta(as_hamiltonian(ham), target_energy)
+    beta = _ModeState.energy_beta(as_hamiltonian(ham), target_energy)
     return beta, bool(beta < 0.0)
-
-
-def _matching_beta(ham: QuadraticHamiltonian, target_energy: float, start: float | None = None) -> float:
-    """Kernel of :func:`solve_beta`, its root search warm from ``start`` when one is given."""
-    eps = ham.energies
-    lo_e, hi_e = attainable_energy_range(ham)
-    t = float(target_energy)
-    if not (lo_e < t < hi_e):
-        raise ValueError(f"target energy {t:.12g} outside the attainable open interval "
-                         f"({lo_e:.12g}, {hi_e:.12g})")
-
-    eps2 = eps * eps
-
-    def fs(beta: float) -> tuple[float, float]:
-        p = _fermi(beta * eps)
-        return float(eps @ p) - t, -float(eps2 @ (p * (1.0 - p)))
-
-    # the residual's round-off floor: hi_e - lo_e is sum |eps_k|
-    return float(_energy_matching_root(fs, floor=_EPS4 * (hi_e - lo_e + abs(t)), start=start))
 
 
 def evolve_exact(gamma, ham: QuadraticHamiltonian, t: float) -> np.ndarray:

@@ -22,10 +22,12 @@ whose eigensystem and degeneracy labels are given or worked out on first use.
 
 Both back ends import this module and not each other, so the rules they
 share live here.  :func:`_energy_matching_root` (bracket, then safeguarded
-Newton-bisection, or warm from a run's last beta) is the one root finder:
-``fermions.solve_beta``, ``dense.gibbs_state_dense`` and both thermal maps
-match a mean energy with it, ``dense._entropy_matching_beta`` an entropy
-(beta* of ``protocols.optimal_gibbs_protocol``).  :func:`_check_spectrum` is
+Newton-bisection, or warm from a run's last beta) is the one root finder;
+``_EigenState.energy_beta`` and ``entropy_beta`` are the one energy and
+entropy match, with one edge rule, on each back end's weights (Fermi or
+Boltzmann), moments and range, for both thermal maps, ``fermions.solve_beta``,
+``dense.gibbs_state_dense`` and ``protocols.optimal_gibbs_protocol``'s beta*.
+:func:`_check_spectrum` is
 the one range rule for a correlation spectrum or mode populations, called by
 ``fermions._ModeState.spectrum`` (for its entropy and the ergotropy floor)
 and ``dense.gaussian_to_dense``.  :func:`_fermi` and :func:`_xlogx` are the
@@ -255,8 +257,8 @@ class _EigenState(NamedTuple):
     populations p; or, when ``ham`` is None, the checked input matrix b and the
     ``eigenvalues`` its check computed, if any.  A back end subclasses it with ``of``
     and ``schedule``, which validate the inputs (the other methods trust them), the
-    thermal map and the spectrum; each map takes the state after :meth:`quench` to
-    its Hamiltonian and returns ``(state, duals)``."""
+    spectrum and the thermal ``_weights``, ``_moments`` and ``_range``; each map takes
+    the state after :meth:`quench` to its Hamiltonian and returns ``(state, duals)``."""
 
     ham: _Hamiltonian | None
     b: np.ndarray
@@ -330,6 +332,54 @@ class _EigenState(NamedTuple):
                 return type(self)(ham, self.b * (labels[:, None] == labels[None, :])), None
         return type(self)(ham, self.p), None
 
+    def thermalise(self, ham: _Hamiltonian, start: float | None = None):
+        """Thermal state of ``ham`` at this state's energy, beta sought from ``start`` if given; dual beta."""
+        beta = self.energy_beta(ham, self.energy(ham), start)
+        return self.thermal(ham, beta), (beta,)
+
+    @classmethod
+    def thermal(cls, ham: _Hamiltonian, beta: float) -> "_EigenState":
+        return cls(ham, cls._weights(ham.es.values, beta))
+
+    @classmethod
+    def energy_beta(cls, ham: _Hamiltonian, target: float, start: float | None = None) -> float:
+        """Beta whose thermal state of ``ham`` has mean energy ``target``, sought from ``start`` if
+        given.  The edge rule, with floor = 4 eps (scale + |target|) on the back end's ``_range``:
+        a range at most 2 floor wide is flat and matches at beta = 0; else a target outside
+        (lo + floor, hi - floor) raises ValueError."""
+        eps, t = ham.es.values, float(target)
+        lo, hi, scale = cls._range(eps)
+        floor = _EPS4 * (scale + abs(t))
+        if hi - lo <= 2.0 * floor:
+            return 0.0
+        if not lo + floor < t < hi - floor:
+            raise ValueError(f"target energy {t:.12g} outside the attainable open interval ({lo:.12g}, "
+                             f"{hi:.12g}) or within round-off ({floor:.3g}) of its spectral edges")
+
+        def fs(beta: float) -> tuple[float, float]:
+            mean, var = cls._moments(eps, cls._weights(eps, beta))
+            return mean - t, -var
+        return float(_energy_matching_root(fs, floor=floor, start=start))
+
+    @classmethod
+    def entropy_beta(cls, ham: _Hamiltonian, entropy: float) -> float | None:
+        """Beta >= 0 whose thermal state of ``ham`` has the given entropy; None above beta = 0's or at
+        or below the floor beta -> inf leaves (the ground level's, or ln 2 per zero mode; probed at
+        beta = 1e8).  The entropy falls with slope -beta Var; the root is bracketed from [0, 1]."""
+        s0, eps = float(entropy), ham.es.values
+        if not np.isfinite(s0):
+            raise ValueError(f"entropy must be finite, got {entropy!r}")
+
+        def fs(beta: float) -> tuple[float, float]:
+            p = cls._weights(eps, beta)
+            return float(cls.entropies(p)) - s0, -beta * cls._moments(eps, p)[1]
+        f0 = fs(0.0)[0]
+        if f0 == 0.0:
+            return 0.0
+        if f0 < 0.0 or fs(1e8)[0] >= 0.0:
+            return None
+        return float(_energy_matching_root(fs, lo=0.0, hi=1.0))
+
 
 def _check_spectrum(d: np.ndarray) -> np.ndarray:
     """A correlation spectrum or mode populations, checked to lie in
@@ -343,7 +393,7 @@ def _check_spectrum(d: np.ndarray) -> np.ndarray:
 
 def _fermi(x: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(x)) elementwise; where exp(x) would overflow it is taken as inf, giving 0."""
-    return 1.0 / (1.0 + np.exp(x, out=np.full(x.shape, np.inf), where=x < _LOG_MAX))
+    return 1.0 / (1.0 + np.exp(np.where(x < _LOG_MAX, x, np.inf)))
 
 
 def _xlogx(p: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import dense as qd
 from . import fermions as fg
-from .hermitian import (EigenSystem, _eigh, _eigh_all, _Hamiltonian, _require_hermitian_all,
+from .hermitian import (EigenSystem, _eigh, _eigh_all, _expectation, _Hamiltonian, _require_hermitian_all,
                         require_hermitian)
 
 __all__ = [
@@ -545,14 +545,11 @@ def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,
     h1 = (w * (k * np.log(p))) @ w.conj().T
     hams = _Hamiltonian._schedule([h0] + Trajectory.linear(h1, h0).schedule(n_quenches))
     record = _run(state, state.entropy(), hams, fg.GIBBS, keep_states)
-    es = hams[-1].es    # the last Hamiltonian is h0
-    beta_star = qd._entropy_matching_beta(es.values, record.steps[0].entropy)
+    beta_star = state.entropy_beta(hams[-1], record.steps[0].entropy)   # the last Hamiltonian is h0
     record.meta["beta_star"] = beta_star
     if beta_star is not None:
-        omega_star = qd._State(hams[-1], qd._thermal_weights(es.values, beta_star)).matrix()
-        record.meta["work_limit"] = (
-            qd._expectation(rho, h0) - qd._expectation(omega_star, h0)
-        )
+        omega_star = state.thermal(hams[-1], beta_star).matrix()
+        record.meta["work_limit"] = _expectation(rho, h0) - _expectation(omega_star, h0)
     return record
 
 

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 
+from gge_thermo import hermitian
+
 
 def make_rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
@@ -33,11 +35,11 @@ def random_correlation(n, rng, lo=0.0, hi=1.0):
     return (w * p) @ w.conj().T
 
 
-def record_roots(monkeypatch, module):
-    """Wrap ``module._energy_matching_root``: each call appends a record of its
-    residual callback ``fs``, its bracket, round-off floor and warm start, its
-    root and how often it called ``fs``."""
-    finder = module._energy_matching_root
+def record_roots(monkeypatch):
+    """Wrap the one root finder, ``hermitian._energy_matching_root``: each call
+    appends a record of its residual callback ``fs``, its bracket, round-off
+    floor and warm start, its root and how often it called ``fs``."""
+    finder = hermitian._energy_matching_root
     records = []
 
     def recording(fs, lo=-64.0, hi=64.0, floor=0.0, start=None):
@@ -52,7 +54,7 @@ def record_roots(monkeypatch, module):
                         "beta": beta, "calls": calls[0]})
         return beta
 
-    monkeypatch.setattr(module, "_energy_matching_root", recording)
+    monkeypatch.setattr(hermitian, "_energy_matching_root", recording)
     return records
 
 

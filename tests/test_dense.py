@@ -373,10 +373,15 @@ def test_check_state_rejections():
         gt.check_state(np.diag([1.5, -0.5]))
 
 
+def _record(h):
+    """The checked Hamiltonian record of ``h``, as the thermal matches take it."""
+    return hermitian._Hamiltonian(hermitian.require_hermitian(h))
+
+
 def test_dense_beta_matching_agrees_with_brentq(monkeypatch):
     # energy matching (gibbs_state_dense) and entropy matching on the
     # Newton-bisection finder against scipy's brentq on the same residual
-    roots = record_roots(monkeypatch, qd)
+    roots = record_roots(monkeypatch)
     rng = make_rng(15)
     for _ in range(200):
         d = int(rng.integers(2, 17))
@@ -385,7 +390,7 @@ def test_dense_beta_matching_agrees_with_brentq(monkeypatch):
         vals = np.linalg.eigvalsh(h)
         w = np.exp(-float(rng.uniform(0.05, 5.0)) * (vals - vals[0]))
         w /= w.sum()
-        qd._entropy_matching_beta(gt.eigh(h).values, float(-(w * np.log(w)).sum()))
+        qd._State.entropy_beta(_record(h), float(-(w * np.log(w)).sum()))
     assert len(roots) == 400
     for rec in roots:
         ref, _ = brentq_root(rec["fs"], rec["lo"], rec["hi"])
@@ -414,25 +419,26 @@ def test_entropy_matching_beta():
     w = np.exp(-1.3 * vals)
     w /= w.sum()
     s_target = float(-(w * np.log(w)).sum())
-    eps = gt.eigh(h).values
-    beta = qd._entropy_matching_beta(eps, s_target)
+    ham = _record(h)
+    match = qd._State.entropy_beta
+    beta = match(ham, s_target)
     assert beta == pytest.approx(1.3, rel=1e-9)
     # entropy below the pure-state floor of a gapped spectrum is available,
     # but entropy above log(d) is not
-    assert qd._entropy_matching_beta(eps, math.log(5) + 0.1) is None
-    assert qd._entropy_matching_beta(eps, 0.0) is None     # the pure ground state
+    assert match(ham, math.log(5) + 0.1) is None
+    assert match(ham, 0.0) is None     # the pure ground state
     # the uniform state's entropy is matched at beta = 0; a doubly degenerate
     # ground level puts the floor at log 2, which only beta -> infinity
     # reaches, so the floor and what lies below it have no beta
     uniform = np.full(5, 0.2)
-    assert qd._entropy_matching_beta(eps, float(-np.sum(uniform * np.log(uniform)))) == 0.0
-    eps_deg = gt.eigh(np.diag([0.0, 0.0, 1.0, 2.0])).values
-    assert qd._entropy_matching_beta(eps_deg, math.log(2) + 1e-3) > 5.0
+    assert match(ham, float(-np.sum(uniform * np.log(uniform)))) == 0.0
+    ham_deg = _record(np.diag([0.0, 0.0, 1.0, 2.0]))
+    assert match(ham_deg, math.log(2) + 1e-3) > 5.0
     for s in (math.log(2), math.log(2) - 1e-3, 0.0):
-        assert qd._entropy_matching_beta(eps_deg, s) is None
+        assert match(ham_deg, s) is None
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"entropy must be finite, got {bad!r}"):
-            qd._entropy_matching_beta(eps, bad)
+            match(ham, bad)
 
 
 def test_evolve_dense_unitary_invariants():

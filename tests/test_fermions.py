@@ -133,7 +133,7 @@ def test_solve_beta_rejects_unattainable():
 def test_solve_beta_residuals_random(monkeypatch):
     # the Newton-bisection finder against scipy's brentq on the same residual:
     # targets mid-range and within 1e-7..1e-3 of either edge of the range
-    roots = record_roots(monkeypatch, fg)
+    roots = record_roots(monkeypatch)
     rng = make_rng(11)
     calls, brent_calls = [], []
     for i in range(2000):

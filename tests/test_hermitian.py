@@ -184,6 +184,16 @@ def test_fermi_and_xlogx_kernels_match_scipy_without_warnings():
         fermi, xlogx = _fermi(x), _xlogx(p)
     np.testing.assert_allclose(fermi, expit(-x), rtol=5e-16, atol=0.0)
     np.testing.assert_allclose(xlogx, xlogy(p, p), rtol=5e-16, atol=0.0)
+    # where exp would overflow (from _LOG_MAX up, +inf and NaN) the occupation is
+    # +0.0, bit for bit, and just below _LOG_MAX it is the bare formula's
+    lm = hermitian._LOG_MAX
+    below = float(np.nextafter(lm, -np.inf))
+    edge = np.array([math.nan, math.inf, -math.inf, lm, np.nextafter(lm, np.inf), below, -lm])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _fermi(edge)
+    assert np.array_equal(got, [0.0, 0.0, 1.0, 0.0, 0.0, 1.0 / (1.0 + math.exp(below)), 1.0])
+    assert not np.signbit(got).any() and got[5] > 0.0
 
 
 def test_pure_state_entropy_is_positive_zero():
@@ -270,12 +280,12 @@ def test_require_hermitian_symmetrises():
 
 def _warm_and_cold(monkeypatch, rng, count):
     """Cold and warm energy matches, as ``(cold, warm)`` root records of the finder,
-    on ``count`` random gaussian spectra (chains, through ``fermions._matching_beta``)
+    on ``count`` random gaussian spectra (chains, through ``fermions._ModeState.energy_beta``)
     and as many dense ones (through ``dense._State.thermalise``), each warm one from
     a start drawn around the cold root: off by 1e-4..10 either way."""
     pairs = []
+    roots = record_roots(monkeypatch)
     for module in (fermions, dense):
-        roots = record_roots(monkeypatch, module)
         for _ in range(count):
             if module is fermions:
                 n = int(rng.integers(2, 61))
@@ -284,7 +294,7 @@ def _warm_and_cold(monkeypatch, rng, count):
                 target = float(rng.uniform(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo)))
 
                 def solve(start):
-                    fermions._matching_beta(ham, target, start)
+                    fermions._ModeState.energy_beta(ham, target, start)
             else:
                 d = int(rng.integers(2, 17))
                 state = dense._State.of(random_density(d, rng))
@@ -296,6 +306,52 @@ def _warm_and_cold(monkeypatch, rng, count):
             solve(roots[-1]["beta"] + float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-4.0, 1.0))
             pairs.append((roots[-2], roots[-1]))
     return pairs
+
+
+def test_thermal_edge_rule_is_one_on_both_back_ends():
+    # a flat range matches at beta = 0 and a target within round-off of an
+    # edge raises one error, on a chain and on its Jordan-Wigner image alike
+    sites = [gt.build_chain(1, [e], 0.0) for e in (1.0, 0.0, -1.0)]
+    gamma0 = np.array([[0.3]])
+    for run in (gt.run_schedule(gamma0, sites, gt.GIBBS),
+                gt.run_schedule(gt.gaussian_to_dense(gamma0), [gt.quadratic_to_dense(h.c) for h in sites],
+                                gt.GIBBS, backend="dense")):
+        assert [s.duals for s in run.steps[1:]] == [(0.0,), (0.0,)]
+        np.testing.assert_allclose([s.work_extracted for s in run.steps], [0.0, 0.3, 0.5], atol=1e-14)
+    # the Fermi sea rethermalised under its own Hamiltonian sits on the lower edge
+    ham = gt.build_chain(4, [-1.0, -0.5, 0.5, 1.0], 0.3)
+    sea, h = gt.gibbs_correlation(ham, math.inf), gt.quadratic_to_dense(ham.c)
+    for run in (lambda: gt.run_schedule(sea, [ham, ham], gt.GIBBS),
+                lambda: gt.run_schedule(gt.gaussian_to_dense(sea), [h, h], gt.GIBBS, backend="dense")):
+        with pytest.raises(RuntimeError, match=r"^step 1: target energy -1\.59250458827 outside the "
+                                               r"attainable open interval \(.*\) or within round-off "
+                                               r"\(.*\) of its spectral edges$"):
+            run()
+    assert gt.solve_beta(np.zeros((3, 3)), 0.0) == (0.0, False)
+
+
+def test_entropy_match_is_one_on_both_back_ends():
+    # the Fermi match on a chain's modes and the Boltzmann match on its
+    # Jordan-Wigner spectrum find one beta; neither exists above n ln 2, nor at
+    # or below the ln 2 per zero mode that no beta empties or fills
+    rng = make_rng(33)
+    for _ in range(30):
+        n = int(rng.integers(2, 7))
+        c = random_hermitian(n, rng)
+        ham = gt.QuadraticHamiltonian(c)
+        dense_ham = hermitian._Hamiltonian(gt.quadratic_to_dense(c))
+        s = float(fermions._ModeState.entropies(_fermi(float(rng.uniform(0.05, 5.0)) * ham.energies)))
+        beta = fermions._ModeState.entropy_beta(ham, s)
+        assert abs(beta - dense._State.entropy_beta(dense_ham, s)) <= 1e-10 * max(1.0, beta)
+        for over in (n * math.log(2) + 1e-9, n * math.log(2) + 0.1):
+            assert fermions._ModeState.entropy_beta(ham, over) is None
+            assert dense._State.entropy_beta(dense_ham, over) is None
+    c = np.diag([0.0, -1.0, 1.0])
+    for state, h in ((fermions._ModeState, gt.QuadraticHamiltonian(c)),
+                     (dense._State, hermitian._Hamiltonian(gt.quadratic_to_dense(c)))):
+        assert state.entropy_beta(h, math.log(2) + 1e-3) > 5.0
+        for s in (math.log(2), math.log(2) - 1e-3, 0.0):
+            assert state.entropy_beta(h, s) is None
 
 
 def test_warm_energy_match_agrees_with_cold(monkeypatch):

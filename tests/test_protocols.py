@@ -742,10 +742,10 @@ def test_dense_stacked_runs_equal_one_by_one_reference(monkeypatch):
                 state = dense._State(None, r)
                 want = pr._run(state, state.entropy(), [_Fresh(h) for h in schedule], gt.GIBBS, keep)
             es = hermitian.eigh(h)
-            beta_star = dense._entropy_matching_beta(es.values, want.steps[0].entropy)
+            beta_star = dense._State.entropy_beta(hermitian._Hamiltonian(h, es), want.steps[0].entropy)
             want.meta["beta_star"] = beta_star
             if beta_star is not None:
-                omega = (es.vectors * dense._thermal_weights(es.values, beta_star)) @ es.vectors.conj().T
+                omega = (es.vectors * dense._State._weights(es.values, beta_star)) @ es.vectors.conj().T
                 want.meta["work_limit"] = dense._expectation(r, h) - dense._expectation(omega, h)
             _assert_same_record(got, want)
 
@@ -1263,7 +1263,7 @@ def test_gibbs_run_matches_each_energy_from_the_last_beta(monkeypatch):
     # fig3 at its defaults (n = 100, N = 64): the first thermal step matches its
     # energy cold and each later one starts from the step before's beta, so a
     # match averages at most 3.5 residual evaluations (7.02 with every one cold)
-    roots = record_roots(monkeypatch, fermions)
+    roots = record_roots(monkeypatch)
     config = cli.parse_config(["fig3"])
     ham0, gamma0 = cli.fig3_initial_state(config)
     hams = pr.local_quench_schedule(ham0, config.eps1_peak, 64)
@@ -1746,11 +1746,9 @@ def test_min_work_scan_rejects_invalid_initial_state(monkeypatch):
 
 def test_min_work_scan_survives_cell_failures():
     # a Gibbs cell with an unattainable target energy fails without killing
-    # the scan
-    ham0 = gt.build_chain(1, [1.0], 0.0)
-    ham1 = gt.build_chain(1, [-1.0], 0.0)
-    gamma0 = np.array([[0.9]], dtype=complex)
-    traj = gt.Trajectory.linear(ham0.c, ham1.c)
+    # the scan: a filled mode's energy is the upper edge at every step
+    gamma0 = np.array([[1.0]], dtype=complex)
+    traj = gt.Trajectory.linear([[1.0]], [[2.0]])
     scan = gt.min_work_scan(gamma0, traj.schedule, [gt.GGE, gt.GIBBS], [2, 4], seed=0)
     assert scan.failures
     assert np.all(np.isfinite(scan.works[0]))
