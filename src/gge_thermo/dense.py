@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import (STATE_ATOL, _check_spectrum, _EigenState, _expectation, _Hamiltonian, _hermitian_part,
+from .hermitian import (STATE_ATOL, _check_spectrum, _EigenState, _expectation, _hermitian_part,
                         _require_hermitian_all, _xlogx, cluster_degenerate, require_hermitian)
 
 __all__ = [
@@ -53,37 +53,6 @@ def check_state(rho) -> np.ndarray:
     return _State.of(rho).b
 
 
-def _hamiltonian(hamiltonian, r: np.ndarray, name: str = "Hamiltonian") -> np.ndarray:
-    """The one dense Hamiltonian (or observable, named ``name`` in errors)
-    check: Hermitian within ``STATE_ATOL`` and of the shape of the validated
-    state ``r``; returns the symmetrised copy."""
-    h = require_hermitian(hamiltonian, name=name)
-    if h.shape != r.shape:
-        raise ValueError(f"dimension mismatch: state {r.shape} vs {name} {h.shape}")
-    return h
-
-
-def _checked(matrices, r: np.ndarray, name: str = "Hamiltonian") -> list[np.ndarray]:
-    """:func:`_hamiltonian` of each matrix (the i-th named ``name.format(i=i)``) in one
-    stacked check; if one fails, the per-matrix checks raise the first error in order."""
-    ms = list(matrices)
-    try:
-        hs = _require_hermitian_all(ms, name)
-        if all(h.shape == r.shape for h in hs):
-            return hs
-    except (TypeError, ValueError):
-        pass
-    return [_hamiltonian(m, r, name.format(i=i)) for i, m in enumerate(ms)]
-
-
-def _prologue(rho, hamiltonian):
-    """Validated state, as a ``_State``, and the Hamiltonian's record, of matching
-    dimensions: the checks every public map below runs before the state's
-    methods, which trust their arguments, as in the protocol runner."""
-    state = _State.of(rho)
-    return state, _Hamiltonian(_hamiltonian(hamiltonian, state.b))
-
-
 def ta_state(rho, hamiltonian) -> np.ndarray:
     """Pinch the state in the eigenbasis of the Hamiltonian.
 
@@ -92,7 +61,7 @@ def ta_state(rho, hamiltonian) -> np.ndarray:
     the infinite-time average of the unitary evolution and it preserves the
     expectation of every function of the Hamiltonian.
     """
-    state, ham = _prologue(rho, hamiltonian)
+    state, ham = _State.prologue(rho, hamiltonian)
     return state.quench(ham).dephase(ham)[0].matrix()
 
 
@@ -113,10 +82,6 @@ class _State(_EigenState):
         state = cls(None, r, np.linalg.eigvalsh(r))
         state.spectrum()    # a negative eigenvalue raises
         return state
-
-    def schedule(self, hs) -> list[_Hamiltonian]:
-        """:func:`_hamiltonian` of each matrix of ``hs`` against this state, as records."""
-        return _Hamiltonian._schedule(_checked(hs, self.b))
 
     @staticmethod
     def listed(hams: list) -> list[np.ndarray]:
@@ -165,7 +130,7 @@ def gibbs_state_dense(rho, hamiltonian) -> tuple[np.ndarray, float]:
     maximally mixed state at beta = 0 is returned.  Raises ValueError when E
     is outside the spectral edges or within 4 eps (max |eps_k| + |E|) of one.
     """
-    state, (beta,) = _State.thermalise(*_prologue(rho, hamiltonian))
+    state, (beta,) = _State.thermalise(*_State.prologue(rho, hamiltonian))
     return state.matrix(), beta
 
 
@@ -180,15 +145,10 @@ class ConservedSet:
         self._set(_require_hermitian_all(self.observables, "observable {i}"), self.targets)
 
     def _set(self, obs, targets) -> None:
-        """The fields from validated observables: one target each, a common shape, finite targets."""
+        """The fields from validated observables of one shape: one target each, finite targets."""
         obs, tgt = tuple(obs), tuple(float(t) for t in targets)
         if len(obs) != len(tgt):
             raise ValueError(f"{len(obs)} observables but {len(tgt)} targets")
-        if obs:
-            d = obs[0].shape[0]
-            for i, q in enumerate(obs):
-                if q.shape != (d, d):
-                    raise ValueError(f"observable {i} has shape {q.shape}, expected {(d, d)}")
         if any(not np.isfinite(t) for t in tgt):
             raise ValueError("targets must be finite")
         object.__setattr__(self, "observables", obs)
@@ -197,7 +157,7 @@ class ConservedSet:
     @classmethod
     def from_state(cls, rho, observables) -> "ConservedSet":
         r = check_state(rho)
-        obs = _checked(observables, r, "observable {i}")
+        obs = _require_hermitian_all(observables, "observable {i}", r.shape, "state")
         conserved = cls.__new__(cls)
         conserved._set(obs, [_expectation(r, q) for q in obs])
         return conserved
@@ -280,7 +240,7 @@ def gge_state_dense(rho, hamiltonian, conserved: ConservedSet) -> tuple[np.ndarr
     candidate is accepted the iteration stops without moving, and the state
     is returned only if every residual is within 1e-8.
     """
-    state, ham = _prologue(rho, hamiltonian)
+    state, ham = _State.prologue(rho, hamiltonian)
     h = ham.h
     if conserved.q and conserved.observables[0].shape != h.shape:
         raise ValueError("conserved observables must match the Hamiltonian dimension")
@@ -373,11 +333,11 @@ def is_passive(rho, hamiltonian, tol: float = 1e-9) -> bool:
     Within each energy group (clustered at ``tol``) the populations are the
     eigenvalues of the state's block, which removes any basis ambiguity.
     """
-    state, ham = _prologue(rho, hamiltonian)
+    state, ham = _State.prologue(rho, hamiltonian)
     r, h, es = state.b, ham.h, ham.es
+    labels = cluster_degenerate(es.values, tol)     # rejects a tol that is not positive
     if float(np.linalg.norm(r @ h - h @ r)) > tol:
         return False
-    labels = cluster_degenerate(es.values, tol)
     b = es.vectors.conj().T @ r @ es.vectors
     pops = [np.linalg.eigvalsh(_hermitian_part(b[np.ix_(labels == k, labels == k)]))
             for k in range(labels[-1] + 1)]
@@ -388,7 +348,7 @@ def passive_rearrangement(rho, hamiltonian) -> np.ndarray:
     """State with the spectrum of ``rho`` arranged non-increasingly along the
     ascending energy eigenbasis; the minimum-energy point of the unitary
     orbit of ``rho``."""
-    state, ham = _prologue(rho, hamiltonian)
+    state, ham = _State.prologue(rho, hamiltonian)
     return _State(ham, state.spectrum()[::-1]).matrix()
 
 
@@ -441,6 +401,8 @@ def mode_number_operators(modes) -> list[np.ndarray]:
     """Dense number operators eta_k^dag eta_k for eta_k = sum_j conj(A[j,k]) a_j,
     each the quadratic form of the rank-one matrix A[:, k] A[:, k]^dag."""
     a = np.asarray(modes, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"modes must be a square matrix, got shape {a.shape}")
     _check_mode_count(a.shape[0])
     outers = [np.outer(a[:, k], a[:, k].conj()) for k in range(a.shape[0])]
     return _quadratic_to_dense_all(_require_hermitian_all(outers, "coefficient matrix"))

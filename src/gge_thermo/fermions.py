@@ -58,8 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import (_check_spectrum, _eigh, _EigenState, _fermi, _Hamiltonian, _require_hermitian_all,
-                        _xlogx, require_hermitian)
+from .hermitian import (_check_spectrum, _eigh, _EigenState, _fermi, _Hamiltonian, _hermitian_dtype, _xlogx,
+                        require_hermitian)
 
 __all__ = [
     "QuadraticHamiltonian",
@@ -92,9 +92,12 @@ class QuadraticHamiltonian(_Hamiltonian):
     """
 
     __slots__ = ()
+    backend = "gaussian"
 
     def __init__(self, coefficients):
-        c = _nonempty([require_hermitian(coefficients, name="coefficient matrix")])[0]
+        c = require_hermitian(coefficients, name="coefficient matrix")
+        if not c.size:
+            raise ValueError("coefficient matrix has shape (0, 0): a Hamiltonian needs at least one mode")
         super().__init__(c, _eigh(c))
 
     @property
@@ -119,27 +122,11 @@ class QuadraticHamiltonian(_Hamiltonian):
         return f"QuadraticHamiltonian(n={self.n})"
 
 
-def _nonempty(cs: list[np.ndarray]) -> list[np.ndarray]:
-    """Checked coefficient matrices, rejected when one has no mode (is 0 x 0)."""
-    if not all(c.size for c in cs):
-        raise ValueError("coefficient matrix has shape (0, 0): a Hamiltonian needs at least one mode")
-    return cs
-
-
 def as_hamiltonian(obj) -> QuadraticHamiltonian:
     """Pass through a QuadraticHamiltonian or wrap a coefficient matrix."""
     if isinstance(obj, QuadraticHamiltonian):
         return obj
     return QuadraticHamiltonian(obj)
-
-
-def _hamiltonians(objs) -> list[QuadraticHamiltonian]:
-    """:func:`as_hamiltonian` of each entry of a schedule, in ``_schedule``'s stacked calls."""
-    hams = list(objs)
-    at = [i for i, h in enumerate(hams) if not isinstance(h, QuadraticHamiltonian)]
-    for i, c in zip(at, _nonempty(_require_hermitian_all([hams[i] for i in at], "coefficient matrix"))):
-        hams[i] = c
-    return QuadraticHamiltonian._schedule(hams)
 
 
 @dataclass(frozen=True)
@@ -202,31 +189,23 @@ def build_chain(n: int, eps, g: float) -> QuadraticHamiltonian:
     return QuadraticHamiltonian(c)
 
 
-def _check_dims(gamma: np.ndarray, ham: QuadraticHamiltonian) -> None:
-    if gamma.shape != (ham.n, ham.n):
-        raise ValueError(
-            f"dimension mismatch: correlation matrix {gamma.shape} vs Hamiltonian n={ham.n}"
-        )
-
-
 def _as_checked(matrix, name: str) -> np.ndarray:
     """``matrix``, finite and Hermitian within ``STATE_ATOL``, as given (not symmetrised)
     in the dtype :func:`require_hermitian` keeps: float64 when it is real."""
-    real = np.isrealobj(require_hermitian(matrix, name=name))
-    m = np.asarray(matrix)
-    return m.real.astype(float, copy=False) if real else m.astype(complex, copy=False)
+    require_hermitian(matrix, name=name)
+    return _hermitian_dtype(matrix)
 
 
 def to_mode_basis(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
     """gamma_eta = A.T @ gamma @ A.conj()."""
-    return _ModeState.of(gamma, ham).quench(ham).b
+    return _ModeState.prologue(gamma, ham)[0].quench(ham).b
 
 
 def from_mode_basis(gamma_eta, ham: QuadraticHamiltonian) -> np.ndarray:
     """Inverse of :func:`to_mode_basis`: gamma = A.conj() @ gamma_eta @ A.T.
     ``gamma_eta`` must be finite and Hermitian within ``STATE_ATOL``; it is used as given."""
     g = _as_checked(gamma_eta, "mode-basis correlation matrix")
-    _check_dims(g, ham)
+    _ModeState(None, g).schedule([ham])
     return _ModeState(ham, g).matrix()
 
 
@@ -238,22 +217,14 @@ class _ModeState(_EigenState):
     __slots__ = ()
     backend = "gaussian"
     _conjugate = True
+    _record = QuadraticHamiltonian
+    _name, _label = "coefficient matrix", "correlation matrix"
 
     @classmethod
-    def of(cls, gamma, ham: QuadraticHamiltonian | None = None) -> "_ModeState":
+    def of(cls, gamma) -> "_ModeState":
         """The correlation matrix ``gamma`` as a state on the sites: finite and Hermitian
-        within ``STATE_ATOL``, kept as given, and sized for ``ham`` when one is given."""
-        g = _as_checked(gamma, "correlation matrix")
-        if ham is not None:
-            _check_dims(g, ham)
-        return cls(None, g)
-
-    def schedule(self, hs) -> list[QuadraticHamiltonian]:
-        """:func:`as_hamiltonian` of each entry of ``hs``, each sized for this state."""
-        hams = _hamiltonians(hs)
-        for ham in (ham for ham in hams if ham.h.shape != self.b.shape):     # the first raises
-            _check_dims(self.b, ham)
-        return hams
+        within ``STATE_ATOL``, kept as given."""
+        return cls(None, _as_checked(gamma, "correlation matrix"))
 
     @staticmethod
     def listed(hams: list) -> list:     # what ProtocolRecord.hamiltonians holds
@@ -349,8 +320,8 @@ def evolve_exact(gamma, ham: QuadraticHamiltonian, t: float) -> np.ndarray:
     In the mode basis each entry picks up the phase exp(i t (eps_k - eps_l));
     equivalently gamma -> U gamma U^dag with U = A.conj() exp(i t D) A.T.
     """
-    ham = as_hamiltonian(ham)
-    return _ModeState.of(gamma, ham).quench(ham).evolve(ham, t)[0].matrix()
+    state, ham = _ModeState.prologue(gamma, as_hamiltonian(ham))
+    return state.quench(ham).evolve(ham, t)[0].matrix()
 
 
 def dephase_gge(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
@@ -362,14 +333,14 @@ def dephase_gge(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
     fixed.  The mean energy is conserved because only the mode diagonal
     carries energy.
     """
-    ham = as_hamiltonian(ham)
-    return _ModeState.of(gamma, ham).quench(ham).dephase(ham)[0].matrix()
+    state, ham = _ModeState.prologue(gamma, as_hamiltonian(ham))
+    return state.quench(ham).dephase(ham)[0].matrix()
 
 
 def energy(gamma, ham: QuadraticHamiltonian) -> float:
     """Mean energy sum_ij c[i, j] * gamma[i, j] (imaginary round-off dropped)."""
-    ham = as_hamiltonian(ham)
-    return _ModeState.of(gamma, ham).energy(ham)
+    state, ham = _ModeState.prologue(gamma, as_hamiltonian(ham))
+    return state.energy(ham)
 
 
 def entropy_gaussian(gamma) -> float:

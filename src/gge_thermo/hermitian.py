@@ -11,8 +11,11 @@ mirror-image entries (a uniform chain's modes) then resolve to the lower
 index whatever the round-off, which makes runs reproducible across BLAS
 builds and thread counts.  All routines are pure functions; nothing mutates
 its inputs.  A list of matrices (a schedule on either back end, keyframes,
-observables) is checked and decomposed in stacked calls: bit for bit as one
-call per matrix, with the same errors.
+observables) is checked and decomposed in stacked calls, bit for bit as one
+call per matrix, by one shape rule: each has the shape of the state, or of
+the first keyframe or observable, else ``dimension mismatch: {label} {shape}
+vs {name} {its shape}``; if anything fails, the first bad matrix in list
+order raises its own error, whatever kind it is.
 
 :class:`_Hamiltonian` is the one Hamiltonian record of both back ends (the
 gaussian ``fermions.QuadraticHamiltonian`` is a subclass): a checked matrix
@@ -99,12 +102,17 @@ def _stacks(ms: list[np.ndarray]):
             yield idx[k:k + step], np.array([ms[i] for i in idx[k:k + step]])
 
 
-def _require_hermitian_all(matrices, name: str = "matrix") -> list[np.ndarray]:
-    """:func:`require_hermitian` of each matrix (the i-th named ``name.format(i=i)``) in
-    stacked calls; if one fails, the per-matrix calls raise the first error in order."""
+def _require_hermitian_all(matrices, name: str = "matrix", shape: tuple | None = None,
+                           label: str | None = None) -> list[np.ndarray]:
+    """:func:`require_hermitian` of each matrix (the i-th named ``name.format(i=i)``) in stacked
+    calls, each of ``shape``, that of ``label`` (else the first matrix's); if one fails, the per-matrix
+    checks raise the first error in order: ``dimension mismatch: {label} {shape} vs {name} {its}``."""
     matrices, out = list(matrices), {}
     try:
-        for idx, s in _stacks([_hermitian_dtype(m) for m in matrices]):
+        ms = [_hermitian_dtype(m) for m in matrices]
+        if len(ms) < 2 or any(m.shape != (ms[0].shape if shape is None else shape) for m in ms):
+            raise ValueError    # a wrong shape, or one matrix, whose own check is faster
+        for idx, s in _stacks(ms):
             sh = s.conj().transpose(0, 2, 1)    # a ValueError unless a stack of matrices
             with np.errstate(invalid="ignore"):     # inf - inf is NaN, which fails
                 if sh.shape != s.shape or not np.abs(s - sh).max(initial=0.0) <= STATE_ATOL:
@@ -113,7 +121,15 @@ def _require_hermitian_all(matrices, name: str = "matrix") -> list[np.ndarray]:
         return [out[i] for i in range(len(matrices))]
     except (TypeError, ValueError):     # a failing or non-numeric entry: name the first
         pass
-    return [require_hermitian(m, name.format(i=i)) for i, m in enumerate(matrices)]
+    checked = []
+    for i, m in enumerate(matrices):
+        h = require_hermitian(m, name.format(i=i))
+        if shape is None:
+            shape, label = h.shape, name.format(i=0)
+        if h.shape != shape:
+            raise ValueError(f"dimension mismatch: {label} {shape} vs {name.format(i=i)} {h.shape}")
+        checked.append(h)
+    return checked
 
 
 def _hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -184,8 +200,8 @@ def cluster_degenerate(values, tol: float = DEGENERACY_TOL) -> np.ndarray:
     """Degeneracy label per ascending-sorted value: 0 for the first, and one
     more at each gap larger than ``tol``, so level k is ``labels == k``.
     Empty input yields an empty int array."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:      # NaN fails this test too
+        raise ValueError(f"tol must be positive, got {tol!r}")
     v = np.asarray(values, dtype=float)
     if v.ndim != 1:
         raise ValueError("values must be one-dimensional")
@@ -207,6 +223,7 @@ class _Hamiltonian:
     (threads that race there work out the same arrays, and one is kept)."""
 
     __slots__ = ("h", "_es", "_lab")
+    backend = "dense"   # the back end whose schedules take the record as it is
 
     def __init__(self, h: np.ndarray, es: EigenSystem | None = None, labels: np.ndarray | None = None):
         self.h, self._es, self._lab = h, es, labels
@@ -256,14 +273,37 @@ class _EigenState(NamedTuple):
     in the basis A^*, whose holds turn the other way), with b its matrix there or its
     populations p; or, when ``ham`` is None, the checked input matrix b and the
     ``eigenvalues`` its check computed, if any.  A back end subclasses it with ``of``
-    and ``schedule``, which validate the inputs (the other methods trust them), the
-    spectrum and the thermal ``_weights``, ``_moments`` and ``_range``; each map takes
-    the state after :meth:`quench` to its Hamiltonian and returns ``(state, duals)``."""
+    (and :meth:`schedule` checks Hamiltonians against it; the other methods trust them),
+    its record type, the spectrum and the thermal ``_weights``, ``_moments`` and ``_range``;
+    each map takes the state after :meth:`quench` to its Hamiltonian and returns ``(state, duals)``."""
 
     ham: _Hamiltonian | None
     b: np.ndarray
     eigenvalues: np.ndarray | None = None
     _conjugate = False
+    _record = _Hamiltonian      # the back end's Hamiltonian record type
+    _name, _label = "Hamiltonian", "state"      # a schedule's matrices and the state, in errors
+
+    @classmethod
+    def prologue(cls, state, hamiltonian) -> tuple["_EigenState", _Hamiltonian]:
+        """The checked state and its Hamiltonian's record: every public map's checks."""
+        state = cls.of(state)
+        return state, state.schedule([hamiltonian])[0]
+
+    def schedule(self, hs) -> list[_Hamiltonian]:
+        """Records of the entries of ``hs`` by the one shape rule of :func:`_require_hermitian_all`
+        against this state, in one stacked call of the matrices (named ``_name``) and of this back
+        end's records of another size; its other records pass as they are.  Built by the record
+        type's ``_schedule``; a 0 x 0 state (only a correlation matrix can be) takes none."""
+        hs, shape = list(hs), self.b.shape
+        own = [isinstance(h, _Hamiltonian) and h.backend == self.backend for h in hs]
+        at = [i for i, h in enumerate(hs) if not (own[i] and h.h.shape == shape)]
+        checked = _require_hermitian_all([hs[i].h if own[i] else hs[i] for i in at], self._name, shape, self._label)
+        for i, h in zip(at, checked):     # a record of another size has raised
+            hs[i] = h
+        if hs and not self.b.size:
+            raise ValueError(f"{self._name} has shape (0, 0): a Hamiltonian needs at least one mode")
+        return self._record._schedule(hs)
 
     @property
     def p(self) -> np.ndarray:

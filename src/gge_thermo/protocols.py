@@ -99,10 +99,6 @@ class Trajectory:
         frames = tuple(_require_hermitian_all(self.keyframes, "keyframe {i}"))
         if len(frames) < 2:
             raise ValueError("a trajectory needs at least two keyframes")
-        dim = frames[0].shape[0]
-        for i, f in enumerate(frames):
-            if f.shape != (dim, dim):
-                raise ValueError(f"keyframe {i} has shape {f.shape}, expected {(dim, dim)}")
         rules = tuple(self.rules)
         if len(rules) != len(frames) - 1:
             raise ValueError(f"{len(frames)} keyframes need {len(frames) - 1} rules, got {len(rules)}")
@@ -449,8 +445,7 @@ def optimal_work_bound(gamma0, ham0) -> float:
     """Largest work any quench-and-dephase protocol can extract: the initial
     energy minus the anti-ordered pairing of the correlation spectrum with
     the mode energies."""
-    state = fg._ModeState.of(gamma0)
-    return _ergotropy(state, state.schedule([ham0])[0])
+    return _ergotropy(*fg._ModeState.prologue(gamma0, ham0))
 
 
 def _four_phase(gamma0, ham0) -> Callable:
@@ -536,20 +531,19 @@ def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,
     if not k < 0:       # NaN fails this test too
         raise ValueError(f"k must be negative, got {k}")
     n_quenches = _quench_counts([n_quenches])[0]
-    state = qd._State.of(rho0)
-    rho, h0 = state.b, qd._hamiltonian(h0, state.b)
-    p, w = np.linalg.eigh(rho)
+    state, ham0 = qd._State.prologue(rho0, h0)
+    p, w = np.linalg.eigh(state.b)
     if float(p.min()) < 1e-12:
         raise ValueError(f"state is singular (smallest eigenvalue {float(p.min()):.3e}); "
                          "the logarithm quench needs full rank")
     h1 = (w * (k * np.log(p))) @ w.conj().T
-    hams = _Hamiltonian._schedule([h0] + Trajectory.linear(h1, h0).schedule(n_quenches))
+    hams = _Hamiltonian._schedule([ham0] + Trajectory.linear(h1, ham0.h).schedule(n_quenches))
     record = _run(state, state.entropy(), hams, fg.GIBBS, keep_states)
     beta_star = state.entropy_beta(hams[-1], record.steps[0].entropy)   # the last Hamiltonian is h0
     record.meta["beta_star"] = beta_star
     if beta_star is not None:
         omega_star = state.thermal(hams[-1], beta_star).matrix()
-        record.meta["work_limit"] = _expectation(rho, h0) - _expectation(omega_star, h0)
+        record.meta["work_limit"] = _expectation(state.b, ham0.h) - _expectation(omega_star, ham0.h)
     return record
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,16 @@ def test_conserved_set_from_state_names_a_malformed_observable():
         gt.ConservedSet.from_state(rho, [SIGMA_Z, np.array([[0.0, 0.1], [0.0, 1.0]])])
     with pytest.raises(ValueError, match=r"^dimension mismatch: state \(2, 2\) vs observable 1 \(3, 3\)$"):
         gt.ConservedSet.from_state(rho, [SIGMA_Z, np.eye(3), np.array([[0.0, 0.1], [0.0, 1.0]])])
+    # built directly, the observables are checked against the shape of observable 0
+    asym = np.array([[0.0, 0.1], [0.0, 1.0]])
+    direct = {
+        r"^dimension mismatch: observable 0 \(2, 2\) vs observable 1 \(3, 3\)$": (SIGMA_Z, np.eye(3), asym),
+        "^observable 1 is not Hermitian: max asymmetry 1.000e-01": (SIGMA_Z, asym, np.eye(3)),
+        r"^observable 0 must be a square matrix, got shape \(3,\)$": (np.ones(3), np.eye(3)),
+    }
+    for message, obs in direct.items():
+        with pytest.raises(ValueError, match=message):
+            gt.ConservedSet(obs, (0.0,) * len(obs))
 
 
 def test_conserved_set_from_state_checks_each_observable_once(monkeypatch):
@@ -173,8 +184,8 @@ def test_conserved_set_from_state_checks_each_observable_once(monkeypatch):
     rho, qs = random_density(4, rng), [random_hermitian(4, rng) + 1e-12j * rng.normal(size=(4, 4))
                                        for _ in range(3)]
     stacked, single = [], []
-    monkeypatch.setattr(qd, "_require_hermitian_all",
-                        lambda ms, name: stacked.append(name) or hermitian._require_hermitian_all(ms, name))
+    monkeypatch.setattr(qd, "_require_hermitian_all", lambda ms, name, *rule: stacked.append(name)
+                        or hermitian._require_hermitian_all(ms, name, *rule))
     monkeypatch.setattr(qd, "require_hermitian",
                         lambda m, name="matrix": single.append(name) or hermitian.require_hermitian(m, name))
     conserved = gt.ConservedSet.from_state(rho, qs)
@@ -246,6 +257,11 @@ def test_is_passive_examples():
     assert not gt.is_passive(rho, hd)
     # non-commuting state is not passive either
     assert not gt.is_passive(PLUS, SIGMA_Z)
+    # the tolerance is checked before the commutation test, so a NaN or
+    # negative one cannot answer for this non-commuting state
+    for tol in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="^tol must be positive"):
+            gt.is_passive(np.array([[0.2, 0.3], [0.3, 0.8]]), np.diag([0.0, 1.0]), tol=tol)
 
 
 def test_is_passive_ranks_a_coherent_degenerate_level_by_its_block_eigenvalues():
@@ -351,6 +367,10 @@ def test_mode_number_operators_are_projectors_summing_to_particle_number():
             assert np.max(np.abs(p - p.conj().T)) < 1e-14
         popcount = np.diag([bin(b).count("1") for b in range(2**n)]).astype(complex)
         assert np.max(np.abs(sum(numbers) - popcount)) < 1e-12
+    # a mode matrix that is not square is named by its shape
+    for shape in ((3, 2), (3,), (2, 3)):
+        with pytest.raises(ValueError, match=f"^modes must be a square matrix, got shape {re.escape(str(shape))}$"):
+            gt.mode_number_operators(np.ones(shape))
 
 
 def test_correlation_round_trip_through_gaussian_state():

@@ -13,10 +13,18 @@ def two_site(g=0.1):
     return gt.build_chain(2, [1.0, 1.0], g)
 
 
+def _schedule(hs):
+    """The gaussian ``schedule`` of ``hs``, all of one shape, for a state of that shape."""
+    n = {np.shape(getattr(h, "c", h))[0] for h in hs}.pop()
+    return fg._ModeState(None, np.zeros((n, n))).schedule(hs)
+
+
 def test_stacked_hamiltonians_match_one_by_one_construction(monkeypatch):
-    # fermions._hamiltonians checks and decomposes a list's matrices in
-    # stacked calls; QuadraticHamiltonian(m), one matrix at a time, is the
-    # reference, bit for bit, and objects in the list pass through as they are
+    # the gaussian schedule checks and decomposes a list's matrices in stacked
+    # calls; QuadraticHamiltonian(m), one matrix at a time, is the reference,
+    # bit for bit, and objects in the list pass through as they are.  A
+    # schedule has one shape: a mixed-shape case runs per shape group, and a
+    # group of one matrix takes the one-matrix check, which is faster
     rng = make_rng(31)
 
     def real(n):
@@ -40,8 +48,16 @@ def test_stacked_hamiltonians_match_one_by_one_construction(monkeypatch):
     monkeypatch.setattr(hermitian, "require_hermitian", lambda *a, **k: checks.append(1) or require(*a, **k))
     for label, ms in cases.items():
         copies = [m.copy() if isinstance(m, np.ndarray) else m for m in ms]
-        hams = fg._hamiltonians(ms)
-        assert not checks, label     # the stacked path, not the per-matrix one
+        groups = {}
+        for i, m in enumerate(ms):
+            groups.setdefault(np.shape(getattr(m, "c", m)), []).append(i)
+        hams = [None] * len(ms)
+        for idx in groups.values():
+            checks.clear()
+            for i, ham in zip(idx, _schedule([ms[i] for i in idx]), strict=True):
+                hams[i] = ham
+            # the stacked path, not the per-matrix one, unless one matrix is checked alone
+            assert len(checks) == (sum(isinstance(ms[i], np.ndarray) for i in idx) == 1), label
         for m, copy, ham in zip(ms, copies, hams, strict=True):
             if isinstance(m, fg.QuadraticHamiltonian):
                 assert ham is m, label
@@ -52,17 +68,23 @@ def test_stacked_hamiltonians_match_one_by_one_construction(monkeypatch):
             assert np.array_equal(m, copy), label
         if label == "zero imaginary part":
             assert all(ham.c.dtype == ham.modes.dtype == np.float64 for ham in hams)
-    assert fg._hamiltonians([]) == []
+    assert fg._ModeState(None, np.eye(2)).schedule([]) == []
 
 
 def test_empty_coefficient_matrix_is_named():
     # a 0 x 0 matrix passes require_hermitian, but a Hamiltonian needs a mode:
-    # both gaussian entry points name it instead of failing inside argmax
+    # both gaussian entry points name it instead of failing inside argmax.  A
+    # schedule has one shape, so its 0 x 0 group is the schedule of a 0 x 0
+    # state; beside a 2 x 2 state it is a dimension mismatch
     text = r"^coefficient matrix has shape \(0, 0\): a Hamiltonian needs at least one mode$"
     with pytest.raises(ValueError, match=text):
         fg.QuadraticHamiltonian(np.zeros((0, 0)))
     with pytest.raises(ValueError, match=text):
-        fg._hamiltonians([np.eye(2), np.zeros((0, 0))])
+        _schedule([np.zeros((0, 0))])
+    assert len(_schedule([np.eye(2)])) == 1
+    with pytest.raises(ValueError, match=r"^dimension mismatch: correlation matrix \(2, 2\) vs coefficient "
+                                         r"matrix \(0, 0\)$"):
+        fg._ModeState(None, np.eye(2) / 2).schedule([np.eye(2), np.zeros((0, 0))])
     with pytest.raises(ValueError, match=text):
         gt.run_schedule(np.zeros((0, 0)), [np.zeros((0, 0))] * 3, gt.GGE)
 

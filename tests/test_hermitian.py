@@ -251,7 +251,7 @@ def test_schedule_labels_every_record_in_its_stack(split):
         e[j + 1:j + 1 + k % 3] = e[j] + split * np.arange(1, 1 + k % 3)     # k % 3 levels above e[j]
         u = random_unitary(n, rng) if k % 4 < 2 else np.linalg.qr(rng.normal(size=(n, n)))[0]
         hs.append((u * e) @ u.conj().T)
-    hams = hermitian._Hamiltonian._schedule(hermitian._require_hermitian_all(hs))
+    hams = hermitian._Hamiltonian._schedule([hermitian.require_hermitian(h) for h in hs])
     assert hams[0]._lab is None and hams[0]._es is None
     simple = 0
     for ham in hams[1:]:
@@ -268,8 +268,9 @@ def test_schedule_labels_every_record_in_its_stack(split):
 def test_cluster_degenerate_rejects_unsorted():
     with pytest.raises(ValueError, match="ascending"):
         cluster_degenerate([2.0, 1.0], 1e-9)
-    with pytest.raises(ValueError, match="positive"):
-        cluster_degenerate([1.0, 2.0], 0.0)
+    for tol in (0.0, -1.0, float("nan")):    # NaN fails the positivity test too
+        with pytest.raises(ValueError, match="^tol must be positive"):
+            cluster_degenerate([0.0, 1.0, 2.0], tol)
 
 
 def test_require_hermitian_symmetrises():
@@ -298,7 +299,7 @@ def _warm_and_cold(monkeypatch, rng, count):
             else:
                 d = int(rng.integers(2, 17))
                 state = dense._State.of(random_density(d, rng))
-                ham = dense._Hamiltonian(dense._hamiltonian(random_hermitian(d, rng), state.b))
+                ham = state.schedule([random_hermitian(d, rng)])[0]
 
                 def solve(start):
                     state.thermalise(ham, start)

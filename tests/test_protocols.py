@@ -286,7 +286,7 @@ def test_trajectory_rejects_malformed_keyframes_and_rules():
     h = np.diag([0.0, 1.0])
     cases = {
         "^a trajectory needs at least two keyframes$": ((h,), ()),
-        r"^keyframe 1 has shape \(3, 3\), expected \(2, 2\)$": ((h, np.eye(3)), ("linear",)),
+        r"^dimension mismatch: keyframe 0 \(2, 2\) vs keyframe 1 \(3, 3\)$": ((h, np.eye(3)), ("linear",)),
         "^2 keyframes need 1 rules, got 2$": ((h, h), ("linear", "linear")),
         "^unknown interpolation rule 'cubic'": ((h, h), ("cubic",)),
     }
@@ -296,8 +296,9 @@ def test_trajectory_rejects_malformed_keyframes_and_rules():
 
 
 def test_trajectory_keyframe_errors_name_the_first_bad_keyframe():
-    # the keyframes are checked in stacked calls; a failing list is checked
-    # again one keyframe at a time, so the first bad one in order is named
+    # the keyframes are checked in stacked calls, each against the shape of
+    # keyframe 0; a failing list is checked again one keyframe at a time, so
+    # the first bad one in order is named, whatever its fault
     h = np.diag([0.0, 1.0])
     asym, nan = h + [[0.0, 1e-3], [0.0, 0.0]], h + [[np.nan, 0.0], [0.0, 0.0]]
     cases = {
@@ -305,6 +306,8 @@ def test_trajectory_keyframe_errors_name_the_first_bad_keyframe():
         "keyframe 1 has non-finite entries": (h, nan, asym),
         "keyframe 0 must be a square matrix, got shape (2,)": (np.ones(2), h, nan),
         "keyframe 0 is not Hermitian: max asymmetry 1.000e-03 exceeds tolerance 1.0e-10": (asym, "x", h),
+        "dimension mismatch: keyframe 0 (2, 2) vs keyframe 1 (3, 3)": (h, np.eye(3), asym),
+        "keyframe 1 is not Hermitian: max asymmetry 1.000e-03 exceeds tolerance 1.0e-10": (h, asym, np.eye(3)),
     }
     for message, frames in cases.items():
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
@@ -569,6 +572,9 @@ def test_dense_run_schedule_validates_schedule_and_state_at_entry():
     # the odd Hamiltonian comes last, yet the error is raised before step 1
     with pytest.raises(ValueError, match="dimension mismatch"):
         gt.run_schedule(rho, [h2, h2, h2, h3], gt.GGE, backend="dense")
+    # a gaussian record is not a dense Hamiltonian, even of the state's size
+    with pytest.raises(TypeError, match="QuadraticHamiltonian"):
+        gt.run_schedule(rho, [h2, gt.build_chain(2, [0.0, 1.0], 0.0)], gt.GGE, backend="dense")
     bad_states = {
         "trace": np.diag([1.4, 0.6]),
         "negative eigenvalue": np.diag([1.2, -0.2]),
@@ -582,7 +588,7 @@ def test_dense_run_schedule_validates_schedule_and_state_at_entry():
 
 def test_dense_schedule_errors_are_the_one_by_one_checks_in_order():
     # the dense schedule is checked in one stacked call; a failing matrix is
-    # named by the per-matrix check (dense._hamiltonian), with its own text,
+    # named by the one shape rule on that matrix alone, with its own text,
     # and the first failure in schedule order wins, whatever its kind
     rho = np.eye(2) / 2
     ok, big = np.diag([0.0, 1.0]), np.eye(3)
@@ -599,7 +605,7 @@ def test_dense_schedule_errors_are_the_one_by_one_checks_in_order():
             with pytest.raises(ValueError, match=texts[first]) as stacked:
                 dense._State(None, rho).schedule(hams)
             with pytest.raises(ValueError) as alone:
-                [dense._hamiltonian(h, rho) for h in hams]
+                [_check_one(h, rho) for h in hams]
             assert str(stacked.value) == str(alone.value)
             for model in (gt.GGE, gt.GIBBS, gt.Exact(1.0)):
                 with pytest.raises(ValueError, match=texts[first]):
@@ -675,9 +681,14 @@ class _Redecomposed(_Fresh):
 
 
 def _one_by_one_dense(record=_Fresh):
-    """The dense ``schedule`` checking each Hamiltonian on its own into a ``record``:
-    the reference for the stacked records."""
-    return lambda state, hs: [record(dense._hamiltonian(h, state.b)) for h in hs]
+    """The dense ``schedule`` checking each Hamiltonian on its own, by the one shape
+    rule, into a ``record``: the reference for the stacked records."""
+    return lambda state, hs: [record(_check_one(h, state.b)) for h in hs]
+
+
+def _check_one(h, rho):
+    """The one shape rule on the dense Hamiltonian ``h`` alone, against the state ``rho``."""
+    return hermitian._require_hermitian_all([h], "Hamiltonian", rho.shape, "state")[0]
 
 
 def _assert_same_record(got, want):
@@ -734,7 +745,7 @@ def test_dense_stacked_runs_equal_one_by_one_reference(monkeypatch):
         for keep in (True, False):
             got = gt.optimal_gibbs_protocol(rho, h0, k, n, keep_states=keep)
             r = dense.check_state(rho)
-            h = dense._hamiltonian(h0, r)
+            h = _check_one(h0, r)
             p, w = np.linalg.eigh(r)
             schedule = [h] + gt.Trajectory.linear((w * (k * np.log(p))) @ w.conj().T, h).schedule(n)
             with monkeypatch.context() as patch:
@@ -1799,28 +1810,31 @@ def test_empty_schedules_and_scans_are_rejected():
 
 
 def test_gaussian_schedule_errors_keep_their_text_and_come_before_step_1(monkeypatch):
-    # the gaussian schedule is checked in stacked calls; a bad matrix last
-    # in a 30-element schedule still raises its one-by-one text before any
-    # step runs, and the sweep records that text for every N
+    # the gaussian schedule is checked in stacked calls; bad entries last
+    # in a 30-element schedule still raise the one-by-one text of the first
+    # before any step runs, a record of the wrong size included, and the
+    # sweep records that text for every N
     c = gt.build_chain(4, [0.5, 1.0, 1.5, 2.0], 0.3).c
     gamma0 = np.diag([0.2, 0.4, 0.6, 0.8])
     asym, nan = c.copy(), c.copy()
     asym[0, 1] += 1e-3
     nan[2, 2] = np.nan
+    record = gt.build_chain(3, [0.5, 1.0, 1.5], 0.3)
     cases = {
-        "coefficient matrix is not Hermitian: max asymmetry 1.000e-03 exceeds tolerance 1.0e-10": asym,
-        "coefficient matrix has non-finite entries": nan,
-        "coefficient matrix must be a square matrix, got shape (2, 3)": np.ones((2, 3)),
-        "dimension mismatch: correlation matrix (4, 4) vs Hamiltonian n=5": np.eye(5),
+        "coefficient matrix is not Hermitian: max asymmetry 1.000e-03 exceeds tolerance 1.0e-10": (asym, record),
+        "coefficient matrix has non-finite entries": (nan,),
+        "coefficient matrix must be a square matrix, got shape (2, 3)": (np.ones((2, 3)),),
+        "dimension mismatch: correlation matrix (4, 4) vs coefficient matrix (5, 5)": (np.eye(5),),
+        "dimension mismatch: correlation matrix (4, 4) vs coefficient matrix (3, 3)": (record, asym),
     }
     good = [c + 0.01 * j * np.eye(4) for j in range(29)]
     runs, run = [], pr._run
     monkeypatch.setattr(pr, "_run", lambda *args, **kwargs: runs.append(1) or run(*args, **kwargs))
     for message, bad in cases.items():
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            gt.run_schedule(gamma0, good + [bad], gt.GGE)
+            gt.run_schedule(gamma0, good + list(bad), gt.GGE)
         assert not runs
-        scan = gt.min_work_scan(gamma0, lambda n: good[:n] + [bad], [gt.GGE, gt.GIBBS], [2, 4], seed=0)
+        scan = gt.min_work_scan(gamma0, lambda n: good[:n] + list(bad), [gt.GGE, gt.GIBBS], [2, 4], seed=0)
         assert scan.failures == {(label, n): f"ValueError: {message}"
                                  for label in ("ta-gge", "gibbs") for n in (2, 4)}
         assert not runs
