@@ -7,7 +7,6 @@ from .hermitian import (
     DEGENERACY_TOL,
     EigenSystem,
     cluster_degenerate,
-    eigh,
     require_hermitian,
 )
 from .fermions import (
@@ -18,7 +17,6 @@ from .fermions import (
     QuadraticHamiltonian,
     TimeAverageGGE,
     as_hamiltonian,
-    attainable_energy_range,
     build_chain,
     dephase_gge,
     energy,

@@ -181,7 +181,10 @@ def parse_config(argv) -> ExperimentConfig:
     config = replace(ExperimentConfig(experiment=args.experiment),
                      **EXPERIMENT_DEFAULTS[args.experiment])
     if args.config is not None:
-        config = replace(config, **_read_config_file(args.config))
+        overrides = _read_config_file(args.config)
+        if "models" in overrides and args.experiment != "scan":    # the flag's rule
+            raise ValueError(f"{args.config}: models is read by scan only, not by {args.experiment}")
+        config = replace(config, **overrides)
     flag_overrides = {key: getattr(args, key) for key in _FLAGS if getattr(args, key) is not None}
     config = replace(config, **flag_overrides)
     return _validate(config)

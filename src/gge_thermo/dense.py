@@ -215,7 +215,8 @@ def gge_state_dense(rho, hamiltonian, conserved: ConservedSet) -> tuple[np.ndarr
     Raises
     ------
     ValueError
-        An energy within round-off of the spectral edges (see
+        An observable not of the state's shape (the one shape rule), an
+        energy within round-off of the spectral edges (see
         :func:`gibbs_state_dense`), dual divergence (the sup-norm of the dual
         point exceeding 1e4 signals targets on the boundary of the attainable
         set), or residuals that fail to converge (worst residual reported).
@@ -242,15 +243,14 @@ def gge_state_dense(rho, hamiltonian, conserved: ConservedSet) -> tuple[np.ndarr
     """
     state, ham = _State.prologue(rho, hamiltonian)
     h = ham.h
-    if conserved.q and conserved.observables[0].shape != h.shape:
-        raise ValueError("conserved observables must match the Hamiltonian dimension")
+    observables = _require_hermitian_all(conserved.observables, "observable {i}", h.shape, "state")
 
     start, (beta0,) = state.thermalise(ham)
     if conserved.q == 0:
         return start.matrix(), DualPoint(beta=beta0, lambdas=())
 
     e_target = state.energy(ham)
-    operators = [-h] + list(conserved.observables)
+    operators = [-h] + observables
     consts = np.array([-e_target] + list(conserved.targets))
 
     theta = np.r_[beta0, np.zeros(conserved.q)]

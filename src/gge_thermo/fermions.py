@@ -73,7 +73,6 @@ __all__ = [
     "to_mode_basis",
     "from_mode_basis",
     "gibbs_correlation",
-    "attainable_energy_range",
     "solve_beta",
     "evolve_exact",
     "dephase_gge",
@@ -197,15 +196,16 @@ def _as_checked(matrix, name: str) -> np.ndarray:
 
 
 def to_mode_basis(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
-    """gamma_eta = A.T @ gamma @ A.conj()."""
-    return _ModeState.prologue(gamma, ham)[0].quench(ham).b
+    """gamma_eta = A.T @ gamma @ A.conj(), for ``ham`` or its coefficient matrix."""
+    state, ham = _ModeState.prologue(gamma, ham)
+    return state.quench(ham).b
 
 
 def from_mode_basis(gamma_eta, ham: QuadraticHamiltonian) -> np.ndarray:
     """Inverse of :func:`to_mode_basis`: gamma = A.conj() @ gamma_eta @ A.T.
     ``gamma_eta`` must be finite and Hermitian within ``STATE_ATOL``; it is used as given."""
     g = _as_checked(gamma_eta, "mode-basis correlation matrix")
-    _ModeState(None, g).schedule([ham])
+    ham = _ModeState(None, g).schedule([ham])[0]
     return _ModeState(ham, g).matrix()
 
 
@@ -283,12 +283,6 @@ def gibbs_correlation(ham: QuadraticHamiltonian, beta: float) -> np.ndarray:
         raise ValueError(f"beta must be a real number, got {beta}")
     eps = ham.energies      # beta eps is 0 where eps is, also at beta = +-inf (inf * 0 is NaN)
     return _ModeState(ham, _fermi(np.multiply(beta, eps, out=np.zeros_like(eps), where=eps != 0.0))).matrix()
-
-
-def attainable_energy_range(ham: QuadraticHamiltonian) -> tuple[float, float]:
-    """Open interval of mean energies reachable with mode occupations in (0, 1); the
-    thermal match takes targets within 4 eps (sum |eps_k| + |target|) of neither end."""
-    return _ModeState._range(as_hamiltonian(ham).energies)[:2]
 
 
 def solve_beta(ham: QuadraticHamiltonian, target_energy: float) -> tuple[float, bool]:

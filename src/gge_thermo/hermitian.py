@@ -21,7 +21,8 @@ order raises its own error, whatever kind it is.
 gaussian ``fermions.QuadraticHamiltonian`` is a subclass): a checked matrix
 whose eigensystem and degeneracy labels are given or worked out on first use.
 :class:`_EigenState` is the one state of both (``fermions._ModeState`` and
-``dense._State`` are subclasses), with the one quench, hold and pinching.
+``dense._State`` are subclasses), with the one quench, hold and pinching, and the
+one ``schedule``, which builds the records of every protocol schedule on both.
 
 Both back ends import this module and not each other, so the rules they
 share live here.  :func:`_energy_matching_root` (bracket, then safeguarded
@@ -59,7 +60,6 @@ __all__ = [
     "DEGENERACY_TOL",
     "EigenSystem",
     "require_hermitian",
-    "eigh",
     "cluster_degenerate",
 ]
 
@@ -162,17 +162,9 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * phases.conj()
 
 
-def eigh(matrix) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, phases fixed as above.
-
-    Rejects inputs whose asymmetry exceeds ``STATE_ATOL``, reporting the defect.
-    """
-    return _eigh(require_hermitian(matrix))
-
-
 def _eigh(h: np.ndarray) -> EigenSystem:
-    """Kernel of :func:`eigh` for a matrix ``require_hermitian`` has already
-    validated and symmetrised."""
+    """Eigendecomposition, phases fixed as above, of a matrix :func:`require_hermitian`
+    has already validated and symmetrised."""
     values, vectors = np.linalg.eigh(h)
     return EigenSystem(values=values, vectors=_fix_phases(vectors))
 
@@ -188,6 +180,7 @@ def _eigh_all(hs: list[np.ndarray]) -> tuple[list[EigenSystem], list[np.ndarray]
         vectors = _fix_phases(vectors.transpose(1, 0, 2).reshape(n, b * n)).reshape(n, b, n)
         es.update(zip(idx, map(EigenSystem, values, np.ascontiguousarray(vectors.transpose(1, 0, 2)))))
         rows = [np.arange(n)] * b   # the labels of a simple spectrum, one array for the stack
+        rows[0].flags.writeable = False     # so no record's write changes its siblings'
         if (values[:, 1:] - values[:, :-1] <= DEGENERACY_TOL).any():
             lab = _labels(values)
             for k in np.flatnonzero(lab[:, -1] < n - 1):
@@ -253,15 +246,6 @@ class _Hamiltonian:
         symmetrised, carrying ``es`` with its U phase-fixed."""
         return cls._trusted(_hermitian_part(es.reconstruct()), EigenSystem(es.values, _fix_phases(es.vectors)))
 
-    @classmethod
-    def _schedule(cls, hs: list) -> list:
-        """Records of a checked schedule, whose entries are matrices or records (kept
-        as they are): the matrices of steps 1..N decomposed and labelled in stacked
-        calls, step 0, which is never equilibrated, on first use."""
-        at = [i for i, h in enumerate(hs) if i and not isinstance(h, _Hamiltonian)]
-        made = dict(zip(at, zip(*_eigh_all([hs[i] for i in at]))))
-        return [h if isinstance(h, _Hamiltonian) else cls._trusted(h, *made.get(i, ())) for i, h in enumerate(hs)]
-
 
 def _expectation(rho: np.ndarray, obs: np.ndarray) -> float:     # Re Tr(obs rho)
     return float(np.einsum("ij,ji->", obs, rho).real)
@@ -293,17 +277,21 @@ class _EigenState(NamedTuple):
     def schedule(self, hs) -> list[_Hamiltonian]:
         """Records of the entries of ``hs`` by the one shape rule of :func:`_require_hermitian_all`
         against this state, in one stacked call of the matrices (named ``_name``) and of this back
-        end's records of another size; its other records pass as they are.  Built by the record
-        type's ``_schedule``; a 0 x 0 state (only a correlation matrix can be) takes none."""
+        end's records of another size; its other records pass as they are.  Each matrix becomes a
+        ``_record``, decomposed and labelled in stacked calls; a 0 x 0 state (only a correlation
+        matrix can be) takes none."""
         hs, shape = list(hs), self.b.shape
         own = [isinstance(h, _Hamiltonian) and h.backend == self.backend for h in hs]
         at = [i for i, h in enumerate(hs) if not (own[i] and h.h.shape == shape)]
         checked = _require_hermitian_all([hs[i].h if own[i] else hs[i] for i in at], self._name, shape, self._label)
-        for i, h in zip(at, checked):     # a record of another size has raised
-            hs[i] = h
+        checked = dict(zip(at, checked))    # a record of another size has raised
         if hs and not self.b.size:
             raise ValueError(f"{self._name} has shape (0, 0): a Hamiltonian needs at least one mode")
-        return self._record._schedule(hs)
+        steps = [i for i in at if i]    # step 0, which is never equilibrated, is decomposed on first use
+        made = dict(zip(steps, zip(*_eigh_all([checked[i] for i in steps]))))
+        for i, h in checked.items():
+            hs[i] = self._record._trusted(h, *made.get(i, ()))
+        return hs
 
     @property
     def p(self) -> np.ndarray:

@@ -17,8 +17,9 @@ builder ``n -> [H^(0) .. H^(N)]`` (``traj.schedule``, a partial of
 which builds its first leg once for every N and returns n + 3 Hamiltonians,
 i.e. n + 2 quenches), builds each N's schedule once and runs every model on
 it, recording works and entropy productions, which :func:`richardson_limit`
-extrapolates to N -> infinity.  The ``optimal_*_protocol`` functions run
-that four-phase schedule on either back end under the dephasing map.
+extrapolates to N -> infinity.  ``optimal_gge_protocol`` and ``optimal_ta_protocol``
+run that four-phase schedule under dephasing, ``optimal_gibbs_protocol`` a thermal
+return from k ln rho0.  The state's ``schedule`` builds every schedule's records.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ import numpy as np
 
 from . import dense as qd
 from . import fermions as fg
-from .hermitian import (EigenSystem, _eigh, _eigh_all, _expectation, _Hamiltonian, _require_hermitian_all,
-                        require_hermitian)
+from .hermitian import EigenSystem, _eigh_all, _expectation, _require_hermitian_all
 
 __all__ = [
     "Trajectory",
@@ -88,7 +88,8 @@ class Trajectory:
     eigensystems (a shared keyframe decomposed once), checked when the
     trajectory is built; its first interior sample takes one Schur basis of
     the rotation (numpy ``eig`` and QR), and each sample then costs one
-    n x n product.  Segment ends return the keyframes exactly.
+    n x n product.  Segment ends return the keyframes exactly.  A protocol's
+    samples become its Hamiltonian records through the state's ``schedule``.
     """
 
     keyframes: tuple
@@ -112,10 +113,6 @@ class Trajectory:
         object.__setattr__(self, "keyframes", frames)
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_rotations", rotations)
-
-    @classmethod
-    def linear(cls, h0, h1) -> "Trajectory":
-        return cls((h0, h1), ("linear",))
 
     def sample(self, u: float) -> np.ndarray:
         """Hamiltonian at path parameter u."""
@@ -478,7 +475,7 @@ def _four_phase_of(state, ham0) -> Callable:
         h_from = (w * e_desc) @ w.conj().T
         if np.allclose(h_from, h0, atol=1e-13):
             return lambda half: [ham0] * (half + 1)
-        es = _eigh(require_hermitian(h_from))
+        es = state.schedule([h_from])[0].es
         rotation, start = _Rotation(es, es0), ham0._of(es)
         return lambda half: [start] + [ham0._of(rotation.at(j / half)) for j in range(1, half)] + [ham0]
 
@@ -537,7 +534,7 @@ def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,
         raise ValueError(f"state is singular (smallest eigenvalue {float(p.min()):.3e}); "
                          "the logarithm quench needs full rank")
     h1 = (w * (k * np.log(p))) @ w.conj().T
-    hams = _Hamiltonian._schedule([ham0] + Trajectory.linear(h1, ham0.h).schedule(n_quenches))
+    hams = state.schedule([ham0] + Trajectory((h1, ham0.h), ("linear",)).schedule(n_quenches))
     record = _run(state, state.entropy(), hams, fg.GIBBS, keep_states)
     beta_star = state.entropy_beta(hams[-1], record.steps[0].entropy)   # the last Hamiltonian is h0
     record.meta["beta_star"] = beta_star

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gge_thermo as gt
-from gge_thermo import cli
+from gge_thermo import cli, fermions
 from _helpers import make_rng, random_correlation, random_density, random_hermitian
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -204,14 +204,14 @@ def test_criterion_08_thermal_identities():
             ham0 = gt.build_chain(n, rng.uniform(0.0, 2.0, n), float(rng.uniform(0.1, 1.0)))
             ham1 = gt.build_chain(n, rng.uniform(0.0, 2.0, n), float(rng.uniform(0.1, 1.0)))
             state = random_correlation(n, rng, lo=0.05, hi=0.95)
-            traj = gt.Trajectory.linear(ham0.c, ham1.c)
+            traj = gt.Trajectory((ham0.c, ham1.c), ("linear",))
             rec = gt.run_protocol(state, traj, int(rng.integers(1, 9)), gt.GIBBS,
                                   keep_states=False)
         else:
             d = int(rng.integers(2, 6))
             h0, h1 = random_hermitian(d, rng), random_hermitian(d, rng)
             state = random_density(d, rng)
-            rec = gt.run_protocol(state, gt.Trajectory.linear(h0, h1),
+            rec = gt.run_protocol(state, gt.Trajectory((h0, h1), ("linear",)),
                                   int(rng.integers(1, 7)), gt.GIBBS,
                                   backend="dense", keep_states=False)
         resid = abs(rec.work - (rec.steps[0].energy - rec.steps[-1].energy))
@@ -240,7 +240,7 @@ def test_criterion_09_solver_contracts():
     for _ in range(1000):
         n = int(rng.integers(1, 11))
         ham = gt.build_chain(n, rng.uniform(-1.0, 2.0, n), float(rng.uniform(0.0, 1.0)))
-        lo, hi = gt.attainable_energy_range(ham)
+        lo, hi = fermions._ModeState._range(ham.energies)[:2]
         target = float(rng.uniform(lo + 1e-4 * (hi - lo), hi - 1e-4 * (hi - lo)))
         beta, _ = gt.solve_beta(ham, target)
         resid = abs(gt.energy(gt.gibbs_correlation(ham, beta), ham) - target)

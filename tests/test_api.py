@@ -77,3 +77,6 @@ def test_protocols_takes_only_the_state_types_from_the_back_ends():
     _, names = _library_imports("protocols")
     private = {(m, name) for m, name in names if m in ("dense", "fermions") and name.startswith("_")}
     assert private == {("dense", "_State"), ("fermions", "_ModeState")}
+    # every protocol schedule is built by the state's schedule, so protocols takes
+    # no record type, decomposition or check of its own from hermitian
+    assert not names & {("hermitian", name) for name in ("_Hamiltonian", "_eigh", "require_hermitian")}

@@ -48,6 +48,12 @@ def test_parse_config_rejections():
         cli.parse_config(["fig3", "--quenches", "0,2"])
     with pytest.raises(ValueError, match="need at least one quench count$"):
         cli.parse_config(["fig3", "--quenches", ","])
+    with pytest.raises(SystemExit):  # argparse reports the flag the list parser rejects
+        cli.parse_config(["fig3", "--quenches", "2,x"])
+    with pytest.raises(ValueError, match="^hold_min 5.0 exceeds hold_max 1.0$"):
+        cli.parse_config(["fig3", "--hold-min", "5", "--hold-max", "1"])
+    with pytest.raises(ValueError, match="^models must be non-empty$"):
+        cli.parse_config(["scan", "--models", ""])
     # a negative seed is named for every experiment, not only the sweeps
     for experiment in ("fig2", "fig3", "oracle-check"):
         with pytest.raises(ValueError, match="seed must be an int >= 0, got -1$"):
@@ -121,6 +127,14 @@ def test_parse_config_file_layering(tmp_path):
         with pytest.raises(ValueError) as info:
             cli.parse_config(["fig3", "--config", str(bad)])
         assert str(info.value) == f"{bad}:2: {text.split()[0]}: {message}"
+    bad.write_text("N_list = 2,x\n")
+    with pytest.raises(ValueError) as info:
+        cli.parse_config(["fig3", "--config", str(bad)])
+    assert str(info.value) == f"{bad}:1: N_list: expected a comma-separated integer list, got '2,x'"
+    bad.write_text("n = 8\nseed 7\n")
+    with pytest.raises(ValueError) as info:
+        cli.parse_config(["fig3", "--config", str(bad)])
+    assert str(info.value) == f"{bad}:2: expected 'key = value', got 'seed 7'"
 
 
 def test_write_csv_roundtrip_and_atomicity(tmp_path):
@@ -316,7 +330,7 @@ def test_main_error_paths(tmp_path, capsys):
         cli.main(["fig1", "--not-a-flag", "3"])
 
 
-def test_models_flag_is_a_config_error_where_no_command_reads_it(tmp_path, capsys):
+def test_models_flag_is_a_config_error_where_no_command_reads_it(tmp_path, capsys, monkeypatch):
     # only scan reads --models; fig2 used to accept "--models gibbs" and still
     # write W_exact,W_gge, so the others reject it before building anything
     for experiment in ("fig1", "fig2", "fig3", "fig4", "oracle-check"):
@@ -327,6 +341,22 @@ def test_models_flag_is_a_config_error_where_no_command_reads_it(tmp_path, capsy
     assert "error: --models is read by scan only, not by fig2" in capsys.readouterr().err
     assert not out.exists()
     assert cli.parse_config(["scan", "--models", "gibbs"]).models == ("gibbs",)
+    # the config-file key follows the flag's rule: fig1 used to ignore "models = gibbs"
+    # and to reject "models = gibbs,gibbs" for labels it does not read
+    cfg = tmp_path / "run.cfg"
+    for models in ("gibbs", "gibbs,gibbs"):
+        cfg.write_text(f"n = 8\nmodels = {models}\n")
+        for experiment in ("fig1", "fig2", "fig3", "fig4", "oracle-check"):
+            with pytest.raises(ValueError) as info:
+                cli.parse_config([experiment, "--config", str(cfg)])
+            assert str(info.value) == f"{cfg}: models is read by scan only, not by {experiment}"
+    built = []
+    monkeypatch.setattr(cli, "fig2_initial_state", lambda config: built.append(config))
+    assert cli.main(["fig2", "--config", str(cfg), "--quenches", "2", "--out", str(out)]) == 1
+    assert f"error: {cfg}: models is read by scan only, not by fig2" in capsys.readouterr().err
+    assert not built and not out.exists()
+    cfg.write_text("models = gibbs\n")
+    assert cli.parse_config(["scan", "--config", str(cfg)]).models == ("gibbs",)
 
 
 def test_repeated_models_are_a_config_error(tmp_path, capsys, monkeypatch):

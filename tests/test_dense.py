@@ -175,6 +175,30 @@ def test_conserved_set_from_state_names_a_malformed_observable():
     for message, obs in direct.items():
         with pytest.raises(ValueError, match=message):
             gt.ConservedSet(obs, (0.0,) * len(obs))
+    # one finite target per observable
+    with pytest.raises(ValueError, match="^2 observables but 1 targets$"):
+        gt.ConservedSet((SIGMA_Z, np.eye(2)), (0.0,))
+    with pytest.raises(ValueError, match="^targets must be finite$"):
+        gt.ConservedSet((SIGMA_Z,), (np.inf,))
+
+
+def test_gge_state_dense_checks_observables_by_the_shape_rule():
+    # the conserved set's observables must have the state's shape, named as every
+    # other list of matrices is; after the state and Hamiltonian checks and before
+    # the thermal start, which would reject this pure state's edge energy
+    rho, h = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    conserved = gt.ConservedSet((np.eye(3),), (1.0,))
+    with pytest.raises(ValueError, match=r"^dimension mismatch: state \(2, 2\) vs observable 0 \(3, 3\)$"):
+        gt.gge_state_dense(rho, h, conserved)
+    pair = gt.ConservedSet((np.eye(3), np.diag([1.0, 0.0, 0.0])), (1.0, 0.5))
+    with pytest.raises(ValueError, match=r"^dimension mismatch: state \(2, 2\) vs observable 0 \(3, 3\)$"):
+        gt.gge_state_dense(rho, h, pair)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: state \(2, 2\) vs Hamiltonian \(3, 3\)$"):
+        gt.gge_state_dense(rho, np.eye(3), conserved)
+    with pytest.raises(ValueError, match="^state trace"):
+        gt.gge_state_dense(2.0 * rho, np.eye(3), conserved)
+    with pytest.raises(ValueError, match="^target energy"):
+        gt.gge_state_dense(rho, h, gt.ConservedSet((SIGMA_Z,), (1.0,)))
 
 
 def test_conserved_set_from_state_checks_each_observable_once(monkeypatch):
@@ -384,6 +408,11 @@ def test_correlation_round_trip_through_gaussian_state():
 def test_gaussian_to_dense_rejects_large_n():
     with pytest.raises(ValueError, match="too large"):
         gt.gaussian_to_dense(np.eye(13) * 0.5)
+    # and the bridge's other size errors
+    with pytest.raises(ValueError, match="^need at least one mode$"):
+        gt.quadratic_to_dense(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="^state dimension 3 is not a power of two$"):
+        gt.correlation_of_dense(np.eye(3) / 3)
 
 
 def test_check_state_rejections():

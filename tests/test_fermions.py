@@ -99,6 +99,8 @@ def test_build_chain_examples():
     assert fig1.c[0, 1] == 0.1
     with pytest.raises(ValueError, match="length"):
         gt.build_chain(2, [1.0], 0.1)
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        gt.build_chain(0, [], 1.0)
 
 
 def test_gibbs_correlation_single_mode():
@@ -161,7 +163,7 @@ def test_solve_beta_residuals_random(monkeypatch):
     for i in range(2000):
         n = int(rng.integers(2, 61))
         ham = gt.build_chain(n, rng.uniform(-1.0, 2.0, n), float(rng.uniform(0.0, 1.0)))
-        lo, hi = gt.attainable_energy_range(ham)
+        lo, hi = fg._ModeState._range(ham.energies)[:2]
         edge = 10.0 ** rng.uniform(-7.0, -3.0) * (hi - lo)
         mid = float(rng.uniform(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo)))
         target = (mid, lo + edge, hi - edge)[i % 3]
@@ -380,3 +382,19 @@ def test_mode_basis_roundtrip():
     # real modes take a complex state's real and imaginary parts in real products
     a = ham.modes
     assert np.max(np.abs(gt.to_mode_basis(gamma, ham) - a.T @ gamma @ a.conj())) < 1e-14
+
+
+def test_mode_basis_maps_take_a_coefficient_matrix():
+    # as energy, dephase_gge and evolve_exact do, both maps take a plain coefficient
+    # matrix (they used to raise AttributeError on it) and give its record's result
+    rng = make_rng(22)
+    for c in (np.diag([0.0, 1.0]), random_hermitian(4, rng)):
+        gamma = random_correlation(len(c), rng)
+        ham = fg.QuadraticHamiltonian(c)
+        for f in (gt.to_mode_basis, gt.from_mode_basis):
+            got, want = f(gamma, c), f(gamma, ham)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array_equal(gt.to_mode_basis(np.diag([0.2, 0.6]), np.diag([0.0, 1.0])), np.diag([0.2, 0.6]))
+    with pytest.raises(ValueError, match=r"^dimension mismatch: correlation matrix \(2, 2\) vs coefficient "
+                                         r"matrix \(3, 3\)$"):
+        gt.from_mode_basis(np.eye(2) / 2, np.eye(3))

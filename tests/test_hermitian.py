@@ -7,25 +7,25 @@ import pytest
 import gge_thermo as gt
 from gge_thermo import dense, fermions, hermitian
 from gge_thermo.hermitian import (
+    _eigh,
     _energy_matching_root,
     _fermi,
     _xlogx,
     cluster_degenerate,
-    eigh,
     require_hermitian,
 )
 from _helpers import make_rng, random_density, random_hermitian, random_unitary, record_roots
 
 
 def test_eigh_identity():
-    es = eigh(np.eye(2))
+    es = _eigh(require_hermitian(np.eye(2)))
     assert np.allclose(es.values, [1.0, 1.0])
     assert np.max(np.abs(es.vectors.conj().T @ es.vectors - np.eye(2))) < 1e-12
 
 
 def test_eigh_pauli_x():
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    es = eigh(x)
+    es = _eigh(require_hermitian(x))
     assert np.allclose(es.values, [-1.0, 1.0])
     s = 1.0 / np.sqrt(2.0)
     assert np.allclose(es.vectors[:, 0], [s, -s])
@@ -35,14 +35,14 @@ def test_eigh_pauli_x():
 def test_eigh_two_site_chain():
     # 2x2 closed form: eps +- g
     c = np.array([[1.0, 0.1], [0.1, 1.0]])
-    es = eigh(c)
+    es = _eigh(require_hermitian(c))
     assert np.allclose(es.values, [0.9, 1.1])
 
 
 def test_eigh_phase_convention_real_positive_anchor():
     rng = make_rng(3)
     m = random_hermitian(6, rng)
-    es = eigh(m)
+    es = _eigh(require_hermitian(m))
     for k in range(6):
         col = es.vectors[:, k]
         anchor = col[np.argmax(np.abs(col))]
@@ -55,11 +55,11 @@ def test_phase_anchor_ignores_mirror_ties():
     # anchor is the first entry within 1e-8 of the largest, so a 1e-15 nudge
     # picks the same one and the vectors do not flip sign
     c = gt.build_chain(8, [1.0] * 8, 0.5).c
-    base = eigh(c).vectors
+    base = _eigh(require_hermitian(c)).vectors
     rng = make_rng(8)
     for _ in range(10):
         e = 1e-15 * rng.normal(size=(8, 8))
-        assert np.max(np.abs(eigh(c + e + e.T).vectors - base)) <= 1e-12
+        assert np.max(np.abs(_eigh(require_hermitian(c + e + e.T)).vectors - base)) <= 1e-12
 
 
 def test_real_input_stays_real():
@@ -69,9 +69,9 @@ def test_real_input_stays_real():
     m = np.array([[1.0, 0.25], [0.25, 2.0]])
     for given in (m, m.astype(complex), m.astype(int)):
         assert require_hermitian(given).dtype == np.float64
-    es = eigh(m.astype(complex))
+    es = _eigh(require_hermitian(m.astype(complex)))
     assert es.vectors.dtype == np.float64
-    assert np.array_equal(es.vectors, eigh(m).vectors)
+    assert np.array_equal(es.vectors, _eigh(require_hermitian(m)).vectors)
     assert require_hermitian(m + 1e-300j * np.array([[0, 1], [-1, 0]])).dtype == np.complex128
     assert gt.build_chain(3, [0.0, 1.0, 2.0], 0.3).modes.dtype == np.float64
 
@@ -79,8 +79,8 @@ def test_real_input_stays_real():
 def test_eigh_deterministic():
     rng = make_rng(4)
     m = random_hermitian(8, rng)
-    a = eigh(m)
-    b = eigh(m.copy())
+    a = _eigh(require_hermitian(m))
+    b = _eigh(require_hermitian(m.copy()))
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.vectors, b.vectors)
 
@@ -88,7 +88,7 @@ def test_eigh_deterministic():
 def test_eigh_rejects_non_hermitian():
     m = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="asymmetry"):
-        eigh(m)
+        _eigh(require_hermitian(m))
 
 
 def test_hermiticity_defect():
@@ -103,14 +103,14 @@ def test_hermiticity_defect():
 
 
 def test_inputs_share_one_hermiticity_tolerance():
-    # a coefficient matrix and an eigh input are symmetrised and accepted at
+    # a coefficient matrix and a require_hermitian input are symmetrised and accepted at
     # 5e-11 asymmetry, as a state is, and rejected above 1e-10
     c = np.array([[0.5, 0.3], [0.3 + 5e-11, 1.0]])
     ham = gt.QuadraticHamiltonian(c)
     assert np.array_equal(ham.c, 0.5 * (c + c.T))
-    assert np.array_equal(eigh(c).values, ham.energies)
+    assert np.array_equal(_eigh(require_hermitian(c)).values, ham.energies)
     c[1, 0] = 0.3 + 2e-10
-    for call in (gt.QuadraticHamiltonian, eigh):
+    for call in (gt.QuadraticHamiltonian, require_hermitian):
         with pytest.raises(ValueError, match="max asymmetry 2.000e-10"):
             call(c)
 
@@ -206,7 +206,7 @@ def test_reconstruction_random():
     rng = make_rng(0)
     for n in (2, 7, 33, 64):
         m = random_hermitian(n, rng)
-        es = eigh(m)
+        es = _eigh(require_hermitian(m))
         err = np.linalg.norm(es.reconstruct() - m)
         assert err <= 1e-9 * np.linalg.norm(m)
 
@@ -214,8 +214,8 @@ def test_reconstruction_random():
 def test_eigh_idempotent_under_rediagonalisation():
     rng = make_rng(1)
     m = random_hermitian(12, rng)
-    es = eigh(m)
-    again = eigh(es.reconstruct())
+    es = _eigh(require_hermitian(m))
+    again = _eigh(require_hermitian(es.reconstruct()))
     assert np.max(np.abs(again.values - es.values)) < 1e-10
 
 
@@ -251,7 +251,12 @@ def test_schedule_labels_every_record_in_its_stack(split):
         e[j + 1:j + 1 + k % 3] = e[j] + split * np.arange(1, 1 + k % 3)     # k % 3 levels above e[j]
         u = random_unitary(n, rng) if k % 4 < 2 else np.linalg.qr(rng.normal(size=(n, n)))[0]
         hs.append((u * e) @ u.conj().T)
-    hams = hermitian._Hamiltonian._schedule([hermitian.require_hermitian(h) for h in hs])
+    # a schedule has one shape: the 3 x 3 matrices are one state's schedule, and the
+    # 5 x 5 ones another's behind a step 0 that repeats the first of them, so that
+    # hs[1:] are all records of steps 1..N, stacked per shape and dtype as before
+    hams = [None] * len(hs)
+    hams[0::2] = dense._State(None, np.eye(3) / 3).schedule(hs[0::2])
+    hams[1::2] = dense._State(None, np.eye(5) / 5).schedule([hs[1]] + hs[1::2])[1:]
     assert hams[0]._lab is None and hams[0]._es is None
     simple = 0
     for ham in hams[1:]:
@@ -265,9 +270,26 @@ def test_schedule_labels_every_record_in_its_stack(split):
         assert np.array_equal(ham.labels, cluster_degenerate(ham.es.values))
 
 
+def test_shared_labels_of_a_stack_are_read_only():
+    # the records of a stack's simple spectra share one label array: a write through
+    # one record would change its siblings' degeneracy, so their quench and pinching
+    gamma = np.diag([0.2, 0.5, 0.7])
+    rec = gt.run_schedule(gamma, [np.diag([0.0, 1.0, 2.0]), np.diag([0.0, 1.5, 2.0]),
+                                  np.diag([0.0, 1.2, 2.0])], gt.GGE)
+    one, other = rec.hamiltonians[1], rec.hamiltonians[2]
+    assert one.labels is other.labels and not one.labels.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        one.labels[1] = 0
+    assert one.labels.tolist() == other.labels.tolist() == [0, 1, 2]
+    again = gt.run_schedule(gamma, rec.hamiltonians, gt.GGE)
+    assert again.final_state.tobytes() == rec.final_state.tobytes()
+
+
 def test_cluster_degenerate_rejects_unsorted():
     with pytest.raises(ValueError, match="ascending"):
         cluster_degenerate([2.0, 1.0], 1e-9)
+    with pytest.raises(ValueError, match="^values must be one-dimensional$"):
+        cluster_degenerate(np.zeros((2, 2)))
     for tol in (0.0, -1.0, float("nan")):    # NaN fails the positivity test too
         with pytest.raises(ValueError, match="^tol must be positive"):
             cluster_degenerate([0.0, 1.0, 2.0], tol)
@@ -291,7 +313,7 @@ def _warm_and_cold(monkeypatch, rng, count):
             if module is fermions:
                 n = int(rng.integers(2, 61))
                 ham = gt.build_chain(n, rng.uniform(-1.0, 2.0, n), float(rng.uniform(0.0, 1.0)))
-                lo, hi = gt.attainable_energy_range(ham)
+                lo, hi = fermions._ModeState._range(ham.energies)[:2]
                 target = float(rng.uniform(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo)))
 
                 def solve(start):
