@@ -375,11 +375,9 @@ def cmd_fig4(config: ExperimentConfig):
 def cmd_scan(config: ExperimentConfig):
     """Generic minimum-work scan over the local-quench schedule."""
     ham0, gamma0 = fig3_initial_state(config)
-    peak = ham0.c.copy()
-    peak[0, 0] = config.eps1_peak
-    traj = pr.Trajectory((peak, ham0.c), ("linear",))
-    result = pr.min_work_scan(gamma0, traj.schedule, _models(config, config.models),
-                              config.N_list, config.seed)
+    # N quenches along the peak path: the local-quench schedule of N + 1 without its sudden first quench
+    result = pr.min_work_scan(gamma0, lambda n: pr.local_quench_schedule(ham0, config.eps1_peak, n + 1)[1:],
+                              _models(config, config.models), config.N_list, config.seed)
     header, rows = result.table()
     diagnostics = [f"verdict[{label}] = {verdict}"
                    for label, verdict in result.verdicts.items()]

@@ -85,13 +85,12 @@ __all__ = [
 class QuadraticHamiltonian(_Hamiltonian):
     """Particle-number conserving quadratic Hamiltonian.
 
-    The Hamiltonian record of ``hermitian`` for the coefficient matrix ``c``:
-    the public constructor checks and decomposes it at once, for every map
-    that needs the normal modes; a schedule's step 0 is decomposed on first use.
+    The Hamiltonian record of ``hermitian`` for the coefficient matrix ``c``: the public
+    constructor checks and decomposes it at once; a builder's trusted records are decomposed
+    by the state's ``schedule``, or on first use (a schedule's step 0).
     """
 
     __slots__ = ()
-    backend = "gaussian"
 
     def __init__(self, coefficients):
         c = require_hermitian(coefficients, name="coefficient matrix")
@@ -314,7 +313,7 @@ def evolve_exact(gamma, ham: QuadraticHamiltonian, t: float) -> np.ndarray:
     In the mode basis each entry picks up the phase exp(i t (eps_k - eps_l));
     equivalently gamma -> U gamma U^dag with U = A.conj() exp(i t D) A.T.
     """
-    state, ham = _ModeState.prologue(gamma, as_hamiltonian(ham))
+    state, ham = _ModeState.prologue(gamma, ham)
     return state.quench(ham).evolve(ham, t)[0].matrix()
 
 
@@ -327,13 +326,13 @@ def dephase_gge(gamma, ham: QuadraticHamiltonian) -> np.ndarray:
     fixed.  The mean energy is conserved because only the mode diagonal
     carries energy.
     """
-    state, ham = _ModeState.prologue(gamma, as_hamiltonian(ham))
+    state, ham = _ModeState.prologue(gamma, ham)
     return state.quench(ham).dephase(ham)[0].matrix()
 
 
 def energy(gamma, ham: QuadraticHamiltonian) -> float:
     """Mean energy sum_ij c[i, j] * gamma[i, j] (imaginary round-off dropped)."""
-    state, ham = _ModeState.prologue(gamma, as_hamiltonian(ham))
+    state, ham = _ModeState.prologue(gamma, ham)
     return state.energy(ham)
 
 

@@ -17,12 +17,12 @@ the first keyframe or observable, else ``dimension mismatch: {label} {shape}
 vs {name} {its shape}``; if anything fails, the first bad matrix in list
 order raises its own error, whatever kind it is.
 
-:class:`_Hamiltonian` is the one Hamiltonian record of both back ends (the
-gaussian ``fermions.QuadraticHamiltonian`` is a subclass): a checked matrix
-whose eigensystem and degeneracy labels are given or worked out on first use.
-:class:`_EigenState` is the one state of both (``fermions._ModeState`` and
-``dense._State`` are subclasses), with the one quench, hold and pinching, and the
-one ``schedule``, which builds the records of every protocol schedule on both.
+:class:`_Hamiltonian` is the one Hamiltonian record of both back ends (the gaussian
+``fermions.QuadraticHamiltonian`` is a subclass): a checked matrix whose eigensystem and
+degeneracy labels are given or worked out on first use.  :class:`_EigenState` is the one
+state of both (``fermions._ModeState`` and ``dense._State`` are subclasses), with the one
+quench, hold and pinching, and the one ``schedule``, which checks a schedule's matrices,
+adopts the trusted records of protocol builders and decomposes each record once.
 
 Both back ends import this module and not each other, so the rules they
 share live here.  :func:`_energy_matching_root` (bracket, then safeguarded
@@ -211,15 +211,14 @@ def _labels(values: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
 
 
 class _Hamiltonian:
-    """A checked Hermitian matrix ``h`` carrying its eigensystem ``es`` and the
-    degeneracy ``labels`` of its spectrum, each given or worked out on first use
-    (threads that race there work out the same arrays, and one is kept)."""
+    """A checked Hermitian matrix ``h`` carrying its eigensystem ``es`` and the degeneracy ``labels`` of
+    its spectrum, each given or worked out on first use (threads that race there work out the same arrays,
+    and one is kept).  Its class is its back end's: a state's ``schedule`` adopts its own ``_record``s."""
 
     __slots__ = ("h", "_es", "_lab")
-    backend = "dense"   # the back end whose schedules take the record as it is
 
-    def __init__(self, h: np.ndarray, es: EigenSystem | None = None, labels: np.ndarray | None = None):
-        self.h, self._es, self._lab = h, es, labels
+    def __init__(self, h: np.ndarray, es: EigenSystem | None = None):
+        self.h, self._es, self._lab = h, es, None
 
     @property
     def es(self) -> EigenSystem:
@@ -234,10 +233,10 @@ class _Hamiltonian:
         return self._lab
 
     @classmethod
-    def _trusted(cls, h: np.ndarray, es: EigenSystem | None = None, labels: np.ndarray | None = None):
+    def _trusted(cls, h: np.ndarray, es: EigenSystem | None = None):
         """A ``cls`` record of the checked ``h``, past a subclass's checking constructor."""
         ham = cls.__new__(cls)
-        _Hamiltonian.__init__(ham, h, es, labels)
+        _Hamiltonian.__init__(ham, h, es)
         return ham
 
     @classmethod
@@ -275,22 +274,22 @@ class _EigenState(NamedTuple):
         return state, state.schedule([hamiltonian])[0]
 
     def schedule(self, hs) -> list[_Hamiltonian]:
-        """Records of the entries of ``hs`` by the one shape rule of :func:`_require_hermitian_all`
-        against this state, in one stacked call of the matrices (named ``_name``) and of this back
-        end's records of another size; its other records pass as they are.  Each matrix becomes a
-        ``_record``, decomposed and labelled in stacked calls; a 0 x 0 state (only a correlation
-        matrix can be) takes none."""
+        """Records of ``hs``: its matrices (named ``_name``) and this back end's ``_record``s of another
+        size are checked by the one shape rule of :func:`_require_hermitian_all` against this state, in
+        one stacked call, and each matrix becomes a ``_record``; its trusted ``_record``s are adopted.  Each
+        record after step 0 (decomposed on first use) that lacks an eigensystem is decomposed and labelled
+        in stacked calls and keeps them; a 0 x 0 state (only a correlation matrix can be) takes none."""
         hs, shape = list(hs), self.b.shape
-        own = [isinstance(h, _Hamiltonian) and h.backend == self.backend for h in hs]
+        own = [type(h) is self._record for h in hs]
         at = [i for i, h in enumerate(hs) if not (own[i] and h.h.shape == shape)]
         checked = _require_hermitian_all([hs[i].h if own[i] else hs[i] for i in at], self._name, shape, self._label)
-        checked = dict(zip(at, checked))    # a record of another size has raised
         if hs and not self.b.size:
             raise ValueError(f"{self._name} has shape (0, 0): a Hamiltonian needs at least one mode")
-        steps = [i for i in at if i]    # step 0, which is never equilibrated, is decomposed on first use
-        made = dict(zip(steps, zip(*_eigh_all([checked[i] for i in steps]))))
-        for i, h in checked.items():
-            hs[i] = self._record._trusted(h, *made.get(i, ()))
+        for i, h in zip(at, checked):
+            hs[i] = self._record._trusted(h)
+        bare = [h for h in hs[1:] if h._es is None]
+        for ham, es, labels in zip(bare, *_eigh_all([ham.h for ham in bare])):
+            ham._es, ham._lab = es, labels
         return hs
 
     @property

@@ -19,7 +19,7 @@ i.e. n + 2 quenches), builds each N's schedule once and runs every model on
 it, recording works and entropy productions, which :func:`richardson_limit`
 extrapolates to N -> infinity.  ``optimal_gge_protocol`` and ``optimal_ta_protocol``
 run that four-phase schedule under dephasing, ``optimal_gibbs_protocol`` a thermal
-return from k ln rho0.  The state's ``schedule`` builds every schedule's records.
+return from k ln rho0.  Each builder hands the state's ``schedule`` trusted records.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ import numpy as np
 
 from . import dense as qd
 from . import fermions as fg
-from .hermitian import EigenSystem, _eigh_all, _expectation, _require_hermitian_all
+from .hermitian import (EigenSystem, _eigh_all, _expectation, _hermitian_dtype, _hermitian_part,
+                        _require_hermitian_all)
 
 __all__ = [
     "Trajectory",
@@ -88,8 +89,8 @@ class Trajectory:
     eigensystems (a shared keyframe decomposed once), checked when the
     trajectory is built; its first interior sample takes one Schur basis of
     the rotation (numpy ``eig`` and QR), and each sample then costs one
-    n x n product.  Segment ends return the keyframes exactly.  A protocol's
-    samples become its Hamiltonian records through the state's ``schedule``.
+    n x n product.  Segment ends return the keyframes exactly.  A builder hands the
+    samples to the state's ``schedule`` as trusted records (:meth:`_records`).
     """
 
     keyframes: tuple
@@ -136,6 +137,10 @@ class Trajectory:
         quenches."""
         n_quenches = _quench_counts([n_quenches])[0]
         return [self.sample(m / n_quenches) for m in range(n_quenches + 1)]
+
+    def _records(self, n_quenches: int, record) -> list:
+        """:meth:`schedule`'s samples as trusted ``record``s, in the checked dtype and symmetrised."""
+        return [record._trusted(_hermitian_part(_hermitian_dtype(h))) for h in self.schedule(n_quenches)]
 
 
 class _Rotation:
@@ -322,10 +327,14 @@ def run_schedule(
     drift would show.  The state travels in the current eigenbasis (as given
     at step 0), a dephased or thermal one as its populations; its matrix is
     built only for kept and final states."""
+    state = _state(initial_state, backend)
+    return _run(state, state.entropy(), state.schedule(hamiltonians), model, keep_states)
+
+
+def _state(initial_state, backend: str):     # the checked initial state of the named back end
     if not isinstance(backend, str) or backend not in _STATES:     # names an unhashable one too
         raise ValueError(f"backend must be one of {tuple(_STATES)}, got {backend!r}")
-    state = _STATES[backend].of(initial_state)
-    return _run(state, state.entropy(), state.schedule(hamiltonians), model, keep_states)
+    return _STATES[backend].of(initial_state)
 
 
 def _run(state, entropy: float, hams, model, keep_states: bool) -> ProtocolRecord:
@@ -375,10 +384,11 @@ def run_protocol(
     backend: str = "gaussian",
     keep_states: bool = True,
 ) -> ProtocolRecord:
-    """Run ``n_quenches`` equidistant quenches along the trajectory, through
-    ``traj.schedule(n_quenches)``."""
-    return run_schedule(initial_state, traj.schedule(n_quenches), model,
-                        backend=backend, keep_states=keep_states)
+    """Run ``n_quenches`` equidistant quenches along the trajectory: the samples of
+    ``traj.schedule(n_quenches)``, as trusted records that the state's ``schedule`` decomposes."""
+    state = _state(initial_state, backend)
+    hams = state.schedule(traj._records(n_quenches, state._record))
+    return _run(state, state.entropy(), hams, model, keep_states)
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +537,13 @@ def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,
     """
     if not k < 0:       # NaN fails this test too
         raise ValueError(f"k must be negative, got {k}")
-    n_quenches = _quench_counts([n_quenches])[0]
     state, ham0 = qd._State.prologue(rho0, h0)
     p, w = np.linalg.eigh(state.b)
     if float(p.min()) < 1e-12:
         raise ValueError(f"state is singular (smallest eigenvalue {float(p.min()):.3e}); "
                          "the logarithm quench needs full rank")
     h1 = (w * (k * np.log(p))) @ w.conj().T
-    hams = state.schedule([ham0] + Trajectory((h1, ham0.h), ("linear",)).schedule(n_quenches))
+    hams = state.schedule([ham0] + Trajectory((h1, ham0.h), ("linear",))._records(n_quenches, state._record))
     record = _run(state, state.entropy(), hams, fg.GIBBS, keep_states)
     beta_star = state.entropy_beta(hams[-1], record.steps[0].entropy)   # the last Hamiltonian is h0
     record.meta["beta_star"] = beta_star
@@ -721,20 +730,13 @@ def build_population_inverted_bath(
 
 
 def local_quench_schedule(ham0, eps1_peak: float, n_quenches: int) -> list:
-    """First quench of the site-0 energy to ``eps1_peak``, then N-1
-    equidistant quenches back to the starting Hamiltonian (cyclic for
-    N >= 2)."""
+    """A sudden first quench of the site-0 energy to ``eps1_peak``, then the peak path: N-1 equidistant
+    quenches along the linear trajectory back to ``ham0``, which itself closes the schedule (cyclic for
+    N >= 2); the records between are trusted, for the state's ``schedule`` to decompose."""
     ham0 = fg.as_hamiltonian(ham0)
     n_quenches = _quench_counts([n_quenches])[0]
-    eps1_init = float(ham0.c[0, 0].real)
-    # N = 1 gives the peak alone; otherwise the closing value is eps1_init, so ham0 is appended
-    steps = max(n_quenches - 1, 1)
-    values = [float(eps1_peak) + j * (eps1_init - float(eps1_peak)) / steps for j in range(steps)]
-    hams = [ham0]
-    for v in values:
-        c = ham0.c.copy()
-        c[0, 0] = v
-        hams.append(fg.QuadraticHamiltonian(c))
-    if n_quenches >= 2:
-        hams.append(ham0)
-    return hams
+    peak = ham0.c.copy()
+    peak[0, 0] = float(eps1_peak)
+    # N = 1 gives the peak alone; otherwise the path's last sample, ham0's matrix, is ham0
+    path = Trajectory((peak, ham0.c), ("linear",))._records(max(n_quenches - 1, 1), type(ham0))
+    return [ham0] + path[:-1] + [ham0] * (n_quenches >= 2)

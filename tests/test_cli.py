@@ -261,13 +261,14 @@ def test_chain_experiments_decompose_only_real_hamiltonians(monkeypatch):
     # the chains and their states are real, so every Hamiltonian, the
     # four-phase samples included, stays float64 and is decomposed in real
     # arithmetic; the counts take in the matrices decomposed in a stack (the
-    # scan's: its chain, its bath and the 2 + 4 equilibrated samples of N = 2
-    # and 4; step 0 of a schedule is never equilibrated)
+    # scan's: its chain, its bath and the 1 + 3 equilibrated samples of N = 2
+    # and 4, whose closing Hamiltonian is the chain itself; step 0 of a
+    # schedule is never equilibrated)
     dtypes = count_eigh(monkeypatch)
     for args, count in ((["fig2", "--n", "10", "--quenches", "2,4,8"], 5),
                         (["fig3", "--n", "10", "--quenches", "2,4"], 6),
                         (["fig4", "--n", "10", "--K", "2", "--quenches", "2,4"], 6),
-                        (["scan", "--n", "10", "--quenches", "2,4"], 8)):
+                        (["scan", "--n", "10", "--quenches", "2,4"], 6)):
         dtypes.clear()
         cli.COMMANDS[args[0]](cli.parse_config(args))
         assert len(dtypes) == count and set(dtypes) == {np.dtype(np.float64)}, args
@@ -393,14 +394,13 @@ def test_small_fig4_runs_end_to_end(tmp_path, capsys):
 
 
 def test_cmd_fig4_builds_each_hamiltonian_once(monkeypatch):
-    # the initial chain and bath, then N - 1 local quenches per N: the
-    # temperature check runs on the sweep's largest-N schedule and builds none
-    calls, init = [], gt.QuadraticHamiltonian.__init__
-    monkeypatch.setattr(gt.QuadraticHamiltonian, "__init__",
-                        lambda self, c: calls.append(1) or init(self, c))
+    # the initial chain and bath, then N - 1 local quenches per N are
+    # eigen-solved: the temperature check runs on the sweep's largest-N
+    # schedule, whose records keep the eigensystems the sweep gave them
+    dtypes = count_eigh(monkeypatch)
     cfg = cli.parse_config(["fig4", "--n", "8", "--K", "2", "--quenches", "2,4,8"])
     _, _, diagnostics = cli.cmd_fig4(cfg)
-    assert len(calls) == 2 + (1 + 3 + 7)
+    assert len(dtypes) == 2 + (1 + 3 + 7)
     ham0, gamma0 = cli.fig4_initial_state(cfg)
     rec = gt.run_schedule(gamma0, gt.local_quench_schedule(ham0, cfg.eps1_peak, 8), gt.GIBBS,
                           keep_states=False)

@@ -134,6 +134,9 @@ def test_non_finite_matrices_are_rejected_by_name(value, where):
         ("state", lambda: gt.check_state(m)),
         ("mode-basis correlation matrix", lambda: gt.from_mode_basis(m, ham)),
     ] + [("correlation matrix", view) for view in _correlation_views(m)]
+    # every map checks the state before the Hamiltonian, which here has no mode
+    entries += [("correlation matrix", view)
+                for view in _correlation_views(np.full((2, 2), value), np.zeros((0, 0)))]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name, call in entries:
@@ -141,9 +144,9 @@ def test_non_finite_matrices_are_rejected_by_name(value, where):
                 call()
 
 
-def _correlation_views(gamma):
-    # every public fermions map that takes a correlation matrix
-    ham = gt.build_chain(2, [0.5, 1.0], 0.3)
+def _correlation_views(gamma, ham=None):
+    # every public fermions map that takes a correlation matrix, with ham or a chain
+    ham = gt.build_chain(2, [0.5, 1.0], 0.3) if ham is None else ham
     return [
         lambda: gt.entropy_gaussian(gamma),
         lambda: gt.energy(gamma, ham),

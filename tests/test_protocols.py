@@ -341,6 +341,100 @@ def test_trajectory_eigenvector_rule_requires_equal_spectra():
         gt.Trajectory((h, h, np.diag([0.0, 2.0])), ("linear", "eigenvectors"))
 
 
+def _random_trajectory(d, rng):
+    """A trajectory of 1-3 segments on d x d keyframes: linear segments to a real or
+    complex keyframe, and eigenvector segments that rotate the last keyframe's
+    spectrum by a real orthogonal or a complex unitary matrix."""
+    frames, rules = [random_hermitian(d, rng).real], []
+    for _ in range(int(rng.integers(1, 4))):
+        real = rng.random() < 0.5
+        if rng.random() < 0.5:
+            rules.append("linear")
+            frames.append(random_hermitian(d, rng).real if real else random_hermitian(d, rng))
+        else:
+            rules.append("eigenvectors")
+            u = np.linalg.qr(rng.normal(size=(d, d)))[0] if real else random_unitary(d, rng)
+            frames.append(u @ frames[-1] @ u.conj().T)
+    return gt.Trajectory(frames, rules)
+
+
+@pytest.mark.parametrize("backend", ["gaussian", "dense"])
+def test_trusted_samples_are_the_checked_records(backend):
+    # a trajectory's records, trusted, are the records the state's schedule makes
+    # of its checked samples, bit for bit in h (values and dtype), eigensystem and
+    # labels, on linear, mixed real/complex and eigenvector segments
+    rng = make_rng(36)
+    state_type = pr._STATES[backend]
+
+    def same(trusted, checked):
+        assert len(trusted) == len(checked)
+        for a, b in zip(trusted, checked):
+            assert type(a) is type(b) is state_type._record
+            for x, y in ((a.h, b.h), (a.es.values, b.es.values), (a.es.vectors, b.es.vectors),
+                         (a.labels, b.labels)):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+
+    for _ in range(40):
+        d = int(rng.integers(1, 9))
+        traj, n = _random_trajectory(d, rng), int(rng.integers(1, 10))
+        state = state_type.of(np.eye(d) / d)
+        same(state.schedule(traj._records(n, state._record)), state.schedule(traj.schedule(n)))
+    # X + iY -> X' - iY: the midpoint's imaginary part is exactly zero, so its raw
+    # sample is complex and its record, as the check leaves it, float64
+    x0, x1, y = random_hermitian(3, rng).real, random_hermitian(3, rng).real, random_hermitian(3, rng).imag
+    traj = gt.Trajectory((x0 + 1j * y, x1 - 1j * y), ("linear",))
+    assert traj.schedule(2)[1].dtype == complex
+    state = state_type.of(np.eye(3) / 3)
+    trusted = state.schedule(traj._records(2, state._record))
+    assert [ham.h.dtype for ham in trusted] == [complex, float, complex]
+    same(trusted, state.schedule(traj.schedule(2)))
+
+
+def test_protocol_builders_check_no_sample_and_decompose_each_hamiltonian_once(monkeypatch):
+    # run_protocol, the sweep on local_quench_schedule and optimal_gibbs_protocol
+    # check their keyframes and their inputs, but no sample: the samples reach the
+    # state's schedule as trusted records, which it decomposes once, after step 0
+    rng = make_rng(37)
+    ham0, ham1 = gt.build_chain(4, [0.1, 1.0, 1.0, 1.0], 0.5), gt.build_chain(4, [1.0, 0.5, 1.5, 1.0], 0.3)
+    gamma0 = random_correlation(4, rng, lo=0.05, hi=0.95)
+    h0, h1, rho0 = random_hermitian(3, rng), random_hermitian(3, rng), random_density(3, rng)
+    checked, stacked = [], hermitian._require_hermitian_all
+
+    def counting(matrices, name="matrix", *rule):
+        matrices = list(matrices)
+        checked.append((name, len(matrices)))
+        return stacked(matrices, name, *rule)
+
+    for module in (hermitian, pr):
+        monkeypatch.setattr(module, "_require_hermitian_all", counting)
+    dtypes = count_eigh(monkeypatch)
+    sweep = functools.partial(gt.local_quench_schedule, ham0, 3.0)
+    keyframes = ("keyframe {i}", 2)
+    # label: (run, eigen-solves, the checks of non-empty lists, in order)
+    runs = {
+        "gaussian run_protocol": (
+            lambda: gt.run_protocol(gamma0, gt.Trajectory((ham0.c, ham1.c), ("linear",)), 6, gt.GGE),
+            6, [keyframes]),
+        "dense run_protocol": (
+            lambda: gt.run_protocol(rho0, gt.Trajectory((h0, h1), ("linear",)), 5, gt.GIBBS, backend="dense"),
+            5, [keyframes]),
+        # N = 1 builds the peak, N = 2 and 4 the N - 1 steps before ham0
+        "local-quench sweep": (
+            lambda: gt.min_work_scan(gamma0, sweep, [gt.GGE, gt.GIBBS], (1, 2, 4), seed=0),
+            1 + 1 + 3, [keyframes] * 3),
+        # its Hamiltonian is user input; the quench to k ln rho0, then 6 steps back
+        "optimal_gibbs_protocol": (
+            lambda: gt.optimal_gibbs_protocol(rho0, h0, -0.7, 6),
+            1 + 6, [("Hamiltonian", 1), keyframes]),
+    }
+    for label, (run, solves, inputs) in runs.items():
+        checked.clear()
+        dtypes.clear()
+        run()
+        assert [entry for entry in checked if entry[1]] == inputs, label
+        assert len(dtypes) == solves, label
+
+
 # ---------------------------------------------------------------------------
 # Protocol runners and records
 # ---------------------------------------------------------------------------
@@ -1874,12 +1968,14 @@ def test_build_population_inverted_bath():
 
 def test_local_quench_schedule_shape(monkeypatch):
     ham0 = gt.build_chain(4, [0.1, 1.0, 1.0, 1.0], 0.5)
-    # the closing Hamiltonian is ham0 itself: only the N - 1 others are built
-    calls = []
-    eigh = fermions._eigh
-    monkeypatch.setattr(fermions, "_eigh", lambda c: calls.append(1) or eigh(c))
+    gamma0 = random_correlation(4, make_rng(16))
+    # the closing Hamiltonian is ham0 itself: only the N - 1 others are built,
+    # and the state's schedule decomposes exactly those
+    dtypes = count_eigh(monkeypatch)
     hams = gt.local_quench_schedule(ham0, 4.3, 5)
-    assert len(calls) == 4
+    assert not dtypes
+    fermions._ModeState.of(gamma0).schedule(hams)
+    assert len(dtypes) == 4 and all(ham._es is not None for ham in hams[1:-1])
     assert len(hams) == 6  # N quenches need N + 1 Hamiltonians
     assert hams[1].c[0, 0].real == pytest.approx(4.3)
     assert hams[-1] is ham0
