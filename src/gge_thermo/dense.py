@@ -85,8 +85,8 @@ class _State(_EigenState):
 
     @staticmethod
     def listed(hams: list) -> list[np.ndarray]:
-        """What ``ProtocolRecord.hamiltonians`` holds: copies, not views that pin the stacked
-        check (kept records then fragment the heap less: 1.5-2 MB of peak RSS on dense-small)."""
+        """What ``ProtocolRecord.hamiltonians`` holds: copies, which share no array with the
+        records or with each other (a record can repeat in a schedule)."""
         return [ham.h.copy() for ham in hams]
 
     def spectrum(self) -> np.ndarray:

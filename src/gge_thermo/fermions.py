@@ -31,9 +31,9 @@ Equilibration maps
     preserving every conserved quadratic charge (the mode populations and,
     inside a degenerate level, its block) coincide, so one tag covers both.
     Its entropy is the Gaussian maximum entropy, not the von Neumann entropy
-    of the pinched many-body state; on degenerate many-body levels the two
-    differ (by up to 3.9e-3 along a schedule on the n = 6 periodic ring),
-    while their correlation matrices agree.
+    of the pinched many-body state, which has the same correlation matrix but
+    after a generic quench is not Gaussian, so S_TA <= S_GGE, generically
+    strictly (Rigol et al., PRL 98, 050405 (2007)).
 ``Gibbs``
     Fermi-Dirac state at the inverse temperature fixed by conserving the
     mean energy.
@@ -159,8 +159,8 @@ class Exact:
 
 @dataclass(frozen=True)
 class TimeAverageGGE:
-    """Dephasing in the instantaneous mode basis, keeping degenerate blocks; its entropy is the
-    Gaussian maximum entropy, which on degenerate many-body levels is not the pinched state's."""
+    """Dephasing in the instantaneous mode basis, keeping degenerate blocks; its entropy is the Gaussian
+    maximum entropy of the dephased correlation matrix, generically above the pinched state's (dense)."""
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,14 @@ anchored on the first entry whose magnitude is within a relative 1e-8 of its
 column's maximum, and that entry is made real and positive: ties between
 mirror-image entries (a uniform chain's modes) then resolve to the lower
 index whatever the round-off, which makes runs reproducible across BLAS
-builds and thread counts.  All routines are pure functions; nothing mutates
-its inputs.  A list of matrices (a schedule on either back end, keyframes,
-observables) is checked and decomposed in stacked calls, bit for bit as one
-call per matrix, by one shape rule: each has the shape of the state, or of
-the first keyframe or observable, else ``dimension mismatch: {label} {shape}
-vs {name} {its shape}``; if anything fails, the first bad matrix in list
-order raises its own error, whatever kind it is.
+builds and thread counts.  The anchor applies to ``eigh`` results; a rotation
+sample keeps its rotation's frame.  All routines are pure functions; nothing
+mutates its inputs.  A list of matrices (a schedule on either back end,
+keyframes, observables) is checked one matrix at a time by one shape rule:
+each has the shape of the state, or of the first keyframe or observable,
+else ``dimension mismatch: {label} {shape} vs {name} {its shape}``; the first
+bad matrix in list order raises its own error, whatever kind it is.  A
+schedule is decomposed in stacked ``eigh`` calls, bit for bit as one call per matrix.
 
 :class:`_Hamiltonian` is the one Hamiltonian record of both back ends (the gaussian
 ``fermions.QuadraticHamiltonian`` is a subclass): a checked matrix whose eigensystem and
@@ -50,7 +51,7 @@ DEGENERACY_TOL = 1e-9
 _LOG_MAX = float(np.log(np.finfo(float).max))   # exp overflows above this
 _EPS4 = 4.0 * float(np.finfo(float).eps)
 _ANCHOR_RTOL = 1e-8     # an eigenvector's anchor: its first entry this close to the largest
-# entries per stacked call.  Stacking saves per-call overhead on small matrices but is no
+# entries per stacked eigh.  Stacking saves per-call overhead on small matrices but is no
 # faster from about 3,000 entries (complex d = 64, real n = 100), and a complex stack of
 # 4,096 entries and each of its temporaries stay at 64 KiB, under glibc's 128 KiB mmap
 # threshold (larger dense stacks raised a dense run's peak RSS by about 2 MB)
@@ -104,23 +105,9 @@ def _stacks(ms: list[np.ndarray]):
 
 def _require_hermitian_all(matrices, name: str = "matrix", shape: tuple | None = None,
                            label: str | None = None) -> list[np.ndarray]:
-    """:func:`require_hermitian` of each matrix (the i-th named ``name.format(i=i)``) in stacked
-    calls, each of ``shape``, that of ``label`` (else the first matrix's); if one fails, the per-matrix
-    checks raise the first error in order: ``dimension mismatch: {label} {shape} vs {name} {its}``."""
-    matrices, out = list(matrices), {}
-    try:
-        ms = [_hermitian_dtype(m) for m in matrices]
-        if len(ms) < 2 or any(m.shape != (ms[0].shape if shape is None else shape) for m in ms):
-            raise ValueError    # a wrong shape, or one matrix, whose own check is faster
-        for idx, s in _stacks(ms):
-            sh = s.conj().transpose(0, 2, 1)    # a ValueError unless a stack of matrices
-            with np.errstate(invalid="ignore"):     # inf - inf is NaN, which fails
-                if sh.shape != s.shape or not np.abs(s - sh).max(initial=0.0) <= STATE_ATOL:
-                    raise ValueError
-            out.update(zip(idx, 0.5 * (s + sh)))
-        return [out[i] for i in range(len(matrices))]
-    except (TypeError, ValueError):     # a failing or non-numeric entry: name the first
-        pass
+    """:func:`require_hermitian` of each matrix in order (the i-th named ``name.format(i=i)``), each of
+    ``shape``, that of ``label`` (else the first matrix's); the first bad matrix raises its own error,
+    a wrong shape ``dimension mismatch: {label} {shape} vs {name} {its}``."""
     checked = []
     for i, m in enumerate(matrices):
         h = require_hermitian(m, name.format(i=i))
@@ -241,9 +228,13 @@ class _Hamiltonian:
 
     @classmethod
     def _of(cls, es: EigenSystem):
-        """Trusted, from an eigensystem (a rotation's): ``h`` = U diag(eps) U^dag
-        symmetrised, carrying ``es`` with its U phase-fixed."""
-        return cls._trusted(_hermitian_part(es.reconstruct()), EigenSystem(es.values, _fix_phases(es.vectors)))
+        """Trusted, from an eigensystem (a rotation's): ``h`` = U diag(eps) U^dag in the checked dtype,
+        symmetrised, carrying ``es`` with U as it is.  U needs no anchor: the anchor fixes the phases ``eigh``
+        leaves free, and U(s) = v^s A_a starts at an anchored keyframe, whatever phases v's basis has."""
+        h = _hermitian_part(_hermitian_dtype(es.reconstruct()))
+        # a copy of U made after the temporaries above: U kept where the rotation made it, among
+        # its own temporaries, fragmented the heap (fig2's sweep on two workers peaked ~5 MB higher)
+        return cls._trusted(h, EigenSystem(es.values, es.vectors.copy()))
 
 
 def _expectation(rho: np.ndarray, obs: np.ndarray) -> float:     # Re Tr(obs rho)
@@ -275,8 +266,8 @@ class _EigenState(NamedTuple):
 
     def schedule(self, hs) -> list[_Hamiltonian]:
         """Records of ``hs``: its matrices (named ``_name``) and this back end's ``_record``s of another
-        size are checked by the one shape rule of :func:`_require_hermitian_all` against this state, in
-        one stacked call, and each matrix becomes a ``_record``; its trusted ``_record``s are adopted.  Each
+        size are checked by the one shape rule of :func:`_require_hermitian_all` against this state, and
+        each matrix becomes a ``_record``; its trusted ``_record``s are adopted.  Each
         record after step 0 (decomposed on first use) that lacks an eigensystem is decomposed and labelled
         in stacked calls and keeps them; a 0 x 0 state (only a correlation matrix can be) takes none."""
         hs, shape = list(hs), self.b.shape

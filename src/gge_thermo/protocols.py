@@ -35,8 +35,7 @@ import numpy as np
 
 from . import dense as qd
 from . import fermions as fg
-from .hermitian import (EigenSystem, _eigh_all, _expectation, _hermitian_dtype, _hermitian_part,
-                        _require_hermitian_all)
+from .hermitian import EigenSystem, _eigh_all, _expectation, _hermitian_dtype, _require_hermitian_all
 
 __all__ = [
     "Trajectory",
@@ -89,13 +88,14 @@ class Trajectory:
     eigensystems (a shared keyframe decomposed once), checked when the
     trajectory is built; its first interior sample takes one Schur basis of
     the rotation (numpy ``eig`` and QR), and each sample then costs one
-    n x n product.  Segment ends return the keyframes exactly.  A builder hands the
-    samples to the state's ``schedule`` as trusted records (:meth:`_records`).
+    n x n product.  Segment ends return the keyframes exactly.  A builder hands the samples to the
+    state's ``schedule`` as trusted records (:meth:`_records`) with the eigensystems the trajectory has.
     """
 
     keyframes: tuple
     rules: tuple
     _rotations: tuple = field(init=False, repr=False, compare=False)
+    _eigensystems: tuple = field(init=False, repr=False, compare=False)     # per keyframe, or None
 
     def __post_init__(self):
         frames = tuple(_require_hermitian_all(self.keyframes, "keyframe {i}"))
@@ -109,14 +109,33 @@ class Trajectory:
                 raise ValueError(f"unknown interpolation rule {r!r}; choose from {_RULES}")
         ends = sorted({j for i, r in enumerate(rules) if r == "eigenvectors" for j in (i, i + 1)})
         es = dict(zip(ends, _eigh_all([frames[j] for j in ends])[0]))
+        for e in es.values():   # its keyframes' records share it: a write through one raises
+            e.values.flags.writeable = e.vectors.flags.writeable = False
         rotations = tuple(_Rotation(es[i], es[i + 1], f"eigenvector segment {i}")
                           if r == "eigenvectors" else None for i, r in enumerate(rules))
         object.__setattr__(self, "keyframes", frames)
         object.__setattr__(self, "rules", rules)
         object.__setattr__(self, "_rotations", rotations)
+        object.__setattr__(self, "_eigensystems", tuple(map(es.get, range(len(frames)))))
 
     def sample(self, u: float) -> np.ndarray:
         """Hamiltonian at path parameter u."""
+        return self._record(u, qd._State._record).h
+
+    def schedule(self, n_quenches: int) -> list:
+        """The samples H(m / N) for m = 0..N of ``n_quenches`` equidistant
+        quenches."""
+        return [ham.h for ham in self._records(n_quenches, qd._State._record)]
+
+    def _records(self, n_quenches: int, record) -> list:
+        """:meth:`schedule`'s samples as trusted ``record``s."""
+        n_quenches = _quench_counts([n_quenches])[0]
+        return [self._record(m / n_quenches, record) for m in range(n_quenches + 1)]
+
+    def _record(self, u: float, record):
+        """The trusted ``record`` at path parameter u: a keyframe's copy, with its eigensystem at an
+        eigenvector segment's end; a linear sample in the checked dtype, exactly Hermitian as a real
+        combination of checked keyframes; else ``record._of`` the rotation's eigensystem."""
         u = float(u)
         if not (-1e-12 <= u <= 1.0 + 1e-12):
             raise ValueError(f"path parameter {u} outside [0, 1]")
@@ -124,23 +143,12 @@ class Trajectory:
         x = u * len(self.rules)
         i = min(int(np.floor(x)), len(self.rules) - 1)
         s = x - i
-        if s <= 0.0:
-            return self.keyframes[i].copy()
-        if s >= 1.0:
-            return self.keyframes[i + 1].copy()
+        if s <= 0.0 or s >= 1.0:
+            j = i if s <= 0.0 else i + 1
+            return record._trusted(self.keyframes[j].copy(), self._eigensystems[j])
         if self.rules[i] == "linear":
-            return (1.0 - s) * self.keyframes[i] + s * self.keyframes[i + 1]
-        return self._rotations[i].at(s).reconstruct()
-
-    def schedule(self, n_quenches: int) -> list:
-        """The samples H(m / N) for m = 0..N of ``n_quenches`` equidistant
-        quenches."""
-        n_quenches = _quench_counts([n_quenches])[0]
-        return [self.sample(m / n_quenches) for m in range(n_quenches + 1)]
-
-    def _records(self, n_quenches: int, record) -> list:
-        """:meth:`schedule`'s samples as trusted ``record``s, in the checked dtype and symmetrised."""
-        return [record._trusted(_hermitian_part(_hermitian_dtype(h))) for h in self.schedule(n_quenches)]
+            return record._trusted(_hermitian_dtype((1.0 - s) * self.keyframes[i] + s * self.keyframes[i + 1]))
+        return record._of(self._rotations[i].at(s))
 
 
 class _Rotation:
@@ -385,7 +393,7 @@ def run_protocol(
     keep_states: bool = True,
 ) -> ProtocolRecord:
     """Run ``n_quenches`` equidistant quenches along the trajectory: the samples of
-    ``traj.schedule(n_quenches)``, as trusted records that the state's ``schedule`` decomposes."""
+    ``traj.schedule(n_quenches)``, as trusted records; the state's ``schedule`` decomposes the bare ones."""
     state = _state(initial_state, backend)
     hams = state.schedule(traj._records(n_quenches, state._record))
     return _run(state, state.entropy(), hams, model, keep_states)

@@ -124,6 +124,23 @@ def count_eigh(monkeypatch):
     return dtypes
 
 
+def count_checks(monkeypatch):
+    """Record the name of each matrix the one-matrix check ``hermitian.require_hermitian``
+    validates (``hermitian._require_hermitian_all`` checks a list through it, one matrix at a
+    time), wrapped in each of ``hermitian``, ``fermions`` and ``dense``, which bind the name."""
+    from gge_thermo import dense, fermions, hermitian
+
+    names, check = [], hermitian.require_hermitian
+
+    def counted(matrix, name="matrix"):
+        names.append(name)
+        return check(matrix, name)
+
+    for module in (hermitian, fermions, dense):
+        monkeypatch.setattr(module, "require_hermitian", counted)
+    return names
+
+
 def step_equilibration_length(p, e, x):
     """Large-N limit of the work deficit times N of N quench-and-dephase steps
     along a rotation exp(sX), s in [0, 1], at frozen spectrum:

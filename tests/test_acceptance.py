@@ -160,6 +160,34 @@ def test_criterion_06_majorization_bound():
     _finish(lines)
 
 
+def test_criterion_06_gibbs_entropy_ceiling():
+    # the thermal model's own ceiling, on criterion 6's instance stream (its
+    # Gibbs trials): quenches keep the entropy, the thermal map never lowers
+    # it, and a Gibbs state at beta >= 0 has the least energy at its entropy,
+    # so W <= E(gamma0, H0) - E_beta*(H0) with S(beta*) = S(gamma0)
+    lines = []
+    rng = make_rng(606)
+    worst, trials = -np.inf, 0
+    for trial in range(1000):
+        n = int(rng.integers(2, 9))
+        n_quenches = int(rng.integers(1, 21))
+        ham0 = gt.build_chain(n, rng.uniform(0.0, 2.0, n), float(rng.uniform(0.1, 1.0)))
+        ham1 = gt.build_chain(n, rng.uniform(0.0, 2.0, n), float(rng.uniform(0.1, 1.0)))
+        gamma0 = random_correlation(n, rng, lo=0.02, hi=0.98)
+        rng.uniform(1.0, 40.0)      # criterion 6's hold time, drawn on every trial
+        if trial % 3 != 1:
+            continue
+        traj = gt.Trajectory((ham0.c, ham1.c, ham0.c), ("linear", "linear"))
+        rec = gt.run_protocol(gamma0, traj, n_quenches, gt.GIBBS, keep_states=False)
+        beta_star = fermions._ModeState.entropy_beta(ham0, gt.entropy_gaussian(gamma0))
+        ceiling = -np.inf if beta_star is None else (    # no beta*: the gate fails
+            gt.energy(gamma0, ham0) - gt.energy(gt.gibbs_correlation(ham0, beta_star), ham0))
+        worst, trials = max(worst, rec.work - ceiling), trials + 1
+    _check(lines, f"criterion 6: {trials} random cyclic gibbs runs never beat the entropy ceiling by > 1e-9",
+           trials == 333 and worst <= 1e-9, f"worst excess = {worst:.2e}")
+    _finish(lines)
+
+
 def test_criterion_07_entropy_production_scaling():
     lines = []
     n_values = [2 ** k for k in range(4, 13)]

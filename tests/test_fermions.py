@@ -6,7 +6,7 @@ import pytest
 import gge_thermo as gt
 from gge_thermo import fermions as fg
 from gge_thermo import hermitian
-from _helpers import brentq_root, make_rng, random_correlation, random_hermitian, record_roots
+from _helpers import brentq_root, count_checks, make_rng, random_correlation, random_hermitian, record_roots
 
 
 def two_site(g=0.1):
@@ -20,11 +20,11 @@ def _schedule(hs):
 
 
 def test_stacked_hamiltonians_match_one_by_one_construction(monkeypatch):
-    # the gaussian schedule checks and decomposes a list's matrices in stacked
-    # calls; QuadraticHamiltonian(m), one matrix at a time, is the reference,
-    # bit for bit, and objects in the list pass through as they are.  A
-    # schedule has one shape: a mixed-shape case runs per shape group, and a
-    # group of one matrix takes the one-matrix check, which is faster
+    # the gaussian schedule checks a list's matrices one at a time and
+    # decomposes them in stacked calls; QuadraticHamiltonian(m), one matrix at a
+    # time, is the reference, bit for bit, and objects in the list pass through
+    # as they are.  A schedule has one shape: a mixed-shape case runs per shape
+    # group, and each matrix takes exactly one one-matrix check
     rng = make_rng(31)
 
     def real(n):
@@ -44,8 +44,7 @@ def test_stacked_hamiltonians_match_one_by_one_construction(monkeypatch):
     }
     assert [len(idx) for idx, _ in hermitian._stacks(cases["n = 30, two chunks"])] == [4, 2]
     assert [len(idx) for idx, _ in hermitian._stacks(cases["n = 100, one matrix a chunk"])] == [1, 1, 1]
-    checks, require = [], hermitian.require_hermitian
-    monkeypatch.setattr(hermitian, "require_hermitian", lambda *a, **k: checks.append(1) or require(*a, **k))
+    checks = count_checks(monkeypatch)
     for label, ms in cases.items():
         copies = [m.copy() if isinstance(m, np.ndarray) else m for m in ms]
         groups = {}
@@ -56,8 +55,7 @@ def test_stacked_hamiltonians_match_one_by_one_construction(monkeypatch):
             checks.clear()
             for i, ham in zip(idx, _schedule([ms[i] for i in idx]), strict=True):
                 hams[i] = ham
-            # the stacked path, not the per-matrix one, unless one matrix is checked alone
-            assert len(checks) == (sum(isinstance(ms[i], np.ndarray) for i in idx) == 1), label
+            assert checks == [fg._ModeState._name] * sum(isinstance(ms[i], np.ndarray) for i in idx), label
         for m, copy, ham in zip(ms, copies, hams, strict=True):
             if isinstance(m, fg.QuadraticHamiltonian):
                 assert ham is m, label

@@ -12,8 +12,8 @@ import pytest
 import gge_thermo as gt
 from gge_thermo import cli, dense, fermions, hermitian
 from gge_thermo import protocols as pr
-from _helpers import (brentq_root, count_eigh, count_schur, make_rng, random_correlation, random_density,
-                      random_hermitian, random_unitary, record_roots)
+from _helpers import (brentq_root, count_checks, count_eigh, count_schur, make_rng, random_correlation,
+                      random_density, random_hermitian, random_unitary, record_roots)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -147,18 +147,26 @@ def test_real_keyframes_give_a_real_path_only_without_eigenvalue_minus_one():
 def test_sampled_eigensystem_is_the_sample(monkeypatch, build, form):
     # one Schur basis per segment, real for real keyframes (with an eigenvalue
     # -1, one complex basis from the complex eigenvectors), gives each
-    # interior sample its eigensystem: its reconstruction is the sample, its
-    # values are the keyframe spectrum and its vectors, phase-fixed, are those
-    # eigh finds in the sample; building the trajectory takes no Schur basis
+    # interior sample its eigensystem: the sample is the Hermitian part of its
+    # reconstruction, its record keeps it as it is, unchecked, its values are
+    # the keyframe spectrum and its vectors, phase-fixed, are those eigh finds
+    # in the sample; building the trajectory takes no Schur basis
     calls = count_schur(monkeypatch)
     traj = build()
     assert not calls
+    checks = count_checks(monkeypatch)
     spectrum = hermitian._eigh(hermitian.require_hermitian(traj.keyframes[0])).values
     for u in (0.3, 0.7):
-        es = traj._rotations[0].at(u)
-        np.testing.assert_array_equal(es.reconstruct(), traj.sample(u))
+        es, sample = traj._rotations[0].at(u), traj.sample(u)
+        np.testing.assert_array_equal(hermitian._hermitian_part(hermitian._hermitian_dtype(es.reconstruct())),
+                                      sample)
         np.testing.assert_array_equal(es.values, spectrum)
-        vectors = hermitian._eigh(hermitian.require_hermitian(traj.sample(u))).vectors
+        checks.clear()
+        record = traj._record(u, dense._State._record)
+        assert not checks
+        np.testing.assert_array_equal(record.h, sample)
+        np.testing.assert_array_equal(record.es.vectors, es.vectors)
+        vectors = hermitian._eigh(hermitian.require_hermitian(sample)).vectors
         assert np.max(np.abs(hermitian._fix_phases(es.vectors) - vectors)) <= 1e-12, u
     assert np.max(np.abs(traj.sample(1.0 - 1e-9) - traj.keyframes[1])) <= 1e-8
     assert calls == [form]
@@ -323,14 +331,16 @@ def test_trajectory_decomposes_each_keyframe_once(monkeypatch):
     h0 = np.diag([0.0, 1.0, 2.5])
     q1, q2 = (np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2))
     frames = (h0, q1 @ h0 @ q1.T, q2 @ h0 @ q2.T)
-    dtypes = count_eigh(monkeypatch)
+    dtypes, checks = count_eigh(monkeypatch), count_checks(monkeypatch)
     traj = gt.Trajectory(frames, ("eigenvectors", "eigenvectors"))
     assert len(dtypes) == 3
+    assert checks == ["keyframe 0", "keyframe 1", "keyframe 2"]
     monkeypatch.undo()
     alone = [pr._Rotation(hermitian._eigh(hermitian.require_hermitian(frames[i])), hermitian._eigh(hermitian.require_hermitian(frames[i + 1]))) for i in (0, 1)]
     for u in (0.1, 0.25, 0.4, 0.6, 0.75, 0.9):
         i = int(u * 2)
-        assert np.array_equal(traj.sample(u), alone[i].at(u * 2 - i).reconstruct()), u
+        sample = hermitian._hermitian_part(hermitian._hermitian_dtype(alone[i].at(u * 2 - i).reconstruct()))
+        assert np.array_equal(traj.sample(u), sample), u
 
 
 def test_trajectory_eigenvector_rule_requires_equal_spectra():
@@ -358,36 +368,66 @@ def _random_trajectory(d, rng):
     return gt.Trajectory(frames, rules)
 
 
+def _rotation_samples(traj, n):
+    """Whether each sample of ``traj.schedule(n)`` lies inside an eigenvector segment."""
+    inside = []
+    for m in range(n + 1):
+        x = m / n * len(traj.rules)
+        i = min(int(np.floor(x)), len(traj.rules) - 1)
+        inside.append(traj.rules[i] == "eigenvectors" and 0.0 < x - i < 1.0)
+    return inside
+
+
 @pytest.mark.parametrize("backend", ["gaussian", "dense"])
-def test_trusted_samples_are_the_checked_records(backend):
-    # a trajectory's records, trusted, are the records the state's schedule makes
-    # of its checked samples, bit for bit in h (values and dtype), eigensystem and
-    # labels, on linear, mixed real/complex and eigenvector segments
+def test_trusted_samples_are_the_checked_records(monkeypatch, backend):
+    # a trajectory's records, trusted and unchecked, are the records the state's
+    # schedule makes of its checked samples, bit for bit in h (values and dtype),
+    # eigensystem and labels, on linear, mixed real/complex and eigenvector
+    # segments.  A rotation sample keeps its rotation's eigensystem: its values,
+    # the keyframe spectrum, match the checked record's to round-off, and its
+    # vectors match them up to one unit phase per column
     rng = make_rng(36)
     state_type = pr._STATES[backend]
+    checks = count_checks(monkeypatch)
 
-    def same(trusted, checked):
-        assert len(trusted) == len(checked)
-        for a, b in zip(trusted, checked):
+    def same(trusted, checked, rotated):
+        assert len(trusted) == len(checked) == len(rotated)
+        for a, b, rotation in zip(trusted, checked, rotated):
             assert type(a) is type(b) is state_type._record
-            for x, y in ((a.h, b.h), (a.es.values, b.es.values), (a.es.vectors, b.es.vectors),
-                         (a.labels, b.labels)):
+            for x, y in ((a.h, b.h), (a.labels, b.labels)):
                 assert x.dtype == y.dtype and np.array_equal(x, y)
+            assert a.es.values.dtype == b.es.values.dtype and a.es.vectors.dtype == b.es.vectors.dtype
+            if not rotation:
+                assert np.array_equal(a.es.values, b.es.values) and np.array_equal(a.es.vectors, b.es.vectors)
+                continue
+            assert np.max(np.abs(a.es.values - b.es.values)) <= 1e-12
+            x, y = a.es.vectors, b.es.vectors
+            phases = np.sum(y.conj() * x, axis=0)
+            assert np.max(np.abs(np.abs(phases) - 1.0)) <= 1e-12
+            assert np.max(np.abs(x - y * phases)) <= 1e-12
 
     for _ in range(40):
         d = int(rng.integers(1, 9))
         traj, n = _random_trajectory(d, rng), int(rng.integers(1, 10))
         state = state_type.of(np.eye(d) / d)
-        same(state.schedule(traj._records(n, state._record)), state.schedule(traj.schedule(n)))
-    # X + iY -> X' - iY: the midpoint's imaginary part is exactly zero, so its raw
-    # sample is complex and its record, as the check leaves it, float64
+        checks.clear()
+        trusted = state.schedule(traj._records(n, state._record))
+        assert not checks
+        checked = state.schedule(traj.schedule(n))
+        assert checks == [state_type._name] * (n + 1)
+        same(trusted, checked, _rotation_samples(traj, n))
+    # X + iY -> X' - iY: the midpoint of the keyframes is complex with an exactly
+    # zero imaginary part, so its sample and its record, as the check leaves it,
+    # are float64
     x0, x1, y = random_hermitian(3, rng).real, random_hermitian(3, rng).real, random_hermitian(3, rng).imag
     traj = gt.Trajectory((x0 + 1j * y, x1 - 1j * y), ("linear",))
-    assert traj.schedule(2)[1].dtype == complex
+    mid = 0.5 * traj.keyframes[0] + 0.5 * traj.keyframes[1]
+    assert mid.dtype == complex and not mid.imag.any()
+    assert traj.schedule(2)[1].dtype == float and np.array_equal(traj.schedule(2)[1], mid.real)
     state = state_type.of(np.eye(3) / 3)
     trusted = state.schedule(traj._records(2, state._record))
     assert [ham.h.dtype for ham in trusted] == [complex, float, complex]
-    same(trusted, state.schedule(traj.schedule(2)))
+    same(trusted, state.schedule(traj.schedule(2)), [False] * 3)
 
 
 def test_protocol_builders_check_no_sample_and_decompose_each_hamiltonian_once(monkeypatch):
@@ -433,6 +473,112 @@ def test_protocol_builders_check_no_sample_and_decompose_each_hamiltonian_once(m
         run()
         assert [entry for entry in checked if entry[1]] == inputs, label
         assert len(dtypes) == solves, label
+
+
+@pytest.mark.parametrize("backend", ["gaussian", "dense"])
+def test_eigenvector_runs_decompose_nothing_after_the_trajectory(monkeypatch, backend):
+    # the trajectory decomposes its keyframes once, for its rotations; its keyframe
+    # records keep those eigensystems and its rotation samples their own, so a run
+    # on it solves no eigenproblem (8 at d = 2, N = 8 when every sample after step
+    # 0 was decomposed again).  Only a rotation sample is symmetrised: a keyframe
+    # is checked, and a linear sample of checked keyframes is exactly Hermitian
+    rng = make_rng(39)
+    h0, q = random_hermitian(2, rng).real, _orthogonal(2, rng)
+    rotated = q @ h0 @ q.T
+    state = random_correlation(2, rng, lo=0.05, hi=0.95) if backend == "gaussian" else random_density(2, rng)
+    symmetrised, part = [], hermitian._hermitian_part
+    monkeypatch.setattr(hermitian, "_hermitian_part", lambda m: symmetrised.append(m.shape) or part(m))
+    dtypes = count_eigh(monkeypatch)
+    # label: (trajectory, eigen-solves of the run, symmetrised samples)
+    cases = {
+        "eigenvectors": (gt.Trajectory((h0, rotated), ("eigenvectors",)), 0, 7),
+        "two eigenvector segments": (gt.Trajectory((h0, rotated, h0), ("eigenvectors",) * 2), 0, 6),
+        "linear": (gt.Trajectory((h0, random_hermitian(2, rng)), ("linear",)), 8, 0),
+    }
+    for label, (traj, solves, parts) in cases.items():
+        symmetrised.clear()
+        for model in (gt.GGE, gt.GIBBS, gt.Exact(1.0)):
+            dtypes.clear()
+            gt.run_protocol(state, traj, 8, model, backend=backend)
+            assert len(dtypes) == solves, (label, model)
+        assert len(symmetrised) == 3 * parts, label
+
+
+def test_keyframe_eigensystems_shared_with_records_are_read_only():
+    # a keyframe's record shares the eigensystem its trajectory's rotation reads at
+    # every sample, so a write through the record raises instead of moving the path
+    rng = make_rng(41)
+    h0, u = random_hermitian(3, rng), random_unitary(3, rng)
+    traj = gt.Trajectory((h0, u @ h0 @ u.conj().T), ("eigenvectors",))
+    sample = traj.sample(0.5)
+    rec = gt.run_protocol(random_correlation(3, rng, lo=0.1, hi=0.9), traj, 4, gt.GGE)
+    for ham in (rec.hamiltonians[0], rec.hamiltonians[-1]):
+        for array in (ham.energies, ham.modes):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+    assert np.array_equal(traj.sample(0.5), sample)
+
+
+@pytest.mark.parametrize("backend", ["gaussian", "dense"])
+def test_rotation_records_need_no_phase_anchor(monkeypatch, backend):
+    # a rotation sample keeps its rotation's frame.  Anchoring its columns as
+    # eigh's are flips the signs of real columns, which is exact: on real
+    # four-phase and real eigenvector runs, works, energies and entropies are
+    # bit-identical; on complex paths they agree to round-off
+    rng = make_rng(40)
+
+    def anchored(cls, es):
+        return cls._trusted(hermitian._hermitian_part(hermitian._hermitian_dtype(es.reconstruct())),
+                            hermitian.EigenSystem(es.values, hermitian._fix_phases(es.vectors)))
+
+    def state(d, real):     # the real part of a state is a state
+        gaussian = backend == "gaussian"
+        start = random_correlation(d, rng, lo=0.05, hi=0.95) if gaussian else random_density(d, rng)
+        return start.real if real else start
+
+    def four_phase(real):
+        # the real instances of test_real_four_phase_schedules_stay_float64
+        if backend == "gaussian":
+            ham0, gamma0 = cli.fig2_initial_state(cli.parse_config(["fig2", "--n", "8", "--seed", "1"]))
+            gamma0 = gamma0 if real else random_correlation(8, rng, lo=0.05, hi=0.95)
+            return lambda: gt.optimal_gge_protocol(gamma0, ham0, 8)
+        z = make_rng(19).normal(size=(4, 4))
+        rho0 = z @ z.T + 0.1 * np.eye(4)
+        if not real:
+            rho0, z = state(4, False), random_hermitian(4, rng)
+        return lambda: gt.optimal_ta_protocol(rho0 / np.trace(rho0).real, (z + z.conj().T) / 2, 6)
+
+    def anchor_moves(traj):
+        samples = [traj._rotations[0].at(m / 7).vectors for m in range(1, 7)]
+        return any(not np.array_equal(hermitian._fix_phases(v), v) for v in samples)
+
+    def eigenvectors(real, model):
+        # drawn again until the anchor flips a column of a sample, and while real
+        # keyframes give a complex path (their rotation has an eigenvalue -1)
+        traj = None
+        while traj is None or np.isrealobj(traj.sample(0.5)) != real or not anchor_moves(traj):
+            h0 = random_hermitian(4, rng)
+            h0 = h0.real if real else h0
+            u = _orthogonal(4, rng) if real else random_unitary(4, rng)
+            traj = gt.Trajectory((h0, u @ h0 @ u.conj().T), ("eigenvectors",))
+        start = state(4, real)
+        return lambda: gt.run_protocol(start, traj, 7, model, backend=backend)
+
+    runs = [(real, four_phase(real)) for real in (True, False)]
+    runs += [(real, eigenvectors(real, model)) for real in (True, False)
+             for model in (gt.GGE, gt.GIBBS, gt.Exact(0.5, 3.0, 7))]
+    for real, run in runs:
+        kept = run()
+        assert all(np.isrealobj(getattr(h, "h", h)) for h in kept.hamiltonians) == real
+        with monkeypatch.context() as patch:
+            patch.setattr(hermitian._Hamiltonian, "_of", classmethod(anchored))
+            fixed = run()
+        for name in ("work_extracted", "energy", "entropy"):
+            a, b = _column(kept, name), _column(fixed, name)
+            if real:
+                assert np.array_equal(a, b), name
+            else:
+                assert np.max(np.abs(a - b)) <= 1e-12, name
 
 
 # ---------------------------------------------------------------------------
@@ -1124,7 +1270,9 @@ def test_jordan_wigner_oracle_runs_whole_schedules(kind):
     # chains (as Hamiltonian objects, some repeated) and on schedules whose
     # levels are degenerate or cross (as matrices), where dephasing keeps each
     # degenerate block on both back ends.  Only exact and thermal states stay
-    # Gaussian, so the pinched dense state's entropy is not compared.
+    # Gaussian; the pinched dense state has the dephased correlation matrix,
+    # whose Gaussian state has the most entropy, so its entropy is at most the
+    # gaussian back end's, at every step.
     rng = make_rng(900 + ["exact", "ta-gge", "gibbs"].index(kind))
     cases = []
     for case in range(12):
@@ -1144,6 +1292,28 @@ def test_jordan_wigner_oracle_runs_whole_schedules(kind):
         assert np.max(np.abs(gt.correlation_of_dense(dense.final_state) - fermionic.final_state)) <= 1e-10
         if kind != "ta-gge":
             assert np.max(np.abs(_column(fermionic, "entropy") - _column(dense, "entropy"))) <= 1e-10
+        else:
+            assert np.all(_column(dense, "entropy") <= _column(fermionic, "entropy") + 1e-10)
+
+
+def test_ta_gge_entropies_differ_on_a_nondegenerate_spectrum():
+    # after one quench from a state not diagonal in the new modes, the pinched
+    # many-body state is not Gaussian: its entropy (dense back end, 1.78478)
+    # is below the Gaussian maximum of the same correlation matrix (gaussian
+    # back end, 1.94987) although no many-body level is degenerate (smallest
+    # gap 0.204); the works agree
+    rng = make_rng(1)
+    h0, h1 = random_hermitian(3, rng), random_hermitian(3, rng)
+    gamma0 = random_correlation(3, rng)
+    fermionic = gt.run_schedule(gamma0, [h0, h1], gt.GGE)
+    dense = gt.run_schedule(gt.gaussian_to_dense(gamma0), [gt.quadratic_to_dense(h) for h in (h0, h1)], gt.GGE,
+                            backend="dense")
+    assert np.max(np.abs(_column(fermionic, "work_extracted") - _column(dense, "work_extracted"))) <= 1e-12
+    assert np.max(np.abs(gt.correlation_of_dense(dense.final_state) - fermionic.final_state)) <= 1e-12
+    levels = np.linalg.eigvalsh(gt.quadratic_to_dense(h1))
+    assert np.diff(levels).min() >= 0.2
+    assert fermionic.steps[1].entropy == pytest.approx(1.94987, abs=1e-5)
+    assert dense.steps[1].entropy == pytest.approx(1.78478, abs=1e-5)
 
 
 def test_dephasing_keeps_degenerate_blocks_on_both_back_ends():
