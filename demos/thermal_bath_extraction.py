@@ -18,7 +18,7 @@ print(f"protocol: quench site energy {eps1} -> {peak}, then N-1 equal steps back
 print()
 print("   N    W_exact    W_dephasing  W_thermal")
 for n_quenches in (2, 4, 8, 16, 32, 64):
-    schedule = gt.local_quench_schedule(ham0, peak, n_quenches)
+    schedule = list(gt.local_quench_schedule(ham0, peak, n_quenches))   # listed: it runs more than once
     w_gge = gt.run_schedule(gamma0, schedule, gt.GGE, keep_states=False).work
     w_gibbs = gt.run_schedule(gamma0, schedule, gt.GIBBS, keep_states=False).work
     exact = gt.Exact(20.0 / g, 100.0 / g, seed + n_quenches)

@@ -21,6 +21,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -286,13 +287,13 @@ def _models(config: ExperimentConfig, names) -> list:
     return [table[name] for name in names]
 
 
-def _sweep(config: ExperimentConfig, gamma0, schedule, names) -> pr.ScanResult:
+def _sweep(config: ExperimentConfig, gamma0, schedule, names, spare: str | None = None) -> pr.ScanResult:
     """The sweep of the named models over the schedules of config.N_list;
-    the first failed cell is raised."""
+    the first failed cell is raised, but not the ``spare`` model's below the largest N."""
     result = pr.min_work_scan(gamma0, schedule, _models(config, names), config.N_list, config.seed)
-    if result.failures:
-        (label, n_q), msg = next(iter(result.failures.items()))
-        raise RuntimeError(f"{label} at N = {n_q}: {msg}")
+    for (label, n_q), msg in result.failures.items():
+        if label != spare or n_q == max(config.N_list):
+            raise RuntimeError(f"{label} at N = {n_q}: {msg}")
     return result
 
 
@@ -340,31 +341,17 @@ def fig4_initial_state(config: ExperimentConfig):
     return ham0, gamma0
 
 
-def fig4_positive_temperature_condition(gamma0, schedule) -> bool:
-    """Whether the thermal description keeps a non-negative temperature all
-    along the local-quench ``schedule`` (the largest-N one) from ``gamma0``
-    (final energy below the flat-state energy at every step)."""
-    rec = pr.run_schedule(gamma0, schedule, fg.GIBBS, keep_states=False)
-    betas = [s.duals[0] for s in rec.steps if s.duals is not None]
-    return bool(all(b >= 0.0 for b in betas))
-
-
 def cmd_fig4(config: ExperimentConfig):
     """Local extraction from a population-inverted bath."""
     ham0, gamma0 = fig4_initial_state(config)
-    n_max, kept = max(config.N_list), []
-
-    def schedule(n):    # keeps the largest-N schedule for the temperature check
-        hams = pr.local_quench_schedule(ham0, config.eps1_peak, n)
-        if n == n_max:
-            kept.append(hams)
-        return hams
-
-    w_exact, w_gge = _sweep(config, gamma0, schedule, ("exact", "ta-gge")).works
+    schedule = partial(pr.local_quench_schedule, ham0, config.eps1_peak)
+    # the thermal model is the temperature check, read at the largest N; exact keeps index 0 and its seeds
+    result = _sweep(config, gamma0, schedule, ("exact", "ta-gge", "gibbs"), spare="gibbs")
+    w_exact, w_gge = result.works[:2]
     w_gge_inf, _ = pr.richardson_limit(config.N_list, w_gge)
     header = ["N", "W_exact", "W_gge", "W_gge_inf"]
     rows = [[n_q, w_exact[j], w_gge[j], w_gge_inf] for j, n_q in enumerate(config.N_list)]
-    satisfied = fig4_positive_temperature_condition(gamma0, kept[0])
+    satisfied = all(s.duals[0] >= 0.0 for s in result.steps["gibbs"][1:])
     diagnostics = [
         "positive-temperature condition: " + ("satisfied" if satisfied else "violated"),
         f"W_gge_inf = {w_gge_inf:.9f}",
@@ -376,7 +363,8 @@ def cmd_scan(config: ExperimentConfig):
     """Generic minimum-work scan over the local-quench schedule."""
     ham0, gamma0 = fig3_initial_state(config)
     # N quenches along the peak path: the local-quench schedule of N + 1 without its sudden first quench
-    result = pr.min_work_scan(gamma0, lambda n: pr.local_quench_schedule(ham0, config.eps1_peak, n + 1)[1:],
+    peak_path = partial(pr.local_quench_schedule, ham0, config.eps1_peak)
+    result = pr.min_work_scan(gamma0, lambda n: islice(peak_path(n + 1), 1, None),
                               _models(config, config.models), config.N_list, config.seed)
     header, rows = result.table()
     diagnostics = [f"verdict[{label}] = {verdict}"

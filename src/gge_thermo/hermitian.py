@@ -22,8 +22,8 @@ schedule is decomposed in stacked ``eigh`` calls, bit for bit as one call per ma
 ``fermions.QuadraticHamiltonian`` is a subclass): a checked matrix whose eigensystem and
 degeneracy labels are given or worked out on first use.  :class:`_EigenState` is the one
 state of both (``fermions._ModeState`` and ``dense._State`` are subclasses), with the one
-quench, hold and pinching, and the one ``schedule``, which checks a schedule's matrices,
-adopts the trusted records of protocol builders and decomposes each record once.
+transport, quench, hold and pinching, and the one ``schedule``, which checks a schedule's
+matrices, adopts the trusted records of protocol builders and decomposes each record once.
 
 Both back ends import this module and not each other, so the rules they
 share live here.  :func:`_energy_matching_root` (bracket, then safeguarded
@@ -42,6 +42,7 @@ Fermi-function and entropy kernels, in numpy like the whole package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +52,7 @@ DEGENERACY_TOL = 1e-9
 _LOG_MAX = float(np.log(np.finfo(float).max))   # exp overflows above this
 _EPS4 = 4.0 * float(np.finfo(float).eps)
 _ANCHOR_RTOL = 1e-8     # an eigenvector's anchor: its first entry this close to the largest
-# entries per stacked eigh.  Stacking saves per-call overhead on small matrices but is no
+# entries per stacked eigh of a schedule.  Stacking saves per-call overhead on small matrices but is no
 # faster from about 3,000 entries (complex d = 64, real n = 100), and a complex stack of
 # 4,096 entries and each of its temporaries stay at 64 KiB, under glibc's 128 KiB mmap
 # threshold (larger dense stacks raised a dense run's peak RSS by about 2 MB)
@@ -90,17 +91,6 @@ def _hermitian_dtype(matrix) -> np.ndarray:
     if m.dtype.kind == "c" and not m.imag.any():     # a NaN imaginary part stays complex
         m = m.real
     return m.astype(complex if m.dtype.kind == "c" else float, copy=False)
-
-
-def _stacks(ms: list[np.ndarray]):
-    """``(indices, stack)`` of ``ms`` per (shape, dtype), at most ``_BATCH_ENTRIES`` entries or one array."""
-    groups: dict = {}
-    for i, m in enumerate(ms):
-        groups.setdefault((m.shape, m.dtype), []).append(i)
-    for idx in groups.values():
-        step = max(1, _BATCH_ENTRIES // max(1, ms[idx[0]].size))
-        for k in range(0, len(idx), step):
-            yield idx[k:k + step], np.array([ms[i] for i in idx[k:k + step]])
 
 
 def _require_hermitian_all(matrices, name: str = "matrix", shape: tuple | None = None,
@@ -157,12 +147,14 @@ def _eigh(h: np.ndarray) -> EigenSystem:
 
 
 def _eigh_all(hs: list[np.ndarray]) -> tuple[list[EigenSystem], list[np.ndarray]]:
-    """:func:`_eigh` of each validated matrix in stacked calls, bit for bit (a stack's
-    columns are phase-fixed side by side, each on its own), and each spectrum's labels:
+    """:func:`_eigh` of each validated matrix in one stacked call per (shape, dtype), bit for bit
+    (a stack's columns are phase-fixed side by side, each on its own), and each spectrum's labels:
     one array, read-only, for a stack's simple spectra, a cumsum if one is degenerate."""
-    es, labels = {}, {}
-    for idx, s in _stacks(hs):
-        values, vectors = np.linalg.eigh(s)
+    es, labels, groups = {}, {}, {}
+    for i, h in enumerate(hs):
+        groups.setdefault((h.shape, h.dtype), []).append(i)
+    for idx in groups.values():
+        values, vectors = np.linalg.eigh(np.array([hs[i] for i in idx]))
         b, n = vectors.shape[:2]
         vectors = _fix_phases(vectors.transpose(1, 0, 2).reshape(n, b * n)).reshape(n, b, n)
         es.update(zip(idx, map(EigenSystem, values, np.ascontiguousarray(vectors.transpose(1, 0, 2)))))
@@ -174,6 +166,17 @@ def _eigh_all(hs: list[np.ndarray]) -> tuple[list[EigenSystem], list[np.ndarray]
                 rows[k] = lab[k]
         labels.update(zip(idx, rows))
     return [es[i] for i in range(len(hs))], [labels[i] for i in range(len(hs))]
+
+
+def _decomposed(hams, size: int):
+    """The iterator ``hams``, read one stack of at most ``_BATCH_ENTRIES`` entries of ``size`` ahead: each
+    record after the first that lacks an eigensystem is decomposed and labelled, and keeps them."""
+    yield from islice(hams, 1)
+    while batch := list(islice(hams, max(1, _BATCH_ENTRIES // max(1, size)))):
+        bare = [ham for ham in batch if ham._es is None]
+        for ham, es, labels in zip(bare, *_eigh_all([ham.h for ham in bare])):
+            ham._es, ham._lab = es, labels
+        yield from batch
 
 
 def cluster_degenerate(values, tol: float = DEGENERACY_TOL) -> np.ndarray:
@@ -199,13 +202,21 @@ def _labels(values: np.ndarray, tol: float = DEGENERACY_TOL) -> np.ndarray:
 
 class _Hamiltonian:
     """A checked Hermitian matrix ``h`` carrying its eigensystem ``es`` and the degeneracy ``labels`` of
-    its spectrum, each given or worked out on first use (threads that race there work out the same arrays,
-    and one is kept).  Its class is its back end's: a state's ``schedule`` adopts its own ``_record``s."""
+    its spectrum, each given or worked out on first use (``h`` from ``es``; threads that race there work
+    out the same arrays, and one is kept).  Its class is its back end's: a state's ``schedule`` adopts it."""
 
-    __slots__ = ("h", "_es", "_lab")
+    __slots__ = ("_h", "_es", "_lab")
 
-    def __init__(self, h: np.ndarray, es: EigenSystem | None = None):
-        self.h, self._es, self._lab = h, es, None
+    def __init__(self, h: np.ndarray | None, es: EigenSystem | None = None):
+        self._h, self._es, self._lab = h, es, None
+
+    @property
+    def h(self) -> np.ndarray:      # from es: U diag(eps) U^dag in the checked dtype, symmetrised
+        if self._h is None:
+            self._h = _hermitian_part(_hermitian_dtype(self._es.reconstruct()))
+        return self._h
+
+    shape = property(lambda self: (self._es.vectors if self._h is None else self._h).shape)   # without forming h
 
     @property
     def es(self) -> EigenSystem:
@@ -220,7 +231,7 @@ class _Hamiltonian:
         return self._lab
 
     @classmethod
-    def _trusted(cls, h: np.ndarray, es: EigenSystem | None = None):
+    def _trusted(cls, h: np.ndarray | None, es: EigenSystem | None = None):
         """A ``cls`` record of the checked ``h``, past a subclass's checking constructor."""
         ham = cls.__new__(cls)
         _Hamiltonian.__init__(ham, h, es)
@@ -228,13 +239,10 @@ class _Hamiltonian:
 
     @classmethod
     def _of(cls, es: EigenSystem):
-        """Trusted, from an eigensystem (a rotation's): ``h`` = U diag(eps) U^dag in the checked dtype,
-        symmetrised, carrying ``es`` with U as it is.  U needs no anchor: the anchor fixes the phases ``eigh``
-        leaves free, and U(s) = v^s A_a starts at an anchored keyframe, whatever phases v's basis has."""
-        h = _hermitian_part(_hermitian_dtype(es.reconstruct()))
-        # a copy of U made after the temporaries above: U kept where the rotation made it, among
-        # its own temporaries, fragmented the heap (fig2's sweep on two workers peaked ~5 MB higher)
-        return cls._trusted(h, EigenSystem(es.values, es.vectors.copy()))
+        """Trusted, from an eigensystem (a rotation's), with U as it is; ``h`` is formed on first use.
+        U needs no anchor: the anchor fixes the phases ``eigh`` leaves free, and U(s) = v^s A_a starts
+        at an anchored keyframe, whatever phases v's basis has."""
+        return cls._trusted(None, es)
 
 
 def _expectation(rho: np.ndarray, obs: np.ndarray) -> float:     # Re Tr(obs rho)
@@ -264,24 +272,25 @@ class _EigenState(NamedTuple):
         state = cls.of(state)
         return state, state.schedule([hamiltonian])[0]
 
-    def schedule(self, hs) -> list[_Hamiltonian]:
-        """Records of ``hs``: its matrices (named ``_name``) and this back end's ``_record``s of another
-        size are checked by the one shape rule of :func:`_require_hermitian_all` against this state, and
-        each matrix becomes a ``_record``; its trusted ``_record``s are adopted.  Each
-        record after step 0 (decomposed on first use) that lacks an eigensystem is decomposed and labelled
-        in stacked calls and keeps them; a 0 x 0 state (only a correlation matrix can be) takes none."""
-        hs, shape = list(hs), self.b.shape
-        own = [type(h) is self._record for h in hs]
-        at = [i for i, h in enumerate(hs) if not (own[i] and h.h.shape == shape)]
+    def schedule(self, hs):
+        """Records of ``hs``: its matrices (named ``_name``) and this back end's ``_record``s of another size
+        are checked by the one shape rule of :func:`_require_hermitian_all` against this state, each matrix
+        becomes a ``_record`` and its trusted ``_record``s are adopted; each record after step 0 is
+        :func:`_decomposed` (a 0 x 0 state, only a correlation matrix can be, takes none).  A list in full;
+        an iterator lazily, into one."""
+        shape, size, record = self.b.shape, self.b.size, self._record
+        if iter(hs) is hs:      # its own records of this size pass as they are, the rest one by one
+            return _decomposed((h if type(h) is record and h.shape == shape and size else self.schedule([h])[0]
+                                for h in hs), size)
+        hs = list(hs)
+        own = [type(h) is record for h in hs]
+        at = [i for i, h in enumerate(hs) if not (own[i] and h.shape == shape)]
         checked = _require_hermitian_all([hs[i].h if own[i] else hs[i] for i in at], self._name, shape, self._label)
-        if hs and not self.b.size:
+        if hs and not size:
             raise ValueError(f"{self._name} has shape (0, 0): a Hamiltonian needs at least one mode")
         for i, h in zip(at, checked):
-            hs[i] = self._record._trusted(h)
-        bare = [h for h in hs[1:] if h._es is None]
-        for ham, es, labels in zip(bare, *_eigh_all([ham.h for ham in bare])):
-            ham._es, ham._lab = es, labels
-        return hs
+            hs[i] = record._trusted(h)
+        return list(_decomposed(iter(hs), size))
 
     @property
     def p(self) -> np.ndarray:
@@ -311,19 +320,20 @@ class _EigenState(NamedTuple):
     def _site_energy(self, ham: _Hamiltonian) -> float:     # Tr(H b)
         return _expectation(self.b, ham.h)
 
-    def quench(self, ham: _Hamiltonian) -> "_EigenState":
-        """Frozen across the quench to ``ham`` (itself under its own): with O = V'^dag V,
-        or V'^dag from the input matrix, a matrix goes to O b O^dag (a real O takes both
-        parts of a complex b in real products).  Populations go to |O|^2 p when every
-        level of ``ham`` is a singleton; otherwise to the matrix O diag(p) O^dag, so that
-        pinching keeps each degenerate block."""
+    @classmethod
+    def transport(cls, old: _Hamiltonian | None, new: _Hamiltonian) -> np.ndarray:
+        """O = V'^dag V from the eigenbasis V of ``old`` (V'^dag from the sites) to V' of ``new``."""
+        o = new.es.vectors.conj().T if old is None else new.es.vectors.conj().T @ old.es.vectors
+        return o.conj() if cls._conjugate else o    # (A'^dag A)^* = A'^T A^*; free when real
+
+    def quench(self, ham: _Hamiltonian, o: np.ndarray | None = None) -> "_EigenState":
+        """Frozen across the quench to ``ham`` (itself under its own), by the :meth:`transport` O, formed here
+        unless given: a matrix goes to O b O^dag (a real O takes both parts of a complex b in real products),
+        populations to |O|^2 p when every level of ``ham`` is a singleton, else to the matrix O diag(p) O^dag."""
         if ham is self.ham:
             return self
-        o = ham.es.vectors.conj().T
-        if self.ham is not None:
-            o = o @ self.ham.es.vectors
-        if self._conjugate:
-            o = o.conj()    # (A'^dag A)^* = A'^T A^*; free when real
+        if o is None:
+            o = self.transport(self.ham, ham)
         if self.b.ndim == 2:
             if np.isrealobj(o) and np.iscomplexobj(self.b):
                 # two real products on the interleaved float view instead of two complex ones

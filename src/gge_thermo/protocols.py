@@ -14,12 +14,12 @@ matrices), each a subclass of the one eigenbasis state ``hermitian._EigenState``
 :func:`min_work_scan` is the one loop over (model, N): it takes a schedule
 builder ``n -> [H^(0) .. H^(N)]`` (``traj.schedule``, a partial of
 :func:`local_quench_schedule`, or the four-phase builder ``_four_phase``,
-which builds its first leg once for every N and returns n + 3 Hamiltonians,
-i.e. n + 2 quenches), builds each N's schedule once and runs every model on
-it, recording works and entropy productions, which :func:`richardson_limit`
+which builds its first leg once for every N and yields n + 3 Hamiltonians,
+i.e. n + 2 quenches) and runs all models of an N in one lockstep pass over its
+schedule, recording works and entropy productions, which :func:`richardson_limit`
 extrapolates to N -> infinity.  ``optimal_gge_protocol`` and ``optimal_ta_protocol``
 run that four-phase schedule under dephasing, ``optimal_gibbs_protocol`` a thermal
-return from k ln rho0.  Each builder hands the state's ``schedule`` trusted records.
+return from k ln rho0.  Each builder hands the state's ``schedule`` trusted records, one at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice, repeat
 from threading import Lock
 from typing import Callable
 
@@ -89,7 +90,8 @@ class Trajectory:
     trajectory is built; its first interior sample takes one Schur basis of
     the rotation (numpy ``eig`` and QR), and each sample then costs one
     n x n product.  Segment ends return the keyframes exactly.  A builder hands the samples to the
-    state's ``schedule`` as trusted records (:meth:`_records`) with the eigensystems the trajectory has.
+    state's ``schedule`` one at a time as trusted records (:meth:`_records`) with the eigensystems the
+    trajectory has; a rotation sample's record forms its matrix when asked.
     """
 
     keyframes: tuple
@@ -127,10 +129,10 @@ class Trajectory:
         quenches."""
         return [ham.h for ham in self._records(n_quenches, qd._State._record)]
 
-    def _records(self, n_quenches: int, record) -> list:
-        """:meth:`schedule`'s samples as trusted ``record``s."""
+    def _records(self, n_quenches: int, record):
+        """:meth:`schedule`'s samples as trusted ``record``s, an iterator."""
         n_quenches = _quench_counts([n_quenches])[0]
-        return [self._record(m / n_quenches, record) for m in range(n_quenches + 1)]
+        return (self._record(m / n_quenches, record) for m in range(n_quenches + 1))
 
     def _record(self, u: float, record):
         """The trusted ``record`` at path parameter u: a keyframe's copy, with its eigensystem at an
@@ -273,18 +275,17 @@ class ProtocolRecord:
 _STATES = {"gaussian": fg._ModeState, "dense": qd._State}
 
 
-def _exact_map(model: fg.Exact, state, steps: int):
+def _exact_map(model: fg.Exact, state):
     evolve = type(state).evolve
     if model.hold_min == model.hold_max:    # uniform(t, t) would draw t
         return lambda state, ham: evolve(state, ham, float(model.hold_min))
-    # one run's holds, drawn in one call from a fresh PCG64 stream of the
-    # seed: the same numbers, in order, as one scalar draw per step
+    # one run's holds, 64 at a time from a fresh PCG64 stream of the seed: in order, those of one draw per step
     stream = np.random.Generator(np.random.PCG64(model.seed))
-    holds = iter(stream.uniform(model.hold_min, model.hold_max, steps).tolist())
+    holds = chain.from_iterable(iter(lambda: stream.uniform(model.hold_min, model.hold_max, 64).tolist(), None))
     return lambda state, ham: evolve(state, ham, next(holds))
 
 
-def _gibbs_map(model: fg.Gibbs, state, steps: int):
+def _gibbs_map(model: fg.Gibbs, state):
     """One run's thermal map: each step's beta is searched from the step before's, the first cold."""
     thermalise, duals = type(state).thermalise, [()]    # the step before's (beta,)
 
@@ -295,10 +296,10 @@ def _gibbs_map(model: fg.Gibbs, state, steps: int):
 
 
 # The one model dispatch: model type -> (label, build), where build(model,
-# state, steps) gives the map (state, ham) -> (state, duals) of state's type.
+# state) gives the map (state, ham) -> (state, duals) of state's type.
 _MODELS = {
     fg.Exact: ("exact", _exact_map),
-    fg.TimeAverageGGE: ("ta-gge", lambda model, state, steps: type(state).dephase),
+    fg.TimeAverageGGE: ("ta-gge", lambda model, state: type(state).dephase),
     fg.Gibbs: ("gibbs", _gibbs_map),
 }
 
@@ -334,9 +335,9 @@ def run_schedule(
     the step-0 entropy, and the last computes it from the final state, where
     drift would show.  The state travels in the current eigenbasis (as given
     at step 0), a dephased or thermal one as its populations; its matrix is
-    built only for kept and final states."""
+    built only for kept and final states.  An iterator of Hamiltonians is listed first."""
     state = _state(initial_state, backend)
-    return _run(state, state.entropy(), state.schedule(hamiltonians), model, keep_states)
+    return _run(state, state.entropy(), state.schedule(list(hamiltonians)), model, keep_states)
 
 
 def _state(initial_state, backend: str):     # the checked initial state of the named back end
@@ -345,42 +346,71 @@ def _state(initial_state, backend: str):     # the checked initial state of the 
     return _STATES[backend].of(initial_state)
 
 
-def _run(state, entropy: float, hams, model, keep_states: bool) -> ProtocolRecord:
-    """The one protocol loop, behind :func:`run_schedule`, the sweep, the four-phase
-    builder and the optimal constructions, on a checked ``state`` (its type is the
-    back end), its step-0 ``entropy`` and ``hams`` from its ``schedule``; it checks
-    only the model and a non-empty schedule."""
-    if not hams:
-        raise ValueError("the schedule must contain at least the initial Hamiltonian")
-    equilibrate = _model(model)[1](model, state, len(hams) - 1)
-    spectra = {}    # step -> spectrum, of the steps not held, checked as they run
+class _Cell:
+    """One model's run in :func:`_run`: its map, state, steps and error, and the spectra of its steps not
+    held (an exact hold keeps the step-0 entropy; its last step's is the final state's, where drift shows)."""
 
-    def record(m: int, state, work: float, duals) -> StepRecord:
-        held = m == 0 or (isinstance(model, fg.Exact) and m < len(hams) - 1)
-        if not held:
-            spectra[m] = state.spectrum()
-        return StepRecord(step=m, work_extracted=work, energy=state.energy(hams[m]),
-                          entropy=entropy if held else None, duals=duals,
-                          state=state.matrix() if keep_states else None)
+    def __init__(self, model, state, step0: StepRecord):
+        self.model, self.equilibrate, self.held = model, _model(model)[1](model, state), isinstance(model, fg.Exact)
+        self.state, self.steps, self.spectra, self.error = state, [step0], {}, None
 
-    steps = [record(0, state, 0.0, None)]
-    for m in range(1, len(hams)):
+    def step(self, m: int, ham, o, keep_states: bool) -> bool:
+        """Step ``m`` to ``ham`` by the transport ``o``, or an exact run's last spectrum; whether it ran."""
         try:
-            state = state.quench(hams[m])
-            cost = state.energy(hams[m]) - steps[-1].energy
-            state, duals = equilibrate(state, hams[m])
-            steps.append(record(m, state, -cost, duals))
+            if ham is not None:
+                state = self.state.quench(ham, o)
+                cost = state.energy(ham) - self.steps[-1].energy
+                state, duals = self.equilibrate(state, ham)
+                entropy = self.steps[0].entropy if self.held else None
+                self.steps.append(StepRecord(m, -cost, state.energy(ham), entropy, duals,
+                                             state.matrix() if keep_states else None))
+                self.state = state
+            if ham is None or not self.held:
+                self.spectra[m] = self.state.spectrum()
+            if len(self.spectra) == 16:     # so the stacked entropies' temporaries stay small
+                self.flush()
         except Exception as exc:
-            raise RuntimeError(f"step {m}: {exc}") from exc
-    for m, s in zip(spectra, state.entropies(np.array(list(spectra.values()), ndmin=2)).tolist()):
-        steps[m].entropy = s    # their entropies, in one stacked call
-    return ProtocolRecord(
-        steps=steps,
-        hamiltonians=state.listed(hams),
-        model=model,
-        backend=state.backend,
-        final_state=state.matrix(),
-    )
+            self.error = RuntimeError(f"step {m}: {exc}")
+            self.error.__cause__ = exc
+        return self.error is None
+
+    def flush(self) -> None:     # the spectra's entropies, in one stacked call
+        for m, s in zip(self.spectra, self.state.entropies(np.array([*self.spectra.values()], ndmin=2)).tolist()):
+            self.steps[m].entropy = s
+        self.spectra.clear()
+
+    def record(self, hamiltonians: list):    # the run's record, or the error that stopped it
+        if self.error is None and self.held and len(self.steps) > 1:
+            self.step(len(self.steps) - 1, None, None, False)
+        if self.error is None:
+            self.flush()
+        return self.error or ProtocolRecord(self.steps, hamiltonians, self.model, self.state.backend,
+                                            self.state.matrix())
+
+
+def _run(state, entropy: float, hams, model, keep_states: bool):
+    """The one protocol loop, behind every runner, the sweep and the four-phase builder: ``model`` (or a list
+    of models in lockstep) from the checked ``state`` (its type is the back end) and its step-0 ``entropy`` over
+    ``hams`` from its ``schedule``, read once, each step's transport formed once for all.  A list's records are the
+    ``hamiltonians``, an iterator's dropped.  Its record, its error raised (``step m: ...``), or each listed's."""
+    models = model if isinstance(model, list) else [model]
+    kept = state.listed(hams) if isinstance(hams, list) else []
+    hams = iter(hams)
+    ham = next(hams, None)
+    if ham is None:
+        raise ValueError("the schedule must contain at least the initial Hamiltonian")
+    energy, matrix = state.energy(ham), state.matrix() if keep_states else None
+    live = cells = [_Cell(model, state, StepRecord(0, 0.0, energy, entropy, None, matrix)) for model in models]
+    basis, transport = state.ham, type(state).transport
+    for m, ham in enumerate(hams, 1):
+        o = None if ham is basis else transport(basis, ham)
+        live, basis = [cell for cell in live if cell.step(m, ham, o, keep_states)], ham
+        if not live:
+            break
+    records = [cell.record(kept) for cell in cells]
+    if models is not model and isinstance(records[0], Exception):
+        raise records[0]
+    return records if models is model else records[0]
 
 
 def run_protocol(
@@ -395,7 +425,7 @@ def run_protocol(
     """Run ``n_quenches`` equidistant quenches along the trajectory: the samples of
     ``traj.schedule(n_quenches)``, as trusted records; the state's ``schedule`` decomposes the bare ones."""
     state = _state(initial_state, backend)
-    hams = state.schedule(traj._records(n_quenches, state._record))
+    hams = state.schedule(list(traj._records(n_quenches, state._record)))
     return _run(state, state.entropy(), hams, model, keep_states)
 
 
@@ -464,7 +494,7 @@ def optimal_work_bound(gamma0, ham0) -> float:
 
 
 def _four_phase(gamma0, ham0) -> Callable:
-    """Builder ``n -> [H^(0) .. H^(n + 2)]`` of the cyclic four-phase protocol
+    """Builder ``n -> iter([H^(0) .. H^(n + 2)])`` of the cyclic four-phase protocol
     extracting the maximum work from a correlation matrix under the dephasing
     map: n + 2 quenches, two aligning ones plus n rotation steps."""
     return _four_phase_of(fg._ModeState.of(gamma0), ham0)
@@ -478,11 +508,11 @@ def _four_phase_of(state, ham0) -> Callable:
     N/2-step eigenbasis rotation back to ``ham0`` (repeated ``ham0`` if the
     quench is a no-op).  ``ham0`` is validated and decomposed, and the first
     leg's :class:`_Rotation` built, once for every N; the second leg starts
-    from the final state of :func:`_run` on ``ham0`` and the first leg under
-    dephasing (under the cycle gauge its rotation does not follow round-off).
-    No Hamiltonian is decomposed twice: a leg decomposes its aligned keyframe
-    once and builds its Hamiltonians with the record class's ``_of`` from the
-    eigensystems its rotation gives, which they keep.
+    from the final state of :func:`_run` on ``ham0`` and a first leg of its own
+    under dephasing (under the cycle gauge its rotation does not follow round-off).
+    No Hamiltonian is decomposed twice: a leg decomposes its aligned keyframe once and
+    makes its records one at a time with the record class's ``_of`` from the eigensystems
+    its rotation gives, which they keep (the walk's first leg forms no matrices).
     """
     ham0 = state.schedule([ham0])[0]
     h0, es0 = ham0.h, ham0.es
@@ -492,19 +522,19 @@ def _four_phase_of(state, ham0) -> Callable:
         w = state.eigenbasis(m)
         h_from = (w * e_desc) @ w.conj().T
         if np.allclose(h_from, h0, atol=1e-13):
-            return lambda half: [ham0] * (half + 1)
+            return lambda half: repeat(ham0, half + 1)
         es = state.schedule([h_from])[0].es
         rotation, start = _Rotation(es, es0), ham0._of(es)
-        return lambda half: [start] + [ham0._of(rotation.at(j / half)) for j in range(1, half)] + [ham0]
+        return lambda half: chain([start], (ham0._of(rotation.at(j / half)) for j in range(1, half)), [ham0])
 
     first = leg(state.matrix())
 
-    def schedule(n: int) -> list:
+    def schedule(n: int):
         n = _quench_counts([n])[0]
         if n < 2 or n % 2:
             raise ValueError(f"the number of quenches must be even and at least 2, got {n}")
-        hams = [ham0] + first(n // 2)
-        return hams + leg(_run(state, 0.0, hams, fg.GGE, False).final_state)(n // 2)
+        walk = _run(state, 0.0, chain([ham0], first(n // 2)), fg.GGE, False)
+        return chain([ham0], first(n // 2), leg(walk.final_state)(n // 2))
 
     return schedule
 
@@ -513,7 +543,7 @@ def _optimal_protocol(state, ham0, n_quenches: int, keep_states: bool) -> Protoc
     """:func:`_four_phase`'s schedule run under dephasing from the validated ``state``;
     ``meta['work_bound']`` is its ceiling."""
     entropy = state.entropy()     # a spectrum outside [0, 1] raises here, not in the builder
-    hams = _four_phase_of(state, ham0)(n_quenches)
+    hams = list(_four_phase_of(state, ham0)(n_quenches))
     record = _run(state, entropy, hams, fg.GGE, keep_states)
     record.meta["work_bound"] = _ergotropy(state, hams[0])
     return record
@@ -551,7 +581,7 @@ def optimal_gibbs_protocol(rho0, h0, k: float, n_quenches: int, *,
         raise ValueError(f"state is singular (smallest eigenvalue {float(p.min()):.3e}); "
                          "the logarithm quench needs full rank")
     h1 = (w * (k * np.log(p))) @ w.conj().T
-    hams = state.schedule([ham0] + Trajectory((h1, ham0.h), ("linear",))._records(n_quenches, state._record))
+    hams = state.schedule([ham0, *Trajectory((h1, ham0.h), ("linear",))._records(n_quenches, state._record)])
     record = _run(state, state.entropy(), hams, fg.GIBBS, keep_states)
     beta_star = state.entropy_beta(hams[-1], record.steps[0].entropy)   # the last Hamiltonian is h0
     record.meta["beta_star"] = beta_star
@@ -595,6 +625,7 @@ class ScanResult:
     entropy_production: np.ndarray   # likewise
     verdicts: dict
     failures: dict
+    steps: dict     # label -> the StepRecords (no states) of its largest-N cell, unless that failed
 
     def table(self):
         header = ["N"] + [f"W_{label.replace('-', '_')}" for label in self.model_labels]
@@ -631,8 +662,9 @@ def min_work_scan(
     >= 0, the models' labels distinct and the initial state a valid correlation
     matrix (the gaussian back end; its entropy is evaluated once here).
     There is one task per N, largest first, on as many workers as
-    GGE_THERMO_THREADS asks; each builds and validates its schedule once and
-    runs every model on it.
+    GGE_THERMO_THREADS asks; each is one lockstep pass of all models (:func:`_run`).
+    A list schedule is validated in full before step 1, an iterator's records as the
+    pass reaches them.  ``steps`` keeps the largest N's steps.
     Failures are recorded and the sweep continues.  The exact model at
     position i draws its hold times from ``SeedSequence(seed, spawn_key=(i,
     N))``, so results do not depend on scheduling."""
@@ -648,30 +680,24 @@ def min_work_scan(
         if labels.count(label) > 1:
             raise ValueError(f"models must have distinct labels, got {label!r} more than once")
     state = fg._ModeState.of(initial_state)
-    entropy = state.entropy()     # a correlation spectrum outside [0, 1] raises here
+    entropy0 = state.entropy()     # a correlation spectrum outside [0, 1] raises here
 
     def failure(exc) -> tuple:
-        return float("nan"), float("nan"), f"{type(exc).__name__}: {exc}"
+        return float("nan"), float("nan"), f"{type(exc).__name__}: {exc}", None
 
     def sweep(n) -> list[tuple]:
+        cell = [replace(model, seed=np.random.SeedSequence(int(seed), spawn_key=(i, n)))
+                if isinstance(model, fg.Exact) else model for i, model in enumerate(models)]
         try:
-            hams = state.schedule(schedule(n))
+            runs = _run(state, entropy0, state.schedule(schedule(n)), cell, keep_states=False)
         except Exception as exc:
             return [failure(exc)] * len(models)
-        cells = []
-        for i, model in enumerate(models):
-            if isinstance(model, fg.Exact):
-                model = replace(model, seed=np.random.SeedSequence(int(seed), spawn_key=(i, n)))
-            try:
-                rec = _run(state, entropy, hams, model, keep_states=False)
-                cells.append((rec.work, rec.entropy_production, None))
-            except Exception as exc:
-                cells.append(failure(exc))
-        return cells
+        return [failure(rec) if isinstance(rec, Exception) else
+                (rec.work, rec.entropy_production, None, rec.steps if n == ns[-1] else None) for rec in runs]
 
     per_n = _parallel_map(sweep, ns[::-1], workers)[::-1]
-    works, entropy = (np.array([[cells[i][k] for cells in per_n] for i in range(len(models))])
-                      for k in (0, 1))
+    works, entropy_production = (np.array([[cells[i][k] for cells in per_n] for i in range(len(models))])
+                                 for k in (0, 1))
     failures = {(labels[i], n): cells[i][2] for i in range(len(models))
                 for n, cells in zip(ns, per_n) if cells[i][2] is not None}
     verdicts = {labels[i]: _monotone_verdict(works[i]) for i in range(len(models))}
@@ -679,9 +705,10 @@ def min_work_scan(
         n_values=tuple(ns),
         model_labels=labels,
         works=works,
-        entropy_production=entropy,
+        entropy_production=entropy_production,
         verdicts=verdicts,
         failures=failures,
+        steps={labels[i]: per_n[-1][i][3] for i in range(len(models)) if per_n[-1][i][3] is not None},
     )
 
 
@@ -737,14 +764,14 @@ def build_population_inverted_bath(
     return _compose_system_bath(system_occupation, gamma_bath)
 
 
-def local_quench_schedule(ham0, eps1_peak: float, n_quenches: int) -> list:
+def local_quench_schedule(ham0, eps1_peak: float, n_quenches: int):
     """A sudden first quench of the site-0 energy to ``eps1_peak``, then the peak path: N-1 equidistant
     quenches along the linear trajectory back to ``ham0``, which itself closes the schedule (cyclic for
-    N >= 2); the records between are trusted, for the state's ``schedule`` to decompose."""
+    N >= 2); an iterator, whose records between are made as it is read, for the state's ``schedule``."""
     ham0 = fg.as_hamiltonian(ham0)
     n_quenches = _quench_counts([n_quenches])[0]
     peak = ham0.c.copy()
     peak[0, 0] = float(eps1_peak)
     # N = 1 gives the peak alone; otherwise the path's last sample, ham0's matrix, is ham0
     path = Trajectory((peak, ham0.c), ("linear",))._records(max(n_quenches - 1, 1), type(ham0))
-    return [ham0] + path[:-1] + [ham0] * (n_quenches >= 2)
+    return chain([ham0], islice(path, max(n_quenches - 1, 1)), [ham0] * (n_quenches >= 2))

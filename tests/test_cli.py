@@ -395,8 +395,9 @@ def test_small_fig4_runs_end_to_end(tmp_path, capsys):
 
 def test_cmd_fig4_builds_each_hamiltonian_once(monkeypatch):
     # the initial chain and bath, then N - 1 local quenches per N are
-    # eigen-solved: the temperature check runs on the sweep's largest-N
-    # schedule, whose records keep the eigensystems the sweep gave them
+    # eigen-solved: the temperature check is the thermal model of the sweep,
+    # which runs it in lockstep with exact and ta-gge on each N's one schedule,
+    # and reads its largest-N cell; that cell equals a Gibbs run of its own
     dtypes = count_eigh(monkeypatch)
     cfg = cli.parse_config(["fig4", "--n", "8", "--K", "2", "--quenches", "2,4,8"])
     _, _, diagnostics = cli.cmd_fig4(cfg)
@@ -407,6 +408,35 @@ def test_cmd_fig4_builds_each_hamiltonian_once(monkeypatch):
     satisfied = all(s.duals[0] >= 0.0 for s in rec.steps[1:])
     assert diagnostics[0] == "positive-temperature condition: " + (
         "satisfied" if satisfied else "violated")
+
+
+def test_cmd_fig4_spares_thermal_failures_below_the_largest_n(monkeypatch, tmp_path, capsys):
+    # the thermal model is there for the positive-temperature check alone, read
+    # at the largest N: its failure at a smaller N leaves fig4's exit, CSV and
+    # diagnostics as they are; at the largest N it stops fig4, naming the cell
+    argv = ["fig4", "--n", "8", "--K", "2", "--quenches", "2,4,8"]
+    clean = tmp_path / "clean.csv"
+    assert cli.main(argv + ["--out", str(clean)]) == 0
+    diagnostics = capsys.readouterr().out.replace(str(clean), "")
+    scan = cli.pr.min_work_scan
+
+    def failing(n_q):
+        def sweep(*args):
+            result = scan(*args)
+            result.failures[("gibbs", n_q)] = "RuntimeError: step 1: no thermal state"
+            return result
+        return sweep
+
+    spared = tmp_path / "spared.csv"
+    monkeypatch.setattr(cli.pr, "min_work_scan", failing(4))
+    assert cli.main(argv + ["--out", str(spared)]) == 0
+    assert capsys.readouterr().out.replace(str(spared), "") == diagnostics
+    assert spared.read_bytes() == clean.read_bytes()
+    stopped = tmp_path / "stopped.csv"
+    monkeypatch.setattr(cli.pr, "min_work_scan", failing(8))
+    assert cli.main(argv + ["--out", str(stopped)]) == 1
+    assert capsys.readouterr().err == "error: gibbs at N = 8: RuntimeError: step 1: no thermal state\n"
+    assert not stopped.exists()
 
 
 def test_import_and_scipy_free_runs_load_no_scipy(tmp_path):

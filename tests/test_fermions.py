@@ -21,10 +21,12 @@ def _schedule(hs):
 
 def test_stacked_hamiltonians_match_one_by_one_construction(monkeypatch):
     # the gaussian schedule checks a list's matrices one at a time and
-    # decomposes them in stacked calls; QuadraticHamiltonian(m), one matrix at a
-    # time, is the reference, bit for bit, and objects in the list pass through
-    # as they are.  A schedule has one shape: a mixed-shape case runs per shape
-    # group, and each matrix takes exactly one one-matrix check
+    # decomposes them in stacked calls of at most 4,096 entries (those after
+    # step 0: four n = 30 matrices a stack, one n = 100 matrix);
+    # QuadraticHamiltonian(m), one matrix at a time, is the reference, bit for
+    # bit, and objects in the list pass through as they are.  A schedule has one
+    # shape: a mixed-shape case runs per shape group, and each matrix takes
+    # exactly one one-matrix check
     rng = make_rng(31)
 
     def real(n):
@@ -42,8 +44,13 @@ def test_stacked_hamiltonians_match_one_by_one_construction(monkeypatch):
         "n = 30, two chunks": [real(30) for _ in range(6)],
         "n = 100, one matrix a chunk": [real(100) for _ in range(3)],
     }
-    assert [len(idx) for idx, _ in hermitian._stacks(cases["n = 30, two chunks"])] == [4, 2]
-    assert [len(idx) for idx, _ in hermitian._stacks(cases["n = 100, one matrix a chunk"])] == [1, 1, 1]
+    stacks, eigh_all = [], hermitian._eigh_all
+    with monkeypatch.context() as patch:
+        patch.setattr(hermitian, "_eigh_all", lambda hs: stacks.append(len(hs)) or eigh_all(hs))
+        for label, sizes in (("n = 30, two chunks", [4, 1]), ("n = 100, one matrix a chunk", [1, 1])):
+            stacks.clear()
+            _schedule(cases[label])
+            assert stacks == sizes, label
     checks = count_checks(monkeypatch)
     for label, ms in cases.items():
         copies = [m.copy() if isinstance(m, np.ndarray) else m for m in ms]

@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -411,7 +412,7 @@ def test_trusted_samples_are_the_checked_records(monkeypatch, backend):
         traj, n = _random_trajectory(d, rng), int(rng.integers(1, 10))
         state = state_type.of(np.eye(d) / d)
         checks.clear()
-        trusted = state.schedule(traj._records(n, state._record))
+        trusted = list(state.schedule(traj._records(n, state._record)))
         assert not checks
         checked = state.schedule(traj.schedule(n))
         assert checks == [state_type._name] * (n + 1)
@@ -425,7 +426,7 @@ def test_trusted_samples_are_the_checked_records(monkeypatch, backend):
     assert mid.dtype == complex and not mid.imag.any()
     assert traj.schedule(2)[1].dtype == float and np.array_equal(traj.schedule(2)[1], mid.real)
     state = state_type.of(np.eye(3) / 3)
-    trusted = state.schedule(traj._records(2, state._record))
+    trusted = list(state.schedule(traj._records(2, state._record)))
     assert [ham.h.dtype for ham in trusted] == [complex, float, complex]
     same(trusted, state.schedule(traj.schedule(2)), [False] * 3)
 
@@ -481,7 +482,9 @@ def test_eigenvector_runs_decompose_nothing_after_the_trajectory(monkeypatch, ba
     # records keep those eigensystems and its rotation samples their own, so a run
     # on it solves no eigenproblem (8 at d = 2, N = 8 when every sample after step
     # 0 was decomposed again).  Only a rotation sample is symmetrised: a keyframe
-    # is checked, and a linear sample of checked keyframes is exactly Hermitian
+    # is checked, and a linear sample of checked keyframes is exactly Hermitian.
+    # A rotation sample forms its matrix when asked: the dense record lists it,
+    # a gaussian run does not, until its kept records are read
     rng = make_rng(39)
     h0, q = random_hermitian(2, rng).real, _orthogonal(2, rng)
     rotated = q @ h0 @ q.T
@@ -499,8 +502,13 @@ def test_eigenvector_runs_decompose_nothing_after_the_trajectory(monkeypatch, ba
         symmetrised.clear()
         for model in (gt.GGE, gt.GIBBS, gt.Exact(1.0)):
             dtypes.clear()
-            gt.run_protocol(state, traj, 8, model, backend=backend)
+            count = len(symmetrised)
+            rec = gt.run_protocol(state, traj, 8, model, backend=backend)
             assert len(dtypes) == solves, (label, model)
+            if backend == "gaussian":   # read twice: each matrix is formed once
+                assert len(symmetrised) == count, (label, model)
+                for _ in range(2):
+                    assert all(ham.c.shape == (2, 2) for ham in rec.hamiltonians)
         assert len(symmetrised) == 3 * parts, label
 
 
@@ -1183,7 +1191,7 @@ def test_dense_runner_diagonalises_only_where_needed(monkeypatch):
     for name in ("eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, name, counting(name))
     quench = dense._State.quench
-    monkeypatch.setattr(dense._State, "quench", lambda state, ham: calls.append("quench") or quench(state, ham))
+    monkeypatch.setattr(dense._State, "quench", lambda state, *args: calls.append("quench") or quench(state, *args))
     reconstruct = hermitian.EigenSystem.reconstruct
     monkeypatch.setattr(hermitian.EigenSystem, "reconstruct", lambda es: rebuilt.append(1) or reconstruct(es))
     for model, after in ((gt.GGE, []), (gt.GIBBS, []), (gt.Exact(0.5, 4.0, 1), ["eigvalsh"])):
@@ -1641,7 +1649,7 @@ def test_single_count_entry_points_share_the_count_rule():
     entries = [
         lambda n: gt.run_protocol(gamma, traj, n, gt.GGE).work,
         lambda n: len(traj.schedule(n)),
-        lambda n: len(gt.local_quench_schedule(ham, 4.3, n)),
+        lambda n: len(list(gt.local_quench_schedule(ham, 4.3, n))),
         lambda n: gt.optimal_gge_protocol(gamma, ham, n).work,
         lambda n: gt.optimal_gibbs_protocol(rho, h, -0.5, n).work,
     ]
@@ -1747,9 +1755,9 @@ def test_four_phase_builder_shares_its_first_leg(monkeypatch):
     build, shared, fresh = pr._four_phase(gamma0, ham0), [], []
     for n in (2, 4, 8, 16):
         before = len(calls)
-        hams = build(n)
+        hams = list(build(n))
         shared.append(len(calls) - before)
-        alone = pr._four_phase(gamma0, ham0)(n)
+        alone = list(pr._four_phase(gamma0, ham0)(n))
         fresh.append(len(calls) - before - shared[-1])
         assert all(np.array_equal(a.c, b.c) for a, b in zip(hams, alone, strict=True))
     assert shared[:2] == fresh[:2] == [0, 2]
@@ -1972,6 +1980,100 @@ def test_min_work_scan_builds_each_schedule_once(monkeypatch):
             assert scan.entropy_production[i, j] == rec.entropy_production
 
 
+def _chain(n, rng, complex_hopping):
+    """A random open chain of n sites, its hoppings complex on request."""
+    c = np.diag(rng.uniform(0.0, 2.0, n)).astype(complex if complex_hopping else float)
+    hop = rng.uniform(0.1, 1.0, n - 1) * (np.exp(1j * rng.uniform(0, 2 * np.pi, n - 1)) if complex_hopping else 1.0)
+    c[np.arange(n - 1), np.arange(1, n)] = hop
+    c[np.arange(1, n), np.arange(n - 1)] = np.conj(hop)
+    return c
+
+
+def test_lockstep_cell_equals_separate_runs(monkeypatch):
+    # one sweep cell runs exact, ta-gge and gibbs in lockstep over one pass of
+    # its schedule, decomposing each Hamiltonian once and forming one transport
+    # per step for all three.  Each model's steps (works, energies, entropies and
+    # duals) equal, bit for bit, a run_schedule of that model alone on the
+    # materialised schedule: random chains at n = 2-12, real and complex, every
+    # third through a Hamiltonian proportional to the identity (one degenerate
+    # block), whose ta-gge step keeps the whole matrix and so its entropy
+    rng = make_rng(38)
+    models = [gt.Exact(1.0, 30.0), gt.GGE, gt.GIBBS]
+    transports, transport = [], fermions._ModeState.transport.__func__
+    monkeypatch.setattr(fermions._ModeState, "transport",
+                        classmethod(lambda cls, old, new: transports.append(1) or transport(cls, old, new)))
+    dtypes = count_eigh(monkeypatch)
+    for case in range(24):
+        n, n_q, seed = int(rng.integers(2, 13)), 3 * int(rng.integers(1, 5)), int(rng.integers(100))
+        keyframes = [_chain(n, rng, case % 2 == 1) for _ in range(2)]
+        if case % 3 == 0:   # sampled at step N / 3
+            keyframes.insert(1, float(rng.uniform(0.5, 1.5)) * np.eye(n))
+        traj = gt.Trajectory(keyframes + keyframes[:1], ("linear",) * len(keyframes))
+        gamma0 = random_correlation(n, rng, lo=0.05, hi=0.95)
+
+        def build(n_quenches):
+            return traj._records(n_quenches, fermions.QuadraticHamiltonian)
+
+        dtypes.clear()
+        transports.clear()
+        scan = gt.min_work_scan(gamma0, build, models, [n_q], seed=seed)
+        assert len(dtypes) == len(transports) == n_q, case
+        for i, model in enumerate(models):
+            if isinstance(model, gt.Exact):
+                model = replace(model, seed=np.random.SeedSequence(seed, spawn_key=(i, n_q)))
+            label = scan.model_labels[i]
+            try:
+                alone = gt.run_schedule(gamma0, list(build(n_q)), model, keep_states=False)
+            except RuntimeError as exc:
+                assert scan.failures[(label, n_q)] == f"RuntimeError: {exc}", (case, label)
+                continue
+            assert (label, n_q) not in scan.failures
+            assert [(s.step, s.work_extracted, s.energy, s.entropy, s.duals, s.state) for s in scan.steps[label]] == \
+                [(s.step, s.work_extracted, s.energy, s.entropy, s.duals, s.state) for s in alone.steps], (case, label)
+            assert (scan.works[i, 0], scan.entropy_production[i, 0]) == (alone.work, alone.entropy_production)
+        if case % 3 == 0:
+            before, at = scan.steps["ta-gge"][n_q // 3 - 1:n_q // 3 + 1]
+            assert abs(at.entropy - before.entropy) <= 1e-12, case
+
+
+@pytest.mark.parametrize("kind", ["local quench", "four-phase"])
+def test_sweep_memory_does_not_grow_with_the_quench_count(monkeypatch, kind):
+    # a sweep cell streams its schedule: each record is made, decomposed, used by
+    # every model for one step and dropped.  So at n = 40 the working set of a
+    # sweep to N = 128 (its tracemalloc peak beyond what the result keeps, the
+    # largest N's steps) stays within 6 records (h and its eigenvectors, 25.6 kB)
+    # of the same sweep to N = 8; what grows is the step log of the cell in
+    # flight (n dephasing duals a step).  Keeping each N's decomposed schedule
+    # for the cell added about 140 records
+    monkeypatch.setenv("GGE_THERMO_THREADS", "1")
+    n, record = 40, 2 * 40 * 40 * 8
+    if kind == "local quench":
+        ham0 = gt.build_chain(n, [0.1] + [1.0] * (n - 1), 0.5)
+        gamma0 = gt.thermal_bath_initial_state(n, 0.5, g=0.5)
+        build = functools.partial(gt.local_quench_schedule, ham0, 4.3)
+        models, ns = [gt.Exact(40.0, 200.0), gt.GGE, gt.GIBBS], [2 ** k for k in range(8)]
+    else:
+        ham0 = gt.build_chain(n, [1.0] * n, 0.8)
+        gamma0 = gt.from_mode_basis(np.diag(make_rng(40).uniform(0.0, 1.0, n).astype(complex)), ham0)
+        build = pr._four_phase(gamma0, ham0)
+        models, ns = [gt.GGE, gt.Exact(40.0, 200.0)], [2 ** k for k in range(1, 8)]
+
+    def working_set(n_list) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            scan = gt.min_work_scan(gamma0, build, models, n_list, seed=1)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not scan.failures and set(scan.steps) == set(scan.model_labels)
+        return peak - kept
+
+    working_set(ns[:2])     # the first leg's Schur basis, built once for every N
+    small, large = working_set([n_q for n_q in ns if n_q <= 8]), working_set(ns)
+    assert large - small <= 6 * record, (large - small) / record
+
+
 def test_min_work_scan_local_quench_sweep_is_thread_independent(monkeypatch):
     n = 8
     ham0 = gt.build_chain(n, [0.1] + [1.0] * (n - 1), 0.5)
@@ -2142,14 +2244,14 @@ def test_local_quench_schedule_shape(monkeypatch):
     # the closing Hamiltonian is ham0 itself: only the N - 1 others are built,
     # and the state's schedule decomposes exactly those
     dtypes = count_eigh(monkeypatch)
-    hams = gt.local_quench_schedule(ham0, 4.3, 5)
+    hams = list(gt.local_quench_schedule(ham0, 4.3, 5))
     assert not dtypes
     fermions._ModeState.of(gamma0).schedule(hams)
     assert len(dtypes) == 4 and all(ham._es is not None for ham in hams[1:-1])
     assert len(hams) == 6  # N quenches need N + 1 Hamiltonians
     assert hams[1].c[0, 0].real == pytest.approx(4.3)
     assert hams[-1] is ham0
-    single = gt.local_quench_schedule(ham0, 4.3, 1)
+    single = list(gt.local_quench_schedule(ham0, 4.3, 1))
     assert len(single) == 2 and single[-1].c[0, 0].real == pytest.approx(4.3)
 
 
