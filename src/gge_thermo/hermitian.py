@@ -22,8 +22,8 @@ schedule is decomposed in stacked ``eigh`` calls, bit for bit as one call per ma
 ``fermions.QuadraticHamiltonian`` is a subclass): a checked matrix whose eigensystem and
 degeneracy labels are given or worked out on first use.  :class:`_EigenState` is the one
 state of both (``fermions._ModeState`` and ``dense._State`` are subclasses), with the one
-transport, quench, hold and pinching, and the one ``schedule``, which checks a schedule's
-matrices, adopts the trusted records of protocol builders and decomposes each record once.
+transport, quench, hold and pinching, and the one ``schedule``, which reads a list or an iterator one
+record at a time: it checks matrices, adopts the builders' trusted records and decomposes each once.
 
 Both back ends import this module and not each other, so the rules they
 share live here.  :func:`_energy_matching_root` (bracket, then safeguarded
@@ -273,24 +273,21 @@ class _EigenState(NamedTuple):
         return state, state.schedule([hamiltonian])[0]
 
     def schedule(self, hs):
-        """Records of ``hs``: its matrices (named ``_name``) and this back end's ``_record``s of another size
-        are checked by the one shape rule of :func:`_require_hermitian_all` against this state, each matrix
-        becomes a ``_record`` and its trusted ``_record``s are adopted; each record after step 0 is
-        :func:`_decomposed` (a 0 x 0 state, only a correlation matrix can be, takes none).  A list in full;
-        an iterator lazily, into one."""
+        """Records of ``hs``, one at a time: this back end's ``_record`` of this state's size passes; anything
+        else (a matrix, named ``_name``, or a record of another size) takes the one shape rule of
+        :func:`_require_hermitian_all` and the 0 x 0 rule (only a correlation matrix can be empty) and becomes
+        a trusted ``_record``; each record after step 0 is :func:`_decomposed`.  A list gives that stream listed."""
         shape, size, record = self.b.shape, self.b.size, self._record
-        if iter(hs) is hs:      # its own records of this size pass as they are, the rest one by one
-            return _decomposed((h if type(h) is record and h.shape == shape and size else self.schedule([h])[0]
-                                for h in hs), size)
-        hs = list(hs)
-        own = [type(h) is record for h in hs]
-        at = [i for i, h in enumerate(hs) if not (own[i] and h.shape == shape)]
-        checked = _require_hermitian_all([hs[i].h if own[i] else hs[i] for i in at], self._name, shape, self._label)
-        if hs and not size:
-            raise ValueError(f"{self._name} has shape (0, 0): a Hamiltonian needs at least one mode")
-        for i, h in zip(at, checked):
-            hs[i] = record._trusted(h)
-        return list(_decomposed(iter(hs), size))
+
+        def adopt(h):
+            if type(h) is record and h.shape == shape and size:
+                return h
+            h = _require_hermitian_all([h.h if type(h) is record else h], self._name, shape, self._label)[0]
+            if not size:
+                raise ValueError(f"{self._name} has shape (0, 0): a Hamiltonian needs at least one mode")
+            return record._trusted(h)
+        stream = _decomposed(map(adopt, hs), size)
+        return stream if iter(hs) is hs else list(stream)
 
     @property
     def p(self) -> np.ndarray:

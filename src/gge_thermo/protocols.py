@@ -14,11 +14,11 @@ matrices), each a subclass of the one eigenbasis state ``hermitian._EigenState``
 :func:`min_work_scan` is the one loop over (model, N): it takes a schedule
 builder ``n -> [H^(0) .. H^(N)]`` (``traj.schedule``, a partial of
 :func:`local_quench_schedule`, or the four-phase builder ``_four_phase``,
-which builds its first leg once for every N and yields n + 3 Hamiltonians,
-i.e. n + 2 quenches) and runs all models of an N in one lockstep pass over its
-schedule, recording works and entropy productions, which :func:`richardson_limit`
-extrapolates to N -> infinity.  ``optimal_gge_protocol`` and ``optimal_ta_protocol``
-run that four-phase schedule under dephasing, ``optimal_gibbs_protocol`` a thermal
+whose one pass yields n + 3 Hamiltonians, n + 2 quenches) and runs all
+models of an N in one lockstep pass over its schedule, recording works and
+entropy productions, which :func:`richardson_limit` extrapolates to
+N -> infinity.  ``optimal_gge_protocol`` and ``optimal_ta_protocol`` run that
+four-phase schedule under dephasing, ``optimal_gibbs_protocol`` a thermal
 return from k ln rho0.  Each builder hands the state's ``schedule`` trusted records, one at a time.
 """
 
@@ -389,9 +389,9 @@ class _Cell:
 
 
 def _run(state, entropy: float, hams, model, keep_states: bool):
-    """The one protocol loop, behind every runner, the sweep and the four-phase builder: ``model`` (or a list
-    of models in lockstep) from the checked ``state`` (its type is the back end) and its step-0 ``entropy`` over
-    ``hams`` from its ``schedule``, read once, each step's transport formed once for all.  A list's records are the
+    """The one protocol loop, behind every runner and the sweep: ``model`` (or a list of models in lockstep)
+    from the checked ``state`` (its type is the back end) and its step-0 ``entropy`` over ``hams`` from its
+    ``schedule``, read once, each step's transport formed once for all.  A list's records are the
     ``hamiltonians``, an iterator's dropped.  Its record, its error raised (``step m: ...``), or each listed's."""
     models = model if isinstance(model, list) else [model]
     kept = state.listed(hams) if isinstance(hams, list) else []
@@ -507,12 +507,11 @@ def _four_phase_of(state, ham0) -> Callable:
     state matrix (the spectrum of ``ham0`` assigned anti-sorted), then an
     N/2-step eigenbasis rotation back to ``ham0`` (repeated ``ham0`` if the
     quench is a no-op).  ``ham0`` is validated and decomposed, and the first
-    leg's :class:`_Rotation` built, once for every N; the second leg starts
-    from the final state of :func:`_run` on ``ham0`` and a first leg of its own
-    under dephasing (under the cycle gauge its rotation does not follow round-off).
-    No Hamiltonian is decomposed twice: a leg decomposes its aligned keyframe once and
-    makes its records one at a time with the record class's ``_of`` from the eigensystems
-    its rotation gives, which they keep (the walk's first leg forms no matrices).
+    leg's :class:`_Rotation` built, once for every N.  A schedule is one pass, checked at
+    its first read: it dephases its own state at each first-leg record it yields, and the
+    second leg starts from there (under the cycle gauge its rotation does not follow round-off).
+    Each leg decomposes its aligned keyframe once and its records keep the eigensystems its
+    rotation gives (``_of``), so nothing is decomposed twice and the walk forms no matrices.
     """
     ham0 = state.schedule([ham0])[0]
     h0, es0 = ham0.h, ham0.es
@@ -533,8 +532,12 @@ def _four_phase_of(state, ham0) -> Callable:
         n = _quench_counts([n])[0]
         if n < 2 or n % 2:
             raise ValueError(f"the number of quenches must be even and at least 2, got {n}")
-        walk = _run(state, 0.0, chain([ham0], first(n // 2)), fg.GGE, False)
-        return chain([ham0], first(n // 2), leg(walk.final_state)(n // 2))
+        s = state
+        yield ham0
+        for ham in first(n // 2):
+            s = s.quench(ham).dephase(ham)[0]
+            yield ham
+        yield from leg(s.matrix())(n // 2)
 
     return schedule
 
@@ -542,7 +545,7 @@ def _four_phase_of(state, ham0) -> Callable:
 def _optimal_protocol(state, ham0, n_quenches: int, keep_states: bool) -> ProtocolRecord:
     """:func:`_four_phase`'s schedule run under dephasing from the validated ``state``;
     ``meta['work_bound']`` is its ceiling."""
-    entropy = state.entropy()     # a spectrum outside [0, 1] raises here, not in the builder
+    entropy = state.entropy()     # the state's error comes before ham0's, which the builder checks
     hams = list(_four_phase_of(state, ham0)(n_quenches))
     record = _run(state, entropy, hams, fg.GGE, keep_states)
     record.meta["work_bound"] = _ergotropy(state, hams[0])

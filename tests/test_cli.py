@@ -137,22 +137,32 @@ def test_parse_config_file_layering(tmp_path):
     assert str(info.value) == f"{bad}:2: expected 'key = value', got 'seed 7'"
 
 
-def test_write_csv_roundtrip_and_atomicity(tmp_path):
+def test_write_csv_roundtrip_and_atomicity(tmp_path, monkeypatch):
     path = tmp_path / "table.csv"
-    rows = [[1, 0.1 + 1e-17, -3.0], [2, 2.0 / 3.0, 1e-300]]
-    cli.write_csv(str(path), ["a", "b", "c"], rows)
+    rows = [[1, 0.1 + 1e-17, -3.0, "gibbs"], [2, 2.0 / 3.0, 1e-300, "ta-gge"]]
+    cli.write_csv(str(path), ["a", "b", "c", "label"], rows)
     text = path.read_text()
     assert "\r" not in text
     lines = text.strip().split("\n")
-    assert lines[0] == "a,b,c"
+    assert lines[0] == "a,b,c,label"
     for row, line in zip(rows, lines[1:]):
         parsed = line.split(",")
         assert int(parsed[0]) == row[0]
         assert float(parsed[1]) == row[1]  # lossless round trip
         assert float(parsed[2]) == row[2]
+        assert parsed[3] == row[3]      # a label as it is, like oracle-check's
     assert not list(tmp_path.glob("*.tmp"))
     with pytest.raises(ValueError, match="arity"):
         cli.write_csv(str(path), ["a"], [[1, 2]])
+
+    # a failed rename leaves the old file as it was and no temp file behind
+    def failing(src, dst):
+        raise OSError("rename refused")
+    monkeypatch.setattr(os, "replace", failing)
+    with pytest.raises(OSError, match="rename refused"):
+        cli.write_csv(str(path), ["a"], [[3]])
+    assert path.read_text() == text
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_write_csv_names_a_missing_directory(tmp_path, capsys):

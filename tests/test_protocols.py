@@ -835,9 +835,10 @@ def test_dense_run_schedule_validates_schedule_and_state_at_entry():
 
 
 def test_dense_schedule_errors_are_the_one_by_one_checks_in_order():
-    # the dense schedule is checked in one stacked call; a failing matrix is
+    # the dense schedule is checked one matrix at a time: a failing matrix is
     # named by the one shape rule on that matrix alone, with its own text,
-    # and the first failure in schedule order wins, whatever its kind
+    # and the first failure in schedule order wins, whatever its kind, the
+    # same for a list and for an iterator, whose checks run as it is read
     rho = np.eye(2) / 2
     ok, big = np.diag([0.0, 1.0]), np.eye(3)
     asym = np.array([[0.0, 0.1], [0.0, 1.0]])
@@ -852,12 +853,20 @@ def test_dense_schedule_errors_are_the_one_by_one_checks_in_order():
             hams[k], hams[k + 1] = bad[first], bad[second]
             with pytest.raises(ValueError, match=texts[first]) as stacked:
                 dense._State(None, rho).schedule(hams)
+            with pytest.raises(ValueError) as streamed:
+                list(dense._State(None, rho).schedule(iter(hams)))
             with pytest.raises(ValueError) as alone:
                 [_check_one(h, rho) for h in hams]
-            assert str(stacked.value) == str(alone.value)
+            assert str(stacked.value) == str(streamed.value) == str(alone.value)
             for model in (gt.GGE, gt.GIBBS, gt.Exact(1.0)):
                 with pytest.raises(ValueError, match=texts[first]):
                     gt.run_schedule(rho, hams, model, backend="dense")
+    # a 0 x 0 state (only a correlation matrix can be one) names its empty
+    # Hamiltonian, for a list and for an iterator alike
+    empty = fermions._ModeState(None, np.zeros((0, 0)))
+    for hams in ([np.zeros((0, 0))] * 2, iter([np.zeros((0, 0))] * 2)):
+        with pytest.raises(ValueError, match=r"^coefficient matrix has shape \(0, 0\): a Hamiltonian needs"):
+            list(empty.schedule(hams))
 
 
 def test_gaussian_run_schedule_validates_state_at_entry():
@@ -1745,23 +1754,32 @@ def test_optimal_gge_protocol_respects_bound_and_is_cyclic():
 def test_four_phase_builder_shares_its_first_leg(monkeypatch):
     # one builder serves every N: its schedules equal a fresh builder's bit for
     # bit, N = 2 samples no rotation, and once N = 4 has built the first leg's
-    # Schur basis every larger N builds only its second leg's
+    # Schur basis every larger N builds at most its second leg's.  A schedule is
+    # one pass that never enters the protocol loop: each rotating leg's N/2 - 1
+    # samples are made once, the first leg's not again for the walk (from
+    # N = 8 this state's second leg is a no-op, repeated ham0)
     rng = make_rng(17)
     ham0 = gt.build_chain(5, rng.uniform(0, 2, 5), 0.4)
     gamma0 = random_correlation(5, rng)
     calls = count_schur(monkeypatch)
     gt.optimal_gge_protocol(gamma0, ham0, 2)
     assert not calls
-    build, shared, fresh = pr._four_phase(gamma0, ham0), [], []
+    samples, runs, at, run = [], [], pr._Rotation.at, pr._run
+    monkeypatch.setattr(pr._Rotation, "at", lambda self, s: samples.append(s) or at(self, s))
+    monkeypatch.setattr(pr, "_run", lambda *args, **kwargs: runs.append(args) or run(*args, **kwargs))
+    build, shared, fresh, rotating = pr._four_phase(gamma0, ham0), [], [], []
     for n in (2, 4, 8, 16):
-        before = len(calls)
+        before, samples[:] = len(calls), []
         hams = list(build(n))
+        rotating.append((hams[1] is not hams[0]) + (hams[n // 2 + 2] is not hams[0]))
+        assert len(samples) == rotating[-1] * (n // 2 - 1) and not runs
         shared.append(len(calls) - before)
         alone = list(pr._four_phase(gamma0, ham0)(n))
         fresh.append(len(calls) - before - shared[-1])
         assert all(np.array_equal(a.c, b.c) for a, b in zip(hams, alone, strict=True))
     assert shared[:2] == fresh[:2] == [0, 2]
     assert [f - s for s, f in zip(shared[2:], fresh[2:])] == [1, 1]
+    assert rotating == [2, 2, 1, 1]
 
 
 def test_real_four_phase_schedules_stay_float64():
