@@ -37,6 +37,9 @@ the one range rule for a correlation spectrum or mode populations, called by
 ``fermions._ModeState.spectrum`` (for its entropy and the ergotropy floor)
 and ``dense.gaussian_to_dense``.  :func:`_fermi` and :func:`_xlogx` are the
 Fermi-function and entropy kernels, in numpy like the whole package.
+:func:`_rank_one_eigh` solves a stack of rank-one site-0 updates H0 + rho e_0 e_0^T of a real H0 with a
+simple spectrum by the secular equation (:func:`_secular_deltas`, after LAPACK's ``dlaed4``); its vectors
+keep the kernel's own frame, as a rotation sample keeps its rotation's.  No schedule routes to it yet.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ _ANCHOR_RTOL = 1e-8     # an eigenvector's anchor: its first entry this close to
 # 4,096 entries and each of its temporaries stay at 64 KiB, under glibc's 128 KiB mmap
 # threshold (larger dense stacks raised a dense run's peak RSS by about 2 MB)
 _BATCH_ENTRIES = 1 << 12
+_SECULAR_ITERATIONS = 40     # a root's cap; dlaed4 converges in a few, a plain Newton iteration often not
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -177,6 +181,98 @@ def _decomposed(hams, size: int):
         for ham, es, labels in zip(bare, *_eigh_all([ham.h for ham in bare])):
             ham._es, ham._lab = es, labels
         yield from batch
+
+
+def _rank_one_eigh(es0: EigenSystem, rhos) -> list[EigenSystem]:
+    """Eigensystems of A diag(d) A^T + rho e_0 e_0^T for each rho of a stack, from the real ``es0`` = (d, A)
+    of a simple spectrum: those of D + rho z z^T with z = A[0] (Bunch, Nielsen and Sorensen, Numer. Math.
+    31, 31 (1978)), whose roots :func:`_secular_deltas` finds.  The vectors are v_k = zh / (d - lambda_k),
+    normalised, from Gu and Eisenstat's recomputed zh (SIAM J. Matrix Anal. Appl. 15, 1266 (1994)), which
+    keeps them orthogonal, and A V is one product.  rho < 0 is the problem -D + |rho| z z^T mirrored; rho =
+    0 keeps ``es0``.  The caller guards the input: n >= 2, no |z_k| and no level gap near zero."""
+    d, a = es0.values, es0.vectors
+    n, rho = len(d), np.asarray(rhos, dtype=float)
+    z2 = float(a[0] @ a[0])
+    values, vectors = np.empty((len(rho), n)), np.empty((len(rho), n, n))
+    values[rho == 0.0], vectors[rho == 0.0] = d, a
+    ks = np.arange(n - 1)[:, None]
+    pair = np.where(ks < np.arange(n), ks, ks + 1)      # the pole paired with root k < n - 1 for pole i
+    for sign in np.unique(np.sign(rho[rho != 0.0])):
+        stack = np.flatnonzero(np.sign(rho) == sign)
+        dm, zm, am = (d, a[0], a) if sign > 0 else (-d[::-1], a[0, ::-1], a[:, ::-1])
+        lam, q = _secular_deltas(dm, zm / np.sqrt(z2), sign * rho[stack] * z2)   # q[s, k, i] = d_i - lambda_k
+        # zh_i^2 = (lambda_{n-1} - d_i) prod_k (d_i - lambda_k) / (d_i - d_pair), each factor in (0, 1)
+        zh = np.copysign(np.sqrt(-q[:, -1] * np.prod(q[:, :-1] / (dm - dm[pair]), axis=1)), zm)
+        v = np.divide(zh[:, None, :], q, out=q)     # row k: eigenvector k on the poles
+        v /= np.sqrt(np.einsum("ski,ski->sk", v, v))[:, :, None]
+        y = (v.reshape(-1, n) @ am.T).reshape(-1, n, n)     # row k: A v_k
+        values[stack] = lam if sign > 0 else -lam[:, ::-1]
+        vectors[stack] = (y if sign > 0 else y[:, ::-1]).transpose(0, 2, 1)
+    return list(map(EigenSystem, values, vectors))
+
+
+def _secular_deltas(d: np.ndarray, z: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roots lambda (stack, n) of 1 / rho + sum_j z_j^2 / (d_j - lambda) for each rho > 0 of a stack,
+    d ascending, |z| = 1, and the differences q[s, k, i] = d_i - lambda_k, as LAPACK's ``dlaed4`` forms them.
+
+    Root k < n - 1 lies in (d_k, d_k+1), the last in (d_n-1, d_n-1 + rho).  Each starts at its interval's
+    midpoint; the sign of the secular function there picks the nearer pole as its origin, and lambda = d_o +
+    tau is kept as tau, with every difference formed as (d_j - d_o) - tau.  Steps are ``dlaed4``'s middle way
+    (the rational model with poles at the two nearest d, matched in value and slope), kept in the root's
+    bracket by bisection, until |f| is within ``dlaed4``'s bound on its round-off.  Converged roots leave the
+    working arrays once they are half of them."""
+    n, s = len(d), len(rho)
+    k = np.tile(np.arange(n), s)
+    p, last = np.minimum(k, n - 2), k == n - 1          # the two nearest poles are p and p + 1
+    rinv = np.repeat(1.0 / rho, n)
+    width = np.where(last, np.repeat(rho, n), np.tile(np.append(np.diff(d), 0.0), s))
+    o, tau = np.where(last, n - 1, p), 0.5 * width
+    lo, hi = np.zeros(s * n), width.copy()
+    poles = d - d[o][:, None]                           # d_j - d_o, per root
+    q, lam, idx, done = np.empty((s * n, n)), np.empty(s * n), np.arange(s * n), np.zeros(s * n, dtype=bool)
+    j, ones = np.arange(n, dtype=float), np.ones(n)
+    delta, t, zt = np.empty((3, s * n, n))
+    for it in range(_SECULAR_ITERATIONS):
+        rows = np.arange(len(idx))
+        np.subtract(poles, tau[:, None], out=delta)
+        np.divide(z, delta, out=t)
+        np.multiply(z, t, out=zt)                       # z_j^2 / (d_j - lambda)
+        np.multiply(t, t, out=t)                        # its slope
+        left = j <= p[:, None]
+        psi, dpsi = np.einsum("ij,ij->i", zt, left), np.einsum("ij,ij->i", t, left)
+        f, df = rinv + zt @ ones, t @ ones
+        phi, dphi = f - rinv - psi, df - dpsi
+        # dlaed4's bound: 8 sum_{j != o} |terms|, their partial sums, 2 / rho, 3 |origin term|, |tau| f'
+        at_o = np.abs(zt[rows, o])
+        bound = (8.0 * np.where(last, -psi - phi, phi - psi) - 5.0 * at_o + (zt @ j - o * (f - rinv))
+                 + 2.0 * rinv + np.abs(tau) * df)
+        done |= np.abs(f) <= _EPS4 / 4.0 * bound
+        if done.all():
+            break
+        lo, hi = np.where(f <= 0.0, np.maximum(lo, tau), lo), np.where(f > 0.0, np.minimum(hi, tau), hi)
+        dp, dq = delta[rows, p], delta[rows, p + 1]
+        c = f - dp * dpsi - dq * dphi
+        c = np.where(last, np.abs(c), c)                # the last root lies right of both poles
+        a, b = (dp + dq) * f - dp * dq * df, dp * dq * f
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = 0.5 * (a + np.copysign(np.sqrt(np.abs(a * a - 4.0 * b * c)), a))
+            eta = np.where((a > 0.0) != last, b / r, r / c)     # the model's root between or right of its poles
+            eta = np.where(f * eta < 0.0, eta, -f / df)          # a step the wrong way is Newton's
+        new = tau + eta
+        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (tau + np.where(f < 0.0, hi, lo)))
+        if it == 0:     # origin p + 1 for a middle root right of its midpoint
+            moved = np.where((f <= 0.0) & ~last, width, 0.0)
+            new, lo, hi, o = new - moved, lo - moved, hi - moved, o + (moved > 0.0)
+            poles = d - d[o][:, None]
+        tau = np.where(done, tau, new)
+        if 2 * done.sum() >= len(idx):
+            q[idx], lam[idx] = delta, d[o] + tau
+            keep = ~done
+            idx, done, tau, lo, hi, o, p, last, rinv, poles = (
+                x[keep] for x in (idx, done, tau, lo, hi, o, p, last, rinv, poles))
+            delta, t, zt = delta[:len(idx)], t[:len(idx)], zt[:len(idx)]
+    q[idx], lam[idx] = delta, d[o] + tau
+    return lam.reshape(s, n), q.reshape(s, n, n)
 
 
 def cluster_degenerate(values, tol: float = DEGENERACY_TOL) -> np.ndarray:

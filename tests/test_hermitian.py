@@ -466,3 +466,58 @@ def test_warm_energy_match_keeps_the_no_sign_change_error():
         with pytest.raises(RuntimeError, match=r"^beta matching found no sign change after bracket "
                                                r"expansion; residual 1\.000e\+00$"):
             _energy_matching_root(lambda beta: (1.0, 0.0), start=start)
+
+
+def _rank_one_errors(es0, rhos):
+    """Per rho: the kernel's eigenvalue gap to ``eigvalsh`` over max |eps|, and its reconstruction and
+    orthogonality defects, against A diag(d) A^T + rho e_0 e_0^T."""
+    h0 = es0.reconstruct()
+    errors = []
+    for rho, es in zip(rhos, hermitian._rank_one_eigh(es0, rhos)):
+        h = h0.copy()
+        h[0, 0] += rho
+        a, n = es.vectors, len(es.values)
+        exact = np.linalg.eigvalsh(h)
+        assert es.values.dtype == a.dtype == np.float64
+        errors.append((np.abs(es.values - exact).max() / np.abs(exact).max(),
+                       np.abs((a * es.values) @ a.T - h).max(), np.abs(a.T @ a - np.eye(n)).max()))
+    return np.array(errors)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 20, 61, 150, 300])
+def test_rank_one_kernel_matches_eigh_on_random_updates(n):
+    # random real spectra and site rows, stacks mixing both signs of rho and rho = 0 (which keeps ham0)
+    rng = make_rng(n)
+    for _ in range(2):
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        es0 = hermitian._eigh(hermitian._hermitian_part((q * rng.uniform(-2.0, 2.0, n)) @ q.T))
+        rhos = [float(rng.uniform(0.05, 5.0)), -float(rng.uniform(0.05, 5.0)), 0.0, float(rng.normal())]
+        errors = _rank_one_errors(es0, rhos)
+        assert errors[:, 0].max() <= 1e-13 and errors[:, 1:].max() <= 1e-12, errors.max(axis=0)
+        kept = hermitian._rank_one_eigh(es0, [0.0])[0]
+        assert np.array_equal(kept.values, es0.values) and np.array_equal(kept.vectors, es0.vectors)
+
+
+@pytest.mark.parametrize("n", [100, 150, 300])
+def test_rank_one_kernel_matches_eigh_on_the_local_quench_chains(n):
+    # fig3's and fig4's chains (site 0 at 0.1 in a bulk at 1.0, hopping 0.5), quenched along their peak
+    # paths to 4.3 and to 1.6, and below the site energy
+    es0 = gt.build_chain(n, [0.1] + [1.0] * (n - 1), 0.5).es
+    for peak in (4.3, 1.6, -3.0):
+        rhos = [(1.0 - m / 16.0) * (peak - 0.1) for m in range(16)]
+        errors = _rank_one_errors(es0, rhos)
+        assert errors[:, 0].max() <= 1e-13 and errors[:, 1:].max() <= 1e-12, (peak, errors.max(axis=0))
+
+
+def test_rank_one_kernel_near_poles_and_close_levels():
+    # a site row with components down to 1e-7 and levels 1e-7 apart: the roots sit close to their poles
+    n = 12
+    rng = make_rng(5)
+    d = np.sort(rng.uniform(-1.0, 1.0, n))
+    d[5] = d[4] + 1e-7
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    q[0, 3] = 1e-7
+    q, _ = np.linalg.qr(q)
+    es0 = hermitian._eigh(hermitian._hermitian_part((q * d) @ q.T))
+    errors = _rank_one_errors(es0, [0.3, -0.7, 4.0, -1e-3])
+    assert errors[:, 0].max() <= 1e-13 and errors[:, 1:].max() <= 1e-12, errors.max(axis=0)
