@@ -10,8 +10,8 @@ column's maximum, and that entry is made real and positive: ties between
 mirror-image entries (a uniform chain's modes) then resolve to the lower
 index whatever the round-off, which makes runs reproducible across BLAS
 builds and thread counts.  The anchor applies to ``eigh`` results; a rotation
-sample keeps its rotation's frame.  All routines are pure functions; nothing
-mutates its inputs.  A list of matrices (a schedule on either back end,
+sample keeps its rotation's frame, and a rank-one sample its kernel's.  All
+routines are pure functions; nothing mutates its inputs.  A list of matrices (a schedule on either back end,
 keyframes, observables) is checked one matrix at a time by one shape rule:
 each has the shape of the state, or of the first keyframe or observable,
 else ``dimension mismatch: {label} {shape} vs {name} {its shape}``; the first
@@ -37,9 +37,13 @@ the one range rule for a correlation spectrum or mode populations, called by
 ``fermions._ModeState.spectrum`` (for its entropy and the ergotropy floor)
 and ``dense.gaussian_to_dense``.  :func:`_fermi` and :func:`_xlogx` are the
 Fermi-function and entropy kernels, in numpy like the whole package.
-:func:`_rank_one_eigh` solves a stack of rank-one site-0 updates H0 + rho e_0 e_0^T of a real H0 with a
-simple spectrum by the secular equation (:func:`_secular_deltas`, after LAPACK's ``dlaed4``); its vectors
-keep the kernel's own frame, as a rotation sample keeps its rotation's.  No schedule routes to it yet.
+A local-quench schedule's samples after its peak are rank-one site-0 updates H0 + rho e_0 e_0^T of
+its real H0 (:func:`_site0_updates`): the state's ``schedule`` solves them ``_RANK_ONE_STACK`` at a
+time, as the pass reaches them, by the secular equation (:func:`_rank_one_eigh`, its roots by
+:func:`_secular_roots` after LAPACK's ``dlaed4``), unless H0 is guarded out (complex, fewer than
+``_RANK_ONE_MODES`` modes, or a level gap or site-0 mode entry near zero).  Each vector keeps the sign
+the kernel's recomputed site row gives it, the same on every BLAS build; anchoring them would cost about
+a twentieth of the kernel (0.24 of 4.3 ms per stack of 4 at n = 150, 1 BLAS thread).
 """
 
 from __future__ import annotations
@@ -61,6 +65,14 @@ _ANCHOR_RTOL = 1e-8     # an eigenvector's anchor: its first entry this close to
 # threshold (larger dense stacks raised a dense run's peak RSS by about 2 MB)
 _BATCH_ENTRIES = 1 << 12
 _SECULAR_ITERATIONS = 40     # a root's cap; dlaed4 converges in a few, a plain Newton iteration often not
+# rank-one samples solved together.  The kernel's many short numpy calls hold the GIL that the sweep's
+# second worker waits on: with two workers, fig3 (n = 100) ran 0.143 s in stacks of 4, 0.101 s in stacks
+# of 8 and 0.131 s on eigh
+_RANK_ONE_STACK = 8
+# the fewest modes whose samples go to the kernel: on one thread it passes eigh between n = 32 (0.13
+# against 0.07 ms a sample) and 48 (0.17 against 0.22 ms)
+_RANK_ONE_MODES = 64
+_RANK_ONE_GUARD = 1e-8       # a site-0 mode entry or level gap, relative, below which eigh decomposes
 
 __all__ = [
     "DEGENERACY_TOL",
@@ -174,104 +186,179 @@ def _eigh_all(hs: list[np.ndarray]) -> tuple[list[EigenSystem], list[np.ndarray]
 
 def _decomposed(hams, size: int):
     """The iterator ``hams``, read one stack of at most ``_BATCH_ENTRIES`` entries of ``size`` ahead: each
-    record after the first that lacks an eigensystem is decomposed and labelled, and keeps them."""
+    record after the first that lacks an eigensystem is decomposed, and keeps it: a rank-one sample of
+    :func:`_site0_updates` with its stack, any other by ``eigh``, labelled."""
     yield from islice(hams, 1)
     while batch := list(islice(hams, max(1, _BATCH_ENTRIES // max(1, size)))):
+        for ham in batch:
+            if ham._es is None and ham._solve is not None:
+                ham._solve()
         bare = [ham for ham in batch if ham._es is None]
         for ham, es, labels in zip(bare, *_eigh_all([ham.h for ham in bare])):
             ham._es, ham._lab = es, labels
         yield from batch
 
 
-def _rank_one_eigh(es0: EigenSystem, rhos) -> list[EigenSystem]:
+def _site0_updates(ham0: _Hamiltonian, records):
+    """The trusted ``records``, each ham0 + rho e_0 e_0^T for its own rho up to round-off, handed on in
+    stacks of ``_RANK_ONE_STACK`` whose eigensystems :func:`_rank_one_eigh` works out together when the
+    first of them is decomposed; as they are when ham0 is complex, has fewer than ``_RANK_ONE_MODES``
+    modes, or a level gap or a site-0 mode entry |z_k| within the relative ``_RANK_ONE_GUARD`` of zero
+    (deflation, left to ``eigh``)."""
+    es0 = ham0.es
+    d, z = es0.values, es0.vectors[0]
+    if (np.iscomplexobj(es0.vectors) or len(d) < _RANK_ONE_MODES or np.abs(z).min() <= _RANK_ONE_GUARD
+            or (d[1:] - d[:-1]).min() <= _RANK_ONE_GUARD * max(-d[0], d[-1])):
+        return records
+    return _stacked(es0, ham0.h[0, 0], records)
+
+
+def _stacked(es0: EigenSystem, h00: float, records):
+    work = []       # the kernel's two stack buffers, made at the first solve and reused by every stack
+
+    while stack := list(islice(records, _RANK_ONE_STACK)):
+        def solve(stack=stack):
+            work[:] = work or [np.empty((2, _RANK_ONE_STACK * len(es0.values), len(es0.values)))]
+            for ham, es in zip(stack, _rank_one_eigh(es0, [ham.h[0, 0] - h00 for ham in stack], work[0])):
+                ham._es, ham._solve = es, None
+        for ham in stack:
+            ham._solve = solve
+        yield from stack
+
+
+def _rank_one_eigh(es0: EigenSystem, rhos, work: np.ndarray | None = None) -> list[EigenSystem]:
     """Eigensystems of A diag(d) A^T + rho e_0 e_0^T for each rho of a stack, from the real ``es0`` = (d, A)
     of a simple spectrum: those of D + rho z z^T with z = A[0] (Bunch, Nielsen and Sorensen, Numer. Math.
-    31, 31 (1978)), whose roots :func:`_secular_deltas` finds.  The vectors are v_k = zh / (d - lambda_k),
+    31, 31 (1978)), whose roots :func:`_secular_roots` finds.  The vectors are v_k = zh / (d - lambda_k),
     normalised, from Gu and Eisenstat's recomputed zh (SIAM J. Matrix Anal. Appl. 15, 1266 (1994)), which
-    keeps them orthogonal, and A V is one product.  rho < 0 is the problem -D + |rho| z z^T mirrored; rho =
-    0 keeps ``es0``.  The caller guards the input: n >= 2, no |z_k| and no level gap near zero."""
+    keeps them orthogonal, and A V is one product per sample; each keeps the sign zh gives it.  rho < 0 is
+    the problem -D + |rho| z z^T mirrored; rho = 0 copies ``es0``.  ``work``, (2, at least stack x n, n), holds
+    the root finder's arrays, else they are made here.  The caller guards the input: n >= 2, no |z_k| and no
+    level gap near zero."""
     d, a = es0.values, es0.vectors
     n, rho = len(d), np.asarray(rhos, dtype=float)
     z2 = float(a[0] @ a[0])
-    values, vectors = np.empty((len(rho), n)), np.empty((len(rho), n, n))
-    values[rho == 0.0], vectors[rho == 0.0] = d, a
+    values = np.empty((len(rho), n))
+    vectors = [a.copy() if r == 0.0 else np.empty((n, n)) for r in rho]    # apart: a record frees its own
+    values[rho == 0.0] = d
     ks = np.arange(n - 1)[:, None]
     pair = np.where(ks < np.arange(n), ks, ks + 1)      # the pole paired with root k < n - 1 for pole i
-    for sign in np.unique(np.sign(rho[rho != 0.0])):
+    for sign in (1.0, -1.0):
         stack = np.flatnonzero(np.sign(rho) == sign)
+        if not stack.size:
+            continue
         dm, zm, am = (d, a[0], a) if sign > 0 else (-d[::-1], a[0, ::-1], a[:, ::-1])
-        lam, q = _secular_deltas(dm, zm / np.sqrt(z2), sign * rho[stack] * z2)   # q[s, k, i] = d_i - lambda_k
-        # zh_i^2 = (lambda_{n-1} - d_i) prod_k (d_i - lambda_k) / (d_i - d_pair), each factor in (0, 1)
-        zh = np.copysign(np.sqrt(-q[:, -1] * np.prod(q[:, :-1] / (dm - dm[pair]), axis=1)), zm)
-        v = np.divide(zh[:, None, :], q, out=q)     # row k: eigenvector k on the poles
-        v /= np.sqrt(np.einsum("ski,ski->sk", v, v))[:, :, None]
-        y = (v.reshape(-1, n) @ am.T).reshape(-1, n, n)     # row k: A v_k
+        rows = len(stack) * n
+        buffers = np.empty((2, rows, n)) if work is None else work[:, :rows]
+        # q[s, k, i] = d_i - lambda_k
+        lam, q = _secular_roots(dm, zm / np.sqrt(z2), sign * rho[stack] * z2, *buffers)
+        scale = 1.0 / (dm - dm[pair])
+        for i, j in enumerate(stack):
+            # zh_i^2 = (lambda_{n-1} - d_i) prod_k (d_i - lambda_k) / (d_i - d_pair), each factor in (0, 1)
+            zh = np.copysign(np.sqrt(-q[i, -1] * np.prod(q[i, :-1] * scale, axis=0)), zm)
+            v = np.divide(zh, q[i], out=q[i])       # row k: eigenvector k on the poles
+            v /= np.sqrt(np.einsum("ki,ki->k", v, v))[:, None]
+            np.matmul(am, (v if sign > 0 else v[::-1]).T, out=vectors[j])
         values[stack] = lam if sign > 0 else -lam[:, ::-1]
-        vectors[stack] = (y if sign > 0 else y[:, ::-1]).transpose(0, 2, 1)
     return list(map(EigenSystem, values, vectors))
 
 
-def _secular_deltas(d: np.ndarray, z: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The roots lambda (stack, n) of 1 / rho + sum_j z_j^2 / (d_j - lambda) for each rho > 0 of a stack,
-    d ascending, |z| = 1, and the differences q[s, k, i] = d_i - lambda_k, as LAPACK's ``dlaed4`` forms them.
+def _secular_roots(d: np.ndarray, z: np.ndarray, rho: np.ndarray, q: np.ndarray,
+                   poles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roots lambda (stack, n) of f = 1 / rho + sum_j z_j^2 / (d_j - lambda) for each rho > 0 of a stack,
+    d ascending, |z| = 1, and the differences q[s, k, i] = d_i - lambda_k, as LAPACK's ``dlaed4`` forms them, in
+    the given (stack x n, n) ``q``; ``poles`` is a second such array to work in.
 
-    Root k < n - 1 lies in (d_k, d_k+1), the last in (d_n-1, d_n-1 + rho).  Each starts at its interval's
-    midpoint; the sign of the secular function there picks the nearer pole as its origin, and lambda = d_o +
-    tau is kept as tau, with every difference formed as (d_j - d_o) - tau.  Steps are ``dlaed4``'s middle way
-    (the rational model with poles at the two nearest d, matched in value and slope), kept in the root's
-    bracket by bisection, until |f| is within ``dlaed4``'s bound on its round-off.  Converged roots leave the
-    working arrays once they are half of them."""
+    Root k < n - 1 lies in (d_k, d_k+1), the last in (d_n-1, d_n-1 + rho).  Each is first evaluated at its
+    interval's midpoint; the sign of f there picks the nearer pole as its origin, and lambda = d_o + tau is
+    kept as tau, with every difference formed as (d_j - d_o) - tau.  The first step solves the two nearest
+    poles exactly with the rest of f frozen (``dlaed4``'s first guess); later ones take ``dlaed4``'s middle
+    way (each side's poles as one at its nearest pole, matched in value and slope), with the last root's
+    left side as one pole placed by value and slope.  Each step is refined by one Newton step on the two
+    nearest poles plus the rest of f to first order, kept in the root's bracket by bisection, until |f| is
+    within ``dlaed4``'s bound on its round-off.  The whole stack is iterated until half its roots have
+    converged, then only the rest.  Raises RuntimeError when ``_SECULAR_ITERATIONS`` steps leave a root
+    unconverged."""
     n, s = len(d), len(rho)
     k = np.tile(np.arange(n), s)
-    p, last = np.minimum(k, n - 2), k == n - 1          # the two nearest poles are p and p + 1
+    p, last = np.minimum(k, n - 2), k == n - 1         # the two nearest poles are p and p + 1
     rinv = np.repeat(1.0 / rho, n)
     width = np.where(last, np.repeat(rho, n), np.tile(np.append(np.diff(d), 0.0), s))
-    o, tau = np.where(last, n - 1, p), 0.5 * width
-    lo, hi = np.zeros(s * n), width.copy()
-    poles = d - d[o][:, None]                           # d_j - d_o, per root
-    q, lam, idx, done = np.empty((s * n, n)), np.empty(s * n), np.arange(s * n), np.zeros(s * n, dtype=bool)
-    j, ones = np.arange(n, dtype=float), np.ones(n)
-    delta, t, zt = np.empty((3, s * n, n))
+    o, tau, lo, hi = k, 0.5 * width, np.zeros(s * n), width.copy()
+    left = np.arange(n) <= np.minimum(np.arange(n), n - 2)[:, None]     # row k: the poles j <= p
+    zleft, left = z * left, left.astype(float)
+    zs2, zp2, zq2 = z * z, z[p] ** 2, z[p + 1] ** 2
+    zj, ones = np.stack([z, z * np.arange(n)], axis=1), np.ones(n)
+    np.subtract(d, d[o][:, None], out=poles)            # d_j - d_o, per root
+    lam, idx = np.empty(s * n), None                    # idx: the roots iterated, once not all
+    w = q       # the work rows: the terms, then their slopes; q's own until half the roots converge
+
+    def masked(x, m):      # sum_{j <= p} x_j m_j per root: m per root k of the stack, or per root iterated
+        if idx is None:
+            return np.einsum("skj,kj->sk", x.reshape(s, n, n), m).ravel()
+        return np.einsum("ij,ij->i", x, m)
+
     for it in range(_SECULAR_ITERATIONS):
-        rows = np.arange(len(idx))
-        np.subtract(poles, tau[:, None], out=delta)
-        np.divide(z, delta, out=t)
-        np.multiply(z, t, out=zt)                       # z_j^2 / (d_j - lambda)
-        np.multiply(t, t, out=t)                        # its slope
-        left = j <= p[:, None]
-        psi, dpsi = np.einsum("ij,ij->i", zt, left), np.einsum("ij,ij->i", t, left)
-        f, df = rinv + zt @ ones, t @ ones
-        phi, dphi = f - rinv - psi, df - dpsi
+        np.subtract(poles, tau[:, None], out=w)
+        np.divide(z, w, out=w)
+        zt, part = (w @ zj).T                           # sum_j z_j^2 / (d_j - lambda), and weighted by j
+        psi = masked(w, zleft)
+        np.multiply(w, w, out=w)
+        df, dpsi = w @ ones, masked(w, left)
+        f = rinv + zt
         # dlaed4's bound: 8 sum_{j != o} |terms|, their partial sums, 2 / rho, 3 |origin term|, |tau| f'
-        at_o = np.abs(zt[rows, o])
-        bound = (8.0 * np.where(last, -psi - phi, phi - psi) - 5.0 * at_o + (zt @ j - o * (f - rinv))
+        bound = (8.0 * np.where(last, -zt, zt - 2.0 * psi) - 5.0 * zs2[o] / np.abs(tau) + (part - o * zt)
                  + 2.0 * rinv + np.abs(tau) * df)
-        done |= np.abs(f) <= _EPS4 / 4.0 * bound
+        done = np.abs(f) <= _EPS4 / 4.0 * bound
         if done.all():
             break
-        lo, hi = np.where(f <= 0.0, np.maximum(lo, tau), lo), np.where(f > 0.0, np.minimum(hi, tau), hi)
-        dp, dq = delta[rows, p], delta[rows, p + 1]
-        c = f - dp * dpsi - dq * dphi
-        c = np.where(last, np.abs(c), c)                # the last root lies right of both poles
-        a, b = (dp + dq) * f - dp * dq * df, dp * dq * f
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = 0.5 * (a + np.copysign(np.sqrt(np.abs(a * a - 4.0 * b * c)), a))
-            eta = np.where((a > 0.0) != last, b / r, r / c)     # the model's root between or right of its poles
-            eta = np.where(f * eta < 0.0, eta, -f / df)          # a step the wrong way is Newton's
-        new = tau + eta
-        new = np.where((lo <= new) & (new <= hi), new, 0.5 * (tau + np.where(f < 0.0, hi, lo)))
         if it == 0:     # origin p + 1 for a middle root right of its midpoint
-            moved = np.where((f <= 0.0) & ~last, width, 0.0)
-            new, lo, hi, o = new - moved, lo - moved, hi - moved, o + (moved > 0.0)
-            poles = d - d[o][:, None]
+            shift = (f < 0.0) & ~last & ~done
+        neg = f < 0.0
+        np.copyto(lo, tau, where=neg)
+        np.copyto(hi, tau, where=~neg)
+        dp, dq = (d[p] - d[o]) - tau, (d[p + 1] - d[o]) - tau
+        near, dnear = zp2 / dp + zq2 / dq, zp2 / (dp * dp) + zq2 / (dq * dq)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if it == 0:
+                c = f - near
+                a, b = c * (dp + dq) + zp2 + zq2, c * dp * dq + zp2 * dq + zq2 * dp
+            else:
+                x = np.where(last, psi / dpsi, dp)
+                c = f - x * dpsi - dq * (df - dpsi)
+                np.abs(c, out=c, where=last)
+                a, b = (x + dq) * f - x * dq * df, x * dq * f
+            # c eta^2 - a eta + b = 0: the root between the model's poles, or right of both for the last
+            r = 0.5 * (a + np.copysign(np.sqrt(np.abs(a * a - 4.0 * b * c)), a))
+            eta = np.where((a > 0.0) != last, b / r, r / c)
+            eta = np.where(f * eta < 0.0, eta, -f / df)         # a step the wrong way is Newton's
+            ep, eq = dp - eta, dq - eta
+            g = f - near + (df - dnear) * eta + zp2 / ep + zq2 / eq
+            refined = tau + eta - g / (df - dnear + zp2 / (ep * ep) + zq2 / (eq * eq))
+        new = np.where((lo < refined) & (refined < hi), refined, tau + eta)
+        new = np.where((lo < new) & (new < hi), new, 0.5 * (tau + np.where(neg, hi, lo)))
         tau = np.where(done, tau, new)
-        if 2 * done.sum() >= len(idx):
-            q[idx], lam[idx] = delta, d[o] + tau
+        if it == 0:
+            moved = np.where(shift, width, 0.0)
+            tau, lo, hi, o = tau - moved, lo - moved, hi - moved, o + shift
+            np.subtract(d, d[o][:, None], out=poles)
+        if 2 * done.sum() >= len(tau):     # on with the rest alone
             keep = ~done
-            idx, done, tau, lo, hi, o, p, last, rinv, poles = (
-                x[keep] for x in (idx, done, tau, lo, hi, o, p, last, rinv, poles))
-            delta, t, zt = delta[:len(idx)], t[:len(idx)], zt[:len(idx)]
-    q[idx], lam[idx] = delta, d[o] + tau
+            if idx is None:
+                np.subtract(poles, tau[:, None], out=q)
+                lam[:] = d[o] + tau
+                idx, zleft, left = np.flatnonzero(keep), zleft[k[keep]], left[k[keep]]
+            else:
+                q[idx[done]], lam[idx[done]] = poles[done] - tau[done, None], d[o[done]] + tau[done]
+                idx, zleft, left = idx[keep], zleft[keep], left[keep]
+            tau, lo, hi, o, p, last, rinv, poles, zp2, zq2, k = (
+                x[keep] for x in (tau, lo, hi, o, p, last, rinv, poles, zp2, zq2, k))
+            w = np.empty((len(idx), n))
+    else:
+        raise RuntimeError(f"secular equation did not converge: residual {np.abs(f[~done]).max():.3e} "
+                           f"after {_SECULAR_ITERATIONS} steps")
+    rows = slice(None) if idx is None else idx
+    q[rows], lam[rows] = poles - tau[:, None], d[o] + tau
     return lam.reshape(s, n), q.reshape(s, n, n)
 
 
@@ -301,10 +388,10 @@ class _Hamiltonian:
     its spectrum, each given or worked out on first use (``h`` from ``es``; threads that race there work
     out the same arrays, and one is kept).  Its class is its back end's: a state's ``schedule`` adopts it."""
 
-    __slots__ = ("_h", "_es", "_lab")
+    __slots__ = ("_h", "_es", "_lab", "_solve")
 
     def __init__(self, h: np.ndarray | None, es: EigenSystem | None = None):
-        self._h, self._es, self._lab = h, es, None
+        self._h, self._es, self._lab, self._solve = h, es, None, None
 
     @property
     def h(self) -> np.ndarray:      # from es: U diag(eps) U^dag in the checked dtype, symmetrised
@@ -316,6 +403,8 @@ class _Hamiltonian:
 
     @property
     def es(self) -> EigenSystem:
+        if self._es is None and self._solve is not None:
+            self._solve()       # its rank-one stack
         if self._es is None:
             self._es = _eigh(self.h)
         return self._es

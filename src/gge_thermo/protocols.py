@@ -36,7 +36,8 @@ import numpy as np
 
 from . import dense as qd
 from . import fermions as fg
-from .hermitian import EigenSystem, _eigh_all, _expectation, _hermitian_dtype, _require_hermitian_all
+from .hermitian import (EigenSystem, _eigh_all, _expectation, _hermitian_dtype, _require_hermitian_all,
+                        _site0_updates)
 
 __all__ = [
     "Trajectory",
@@ -667,7 +668,8 @@ def min_work_scan(
     There is one task per N, largest first, on as many workers as
     GGE_THERMO_THREADS asks; each is one lockstep pass of all models (:func:`_run`).
     A list schedule is validated in full before step 1, an iterator's records as the
-    pass reaches them.  ``steps`` keeps the largest N's steps.
+    pass reaches them (a local-quench schedule's samples after its peak are solved in
+    stacks by the secular equation then).  ``steps`` keeps the largest N's steps.
     Failures are recorded and the sweep continues.  The exact model at
     position i draws its hold times from ``SeedSequence(seed, spawn_key=(i,
     N))``, so results do not depend on scheduling."""
@@ -770,11 +772,15 @@ def build_population_inverted_bath(
 def local_quench_schedule(ham0, eps1_peak: float, n_quenches: int):
     """A sudden first quench of the site-0 energy to ``eps1_peak``, then the peak path: N-1 equidistant
     quenches along the linear trajectory back to ``ham0``, which itself closes the schedule (cyclic for
-    N >= 2); an iterator, whose records between are made as it is read, for the state's ``schedule``."""
+    N >= 2); an iterator, whose records between are made as it is read, for the state's ``schedule``.
+    The samples after the peak are rank-one updates of ``ham0``: the state's ``schedule`` solves them in
+    stacks by the secular equation (``hermitian._site0_updates``), those of a guarded ``ham0`` (complex, under
+    64 modes, or a level gap or site-0 mode entry near zero) and the peak by ``eigh``."""
     ham0 = fg.as_hamiltonian(ham0)
     n_quenches = _quench_counts([n_quenches])[0]
     peak = ham0.c.copy()
     peak[0, 0] = float(eps1_peak)
     # N = 1 gives the peak alone; otherwise the path's last sample, ham0's matrix, is ham0
-    path = Trajectory((peak, ham0.c), ("linear",))._records(max(n_quenches - 1, 1), type(ham0))
-    return chain([ham0], islice(path, max(n_quenches - 1, 1)), [ham0] * (n_quenches >= 2))
+    path = islice(Trajectory((peak, ham0.c), ("linear",))._records(max(n_quenches - 1, 1), type(ham0)),
+                  max(n_quenches - 1, 1))
+    return chain([ham0], islice(path, 1), _site0_updates(ham0, path), [ham0] * (n_quenches >= 2))

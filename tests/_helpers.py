@@ -102,12 +102,13 @@ def count_schur(monkeypatch, delay=0.0):
 
 def count_eigh(monkeypatch):
     """Record the dtype of each matrix the Hamiltonian kernels decompose, one by
-    one (``hermitian._eigh``) or in a stack (``hermitian._eigh_all``, one entry
-    per matrix), wrapped in each of ``hermitian``, ``fermions``, ``dense`` and
-    ``protocols`` that binds the name."""
+    one (``hermitian._eigh``), in a stack (``hermitian._eigh_all``, one entry
+    per matrix) or as a stack of rank-one updates (``hermitian._rank_one_eigh``,
+    one entry per sample, the dtype of its eigenvectors), wrapped in each of
+    ``hermitian``, ``fermions``, ``dense`` and ``protocols`` that binds the name."""
     from gge_thermo import dense, fermions, hermitian, protocols
 
-    dtypes, kernel, stacked = [], hermitian._eigh, hermitian._eigh_all
+    dtypes, kernel, stacked, rank_one = [], hermitian._eigh, hermitian._eigh_all, hermitian._rank_one_eigh
 
     def counted(h):
         dtypes.append(h.dtype)
@@ -117,8 +118,13 @@ def count_eigh(monkeypatch):
         dtypes.extend(h.dtype for h in hs)
         return stacked(hs)
 
+    def counted_rank_one(es0, rhos, *work):
+        solved = rank_one(es0, rhos, *work)
+        dtypes.extend(es.vectors.dtype for es in solved)
+        return solved
+
     for module in (hermitian, fermions, dense, protocols):
-        for name, wrapper in (("_eigh", counted), ("_eigh_all", counted_all)):
+        for name, wrapper in (("_eigh", counted), ("_eigh_all", counted_all), ("_rank_one_eigh", counted_rank_one)):
             if name in vars(module):
                 monkeypatch.setattr(module, name, wrapper)
     return dtypes

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gge_thermo as gt
-from gge_thermo import cli
+from gge_thermo import cli, hermitian
 from _helpers import count_eigh, count_schur
 
 
@@ -285,12 +285,17 @@ def test_chain_experiments_decompose_only_real_hamiltonians(monkeypatch):
 
 
 def test_cli_outputs_are_bit_identical_across_runs(tmp_path, monkeypatch):
+    # fig2's four-phase sweep, and fig3's local quenches, whose samples are solved in stacks (routed at
+    # n = 12 here)
+    monkeypatch.setattr(hermitian, "_RANK_ONE_MODES", 2)
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["fig2", "--n", "12", "--quenches", "2,4,8", "--seed", "3"]
-    assert cli.main(args + ["--out", str(out1)]) == 0
-    monkeypatch.setenv("GGE_THERMO_THREADS", "2")    # the sweep's cells on two workers
-    assert cli.main(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    for args in (["fig3", "--n", "12", "--quenches", "2,4,8,16", "--seed", "3"],
+                 ["fig2", "--n", "12", "--quenches", "2,4,8", "--seed", "3"]):
+        monkeypatch.delenv("GGE_THERMO_THREADS", raising=False)
+        assert cli.main(args + ["--out", str(out1)]) == 0
+        monkeypatch.setenv("GGE_THERMO_THREADS", "2")    # the sweep's cells on two workers
+        assert cli.main(args + ["--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes(), args[0]
     different = tmp_path / "c.csv"
     assert cli.main(["fig2", "--n", "12", "--quenches", "2,4,8", "--seed", "4",
                      "--out", str(different)]) == 0

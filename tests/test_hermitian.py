@@ -521,3 +521,74 @@ def test_rank_one_kernel_near_poles_and_close_levels():
     es0 = hermitian._eigh(hermitian._hermitian_part((q * d) @ q.T))
     errors = _rank_one_errors(es0, [0.3, -0.7, 4.0, -1e-3])
     assert errors[:, 0].max() <= 1e-13 and errors[:, 1:].max() <= 1e-12, errors.max(axis=0)
+
+
+def _site0_es(d, z) -> hermitian.EigenSystem:
+    """The eigensystem (d, A) whose site-0 row A[0] is the unit vector z: A is the Householder
+    reflection taking e_0 to z, symmetric, so its first row is its first column."""
+    w = np.eye(len(d))[0] - z
+    return hermitian.EigenSystem(np.asarray(d, dtype=float), np.eye(len(d)) - 2.0 * np.outer(w, w) / (w @ w))
+
+
+@pytest.mark.parametrize("rho", [5.0, -5.0])
+def test_rank_one_kernel_keeps_a_root_found_at_its_midpoint(rho):
+    # d = (0, 1, 3) with z^2 = (1/4, 1/4, 1/2): at rho = -5 the mirrored middle root is its interval's
+    # midpoint, where the first evaluation already converges; it stays measured from its own origin
+    es0 = _site0_es([0.0, 1.0, 3.0], np.sqrt([0.25, 0.25, 0.5]))
+    errors = _rank_one_errors(es0, [rho])
+    assert errors[:, 0].max() <= 1e-13 and errors[:, 1:].max() <= 1e-12, errors.max(axis=0)
+
+
+def test_rank_one_kernel_raises_when_a_root_does_not_converge(monkeypatch):
+    # a root the step cap leaves unconverged is an error, as LAPACK's dlaed4 reports it, not an eigenvalue
+    monkeypatch.setattr(hermitian, "_SECULAR_ITERATIONS", 1)
+    with pytest.raises(RuntimeError, match=r"^secular equation did not converge: residual \S+ after 1 steps$"):
+        hermitian._rank_one_eigh(gt.build_chain(20, [0.1] + [1.0] * 19, 0.5).es, [2.0])
+
+
+@pytest.mark.parametrize("kind", ["site entry", "level gap"])
+@pytest.mark.parametrize("factor", [2.0, 0.5])
+def test_rank_one_guard_on_site_entries_and_level_gaps(monkeypatch, kind, factor):
+    # a site-0 mode entry |z_k| or a level gap (over max |eps|) at twice the guard goes to the kernel,
+    # which matches eigh there; at half the guard the samples are left to eigh (8 modes routed here)
+    monkeypatch.setattr(hermitian, "_RANK_ONE_MODES", 2)
+    guard, rng = hermitian._RANK_ONE_GUARD, make_rng(41)
+    d, z = np.linspace(-1.0, 1.0, 8), rng.uniform(0.2, 1.0, 8)
+    if kind == "site entry":
+        z[3] = factor * guard
+    else:
+        d[4] = d[3] + factor * guard
+    ham0 = gt.QuadraticHamiltonian(_site0_es(d, z / np.linalg.norm(z)).reconstruct())
+    hams = list(gt.local_quench_schedule(ham0, 2.5, 8))
+    assert [ham._solve is not None for ham in hams[2:-1]] == [factor > 1.0] * 6
+    fermions._ModeState.of(np.diag(np.linspace(0.1, 0.9, 8))).schedule(hams)
+    for ham in hams[2:-1]:
+        exact = np.linalg.eigvalsh(ham.h)
+        a = ham.es.vectors
+        assert np.abs(ham.es.values - exact).max() <= 1e-13 * np.abs(exact).max()
+        assert np.abs((a * ham.es.values) @ a.T - ham.h).max() <= 1e-12
+        assert np.abs(a.T @ a - np.eye(8)).max() <= 1e-12
+
+
+def test_rank_one_guard_leaves_degenerate_decoupled_complex_and_single_site_chains_to_eigh(monkeypatch):
+    # an exact degeneracy, a mode without weight on site 0, a complex chain and n = 1, with chains of any
+    # size routed, and a real chain of fewer than _RANK_ONE_MODES modes as it stands: the samples keep the
+    # eigh path, decomposed bit for bit as one eigh call each
+    small = gt.build_chain(hermitian._RANK_ONE_MODES - 1, [0.1] + [1.0] * (hermitian._RANK_ONE_MODES - 2), 0.5).c
+    monkeypatch.setattr(hermitian, "_RANK_ONE_MODES", 2)
+    degenerate = np.diag([0.5, 0.5, 1.0, 1.5])
+    degenerate[2, 3] = degenerate[3, 2] = 0.2
+    decoupled = gt.build_chain(4, [0.1, 1.0, 1.0, 1.0], 0.5).c
+    decoupled[2, 3] = decoupled[3, 2] = 0.0
+    complex_chain = gt.build_chain(4, [0.1, 1.0, 1.0, 1.0], 0.5).c.astype(complex)
+    complex_chain[1, 2], complex_chain[2, 1] = 0.5j, -0.5j
+    for c in (degenerate, decoupled, complex_chain, np.array([[0.3]]), small):
+        if c is small:
+            monkeypatch.undo()
+        n = len(c)
+        hams = list(gt.local_quench_schedule(gt.QuadraticHamiltonian(c), 2.5, 8))
+        assert all(ham._solve is None for ham in hams)
+        fermions._ModeState.of(np.diag(np.linspace(0.1, 0.9, n))).schedule(hams)
+        for ham in hams[1:-1]:
+            plain = _eigh(ham.h)
+            assert np.array_equal(ham.es.values, plain.values) and np.array_equal(ham.es.vectors, plain.vectors)

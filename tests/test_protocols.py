@@ -2273,6 +2273,49 @@ def test_local_quench_schedule_shape(monkeypatch):
     assert len(single) == 2 and single[-1].c[0, 0].real == pytest.approx(4.3)
 
 
+def test_local_quench_samples_after_the_peak_are_solved_in_stacks(monkeypatch):
+    # the samples after the peak are rank-one updates of ham0, solved by the secular equation in stacks of
+    # _RANK_ONE_STACK, none while the schedule is listed; the peak and the closing ham0 keep their path;
+    # a non-finite peak raises the keyframe check's text when the schedule is built (6 modes routed here)
+    monkeypatch.setattr(hermitian, "_RANK_ONE_MODES", 2)
+    ham0 = gt.build_chain(6, [0.1, 1.0, 1.0, 1.0, 1.0, 1.0], 0.5)
+    sizes, kernel = [], hermitian._rank_one_eigh
+    monkeypatch.setattr(hermitian, "_rank_one_eigh", lambda es0, rhos, *work: sizes.append(len(rhos))
+                        or kernel(es0, rhos, *work))
+    stack = hermitian._RANK_ONE_STACK
+    for n_q in (1, 2, 3, 8, 16):
+        sizes.clear()
+        hams = list(gt.local_quench_schedule(ham0, 4.3, n_q))
+        assert not sizes
+        fermions._ModeState.of(np.diag(np.linspace(0.1, 0.6, 6))).schedule(hams)
+        samples = max(n_q - 2, 0)
+        assert sizes == [min(stack, samples - i) for i in range(0, samples, stack)], n_q
+    # read outside a pass, a sample's eigensystem solves its whole stack, once
+    sizes.clear()
+    hams = list(gt.local_quench_schedule(ham0, 4.3, 2 * stack + 3))
+    assert hams[3].es is not None and sizes == [stack]
+    assert all(ham._es is not None and ham._solve is None for ham in hams[2:2 + stack]) and hams[2 + stack]._es is None
+    for peak in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^keyframe 0 has non-finite entries$"):
+            gt.local_quench_schedule(ham0, peak, 4)
+
+
+@pytest.mark.parametrize("peak", [4.3, 1.6])
+def test_local_quench_runs_match_the_eigh_path_at_n_300(monkeypatch, peak):
+    # fig3's and fig4's local quenches at n = 300: the ta-gge and gibbs sweeps on the secular-equation
+    # samples match those with every sample decomposed by eigh
+    n = 300
+    ham0 = gt.build_chain(n, [0.1] + [1.0] * (n - 1), 0.5)
+    gamma0 = gt.thermal_bath_initial_state(n, 0.5, g=0.5)
+    build = functools.partial(gt.local_quench_schedule, ham0, peak)
+    kernel = gt.min_work_scan(gamma0, build, [gt.GGE, gt.GIBBS], [64], seed=0)
+    monkeypatch.setattr(hermitian, "_RANK_ONE_GUARD", np.inf)     # no chain passes: eigh throughout
+    plain = gt.min_work_scan(gamma0, build, [gt.GGE, gt.GIBBS], [64], seed=0)
+    assert not kernel.failures and not plain.failures
+    assert np.abs(kernel.works - plain.works).max() <= 1e-10
+    assert np.abs(kernel.entropy_production - plain.entropy_production).max() <= 1e-10
+
+
 def test_universal_bound_random_protocols():
     rng = make_rng(13)
     for _ in range(60):
