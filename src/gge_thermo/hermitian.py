@@ -214,11 +214,14 @@ def _site0_updates(ham0: _Hamiltonian, records):
 
 
 def _stacked(es0: EigenSystem, h00: float, records):
-    work = []       # the kernel's two stack buffers, made at the first solve and reused by every stack
+    """:func:`_site0_updates`' stacks, each record tagged with its stack's one solve; the kernel's two work
+    buffers, made at the first solve, serve every stack of the schedule."""
+    work = []
 
     while stack := list(islice(records, _RANK_ONE_STACK)):
         def solve(stack=stack):
-            work[:] = work or [np.empty((2, _RANK_ONE_STACK * len(es0.values), len(es0.values)))]
+            if not work:
+                work.append(np.empty((2, _RANK_ONE_STACK * len(es0.values), len(es0.values))))
             for ham, es in zip(stack, _rank_one_eigh(es0, [ham.h[0, 0] - h00 for ham in stack], work[0])):
                 ham._es, ham._solve = es, None
         for ham in stack:
