@@ -10,13 +10,15 @@ column's maximum, and that entry is made real and positive: ties between
 mirror-image entries (a uniform chain's modes) then resolve to the lower
 index whatever the round-off, which makes runs reproducible across BLAS
 builds and thread counts.  The anchor applies to ``eigh`` results; a rotation
-sample keeps its rotation's frame, and a rank-one sample its kernel's.  All
-routines are pure functions; nothing mutates its inputs.  A list of matrices (a schedule on either back end,
+sample keeps its rotation's frame, and a rank-one sample its kernel's.  A record's
+eigensystem and degeneracy labels are filled in once, in place, and never changed after; no
+routine mutates any other input.  A list of matrices (a schedule on either back end,
 keyframes, observables) is checked one matrix at a time by one shape rule:
 each has the shape of the state, or of the first keyframe or observable,
 else ``dimension mismatch: {label} {shape} vs {name} {its shape}``; the first
 bad matrix in list order raises its own error, whatever kind it is.  A
-schedule is decomposed in stacked ``eigh`` calls, bit for bit as one call per matrix.
+schedule's record either arrives with its eigensystem or is decomposed in stacked ``eigh`` calls,
+bit for bit as one call per matrix.
 
 :class:`_Hamiltonian` is the one Hamiltonian record of both back ends (the gaussian
 ``fermions.QuadraticHamiltonian`` is a subclass): a checked matrix whose eigensystem and
@@ -38,12 +40,13 @@ the one range rule for a correlation spectrum or mode populations, called by
 and ``dense.gaussian_to_dense``.  :func:`_fermi` and :func:`_xlogx` are the
 Fermi-function and entropy kernels, in numpy like the whole package.
 A local-quench schedule's samples after its peak are rank-one site-0 updates H0 + rho e_0 e_0^T of
-its real H0 (:func:`_site0_updates`): the state's ``schedule`` solves them ``_RANK_ONE_STACK`` at a
-time, as the pass reaches them, by the secular equation (:func:`_rank_one_eigh`, its roots by
-:func:`_secular_roots` after LAPACK's ``dlaed4``), unless H0 is guarded out (complex, fewer than
-``_RANK_ONE_MODES`` modes, or a level gap or site-0 mode entry near zero).  Each vector keeps the sign
-the kernel's recomputed site row gives it, the same on every BLAS build; anchoring them would cost about
-a twentieth of the kernel (0.24 of 4.3 ms per stack of 4 at n = 150, 1 BLAS thread).
+its real H0: :func:`_site0_updates` reads them ``_RANK_ONE_STACK`` at a time, as the schedule is read,
+and solves each stack by the secular equation (:func:`_rank_one_eigh`, its roots by
+:func:`_secular_roots` after LAPACK's ``dlaed4``), so they arrive with their eigensystems, unless H0 is
+guarded out (complex, fewer than ``_RANK_ONE_MODES`` modes, or a level gap or site-0 mode entry near
+zero).  Each vector keeps the sign the kernel's recomputed site row gives it, the same on every BLAS
+build; anchoring them would cost about a twentieth of the kernel (0.24 of 4.3 ms per stack of 4 at
+n = 150, 1 BLAS thread).
 """
 
 from __future__ import annotations
@@ -186,13 +189,9 @@ def _eigh_all(hs: list[np.ndarray]) -> tuple[list[EigenSystem], list[np.ndarray]
 
 def _decomposed(hams, size: int):
     """The iterator ``hams``, read one stack of at most ``_BATCH_ENTRIES`` entries of ``size`` ahead: each
-    record after the first that lacks an eigensystem is decomposed, and keeps it: a rank-one sample of
-    :func:`_site0_updates` with its stack, any other by ``eigh``, labelled."""
+    record after the first that lacks an eigensystem is decomposed by ``eigh``, labelled, and keeps it."""
     yield from islice(hams, 1)
     while batch := list(islice(hams, max(1, _BATCH_ENTRIES // max(1, size)))):
-        for ham in batch:
-            if ham._es is None and ham._solve is not None:
-                ham._solve()
         bare = [ham for ham in batch if ham._es is None]
         for ham, es, labels in zip(bare, *_eigh_all([ham.h for ham in bare])):
             ham._es, ham._lab = es, labels
@@ -200,44 +199,31 @@ def _decomposed(hams, size: int):
 
 
 def _site0_updates(ham0: _Hamiltonian, records):
-    """The trusted ``records``, each ham0 + rho e_0 e_0^T for its own rho up to round-off, handed on in
-    stacks of ``_RANK_ONE_STACK`` whose eigensystems :func:`_rank_one_eigh` works out together when the
-    first of them is decomposed; as they are when ham0 is complex, has fewer than ``_RANK_ONE_MODES``
-    modes, or a level gap or a site-0 mode entry |z_k| within the relative ``_RANK_ONE_GUARD`` of zero
-    (deflation, left to ``eigh``)."""
+    """The trusted ``records``, each ham0 + rho e_0 e_0^T for its own rho up to round-off, read
+    ``_RANK_ONE_STACK`` at a time and handed on with the eigensystems one :func:`_rank_one_eigh` call works
+    out for the stack; as they are when ham0 is complex, has fewer than ``_RANK_ONE_MODES`` modes, or a
+    level gap or a site-0 mode entry |z_k| within the relative ``_RANK_ONE_GUARD`` of zero (deflation,
+    left to ``eigh``)."""
     es0 = ham0.es
     d, z = es0.values, es0.vectors[0]
     if (np.iscomplexobj(es0.vectors) or len(d) < _RANK_ONE_MODES or np.abs(z).min() <= _RANK_ONE_GUARD
             or (d[1:] - d[:-1]).min() <= _RANK_ONE_GUARD * max(-d[0], d[-1])):
-        return records
-    return _stacked(es0, ham0.h[0, 0], records)
-
-
-def _stacked(es0: EigenSystem, h00: float, records):
-    """:func:`_site0_updates`' stacks, each record tagged with its stack's one solve; the kernel's two work
-    buffers, made at the first solve, serve every stack of the schedule."""
-    work = []
-
+        yield from records
+        return
     while stack := list(islice(records, _RANK_ONE_STACK)):
-        def solve(stack=stack):
-            if not work:
-                work.append(np.empty((2, _RANK_ONE_STACK * len(es0.values), len(es0.values))))
-            for ham, es in zip(stack, _rank_one_eigh(es0, [ham.h[0, 0] - h00 for ham in stack], work[0])):
-                ham._es, ham._solve = es, None
-        for ham in stack:
-            ham._solve = solve
+        for ham, es in zip(stack, _rank_one_eigh(es0, [ham.h[0, 0] - ham0.h[0, 0] for ham in stack])):
+            ham._es = es
         yield from stack
 
 
-def _rank_one_eigh(es0: EigenSystem, rhos, work: np.ndarray | None = None) -> list[EigenSystem]:
+def _rank_one_eigh(es0: EigenSystem, rhos) -> list[EigenSystem]:
     """Eigensystems of A diag(d) A^T + rho e_0 e_0^T for each rho of a stack, from the real ``es0`` = (d, A)
     of a simple spectrum: those of D + rho z z^T with z = A[0] (Bunch, Nielsen and Sorensen, Numer. Math.
     31, 31 (1978)), whose roots :func:`_secular_roots` finds.  The vectors are v_k = zh / (d - lambda_k),
     normalised, from Gu and Eisenstat's recomputed zh (SIAM J. Matrix Anal. Appl. 15, 1266 (1994)), which
     keeps them orthogonal, and A V is one product per sample; each keeps the sign zh gives it.  rho < 0 is
-    the problem -D + |rho| z z^T mirrored; rho = 0 copies ``es0``.  ``work``, (2, at least stack x n, n), holds
-    the root finder's arrays, else they are made here.  The caller guards the input: n >= 2, no |z_k| and no
-    level gap near zero."""
+    the problem -D + |rho| z z^T mirrored; rho = 0 copies ``es0``.  The caller guards the input: n >= 2, no
+    |z_k| and no level gap near zero."""
     d, a = es0.values, es0.vectors
     n, rho = len(d), np.asarray(rhos, dtype=float)
     z2 = float(a[0] @ a[0])
@@ -251,10 +237,8 @@ def _rank_one_eigh(es0: EigenSystem, rhos, work: np.ndarray | None = None) -> li
         if not stack.size:
             continue
         dm, zm, am = (d, a[0], a) if sign > 0 else (-d[::-1], a[0, ::-1], a[:, ::-1])
-        rows = len(stack) * n
-        buffers = np.empty((2, rows, n)) if work is None else work[:, :rows]
         # q[s, k, i] = d_i - lambda_k
-        lam, q = _secular_roots(dm, zm / np.sqrt(z2), sign * rho[stack] * z2, *buffers)
+        lam, q = _secular_roots(dm, zm / np.sqrt(z2), sign * rho[stack] * z2, *np.empty((2, len(stack) * n, n)))
         scale = 1.0 / (dm - dm[pair])
         for i, j in enumerate(stack):
             # zh_i^2 = (lambda_{n-1} - d_i) prod_k (d_i - lambda_k) / (d_i - d_pair), each factor in (0, 1)
@@ -391,10 +375,10 @@ class _Hamiltonian:
     its spectrum, each given or worked out on first use (``h`` from ``es``; threads that race there work
     out the same arrays, and one is kept).  Its class is its back end's: a state's ``schedule`` adopts it."""
 
-    __slots__ = ("_h", "_es", "_lab", "_solve")
+    __slots__ = ("_h", "_es", "_lab")
 
     def __init__(self, h: np.ndarray | None, es: EigenSystem | None = None):
-        self._h, self._es, self._lab, self._solve = h, es, None, None
+        self._h, self._es, self._lab = h, es, None
 
     @property
     def h(self) -> np.ndarray:      # from es: U diag(eps) U^dag in the checked dtype, symmetrised
@@ -406,8 +390,6 @@ class _Hamiltonian:
 
     @property
     def es(self) -> EigenSystem:
-        if self._es is None and self._solve is not None:
-            self._solve()       # its rank-one stack
         if self._es is None:
             self._es = _eigh(self.h)
         return self._es

@@ -12,8 +12,8 @@ n x n correlation matrices) and ``dense`` (``dense._State``, d x d density
 matrices), each a subclass of the one eigenbasis state ``hermitian._EigenState``.
 
 :func:`min_work_scan` is the one loop over (model, N): it takes a schedule
-builder ``n -> [H^(0) .. H^(N)]`` (``traj.schedule``, a partial of
-:func:`local_quench_schedule`, or the four-phase builder ``_four_phase``,
+builder ``n -> [H^(0) .. H^(N)]`` (a function returning a list of matrices, a partial
+of :func:`local_quench_schedule`, or the four-phase builder ``_four_phase``,
 whose one pass yields n + 3 Hamiltonians, n + 2 quenches) and runs all
 models of an N in one lockstep pass over its schedule, recording works and
 entropy productions, which :func:`richardson_limit` extrapolates to
@@ -90,9 +90,10 @@ class Trajectory:
     eigensystems (a shared keyframe decomposed once), checked when the
     trajectory is built; its first interior sample takes one Schur basis of
     the rotation (numpy ``eig`` and QR), and each sample then costs one
-    n x n product.  Segment ends return the keyframes exactly.  A builder hands the samples to the
-    state's ``schedule`` one at a time as trusted records (:meth:`_records`) with the eigensystems the
-    trajectory has; a rotation sample's record forms its matrix when asked.
+    n x n product.  Segment ends return the keyframes exactly.  Its samples H(m / N) are read
+    through :meth:`_records` alone, by :func:`run_protocol`, :func:`optimal_gibbs_protocol` and
+    :func:`local_quench_schedule`, which hand them to the state's ``schedule`` one at a time as trusted
+    records with the eigensystems the trajectory has; a rotation sample's record forms its matrix when asked.
     """
 
     keyframes: tuple
@@ -121,28 +122,16 @@ class Trajectory:
         object.__setattr__(self, "_rotations", rotations)
         object.__setattr__(self, "_eigensystems", tuple(map(es.get, range(len(frames)))))
 
-    def sample(self, u: float) -> np.ndarray:
-        """Hamiltonian at path parameter u."""
-        return self._record(u, qd._State._record).h
-
-    def schedule(self, n_quenches: int) -> list:
-        """The samples H(m / N) for m = 0..N of ``n_quenches`` equidistant
-        quenches."""
-        return [ham.h for ham in self._records(n_quenches, qd._State._record)]
-
     def _records(self, n_quenches: int, record):
-        """:meth:`schedule`'s samples as trusted ``record``s, an iterator."""
+        """The samples H(m / N), m = 0..N, of ``n_quenches`` equidistant quenches as trusted ``record``s,
+        an iterator."""
         n_quenches = _quench_counts([n_quenches])[0]
         return (self._record(m / n_quenches, record) for m in range(n_quenches + 1))
 
     def _record(self, u: float, record):
-        """The trusted ``record`` at path parameter u: a keyframe's copy, with its eigensystem at an
+        """The trusted ``record`` at path parameter u in [0, 1]: a keyframe's copy, with its eigensystem at an
         eigenvector segment's end; a linear sample in the checked dtype, exactly Hermitian as a real
         combination of checked keyframes; else ``record._of`` the rotation's eigensystem."""
-        u = float(u)
-        if not (-1e-12 <= u <= 1.0 + 1e-12):
-            raise ValueError(f"path parameter {u} outside [0, 1]")
-        u = min(max(u, 0.0), 1.0)
         x = u * len(self.rules)
         i = min(int(np.floor(x)), len(self.rules) - 1)
         s = x - i
@@ -423,8 +412,8 @@ def run_protocol(
     backend: str = "gaussian",
     keep_states: bool = True,
 ) -> ProtocolRecord:
-    """Run ``n_quenches`` equidistant quenches along the trajectory: the samples of
-    ``traj.schedule(n_quenches)``, as trusted records; the state's ``schedule`` decomposes the bare ones."""
+    """Run ``n_quenches`` equidistant quenches along the trajectory: its samples H(m / N), m = 0..N,
+    as trusted records; the state's ``schedule`` decomposes the bare ones."""
     state = _state(initial_state, backend)
     hams = state.schedule(list(traj._records(n_quenches, state._record)))
     return _run(state, state.entropy(), hams, model, keep_states)
@@ -660,7 +649,7 @@ def min_work_scan(
     """Work and entropy production per (model, N), with a monotonicity verdict per model.
 
     ``schedule(n)`` builds the Hamiltonians ``H^(0) .. H^(n)`` of N = n
-    quenches, e.g. ``traj.schedule`` or ``functools.partial(local_quench_schedule,
+    quenches, e.g. a function returning a list of matrices, or ``functools.partial(local_quench_schedule,
     ham0, peak)`` (``_four_phase`` gives n + 3 of them: n + 2 quenches).  At entry,
     ``n_list`` must be strictly increasing positive integers, ``seed`` an int
     >= 0, the models' labels distinct and the initial state a valid correlation
@@ -669,7 +658,7 @@ def min_work_scan(
     GGE_THERMO_THREADS asks; each is one lockstep pass of all models (:func:`_run`).
     A list schedule is validated in full before step 1, an iterator's records as the
     pass reaches them (a local-quench schedule's samples after its peak are solved in
-    stacks by the secular equation then).  ``steps`` keeps the largest N's steps.
+    stacks by the secular equation as they are read).  ``steps`` keeps the largest N's steps.
     Failures are recorded and the sweep continues.  The exact model at
     position i draws its hold times from ``SeedSequence(seed, spawn_key=(i,
     N))``, so results do not depend on scheduling."""
@@ -773,9 +762,9 @@ def local_quench_schedule(ham0, eps1_peak: float, n_quenches: int):
     """A sudden first quench of the site-0 energy to ``eps1_peak``, then the peak path: N-1 equidistant
     quenches along the linear trajectory back to ``ham0``, which itself closes the schedule (cyclic for
     N >= 2); an iterator, whose records between are made as it is read, for the state's ``schedule``.
-    The samples after the peak are rank-one updates of ``ham0``: the state's ``schedule`` solves them in
-    stacks by the secular equation (``hermitian._site0_updates``), those of a guarded ``ham0`` (complex, under
-    64 modes, or a level gap or site-0 mode entry near zero) and the peak by ``eigh``."""
+    The samples after the peak are rank-one updates of ``ham0``, solved in stacks by the secular equation as
+    they are read (``hermitian._site0_updates``); the state's ``schedule`` decomposes the peak and the samples
+    of a guarded ``ham0`` (complex, under 64 modes, or a level gap or site-0 mode entry near zero) by ``eigh``."""
     ham0 = fg.as_hamiltonian(ham0)
     n_quenches = _quench_counts([n_quenches])[0]
     peak = ham0.c.copy()

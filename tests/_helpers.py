@@ -35,6 +35,16 @@ def random_correlation(n, rng, lo=0.0, hi=1.0):
     return (w * p) @ w.conj().T
 
 
+def path_sample(traj, u):
+    """The Hamiltonian of the trajectory ``traj`` at path parameter u in [0, 1]."""
+    return traj._record(u, hermitian._Hamiltonian).h
+
+
+def path_schedule(traj, n_quenches):
+    """The Hamiltonians H(m / N), m = 0..N, of ``n_quenches`` equidistant quenches along ``traj``."""
+    return [ham.h for ham in traj._records(n_quenches, hermitian._Hamiltonian)]
+
+
 def record_roots(monkeypatch):
     """Wrap the one root finder, ``hermitian._energy_matching_root``: each call
     appends a record of its residual callback ``fs``, its bracket, round-off
@@ -118,8 +128,8 @@ def count_eigh(monkeypatch):
         dtypes.extend(h.dtype for h in hs)
         return stacked(hs)
 
-    def counted_rank_one(es0, rhos, *work):
-        solved = rank_one(es0, rhos, *work)
+    def counted_rank_one(es0, rhos):
+        solved = rank_one(es0, rhos)
         dtypes.extend(es.vectors.dtype for es in solved)
         return solved
 

@@ -560,7 +560,7 @@ def test_rank_one_guard_on_site_entries_and_level_gaps(monkeypatch, kind, factor
         d[4] = d[3] + factor * guard
     ham0 = gt.QuadraticHamiltonian(_site0_es(d, z / np.linalg.norm(z)).reconstruct())
     hams = list(gt.local_quench_schedule(ham0, 2.5, 8))
-    assert [ham._solve is not None for ham in hams[2:-1]] == [factor > 1.0] * 6
+    assert [ham._es is not None for ham in hams[2:-1]] == [factor > 1.0] * 6
     fermions._ModeState.of(np.diag(np.linspace(0.1, 0.9, 8))).schedule(hams)
     for ham in hams[2:-1]:
         exact = np.linalg.eigvalsh(ham.h)
@@ -587,7 +587,7 @@ def test_rank_one_guard_leaves_degenerate_decoupled_complex_and_single_site_chai
             monkeypatch.undo()
         n = len(c)
         hams = list(gt.local_quench_schedule(gt.QuadraticHamiltonian(c), 2.5, 8))
-        assert all(ham._solve is None for ham in hams)
+        assert all(ham._es is None for ham in hams[1:-1])
         fermions._ModeState.of(np.diag(np.linspace(0.1, 0.9, n))).schedule(hams)
         for ham in hams[1:-1]:
             plain = _eigh(ham.h)

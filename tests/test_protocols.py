@@ -13,8 +13,8 @@ import pytest
 import gge_thermo as gt
 from gge_thermo import cli, dense, fermions, hermitian
 from gge_thermo import protocols as pr
-from _helpers import (brentq_root, count_checks, count_eigh, count_schur, make_rng, random_correlation,
-                      random_density, random_hermitian, random_unitary, record_roots)
+from _helpers import (brentq_root, count_checks, count_eigh, count_schur, make_rng, path_sample, path_schedule,
+                      random_correlation, random_density, random_hermitian, random_unitary, record_roots)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -40,22 +40,20 @@ def test_trajectory_endpoints_exact():
     h0 = random_hermitian(4, rng)
     h1 = random_hermitian(4, rng)
     traj = gt.Trajectory((h0, h1), ("linear",))
-    assert np.max(np.abs(traj.sample(0.0) - h0)) < 1e-12
-    assert np.max(np.abs(traj.sample(1.0) - h1)) < 1e-12
-    mid = traj.sample(0.5)
+    assert np.max(np.abs(path_sample(traj, 0.0) - h0)) < 1e-12
+    assert np.max(np.abs(path_sample(traj, 1.0) - h1)) < 1e-12
+    mid = path_sample(traj, 0.5)
     assert np.max(np.abs(mid - 0.5 * (h0 + h1))) < 1e-12
-    with pytest.raises(ValueError, match="outside"):
-        traj.sample(1.5)
 
 
 def test_trajectory_schedule_samples_equidistant_quenches():
     traj = gt.Trajectory((SIGMA_Z, SIGMA_X), ("linear",))
-    hams = traj.schedule(4)
+    hams = path_schedule(traj, 4)
     assert len(hams) == 5
     for m, h in enumerate(hams):
-        np.testing.assert_array_equal(h, traj.sample(m / 4))
+        np.testing.assert_array_equal(h, path_sample(traj, m / 4))
     with pytest.raises(ValueError, match="positive integers, got 0$"):
-        traj.schedule(0)
+        traj._records(0, hermitian._Hamiltonian)
 
 
 def test_eigenvector_segment_does_not_revalidate_keyframes(monkeypatch):
@@ -72,7 +70,7 @@ def test_eigenvector_segment_does_not_revalidate_keyframes(monkeypatch):
 
     require = hermitian.require_hermitian
     monkeypatch.setattr(hermitian, "require_hermitian", counting)
-    traj.sample(0.5)
+    path_sample(traj, 0.5)
     assert not checks
 
 
@@ -81,9 +79,9 @@ def test_trajectory_eigenvector_rule_geodesic():
     h1 = rotated_two_level(0.8)
     traj = gt.Trajectory((h0, h1), ("eigenvectors",))
     for u in (0.0, 0.25, 0.5, 1.0):
-        h_u = traj.sample(u)
+        h_u = path_sample(traj, u)
         assert np.max(np.abs(np.linalg.eigvalsh(h_u) - [0.0, 1.0])) < 1e-10
-    assert np.max(np.abs(traj.sample(1.0) - h1)) < 1e-12
+    assert np.max(np.abs(path_sample(traj, 1.0) - h1)) < 1e-12
 
 
 def _fig2_first_leg(n, seed):
@@ -108,7 +106,7 @@ def test_eigenvector_path_does_not_follow_round_off():
         e = 1e-15 * rng.normal(size=h0.shape)
         nudged = gt.Trajectory((h_from + e + e.T, h0), ("eigenvectors",))
         for u in points:
-            assert np.max(np.abs(nudged.sample(u) - traj.sample(u))) <= 1e-10, u
+            assert np.max(np.abs(path_sample(nudged, u) - path_sample(traj, u))) <= 1e-10, u
 
 
 def _pi_rotation():
@@ -133,11 +131,11 @@ def test_real_keyframes_give_a_real_path_only_without_eigenvalue_minus_one():
     # stays complex and still reaches its end keyframe
     h_from, h0 = _fig2_first_leg(8, 1)
     traj = gt.Trajectory((h_from, h0), ("eigenvectors",))
-    assert all(traj.sample(u).dtype == np.float64 for u in (0.3, 0.6))
+    assert all(path_sample(traj, u).dtype == np.float64 for u in (0.3, 0.6))
     traj = _pi_rotation()
-    assert np.iscomplexobj(traj.sample(0.5))
-    assert np.max(np.abs(traj.sample(1.0 - 1e-9) - traj.keyframes[1])) <= 1e-8
-    assert np.max(np.abs(np.linalg.eigvalsh(traj.sample(0.5)) - [0.0, 1.0, 3.0])) <= 1e-12
+    assert np.iscomplexobj(path_sample(traj, 0.5))
+    assert np.max(np.abs(path_sample(traj, 1.0 - 1e-9) - traj.keyframes[1])) <= 1e-8
+    assert np.max(np.abs(np.linalg.eigvalsh(path_sample(traj, 0.5)) - [0.0, 1.0, 3.0])) <= 1e-12
 
 
 @pytest.mark.parametrize("build, form", [
@@ -158,7 +156,7 @@ def test_sampled_eigensystem_is_the_sample(monkeypatch, build, form):
     checks = count_checks(monkeypatch)
     spectrum = hermitian._eigh(hermitian.require_hermitian(traj.keyframes[0])).values
     for u in (0.3, 0.7):
-        es, sample = traj._rotations[0].at(u), traj.sample(u)
+        es, sample = traj._rotations[0].at(u), path_sample(traj, u)
         np.testing.assert_array_equal(hermitian._hermitian_part(hermitian._hermitian_dtype(es.reconstruct())),
                                       sample)
         np.testing.assert_array_equal(es.values, spectrum)
@@ -169,7 +167,7 @@ def test_sampled_eigensystem_is_the_sample(monkeypatch, build, form):
         np.testing.assert_array_equal(record.es.vectors, es.vectors)
         vectors = hermitian._eigh(hermitian.require_hermitian(sample)).vectors
         assert np.max(np.abs(hermitian._fix_phases(es.vectors) - vectors)) <= 1e-12, u
-    assert np.max(np.abs(traj.sample(1.0 - 1e-9) - traj.keyframes[1])) <= 1e-8
+    assert np.max(np.abs(path_sample(traj, 1.0 - 1e-9) - traj.keyframes[1])) <= 1e-8
     assert calls == [form]
 
 
@@ -341,7 +339,7 @@ def test_trajectory_decomposes_each_keyframe_once(monkeypatch):
     for u in (0.1, 0.25, 0.4, 0.6, 0.75, 0.9):
         i = int(u * 2)
         sample = hermitian._hermitian_part(hermitian._hermitian_dtype(alone[i].at(u * 2 - i).reconstruct()))
-        assert np.array_equal(traj.sample(u), sample), u
+        assert np.array_equal(path_sample(traj, u), sample), u
 
 
 def test_trajectory_eigenvector_rule_requires_equal_spectra():
@@ -370,7 +368,7 @@ def _random_trajectory(d, rng):
 
 
 def _rotation_samples(traj, n):
-    """Whether each sample of ``traj.schedule(n)`` lies inside an eigenvector segment."""
+    """Whether each sample of ``path_schedule(traj, n)`` lies inside an eigenvector segment."""
     inside = []
     for m in range(n + 1):
         x = m / n * len(traj.rules)
@@ -414,7 +412,7 @@ def test_trusted_samples_are_the_checked_records(monkeypatch, backend):
         checks.clear()
         trusted = list(state.schedule(traj._records(n, state._record)))
         assert not checks
-        checked = state.schedule(traj.schedule(n))
+        checked = state.schedule(path_schedule(traj, n))
         assert checks == [state_type._name] * (n + 1)
         same(trusted, checked, _rotation_samples(traj, n))
     # X + iY -> X' - iY: the midpoint of the keyframes is complex with an exactly
@@ -424,11 +422,11 @@ def test_trusted_samples_are_the_checked_records(monkeypatch, backend):
     traj = gt.Trajectory((x0 + 1j * y, x1 - 1j * y), ("linear",))
     mid = 0.5 * traj.keyframes[0] + 0.5 * traj.keyframes[1]
     assert mid.dtype == complex and not mid.imag.any()
-    assert traj.schedule(2)[1].dtype == float and np.array_equal(traj.schedule(2)[1], mid.real)
+    assert path_schedule(traj, 2)[1].dtype == float and np.array_equal(path_schedule(traj, 2)[1], mid.real)
     state = state_type.of(np.eye(3) / 3)
     trusted = list(state.schedule(traj._records(2, state._record)))
     assert [ham.h.dtype for ham in trusted] == [complex, float, complex]
-    same(trusted, state.schedule(traj.schedule(2)), [False] * 3)
+    same(trusted, state.schedule(path_schedule(traj, 2)), [False] * 3)
 
 
 def test_protocol_builders_check_no_sample_and_decompose_each_hamiltonian_once(monkeypatch):
@@ -518,13 +516,13 @@ def test_keyframe_eigensystems_shared_with_records_are_read_only():
     rng = make_rng(41)
     h0, u = random_hermitian(3, rng), random_unitary(3, rng)
     traj = gt.Trajectory((h0, u @ h0 @ u.conj().T), ("eigenvectors",))
-    sample = traj.sample(0.5)
+    sample = path_sample(traj, 0.5)
     rec = gt.run_protocol(random_correlation(3, rng, lo=0.1, hi=0.9), traj, 4, gt.GGE)
     for ham in (rec.hamiltonians[0], rec.hamiltonians[-1]):
         for array in (ham.energies, ham.modes):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
-    assert np.array_equal(traj.sample(0.5), sample)
+    assert np.array_equal(path_sample(traj, 0.5), sample)
 
 
 @pytest.mark.parametrize("backend", ["gaussian", "dense"])
@@ -564,7 +562,7 @@ def test_rotation_records_need_no_phase_anchor(monkeypatch, backend):
         # drawn again until the anchor flips a column of a sample, and while real
         # keyframes give a complex path (their rotation has an eigenvalue -1)
         traj = None
-        while traj is None or np.isrealobj(traj.sample(0.5)) != real or not anchor_moves(traj):
+        while traj is None or np.isrealobj(path_sample(traj, 0.5)) != real or not anchor_moves(traj):
             h0 = random_hermitian(4, rng)
             h0 = h0.real if real else h0
             u = _orthogonal(4, rng) if real else random_unitary(4, rng)
@@ -696,7 +694,7 @@ def test_exact_dynamics_draw_contract():
         draws = np.random.Generator(np.random.PCG64(
             seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)))
         holds = [float(draws.uniform(1.0, 5.0)) for _ in range(6)]
-        hams = [gt.QuadraticHamiltonian(traj.sample(m / 6)) for m in range(7)]
+        hams = [gt.QuadraticHamiltonian(path_sample(traj, m / 6)) for m in range(7)]
         works, energies, state = _mode_frame_exact_loop(gamma0, hams, holds)
         assert np.array_equal(_column(rec, "work_extracted"), works)
         assert np.array_equal(_column(rec, "energy"), energies)
@@ -733,7 +731,7 @@ def test_min_work_scan_flags_population_inverted_violation():
     peak[0, 0] = 1.6
     gamma1 = gt.dephase_gge(gamma0, gt.QuadraticHamiltonian(peak))
     traj = gt.Trajectory((peak, ham0.c), ("linear",))
-    scan = gt.min_work_scan(gamma1, traj.schedule, [gt.GGE], [2, 4, 8, 16, 32], seed=0)
+    scan = gt.min_work_scan(gamma1, functools.partial(path_schedule, traj), [gt.GGE], [2, 4, 8, 16, 32], seed=0)
     assert scan.verdicts["ta-gge"] == "violated"
 
 
@@ -760,7 +758,7 @@ def test_fixed_hold_exact_ignores_seed_and_matches_hand_loop():
     traj = gt.Trajectory((ham0.c, ham1.c), ("linear",))
     t = 2.7
     rec = gt.run_protocol(gamma0, traj, 6, gt.Exact(t))
-    hams = [gt.QuadraticHamiltonian(traj.sample(m / 6)) for m in range(7)]
+    hams = [gt.QuadraticHamiltonian(path_sample(traj, m / 6)) for m in range(7)]
     works, energies, state = _mode_frame_exact_loop(gamma0, hams, [t] * 6)
     assert np.array_equal(_column(rec, "work_extracted"), works)
     assert np.array_equal(_column(rec, "energy"), energies)
@@ -1004,7 +1002,7 @@ def test_dense_stacked_runs_equal_one_by_one_reference(monkeypatch):
             r = dense.check_state(rho)
             h = _check_one(h0, r)
             p, w = np.linalg.eigh(r)
-            schedule = [h] + gt.Trajectory(((w * (k * np.log(p))) @ w.conj().T, h), ("linear",)).schedule(n)
+            schedule = [h] + path_schedule(gt.Trajectory(((w * (k * np.log(p))) @ w.conj().T, h), ("linear",)), n)
             with monkeypatch.context() as patch:
                 patch.setattr(dense._State, "schedule", _one_by_one_dense())
                 state = dense._State(None, r)
@@ -1277,7 +1275,7 @@ def _degenerate_schedules(n, rng):
     u, e = random_unitary(n, rng), np.sort(rng.uniform(-1.0, 2.0, n))
     return [[pool[int(i)] for i in rng.integers(0, 3, 6)],
             _ring_schedule(n, float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.3, 1.0))),
-            gt.Trajectory(((u * e) @ u.conj().T, (u * e[::-1]) @ u.conj().T), ("linear",)).schedule(6)]
+            path_schedule(gt.Trajectory(((u * e) @ u.conj().T, (u * e[::-1]) @ u.conj().T), ("linear",)), 6)]
 
 
 @pytest.mark.parametrize("kind", ["exact", "ta-gge", "gibbs"])
@@ -1621,25 +1619,25 @@ def test_quasi_static_validates_schedule():
         with pytest.raises(ValueError, match=f"strictly increasing, {bad}$"):
             gt.richardson_limit(ns, [0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match=f"strictly increasing, {bad}$"):
-            gt.min_work_scan(0.5 * np.eye(2), traj.schedule, [gt.GGE], ns, seed=0)
+            gt.min_work_scan(0.5 * np.eye(2), functools.partial(path_schedule, traj), [gt.GGE], ns, seed=0)
     # a count that is not an integer is named, not truncated
     with pytest.raises(ValueError, match=r"integers, got 4\.5$"):
         gt.richardson_limit((2, 4.5, 8), [0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match=r"integers, got 1\.5$"):
-        gt.min_work_scan(0.5 * np.eye(2), traj.schedule, [gt.GGE], (1.5, 2), seed=0)
+        gt.min_work_scan(0.5 * np.eye(2), functools.partial(path_schedule, traj), [gt.GGE], (1.5, 2), seed=0)
     # and so is one that is not a number at all
     for ns, bad in (((math.nan, 2), "nan"), (("x", 2), "'x'"), ((None, 2), "None"),
                     ((math.inf, 2), "inf"), (("2", 4), "'2'")):
         with pytest.raises(ValueError, match=f"positive integers, got {bad}$"):
             gt.richardson_limit(ns, [1.0, 2.0])
         with pytest.raises(ValueError, match=f"positive integers, got {bad}$"):
-            gt.min_work_scan(0.5 * np.eye(2), traj.schedule, [gt.GGE], ns, seed=0)
+            gt.min_work_scan(0.5 * np.eye(2), functools.partial(path_schedule, traj), [gt.GGE], ns, seed=0)
     # so is a count below 1, at entry
     for ns, bad in (((0, 1), "0"), ((-2, 4), "-2")):
         with pytest.raises(ValueError, match=f"positive integers, got {bad}$"):
             gt.richardson_limit(ns, [1.0, 2.0])
         with pytest.raises(ValueError, match=f"positive integers, got {bad}$"):
-            gt.min_work_scan(0.5 * np.eye(2), traj.schedule, [gt.GGE], ns, seed=0)
+            gt.min_work_scan(0.5 * np.eye(2), functools.partial(path_schedule, traj), [gt.GGE], ns, seed=0)
     assert gt.richardson_limit(np.array([2, 4]), [1.0, 2.0]) == (3.0, 1.0)
     with pytest.raises(ValueError, match="one value per N"):
         gt.richardson_limit((2, 4), [0.0, 0.0, 0.0])
@@ -1657,7 +1655,6 @@ def test_single_count_entry_points_share_the_count_rule():
     rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
     entries = [
         lambda n: gt.run_protocol(gamma, traj, n, gt.GGE).work,
-        lambda n: len(traj.schedule(n)),
         lambda n: len(list(gt.local_quench_schedule(ham, 4.3, n))),
         lambda n: gt.optimal_gge_protocol(gamma, ham, n).work,
         lambda n: gt.optimal_gibbs_protocol(rho, h, -0.5, n).work,
@@ -1823,11 +1820,11 @@ def test_trajectory_builds_each_segment_once_across_threads(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            samples = list(pool.map(traj.sample, points, timeout=60))
+            samples = list(pool.map(functools.partial(path_sample, traj), points, timeout=60))
     finally:
         sys.setswitchinterval(interval)
     assert len(calls) == 1
-    assert all(np.array_equal(h, traj.sample(x)) for h, x in zip(samples, points))
+    assert all(np.array_equal(h, path_sample(traj, x)) for h, x in zip(samples, points))
 
 
 def test_optimal_ta_protocol_passive_state_idles():
@@ -1937,9 +1934,9 @@ def test_min_work_scan_verdicts():
     ham = gt.build_chain(3, [0.5, 1.0, 1.5], 0.3)
     gamma0 = random_correlation(3, make_rng(12), lo=0.1, hi=0.9)
     traj = gt.Trajectory((ham.c, gt.build_chain(3, [1.5, 1.0, 0.5], 0.3).c), ("linear",))
-    single = gt.min_work_scan(gamma0, traj.schedule, [gt.GGE], [4], seed=1)
+    single = gt.min_work_scan(gamma0, functools.partial(path_schedule, traj), [gt.GGE], [4], seed=1)
     assert single.verdicts["ta-gge"] == "insufficient data"
-    scan = gt.min_work_scan(gamma0, traj.schedule, [gt.GGE, gt.GIBBS, gt.Exact(5.0, 20.0)],
+    scan = gt.min_work_scan(gamma0, functools.partial(path_schedule, traj), [gt.GGE, gt.GIBBS, gt.Exact(5.0, 20.0)],
                             [1, 2, 4, 8, 16], seed=1)
     assert set(scan.verdicts) == {"ta-gge", "gibbs", "exact"}
     assert scan.works.shape == (3, 5)
@@ -1954,9 +1951,9 @@ def test_min_work_scan_is_thread_independent(monkeypatch):
     traj = gt.Trajectory((ham.c, gt.build_chain(3, [1.5, 1.0, 0.5], 0.3).c), ("linear",))
     models = [gt.GGE, gt.GIBBS, gt.Exact(5.0, 20.0)]
     monkeypatch.setenv("GGE_THERMO_THREADS", "1")
-    serial = gt.min_work_scan(gamma0, traj.schedule, models, [1, 2, 4, 8, 16], seed=1)
+    serial = gt.min_work_scan(gamma0, functools.partial(path_schedule, traj), models, [1, 2, 4, 8, 16], seed=1)
     monkeypatch.setenv("GGE_THERMO_THREADS", "2")
-    threaded = gt.min_work_scan(gamma0, traj.schedule, models, [1, 2, 4, 8, 16], seed=1)
+    threaded = gt.min_work_scan(gamma0, functools.partial(path_schedule, traj), models, [1, 2, 4, 8, 16], seed=1)
     np.testing.assert_array_equal(serial.works, threaded.works)
     np.testing.assert_array_equal(serial.entropy_production, threaded.entropy_production)
     assert serial.failures == threaded.failures
@@ -1981,7 +1978,7 @@ def test_min_work_scan_builds_each_schedule_once(monkeypatch):
 
     def schedule(n):
         built.append(n)
-        return traj.schedule(n)
+        return path_schedule(traj, n)
 
     models = [gt.GGE, gt.Exact(5.0, 20.0), gt.GIBBS]
     ns = [1, 2, 4, 8]
@@ -2116,9 +2113,9 @@ def test_min_work_scan_validates_seed():
     models = [gt.GGE, gt.Exact(1.0, 2.0)]
     for bad in (None, -1, 1.5, "3"):
         with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
-            gt.min_work_scan(gamma0, traj.schedule, models, [1, 2], seed=bad)
-    plain = gt.min_work_scan(gamma0, traj.schedule, models, [1, 2], seed=3)
-    numpy_int = gt.min_work_scan(gamma0, traj.schedule, models, [1, 2], seed=np.int64(3))
+            gt.min_work_scan(gamma0, functools.partial(path_schedule, traj), models, [1, 2], seed=bad)
+    plain = gt.min_work_scan(gamma0, functools.partial(path_schedule, traj), models, [1, 2], seed=3)
+    numpy_int = gt.min_work_scan(gamma0, functools.partial(path_schedule, traj), models, [1, 2], seed=np.int64(3))
     np.testing.assert_array_equal(plain.works, numpy_int.works)
 
 
@@ -2130,7 +2127,7 @@ def test_min_work_scan_rejects_invalid_initial_state(monkeypatch):
 
     def schedule(n):
         built.append(n)
-        return traj.schedule(n)
+        return path_schedule(traj, n)
 
     gamma = np.diag([1.5, 0.2, -0.4]).astype(complex)
     with pytest.raises(ValueError, match=r"correlation spectrum outside \[0, 1\]"):
@@ -2143,7 +2140,7 @@ def test_min_work_scan_survives_cell_failures():
     # the scan: a filled mode's energy is the upper edge at every step
     gamma0 = np.array([[1.0]], dtype=complex)
     traj = gt.Trajectory(([[1.0]], [[2.0]]), ("linear",))
-    scan = gt.min_work_scan(gamma0, traj.schedule, [gt.GGE, gt.GIBBS], [2, 4], seed=0)
+    scan = gt.min_work_scan(gamma0, functools.partial(path_schedule, traj), [gt.GGE, gt.GIBBS], [2, 4], seed=0)
     assert scan.failures
     assert np.all(np.isfinite(scan.works[0]))
     assert np.all(np.isnan(scan.works[1]))
@@ -2160,7 +2157,7 @@ def test_min_work_scan_records_a_schedule_that_fails_at_one_n():
     def schedule(n):
         if n == 2:
             raise RuntimeError("no schedule at N = 2")
-        return traj.schedule(n)
+        return path_schedule(traj, n)
 
     scan = gt.min_work_scan(gamma0, schedule, [gt.GGE, gt.GIBBS], [1, 2, 4], seed=0)
     assert scan.failures == {(label, 2): "RuntimeError: no schedule at N = 2"
@@ -2178,7 +2175,7 @@ def test_min_work_scan_rejects_models_that_share_a_label():
     for models, label in (([gt.Exact(1.0), gt.Exact(50.0, 60.0)], "exact"),
                           ([gt.GGE, gt.GIBBS, gt.GGE], "ta-gge")):
         with pytest.raises(ValueError, match=f"^models must have distinct labels, got '{label}'"):
-            gt.min_work_scan(gamma0, traj.schedule, models, [1, 2, 4], seed=0)
+            gt.min_work_scan(gamma0, functools.partial(path_schedule, traj), models, [1, 2, 4], seed=0)
 
 
 def test_empty_schedules_and_scans_are_rejected():
@@ -2189,7 +2186,7 @@ def test_empty_schedules_and_scans_are_rejected():
     traj = gt.Trajectory((ham.c, ham.c), ("linear",))
     for models, ns in (([], [1, 2]), ([gt.GGE], [])):
         with pytest.raises(ValueError, match="^need at least one model and one N$"):
-            gt.min_work_scan(gamma0, traj.schedule, models, ns, seed=0)
+            gt.min_work_scan(gamma0, functools.partial(path_schedule, traj), models, ns, seed=0)
 
 
 def test_gaussian_schedule_errors_keep_their_text_and_come_before_step_1(monkeypatch):
@@ -2275,26 +2272,21 @@ def test_local_quench_schedule_shape(monkeypatch):
 
 def test_local_quench_samples_after_the_peak_are_solved_in_stacks(monkeypatch):
     # the samples after the peak are rank-one updates of ham0, solved by the secular equation in stacks of
-    # _RANK_ONE_STACK, none while the schedule is listed; the peak and the closing ham0 keep their path;
-    # a non-finite peak raises the keyframe check's text when the schedule is built (6 modes routed here)
+    # _RANK_ONE_STACK as the schedule is read, and not again by the state's schedule; the peak and the closing
+    # ham0 keep their path; a non-finite peak raises the keyframe check's text when the schedule is built
+    # (6 modes routed here)
     monkeypatch.setattr(hermitian, "_RANK_ONE_MODES", 2)
     ham0 = gt.build_chain(6, [0.1, 1.0, 1.0, 1.0, 1.0, 1.0], 0.5)
     sizes, kernel = [], hermitian._rank_one_eigh
-    monkeypatch.setattr(hermitian, "_rank_one_eigh", lambda es0, rhos, *work: sizes.append(len(rhos))
-                        or kernel(es0, rhos, *work))
+    monkeypatch.setattr(hermitian, "_rank_one_eigh", lambda es0, rhos: sizes.append(len(rhos)) or kernel(es0, rhos))
     stack = hermitian._RANK_ONE_STACK
     for n_q in (1, 2, 3, 8, 16):
         sizes.clear()
         hams = list(gt.local_quench_schedule(ham0, 4.3, n_q))
-        assert not sizes
-        fermions._ModeState.of(np.diag(np.linspace(0.1, 0.6, 6))).schedule(hams)
         samples = max(n_q - 2, 0)
+        assert [ham._es is not None for ham in hams[1:2 + samples]] == [False] + [True] * samples, n_q
+        fermions._ModeState.of(np.diag(np.linspace(0.1, 0.6, 6))).schedule(hams)
         assert sizes == [min(stack, samples - i) for i in range(0, samples, stack)], n_q
-    # read outside a pass, a sample's eigensystem solves its whole stack, once
-    sizes.clear()
-    hams = list(gt.local_quench_schedule(ham0, 4.3, 2 * stack + 3))
-    assert hams[3].es is not None and sizes == [stack]
-    assert all(ham._es is not None and ham._solve is None for ham in hams[2:2 + stack]) and hams[2 + stack]._es is None
     for peak in (math.nan, math.inf):
         with pytest.raises(ValueError, match="^keyframe 0 has non-finite entries$"):
             gt.local_quench_schedule(ham0, peak, 4)
