@@ -40,13 +40,14 @@ the one range rule for a correlation spectrum or mode populations, called by
 and ``dense.gaussian_to_dense``.  :func:`_fermi` and :func:`_xlogx` are the
 Fermi-function and entropy kernels, in numpy like the whole package.
 A local-quench schedule's samples after its peak are rank-one site-0 updates H0 + rho e_0 e_0^T of
-its real H0: :func:`_site0_updates` reads them ``_RANK_ONE_STACK`` at a time, as the schedule is read,
-and solves each stack by the secular equation (:func:`_rank_one_eigh`, its roots by
-:func:`_secular_roots` after LAPACK's ``dlaed4``), so they arrive with their eigensystems, unless H0 is
-guarded out (complex, fewer than ``_RANK_ONE_MODES`` modes, or a level gap or site-0 mode entry near
-zero).  Each vector keeps the sign the kernel's recomputed site row gives it, the same on every BLAS
-build; anchoring them would cost about a twentieth of the kernel (0.24 of 4.3 ms per stack of 4 at
-n = 150, 1 BLAS thread).
+its real H0, built from their site-0 energies by :func:`_site0_updates` ``_RANK_ONE_STACK`` at a time as
+the schedule is read: each stack is solved by the secular equation (:func:`_rank_one_eigh`, its roots by
+:func:`_secular_roots` after LAPACK's ``dlaed4``), and each record's matrix is formed from its eigensystem
+only when read, as a rotation sample's is.  The peak, and each sample of a guarded H0 (complex, fewer than
+``_RANK_ONE_MODES`` modes, or a level gap or site-0 mode entry near zero), is H0's matrix with the site-0
+entry set, left to ``eigh``.  Each vector keeps the sign the kernel's recomputed site row gives it, the
+same on every BLAS build; anchoring them would cost about a twentieth of the kernel (0.24 of 4.3 ms per
+stack of 4 at n = 150, 1 BLAS thread).
 """
 
 from __future__ import annotations
@@ -198,22 +199,23 @@ def _decomposed(hams, size: int):
         yield from batch
 
 
-def _site0_updates(ham0: _Hamiltonian, records):
-    """The trusted ``records``, each ham0 + rho e_0 e_0^T for its own rho up to round-off, read
-    ``_RANK_ONE_STACK`` at a time and handed on with the eigensystems one :func:`_rank_one_eigh` call works
-    out for the stack; as they are when ham0 is complex, has fewer than ``_RANK_ONE_MODES`` modes, or a
-    level gap or a site-0 mode entry |z_k| within the relative ``_RANK_ONE_GUARD`` of zero (deflation,
-    left to ``eigh``)."""
-    es0 = ham0.es
+def _site0_updates(ham0: _Hamiltonian, energies):
+    """Trusted records of ham0 with its site-0 entry set to each energy in turn, ham0 + rho e_0 e_0^T for
+    rho = energy - ham0.h[0, 0].  The first is that matrix, left to ``eigh``, and so is each one after it
+    when ham0 is complex, has fewer than ``_RANK_ONE_MODES`` modes, or a level gap or a site-0 mode entry
+    |z_k| within the relative ``_RANK_ONE_GUARD`` of zero (deflation); else the rest are read
+    ``_RANK_ONE_STACK`` at a time, each ``_of`` its eigensystem from the stack's one :func:`_rank_one_eigh`
+    call, so its matrix is formed only when read."""
+    energies, record, h0, es0 = iter(energies), type(ham0), ham0.h, ham0.es
     d, z = es0.values, es0.vectors[0]
-    if (np.iscomplexobj(es0.vectors) or len(d) < _RANK_ONE_MODES or np.abs(z).min() <= _RANK_ONE_GUARD
-            or (d[1:] - d[:-1]).min() <= _RANK_ONE_GUARD * max(-d[0], d[-1])):
-        yield from records
-        return
-    while stack := list(islice(records, _RANK_ONE_STACK)):
-        for ham, es in zip(stack, _rank_one_eigh(es0, [ham.h[0, 0] - ham0.h[0, 0] for ham in stack])):
-            ham._es = es
-        yield from stack
+    solved = not (np.iscomplexobj(es0.vectors) or len(d) < _RANK_ONE_MODES or np.abs(z).min() <= _RANK_ONE_GUARD
+                  or (d[1:] - d[:-1]).min() <= _RANK_ONE_GUARD * max(-d[0], d[-1]))
+    for energy in islice(energies, 1 if solved else None):     # the peak, or every energy of a guarded ham0
+        h = h0.copy()
+        h[0, 0] = energy
+        yield record._trusted(h)
+    while stack := list(islice(energies, _RANK_ONE_STACK)):
+        yield from map(record._of, _rank_one_eigh(es0, [energy - h0[0, 0] for energy in stack]))
 
 
 def _rank_one_eigh(es0: EigenSystem, rhos) -> list[EigenSystem]:
@@ -238,7 +240,7 @@ def _rank_one_eigh(es0: EigenSystem, rhos) -> list[EigenSystem]:
             continue
         dm, zm, am = (d, a[0], a) if sign > 0 else (-d[::-1], a[0, ::-1], a[:, ::-1])
         # q[s, k, i] = d_i - lambda_k
-        lam, q = _secular_roots(dm, zm / np.sqrt(z2), sign * rho[stack] * z2, *np.empty((2, len(stack) * n, n)))
+        lam, q = _secular_roots(dm, zm / np.sqrt(z2), sign * rho[stack] * z2)
         scale = 1.0 / (dm - dm[pair])
         for i, j in enumerate(stack):
             # zh_i^2 = (lambda_{n-1} - d_i) prod_k (d_i - lambda_k) / (d_i - d_pair), each factor in (0, 1)
@@ -250,11 +252,9 @@ def _rank_one_eigh(es0: EigenSystem, rhos) -> list[EigenSystem]:
     return list(map(EigenSystem, values, vectors))
 
 
-def _secular_roots(d: np.ndarray, z: np.ndarray, rho: np.ndarray, q: np.ndarray,
-                   poles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _secular_roots(d: np.ndarray, z: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The roots lambda (stack, n) of f = 1 / rho + sum_j z_j^2 / (d_j - lambda) for each rho > 0 of a stack,
-    d ascending, |z| = 1, and the differences q[s, k, i] = d_i - lambda_k, as LAPACK's ``dlaed4`` forms them, in
-    the given (stack x n, n) ``q``; ``poles`` is a second such array to work in.
+    d ascending, |z| = 1, and the differences q[s, k, i] = d_i - lambda_k, as LAPACK's ``dlaed4`` forms them.
 
     Root k < n - 1 lies in (d_k, d_k+1), the last in (d_n-1, d_n-1 + rho).  Each is first evaluated at its
     interval's midpoint; the sign of f there picks the nearer pole as its origin, and lambda = d_o + tau is
@@ -276,7 +276,7 @@ def _secular_roots(d: np.ndarray, z: np.ndarray, rho: np.ndarray, q: np.ndarray,
     zleft, left = z * left, left.astype(float)
     zs2, zp2, zq2 = z * z, z[p] ** 2, z[p + 1] ** 2
     zj, ones = np.stack([z, z * np.arange(n)], axis=1), np.ones(n)
-    np.subtract(d, d[o][:, None], out=poles)            # d_j - d_o, per root
+    poles, q = d - d[o][:, None], np.empty((s * n, n))     # d_j - d_o per root, and the differences
     lam, idx = np.empty(s * n), None                    # idx: the roots iterated, once not all
     w = q       # the work rows: the terms, then their slopes; q's own until half the roots converge
 

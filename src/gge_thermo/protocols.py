@@ -11,15 +11,15 @@ the inputs and applies the three maps: ``gaussian`` (``fermions._ModeState``,
 n x n correlation matrices) and ``dense`` (``dense._State``, d x d density
 matrices), each a subclass of the one eigenbasis state ``hermitian._EigenState``.
 
-:func:`min_work_scan` is the one loop over (model, N): it takes a schedule
-builder ``n -> [H^(0) .. H^(N)]`` (a function returning a list of matrices, a partial
-of :func:`local_quench_schedule`, or the four-phase builder ``_four_phase``,
-whose one pass yields n + 3 Hamiltonians, n + 2 quenches) and runs all
-models of an N in one lockstep pass over its schedule, recording works and
-entropy productions, which :func:`richardson_limit` extrapolates to
-N -> infinity.  ``optimal_gge_protocol`` and ``optimal_ta_protocol`` run that
-four-phase schedule under dephasing, ``optimal_gibbs_protocol`` a thermal
-return from k ln rho0.  Each builder hands the state's ``schedule`` trusted records, one at a time.
+:func:`min_work_scan` is the one loop over (model, N): it takes a schedule builder
+``n -> [H^(0) .. H^(N)]`` (a function returning a list of matrices, a partial of
+:func:`local_quench_schedule`, or the four-phase builder ``_four_phase``, whose one pass yields
+n + 3 Hamiltonians, n + 2 quenches) and runs all models of an N in one lockstep pass over its
+schedule, recording works and entropy productions, which :func:`richardson_limit` extrapolates to
+N -> infinity.  ``optimal_gge_protocol`` and ``optimal_ta_protocol`` run that four-phase schedule
+under dephasing, ``optimal_gibbs_protocol`` a thermal return from k ln rho0.  Each builder hands the
+state's ``schedule`` trusted records, one at a time: a trajectory its samples, the four-phase builder
+its rotation samples, and :func:`local_quench_schedule` ham0 with each site-0 energy set.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from threading import Lock
 from typing import Callable
 
@@ -91,9 +91,9 @@ class Trajectory:
     trajectory is built; its first interior sample takes one Schur basis of
     the rotation (numpy ``eig`` and QR), and each sample then costs one
     n x n product.  Segment ends return the keyframes exactly.  Its samples H(m / N) are read
-    through :meth:`_records` alone, by :func:`run_protocol`, :func:`optimal_gibbs_protocol` and
-    :func:`local_quench_schedule`, which hand them to the state's ``schedule`` one at a time as trusted
-    records with the eigensystems the trajectory has; a rotation sample's record forms its matrix when asked.
+    through :meth:`_records` alone, by :func:`run_protocol` and :func:`optimal_gibbs_protocol`, which
+    hand them to the state's ``schedule`` one at a time as trusted records with the eigensystems the
+    trajectory has; a rotation sample's record forms its matrix when asked.
     """
 
     keyframes: tuple
@@ -759,17 +759,17 @@ def build_population_inverted_bath(
 
 
 def local_quench_schedule(ham0, eps1_peak: float, n_quenches: int):
-    """A sudden first quench of the site-0 energy to ``eps1_peak``, then the peak path: N-1 equidistant
-    quenches along the linear trajectory back to ``ham0``, which itself closes the schedule (cyclic for
-    N >= 2); an iterator, whose records between are made as it is read, for the state's ``schedule``.
-    The samples after the peak are rank-one updates of ``ham0``, solved in stacks by the secular equation as
-    they are read (``hermitian._site0_updates``); the state's ``schedule`` decomposes the peak and the samples
-    of a guarded ``ham0`` (complex, under 64 modes, or a level gap or site-0 mode entry near zero) by ``eigh``."""
+    """A sudden first quench of the site-0 energy to ``eps1_peak``, then N-1 equidistant quenches of it along
+    the straight line back to ham0's, where ``ham0`` itself closes the schedule (cyclic for N >= 2); an
+    iterator for the state's ``schedule``, whose records between, ham0 with the site-0 energy set, are made
+    as it is read (``hermitian._site0_updates``).  The samples after the peak are solved in stacks by the
+    secular equation, their matrices formed only when read; the state's ``schedule`` decomposes the peak and
+    the samples of a guarded ``ham0`` (complex, under 64 modes, or a level gap or site-0 mode entry near zero)."""
     ham0 = fg.as_hamiltonian(ham0)
     n_quenches = _quench_counts([n_quenches])[0]
-    peak = ham0.c.copy()
-    peak[0, 0] = float(eps1_peak)
-    # N = 1 gives the peak alone; otherwise the path's last sample, ham0's matrix, is ham0
-    path = islice(Trajectory((peak, ham0.c), ("linear",))._records(max(n_quenches - 1, 1), type(ham0)),
-                  max(n_quenches - 1, 1))
-    return chain([ham0], islice(path, 1), _site0_updates(ham0, path), [ham0] * (n_quenches >= 2))
+    peak = float(eps1_peak)
+    if not np.isfinite(peak):
+        raise ValueError(f"eps1_peak must be finite, got {eps1_peak!r}")
+    m, end = max(n_quenches - 1, 1), ham0.c[0, 0]      # N = 1 gives the peak alone
+    energies = ((1.0 - j / m) * peak + j / m * end for j in range(m))
+    return chain([ham0], _site0_updates(ham0, energies), [ham0] * (n_quenches >= 2))

@@ -550,7 +550,8 @@ def test_rank_one_kernel_raises_when_a_root_does_not_converge(monkeypatch):
 @pytest.mark.parametrize("factor", [2.0, 0.5])
 def test_rank_one_guard_on_site_entries_and_level_gaps(monkeypatch, kind, factor):
     # a site-0 mode entry |z_k| or a level gap (over max |eps|) at twice the guard goes to the kernel,
-    # which matches eigh there; at half the guard the samples are left to eigh (8 modes routed here)
+    # which matches eigh there on ham0 + rho e_0 e_0^T, built here from the path's site-0 energies; at half
+    # the guard the samples are left to eigh (8 modes routed here)
     monkeypatch.setattr(hermitian, "_RANK_ONE_MODES", 2)
     guard, rng = hermitian._RANK_ONE_GUARD, make_rng(41)
     d, z = np.linspace(-1.0, 1.0, 8), rng.uniform(0.2, 1.0, 8)
@@ -562,11 +563,13 @@ def test_rank_one_guard_on_site_entries_and_level_gaps(monkeypatch, kind, factor
     hams = list(gt.local_quench_schedule(ham0, 2.5, 8))
     assert [ham._es is not None for ham in hams[2:-1]] == [factor > 1.0] * 6
     fermions._ModeState.of(np.diag(np.linspace(0.1, 0.9, 8))).schedule(hams)
-    for ham in hams[2:-1]:
-        exact = np.linalg.eigvalsh(ham.h)
+    for j, ham in enumerate(hams[2:-1], start=1):
+        h = ham0.c.copy()
+        h[0, 0] = (1.0 - j / 7) * 2.5 + j / 7 * ham0.c[0, 0]
+        exact = np.linalg.eigvalsh(h)
         a = ham.es.vectors
         assert np.abs(ham.es.values - exact).max() <= 1e-13 * np.abs(exact).max()
-        assert np.abs((a * ham.es.values) @ a.T - ham.h).max() <= 1e-12
+        assert np.abs((a * ham.es.values) @ a.T - h).max() <= 1e-12
         assert np.abs(a.T @ a - np.eye(8)).max() <= 1e-12
 
 

@@ -430,9 +430,10 @@ def test_trusted_samples_are_the_checked_records(monkeypatch, backend):
 
 
 def test_protocol_builders_check_no_sample_and_decompose_each_hamiltonian_once(monkeypatch):
-    # run_protocol, the sweep on local_quench_schedule and optimal_gibbs_protocol
-    # check their keyframes and their inputs, but no sample: the samples reach the
-    # state's schedule as trusted records, which it decomposes once, after step 0
+    # run_protocol and optimal_gibbs_protocol check their keyframes and their inputs,
+    # but no sample, and the sweep on local_quench_schedule, which has no keyframes,
+    # checks nothing: the samples reach the state's schedule as trusted records,
+    # which it decomposes once, after step 0
     rng = make_rng(37)
     ham0, ham1 = gt.build_chain(4, [0.1, 1.0, 1.0, 1.0], 0.5), gt.build_chain(4, [1.0, 0.5, 1.5, 1.0], 0.3)
     gamma0 = random_correlation(4, rng, lo=0.05, hi=0.95)
@@ -460,7 +461,7 @@ def test_protocol_builders_check_no_sample_and_decompose_each_hamiltonian_once(m
         # N = 1 builds the peak, N = 2 and 4 the N - 1 steps before ham0
         "local-quench sweep": (
             lambda: gt.min_work_scan(gamma0, sweep, [gt.GGE, gt.GIBBS], (1, 2, 4), seed=0),
-            1 + 1 + 3, [keyframes] * 3),
+            1 + 1 + 3, []),
         # its Hamiltonian is user input; the quench to k ln rho0, then 6 steps back
         "optimal_gibbs_protocol": (
             lambda: gt.optimal_gibbs_protocol(rho0, h0, -0.7, 6),
@@ -2273,8 +2274,7 @@ def test_local_quench_schedule_shape(monkeypatch):
 def test_local_quench_samples_after_the_peak_are_solved_in_stacks(monkeypatch):
     # the samples after the peak are rank-one updates of ham0, solved by the secular equation in stacks of
     # _RANK_ONE_STACK as the schedule is read, and not again by the state's schedule; the peak and the closing
-    # ham0 keep their path; a non-finite peak raises the keyframe check's text when the schedule is built
-    # (6 modes routed here)
+    # ham0 keep their path; a non-finite peak raises when the schedule is built (6 modes routed here)
     monkeypatch.setattr(hermitian, "_RANK_ONE_MODES", 2)
     ham0 = gt.build_chain(6, [0.1, 1.0, 1.0, 1.0, 1.0, 1.0], 0.5)
     sizes, kernel = [], hermitian._rank_one_eigh
@@ -2287,9 +2287,28 @@ def test_local_quench_samples_after_the_peak_are_solved_in_stacks(monkeypatch):
         assert [ham._es is not None for ham in hams[1:2 + samples]] == [False] + [True] * samples, n_q
         fermions._ModeState.of(np.diag(np.linspace(0.1, 0.6, 6))).schedule(hams)
         assert sizes == [min(stack, samples - i) for i in range(0, samples, stack)], n_q
-    for peak in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="^keyframe 0 has non-finite entries$"):
+    for peak in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^eps1_peak must be finite, got {peak!r}$"):
             gt.local_quench_schedule(ham0, peak, 4)
+
+
+def test_local_quench_samples_are_ham0_with_the_site0_energy_set(monkeypatch):
+    # each record after ham0 is ham0 + rho e_0 e_0^T, its site-0 energy on the straight line from the peak
+    # back to ham0's: a guarded sample (8 modes, under _RANK_ONE_MODES) is exactly that matrix, ham0's away
+    # from the site-0 entry (a blend of the peak's and ham0's matrices differs from ham0 off that entry, by
+    # round-off, in 2 of these 6 samples at hopping 0.3), and a kernel sample holds no matrix until it is read
+    ham0 = gt.build_chain(8, [0.1] + [1.0] * 7, 0.3)
+    expected = [ham0.c.copy() for _ in range(7)]
+    for j, h in enumerate(expected):
+        h[0, 0] = (1.0 - j / 7) * 2.5 + j / 7 * ham0.c[0, 0]
+    hams = list(gt.local_quench_schedule(ham0, 2.5, 8))
+    assert all(ham._h is not None and np.array_equal(ham.h, h) for ham, h in zip(hams[1:-1], expected, strict=True))
+    monkeypatch.setattr(hermitian, "_RANK_ONE_MODES", 2)
+    hams = list(gt.local_quench_schedule(ham0, 2.5, 8))
+    assert np.array_equal(hams[1].h, expected[0])
+    assert all(ham._h is None for ham in hams[2:-1])
+    for ham, h in zip(hams[2:-1], expected[1:], strict=True):
+        assert np.abs(ham.h - h).max() <= 1e-12
 
 
 @pytest.mark.parametrize("peak", [4.3, 1.6])
